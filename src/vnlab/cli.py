@@ -551,24 +551,28 @@ def cmd_verify_deep(cfg: dict):
 def read_points_csv(path: str) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
-            raw_rows = [row for row in csv.reader(fh) if row]
+            raw_rows = [(lineno, row) for lineno, row
+                        in enumerate(csv.reader(fh), start=1) if row]
     except OSError as exc:
         raise CliInputError(f"cannot read points file {path}: {exc}")
     if len(raw_rows) < 2:
         raise CliInputError("points file needs at least two rows")
     points = []
-    width = len(raw_rows[0])
-    for lineno, row in enumerate(raw_rows, start=1):
+    width = len(raw_rows[0][1])
+    for lineno, row in raw_rows:
         if len(row) != width:
             raise CliInputError(
                 f"{path}:{lineno}: expected {width} columns, got {len(row)}"
             )
         try:
-            points.append([float(cell) for cell in row])
+            values = [float(cell) for cell in row]
         except ValueError:
             raise CliInputError(
                 f"{path}:{lineno}: non-numeric cell in {row!r}"
             )
+        if not np.all(np.isfinite(values)):
+            raise CliInputError(f"{path}:{lineno}: non-finite cell in {row!r}")
+        points.append(values)
     return np.array(points)
 
 

@@ -2,11 +2,13 @@
 
 A point x_i can be selected by a softmax over bilinear scores exactly when
 some direction scores x_i strictly above every other point — equivalently,
-when x_i lies outside the convex hull of the rest.  This module certifies
-both sides with small linear programs:
+when x_i lies outside the convex hull of the rest.  One LP answers both: the
+L1 distance from x_i to the others' hull is, by LP duality, the max margin
+min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
+(Mangasarian, "Arbitrary-norm separating plane", Oper. Res. Lett. 24, 1999).
 
-* ``strict_separation`` finds the max-margin direction under a box norm;
-* ``hull_member`` decides convex-hull membership by LP feasibility;
+* ``strict_separation`` reads the max-margin direction off the duals;
+* ``hull_member`` tests the same distance for zero;
 * ``vdelta_certificate`` packages per-point directions and margins, plus the
   score amplification needed to push the softmax weight to a target level;
 * ``delta_nonlin_sep`` and ``train_gatv2_selector`` cover the relaxation to
@@ -15,13 +17,13 @@ both sides with small linear programs:
 
 The LP solver is a dense two-phase primal simplex with Bland's anti-cycling
 pivot rule: deterministic, dependency-free, adequate for the small instances
-certified here (tens of variables).
+certified here (d+1 rows, a few dozen columns).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +46,7 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
+    basis: tuple | None = None  # final basic column of each kept row
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -90,7 +93,8 @@ def solve_lp(c, A, b, tol: float = LP_TOL) -> LpResult:
     Two-phase dense simplex.  Phase 1 minimizes artificial variables to find
     a feasible basis (infeasible if their sum stays positive); phase 2
     minimizes the real objective.  Bland's rule everywhere, so termination is
-    guaranteed and identical inputs take identical pivots.
+    guaranteed and identical inputs take identical pivots.  With A of full
+    row rank, the duals are y = solve(A[:, basis].T, c[basis]).
     """
     c = numkit.as_vector(c)
     A = numkit.as_matrix(A)
@@ -99,7 +103,7 @@ def solve_lp(c, A, b, tol: float = LP_TOL) -> LpResult:
     if c.shape[0] != n or b.shape[0] != m:
         raise ValueError("LP dimensions disagree")
     if m == 0:
-        return LpResult("optimal", np.zeros(n), 0.0)
+        return LpResult("optimal", np.zeros(n), 0.0, ())
 
     A = A.copy()
     neg = b < 0
@@ -118,9 +122,7 @@ def solve_lp(c, A, b, tol: float = LP_TOL) -> LpResult:
 
     if _bland_iterate(T, basis, n + m, tol) != "optimal":
         raise RuntimeError("phase-1 LP cannot be unbounded")  # pragma: no cover
-    # Feasibility threshold sits a decade above the pivot tolerance but far
-    # below the 1e-6 margin band, so borderline hull queries stay inside the
-    # band where callers already treat the answer as unreliable.
+    # feasibility threshold: a decade above the pivot tolerance
     if -T[-1, -1] > 10.0 * tol:
         return LpResult("infeasible", None, None)
 
@@ -158,7 +160,7 @@ def solve_lp(c, A, b, tol: float = LP_TOL) -> LpResult:
     x = np.zeros(n)
     for i, bi in enumerate(basis):
         x[bi] = T[i, -1]
-    return LpResult("optimal", x, float(c @ x))
+    return LpResult("optimal", x, float(c @ x), tuple(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -166,66 +168,63 @@ def solve_lp(c, A, b, tol: float = LP_TOL) -> LpResult:
 # ---------------------------------------------------------------------------
 
 
+def _hull_distance(p: np.ndarray, points: np.ndarray):
+    """(L1 distance from p to the hull of ``points``, dual direction w).
+
+    min 1.(u + v)  s.t.  points.T lam + u - v = p,  1.lam = 1,  all >= 0; the
+    u block makes the d+1 rows full rank.  The dual constraints make w a
+    |w|_inf <= 1 direction whose margin min_j (p - x_j).w is the distance.
+    """
+    k, d = points.shape
+    A = np.block([[points.T, np.eye(d), -np.eye(d)],
+                  [np.ones((1, k)), np.zeros((1, 2 * d))]])
+    b = np.concatenate([p, [1.0]])
+    c = np.concatenate([np.zeros(k), np.ones(2 * d)])
+    res = solve_lp(c, A, b)
+    if res.status != "optimal":  # pragma: no cover - feasible and bounded
+        raise RuntimeError(f"hull-distance LP ended {res.status}")
+    B = list(res.basis)
+    w = np.linalg.solve(A[:, B].T, c[B])[:d]
+    # the dual box holds only to the pivot tolerance; make it exact
+    return res.objective, np.clip(w, -1.0, 1.0)
+
+
 def strict_separation(i: int, X, band: float = MARGIN_BAND):
     """Max-margin direction scoring x_i above every other point, or None.
 
-    Solves   max t  s.t.  w.(x_i - x_j) >= t  for all j != i,  |w|_inf <= 1
-    and returns (w, t) when the optimal margin clears the ``band``; margins
-    inside the band count as inseparable.  The box norm keeps the LP bounded
-    and fixes the scale of the reported margin.
+    max_w min_j (x_i - x_j).w over |w|_inf <= 1, with w read off the duals of
+    the L1 distance from x_i to the others' hull.  The margin is computed from
+    w, so w always reaches it.  Returns (w, margin) when the margin clears
+    the ``band``; margins inside the band count as inseparable.
     """
-    X = numkit.as_matrix(X)
-    n, d = X.shape
+    X = numkit.check_finite(numkit.as_matrix(X), "points")
+    n = X.shape[0]
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for {n} points")
     if n < 2:
         raise ValueError("separation needs at least two points")
-
-    # variables: u (d, w = u - 1), t+ , t-, s (n-1 surpluses), r (d box slacks)
-    n_vars = d + 2 + (n - 1) + d
-    rows = []
-    rhs = []
-    diffs = [X[i] - X[j] for j in range(n) if j != i]
-    for k, diff in enumerate(diffs):
-        row = np.zeros(n_vars)
-        row[:d] = diff
-        row[d] = -1.0  # t+
-        row[d + 1] = 1.0  # t-
-        row[d + 2 + k] = -1.0  # surplus
-        rows.append(row)
-        rhs.append(float(diff.sum()))  # w = u - 1 moves the constant here
-    for k in range(d):
-        row = np.zeros(n_vars)
-        row[k] = 1.0
-        row[d + 2 + (n - 1) + k] = 1.0
-        rows.append(row)
-        rhs.append(2.0)
-
-    c = np.zeros(n_vars)
-    c[d] = -1.0  # maximize t = t+ - t-
-    c[d + 1] = 1.0
-    res = solve_lp(c, np.array(rows), np.array(rhs))
-    if res.status != "optimal":  # pragma: no cover - bounded by construction
-        raise RuntimeError(f"separation LP ended {res.status}")
-    w = res.x[:d] - 1.0
-    margin = res.x[d] - res.x[d + 1]
+    others = np.delete(X, i, axis=0)
+    _, w = _hull_distance(X[i], others)
+    margin = float(np.min((X[i] - others) @ w))
     if margin <= band:
         return None
-    return w, float(margin)
+    return w, margin
 
 
-def hull_member(p, points, tol: float = LP_TOL) -> bool:
-    """Is p a convex combination of the given points?  (LP feasibility.)"""
-    points = numkit.as_matrix(points)
-    p = numkit.as_vector(p)
+def hull_member(p, points) -> bool:
+    """Is p a convex combination of the given points?
+
+    True when p's L1 distance to their hull is at most 10 * LP_TOL; borderline
+    cases fall inside the margin band, where callers treat answers as unsure.
+    """
+    points = numkit.check_finite(numkit.as_matrix(points), "points")
+    p = numkit.check_finite(numkit.as_vector(p), "point")
     if points.shape[0] == 0:
         raise ValueError("hull of an empty point set")
     if points.shape[1] != p.shape[0]:
         raise ValueError("dimension mismatch")
-    k = points.shape[0]
-    A = np.vstack([points.T, np.ones((1, k))])
-    b = np.concatenate([p, [1.0]])
-    return solve_lp(np.zeros(k), A, b, tol).status == "optimal"
+    distance, _ = _hull_distance(p, points)
+    return distance <= 10.0 * LP_TOL
 
 
 # ---------------------------------------------------------------------------

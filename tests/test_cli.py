@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from vnlab.cli import build_config, main, read_points_csv
+from vnlab.cli import CliInputError, build_config, main, read_points_csv
 
 # the window-count table the dataset-arith command must reproduce exactly
 NINE_CELLS = {
@@ -202,6 +202,27 @@ class TestCheckSeparability:
         pts = tmp_path / "bad.csv"
         pts.write_text("1,2\n3,oops\n")
         assert run(["check-separability", str(pts)]) == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_1(self, tmp_path, capsys, cell):
+        pts = tmp_path / "bad.csv"
+        pts.write_text(f"1,0\n0,{cell}\n-1,0\n")
+        assert run(["check-separability", str(pts)]) == 1
+        err = capsys.readouterr().err
+        assert f"{pts}:2: non-finite cell" in err
+        assert "Traceback" not in err
+
+    def test_read_points_rejects_non_finite(self, tmp_path):
+        pts = tmp_path / "bad.csv"
+        pts.write_text("1,0\nnan,1\n")
+        with pytest.raises(CliInputError, match=r"bad.csv:2: non-finite"):
+            read_points_csv(str(pts))
+
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        pts = tmp_path / "bad.csv"
+        pts.write_text("1,0\n\n0,1\ninf,0\n")
+        with pytest.raises(CliInputError, match=r"bad.csv:4: non-finite"):
+            read_points_csv(str(pts))
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run(["check-separability", str(tmp_path / "nope.csv")]) == 1

@@ -54,11 +54,30 @@ class TestSolveLp:
         assert np.allclose(res.x[:2], [1.0, 3.0], atol=1e-9)
         assert abs(res.objective + 7.0) < 1e-9
 
+    def test_basis_gives_the_duals(self):
+        # same LP: both x and y basic, so B^T y = c_B gives y = (-1, -1)
+        c = np.array([-1.0, -2.0, 0.0, 0.0])
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        res = solve_lp(c, A, np.array([4.0, 3.0]))
+        assert sorted(res.basis) == [0, 1]
+        B = list(res.basis)
+        y = np.linalg.solve(A[:, B].T, c[B])
+        assert np.allclose(y, [-1.0, -1.0], atol=1e-12)
+        assert abs(y @ [4.0, 3.0] - res.objective) < 1e-12
+
     def test_infeasible_detected(self):
         # x1 + x2 = 1 and x1 + x2 = 3 cannot both hold
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         res = solve_lp(np.zeros(2), A, np.array([1.0, 3.0]))
         assert res.status == "infeasible"
+
+    def test_feasibility_threshold(self):
+        # rows disagree by gap: the phase-1 optimum is gap, cut at 10 * tol
+        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        far = solve_lp(np.zeros(2), A, [1.0, 1.0 + 1e-7])
+        near = solve_lp(np.zeros(2), A, [1.0, 1.0 + 1e-9])
+        assert far.status == "infeasible"
+        assert near.status == "optimal"
 
     def test_unbounded_detected(self):
         # min -x  s.t. x - s = 1: x can grow without limit
@@ -155,6 +174,52 @@ class TestStrictSeparation:
         with pytest.raises(ValueError, match="two points"):
             strict_separation(0, np.ones((1, 2)))
 
+    def test_margin_on_the_band_is_inseparable(self):
+        assert strict_separation(1, [[0.0], [1e-6]]) is None
+        w, margin = strict_separation(1, [[0.0], [2e-6]])
+        assert margin == 2e-6
+        assert np.array_equal(w, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            strict_separation(0, X)
+        with pytest.raises(ValueError, match="non-finite"):
+            vdelta_certificate(X)
+
+
+def _unit_sphere_points(seed):
+    X = np.random.default_rng(seed).normal(size=(32, 3))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+class TestKnownCertifierFailures:
+    """Point sets on which the earlier primal max-margin LP went wrong."""
+
+    # margins from scipy's HiGHS solver
+    @pytest.mark.parametrize("seed, i, highs_margin", [
+        ([7, 0, 1], 3, 0.0944266625),
+        ([25, 0, 5], 6, 0.0812211823),
+        (74, 7, 0.2630125548),
+        (188, 11, 0.0798641998),
+    ])
+    def test_margin_matches_highs(self, seed, i, highs_margin):
+        w, margin = strict_separation(i, _unit_sphere_points(seed))
+        assert abs(margin - highs_margin) < 1e-9
+        assert np.max(np.abs(w)) <= 1.0
+
+    def test_direction_reaches_its_margin(self):
+        X = _unit_sphere_points([502, 0, 6])
+        w, margin = strict_separation(7, X)
+        assert np.min(np.delete(X[7] - X, 7, axis=0) @ w) >= margin
+
+    def test_direction_lies_in_the_box_exactly(self):
+        # the raw duals leave the box here by a rounding error
+        w, _ = strict_separation(0, _unit_sphere_points(0))
+        assert np.max(np.abs(w)) <= 1.0
+
 
 class TestHullMember:
     def test_point_equal_to_member(self):
@@ -185,6 +250,19 @@ class TestHullMember:
         with pytest.raises(ValueError, match="dimension"):
             hull_member(np.zeros(3), np.zeros((2, 2)))
 
+    def test_distance_threshold(self):
+        assert not hull_member([1.0 + 1e-7], [[0.0], [1.0]])
+        assert hull_member([1.0 + 1e-9], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            hull_member([bad, 0.0], X)
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hull_member([0.1, 0.1], X)
+
     @given(st.integers(0, 2**31 - 1), st.integers(3, 10), st.integers(1, 4))
     @settings(max_examples=120, deadline=None)
     def test_equivalence_with_strict_separation(self, seed, n, d):
@@ -204,6 +282,57 @@ class TestHullMember:
         else:
             assert got[1] > MARGIN_BAND
             assert not member
+
+
+@st.composite
+def degenerate_point_sets(draw):
+    """Small sets with duplicate points, collinear points, or n <= d."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 8))
+    rng = numkit.make_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(["grid", "duplicates", "collinear", "few"]))
+    if kind == "grid":  # integer grid: ties, duplicates and lines by chance
+        X = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "duplicates":
+        X = rng.normal(size=(n, d))
+        X[rng.integers(n, size=n // 2)] = X[rng.integers(n, size=n // 2)]
+    elif kind == "collinear":
+        X = rng.normal(size=d) + rng.normal(size=(n, 1)) * rng.normal(size=d)
+    else:
+        X = rng.normal(size=(int(rng.integers(2, d + 2)), d))
+    return X
+
+
+class TestLinprogOracle:
+    """Both certifier answers checked against scipy's HiGHS solver."""
+
+    @given(degenerate_point_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_margins_directions_and_membership(self, X):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        n, d = X.shape
+        for i in range(n):
+            others = np.delete(X, i, axis=0)
+            # max t  s.t.  w.(x_i - x_j) >= t,  -1 <= w <= 1
+            A_ub = np.hstack([others - X[i], np.ones((n - 1, 1))])
+            res = linprog(-np.eye(d + 1)[-1], A_ub=A_ub, b_ub=np.zeros(n - 1),
+                          bounds=[(-1.0, 1.0)] * d + [(None, None)],
+                          method="highs")
+            assert res.status == 0
+            best = -res.fun
+            w, margin = strict_separation(i, X, band=-np.inf)
+            assert abs(margin - best) <= 1e-7
+            assert np.max(np.abs(w)) <= 1.0 + 1e-9
+            assert np.min((X[i] - others) @ w) >= margin
+            feasible = linprog(np.zeros(n - 1),
+                               A_eq=np.vstack([others.T, np.ones(n - 1)]),
+                               b_eq=np.append(X[i], 1.0),
+                               method="highs").status == 0
+            member = hull_member(X[i], others)
+            if best > MARGIN_BAND:
+                assert not member and not feasible
+            elif best <= 1e-9:
+                assert member and feasible
 
 
 class TestCertificates:

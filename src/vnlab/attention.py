@@ -189,7 +189,7 @@ def approx_attention(X, w: AttnWeights, fm: FeatureMap) -> np.ndarray:
     key_sum = P_k.sum(axis=0)            # sum_j phi(k_j)
     kv_sum = P_k.T @ V                   # sum_j phi(k_j) (x) v_j, raster layout
     den = P_q @ key_sum
-    if np.any(den <= 0.0):
+    if not np.all(den > 0.0):
         raise ValueError("kernelized attention denominator not positive")
     return (P_q @ kv_sum) / den[:, None]
 

@@ -53,6 +53,7 @@ from .mpnnvn import (
     ScoreAccumulate,
     SelectorAdvance,
     SoftmaxSelectPool,
+    matrix,
     run_program_trace,
 )
 from .separability import (
@@ -102,7 +103,7 @@ class KernelPieces:
     sq: FittedPiece
     expish: FittedPiece
     recip: FittedPiece
-    bounds: dict
+    bounds: dict[str, float]
 
     def fit_summary(self) -> dict:
         out = {}
@@ -181,48 +182,6 @@ def _inflate(lo: float, hi: float, factor: float) -> tuple[float, float]:
     return center - half, center + half
 
 
-def piece_to_json(piece: FittedPiece) -> dict:
-    return {
-        "name": piece.name,
-        "params": mlp.params_to_json(piece.params),
-        "lo": piece.lo,
-        "hi": piece.hi,
-        "sup_error": piece.sup_error,
-        "target": piece.target,
-    }
-
-
-def piece_from_json(blob: dict) -> FittedPiece:
-    return FittedPiece(
-        name=blob["name"],
-        params=mlp.params_from_json(blob["params"]),
-        lo=float(blob["lo"]),
-        hi=float(blob["hi"]),
-        sup_error=float(blob["sup_error"]),
-        target=float(blob["target"]),
-    )
-
-
-def pieces_to_json(pieces: KernelPieces) -> dict:
-    return {
-        "kind": pieces.kind,
-        "sq": piece_to_json(pieces.sq),
-        "expish": piece_to_json(pieces.expish),
-        "recip": piece_to_json(pieces.recip),
-        "bounds": dict(pieces.bounds),
-    }
-
-
-def pieces_from_json(blob: dict) -> KernelPieces:
-    return KernelPieces(
-        kind=blob["kind"],
-        sq=piece_from_json(blob["sq"]),
-        expish=piece_from_json(blob["expish"]),
-        recip=piece_from_json(blob["recip"]),
-        bounds={k: float(v) for k, v in blob["bounds"].items()},
-    )
-
-
 def _phi_via_pieces(rows: np.ndarray, fm: FeatureMap, pieces: KernelPieces,
                     scale_key: str) -> np.ndarray:
     """Kernel features of projected rows, all nonlinearities via pieces.
@@ -244,14 +203,10 @@ class MlpStatsPool(Descriptor):
     """Feature-statistics pool with every nonlinearity a fitted network."""
 
     kind: ClassVar[str] = "mlp_stats_pool"
-    w_k: np.ndarray = field(default=None)
-    w_v: np.ndarray = field(default=None)
+    w_k: np.ndarray = matrix()
+    w_v: np.ndarray = matrix()
     feature_map: FeatureMap = field(default=None)
     pieces: KernelPieces = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_k", numkit.as_matrix(self.w_k))
-        object.__setattr__(self, "w_v", numkit.as_matrix(self.w_v))
 
     def __call__(self, vn, gn):
         P = _phi_via_pieces(gn @ self.w_k, self.feature_map, self.pieces,
@@ -263,37 +218,16 @@ class MlpStatsPool(Descriptor):
         kv = prods.sum(axis=0)  # (m, value_dim)
         return np.concatenate([P.sum(axis=0), numkit.flatten_raster(kv)]), None
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "w_k": numkit.matrix_to_json(self.w_k),
-            "w_v": numkit.matrix_to_json(self.w_v),
-            "feature_map": attention.feature_map_to_json(self.feature_map),
-            "pieces": pieces_to_json(self.pieces),
-        }
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(
-            numkit.matrix_from_json(blob["w_k"]),
-            numkit.matrix_from_json(blob["w_v"]),
-            attention.feature_map_from_json(blob["feature_map"]),
-            pieces_from_json(blob["pieces"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class MlpResolveUpdate(Descriptor):
     """Query resolution (dot products and division) via fitted pieces."""
 
     kind: ClassVar[str] = "mlp_resolve_update"
-    w_q: np.ndarray = field(default=None)
+    w_q: np.ndarray = matrix()
     feature_map: FeatureMap = field(default=None)
     pieces: KernelPieces = field(default=None)
     value_dim: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_q", numkit.as_matrix(self.w_q))
 
     def __call__(self, gn, msg, gg):
         m = self.feature_map.out_dim(self.w_q.shape[1])
@@ -306,7 +240,7 @@ class MlpResolveUpdate(Descriptor):
                           b["phi_q_max"], b["m_abs"]).sum(axis=1)
         den = _mul_via_sq(self.pieces.sq, P_q, key_sum[None, :],
                           b["phi_q_max"], b["s_max"]).sum(axis=1)
-        if np.any(den <= 0.0):
+        if not np.all(den > 0.0):
             raise ValueError(
                 "approximate query resolution produced a non-positive "
                 "denominator; the fitted pieces are out of their domain"
@@ -314,24 +248,6 @@ class MlpResolveUpdate(Descriptor):
         inv = _piece_eval(self.pieces.recip, den)
         return _mul_via_sq(self.pieces.sq, num, inv[:, None],
                            b["num_abs"], b["inv_max"])
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "w_q": numkit.matrix_to_json(self.w_q),
-            "feature_map": attention.feature_map_to_json(self.feature_map),
-            "pieces": pieces_to_json(self.pieces),
-            "value_dim": self.value_dim,
-        }
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(
-            numkit.matrix_from_json(blob["w_q"]),
-            attention.feature_map_from_json(blob["feature_map"]),
-            pieces_from_json(blob["pieces"]),
-            int(blob["value_dim"]),
-        )
 
 
 # ---------------------------------------------------------------------------

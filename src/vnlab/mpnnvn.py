@@ -12,10 +12,13 @@ A layer updates two node kinds synchronously from the pre-layer state:
 Dropping the graph-to-graph channel gives the simplified layer form; the
 compiled attention programs only ever use the simplified form.
 
-Every function slot is filled by a *descriptor*: a small dataclass that is
-callable, JSON-serializable, and either closed-form or backed by trained MLP
-weights.  Programs (ordered layer lists plus initial-state and output
-conventions) therefore persist to JSON wholesale.
+Every function slot is filled by a *descriptor*: a frozen dataclass with a
+registered ``kind`` and a ``__call__``, either closed-form or backed by
+trained MLP weights.  Descriptors need no codec of their own: ``to_json`` and
+``from_json`` derive the JSON layout from the dataclass fields (one key per
+field, decoded by the field's type), so programs (ordered layer lists plus
+initial-state and output conventions) persist to JSON wholesale.  Array
+fields are declared with ``matrix()`` or ``vector()``.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
@@ -23,8 +26,12 @@ Determinism note: pooled reductions always run in ascending node-index order
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -48,12 +55,30 @@ class NodeState:
 
 
 # ---------------------------------------------------------------------------
-# descriptor registry
+# descriptor registry and the field-derived JSON codec
 # ---------------------------------------------------------------------------
 
 
+def matrix():
+    """A 2-D float64 array field, stored as a ``numkit`` matrix blob."""
+    return field(default=None, metadata={"codec": (
+        numkit.as_matrix, numkit.matrix_to_json, numkit.matrix_from_json)})
+
+
+def vector():
+    """A 1-D float64 array field, stored as a single-row matrix blob."""
+    return field(default=None, metadata={"codec": (
+        numkit.as_vector, numkit.vector_to_json, numkit.vector_from_json)})
+
+
 class Descriptor:
-    """Serializable evaluator; subclasses register themselves by ``kind``."""
+    """A layer-slot evaluator; subclasses register themselves by ``kind``.
+
+    A new descriptor is a frozen dataclass that sets ``kind`` and defines
+    ``__call__``; its JSON form is derived from its fields, so it needs no
+    codec.  Array fields declared with ``matrix()``/``vector()`` are coerced
+    to float64 on construction.
+    """
 
     kind: ClassVar[str] = ""
     _registry: ClassVar[dict[str, type]] = {}
@@ -65,12 +90,14 @@ class Descriptor:
                 raise TypeError(f"duplicate descriptor kind {cls.kind!r}")
             Descriptor._registry[cls.kind] = cls
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    def __post_init__(self):
+        for f in _codec_fields(type(self)):
+            value = getattr(self, f.name)
+            if f.coerce is not None and not (value is None and f.optional):
+                object.__setattr__(self, f.name, f.coerce(value))
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "Descriptor":
-        raise NotImplementedError
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **to_json(self)}
 
 
 def descriptor_from_json(blob: dict) -> "Descriptor":
@@ -79,7 +106,86 @@ def descriptor_from_json(blob: dict) -> "Descriptor":
         sub = Descriptor._registry[kind]
     except KeyError:
         raise ValueError(f"unknown descriptor kind {kind!r}") from None
-    return sub.from_json(blob)
+    return from_json(sub, blob)
+
+
+class _FieldCodec(NamedTuple):
+    name: str
+    optional: bool  # annotated ``X | None``: may be None or missing
+    coerce: Callable | None
+    encode: Callable
+    decode: Callable
+
+
+# values whose JSON layout is not field-shaped keep their own codecs
+_LEAF_CODECS = {
+    attention.FeatureMap: (attention.feature_map_to_json,
+                           attention.feature_map_from_json),
+    attention.Gatv2Score: (attention.gatv2_to_json, attention.gatv2_from_json),
+    mlp.MlpParams: (mlp.params_to_json, mlp.params_from_json),
+}
+
+
+def _same(value):
+    return value
+
+
+def _type_codec(tp) -> tuple[Callable, Callable]:
+    """(encode, decode) for a value of annotated type ``tp``."""
+    if tp in (int, float):
+        return _same, tp
+    if tp is str:
+        return _same, _same
+    if tp in _LEAF_CODECS:
+        return _LEAF_CODECS[tp]
+    if isinstance(tp, type) and issubclass(tp, Descriptor):
+        return Descriptor.to_json, descriptor_from_json
+    if dataclasses.is_dataclass(tp):
+        return to_json, functools.partial(from_json, tp)
+    if typing.get_origin(tp) is dict:
+        enc, dec = _type_codec(typing.get_args(tp)[1])
+        return (lambda d: {k: enc(v) for k, v in d.items()},
+                lambda d: {k: dec(v) for k, v in d.items()})
+    raise TypeError(f"no JSON codec for field type {tp!r}")
+
+
+@functools.cache
+def _codec_fields(cls) -> tuple[_FieldCodec, ...]:
+    """The codec of every dataclass field of ``cls``, resolved once."""
+    hints = typing.get_type_hints(cls)
+    table = []
+    for f in dataclasses.fields(cls):
+        tp, optional = hints[f.name], False
+        if typing.get_origin(tp) in (typing.Union, types.UnionType):
+            optional = type(None) in typing.get_args(tp)
+            (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+        if "codec" in f.metadata:
+            coerce, encode, decode = f.metadata["codec"]
+        else:
+            coerce, (encode, decode) = None, _type_codec(tp)
+        table.append(_FieldCodec(f.name, optional, coerce, encode, decode))
+    return tuple(table)
+
+
+def to_json(obj) -> dict:
+    """One key per dataclass field; None stays None for optional fields."""
+    blob = {}
+    for f in _codec_fields(type(obj)):
+        value = getattr(obj, f.name)
+        blob[f.name] = None if value is None and f.optional else f.encode(value)
+    return blob
+
+
+def from_json(cls, blob: dict):
+    """Rebuild a ``cls`` written by :func:`to_json`, decoding by field type."""
+    kwargs = {}
+    for f in _codec_fields(cls):
+        value = blob.get(f.name)
+        if value is None and not f.optional:
+            label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
+            raise ValueError(f"{label}: missing value for field {f.name!r}")
+        kwargs[f.name] = None if value is None else f.decode(value)
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +202,6 @@ class SumPool(Descriptor):
     def __call__(self, vn, gn):
         return gn.sum(axis=0), None
 
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
-
 
 @dataclass(frozen=True)
 class MeanPool(Descriptor):
@@ -111,33 +210,16 @@ class MeanPool(Descriptor):
     def __call__(self, vn, gn):
         return gn.sum(axis=0) / gn.shape[0], None
 
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
-
 
 @dataclass(frozen=True, eq=False)
 class ConstPool(Descriptor):
     """Ignores the states and produces a fixed vector."""
 
     kind: ClassVar[str] = "const_pool"
-    values: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", numkit.as_vector(self.values))
+    values: np.ndarray = vector()
 
     def __call__(self, vn, gn):
         return self.values.copy(), None
-
-    def to_json(self):
-        return {"kind": self.kind, "values": numkit.vector_to_json(self.values)}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(numkit.vector_from_json(blob["values"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +233,9 @@ class FeatureStatsPool(Descriptor):
     """
 
     kind: ClassVar[str] = "feature_stats_pool"
-    w_k: np.ndarray = field(default=None)
-    w_v: np.ndarray = field(default=None)
+    w_k: np.ndarray = matrix()
+    w_v: np.ndarray = matrix()
     feature_map: attention.FeatureMap = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_k", numkit.as_matrix(self.w_k))
-        object.__setattr__(self, "w_v", numkit.as_matrix(self.w_v))
 
     def __call__(self, vn, gn):
         P = attention.phi_matrix(gn @ self.w_k, self.feature_map)
@@ -167,22 +245,6 @@ class FeatureStatsPool(Descriptor):
     def out_width(self) -> int:
         m = self.feature_map.out_dim(self.w_k.shape[1])
         return m * (1 + self.w_v.shape[1])
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "w_k": numkit.matrix_to_json(self.w_k),
-            "w_v": numkit.matrix_to_json(self.w_v),
-            "feature_map": attention.feature_map_to_json(self.feature_map),
-        }
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(
-            numkit.matrix_from_json(blob["w_k"]),
-            numkit.matrix_from_json(blob["w_v"]),
-            attention.feature_map_from_json(blob["feature_map"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -205,13 +267,6 @@ class SoftmaxSelectPool(Descriptor):
         weights = numkit.softmax(scores)
         return weights @ gn, {"selection_weights": weights}
 
-    def to_json(self):
-        return {"kind": self.kind, "width": self.width, "scale": self.scale}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(int(blob["width"]), float(blob["scale"]))
-
 
 @dataclass(frozen=True)
 class OracleSelectPool(Descriptor):
@@ -226,13 +281,6 @@ class OracleSelectPool(Descriptor):
         weights = np.zeros(gn.shape[0])
         weights[self.index] = 1.0
         return gn[self.index].copy(), {"selection_weights": weights}
-
-    def to_json(self):
-        return {"kind": self.kind, "index": self.index}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(int(blob["index"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,19 +301,6 @@ class Gatv2SelectPool(Descriptor):
         weights = numkit.softmax(scores)
         return weights @ gn, {"selection_weights": weights}
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "width": self.width,
-            "scale": self.scale,
-            "score": attention.gatv2_to_json(self.score),
-        }
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(attention.gatv2_from_json(blob["score"]),
-                   int(blob["width"]), float(blob["scale"]))
-
 
 # ---------------------------------------------------------------------------
 # virtual-node updates: (vn, pooled) -> new vn
@@ -279,13 +314,6 @@ class CopyPooled(Descriptor):
     def __call__(self, vn, pooled):
         return pooled.copy()
 
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
-
 
 @dataclass(frozen=True)
 class KeepVn(Descriptor):
@@ -294,31 +322,14 @@ class KeepVn(Descriptor):
     def __call__(self, vn, pooled):
         return vn.copy()
 
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
-
 
 @dataclass(frozen=True, eq=False)
 class ConstVn(Descriptor):
     kind: ClassVar[str] = "const_vn"
-    values: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", numkit.as_vector(self.values))
+    values: np.ndarray = vector()
 
     def __call__(self, vn, pooled):
         return self.values.copy()
-
-    def to_json(self):
-        return {"kind": self.kind, "values": numkit.vector_to_json(self.values)}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(numkit.vector_from_json(blob["values"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,30 +342,12 @@ class SelectorAdvance(Descriptor):
 
     kind: ClassVar[str] = "selector_advance"
     width: int = 0
-    next_selector: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.next_selector is not None:
-            object.__setattr__(
-                self, "next_selector", numkit.as_vector(self.next_selector)
-            )
+    next_selector: np.ndarray | None = vector()
 
     def __call__(self, vn, pooled):
         d = self.width
         nxt = self.next_selector if self.next_selector is not None else np.zeros(d)
         return np.concatenate([pooled[:d], nxt, [0.0]])
-
-    def to_json(self):
-        blob = {"kind": self.kind, "width": self.width, "next_selector": None}
-        if self.next_selector is not None:
-            blob["next_selector"] = numkit.vector_to_json(self.next_selector)
-        return blob
-
-    @classmethod
-    def from_json(cls, blob):
-        nxt = blob.get("next_selector")
-        return cls(int(blob["width"]),
-                   None if nxt is None else numkit.vector_from_json(nxt))
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +364,6 @@ class CopyVnMsg(Descriptor):
     def __call__(self, gn, vn):
         return np.tile(vn, (gn.shape[0], 1))
 
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
-
 
 # ---------------------------------------------------------------------------
 # graph-node updates: (gn, msg, gg) -> new gn matrix
@@ -391,31 +377,14 @@ class IdentityGn(Descriptor):
     def __call__(self, gn, msg, gg):
         return gn.copy()
 
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
-
 
 @dataclass(frozen=True, eq=False)
 class LinearGn(Descriptor):
     kind: ClassVar[str] = "linear_gn"
-    matrix: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", numkit.as_matrix(self.matrix))
+    matrix: np.ndarray = matrix()
 
     def __call__(self, gn, msg, gg):
         return gn @ self.matrix
-
-    def to_json(self):
-        return {"kind": self.kind, "matrix": numkit.matrix_to_json(self.matrix)}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(numkit.matrix_from_json(blob["matrix"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,33 +396,15 @@ class AffineFromVn(Descriptor):
     """
 
     kind: ClassVar[str] = "affine_from_vn"
-    matrix: np.ndarray = field(default=None)
-    bias: np.ndarray = field(default=None)
+    matrix: np.ndarray = matrix()
+    bias: np.ndarray = vector()
     activation: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", numkit.as_matrix(self.matrix))
-        object.__setattr__(self, "bias", numkit.as_vector(self.bias))
 
     def __call__(self, gn, msg, gg):
         out = gn + msg @ self.matrix + self.bias
         if self.activation is not None:
             out = numkit.activation_fn(self.activation)(out)
         return out
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "matrix": numkit.matrix_to_json(self.matrix),
-            "bias": numkit.vector_to_json(self.bias),
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(numkit.matrix_from_json(blob["matrix"]),
-                   numkit.vector_from_json(blob["bias"]),
-                   blob.get("activation"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,12 +417,9 @@ class ResolveQueryUpdate(Descriptor):
     """
 
     kind: ClassVar[str] = "resolve_query_update"
-    w_q: np.ndarray = field(default=None)
+    w_q: np.ndarray = matrix()
     feature_map: attention.FeatureMap = field(default=None)
     value_dim: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_q", numkit.as_matrix(self.w_q))
 
     def __call__(self, gn, msg, gg):
         m = self.feature_map.out_dim(self.w_q.shape[1])
@@ -479,23 +427,9 @@ class ResolveQueryUpdate(Descriptor):
         key_sum = msg[0, :m]
         kv_sum = msg[0, m:].reshape(m, self.value_dim)
         den = P_q @ key_sum
-        if np.any(den <= 0.0):
+        if not np.all(den > 0.0):
             raise ValueError("query resolution denominator not positive")
         return (P_q @ kv_sum) / den[:, None]
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "w_q": numkit.matrix_to_json(self.w_q),
-            "feature_map": attention.feature_map_to_json(self.feature_map),
-            "value_dim": self.value_dim,
-        }
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(numkit.matrix_from_json(blob["w_q"]),
-                   attention.feature_map_from_json(blob["feature_map"]),
-                   int(blob["value_dim"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,15 +446,10 @@ class ScoreAccumulate(Descriptor):
     """
 
     kind: ClassVar[str] = "score_accumulate"
-    w_q: np.ndarray = field(default=None)
-    w_k: np.ndarray = field(default=None)
-    w_v: np.ndarray = field(default=None)
+    w_q: np.ndarray = matrix()
+    w_k: np.ndarray = matrix()
+    w_v: np.ndarray = matrix()
     width: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_q", numkit.as_matrix(self.w_q))
-        object.__setattr__(self, "w_k", numkit.as_matrix(self.w_k))
-        object.__setattr__(self, "w_v", numkit.as_matrix(self.w_v))
 
     def __call__(self, gn, msg, gg):
         d = self.width
@@ -537,22 +466,6 @@ class ScoreAccumulate(Descriptor):
             out[i, 2 * d] = gn[i, 2 * d] + e
         return out
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "w_q": numkit.matrix_to_json(self.w_q),
-            "w_k": numkit.matrix_to_json(self.w_k),
-            "w_v": numkit.matrix_to_json(self.w_v),
-            "width": self.width,
-        }
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(numkit.matrix_from_json(blob["w_q"]),
-                   numkit.matrix_from_json(blob["w_k"]),
-                   numkit.matrix_from_json(blob["w_v"]),
-                   int(blob["width"]))
-
 
 @dataclass(frozen=True)
 class RatioUpdate(Descriptor):
@@ -564,18 +477,11 @@ class RatioUpdate(Descriptor):
     def __call__(self, gn, msg, gg):
         d = self.width
         mass = gn[:, 2 * d]
-        if np.any(mass <= 0.0):
+        if not np.all(mass > 0.0):
             raise ValueError("accumulated mass not positive")
         out = np.zeros_like(gn)
         out[:, :d] = gn[:, d : 2 * d] / mass[:, None]
         return out
-
-    def to_json(self):
-        return {"kind": self.kind, "width": self.width}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(int(blob["width"]))
 
 
 @dataclass(frozen=True)
@@ -586,13 +492,6 @@ class AddPooledNeighbors(Descriptor):
 
     def __call__(self, gn, msg, gg):
         return gn.copy() if gg is None else gn + gg
-
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,13 +504,6 @@ class MlpGnUpdate(Descriptor):
     def __call__(self, gn, msg, gg):
         joint = np.concatenate([gn, msg], axis=1)
         return mlp.forward(self.params, joint)
-
-    def to_json(self):
-        return {"kind": self.kind, "params": mlp.params_to_json(self.params)}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls(mlp.params_from_json(blob["params"]))
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +524,6 @@ class IdentityPairMsg(Descriptor):
                 out[i] += gn[j]
         return out
 
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
-
 
 @dataclass(frozen=True)
 class ZeroPairMsg(Descriptor):
@@ -648,13 +533,6 @@ class ZeroPairMsg(Descriptor):
 
     def pooled(self, gn, neighbor_rows):
         return np.zeros_like(gn)
-
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, blob):
-        return cls()
 
 
 # ---------------------------------------------------------------------------
@@ -797,27 +675,6 @@ def program_width(prog: LayerProgram, g: Graph, X) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _layer_to_json(layer: MpnnVnLayer) -> dict:
-    return {
-        "vn_pool": layer.vn_pool.to_json(),
-        "vn_update": layer.vn_update.to_json(),
-        "gn_msg": layer.gn_msg.to_json(),
-        "gn_update": layer.gn_update.to_json(),
-        "gn_gn_msg": None if layer.gn_gn_msg is None else layer.gn_gn_msg.to_json(),
-    }
-
-
-def _layer_from_json(blob: dict) -> MpnnVnLayer:
-    gg = blob.get("gn_gn_msg")
-    return MpnnVnLayer(
-        vn_pool=descriptor_from_json(blob["vn_pool"]),
-        vn_update=descriptor_from_json(blob["vn_update"]),
-        gn_msg=descriptor_from_json(blob["gn_msg"]),
-        gn_update=descriptor_from_json(blob["gn_update"]),
-        gn_gn_msg=None if gg is None else descriptor_from_json(gg),
-    )
-
-
 def program_to_json(prog: LayerProgram) -> dict:
     gn_init = prog.gn_init
     if isinstance(gn_init, tuple):
@@ -829,7 +686,7 @@ def program_to_json(prog: LayerProgram) -> dict:
         "vn_init": numkit.vector_to_json(prog.vn_init),
         "gn_init": gn_init,
         "gn_out": None if prog.gn_out is None else list(prog.gn_out),
-        "layers": [_layer_to_json(l) for l in prog.layers],
+        "layers": [to_json(l) for l in prog.layers],
     }
 
 
@@ -844,7 +701,7 @@ def program_from_json(blob: dict) -> LayerProgram:
         gn_init = (gn_init[0], int(gn_init[1]))
     gn_out = blob.get("gn_out")
     return LayerProgram(
-        layers=[_layer_from_json(l) for l in blob["layers"]],
+        layers=[from_json(MpnnVnLayer, l) for l in blob["layers"]],
         vn_init=numkit.vector_from_json(blob["vn_init"]),
         gn_init=gn_init,
         gn_out=None if gn_out is None else (int(gn_out[0]), int(gn_out[1])),

@@ -240,6 +240,15 @@ def test_approx_attention_permutation_equivariant():
                                atol=1e-12)
 
 
+def test_approx_attention_rejects_nan_row():
+    w = _weights(3, 25)
+    X = _bounded_rows(6, 3, 26)
+    X[2, 1] = np.nan
+    fm = attention.exp_feature_map(8, 3, seed=5)
+    with pytest.raises(ValueError, match="denominator"):
+        attention.approx_attention(X, w, fm)
+
+
 # ---------------------------------------------------------------------------
 # additive (nonlinear) scoring
 # ---------------------------------------------------------------------------

@@ -127,6 +127,18 @@ class TestKernelExact:
             KernelSimConfig(feature_map=attention.elu_feature_map(),
                             mode="quantum")
 
+    def test_nan_input_row_raises(self):
+        # one NaN row poisons the pooled statistics of every node
+        rng = numkit.make_rng(6)
+        w = attention.random_weights(3, rng)
+        prog = compile_kernel_vn(
+            w, KernelSimConfig(feature_map=attention.exp_feature_map(4, 3, 1))
+        )
+        X = rng.normal(size=(6, 3)) * 0.5
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError, match="denominator"):
+            prog.execute(attention_host_graph(6), X)
+
 
 # ---------------------------------------------------------------------------
 # constant-depth kernel compiler, mlp mode
@@ -302,6 +314,16 @@ class TestDeepOracle:
             DeepSimConfig(n=3, selection="psychic")
         with pytest.raises(ValueError, match="at least one"):
             DeepSimConfig(n=0)
+
+    def test_nan_input_row_raises(self):
+        # one NaN row enters every node's accumulated mass
+        rng = numkit.make_rng(6)
+        w = attention.random_weights(3, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(n=6, selection="oracle"))
+        X = rng.normal(size=(6, 3)) * 0.5
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError, match="mass"):
+            prog.execute(attention_host_graph(6), X)
 
     def test_selectors_shape_checked(self):
         rng = numkit.make_rng(0)

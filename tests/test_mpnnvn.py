@@ -1,11 +1,23 @@
 """Tests for the heterogeneous virtual-node layer engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnlab import attention, mlp, numkit
+from vnlab.constructions import (
+    DeepSimConfig,
+    FittedPiece,
+    KernelPieces,
+    KernelSimConfig,
+    MlpResolveUpdate,
+    MlpStatsPool,
+    compile_deep_vn,
+    compile_kernel_vn,
+)
 from vnlab.graphs import Graph, add_virtual_node
 from vnlab.mpnnvn import (
     AddPooledNeighbors,
@@ -49,6 +61,24 @@ from vnlab.mpnnvn import (
 def star(n):
     """n graph nodes plus one virtual node adjacent to all of them."""
     return add_virtual_node(Graph(n, ()))
+
+
+def unfitted_pieces():
+    """Kernel pieces with freshly initialized networks; nothing is fit."""
+
+    def piece(name, seed, lo, hi):
+        spec = mlp.MlpSpec(widths=(1, 3, 1), activation="elu")
+        params = mlp.init_params(spec, numkit.make_rng(seed), seed=seed)
+        return FittedPiece(name=name, params=params, lo=lo, hi=hi,
+                           sup_error=0.5, target=0.25)
+
+    return KernelPieces(
+        kind="exp_features", sq=piece("sq", 6, -2.2, 2.2),
+        expish=piece("exp", 7, -3.0, 1.5), recip=piece("recip", 8, 0.5, 4.0),
+        bounds={"k_abs": 1.5, "q_abs": 1.25, "v_abs": 0.75,
+                "phi_k_max": 2.0, "phi_q_max": 2.5, "s_max": 3.0,
+                "m_abs": 1.0, "num_abs": 2.0, "inv_max": 2.0},
+    )
 
 
 def plain_layer(vn_pool=None, vn_update=None, gn_update=None, gn_gn_msg=None):
@@ -401,6 +431,23 @@ class TestKernelLayers:
         with pytest.raises(ValueError, match="denominator"):
             upd(np.zeros((2, 2)), msg, None)
 
+    def test_resolve_query_rejects_nan_denominator(self):
+        fm = attention.elu_feature_map()
+        upd = ResolveQueryUpdate(np.eye(2), fm, value_dim=2)
+        msg = np.ones((2, 6))
+        gn = np.array([[0.1, 0.2], [np.nan, 0.3]])
+        with pytest.raises(ValueError, match="denominator"):
+            upd(gn, msg, None)
+
+    def test_mlp_resolve_rejects_nan_denominator(self):
+        # unfitted pieces can give either sign, so only NaN rows are fed
+        fm = attention.exp_feature_map(4, 2, seed=1)
+        upd = MlpResolveUpdate(np.eye(2), fm, unfitted_pieces(), value_dim=2)
+        msg = np.ones((2, 12))
+        gn = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="denominator"):
+            upd(gn, msg, None)
+
 
 class TestScoreAccumulate:
     def test_one_accumulation_step_by_hand(self):
@@ -430,6 +477,11 @@ class TestScoreAccumulate:
         with pytest.raises(ValueError, match="mass"):
             upd(np.array([[1.0, 1.0, 0.0]]), None, None)
 
+    def test_ratio_update_rejects_nan_mass(self):
+        upd = RatioUpdate(width=1)
+        with pytest.raises(ValueError, match="mass"):
+            upd(np.array([[1.0, 1.0, 2.0], [1.0, 1.0, np.nan]]), None, None)
+
 
 # ---------------------------------------------------------------------------
 # persistence
@@ -446,6 +498,7 @@ class TestPersistence:
         )
         spec = mlp.MlpSpec(widths=(4, 6, 2), activation="relu")
         params = mlp.init_params(spec, numkit.make_rng(5), seed=5)
+        pieces = unfitted_pieces()
         layers = [
             MpnnVnLayer(FeatureStatsPool(rng.normal(size=(2, 2)),
                                          rng.normal(size=(2, 2)), fm),
@@ -469,12 +522,73 @@ class TestPersistence:
                         LinearGn(rng.normal(size=(5, 3)))),
             MpnnVnLayer(SumPool(), CopyPooled(), CopyVnMsg(),
                         AddPooledNeighbors()),
+            MpnnVnLayer(MeanPool(), SelectorAdvance(width=2), CopyVnMsg(),
+                        ResolveQueryUpdate(rng.normal(size=(2, 2)), fm,
+                                           value_dim=2)),
+            MpnnVnLayer(MlpStatsPool(rng.normal(size=(2, 2)),
+                                     rng.normal(size=(2, 2)), fm, pieces),
+                        KeepVn(), CopyVnMsg(),
+                        MlpResolveUpdate(rng.normal(size=(2, 2)), fm, pieces,
+                                         value_dim=2)),
+            MpnnVnLayer(MeanPool(), CopyPooled(), CopyVnMsg(),
+                        AffineFromVn(rng.normal(size=(5, 5)),
+                                     rng.normal(size=5))),
         ]
         return LayerProgram(
             layers=layers, vn_init=np.ones(5), gn_init=("pad", 5),
             gn_out=(0, 2), provenance="round-trip-test",
             metadata={"note": "exercises every descriptor kind"},
         )
+
+    def test_rich_program_covers_every_descriptor_kind(self):
+        prog = self._rich_program()
+        covered = set()
+        for layer in prog.layers:
+            for slot in (layer.vn_pool, layer.vn_update, layer.gn_msg,
+                         layer.gn_update, layer.gn_gn_msg):
+                if slot is not None:
+                    covered.add(slot.kind)
+        assert covered == set(Descriptor._registry)
+        gn_updates = [layer.gn_update for layer in prog.layers]
+        vn_updates = [layer.vn_update for layer in prog.layers]
+        assert any(isinstance(u, AffineFromVn) and u.activation is None
+                   for u in gn_updates)
+        assert any(isinstance(u, SelectorAdvance) and u.next_selector is None
+                   for u in vn_updates)
+
+    @staticmethod
+    def _pinned_weights(rng, d):
+        # drawn directly, without the spectral rescaling of random_weights,
+        # so that the saved bytes do not depend on the LAPACK build
+        return attention.AttnWeights(*(0.3 * rng.normal(size=(d, d))
+                                       for _ in range(3)))
+
+    def _pinned_program(self, name):
+        if name == "rich":
+            return self._rich_program()
+        w = self._pinned_weights(numkit.make_rng(21), 3)
+        if name == "deep_oracle":
+            return compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        fm = attention.exp_feature_map(4, 3, seed=2)
+        return compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
+
+    # sha256 of the saved layer-program/v1 documents; a change here is a
+    # change of the on-disk format
+    PINNED_SHA256 = {
+        "rich":
+            "84686bce1f131234f499e3974376f05133e3c9c26f80db5fe9ec183bf50f2140",
+        "deep_oracle":
+            "a9a3554485d4ca82f2aff2734208100a4995b8ad9f6accb9ea2bf58918b2df02",
+        "kernel_exact":
+            "f388138b5b113a758ab19c7768fd9bb0dd4c178af85c580385aa86fc0fc05b17",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+    def test_saved_bytes_are_pinned(self, name, tmp_path):
+        path = tmp_path / "program.json"
+        save_program(self._pinned_program(name), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.PINNED_SHA256[name]
 
     def test_round_trip_preserves_document(self, tmp_path):
         prog = self._rich_program()
@@ -502,6 +616,30 @@ class TestPersistence:
     def test_format_tag_checked(self):
         with pytest.raises(ValueError, match="layer-program/v1"):
             program_from_json({"format": "other"})
+
+    def test_missing_required_field_names_kind_and_field(self):
+        with pytest.raises(ValueError,
+                           match="softmax_select_pool.*'width'"):
+            descriptor_from_json({"kind": "softmax_select_pool"})
+        with pytest.raises(ValueError, match="linear_gn.*'matrix'"):
+            descriptor_from_json({"kind": "linear_gn", "matrix": None})
+        blob = program_to_json(self._rich_program())
+        del blob["layers"][0]["gn_update"]
+        with pytest.raises(ValueError, match="MpnnVnLayer.*'gn_update'"):
+            program_from_json(blob)
+
+    def test_missing_optional_fields_decode_to_none(self):
+        adv = descriptor_from_json({"kind": "selector_advance", "width": 2})
+        assert adv.width == 2 and adv.next_selector is None
+        affine = descriptor_from_json({
+            "kind": "affine_from_vn",
+            "matrix": numkit.matrix_to_json(np.eye(2)),
+            "bias": numkit.vector_to_json(np.zeros(2)),
+        })
+        assert affine.activation is None
+        blob = program_to_json(mean_subtract_program(2))
+        del blob["layers"][0]["gn_gn_msg"]
+        assert program_from_json(blob).layers[0].gn_gn_msg is None
 
     def test_unknown_descriptor_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown descriptor kind"):

@@ -84,13 +84,6 @@ def random_weights(d: int, rng: np.random.Generator, qk_dim: int | None = None,
                        feature_bound, weight_bound)
 
 
-def unnorm_score(u, v, w: AttnWeights) -> float:
-    """Bilinear attention score u^T (Wq Wk^T) v."""
-    u = numkit.as_vector(u)
-    v = numkit.as_vector(v)
-    return float((u @ w.w_q) @ (v @ w.w_k))
-
-
 def self_attention(X, w: AttnWeights) -> np.ndarray:
     """Exact softmax attention: softmax(X Wq (X Wk)^T) X Wv, row-wise."""
     X = numkit.as_matrix(X)
@@ -238,15 +231,6 @@ class Gatv2Score:
         object.__setattr__(self, "b", b)
 
 
-def gatv2_score(u, v, g: Gatv2Score) -> float:
-    u = numkit.as_vector(u)
-    v = numkit.as_vector(v)
-    uv = np.concatenate([u, v])
-    if uv.shape[0] != g.w.shape[1]:
-        raise ValueError(f"score expects dim {g.w.shape[1]}, got {uv.shape[0]}")
-    return float(g.a @ numkit.leaky_relu(g.w @ uv + g.b, g.slope))
-
-
 def gatv2_scores_against(fixed_v, rows, g: Gatv2Score) -> np.ndarray:
     """Score every row u of ``rows`` against one fixed second argument."""
     rows = numkit.as_matrix(rows)
@@ -305,33 +289,6 @@ def check_assumptions(X, w: AttnWeights, feature_bound: float | None = None,
 # ---------------------------------------------------------------------------
 # persistence (same weight envelope as the mlp module)
 # ---------------------------------------------------------------------------
-
-
-def weights_to_json(w: AttnWeights) -> dict:
-    return {
-        "format": "weights/v1",
-        "kind": "attention",
-        "feature_bound": w.feature_bound,
-        "weight_bound": w.weight_bound,
-        "matrices": {
-            "w_q": numkit.matrix_to_json(w.w_q),
-            "w_k": numkit.matrix_to_json(w.w_k),
-            "w_v": numkit.matrix_to_json(w.w_v),
-        },
-    }
-
-
-def weights_from_json(blob: dict) -> AttnWeights:
-    if blob.get("kind") != "attention":
-        raise ValueError(f"not an attention weight file (kind={blob.get('kind')!r})")
-    mats = blob["matrices"]
-    return AttnWeights(
-        numkit.matrix_from_json(mats["w_q"]),
-        numkit.matrix_from_json(mats["w_k"]),
-        numkit.matrix_from_json(mats["w_v"]),
-        float(blob["feature_bound"]),
-        float(blob["weight_bound"]),
-    )
 
 
 def feature_map_to_json(fm: FeatureMap) -> dict:

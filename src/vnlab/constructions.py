@@ -54,7 +54,7 @@ from .mpnnvn import (
     SelectorAdvance,
     SoftmaxSelectPool,
     matrix,
-    run_program_trace,
+    run_program,
 )
 from .separability import (
     SeparabilityCertificate,
@@ -594,10 +594,6 @@ def make_certified_instance(
 # ---------------------------------------------------------------------------
 
 
-REPORT_CSV_HEADER = ("seed", "n", "d", "scale", "max_err", "mean_err",
-                     "bound_satisfied")
-
-
 @dataclass
 class ErrorReport:
     """Measured deviation of a compiled program from its reference layer."""
@@ -614,7 +610,10 @@ class ErrorReport:
 
     @property
     def bounds_ok(self) -> bool:
-        return all(entry.get("feature_error_ok", True) for entry in self.selection)
+        """Every selected feature and selection weight is within its bound."""
+        return all(entry.get("feature_error_ok", True)
+                   and entry.get("weight_ok", True)
+                   for entry in self.selection)
 
 
 def report_to_json(report: ErrorReport) -> dict:
@@ -674,8 +673,20 @@ def run_and_report(
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    g = attention_host_graph(n)
-    final, states, auxes = run_program_trace(g, prog.initial_state(X), prog)
+    deep = prog.metadata.get("compiler") == "deep"
+    d = prog.metadata["d"] if deep else 0
+    measured = []  # after layer k <= n: (feature error, target's weight)
+
+    def measure_selection(k, state, aux):
+        if k <= n:
+            weights = None if aux is None else aux.get("selection_weights")
+            measured.append((
+                float(np.linalg.norm(state.vn[:d] - X[k - 1])),
+                None if weights is None else float(weights[k - 1]),
+            ))
+
+    final = run_program(attention_host_graph(n), prog.initial_state(X), prog,
+                        observe=measure_selection if deep else None)
     got = prog.extract(final)
     if got.shape != want.shape:
         raise ValueError(
@@ -694,19 +705,14 @@ def run_and_report(
         })
 
     selection = []
-    if prog.metadata.get("compiler") == "deep":
-        d = prog.metadata["d"]
+    if deep:
         c1 = feature_bound if feature_bound is not None \
             else float(np.linalg.norm(X, axis=1).max())
         c = prog.metadata.get("c")
         for k in range(1, n + 1):
-            aux = auxes[k - 1]
-            weights = aux.get("selection_weights")
-            picked = states[k].vn[:d]
-            feat_err = float(np.linalg.norm(picked - X[k - 1]))
+            feat_err, w_target = measured[k - 1]
             entry = {"layer": k, "target": k - 1}
-            if weights is not None:
-                w_target = float(weights[k - 1])
+            if w_target is not None:
                 entry["weight"] = w_target
                 entry["feature_error"] = feat_err
                 entry["feature_error_bound"] = n * c1 * (1.0 - w_target)
@@ -732,16 +738,6 @@ def run_and_report(
         config=config,
         seed=seed,
     )
-
-
-def write_reports_csv(reports, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_CSV_HEADER)
-        for rep in reports:
-            writer.writerow(report_csv_row(rep))
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def compile_network(net: DeepSetsNet, n: int) -> LayerProgram:
 
 
 # ---------------------------------------------------------------------------
-# randomized instances and persistence
+# randomized instances
 # ---------------------------------------------------------------------------
 
 
@@ -198,36 +198,3 @@ def random_network(widths, rng: np.random.Generator,
                    activation: str = "relu") -> DeepSetsNet:
     layers = [random_linear(a, b, rng) for a, b in zip(widths[:-1], widths[1:])]
     return DeepSetsNet(tuple(layers), activation=activation)
-
-
-def linear_to_json(layer: EquivariantLinear) -> dict:
-    return {
-        "A": numkit.matrix_to_json(layer.A),
-        "B": numkit.matrix_to_json(layer.B),
-        "c": numkit.vector_to_json(layer.c),
-    }
-
-
-def linear_from_json(blob: dict) -> EquivariantLinear:
-    return EquivariantLinear(
-        A=numkit.matrix_from_json(blob["A"]),
-        B=numkit.matrix_from_json(blob["B"]),
-        c=numkit.vector_from_json(blob["c"]),
-    )
-
-
-def net_to_json(net: DeepSetsNet) -> dict:
-    return {
-        "format": "deepsets/v1",
-        "activation": net.activation,
-        "layers": [linear_to_json(l) for l in net.layers],
-    }
-
-
-def net_from_json(blob: dict) -> DeepSetsNet:
-    if blob.get("format") != "deepsets/v1":
-        raise ValueError("not a deepsets/v1 document")
-    return DeepSetsNet(
-        tuple(linear_from_json(l) for l in blob["layers"]),
-        activation=blob["activation"],
-    )

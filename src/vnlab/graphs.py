@@ -2,20 +2,14 @@
 
 The dataset side reproduces, exactly and without any data download, the
 bookkeeping of a sea-surface-temperature forecasting benchmark: regular grid
-graphs over ocean regions, calendar day counts for year-range splits, and
-sliding-window example counts.  A seeded synthetic field stands in for the
-real temperatures so the full pipeline can run hermetically.
+graphs, calendar day counts for year-range splits, and sliding-window example
+counts.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from . import numkit
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -162,32 +156,6 @@ def window_count(days: int, spec: WindowSpec, regions: int = 1) -> int:
     return count * regions
 
 
-def make_windows(series, spec: WindowSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Cut a per-node day series into (input, target) window pairs.
-
-    ``series`` is (n_nodes, days) or 1-D (days,); windows are returned in
-    chronological anchor order, each pair shaped (n_nodes, history) and
-    (n_nodes, predict).
-    """
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ValueError("series must be 1-D or 2-D (nodes x days)")
-    days = arr.shape[1]
-    if days < spec.span + 1:
-        raise ValueError(
-            f"series of {days} days is too short for history={spec.history} "
-            f"predict={spec.predict} (needs at least {spec.span + 1})"
-        )
-    out = []
-    for t in range(days - spec.span):
-        inp = arr[:, t : t + spec.history]
-        tgt = arr[:, t + spec.history : t + spec.span]
-        out.append((inp.copy(), tgt.copy()))
-    return out
-
-
 @dataclass(frozen=True)
 class YearSplit:
     """A named contiguous year range used as a dataset split."""
@@ -212,171 +180,3 @@ BENCHMARK_WINDOWS = (
     WindowSpec(42, 14),
     WindowSpec(42, 7),
 )
-
-
-def split_day_ranges(splits=BENCHMARK_SPLITS) -> dict[str, tuple[int, int]]:
-    """Half-open day-index ranges of each split inside the concatenated series."""
-    out = {}
-    offset = 0
-    for s in splits:
-        out[s.name] = (offset, offset + s.days)
-        offset += s.days
-    return out
-
-
-# ---------------------------------------------------------------------------
-# region catalog
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Region:
-    index: int
-    lon_min: float
-    lon_max: float
-    lat_min: float
-    lat_max: float
-
-
-def _make_regions() -> tuple[Region, ...]:
-    lon_bands = [
-        (180.125, 194.875),
-        (195.125, 209.875),
-        (210.125, 224.875),
-        (225.125, 239.875),
-        (240.125, 254.875),
-        (255.125, 269.875),
-    ]
-    south = (-14.875, -0.125)
-    north = (0.125, 14.875)
-    regions = []
-    for i, (lo, hi) in enumerate(lon_bands):
-        regions.append(Region(i + 1, lo, hi, *south))
-    for i, (lo, hi) in enumerate(lon_bands[:5]):
-        regions.append(Region(len(lon_bands) + i + 1, lo, hi, *north))
-    return tuple(regions)
-
-
-REGION_CATALOG: tuple[Region, ...] = _make_regions()
-
-
-# ---------------------------------------------------------------------------
-# synthetic field
-# ---------------------------------------------------------------------------
-
-# amplitude budget of the three space-time modes plus the noise cap
-SYNTH_AMPLITUDES = (0.6, 0.25, 0.1)
-
-
-def synthetic_field_bound(noise: float = 0.05) -> float:
-    """Declared sup bound on |field values| (supports the feature-norm assumption)."""
-    return float(sum(SYNTH_AMPLITUDES) + noise)
-
-
-def synthetic_field(grid: GridSpec, days: int, rng: np.random.Generator,
-                    noise: float = 0.05) -> np.ndarray:
-    """Smooth deterministic-from-seed field: 3 spatial-temporal modes + noise.
-
-    Each mode is amplitude * s(node) * t(day) with |s|, |t| <= 1, so values
-    stay inside [-synthetic_field_bound(noise), +synthetic_field_bound(noise)].
-    Noise is uniform on [-noise, noise] to keep the bound hard.
-    """
-    if days < 1:
-        raise ValueError("days must be positive")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
-    rr, cc = np.meshgrid(np.arange(grid.rows), np.arange(grid.cols), indexing="ij")
-    rr = rr.ravel() / max(grid.rows - 1, 1)
-    cc = cc.ravel() / max(grid.cols - 1, 1)
-    t = np.arange(days) / max(days - 1, 1)
-
-    field_vals = np.zeros((grid.rows * grid.cols, days))
-    for amp in SYNTH_AMPLITUDES:
-        f_r, f_c, f_t = rng.uniform(0.5, 3.0, size=3)
-        p_r, p_c, p_t = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        spatial = np.sin(2.0 * np.pi * f_r * rr + p_r) * np.sin(2.0 * np.pi * f_c * cc + p_c)
-        temporal = np.sin(2.0 * np.pi * f_t * t + p_t)
-        field_vals += amp * np.outer(spatial, temporal)
-    if noise > 0:
-        field_vals += rng.uniform(-noise, noise, size=field_vals.shape)
-    return field_vals
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-SERIES_CSV_HEADER = ("node_id", "day_index", "value")
-
-
-def write_series_csv(path, series: np.ndarray) -> None:
-    """Write a (nodes, days) series as rows of (node_id, day_index, value)."""
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("series must be 2-D (nodes x days)")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(SERIES_CSV_HEADER)
-        for node in range(arr.shape[0]):
-            for day in range(arr.shape[1]):
-                w.writerow((node, day, repr(float(arr[node, day]))))
-
-
-def read_series_csv(path) -> np.ndarray:
-    """Read a series CSV back into a dense (nodes, days) array.
-
-    Every (node, day) cell must be present exactly once; missing or duplicate
-    cells are treated as malformed input.
-    """
-    cells: dict[tuple[int, int], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != SERIES_CSV_HEADER:
-            raise ValueError(f"expected header {SERIES_CSV_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                node, day, value = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if node < 0 or day < 0:
-                raise ValueError(f"line {lineno}: negative node or day index")
-            key = (node, day)
-            if key in cells:
-                raise ValueError(f"line {lineno}: duplicate cell {key}")
-            cells[key] = value
-    if not cells:
-        raise ValueError("series CSV contains no data rows")
-    n_nodes = max(k[0] for k in cells) + 1
-    n_days = max(k[1] for k in cells) + 1
-    if len(cells) != n_nodes * n_days:
-        raise ValueError(
-            f"series CSV is ragged: {len(cells)} cells for {n_nodes}x{n_days} grid"
-        )
-    out = np.empty((n_nodes, n_days))
-    for (node, day), value in cells.items():
-        out[node, day] = value
-    return out
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {
-        "format": "graph/v1",
-        "nodes": g.n,
-        "edges": [[int(i), int(j)] for i, j in g.edges],
-        "virtual_node": g.vn_index,
-    }
-
-
-def graph_from_json(blob: dict) -> Graph:
-    if blob.get("format") != "graph/v1":
-        raise ValueError("not a graph/v1 document")
-    return Graph(
-        int(blob["nodes"]),
-        tuple((int(i), int(j)) for i, j in blob["edges"]),
-        blob.get("virtual_node"),
-    )

@@ -342,11 +342,3 @@ def params_from_json(blob: dict) -> MlpParams:
     if len(weights) != spec.n_layers:
         raise ValueError("layer count does not match widths")
     return MlpParams(spec, weights, biases, blob.get("seed"))
-
-
-def save_params(params: MlpParams, path) -> None:
-    numkit.dump_json(params_to_json(params), path)
-
-
-def load_params(path) -> MlpParams:
-    return params_from_json(numkit.load_json(path))

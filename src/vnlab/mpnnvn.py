@@ -3,14 +3,19 @@
 A layer updates two node kinds synchronously from the pre-layer state:
 
 * the virtual node receives one pooled message computed from all graph-node
-  states (the pool may be a plain sum/mean or a softmax-weighted selection,
-  which is how attention-style reads are expressed), then applies its update;
+  states (the pool may be a plain mean, feature statistics, or a
+  softmax-weighted selection, which is how attention-style reads are
+  expressed), then applies its update;
 * every graph node receives the virtual node's state through the
   virtual-to-graph channel plus, optionally, a summed message over its graph
   neighbors (the graph-to-graph channel), then applies its update.
 
 Dropping the graph-to-graph channel gives the simplified layer form; the
 compiled attention programs only ever use the simplified form.
+
+``run_program`` is the one loop over a program's layers.  Callers that need
+intermediate results (per-layer selection weights, a state at some time)
+pass an ``observe(k, state, aux)`` callback instead of asking for a trace.
 
 Every function slot is filled by a *descriptor*: a frozen dataclass with a
 registered ``kind`` and a ``__call__``, either closed-form or backed by
@@ -49,9 +54,6 @@ class NodeState:
     def __post_init__(self):
         self.gn = numkit.as_matrix(self.gn)
         self.vn = numkit.as_vector(self.vn)
-
-    def copy(self) -> "NodeState":
-        return NodeState(self.gn.copy(), self.vn.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +196,11 @@ def from_json(cls, blob: dict):
 
 
 @dataclass(frozen=True)
-class SumPool(Descriptor):
-    """Plain sum of all graph-node states, ascending node order."""
-
-    kind: ClassVar[str] = "sum_pool"
-
-    def __call__(self, vn, gn):
-        return gn.sum(axis=0), None
-
-
-@dataclass(frozen=True)
 class MeanPool(Descriptor):
     kind: ClassVar[str] = "mean_pool"
 
     def __call__(self, vn, gn):
         return gn.sum(axis=0) / gn.shape[0], None
-
-
-@dataclass(frozen=True, eq=False)
-class ConstPool(Descriptor):
-    """Ignores the states and produces a fixed vector."""
-
-    kind: ClassVar[str] = "const_pool"
-    values: np.ndarray = vector()
-
-    def __call__(self, vn, gn):
-        return self.values.copy(), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,18 +475,6 @@ class AddPooledNeighbors(Descriptor):
         return gn.copy() if gg is None else gn + gg
 
 
-@dataclass(frozen=True, eq=False)
-class MlpGnUpdate(Descriptor):
-    """Graph-node update computed by a trained network on [x_i ; message_i]."""
-
-    kind: ClassVar[str] = "mlp_gn_update"
-    params: mlp.MlpParams = field(default=None)
-
-    def __call__(self, gn, msg, gg):
-        joint = np.concatenate([gn, msg], axis=1)
-        return mlp.forward(self.params, joint)
-
-
 # ---------------------------------------------------------------------------
 # graph-to-graph pair messages: pooled over graph neighbors
 # ---------------------------------------------------------------------------
@@ -523,16 +492,6 @@ class IdentityPairMsg(Descriptor):
             for j in nbrs:
                 out[i] += gn[j]
         return out
-
-
-@dataclass(frozen=True)
-class ZeroPairMsg(Descriptor):
-    """A present-but-null channel: contributes exactly zero."""
-
-    kind: ClassVar[str] = "zero_pair_msg"
-
-    def pooled(self, gn, neighbor_rows):
-        return np.zeros_like(gn)
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +526,13 @@ def _graph_neighbor_rows(g: Graph) -> list[list[int]]:
     return [sorted(r) for r in rows]
 
 
-def run_layer(g: Graph, s: NodeState, layer: MpnnVnLayer,
-              capture: dict | None = None) -> NodeState:
+def run_layer(g: Graph, s: NodeState,
+              layer: MpnnVnLayer) -> tuple[NodeState, dict | None]:
     """Apply one layer with a synchronous barrier.
 
     All messages and pools read the pre-layer state ``s``; nothing observes a
-    mid-layer update.
+    mid-layer update.  Returns the post-layer state and the pool's aux output
+    (None for plain pools; selection pools give ``selection_weights``).
     """
     if not g.has_vn:
         raise ValueError("run_layer requires a graph with a virtual node")
@@ -588,9 +548,7 @@ def run_layer(g: Graph, s: NodeState, layer: MpnnVnLayer,
     if layer.gn_gn_msg is not None:
         gg = layer.gn_gn_msg.pooled(s.gn, _graph_neighbor_rows(g))
     new_gn = layer.gn_update(s.gn, msg, gg)
-    if capture is not None and aux:
-        capture.update(aux)
-    return NodeState(new_gn, new_vn)
+    return NodeState(new_gn, new_vn), aux
 
 
 @dataclass(eq=False)
@@ -638,36 +596,20 @@ class LayerProgram:
         return self.extract(run_program(g, self.initial_state(X), self))
 
 
-def run_program(g: Graph, s0: NodeState, prog: LayerProgram) -> NodeState:
-    """Run all layers in order; the empty program is the identity."""
-    s = s0
-    for layer in prog.layers:
-        s = run_layer(g, s, layer)
-    return s
+def run_program(g: Graph, s0: NodeState, prog: LayerProgram,
+                observe: Callable | None = None) -> NodeState:
+    """Run all layers in order; the empty program is the identity.
 
-
-def run_program_trace(
-    g: Graph, s0: NodeState, prog: LayerProgram
-) -> tuple[NodeState, list[NodeState], list[dict]]:
-    """Like run_program but records every intermediate state and pool aux.
-
-    Returns (final state, [state at time 0..L], [aux dict per layer]).
+    ``observe(k, state, aux)``, when given, is called after layer k for
+    k = 1..L with the post-layer state and the pool's aux output (None for
+    plain pools); it keeps whatever it needs.
     """
-    states = [s0.copy()]
-    auxes: list[dict] = []
     s = s0
-    for layer in prog.layers:
-        cap: dict = {}
-        s = run_layer(g, s, layer, capture=cap)
-        states.append(s.copy())
-        auxes.append(cap)
-    return s, states, auxes
-
-
-def program_width(prog: LayerProgram, g: Graph, X) -> int:
-    """Max state dimension (graph-node or virtual) seen while running."""
-    _, states, _ = run_program_trace(g, prog.initial_state(X), prog)
-    return max(max(s.gn.shape[1], s.vn.shape[0]) for s in states)
+    for k, layer in enumerate(prog.layers, start=1):
+        s, aux = run_layer(g, s, layer)
+        if observe is not None:
+            observe(k, s, aux)
+    return s
 
 
 # ---------------------------------------------------------------------------

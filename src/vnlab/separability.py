@@ -350,31 +350,6 @@ def selection_weight_bound(c: float, margin: float, n: int) -> float:
     return float(1.0 / (1.0 + (n - 1) * math.exp(-z)))
 
 
-def certificate_to_json(cert: SeparabilityCertificate) -> dict:
-    return {
-        "format": "certificate/v1",
-        "directions": numkit.matrix_to_json(cert.directions),
-        "margins": numkit.vector_to_json(cert.margins),
-        "amplification": cert.amplification,
-        "eps": cert.eps,
-        "band": cert.band,
-        "seed": cert.seed,
-    }
-
-
-def certificate_from_json(blob: dict) -> SeparabilityCertificate:
-    if blob.get("format") != "certificate/v1":
-        raise ValueError("not a certificate/v1 document")
-    return SeparabilityCertificate(
-        directions=numkit.matrix_from_json(blob["directions"]),
-        margins=numkit.vector_from_json(blob["margins"]),
-        amplification=float(blob["amplification"]),
-        eps=float(blob["eps"]),
-        band=float(blob["band"]),
-        seed=blob.get("seed"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # nonlinear separation and the trained additive selector
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oracles import (
     finite_diff_grads,
     grad_rel_err,
 )
+from traces import run_traced
 from vnlab import attention, mlp, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -37,7 +38,6 @@ from vnlab.graphs import (
     grid_graph,
     window_count,
 )
-from vnlab.mpnnvn import run_program_trace
 from vnlab.separability import (
     amplification_for,
     gatv2_selection_weights,
@@ -151,7 +151,7 @@ def test_criterion_04_deep_oracle_exact_with_trace():
         w = attention.random_weights(d, rng)
         X = rng.normal(size=(n, d)) * 0.6
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        _, states, _ = run_program_trace(
+        states, _ = run_traced(
             attention_host_graph(n), prog.initial_state(X), prog
         )
         got = states[-1].gn[:, :d]
@@ -191,7 +191,7 @@ def test_criterion_05_deep_softmax_bounds_and_convergence():
         prog = compile_deep_vn(w, DeepSimConfig(
             n=n, selection="softmax", certificate=cert, amplification=c,
         ))
-        _, states, auxes = run_program_trace(
+        states, auxes = run_traced(
             attention_host_graph(n), prog.initial_state(X), prog
         )
         bound = selection_weight_bound(c, cert.delta, n)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import deep_trace_oracle, self_attention_oracle
+from traces import run_traced
 from vnlab import attention, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -22,13 +23,8 @@ from vnlab.constructions import (
     report_to_json,
     run_and_report,
     sweep_deep_amplification,
-    write_reports_csv,
 )
-from vnlab.mpnnvn import (
-    program_from_json,
-    program_to_json,
-    run_program_trace,
-)
+from vnlab.mpnnvn import program_from_json, program_to_json
 from vnlab.separability import (
     SeparabilityCertificate,
     amplification_for,
@@ -106,7 +102,7 @@ class TestKernelExact:
         assert prog.metadata["vn_width"] == (out + 1) * m
         assert prog.vn_init.shape == ((out + 1) * m,)
         X = rng.normal(size=(4, d)) * 0.5
-        _, states, _ = run_program_trace(
+        states, _ = run_traced(
             attention_host_graph(4), prog.initial_state(X), prog
         )
         assert states[1].vn.shape == ((out + 1) * m,)
@@ -257,7 +253,7 @@ class TestDeepOracle:
         X = rng.normal(size=(n, d)) * 0.6
         w = attention.random_weights(d, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        _, states, _ = run_program_trace(
+        states, _ = run_traced(
             attention_host_graph(n), prog.initial_state(X), prog
         )
         selectors = np.zeros((n, d))
@@ -274,7 +270,7 @@ class TestDeepOracle:
         X = rng.normal(size=(n, d)) * 0.5
         w = attention.random_weights(d, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        _, states, _ = run_program_trace(
+        states, _ = run_traced(
             attention_host_graph(n), prog.initial_state(X), prog
         )
         for t in range(n + 2):
@@ -539,23 +535,17 @@ class TestReports:
         with pytest.raises(ValueError, match="feature map"):
             run_and_report(X, prog, w, reference="kernel")
 
-    def test_csv_round_trip(self, tmp_path):
-        import csv
-
+    def test_csv_round_trip(self):
         reports = sweep_deep_amplification(
             n=4, d=2, factors=(2.0, 8.0), seeds=(0,)
         )[0]
-        path = tmp_path / "sweep.csv"
-        write_reports_csv(reports, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["seed", "n", "d", "scale", "max_err", "mean_err",
-                           "bound_satisfied"]
-        assert len(rows) == 3
-        assert float(rows[1][4]) == reports[0].max_abs
-        assert rows[1][6] == "true"
+        rows = [report_csv_row(rep) for rep in reports]
+        assert all(len(row) == 7 for row in rows)
+        assert rows[0][:3] == ("0", "4", "2")
+        assert rows[0][6] == "true"
         # repr round-trip keeps every bit of the error values
-        assert float(rows[2][4]) == reports[1].max_abs
+        assert float(rows[0][4]) == reports[0].max_abs
+        assert float(rows[1][4]) == reports[1].max_abs
 
     def test_per_node_rel_guards_small_references(self):
         rep = ErrorReport(
@@ -563,6 +553,17 @@ class TestReports:
             per_node=[], selection=[], config={}, seed=None,
         )
         assert rep.bounds_ok  # no selection entries: vacuously satisfied
+
+    def test_failed_weight_bound_fails_bounds_ok(self):
+        entry = {"layer": 1, "target": 0, "feature_error_ok": True,
+                 "weight_ok": False}
+        rep = ErrorReport(
+            reference="full", max_abs=0.0, mean_abs=0.0, max_rel=0.0,
+            per_node=[], selection=[entry], config={}, seed=None,
+        )
+        assert not rep.bounds_ok
+        entry["weight_ok"] = True
+        assert rep.bounds_ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vnlab import graphs, numkit
+from vnlab import graphs
 from oracles import calendar_days_oracle, grid_degree_census
 
 
@@ -139,164 +138,3 @@ def test_window_count_single_region_scales_down():
 def test_window_count_too_short_is_zero():
     assert graphs.window_count(70, graphs.WindowSpec(42, 28)) == 0
     assert graphs.window_count(10, graphs.WindowSpec(42, 28)) == 0
-
-
-def test_make_windows_boundary_single_window():
-    series = np.arange(71.0).reshape(1, -1)
-    wins = graphs.make_windows(series, graphs.WindowSpec(42, 28))
-    assert len(wins) == 1
-    inp, tgt = wins[0]
-    np.testing.assert_array_equal(inp[0], np.arange(42.0))
-    np.testing.assert_array_equal(tgt[0], np.arange(42.0, 70.0))
-
-
-def test_make_windows_rejects_too_short():
-    with pytest.raises(ValueError):
-        graphs.make_windows(np.zeros((1, 70)), graphs.WindowSpec(42, 28))
-
-
-@given(st.integers(5, 60), st.integers(1, 5), st.integers(1, 5), st.integers(1, 3))
-@settings(deadline=None, max_examples=60)
-def test_make_windows_count_and_order(days, hist, pred, nodes):
-    spec = graphs.WindowSpec(hist, pred)
-    if days < spec.span + 1:
-        return
-    series = np.arange(nodes * days, dtype=float).reshape(nodes, days)
-    wins = graphs.make_windows(series, spec)
-    assert len(wins) == graphs.window_count(days, spec, 1)
-    for t, (inp, tgt) in enumerate(wins):
-        assert inp.shape == (nodes, hist)
-        assert tgt.shape == (nodes, pred)
-        np.testing.assert_array_equal(inp, series[:, t : t + hist])
-        np.testing.assert_array_equal(tgt, series[:, t + hist : t + hist + pred])
-
-
-def test_windows_do_not_straddle_split_boundaries():
-    # cut the concatenated day axis into splits first, then window each split:
-    # every (input, target) pair stays inside its own split by construction
-    spec = graphs.WindowSpec(6, 3)
-    splits = (
-        graphs.YearSplit("a", 2001, 2001),
-        graphs.YearSplit("b", 2002, 2002),
-    )
-    ranges = graphs.split_day_ranges(splits)
-    total = sum(s.days for s in splits)
-    series = np.arange(total, dtype=float).reshape(1, -1)
-    for name, (lo, hi) in ranges.items():
-        wins = graphs.make_windows(series[:, lo:hi], spec)
-        assert len(wins) == graphs.window_count(hi - lo, spec, 1)
-        for inp, tgt in wins:
-            assert inp.min() >= lo and tgt.max() <= hi - 1
-
-
-def test_split_day_ranges_cover_benchmark():
-    ranges = graphs.split_day_ranges()
-    assert ranges["train"] == (0, 13514)
-    assert ranges["validation"] == (13514, 13514 + 365)
-    assert ranges["test"] == (13514 + 365, 13514 + 365 + 731)
-
-
-# ---------------------------------------------------------------------------
-# regions
-# ---------------------------------------------------------------------------
-
-
-def test_region_catalog_has_eleven_disjoint_boxes():
-    cat = graphs.REGION_CATALOG
-    assert len(cat) == 11
-    assert [r.index for r in cat] == list(range(1, 12))
-    for r in cat:
-        assert r.lon_max > r.lon_min and r.lat_max > r.lat_min
-        # every box spans 30 cells at half-degree resolution
-        assert r.lon_max - r.lon_min == pytest.approx(14.75)
-        assert r.lat_max - r.lat_min == pytest.approx(14.75)
-    for a in cat:
-        for b in cat:
-            if a.index >= b.index:
-                continue
-            overlap_lon = a.lon_min <= b.lon_max and b.lon_min <= a.lon_max
-            overlap_lat = a.lat_min <= b.lat_max and b.lat_min <= a.lat_max
-            assert not (overlap_lon and overlap_lat)
-
-
-def test_region_catalog_matches_benchmark_extent():
-    cat = graphs.REGION_CATALOG
-    assert min(r.lon_min for r in cat) == 180.125
-    assert max(r.lon_max for r in cat) == 269.875
-    assert min(r.lat_min for r in cat) == -14.875
-    assert max(r.lat_max for r in cat) == 14.875
-
-
-# ---------------------------------------------------------------------------
-# synthetic field
-# ---------------------------------------------------------------------------
-
-
-def test_synthetic_field_shape_and_determinism():
-    spec = graphs.GridSpec(5, 4, 8)
-    a = graphs.synthetic_field(spec, 30, numkit.make_rng(7))
-    b = graphs.synthetic_field(spec, 30, numkit.make_rng(7))
-    c = graphs.synthetic_field(spec, 30, numkit.make_rng(8))
-    assert a.shape == (20, 30)
-    np.testing.assert_array_equal(a, b)
-    assert numkit.max_abs_diff(a, c) > 0
-
-
-def test_synthetic_field_respects_declared_bound():
-    spec = graphs.GridSpec(10, 10, 8)
-    for seed in range(5):
-        vals = graphs.synthetic_field(spec, 50, numkit.make_rng(seed), noise=0.05)
-        assert float(np.max(np.abs(vals))) <= graphs.synthetic_field_bound(0.05)
-
-
-def test_synthetic_field_zero_noise_bound():
-    spec = graphs.GridSpec(6, 6, 8)
-    vals = graphs.synthetic_field(spec, 40, numkit.make_rng(0), noise=0.0)
-    assert float(np.max(np.abs(vals))) <= sum(graphs.SYNTH_AMPLITUDES)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-
-def test_series_csv_roundtrip_and_byte_stability(tmp_path):
-    series = graphs.synthetic_field(graphs.GridSpec(3, 3, 8), 11, numkit.make_rng(1))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    graphs.write_series_csv(p1, series)
-    graphs.write_series_csv(p2, series)
-    assert p1.read_bytes() == p2.read_bytes()
-    np.testing.assert_array_equal(graphs.read_series_csv(p1), series)
-
-
-def test_series_csv_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("a,b,c\n0,0,1.0\n")
-    with pytest.raises(ValueError):
-        graphs.read_series_csv(p)
-
-
-def test_series_csv_rejects_ragged_and_duplicate(tmp_path):
-    p = tmp_path / "ragged.csv"
-    p.write_text("node_id,day_index,value\n0,0,1.0\n1,1,2.0\n")
-    with pytest.raises(ValueError):
-        graphs.read_series_csv(p)
-    p.write_text("node_id,day_index,value\n0,0,1.0\n0,0,2.0\n")
-    with pytest.raises(ValueError):
-        graphs.read_series_csv(p)
-
-
-def test_series_csv_rejects_non_numeric(tmp_path):
-    p = tmp_path / "nan.csv"
-    p.write_text("node_id,day_index,value\n0,zero,1.0\n")
-    with pytest.raises(ValueError):
-        graphs.read_series_csv(p)
-
-
-def test_graph_json_roundtrip(tmp_path):
-    g = graphs.add_virtual_node(graphs.grid_graph(graphs.GridSpec(3, 2, 4)))
-    blob = graphs.graph_to_json(g)
-    p = tmp_path / "g.json"
-    numkit.dump_json(blob, p)
-    back = graphs.graph_from_json(numkit.load_json(p))
-    assert back == g

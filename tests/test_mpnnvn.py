@@ -4,8 +4,6 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vnlab import attention, mlp, numkit
 from vnlab.constructions import (
@@ -22,7 +20,6 @@ from vnlab.graphs import Graph, add_virtual_node
 from vnlab.mpnnvn import (
     AddPooledNeighbors,
     AffineFromVn,
-    ConstPool,
     ConstVn,
     CopyPooled,
     CopyVnMsg,
@@ -35,7 +32,6 @@ from vnlab.mpnnvn import (
     LayerProgram,
     LinearGn,
     MeanPool,
-    MlpGnUpdate,
     MpnnVnLayer,
     NodeState,
     OracleSelectPool,
@@ -44,16 +40,12 @@ from vnlab.mpnnvn import (
     ScoreAccumulate,
     SelectorAdvance,
     SoftmaxSelectPool,
-    SumPool,
-    ZeroPairMsg,
     descriptor_from_json,
     load_program,
     program_from_json,
     program_to_json,
-    program_width,
     run_layer,
     run_program,
-    run_program_trace,
     save_program,
 )
 
@@ -83,7 +75,7 @@ def unfitted_pieces():
 
 def plain_layer(vn_pool=None, vn_update=None, gn_update=None, gn_gn_msg=None):
     return MpnnVnLayer(
-        vn_pool=vn_pool or SumPool(),
+        vn_pool=vn_pool or MeanPool(),
         vn_update=vn_update or CopyPooled(),
         gn_msg=CopyVnMsg(),
         gn_update=gn_update or IdentityGn(),
@@ -97,19 +89,11 @@ def plain_layer(vn_pool=None, vn_update=None, gn_update=None, gn_gn_msg=None):
 
 
 class TestPoolsAndUpdates:
-    def test_sum_pool_collects_all_graph_nodes(self):
-        g = star(3)
-        X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        s = NodeState(X, np.zeros(2))
-        out = run_layer(g, s, plain_layer())
-        assert np.array_equal(out.vn, np.array([9.0, 12.0]))
-        assert np.array_equal(out.gn, X)
-
     def test_mean_pool(self):
         g = star(4)
         X = np.arange(8.0).reshape(4, 2)
         s = NodeState(X, np.zeros(2))
-        out = run_layer(g, s, plain_layer(vn_pool=MeanPool()))
+        out, _ = run_layer(g, s, plain_layer(vn_pool=MeanPool()))
         assert np.allclose(out.vn, X.mean(axis=0), atol=1e-15)
 
     def test_synchronous_barrier_gn_sees_pre_layer_vn(self):
@@ -119,23 +103,19 @@ class TestPoolsAndUpdates:
         X = np.array([[1.0], [2.0]])
         old_vn = np.array([7.0])
         layer = MpnnVnLayer(
-            vn_pool=SumPool(),
+            vn_pool=MeanPool(),
             vn_update=CopyPooled(),
             gn_msg=CopyVnMsg(),
             gn_update=AffineFromVn(np.eye(1), np.zeros(1)),
         )
-        out = run_layer(g, NodeState(X, old_vn), layer)
-        assert np.array_equal(out.vn, np.array([3.0]))  # updated
-        assert np.array_equal(out.gn, X + 7.0)  # but nodes saw 7, not 3
+        out, _ = run_layer(g, NodeState(X, old_vn), layer)
+        assert np.array_equal(out.vn, np.array([1.5]))  # updated
+        assert np.array_equal(out.gn, X + 7.0)  # but nodes saw 7, not 1.5
 
-    def test_const_pool_and_const_vn(self):
+    def test_const_vn(self):
         g = star(2)
         s = NodeState(np.ones((2, 3)), np.zeros(1))
-        out = run_layer(
-            g, s, plain_layer(vn_pool=ConstPool(np.array([1.0, 2.0])))
-        )
-        assert np.array_equal(out.vn, np.array([1.0, 2.0]))
-        out = run_layer(
+        out, _ = run_layer(
             g, s,
             plain_layer(vn_update=ConstVn(np.array([5.0, 5.0, 5.0]))),
         )
@@ -144,19 +124,18 @@ class TestPoolsAndUpdates:
     def test_keep_vn(self):
         g = star(2)
         s = NodeState(np.ones((2, 2)), np.array([3.0, 4.0]))
-        out = run_layer(g, s, plain_layer(vn_update=KeepVn()))
+        out, _ = run_layer(g, s, plain_layer(vn_update=KeepVn()))
         assert np.array_equal(out.vn, s.vn)
 
     def test_oracle_select_pool_picks_one_row(self):
         g = star(3)
         X = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
-        cap = {}
-        out = run_layer(
+        out, aux = run_layer(
             g, NodeState(X, np.zeros(2)),
-            plain_layer(vn_pool=OracleSelectPool(index=1)), capture=cap,
+            plain_layer(vn_pool=OracleSelectPool(index=1)),
         )
         assert np.array_equal(out.vn, X[1])
-        assert np.array_equal(cap["selection_weights"], [0.0, 1.0, 0.0])
+        assert np.array_equal(aux["selection_weights"], [0.0, 1.0, 0.0])
 
     def test_oracle_select_pool_range_check(self):
         g = star(2)
@@ -172,11 +151,11 @@ class TestPoolsAndUpdates:
                        [1.0, 1.0, 7.0, 7.0, 0.0]])
         vn = np.zeros(5)
         vn[d:2 * d] = [1.0, 0.0]
-        cap = {}
-        out = run_layer(g, NodeState(gn, vn),
-                        plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=0.0)),
-                        capture=cap)
-        assert np.allclose(cap["selection_weights"], np.full(3, 1 / 3), atol=1e-15)
+        out, aux = run_layer(
+            g, NodeState(gn, vn),
+            plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=0.0)),
+        )
+        assert np.allclose(aux["selection_weights"], np.full(3, 1 / 3), atol=1e-15)
         assert np.allclose(out.vn, gn.mean(axis=0), atol=1e-15)
 
     def test_softmax_select_large_scale_approaches_argmax(self):
@@ -187,11 +166,11 @@ class TestPoolsAndUpdates:
                        [0.3, 0.3, 0.3, 0.3, 0.0]])
         vn = np.zeros(5)
         vn[d:2 * d] = [1.0, 0.0]  # selector aligned with row 0
-        cap = {}
-        run_layer(g, NodeState(gn, vn),
-                  plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=200.0)),
-                  capture=cap)
-        w = cap["selection_weights"]
+        _, aux = run_layer(
+            g, NodeState(gn, vn),
+            plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=200.0)),
+        )
+        w = aux["selection_weights"]
         assert w[0] > 1.0 - 1e-12
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) < 1e-12
 
@@ -209,19 +188,19 @@ class TestPoolsAndUpdates:
         g = star(2)
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = run_layer(g, NodeState(X, np.zeros(1)),
-                        plain_layer(gn_update=LinearGn(A)))
+        out, _ = run_layer(g, NodeState(X, np.zeros(1)),
+                           plain_layer(gn_update=LinearGn(A)))
         assert np.array_equal(out.gn, X @ A)
 
     def test_affine_from_vn_with_activation(self):
         g = star(2)
         X = np.array([[1.0], [-10.0]])
         layer = MpnnVnLayer(
-            vn_pool=SumPool(), vn_update=KeepVn(), gn_msg=CopyVnMsg(),
+            vn_pool=MeanPool(), vn_update=KeepVn(), gn_msg=CopyVnMsg(),
             gn_update=AffineFromVn(np.array([[1.0]]), np.array([2.0]),
                                    activation="relu"),
         )
-        out = run_layer(g, NodeState(X, np.array([1.0])), layer)
+        out, _ = run_layer(g, NodeState(X, np.array([1.0])), layer)
         # relu(x + 1 + 2)
         assert np.array_equal(out.gn, [[4.0], [0.0]])
 
@@ -233,22 +212,9 @@ class TestPairChannel:
         X = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         layer = plain_layer(gn_update=AddPooledNeighbors(),
                             gn_gn_msg=IdentityPairMsg())
-        out = run_layer(g, NodeState(X, np.zeros(2)), layer)
+        out, _ = run_layer(g, NodeState(X, np.zeros(2)), layer)
         expected = X + np.array([X[1], X[0] + X[2], X[1]])
         assert np.array_equal(out.gn, expected)
-
-    def test_zero_pair_channel_matches_simplified_form_exactly(self):
-        base = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-        g = add_virtual_node(base)
-        rng = numkit.make_rng(7)
-        X = rng.normal(size=(4, 3))
-        hetero = plain_layer(gn_update=AddPooledNeighbors(),
-                             gn_gn_msg=ZeroPairMsg())
-        simple = plain_layer(gn_update=AddPooledNeighbors(), gn_gn_msg=None)
-        out_h = run_layer(g, NodeState(X, np.zeros(3)), hetero)
-        out_s = run_layer(g, NodeState(X, np.zeros(3)), simple)
-        assert np.array_equal(out_h.gn, out_s.gn)
-        assert np.array_equal(out_h.vn, out_s.vn)
 
     def test_pair_channel_ignores_virtual_node_edges(self):
         # Star graph: no graph-graph edges at all, so neighbor sums vanish.
@@ -256,7 +222,7 @@ class TestPairChannel:
         X = np.ones((3, 2))
         layer = plain_layer(gn_update=AddPooledNeighbors(),
                             gn_gn_msg=IdentityPairMsg())
-        out = run_layer(g, NodeState(X, np.zeros(2)), layer)
+        out, _ = run_layer(g, NodeState(X, np.zeros(2)), layer)
         assert np.array_equal(out.gn, X)
 
 
@@ -336,46 +302,43 @@ class TestPrograms:
         prog = LayerProgram(layers=[], vn_init=np.zeros(1), gn_out=(1, 3))
         assert np.array_equal(prog.execute(g, X), X[:, 1:3])
 
-    def test_trace_records_every_state(self):
-        g = star(3)
-        X = np.ones((3, 2))
-        prog = mean_subtract_program(2)
-        final, states, auxes = run_program_trace(g, prog.initial_state(X), prog)
-        assert len(states) == 3  # initial + 2 layers
-        assert len(auxes) == 2
-        assert np.array_equal(states[0].gn, X)
-        assert np.array_equal(final.gn, states[-1].gn)
-
-    def test_trace_captures_selection_weights(self):
+    def test_observe_sees_every_layer_in_order(self):
         g = star(3)
         gn = np.zeros((3, 5))
         gn[:, 0] = [1.0, 2.0, 3.0]
         vn = np.zeros(5)
         vn[2] = 1.0  # selector slot for width=2
-        layer = plain_layer(vn_pool=SoftmaxSelectPool(width=2, scale=1.0))
-        prog = LayerProgram(layers=[layer], vn_init=vn)
-        _, _, auxes = run_program_trace(g, NodeState(gn, vn), prog)
-        w = auxes[0]["selection_weights"]
-        assert w.shape == (3,)
-        assert abs(w.sum() - 1.0) < 1e-12
+        prog = LayerProgram(layers=[
+            plain_layer(vn_update=KeepVn()),
+            plain_layer(vn_pool=SoftmaxSelectPool(width=2, scale=1.0),
+                        vn_update=KeepVn()),
+            plain_layer(vn_pool=OracleSelectPool(index=2)),
+        ], vn_init=vn)
+        s0 = NodeState(gn, vn)
+        seen = []
+        final = run_program(g, s0, prog,
+                            observe=lambda k, s, aux: seen.append((k, s, aux)))
+        assert [k for k, _, _ in seen] == [1, 2, 3]
+        s = s0
+        for (_, state, _), layer in zip(seen, prog.layers):
+            s, _ = run_layer(g, s, layer)
+            assert np.array_equal(state.gn, s.gn)
+            assert np.array_equal(state.vn, s.vn)
+        assert seen[-1][1] is final
+        assert seen[0][2] is None  # plain pool
+        scores = np.exp([1.0, 2.0, 3.0])
+        assert np.allclose(seen[1][2]["selection_weights"],
+                           scores / scores.sum(), atol=1e-15)
+        assert np.array_equal(seen[2][2]["selection_weights"], [0.0, 0.0, 1.0])
 
-    def test_program_width(self):
-        g = star(3)
-        X = np.ones((3, 2))
-        prog = mean_subtract_program(2)
-        assert program_width(prog, g, X) == 2
-
-    @given(st.integers(2, 8), st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_sum_pool_matches_loop_oracle(self, n, seed):
-        g = star(n)
-        rng = numkit.make_rng(seed)
-        X = rng.normal(size=(n, 3))
-        out = run_layer(g, NodeState(X, np.zeros(3)), plain_layer())
-        expected = np.zeros(3)
-        for i in range(n):
-            expected = expected + X[i]
-        assert np.allclose(out.vn, expected, atol=1e-12)
+    def test_empty_program_never_observes(self):
+        s0 = NodeState(np.ones((3, 2)), np.zeros(2))
+        seen = []
+        empty = LayerProgram(layers=[], vn_init=np.zeros(2))
+        out = run_program(star(3), s0, empty,
+                          observe=lambda *args: seen.append(args))
+        assert seen == []
+        assert out is s0
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +383,8 @@ class TestKernelLayers:
         pool = FeatureStatsPool(np.eye(3), np.ones((3, 2)), fm)
         assert pool.out_width() == 8 * (1 + 2)
         g = star(2)
-        out = run_layer(g, NodeState(np.zeros((2, 3)), np.zeros(1)),
-                        plain_layer(vn_pool=pool))
+        out, _ = run_layer(g, NodeState(np.zeros((2, 3)), np.zeros(1)),
+                           plain_layer(vn_pool=pool))
         assert out.vn.shape == (24,)
 
     def test_resolve_query_rejects_nonpositive_denominator(self):
@@ -496,8 +459,6 @@ class TestPersistence:
             a=rng.normal(size=3), w=rng.normal(size=(3, 4)),
             b=rng.normal(size=3),
         )
-        spec = mlp.MlpSpec(widths=(4, 6, 2), activation="relu")
-        params = mlp.init_params(spec, numkit.make_rng(5), seed=5)
         pieces = unfitted_pieces()
         layers = [
             MpnnVnLayer(FeatureStatsPool(rng.normal(size=(2, 2)),
@@ -511,16 +472,16 @@ class TestPersistence:
                                         rng.normal(size=(2, 2)), width=2)),
             MpnnVnLayer(Gatv2SelectPool(g2, width=2, scale=2.0),
                         ConstVn(np.ones(5)), CopyVnMsg(),
-                        MlpGnUpdate(params), gn_gn_msg=ZeroPairMsg()),
+                        AddPooledNeighbors(), gn_gn_msg=IdentityPairMsg()),
             MpnnVnLayer(OracleSelectPool(index=1), KeepVn(), CopyVnMsg(),
                         RatioUpdate(width=2), gn_gn_msg=IdentityPairMsg()),
-            MpnnVnLayer(ConstPool(np.zeros(5)), CopyPooled(), CopyVnMsg(),
+            MpnnVnLayer(MeanPool(), CopyPooled(), CopyVnMsg(),
                         AffineFromVn(rng.normal(size=(5, 5)),
                                      rng.normal(size=5),
                                      activation="leaky_relu")),
             MpnnVnLayer(MeanPool(), KeepVn(), CopyVnMsg(),
                         LinearGn(rng.normal(size=(5, 3)))),
-            MpnnVnLayer(SumPool(), CopyPooled(), CopyVnMsg(),
+            MpnnVnLayer(MeanPool(), CopyPooled(), CopyVnMsg(),
                         AddPooledNeighbors()),
             MpnnVnLayer(MeanPool(), SelectorAdvance(width=2), CopyVnMsg(),
                         ResolveQueryUpdate(rng.normal(size=(2, 2)), fm,
@@ -576,7 +537,7 @@ class TestPersistence:
     # change of the on-disk format
     PINNED_SHA256 = {
         "rich":
-            "84686bce1f131234f499e3974376f05133e3c9c26f80db5fe9ec183bf50f2140",
+            "2ce11df007937bad5a65edb4093feec3caaa783b8ebe6c94961bae859447c26e",
         "deep_oracle":
             "a9a3554485d4ca82f2aff2734208100a4995b8ad9f6accb9ea2bf58918b2df02",
         "kernel_exact":
@@ -648,4 +609,4 @@ class TestPersistence:
     def test_duplicate_kind_registration_rejected(self):
         with pytest.raises(TypeError, match="duplicate"):
             class Clash(Descriptor):
-                kind = "sum_pool"
+                kind = "mean_pool"

@@ -14,8 +14,6 @@ from vnlab.separability import (
     CertificateFailure,
     SeparabilityCertificate,
     amplification_for,
-    certificate_from_json,
-    certificate_to_json,
     delta_nonlin_sep,
     gatv2_selection_weights,
     hull_member,
@@ -372,19 +370,6 @@ class TestCertificates:
         with pytest.raises(ValueError, match="amplification"):
             SeparabilityCertificate(np.eye(2), np.array([1.0, 1.0]),
                                     amplification=0.0, eps=0.1)
-
-    def test_json_round_trip(self):
-        cert = vdelta_certificate(np.eye(3), seed=17)
-        assert isinstance(cert, SeparabilityCertificate)
-        again = certificate_from_json(certificate_to_json(cert))
-        assert np.array_equal(again.directions, cert.directions)
-        assert np.array_equal(again.margins, cert.margins)
-        assert again.amplification == cert.amplification
-        assert again.seed == 17
-
-    def test_json_format_tag(self):
-        with pytest.raises(ValueError, match="certificate/v1"):
-            certificate_from_json({"format": "nope"})
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,8 @@ class TestPrograms:
         prog = LayerProgram(layers=[], vn_init=np.zeros(1), gn_out=(1, 3))
         assert np.array_equal(prog.execute(g, X), X[:, 1:3])
 
-    def test_observe_sees_every_layer_in_order(self):
+    @staticmethod
+    def _observed_selection_run():
         g = star(3)
         gn = np.zeros((3, 5))
         gn[:, 0] = [1.0, 2.0, 3.0]
@@ -318,6 +319,10 @@ class TestPrograms:
         seen = []
         final = run_program(g, s0, prog,
                             observe=lambda k, s, aux: seen.append((k, s, aux)))
+        return g, s0, prog, seen, final
+
+    def test_trace_records_every_state(self):
+        g, s0, prog, seen, final = self._observed_selection_run()
         assert [k for k, _, _ in seen] == [1, 2, 3]
         s = s0
         for (_, state, _), layer in zip(seen, prog.layers):
@@ -325,6 +330,9 @@ class TestPrograms:
             assert np.array_equal(state.gn, s.gn)
             assert np.array_equal(state.vn, s.vn)
         assert seen[-1][1] is final
+
+    def test_trace_captures_selection_weights(self):
+        _, _, _, seen, _ = self._observed_selection_run()
         assert seen[0][2] is None  # plain pool
         scores = np.exp([1.0, 2.0, 3.0])
         assert np.allclose(seen[1][2]["selection_weights"],

@@ -27,8 +27,6 @@ from .constructions import (
     attention_host_graph,
     compile_deep_vn,
     compile_kernel_vn,
-    make_certified_instance,
-    run_and_report,
     sweep_deep_amplification,
 )
 from .deepsets import (
@@ -735,20 +733,6 @@ def build_parser() -> _Parser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         _add_common(sub)
-        if name == "verify-deepsets":
-            sub.add_argument("--inject-fault", action="store_true",
-                             help="negative control: perturb the reference "
-                                  "and require the run to fail")
-        if name == "verify-kernel":
-            sub.add_argument("--sweep", action="store_true",
-                             help="run the kernel-convergence sweep")
-            sub.add_argument("--mlp-table", action="store_true",
-                             help="compile one mlp-mode program and report "
-                                  "its error")
-        if name == "verify-deep":
-            sub.add_argument("--gatv2", action="store_true",
-                             help="run trained-score selection on the "
-                                  "three-cluster instance")
 
     sep = subs.add_parser(
         "check-separability",
@@ -774,15 +758,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args.command, args.config, args.set)
-        # boolean convenience flags override config-file values when set
-        if args.command == "verify-deepsets" and args.inject_fault:
-            cfg["inject_fault"] = True
-        if args.command == "verify-kernel":
-            cfg["sweep"] = cfg["sweep"] or args.sweep
-            cfg["mlp_table"] = cfg["mlp_table"] or args.mlp_table
-        if args.command == "verify-deep" and args.gatv2:
-            cfg["gatv2"] = True
-
         if args.command == "verify-deepsets":
             code, report, header, csv_rows, lines = cmd_verify_deepsets(cfg)
         elif args.command == "verify-kernel":

@@ -37,7 +37,6 @@ from .graphs import Graph, add_virtual_node
 from .mpnnvn import (
     ConstVn,
     CopyPooled,
-    CopyVnMsg,
     Descriptor,
     FeatureStatsPool,
     Gatv2SelectPool,
@@ -75,6 +74,13 @@ def attention_host_graph(n: int) -> Graph:
 # the squaring piece is always fit on this fixed window; multiplication
 # rescales its operands into [-2, 2] first (see _mul_via_sq)
 _SQ_LO, _SQ_HI = -2.2, 2.2
+
+# mlp mode: rows per probe batch, the factor probed piece domains are
+# inflated by, hidden width of every piece, and each piece's sup-error target
+_PROBE_N = 8
+_DOMAIN_INFLATION = 1.5
+_PIECE_HIDDEN = 48
+_SQ_TARGET, _EXP_TARGET, _RECIP_TARGET = 5e-2, 1e-2, 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +143,7 @@ def _mul_via_sq(sq: FittedPiece, a, b, bound_a: float, bound_b: float):
 
 
 def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
-               hidden: int, epochs: int, seed: int,
-               restarts: int = 3) -> FittedPiece:
+               epochs: int, seed: int, restarts: int) -> FittedPiece:
     """Fit one scalar piece on a lattice; report its holdout sup error.
 
     Individual fits vary a lot with the initialization, so up to ``restarts``
@@ -153,7 +158,7 @@ def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
     mid_y = fn(mid)
     dense = mlp.lattice(lo, hi, 2049, 1)
     dense_y = fn(dense)
-    spec = mlp.MlpSpec(widths=(1, hidden, 1), activation="elu")
+    spec = mlp.MlpSpec(widths=(1, _PIECE_HIDDEN, 1), activation="elu")
     budget = mlp.FitBudget(max_epochs=epochs, lr=1e-2, schedule="cosine",
                            eval_every=50, target_sup=target)
     best_params, best_sup = None, np.inf
@@ -229,10 +234,10 @@ class MlpResolveUpdate(Descriptor):
     pieces: KernelPieces = field(default=None)
     value_dim: int = 0
 
-    def __call__(self, gn, msg, gg):
+    def __call__(self, gn, vn, gg):
         m = self.feature_map.out_dim(self.w_q.shape[1])
-        key_sum = msg[0, :m]
-        kv_sum = msg[0, m:].reshape(m, self.value_dim)
+        key_sum = vn[:m]
+        kv_sum = vn[m:].reshape(m, self.value_dim)
         P_q = _phi_via_pieces(gn @ self.w_q, self.feature_map, self.pieces,
                               "q_abs")
         b = self.pieces.bounds
@@ -261,26 +266,21 @@ class KernelSimConfig:
 
     ``feature_bound`` is the radius of the input ball the program is
     declared for; mlp mode probes ``probe_batches`` random input sets of
-    ``probe_n`` rows with norms in [feature_bound/2, feature_bound] to
-    calibrate piece domains (inflated by ``domain_inflation``), then fits
-    the pieces to the listed targets.  Inputs far inside the probed range
-    can push intermediate values outside the fitted windows, where the
-    pieces extrapolate and quality degrades gracefully.
+    ``_PROBE_N`` rows with norms in [feature_bound/2, feature_bound] to
+    calibrate piece domains (inflated by ``_DOMAIN_INFLATION``), then fits
+    the pieces to their sup-error targets, each with up to
+    ``piece_restarts`` runs of ``piece_epochs`` epochs.  Inputs far inside
+    the probed range can push intermediate values outside the fitted
+    windows, where the pieces extrapolate and quality degrades gracefully.
     """
 
     feature_map: FeatureMap
     mode: str = "exact"  # "exact" | "mlp"
     feature_bound: float = 1.0
     seed: int = 0
-    probe_n: int = 8
     probe_batches: int = 16
-    domain_inflation: float = 1.5
-    piece_hidden: int = 48
     piece_epochs: int = 6000
     piece_restarts: int = 3
-    sq_target: float = 5e-2
-    exp_target: float = 1e-2
-    recip_target: float = 1e-2
 
     def __post_init__(self):
         if self.mode not in ("exact", "mlp"):
@@ -299,10 +299,10 @@ def _probe_kernel_domains(w: AttnWeights, cfg: KernelSimConfig) -> dict:
         "den_lo": np.inf, "den_hi": -np.inf,
     }
     for _ in range(cfg.probe_batches):
-        X = rng.normal(size=(cfg.probe_n, w.in_dim))
+        X = rng.normal(size=(_PROBE_N, w.in_dim))
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         radii = cfg.feature_bound * rng.uniform(
-            0.5, 1.0, size=(cfg.probe_n, 1)
+            0.5, 1.0, size=(_PROBE_N, 1)
         )
         X = X / norms * radii
         K, Q, V = X @ w.w_k, X @ w.w_q, X @ w.w_v
@@ -335,7 +335,7 @@ def _probe_kernel_domains(w: AttnWeights, cfg: KernelSimConfig) -> dict:
             track["arg_hi"] = max(track["arg_hi"], float(K.max()),
                                   float(Q.max()))
 
-    f = cfg.domain_inflation
+    f = _DOMAIN_INFLATION
     bounds = {k: track[k] * f for k in
               ("k_abs", "q_abs", "v_abs", "phi_k_max", "phi_q_max",
                "s_max", "m_abs", "num_abs")}
@@ -351,25 +351,20 @@ def _probe_kernel_domains(w: AttnWeights, cfg: KernelSimConfig) -> dict:
 def _fit_kernel_pieces(w: AttnWeights, cfg: KernelSimConfig) -> KernelPieces:
     fm = cfg.feature_map
     bounds = _probe_kernel_domains(w, cfg)
-    sq = _fit_piece("sq", lambda t: t * t, _SQ_LO, _SQ_HI, cfg.sq_target,
-                    cfg.piece_hidden, cfg.piece_epochs, cfg.seed + 1,
-                    cfg.piece_restarts)
+
+    def fit(name, fn, lo, hi, target, seed_offset):
+        return _fit_piece(name, fn, lo, hi, target, cfg.piece_epochs,
+                          cfg.seed + seed_offset, cfg.piece_restarts)
+
+    sq = fit("sq", lambda t: t * t, _SQ_LO, _SQ_HI, _SQ_TARGET, 1)
     if fm.kind == "exp_features":
-        expish = _fit_piece("exp", np.exp, bounds["arg_lo"], bounds["arg_hi"],
-                            cfg.exp_target, cfg.piece_hidden,
-                            cfg.piece_epochs, cfg.seed + 2,
-                            cfg.piece_restarts)
+        expish = fit("exp", np.exp, bounds["arg_lo"], bounds["arg_hi"],
+                     _EXP_TARGET, 2)
     else:
-        expish = _fit_piece("elu_plus_one",
-                            lambda t: numkit.elu(t) + 1.0,
-                            bounds["arg_lo"], bounds["arg_hi"],
-                            cfg.exp_target, cfg.piece_hidden,
-                            cfg.piece_epochs, cfg.seed + 2,
-                            cfg.piece_restarts)
-    recip = _fit_piece("recip", lambda t: 1.0 / t,
-                       bounds["den_lo"], bounds["den_hi"], cfg.recip_target,
-                       cfg.piece_hidden, cfg.piece_epochs, cfg.seed + 3,
-                       cfg.piece_restarts)
+        expish = fit("elu_plus_one", lambda t: numkit.elu(t) + 1.0,
+                     bounds["arg_lo"], bounds["arg_hi"], _EXP_TARGET, 2)
+    recip = fit("recip", lambda t: 1.0 / t, bounds["den_lo"],
+                bounds["den_hi"], _RECIP_TARGET, 3)
     return KernelPieces(kind=fm.kind, sq=sq, expish=expish, recip=recip,
                         bounds=bounds)
 
@@ -403,9 +398,9 @@ def compile_kernel_vn(w: AttnWeights, cfg: KernelSimConfig) -> LayerProgram:
         metadata["bounds"] = dict(pieces.bounds)
     layers = [
         MpnnVnLayer(vn_pool=pool, vn_update=CopyPooled(),
-                    gn_msg=CopyVnMsg(), gn_update=IdentityGn()),
+                    gn_update=IdentityGn()),
         MpnnVnLayer(vn_pool=MeanPool(), vn_update=KeepVn(),
-                    gn_msg=CopyVnMsg(), gn_update=resolve),
+                    gn_update=resolve),
     ]
     prog = LayerProgram(
         layers=layers,
@@ -522,20 +517,17 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
         layers.append(MpnnVnLayer(
             vn_pool=pool_for(k),
             vn_update=SelectorAdvance(width=d, next_selector=nxt),
-            gn_msg=CopyVnMsg(),
             gn_update=IdentityGn() if k == 1 else accumulate,
         ))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
-                              gn_msg=CopyVnMsg(), gn_update=accumulate))
+                              gn_update=accumulate))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
-                              gn_msg=CopyVnMsg(),
                               gn_update=RatioUpdate(width=d)))
     gn_out = (0, d)
     if cfg.append_final_linear:
         proj = np.zeros((2 * d + 1, d))
         proj[:d, :d] = np.eye(d)
         layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=KeepVn(),
-                                  gn_msg=CopyVnMsg(),
                                   gn_update=LinearGn(proj)))
         gn_out = None
 

@@ -18,7 +18,7 @@ into the second layer of its pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .mpnnvn import (
     AffineFromVn,
     ConstVn,
     CopyPooled,
-    CopyVnMsg,
-    IdentityGn,
     LayerProgram,
     LinearGn,
     MeanPool,
@@ -137,13 +135,11 @@ def _linear_pair(layer: EquivariantLinear, activation: str | None):
     collect = MpnnVnLayer(
         vn_pool=MeanPool(),
         vn_update=CopyPooled(),
-        gn_msg=CopyVnMsg(),
         gn_update=LinearGn(layer.A),
     )
     mix = MpnnVnLayer(
         vn_pool=MeanPool(),
         vn_update=ConstVn(np.zeros(layer.out_dim)),
-        gn_msg=CopyVnMsg(),
         gn_update=AffineFromVn(layer.B, layer.c, activation=activation),
     )
     return [collect, mix]

@@ -6,9 +6,9 @@ A layer updates two node kinds synchronously from the pre-layer state:
   states (the pool may be a plain mean, feature statistics, or a
   softmax-weighted selection, which is how attention-style reads are
   expressed), then applies its update;
-* every graph node receives the virtual node's state through the
-  virtual-to-graph channel plus, optionally, a summed message over its graph
-  neighbors (the graph-to-graph channel), then applies its update.
+* every graph node reads the virtual node's state vector plus, optionally,
+  a summed message over its graph neighbors (the graph-to-graph channel),
+  then applies its update.
 
 Dropping the graph-to-graph channel gives the simplified layer form; the
 compiled attention programs only ever use the simplified form.
@@ -332,22 +332,7 @@ class SelectorAdvance(Descriptor):
 
 
 # ---------------------------------------------------------------------------
-# virtual-to-graph messages: (gn, vn) -> (n, width) message matrix
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CopyVnMsg(Descriptor):
-    """Every graph node receives the virtual node's state verbatim."""
-
-    kind: ClassVar[str] = "copy_vn_msg"
-
-    def __call__(self, gn, vn):
-        return np.tile(vn, (gn.shape[0], 1))
-
-
-# ---------------------------------------------------------------------------
-# graph-node updates: (gn, msg, gg) -> new gn matrix
+# graph-node updates: (gn, vn, gg) -> new gn matrix
 # ---------------------------------------------------------------------------
 
 
@@ -355,7 +340,7 @@ class CopyVnMsg(Descriptor):
 class IdentityGn(Descriptor):
     kind: ClassVar[str] = "identity_gn"
 
-    def __call__(self, gn, msg, gg):
+    def __call__(self, gn, vn, gg):
         return gn.copy()
 
 
@@ -364,13 +349,13 @@ class LinearGn(Descriptor):
     kind: ClassVar[str] = "linear_gn"
     matrix: np.ndarray = matrix()
 
-    def __call__(self, gn, msg, gg):
+    def __call__(self, gn, vn, gg):
         return gn @ self.matrix
 
 
 @dataclass(frozen=True, eq=False)
 class AffineFromVn(Descriptor):
-    """new x_i = activation(x_i + message_i @ matrix + bias).
+    """new x_i = activation(x_i + vn @ matrix + bias).
 
     With the virtual node carrying the input mean, this is exactly the
     mean-mixing half of a permutation-equivariant linear layer.
@@ -381,8 +366,8 @@ class AffineFromVn(Descriptor):
     bias: np.ndarray = vector()
     activation: str | None = None
 
-    def __call__(self, gn, msg, gg):
-        out = gn + msg @ self.matrix + self.bias
+    def __call__(self, gn, vn, gg):
+        out = gn + vn @ self.matrix + self.bias
         if self.activation is not None:
             out = numkit.activation_fn(self.activation)(out)
         return out
@@ -392,7 +377,7 @@ class AffineFromVn(Descriptor):
 class ResolveQueryUpdate(Descriptor):
     """Resolve each node's kernel query against pooled feature statistics.
 
-    The message carries [key_sum | raster(kv_sum)]; the update computes
+    The virtual node carries [key_sum | raster(kv_sum)]; the update computes
 
         new x_i = phi(x_i w_q) @ kv_sum / phi(x_i w_q) @ key_sum
     """
@@ -402,11 +387,11 @@ class ResolveQueryUpdate(Descriptor):
     feature_map: attention.FeatureMap = field(default=None)
     value_dim: int = 0
 
-    def __call__(self, gn, msg, gg):
+    def __call__(self, gn, vn, gg):
         m = self.feature_map.out_dim(self.w_q.shape[1])
         P_q = attention.phi_matrix(gn @ self.w_q, self.feature_map)
-        key_sum = msg[0, :m]
-        kv_sum = msg[0, m:].reshape(m, self.value_dim)
+        key_sum = vn[:m]
+        kv_sum = vn[m:].reshape(m, self.value_dim)
         den = P_q @ key_sum
         if not np.all(den > 0.0):
             raise ValueError("query resolution denominator not positive")
@@ -415,10 +400,10 @@ class ResolveQueryUpdate(Descriptor):
 
 @dataclass(frozen=True, eq=False)
 class ScoreAccumulate(Descriptor):
-    """Accumulate one attention term against the broadcast feature.
+    """Accumulate one attention term against the virtual node's feature.
 
     States are block-structured [x | acc | mass].  With y the first ``width``
-    channels of the received message,
+    channels of the virtual node's state,
 
         acc  += exp(score(x_i, y)) * (y @ w_v)
         mass += exp(score(x_i, y))
@@ -432,9 +417,9 @@ class ScoreAccumulate(Descriptor):
     w_v: np.ndarray = matrix()
     width: int = 0
 
-    def __call__(self, gn, msg, gg):
+    def __call__(self, gn, vn, gg):
         d = self.width
-        y = msg[0, :d]
+        y = vn[:d]
         yk = y @ self.w_k
         yv = y @ self.w_v
         out = gn.copy()
@@ -455,7 +440,7 @@ class RatioUpdate(Descriptor):
     kind: ClassVar[str] = "ratio_update"
     width: int = 0
 
-    def __call__(self, gn, msg, gg):
+    def __call__(self, gn, vn, gg):
         d = self.width
         mass = gn[:, 2 * d]
         if not np.all(mass > 0.0):
@@ -471,7 +456,7 @@ class AddPooledNeighbors(Descriptor):
 
     kind: ClassVar[str] = "add_pooled_neighbors"
 
-    def __call__(self, gn, msg, gg):
+    def __call__(self, gn, vn, gg):
         return gn.copy() if gg is None else gn + gg
 
 
@@ -508,7 +493,6 @@ class MpnnVnLayer:
 
     vn_pool: Descriptor
     vn_update: Descriptor
-    gn_msg: Descriptor
     gn_update: Descriptor
     gn_gn_msg: Descriptor | None = None
 
@@ -530,9 +514,11 @@ def run_layer(g: Graph, s: NodeState,
               layer: MpnnVnLayer) -> tuple[NodeState, dict | None]:
     """Apply one layer with a synchronous barrier.
 
-    All messages and pools read the pre-layer state ``s``; nothing observes a
-    mid-layer update.  Returns the post-layer state and the pool's aux output
-    (None for plain pools; selection pools give ``selection_weights``).
+    The pool and every graph-node update read the pre-layer state ``s``:
+    each graph node sees the pre-layer virtual-node vector ``s.vn``, so
+    nothing observes a mid-layer update.  Returns the post-layer state and
+    the pool's aux output (None for plain pools; selection pools give
+    ``selection_weights``).
     """
     if not g.has_vn:
         raise ValueError("run_layer requires a graph with a virtual node")
@@ -543,11 +529,10 @@ def run_layer(g: Graph, s: NodeState,
         )
     pooled, aux = layer.vn_pool(s.vn, s.gn)
     new_vn = layer.vn_update(s.vn, pooled)
-    msg = layer.gn_msg(s.gn, s.vn)
     gg = None
     if layer.gn_gn_msg is not None:
         gg = layer.gn_gn_msg.pooled(s.gn, _graph_neighbor_rows(g))
-    new_gn = layer.gn_update(s.gn, msg, gg)
+    new_gn = layer.gn_update(s.gn, s.vn, gg)
     return NodeState(new_gn, new_vn), aux
 
 

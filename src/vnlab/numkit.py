@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable
 
 import numpy as np
 

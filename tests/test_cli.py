@@ -79,8 +79,9 @@ class TestVerifyDeepsets:
 
     def test_injected_fault_fails_with_exit_2(self, tmp_path):
         out = tmp_path / "fault.json"
-        code = run(["verify-deepsets", "--set", "seeds=4", "--inject-fault",
-                    "--json", str(out), "--quiet"])
+        code = run(["verify-deepsets", "--set", "seeds=4",
+                    "--set", "inject_fault=true", "--json", str(out),
+                    "--quiet"])
         assert code == 2
         report = json.loads(out.read_text())
         assert report["pass"] is False
@@ -122,7 +123,7 @@ class TestVerifyKernel:
 
     def test_sweep_rows_informational(self, tmp_path):
         out = tmp_path / "sweep.json"
-        code = run(["verify-kernel", "--set", "seeds=2", "--sweep",
+        code = run(["verify-kernel", "--set", "seeds=2", "--set", "sweep=true",
                     "--set", "sweep_m=16,64", "--set", "sweep_pairs=30",
                     "--set", "sweep_seeds=2", "--json", str(out), "--quiet"])
         assert code == 0
@@ -153,7 +154,7 @@ class TestVerifyDeep:
     def test_gatv2_mode(self, tmp_path):
         out = tmp_path / "deep2.json"
         code = run(["verify-deep", "--set", "seeds=1",
-                    "--set", "sweep_seeds=1", "--gatv2",
+                    "--set", "sweep_seeds=1", "--set", "gatv2=true",
                     "--json", str(out), "--quiet"])
         assert code == 0
         report = json.loads(out.read_text())

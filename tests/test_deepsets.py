@@ -263,6 +263,35 @@ class TestCompileNetwork:
         assert w == max(widths)
 
 
+class TestBitwiseDirectEval:
+    """Compiled programs perform the same float operations as direct
+    evaluation, in the same order, so they agree to the last bit."""
+
+    def test_verify_deepsets_grid(self):
+        # the default verify-deepsets grid: 50 cases, n <= 16, d <= 8
+        for case in range(50):
+            rng = numkit.make_rng(case)
+            n = int(rng.integers(2, 17))
+            d_in = int(rng.integers(1, 9))
+            d_out = int(rng.integers(1, 9))
+            layer = random_linear(d_in, d_out, rng)
+            X = rng.normal(size=(n, d_in))
+            out = compile_linear(layer, n).execute(star(n), X)
+            assert np.array_equal(out, eval_linear(X, layer)), case
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "elu"])
+    def test_random_networks(self, activation):
+        for seed in range(10):
+            rng = numkit.make_rng([seed, 1])
+            depth = int(rng.integers(1, 5))
+            widths = [int(k) for k in rng.integers(1, 9, size=depth + 1)]
+            net = random_network(widths, rng, activation=activation)
+            n = int(rng.integers(1, 11))
+            X = rng.normal(size=(n, widths[0]))
+            out = compile_network(net, n).execute(star(n), X)
+            assert np.array_equal(out, eval_network(X, net)), seed
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from vnlab.mpnnvn import (
     AffineFromVn,
     ConstVn,
     CopyPooled,
-    CopyVnMsg,
     Descriptor,
     FeatureStatsPool,
     Gatv2SelectPool,
@@ -77,7 +76,6 @@ def plain_layer(vn_pool=None, vn_update=None, gn_update=None, gn_gn_msg=None):
     return MpnnVnLayer(
         vn_pool=vn_pool or MeanPool(),
         vn_update=vn_update or CopyPooled(),
-        gn_msg=CopyVnMsg(),
         gn_update=gn_update or IdentityGn(),
         gn_gn_msg=gn_gn_msg,
     )
@@ -105,7 +103,6 @@ class TestPoolsAndUpdates:
         layer = MpnnVnLayer(
             vn_pool=MeanPool(),
             vn_update=CopyPooled(),
-            gn_msg=CopyVnMsg(),
             gn_update=AffineFromVn(np.eye(1), np.zeros(1)),
         )
         out, _ = run_layer(g, NodeState(X, old_vn), layer)
@@ -196,7 +193,7 @@ class TestPoolsAndUpdates:
         g = star(2)
         X = np.array([[1.0], [-10.0]])
         layer = MpnnVnLayer(
-            vn_pool=MeanPool(), vn_update=KeepVn(), gn_msg=CopyVnMsg(),
+            vn_pool=MeanPool(), vn_update=KeepVn(),
             gn_update=AffineFromVn(np.array([[1.0]]), np.array([2.0]),
                                    activation="relu"),
         )
@@ -246,12 +243,10 @@ class TestRunLayerValidation:
 def mean_subtract_program(d):
     """Two layers computing x_i - mean(x): read the mean, then subtract it."""
     collect = MpnnVnLayer(
-        vn_pool=MeanPool(), vn_update=CopyPooled(),
-        gn_msg=CopyVnMsg(), gn_update=IdentityGn(),
+        vn_pool=MeanPool(), vn_update=CopyPooled(), gn_update=IdentityGn(),
     )
     subtract = MpnnVnLayer(
         vn_pool=MeanPool(), vn_update=KeepVn(),
-        gn_msg=CopyVnMsg(),
         gn_update=AffineFromVn(-np.eye(d), np.zeros(d)),
     )
     return LayerProgram(layers=[collect, subtract], vn_init=np.zeros(d),
@@ -360,13 +355,11 @@ class TestKernelLayers:
         collect = MpnnVnLayer(
             vn_pool=FeatureStatsPool(w.w_k, w.w_v, fm),
             vn_update=CopyPooled(),
-            gn_msg=CopyVnMsg(),
             gn_update=IdentityGn(),
         )
         resolve = MpnnVnLayer(
             vn_pool=MeanPool(),
             vn_update=KeepVn(),
-            gn_msg=CopyVnMsg(),
             gn_update=ResolveQueryUpdate(w.w_q, fm, value_dim=w.out_dim),
         )
         return LayerProgram(layers=[collect, resolve], vn_init=np.zeros(d),
@@ -398,26 +391,26 @@ class TestKernelLayers:
     def test_resolve_query_rejects_nonpositive_denominator(self):
         fm = attention.elu_feature_map()
         upd = ResolveQueryUpdate(np.eye(2), fm, value_dim=2)
-        msg = np.zeros((2, 6))  # key_sum = 0 -> denominator 0
+        vn = np.zeros(6)  # key_sum = 0 -> denominator 0
         with pytest.raises(ValueError, match="denominator"):
-            upd(np.zeros((2, 2)), msg, None)
+            upd(np.zeros((2, 2)), vn, None)
 
     def test_resolve_query_rejects_nan_denominator(self):
         fm = attention.elu_feature_map()
         upd = ResolveQueryUpdate(np.eye(2), fm, value_dim=2)
-        msg = np.ones((2, 6))
+        vn = np.ones(6)
         gn = np.array([[0.1, 0.2], [np.nan, 0.3]])
         with pytest.raises(ValueError, match="denominator"):
-            upd(gn, msg, None)
+            upd(gn, vn, None)
 
     def test_mlp_resolve_rejects_nan_denominator(self):
         # unfitted pieces can give either sign, so only NaN rows are fed
         fm = attention.exp_feature_map(4, 2, seed=1)
         upd = MlpResolveUpdate(np.eye(2), fm, unfitted_pieces(), value_dim=2)
-        msg = np.ones((2, 12))
+        vn = np.ones(12)
         gn = np.full((2, 2), np.nan)
         with pytest.raises(ValueError, match="denominator"):
-            upd(gn, msg, None)
+            upd(gn, vn, None)
 
 
 class TestScoreAccumulate:
@@ -428,9 +421,8 @@ class TestScoreAccumulate:
         w_v = np.array([[3.0]])
         upd = ScoreAccumulate(w_q, w_k, w_v, width=d)
         gn = np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 1.0]])
-        y = np.array([0.5, 9.0, 9.0])  # only the first block is read
-        msg = np.tile(y, (2, 1))
-        out = upd(gn, msg, None)
+        vn = np.array([0.5, 9.0, 9.0])  # only the first block is read
+        out = upd(gn, vn, None)
         e0 = np.exp(1.0 * 2.0 * 0.5 * 1.0)
         e1 = np.exp(2.0 * 2.0 * 0.5 * 1.0)
         assert np.allclose(out[:, 0], [1.0, 2.0], atol=0)
@@ -471,35 +463,33 @@ class TestPersistence:
         layers = [
             MpnnVnLayer(FeatureStatsPool(rng.normal(size=(2, 2)),
                                          rng.normal(size=(2, 2)), fm),
-                        CopyPooled(), CopyVnMsg(), IdentityGn()),
+                        CopyPooled(), IdentityGn()),
             MpnnVnLayer(SoftmaxSelectPool(width=2, scale=3.5),
                         SelectorAdvance(width=2,
                                         next_selector=np.array([1.0, -1.0])),
-                        CopyVnMsg(),
                         ScoreAccumulate(np.eye(2), np.eye(2),
                                         rng.normal(size=(2, 2)), width=2)),
             MpnnVnLayer(Gatv2SelectPool(g2, width=2, scale=2.0),
-                        ConstVn(np.ones(5)), CopyVnMsg(),
+                        ConstVn(np.ones(5)),
                         AddPooledNeighbors(), gn_gn_msg=IdentityPairMsg()),
-            MpnnVnLayer(OracleSelectPool(index=1), KeepVn(), CopyVnMsg(),
+            MpnnVnLayer(OracleSelectPool(index=1), KeepVn(),
                         RatioUpdate(width=2), gn_gn_msg=IdentityPairMsg()),
-            MpnnVnLayer(MeanPool(), CopyPooled(), CopyVnMsg(),
+            MpnnVnLayer(MeanPool(), CopyPooled(),
                         AffineFromVn(rng.normal(size=(5, 5)),
                                      rng.normal(size=5),
                                      activation="leaky_relu")),
-            MpnnVnLayer(MeanPool(), KeepVn(), CopyVnMsg(),
+            MpnnVnLayer(MeanPool(), KeepVn(),
                         LinearGn(rng.normal(size=(5, 3)))),
-            MpnnVnLayer(MeanPool(), CopyPooled(), CopyVnMsg(),
-                        AddPooledNeighbors()),
-            MpnnVnLayer(MeanPool(), SelectorAdvance(width=2), CopyVnMsg(),
+            MpnnVnLayer(MeanPool(), CopyPooled(), AddPooledNeighbors()),
+            MpnnVnLayer(MeanPool(), SelectorAdvance(width=2),
                         ResolveQueryUpdate(rng.normal(size=(2, 2)), fm,
                                            value_dim=2)),
             MpnnVnLayer(MlpStatsPool(rng.normal(size=(2, 2)),
                                      rng.normal(size=(2, 2)), fm, pieces),
-                        KeepVn(), CopyVnMsg(),
+                        KeepVn(),
                         MlpResolveUpdate(rng.normal(size=(2, 2)), fm, pieces,
                                          value_dim=2)),
-            MpnnVnLayer(MeanPool(), CopyPooled(), CopyVnMsg(),
+            MpnnVnLayer(MeanPool(), CopyPooled(),
                         AffineFromVn(rng.normal(size=(5, 5)),
                                      rng.normal(size=5))),
         ]
@@ -513,8 +503,8 @@ class TestPersistence:
         prog = self._rich_program()
         covered = set()
         for layer in prog.layers:
-            for slot in (layer.vn_pool, layer.vn_update, layer.gn_msg,
-                         layer.gn_update, layer.gn_gn_msg):
+            for slot in (layer.vn_pool, layer.vn_update, layer.gn_update,
+                         layer.gn_gn_msg):
                 if slot is not None:
                     covered.add(slot.kind)
         assert covered == set(Descriptor._registry)
@@ -545,11 +535,11 @@ class TestPersistence:
     # change of the on-disk format
     PINNED_SHA256 = {
         "rich":
-            "2ce11df007937bad5a65edb4093feec3caaa783b8ebe6c94961bae859447c26e",
+            "ecc53955583b58b09f5ae7701d85869de7f18d186f3af0db36d2cf180bee995b",
         "deep_oracle":
-            "a9a3554485d4ca82f2aff2734208100a4995b8ad9f6accb9ea2bf58918b2df02",
+            "b0c721a61798b916aa8d00b1b45a8263067b84bd80ab7ca56ed95b37e0578944",
         "kernel_exact":
-            "f388138b5b113a758ab19c7768fd9bb0dd4c178af85c580385aa86fc0fc05b17",
+            "d1a0e9089b542a3f692a515709dfbce02d3e834b4989df49ccb89d872c4915e1",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
@@ -558,6 +548,23 @@ class TestPersistence:
         save_program(self._pinned_program(name), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.PINNED_SHA256[name]
+
+    # every layer of a document written while graph nodes still read the
+    # virtual node through a separate message slot carries this extra key
+    OLD_LAYER_KEYS = {"gn_msg": {"kind": "copy_vn_msg"}}
+
+    @pytest.mark.parametrize("name", ["deep_oracle", "kernel_exact"])
+    def test_document_with_old_message_slot_runs_identically(self, name):
+        prog = self._pinned_program(name)
+        blob = program_to_json(prog)
+        for layer in blob["layers"]:
+            layer.update(self.OLD_LAYER_KEYS)
+        old = program_from_json(blob)
+        assert program_to_json(old) == program_to_json(prog)
+        n = 5
+        X = 0.5 * numkit.make_rng(4).normal(size=(n, 3))
+        assert np.array_equal(old.execute(star(n), X),
+                              prog.execute(star(n), X))
 
     def test_round_trip_preserves_document(self, tmp_path):
         prog = self._rich_program()

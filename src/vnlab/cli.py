@@ -426,8 +426,7 @@ def _trace_time2_check(X, w, prog) -> bool:
         if k == 2:
             after["gn"] = state.gn
 
-    run_program(attention_host_graph(n), prog.initial_state(X), prog,
-                observe=keep_layer2)
+    run_program(prog.initial_state(X), prog, observe=keep_layer2)
     gn = after["gn"]
     y = X[0]
     yk = y @ w.w_k

@@ -234,7 +234,7 @@ class MlpResolveUpdate(Descriptor):
     pieces: KernelPieces = field(default=None)
     value_dim: int = 0
 
-    def __call__(self, gn, vn, gg):
+    def __call__(self, gn, vn):
         m = self.feature_map.out_dim(self.w_q.shape[1])
         key_sum = vn[:m]
         kv_sum = vn[m:].reshape(m, self.value_dim)
@@ -677,7 +677,7 @@ def run_and_report(
                 None if weights is None else float(weights[k - 1]),
             ))
 
-    final = run_program(attention_host_graph(n), prog.initial_state(X), prog,
+    final = run_program(prog.initial_state(X), prog,
                         observe=measure_selection if deep else None)
     got = prog.extract(final)
     if got.shape != want.shape:

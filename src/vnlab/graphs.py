@@ -58,11 +58,6 @@ class Graph:
     def has_vn(self) -> bool:
         return self.vn_index is not None
 
-    @property
-    def graph_nodes(self) -> tuple[int, ...]:
-        """Node ids excluding the virtual node, in ascending order."""
-        return tuple(i for i in range(self.n) if i != self.vn_index)
-
     def degree(self, node: int) -> int:
         return sum(1 for i, j in self.edges if node in (i, j))
 

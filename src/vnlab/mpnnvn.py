@@ -1,4 +1,4 @@
-"""Heterogeneous message-passing layers over a graph with one virtual node.
+"""Message-passing layers over a node set with one virtual node.
 
 A layer updates two node kinds synchronously from the pre-layer state:
 
@@ -6,12 +6,12 @@ A layer updates two node kinds synchronously from the pre-layer state:
   states (the pool may be a plain mean, feature statistics, or a
   softmax-weighted selection, which is how attention-style reads are
   expressed), then applies its update;
-* every graph node reads the virtual node's state vector plus, optionally,
-  a summed message over its graph neighbors (the graph-to-graph channel),
-  then applies its update.
+* every graph node reads the virtual node's state vector, then applies its
+  update.
 
-Dropping the graph-to-graph channel gives the simplified layer form; the
-compiled attention programs only ever use the simplified form.
+No graph node reads another, so a layer acts on the set of graph-node rows
+and the VM needs no graph: ``LayerProgram.execute`` is the one function that
+takes one, and checks it against the input once per program.
 
 ``run_program`` is the one loop over a program's layers.  Callers that need
 intermediate results (per-layer selection weights, a state at some time)
@@ -332,7 +332,7 @@ class SelectorAdvance(Descriptor):
 
 
 # ---------------------------------------------------------------------------
-# graph-node updates: (gn, vn, gg) -> new gn matrix
+# graph-node updates: (gn, vn) -> new gn matrix
 # ---------------------------------------------------------------------------
 
 
@@ -340,7 +340,7 @@ class SelectorAdvance(Descriptor):
 class IdentityGn(Descriptor):
     kind: ClassVar[str] = "identity_gn"
 
-    def __call__(self, gn, vn, gg):
+    def __call__(self, gn, vn):
         return gn.copy()
 
 
@@ -349,7 +349,7 @@ class LinearGn(Descriptor):
     kind: ClassVar[str] = "linear_gn"
     matrix: np.ndarray = matrix()
 
-    def __call__(self, gn, vn, gg):
+    def __call__(self, gn, vn):
         return gn @ self.matrix
 
 
@@ -366,7 +366,7 @@ class AffineFromVn(Descriptor):
     bias: np.ndarray = vector()
     activation: str | None = None
 
-    def __call__(self, gn, vn, gg):
+    def __call__(self, gn, vn):
         out = gn + vn @ self.matrix + self.bias
         if self.activation is not None:
             out = numkit.activation_fn(self.activation)(out)
@@ -387,7 +387,7 @@ class ResolveQueryUpdate(Descriptor):
     feature_map: attention.FeatureMap = field(default=None)
     value_dim: int = 0
 
-    def __call__(self, gn, vn, gg):
+    def __call__(self, gn, vn):
         m = self.feature_map.out_dim(self.w_q.shape[1])
         P_q = attention.phi_matrix(gn @ self.w_q, self.feature_map)
         key_sum = vn[:m]
@@ -417,7 +417,7 @@ class ScoreAccumulate(Descriptor):
     w_v: np.ndarray = matrix()
     width: int = 0
 
-    def __call__(self, gn, vn, gg):
+    def __call__(self, gn, vn):
         d = self.width
         y = vn[:d]
         yk = y @ self.w_k
@@ -440,42 +440,13 @@ class RatioUpdate(Descriptor):
     kind: ClassVar[str] = "ratio_update"
     width: int = 0
 
-    def __call__(self, gn, vn, gg):
+    def __call__(self, gn, vn):
         d = self.width
         mass = gn[:, 2 * d]
         if not np.all(mass > 0.0):
             raise ValueError("accumulated mass not positive")
         out = np.zeros_like(gn)
         out[:, :d] = gn[:, d : 2 * d] / mass[:, None]
-        return out
-
-
-@dataclass(frozen=True)
-class AddPooledNeighbors(Descriptor):
-    """new x_i = x_i + summed graph-neighbor messages (zero if channel absent)."""
-
-    kind: ClassVar[str] = "add_pooled_neighbors"
-
-    def __call__(self, gn, vn, gg):
-        return gn.copy() if gg is None else gn + gg
-
-
-# ---------------------------------------------------------------------------
-# graph-to-graph pair messages: pooled over graph neighbors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentityPairMsg(Descriptor):
-    """Message from neighbor j to i is j's state; pooled by sum."""
-
-    kind: ClassVar[str] = "identity_pair_msg"
-
-    def pooled(self, gn, neighbor_rows):
-        out = np.zeros_like(gn)
-        for i, nbrs in enumerate(neighbor_rows):
-            for j in nbrs:
-                out[i] += gn[j]
         return out
 
 
@@ -486,53 +457,26 @@ class IdentityPairMsg(Descriptor):
 
 @dataclass(frozen=True, eq=False)
 class MpnnVnLayer:
-    """One synchronous heterogeneous layer.
-
-    ``gn_gn_msg`` None means the simplified form (no graph-to-graph channel).
-    """
+    """One synchronous layer: virtual-node pool and update, graph-node update."""
 
     vn_pool: Descriptor
     vn_update: Descriptor
     gn_update: Descriptor
-    gn_gn_msg: Descriptor | None = None
 
 
-def _graph_neighbor_rows(g: Graph) -> list[list[int]]:
-    """Neighbor lists among graph nodes only, as gn-row indices."""
-    nodes = g.graph_nodes
-    row_of = {node: i for i, node in enumerate(nodes)}
-    rows: list[list[int]] = [[] for _ in nodes]
-    for i, j in g.edges:
-        if i == g.vn_index or j == g.vn_index:
-            continue
-        rows[row_of[i]].append(row_of[j])
-        rows[row_of[j]].append(row_of[i])
-    return [sorted(r) for r in rows]
-
-
-def run_layer(g: Graph, s: NodeState,
-              layer: MpnnVnLayer) -> tuple[NodeState, dict | None]:
+def run_layer(s: NodeState, layer: MpnnVnLayer) -> tuple[NodeState, dict | None]:
     """Apply one layer with a synchronous barrier.
 
     The pool and every graph-node update read the pre-layer state ``s``:
     each graph node sees the pre-layer virtual-node vector ``s.vn``, so
     nothing observes a mid-layer update.  Returns the post-layer state and
     the pool's aux output (None for plain pools; selection pools give
-    ``selection_weights``).
+    ``selection_weights``).  The state's rows are the node set; checking
+    them against a host graph is ``LayerProgram.execute``'s job.
     """
-    if not g.has_vn:
-        raise ValueError("run_layer requires a graph with a virtual node")
-    n_graph = g.n - 1
-    if s.gn.shape[0] != n_graph:
-        raise ValueError(
-            f"state has {s.gn.shape[0]} graph-node rows, graph has {n_graph}"
-        )
     pooled, aux = layer.vn_pool(s.vn, s.gn)
     new_vn = layer.vn_update(s.vn, pooled)
-    gg = None
-    if layer.gn_gn_msg is not None:
-        gg = layer.gn_gn_msg.pooled(s.gn, _graph_neighbor_rows(g))
-    new_gn = layer.gn_update(s.gn, s.vn, gg)
+    new_gn = layer.gn_update(s.gn, s.vn)
     return NodeState(new_gn, new_vn), aux
 
 
@@ -578,12 +522,26 @@ class LayerProgram:
         return s.gn[:, lo:hi].copy()
 
     def execute(self, g: Graph, X) -> np.ndarray:
-        return self.extract(run_program(g, self.initial_state(X), self))
+        """Run on the rows of ``X``: the one VM function that reads a graph.
+
+        ``g`` must have a virtual node and one graph node per row of ``X``.
+        """
+        if not g.has_vn:
+            raise ValueError("execute requires a graph with a virtual node")
+        s0 = self.initial_state(X)
+        if s0.gn.shape[0] != g.n - 1:
+            raise ValueError(
+                f"state has {s0.gn.shape[0]} graph-node rows, graph has {g.n - 1}"
+            )
+        return self.extract(run_program(s0, self))
 
 
-def run_program(g: Graph, s0: NodeState, prog: LayerProgram,
+def run_program(s0: NodeState, prog: LayerProgram,
                 observe: Callable | None = None) -> NodeState:
     """Run all layers in order; the empty program is the identity.
+
+    The layers act on ``s0``'s node set and read no graph; the host graph is
+    checked once per program, by ``LayerProgram.execute``.
 
     ``observe(k, state, aux)``, when given, is called after layer k for
     k = 1..L with the post-layer state and the pool's aux output (None for
@@ -591,7 +549,7 @@ def run_program(g: Graph, s0: NodeState, prog: LayerProgram,
     """
     s = s0
     for k, layer in enumerate(prog.layers, start=1):
-        s, aux = run_layer(g, s, layer)
+        s, aux = run_layer(s, layer)
         if observe is not None:
             observe(k, s, aux)
     return s
@@ -617,21 +575,39 @@ def program_to_json(prog: LayerProgram) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def program_from_json(blob: dict) -> LayerProgram:
     if blob.get("format") != "layer-program/v1":
         raise ValueError("not a layer-program/v1 document")
     # composite descriptors contributed by the compilers register on import
     from . import constructions  # noqa: F401
 
-    gn_init = blob["gn_init"]
-    if isinstance(gn_init, list):
-        gn_init = (gn_init[0], int(gn_init[1]))
+    for i, layer in enumerate(blob["layers"]):
+        # a graph-to-graph channel is never dropped silently
+        if layer.get("gn_gn_msg") is not None:
+            raise ValueError(f"layers[{i}]: graph-to-graph messages "
+                             "('gn_gn_msg') are not supported")
+    gn_init = blob.get("gn_init")
+    if gn_init != "identity":
+        if not (isinstance(gn_init, list) and len(gn_init) == 2
+                and gn_init[0] == "pad" and _is_int(gn_init[1])):
+            raise ValueError(
+                f"gn_init must be \"identity\" or [\"pad\", int], got {gn_init!r}")
+        gn_init = tuple(gn_init)
     gn_out = blob.get("gn_out")
+    if gn_out is not None:
+        if not (isinstance(gn_out, list) and len(gn_out) == 2
+                and all(map(_is_int, gn_out))):
+            raise ValueError(f"gn_out must be null or two ints, got {gn_out!r}")
+        gn_out = tuple(gn_out)
     return LayerProgram(
         layers=[from_json(MpnnVnLayer, l) for l in blob["layers"]],
         vn_init=numkit.vector_from_json(blob["vn_init"]),
         gn_init=gn_init,
-        gn_out=None if gn_out is None else (int(gn_out[0]), int(gn_out[1])),
+        gn_out=gn_out,
         provenance=blob.get("provenance", "unknown"),
         metadata=blob.get("metadata", {}),
     )

@@ -151,9 +151,7 @@ def test_criterion_04_deep_oracle_exact_with_trace():
         w = attention.random_weights(d, rng)
         X = rng.normal(size=(n, d)) * 0.6
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        states, _ = run_traced(
-            attention_host_graph(n), prog.initial_state(X), prog
-        )
+        states, _ = run_traced(prog.initial_state(X), prog)
         got = states[-1].gn[:, :d]
         worst = max(
             worst, numkit.max_abs_diff(got, attention.self_attention(X, w))
@@ -191,9 +189,7 @@ def test_criterion_05_deep_softmax_bounds_and_convergence():
         prog = compile_deep_vn(w, DeepSimConfig(
             n=n, selection="softmax", certificate=cert, amplification=c,
         ))
-        states, auxes = run_traced(
-            attention_host_graph(n), prog.initial_state(X), prog
-        )
+        states, auxes = run_traced(prog.initial_state(X), prog)
         bound = selection_weight_bound(c, cert.delta, n)
         for k in range(1, n + 1):
             weight = float(auxes[k - 1]["selection_weights"][k - 1])

@@ -102,9 +102,7 @@ class TestKernelExact:
         assert prog.metadata["vn_width"] == (out + 1) * m
         assert prog.vn_init.shape == ((out + 1) * m,)
         X = rng.normal(size=(4, d)) * 0.5
-        states, _ = run_traced(
-            attention_host_graph(4), prog.initial_state(X), prog
-        )
+        states, _ = run_traced(prog.initial_state(X), prog)
         assert states[1].vn.shape == ((out + 1) * m,)
 
     def test_two_layers_and_metadata(self):
@@ -253,9 +251,7 @@ class TestDeepOracle:
         X = rng.normal(size=(n, d)) * 0.6
         w = attention.random_weights(d, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        states, _ = run_traced(
-            attention_host_graph(n), prog.initial_state(X), prog
-        )
+        states, _ = run_traced(prog.initial_state(X), prog)
         selectors = np.zeros((n, d))
         for t in (0, 1, 2, n, n + 1, n + 2):
             gn_want, vn_want = deep_trace_oracle(
@@ -270,9 +266,7 @@ class TestDeepOracle:
         X = rng.normal(size=(n, d)) * 0.5
         w = attention.random_weights(d, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        states, _ = run_traced(
-            attention_host_graph(n), prog.initial_state(X), prog
-        )
+        states, _ = run_traced(prog.initial_state(X), prog)
         for t in range(n + 2):
             # graph nodes carry the raw feature up front until the final
             # normalization overwrites it with the output

@@ -35,7 +35,7 @@ def test_vn_must_touch_every_node():
     with pytest.raises(ValueError):
         graphs.Graph(3, ((0, 2),), vn_index=2)
     g = graphs.Graph(3, ((0, 2), (1, 2)), vn_index=2)
-    assert g.graph_nodes == (0, 1)
+    assert g.vn_index == 2
 
 
 def test_add_virtual_node_on_path_of_three():

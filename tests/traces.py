@@ -5,7 +5,7 @@ from __future__ import annotations
 from vnlab.mpnnvn import run_program
 
 
-def run_traced(g, s0, prog):
+def run_traced(s0, prog):
     """Run ``prog`` and keep everything the observer sees.
 
     Returns (states, auxes): states[t] is the state at time t (states[0] is
@@ -18,5 +18,5 @@ def run_traced(g, s0, prog):
         states.append(state)
         auxes.append(aux)
 
-    run_program(g, s0, prog, observe=keep)
+    run_program(s0, prog, observe=keep)
     return states, auxes

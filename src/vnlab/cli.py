@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -87,60 +88,98 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _at_least(low: int):
+    """Integer parser for a count; ``low`` is the smallest its command runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = _positive(text)
+    if value >= 1.0:
+        raise ValueError(f"must lie below 1, got {text!r}")
+    return value
+
+
+def _list_of(item):
+    """Comma-separated list parser; a list that checks nothing is refused."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(item(tok) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ValueError("list must not be empty")
+        return values
+
+    return parse
 
 
 KEY_TABLES = {
     "verify-deepsets": {
-        "max_n": Key(int, 16, "largest set size in the random grid"),
-        "max_d": Key(int, 8, "largest feature dimension in the random grid"),
-        "seeds": Key(int, 50, "number of random cases"),
-        "tol": Key(float, 1e-12, "max abs error allowed per case"),
+        "max_n": Key(_at_least(2), 16, "largest set size in the random grid"),
+        "max_d": Key(_at_least(1), 8,
+                     "largest feature dimension in the random grid"),
+        "seeds": Key(_at_least(1), 50, "number of random cases"),
+        "tol": Key(_positive, 1e-12, "max abs error allowed per case"),
         "inject_fault": Key(_parse_bool, False,
                             "perturb the mixing matrix by 1e-6 (negative "
                             "control; the run must fail)"),
     },
     "verify-kernel": {
-        "max_n": Key(int, 16, "largest node count in the random grid"),
-        "max_d": Key(int, 4, "largest feature dimension in the random grid"),
-        "max_m": Key(int, 16, "largest random-feature count"),
-        "seeds": Key(int, 20, "number of random exact-mode cases"),
-        "tol": Key(float, 1e-12, "max abs error allowed in exact mode"),
+        "max_n": Key(_at_least(1), 16, "largest node count in the random grid"),
+        "max_d": Key(_at_least(1), 4,
+                     "largest feature dimension in the random grid"),
+        "max_m": Key(_at_least(1), 16, "largest random-feature count"),
+        "seeds": Key(_at_least(1), 20, "number of random exact-mode cases"),
+        "tol": Key(_positive, 1e-12, "max abs error allowed in exact mode"),
         "sweep": Key(_parse_bool, False,
                      "also measure kernel-estimate convergence over m"),
-        "sweep_m": Key(lambda s: tuple(int(t) for t in s.split(",")),
-                       (64, 256, 1024, 4096),
+        "sweep_m": Key(_list_of(_at_least(1)), (64, 256, 1024, 4096),
                        "feature counts for the convergence sweep"),
-        "sweep_pairs": Key(int, 100, "random unit-ball pairs per sweep point"),
-        "sweep_seeds": Key(int, 5, "direction seeds per sweep point"),
+        "sweep_pairs": Key(_at_least(1), 100,
+                           "random unit-ball pairs per sweep point"),
+        "sweep_seeds": Key(_at_least(1), 5, "direction seeds per sweep point"),
         "mlp_table": Key(_parse_bool, False,
                          "also compile one mlp-mode program and report its "
                          "end-to-end error"),
-        "seed": Key(int, 0, "base seed"),
+        "seed": Key(_at_least(0), 0, "base seed"),
     },
     "verify-deep": {
-        "n": Key(int, 6, "node count for the compiled programs"),
-        "d": Key(int, 3, "feature dimension"),
-        "seeds": Key(int, 10, "number of random oracle-mode cases"),
-        "tol_oracle": Key(float, 1e-10, "max abs error allowed in oracle mode"),
-        "c_factors": Key(_parse_floats, (2.0, 4.0, 8.0, 16.0),
+        "n": Key(_at_least(2), 6, "node count for the compiled programs"),
+        "d": Key(_at_least(1), 3, "feature dimension"),
+        "seeds": Key(_at_least(1), 10, "number of random oracle-mode cases"),
+        "tol_oracle": Key(_positive, 1e-10,
+                          "max abs error allowed in oracle mode"),
+        "c_factors": Key(_list_of(_positive), (2.0, 4.0, 8.0, 16.0),
                          "amplification factors (times 1/delta) for the sweep"),
-        "sweep_seeds": Key(int, 5, "certified instances in the sweep"),
-        "min_delta": Key(float, 0.1, "required certificate margin"),
-        "eps": Key(float, 1e-4, "selection slack for suggested amplification"),
+        "sweep_seeds": Key(_at_least(1), 5, "certified instances in the sweep"),
+        "min_delta": Key(_positive, 0.1, "required certificate margin"),
+        "eps": Key(_fraction, 1e-4,
+                   "selection slack for suggested amplification"),
         "gatv2": Key(_parse_bool, False,
                      "also run trained-score selection on the three-cluster "
                      "line instance"),
     },
     "check-separability": {
-        "eps": Key(float, 1e-4, "target selection slack for the suggested "
-                                "amplification"),
-        "band": Key(float, 1e-6, "margin band below which separation is "
-                                 "reported as unreliable"),
+        "eps": Key(_fraction, 1e-4, "target selection slack for the suggested "
+                                    "amplification"),
+        "band": Key(_positive, 1e-6, "margin band below which separation is "
+                                     "reported as unreliable"),
     },
     "dataset-arith": {
-        "regions": Key(int, 11, "number of spatial regions"),
+        "regions": Key(_at_least(1), 11, "number of spatial regions"),
     },
 }
 
@@ -455,11 +494,9 @@ def cmd_verify_deep(cfg: dict):
         got = prog.execute(attention_host_graph(n), X)
         want = attention.self_attention(X, w)
         err = numkit.max_abs_diff(got, want)
-        ok = err <= cfg["tol_oracle"]
-        if n >= 2:
-            this_trace = _trace_time2_check(X, w, prog)
-            trace_ok = trace_ok and this_trace
-            ok = ok and this_trace
+        this_trace = _trace_time2_check(X, w, prog)
+        trace_ok = trace_ok and this_trace
+        ok = err <= cfg["tol_oracle"] and this_trace
         worst = max(worst, err)
         rows.append({"phase": "oracle", "case": case, "n": n, "d": d,
                      "c": None, "value": err, "ok": ok})
@@ -631,8 +668,6 @@ def cmd_check_separability(cfg: dict, points_path: str):
 
 def cmd_dataset_arith(cfg: dict):
     regions = cfg["regions"]
-    if regions < 1:
-        raise CliInputError("regions must be positive")
     rows = []
     lines = []
     for split in BENCHMARK_SPLITS:

@@ -582,6 +582,9 @@ def _is_int(value) -> bool:
 def program_from_json(blob: dict) -> LayerProgram:
     if blob.get("format") != "layer-program/v1":
         raise ValueError("not a layer-program/v1 document")
+    for name in ("layers", "vn_init"):
+        if name not in blob:
+            raise ValueError(f"layer-program/v1: missing field {name!r}")
     # composite descriptors contributed by the compilers register on import
     from . import constructions  # noqa: F401
 

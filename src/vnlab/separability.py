@@ -15,8 +15,10 @@ min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
   nonlinearly separated point clusters, where no bilinear score works but a
   trained additive score does.
 
-The LP solver is a dense two-phase primal simplex with Bland's anti-cycling
-pivot rule: deterministic, dependency-free, adequate for the small instances
+The LP solver is a dense primal simplex with Bland's anti-cycling pivot
+rule, run once from a feasible basis the caller supplies: the hull-distance
+LP always has one (the first point with weight 1, the slacks absorbing the
+rest).  Deterministic, dependency-free, adequate for the small instances
 certified here (d+1 rows, a few dozen columns).
 """
 
@@ -37,16 +39,16 @@ MARGIN_BAND = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# linear programming: dense two-phase primal simplex, Bland's rule
+# linear programming: dense primal simplex from a feasible basis, Bland's rule
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: np.ndarray | None
     objective: float | None
-    basis: tuple | None = None  # final basic column of each kept row
+    basis: tuple | None = None  # final basic column of each row
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -56,14 +58,13 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
             T[r] = T[r] - T[r, col] * T[row]
 
 
-def _bland_iterate(T: np.ndarray, basis: list[int], n_cols: int,
-                   tol: float) -> str:
+def _bland_iterate(T: np.ndarray, basis: list[int]) -> str:
     """Run simplex iterations in place until optimal or unbounded."""
     m = len(basis)
     while True:
         enter = -1
-        for j in range(n_cols):
-            if T[-1, j] < -tol:
+        for j in range(T.shape[1] - 1):
+            if T[-1, j] < -LP_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -71,12 +72,12 @@ def _bland_iterate(T: np.ndarray, basis: list[int], n_cols: int,
         leave = -1
         best = np.inf
         for i in range(m):
-            if T[i, enter] > tol:
+            if T[i, enter] > LP_TOL:
                 ratio = T[i, -1] / T[i, enter]
                 # Bland: strictly better ratio wins; ties go to the smallest
                 # basis index, which is what rules out cycling.
-                if ratio < best - tol or (
-                    abs(ratio - best) <= tol
+                if ratio < best - LP_TOL or (
+                    abs(ratio - best) <= LP_TOL
                     and (leave < 0 or basis[i] < basis[leave])
                 ):
                     best = ratio
@@ -87,76 +88,36 @@ def _bland_iterate(T: np.ndarray, basis: list[int], n_cols: int,
         basis[leave] = enter
 
 
-def solve_lp(c, A, b, tol: float = LP_TOL) -> LpResult:
-    """Minimize c.x subject to A x = b, x >= 0.
+def solve_lp(c, A, b, basis) -> LpResult:
+    """Minimize c.x subject to A x = b, x >= 0, starting from ``basis``.
 
-    Two-phase dense simplex.  Phase 1 minimizes artificial variables to find
-    a feasible basis (infeasible if their sum stays positive); phase 2
-    minimizes the real objective.  Bland's rule everywhere, so termination is
-    guaranteed and identical inputs take identical pivots.  With A of full
-    row rank, the duals are y = solve(A[:, basis].T, c[basis]).
+    ``basis[i]`` is the column made basic in row i; the caller guarantees
+    that these columns form a feasible basis.  Pivoting them into the tableau
+    [A | b] under the cost row [c | 0] turns that row into reduced costs, and
+    one run of Bland's rule from there ends optimal or unbounded, so
+    termination is guaranteed and identical inputs take identical pivots.
+    With the final basis B, the duals are y = solve(A[:, B].T, c[B]).
     """
     c = numkit.as_vector(c)
     A = numkit.as_matrix(A)
-    b = numkit.as_vector(b).copy()
+    b = numkit.as_vector(b)
     m, n = A.shape
-    if c.shape[0] != n or b.shape[0] != m:
+    basis = [int(j) for j in basis]
+    if c.shape[0] != n or b.shape[0] != m or len(basis) != m:
         raise ValueError("LP dimensions disagree")
-    if m == 0:
-        return LpResult("optimal", np.zeros(n), 0.0, ())
-
-    A = A.copy()
-    neg = b < 0
-    A[neg] = -A[neg]
-    b[neg] = -b[neg]
-
-    # phase 1 tableau: [A | I | b] with one cost row under it
-    T = np.zeros((m + 1, n + m + 1))
+    T = np.zeros((m + 1, n + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
-    basis = list(range(n, n + m))
-    # reduced costs for minimizing the artificial sum
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
+    T[-1, :n] = c
+    for i, j in enumerate(basis):
+        if not 0 <= j < n or abs(T[i, j]) <= LP_TOL:
+            raise ValueError(f"start column {j} is singular in row {i}")
+        _pivot(T, i, j)
+    if np.any(T[:m, -1] < 0.0):
+        raise ValueError("start basis is not feasible")
 
-    if _bland_iterate(T, basis, n + m, tol) != "optimal":
-        raise RuntimeError("phase-1 LP cannot be unbounded")  # pragma: no cover
-    # feasibility threshold: a decade above the pivot tolerance
-    if -T[-1, -1] > 10.0 * tol:
-        return LpResult("infeasible", None, None)
-
-    # drive surviving artificials out of the basis (degenerate pivots)
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(T[i, j]) > tol:
-                    piv = j
-                    break
-            if piv < 0:
-                drop_rows.append(i)  # redundant constraint
-            else:
-                _pivot(T, i, piv)
-                basis[i] = piv
-    if drop_rows:
-        keep = [i for i in range(m) if i not in drop_rows]
-        T = T[keep + [m]]
-        basis = [basis[i] for i in keep]
-        m = len(basis)
-
-    # phase 2: rebuild the cost row for the real objective
-    T = np.concatenate([T[:m, :n], T[:m, -1:]], axis=1)
-    cost = np.zeros(n + 1)
-    cost[:n] = c
-    for i, bi in enumerate(basis):
-        cost = cost - cost[bi] * np.concatenate([T[i, :n], T[i, -1:]])
-    T = np.vstack([T, cost])
-
-    if _bland_iterate(T, basis, n, tol) == "unbounded":
+    if _bland_iterate(T, basis) == "unbounded":
         return LpResult("unbounded", None, None)
-
     x = np.zeros(n)
     for i, bi in enumerate(basis):
         x[bi] = T[i, -1]
@@ -180,7 +141,11 @@ def _hull_distance(p: np.ndarray, points: np.ndarray):
                   [np.ones((1, k)), np.zeros((1, 2 * d))]])
     b = np.concatenate([p, [1.0]])
     c = np.concatenate([np.zeros(k), np.ones(2 * d)])
-    res = solve_lp(c, A, b)
+    # lam_0 = 1 leaves u - v = p - x_0; u_i or v_i takes each row's residual,
+    # whichever keeps it non-negative, so this start is feasible exactly
+    start = [k + i if p[i] - points[0, i] >= 0.0 else k + d + i
+             for i in range(d)]
+    res = solve_lp(c, A, b, start + [0])
     if res.status != "optimal":  # pragma: no cover - feasible and bounded
         raise RuntimeError(f"hull-distance LP ended {res.status}")
     B = list(res.basis)

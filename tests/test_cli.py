@@ -288,6 +288,63 @@ class TestConfigPlumbing:
         assert cfg["inject_fault"] is False
 
 
+class TestConfigRanges:
+    """A value its command cannot check with is a usage error, not a run."""
+
+    OUT_OF_RANGE = [
+        # counts below the smallest value their command runs with
+        ("verify-deepsets", ["seeds=0"]),
+        ("verify-kernel", ["seeds=0"]),
+        ("verify-deepsets", ["max_n=1"]),
+        ("verify-deepsets", ["max_d=0"]),
+        ("verify-kernel", ["max_m=0"]),
+        ("verify-kernel", ["seed=-1"]),
+        ("verify-kernel", ["sweep=true", "sweep_pairs=0"]),
+        ("verify-kernel", ["sweep=true", "sweep_seeds=0"]),
+        ("verify-deep", ["n=0"]),
+        ("verify-deep", ["n=1"]),
+        ("verify-deep", ["d=0"]),
+        # tolerances, eps and band: finite and positive, eps below 1
+        ("verify-deepsets", ["tol=nan"]),
+        ("verify-kernel", ["tol=-1e-12"]),
+        ("verify-deep", ["tol_oracle=inf"]),
+        ("verify-deep", ["eps=1"]),
+        ("check-separability", ["eps=0"]),
+        ("check-separability", ["band=-1e-6"]),
+        # a list that would check nothing
+        ("verify-deep", ["c_factors="]),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, settings", OUT_OF_RANGE,
+        ids=[f"{c}:{','.join(s)}" for c, s in OUT_OF_RANGE])
+    def test_out_of_range_exits_1(self, tmp_path, capsys, command, settings):
+        args = [command]
+        if command == "check-separability":
+            pts = tmp_path / "pts.csv"
+            pts.write_text("1,0\n0,1\n-1,0\n0,-1\n")
+            args.append(str(pts))
+        for item in settings:
+            args += ["--set", item]
+        assert run(args + ["--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        key = settings[-1].partition("=")[0]
+        assert lines[0].startswith(f"error: bad value for {key}:")
+
+    def test_smallest_values_run(self):
+        cfg = build_config("verify-deep", None,
+                           ["n=2", "d=1", "c_factors=3", "eps=0.5"])
+        assert (cfg["n"], cfg["d"], cfg["c_factors"]) == (2, 1, (3.0,))
+        assert run(["verify-deepsets", "--set", "seeds=1", "--set", "max_n=2",
+                    "--set", "max_d=1", "--quiet"]) == 0
+        assert run(["verify-kernel", "--set", "seeds=1", "--set", "max_n=1",
+                    "--set", "max_d=1", "--set", "max_m=1", "--set", "seed=0",
+                    "--quiet"]) == 0
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         paths = []
@@ -327,3 +384,16 @@ class TestConsoleEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+    def test_declared_script_runs(self):
+        """The ``[project.scripts]`` target resolves and runs, installed or not."""
+        import importlib
+        import pathlib
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["vnlab"]
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry(["dataset-arith", "--quiet"]) == 0

@@ -546,6 +546,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match=key):
             program_from_json(blob)
 
+    @pytest.mark.parametrize("key", ["layers", "vn_init"])
+    def test_missing_layers_or_vn_init_names_the_field(self, key):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        del blob[key]
+        with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            program_from_json(blob)
+
     def test_round_trip_preserves_document(self, tmp_path):
         prog = self._rich_program()
         path = tmp_path / "program.json"

@@ -34,9 +34,9 @@ from vnlab.separability import (
 
 class TestSolveLp:
     def test_simple_bounded_maximum(self):
-        # max x  s.t. x + s = 1  ->  x = 1
+        # max x  s.t. x + s = 1  ->  x = 1, from the slack start s = 1
         res = solve_lp(np.array([-1.0, 0.0]),
-                       np.array([[1.0, 1.0]]), np.array([1.0]))
+                       np.array([[1.0, 1.0]]), np.array([1.0]), [1])
         assert res.status == "optimal"
         assert abs(res.x[0] - 1.0) < 1e-9
         assert abs(res.objective + 1.0) < 1e-9
@@ -47,7 +47,7 @@ class TestSolveLp:
         c = np.array([-1.0, -2.0, 0.0, 0.0])
         A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
         b = np.array([4.0, 3.0])
-        res = solve_lp(c, A, b)
+        res = solve_lp(c, A, b, [2, 3])
         assert res.status == "optimal"
         assert np.allclose(res.x[:2], [1.0, 3.0], atol=1e-9)
         assert abs(res.objective + 7.0) < 1e-9
@@ -56,47 +56,18 @@ class TestSolveLp:
         # same LP: both x and y basic, so B^T y = c_B gives y = (-1, -1)
         c = np.array([-1.0, -2.0, 0.0, 0.0])
         A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        res = solve_lp(c, A, np.array([4.0, 3.0]))
+        res = solve_lp(c, A, np.array([4.0, 3.0]), [2, 3])
         assert sorted(res.basis) == [0, 1]
         B = list(res.basis)
         y = np.linalg.solve(A[:, B].T, c[B])
         assert np.allclose(y, [-1.0, -1.0], atol=1e-12)
         assert abs(y @ [4.0, 3.0] - res.objective) < 1e-12
 
-    def test_infeasible_detected(self):
-        # x1 + x2 = 1 and x1 + x2 = 3 cannot both hold
-        A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        res = solve_lp(np.zeros(2), A, np.array([1.0, 3.0]))
-        assert res.status == "infeasible"
-
-    def test_feasibility_threshold(self):
-        # rows disagree by gap: the phase-1 optimum is gap, cut at 10 * tol
-        A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        far = solve_lp(np.zeros(2), A, [1.0, 1.0 + 1e-7])
-        near = solve_lp(np.zeros(2), A, [1.0, 1.0 + 1e-9])
-        assert far.status == "infeasible"
-        assert near.status == "optimal"
-
     def test_unbounded_detected(self):
-        # min -x  s.t. x - s = 1: x can grow without limit
+        # min -x  s.t. s - x = 1: x can grow without limit
         res = solve_lp(np.array([-1.0, 0.0]),
-                       np.array([[1.0, -1.0]]), np.array([1.0]))
+                       np.array([[-1.0, 1.0]]), np.array([1.0]), [1])
         assert res.status == "unbounded"
-
-    def test_negative_rhs_handled_by_row_flip(self):
-        # -x - s = -2  <=>  x + s = 2; minimize x -> 0
-        res = solve_lp(np.array([1.0, 0.0]),
-                       np.array([[-1.0, -1.0]]), np.array([-2.0]))
-        assert res.status == "optimal"
-        assert abs(res.x[0]) < 1e-9
-
-    def test_redundant_constraint_tolerated(self):
-        # duplicate rows leave a basic artificial to clean up
-        A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-        b = np.array([2.0, 2.0, 1.0])
-        res = solve_lp(np.array([0.0, 1.0]), A, b)
-        assert res.status == "optimal"
-        assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
 
     def test_degenerate_vertex(self):
         # three constraints meeting at one vertex; Bland's rule must not cycle
@@ -107,30 +78,50 @@ class TestSolveLp:
             [1.0, 1.0, 0.0, 0.0, 1.0],
         ])
         b = np.array([1.0, 1.0, 2.0])
-        res = solve_lp(c, A, b)
+        res = solve_lp(c, A, b, [2, 3, 4])
         assert res.status == "optimal"
         assert abs(res.objective + 2.0) < 1e-9
 
     def test_zero_constraints(self):
-        res = solve_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0))
+        res = solve_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), [])
         assert res.status == "optimal"
         assert np.array_equal(res.x, [0.0])
+        res = solve_lp(np.array([-1.0]), np.zeros((0, 1)), np.zeros(0), [])
+        assert res.status == "unbounded"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
-            solve_lp(np.zeros(2), np.ones((1, 3)), np.ones(1))
+            solve_lp(np.zeros(2), np.ones((1, 3)), np.ones(1), [0])
+        with pytest.raises(ValueError, match="dimensions"):
+            solve_lp(np.zeros(3), np.ones((1, 3)), np.ones(1), [0, 1])
+
+    def test_singular_start_column_rejected(self):
+        A = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(np.zeros(3), A, np.ones(2), [0, 1])  # zero column
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(np.zeros(3), A, np.ones(2), [2, 2])  # repeated column
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(np.zeros(3), A, np.ones(2), [0, 3])  # no such column
+
+    def test_infeasible_start_basis_rejected(self):
+        # x - s = 1 with s basic would need s = -1
+        with pytest.raises(ValueError, match="not feasible"):
+            solve_lp(np.zeros(2), np.array([[1.0, -1.0]]), np.ones(1), [1])
 
     def test_determinism_bitwise(self):
         rng = numkit.make_rng(0)
-        A = rng.normal(size=(4, 7))
+        # positive rows with slacks: a bounded polytope, so an optimum exists
+        A = np.hstack([np.abs(rng.normal(size=(4, 7))), np.eye(4)])
         b = np.abs(rng.normal(size=4))
-        c = rng.normal(size=7)
-        r1 = solve_lp(c, A, b)
-        r2 = solve_lp(c, A, b)
-        assert r1.status == r2.status
-        if r1.status == "optimal":
-            assert np.array_equal(r1.x, r2.x)
-            assert r1.objective == r2.objective
+        c = np.concatenate([rng.normal(size=7), np.zeros(4)])
+        start = [7, 8, 9, 10]
+        r1 = solve_lp(c, A, b, start)
+        r2 = solve_lp(c, A, b, start)
+        assert r1.status == r2.status == "optimal"
+        assert np.array_equal(r1.x, r2.x)
+        assert r1.objective == r2.objective
+        assert r1.basis == r2.basis
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +322,48 @@ class TestLinprogOracle:
                 assert not member and not feasible
             elif best <= 1e-9:
                 assert member and feasible
+
+
+def _highs_hull_distance(linprog, p, points):
+    """L1 distance from p to conv(points), solved by HiGHS."""
+    k, d = points.shape
+    res = linprog(np.concatenate([np.zeros(k), np.ones(2 * d)]),
+                  A_eq=np.block([[points.T, np.eye(d), -np.eye(d)],
+                                 [np.ones((1, k)), np.zeros((1, 2 * d))]]),
+                  b_eq=np.append(p, 1.0), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _hull_test_set(kind, seed):
+    rng = numkit.make_rng(seed)
+    d = int(rng.integers(1, 5))
+    n = int(rng.integers(3, 9))
+    if kind == "grid":
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+    if kind == "duplicates":
+        X = rng.normal(size=(n, d))
+        X[: n // 2] = X[n - n // 2:][: n // 2]
+        return X
+    if kind == "collinear":
+        return rng.normal(size=d) + rng.normal(size=(n, 1)) * rng.normal(size=d)
+    X = rng.normal(size=(n, d))
+    return np.vstack([X, X.mean(axis=0)])  # one interior point
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "collinear", "interior", "grid"])
+def test_hull_distance_matches_highs(kind):
+    """The LP objective itself, not just the margin read off its duals."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from vnlab.separability import _hull_distance
+
+    for seed in range(20):
+        X = _hull_test_set(kind, seed)
+        for i in range(X.shape[0]):
+            others = np.delete(X, i, axis=0)
+            got, _ = _hull_distance(X[i], others)
+            want = _highs_hull_distance(linprog, X[i], others)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestCertificates:

@@ -25,6 +25,7 @@ from . import attention, numkit
 from .constructions import (
     DeepSimConfig,
     KernelSimConfig,
+    NoCertifiedInstance,
     attention_host_graph,
     compile_deep_vn,
     compile_kernel_vn,
@@ -471,7 +472,8 @@ def _trace_time2_check(X, w, prog) -> bool:
     yk = y @ w.w_k
     yv = y @ w.w_v
     for i in range(n):
-        e = np.exp(float((X[i] @ w.w_q) @ yk))
+        # per-row einsum, as the VM's batched einsum rounds (BLAS @ does not)
+        e = np.exp(np.einsum("c,c->", np.einsum("a,ac->c", X[i], w.w_q), yk))
         if not np.array_equal(gn[i, d:2 * d], e * yv):
             return False
         if gn[i, 2 * d] != e:
@@ -502,11 +504,17 @@ def cmd_verify_deep(cfg: dict):
                      "c": None, "value": err, "ok": ok})
     oracle_pass = all(r["ok"] for r in rows)
 
-    sweep_reports = sweep_deep_amplification(
-        n=n, d=d, factors=cfg["c_factors"],
-        seeds=tuple(range(cfg["sweep_seeds"])),
-        min_delta=cfg["min_delta"], eps=cfg["eps"],
-    )
+    try:
+        sweep_reports = sweep_deep_amplification(
+            n=n, d=d, factors=cfg["c_factors"],
+            seeds=tuple(range(cfg["sweep_seeds"])),
+            min_delta=cfg["min_delta"], eps=cfg["eps"],
+        )
+    except NoCertifiedInstance as exc:
+        raise CliInputError(
+            f"no certified instance for n={n}, d={d}, "
+            f"min_delta={cfg['min_delta']}: {exc}"
+        ) from None
     medians = []
     bounds_pass = True
     for j, factor in enumerate(cfg["c_factors"]):

@@ -554,6 +554,10 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
 # ---------------------------------------------------------------------------
 
 
+class NoCertifiedInstance(RuntimeError):
+    """``make_certified_instance`` ran out of draws."""
+
+
 def make_certified_instance(
     n: int,
     d: int,
@@ -568,7 +572,8 @@ def make_certified_instance(
     Points are sampled on the sphere of radius ``feature_bound`` (sphere
     points are extreme points of their hull, so certification usually
     succeeds) and redrawn until the certificate margin reaches ``min_delta``.
-    Returns (X, certificate).
+    Returns (X, certificate); raises ``NoCertifiedInstance`` when no draw
+    qualifies.
     """
     for _ in range(max_tries):
         X = rng.normal(size=(n, d))
@@ -576,7 +581,7 @@ def make_certified_instance(
         cert = vdelta_certificate(X, eps=eps)
         if isinstance(cert, SeparabilityCertificate) and cert.delta >= min_delta:
             return X, cert
-    raise RuntimeError(
+    raise NoCertifiedInstance(
         f"no (V, delta >= {min_delta}) instance found in {max_tries} draws"
     )
 

@@ -422,14 +422,15 @@ class ScoreAccumulate(Descriptor):
         y = vn[:d]
         yk = y @ self.w_k
         yv = y @ self.w_v
+        # einsum, not @: a batched BLAS matmul rounds differently from
+        # per-row products, but einsum's own loops reduce each row in the
+        # same order whatever the batch, so every row here is bitwise the
+        # per-row einsum the reference trace computes
+        q = np.einsum("ia,ac->ic", gn[:, :d], self.w_q)
+        e = np.exp(np.einsum("ic,c->i", q, yk))
         out = gn.copy()
-        # row-by-row on purpose: batched matmuls round differently than
-        # per-row products, and accumulation layers are verified against a
-        # per-row reference trace down to the last bit
-        for i in range(gn.shape[0]):
-            e = np.exp(float((gn[i, :d] @ self.w_q) @ yk))
-            out[i, d : 2 * d] = gn[i, d : 2 * d] + e * yv
-            out[i, 2 * d] = gn[i, 2 * d] + e
+        out[:, d : 2 * d] += e[:, None] * yv
+        out[:, 2 * d] += e
         return out
 
 
@@ -489,6 +490,13 @@ class LayerProgram:
     ``gn_out`` is None (full state) or (lo, hi): output = state[:, lo:hi].
     ``provenance`` names the compiler that produced the program; ``metadata``
     carries plain-JSON config echoes (fit errors, bounds, seeds).
+
+    A deep program (``metadata["compiler"] == "deep"``) has one selection
+    layer per input row, so it only simulates attention on the node count
+    ``metadata["n"]`` it was compiled for: ``initial_state`` raises
+    ``ValueError`` naming both counts on any other, which makes ``execute``
+    and every caller that starts from ``initial_state`` refuse it.  Other
+    programs run on any number of rows.
     """
 
     layers: list[MpnnVnLayer]
@@ -503,6 +511,10 @@ class LayerProgram:
 
     def initial_state(self, X) -> NodeState:
         X = numkit.as_matrix(X)
+        n = self.metadata.get("n")
+        if self.metadata.get("compiler") == "deep" and X.shape[0] != n:
+            raise ValueError(f"deep program was compiled for n={n} graph "
+                             f"nodes, input has {X.shape[0]} rows")
         if self.gn_init == "identity":
             gn = X.copy()
         else:

@@ -121,20 +121,6 @@ def self_attention_oracle(X: np.ndarray, w_q, w_k, w_v) -> np.ndarray:
     return out
 
 
-def unnorm_score_oracle(u, v, w_q, w_k) -> float:
-    """u^T (Wq Wk^T) v expanded as a triple loop."""
-    d = len(u)
-    dd = w_q.shape[1]
-    acc = 0.0
-    for a in range(d):
-        for b in range(d):
-            dot = 0.0
-            for c in range(dd):
-                dot += w_q[a, c] * w_k[b, c]
-            acc += u[a] * dot * v[b]
-    return acc
-
-
 def kernelized_attention_pairwise(X: np.ndarray, w_q, w_k, w_v, phi_fn) -> np.ndarray:
     """Kernelized attention in per-pair form: no regrouping of the sums.
 
@@ -222,10 +208,13 @@ def deep_trace_oracle(X: np.ndarray, selectors: np.ndarray, w_q, w_k, w_v, time:
         raise ValueError(f"time {time} outside program range 0..{n + 2}")
 
     def score_exp(i: int, k: int) -> float:
-        # exp of the unnormalized attention score between x_i and x_k;
-        # np.exp (not math.exp) so the oracle and the engine share one
-        # elementary-function implementation and can agree bitwise
-        return float(np.exp(float((X[i] @ w_q) @ (X[k] @ w_k))))
+        # exp of the unnormalized attention score between x_i and x_k, one
+        # pair at a time; np.exp (not math.exp) and einsum (not BLAS @) for
+        # the query side so the oracle and the engine share one
+        # elementary-function implementation and one summation order, and
+        # can agree bitwise
+        q = np.einsum("a,ac->c", X[i], w_q)
+        return float(np.exp(np.einsum("c,c->", q, X[k] @ w_k)))
 
     vn = np.zeros(2 * d + 1)
     if time <= n:

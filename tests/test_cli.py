@@ -151,6 +151,17 @@ class TestVerifyDeep:
         assert all(a > b for a, b in zip(medians, medians[1:]))
         assert report["worst_oracle_err"] <= 1e-10
 
+    def test_no_certified_instance_exits_1(self, capsys):
+        # on a line at most two points are each separable from the rest
+        assert run(["verify-deep", "--set", "n=3", "--set", "d=1",
+                    "--set", "seeds=1", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: no certified instance for n=3, d=1, min_delta=0.1:")
+
     def test_gatv2_mode(self, tmp_path):
         out = tmp_path / "deep2.json"
         code = run(["verify-deep", "--set", "seeds=1",

@@ -24,7 +24,14 @@ from vnlab.constructions import (
     run_and_report,
     sweep_deep_amplification,
 )
-from vnlab.mpnnvn import program_from_json, program_to_json
+from vnlab.cli import _trace_time2_check
+from vnlab.mpnnvn import (
+    load_program,
+    program_from_json,
+    program_to_json,
+    run_program,
+    save_program,
+)
 from vnlab.separability import (
     SeparabilityCertificate,
     amplification_for,
@@ -69,6 +76,18 @@ class TestKernelExact:
         got = prog.execute(attention_host_graph(n), X)
         want = attention.approx_attention(X, w, fm)
         assert numkit.max_abs_diff(got, want) <= 1e-12
+
+    def test_one_program_runs_on_any_node_count(self):
+        # kernel programs carry no node count: only deep programs refuse one
+        rng = numkit.make_rng(5)
+        w = attention.random_weights(3, rng)
+        fm = attention.exp_feature_map(4, 3, seed=5)
+        prog = compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
+        for n in (2, 7):
+            X = rng.normal(size=(n, 3)) * 0.5
+            got = prog.execute(attention_host_graph(n), X)
+            want = attention.approx_attention(X, w, fm)
+            assert numkit.max_abs_diff(got, want) <= 1e-12
 
     def test_single_node_output_is_its_value_projection(self):
         # with one node the kernel weights cancel: the output is x w_v
@@ -314,6 +333,51 @@ class TestDeepOracle:
         X[2, 1] = np.nan
         with pytest.raises(ValueError, match="mass"):
             prog.execute(attention_host_graph(6), X)
+
+    def test_trace_matches_reference_at_benchmark_shape(self):
+        # the deep-oracle benchmark's shape: 256 rows of width 8, checked
+        # bitwise after the last accumulation layer (time n+1)
+        rng = numkit.make_rng(256)
+        n, d = 256, 8
+        X = rng.normal(size=(n, d)) * 0.6
+        w = attention.random_weights(d, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        seen = {}
+
+        def keep(k, state, aux):
+            if k == n + 1:
+                seen["state"] = state
+
+        run_program(prog.initial_state(X), prog, observe=keep)
+        gn_want, vn_want = deep_trace_oracle(
+            X, np.zeros((n, d)), w.w_q, w.w_k, w.w_v, n + 1
+        )
+        assert np.array_equal(seen["state"].gn, gn_want)
+        assert np.array_equal(seen["state"].vn, vn_want)
+
+    def test_refuses_other_node_count(self, tmp_path):
+        # compiled for 6 rows, a deep program on 8 would select only the
+        # first 6 and still report tight selection bounds
+        rng = numkit.make_rng(13)
+        w = attention.random_weights(3, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(n=6, selection="oracle"))
+        X = rng.normal(size=(8, 3)) * 0.5
+        match = "compiled for n=6 graph nodes, input has 8 rows"
+        with pytest.raises(ValueError, match=match):
+            prog.execute(attention_host_graph(8), X)
+        with pytest.raises(ValueError, match=match):
+            run_and_report(X, prog, w)
+        with pytest.raises(ValueError, match=match):
+            _trace_time2_check(X, w, prog)
+        path = tmp_path / "deep.json"
+        save_program(prog, path)
+        with pytest.raises(ValueError, match=match):
+            load_program(path).execute(attention_host_graph(8), X)
+        # a document that lost its node count refuses every input
+        blob = program_to_json(prog)
+        del blob["metadata"]["n"]
+        with pytest.raises(ValueError, match="compiled for n=None"):
+            program_from_json(blob).execute(attention_host_graph(6), X[:6])
 
     def test_selectors_shape_checked(self):
         rng = numkit.make_rng(0)

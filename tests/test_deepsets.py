@@ -164,6 +164,16 @@ class TestCompileLinear:
         layer = EquivariantLinear(np.eye(2), np.eye(2), np.zeros(2))
         assert len(compile_linear(layer, 4).layers) == 2
 
+    def test_runs_on_other_node_counts(self):
+        # the recorded n is an echo: a deepsets program runs on any set size
+        rng = numkit.make_rng(9)
+        layer = random_linear(3, 2, rng)
+        prog = compile_linear(layer, 4)
+        for n in (1, 7):
+            X = rng.normal(size=(n, 3))
+            out = prog.execute(star(n), X)
+            assert numkit.max_abs_diff(out, eval_linear(X, layer)) <= 1e-12
+
     def test_identity_layer_compiles_to_identity(self):
         d = 3
         layer = EquivariantLinear(np.eye(d), np.zeros((d, d)), np.zeros(d))

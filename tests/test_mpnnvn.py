@@ -398,6 +398,36 @@ class TestScoreAccumulate:
         assert np.allclose(out[0], [1.0, e0 * 1.5, e0], atol=1e-12)
         assert np.allclose(out[1], [2.0, 1.0 + e1 * 1.5, 1.0 + e1], atol=1e-12)
 
+    @staticmethod
+    def _per_row(upd, gn, vn):
+        # one row at a time with einsum, the reference trace's rounding
+        d = upd.width
+        yk = vn[:d] @ upd.w_k
+        yv = vn[:d] @ upd.w_v
+        out = gn.copy()
+        for i in range(gn.shape[0]):
+            q = np.einsum("a,ac->c", gn[i, :d], upd.w_q)
+            e = np.exp(np.einsum("c,c->", q, yk))
+            out[i, d : 2 * d] = gn[i, d : 2 * d] + e * yv
+            out[i, 2 * d] = gn[i, 2 * d] + e
+        return out
+
+    @pytest.mark.parametrize("n, d, pad", [
+        (1, 1, 0), (5, 1, 0), (1, 4, 0), (256, 8, 0), (37, 3, 2), (256, 8, 5),
+    ])
+    def test_batched_equals_per_row_bitwise(self, n, d, pad):
+        # pad > 0: the [x | acc | mass] state sits inside a wider state, so
+        # the x block is a strided view
+        rng = numkit.make_rng(1000 * n + 10 * d + pad)
+        upd = ScoreAccumulate(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
+                              rng.normal(size=(d, d)), width=d)
+        gn = rng.normal(size=(n, 2 * d + 1 + pad)) * 0.6
+        gn[:, 2 * d] = np.abs(gn[:, 2 * d])
+        vn = rng.normal(size=2 * d + 1) * 0.6
+        out = upd(gn, vn)
+        assert np.array_equal(out, self._per_row(upd, gn, vn))
+        assert np.array_equal(out[:, :d], gn[:, :d])
+
     def test_ratio_update(self):
         upd = RatioUpdate(width=2)
         gn = np.array([[9.0, 9.0, 6.0, 8.0, 2.0]])

@@ -123,10 +123,6 @@ class FeatureMap:
         else:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
 
-    @property
-    def n_features(self) -> int | None:
-        return None if self.directions is None else self.directions.shape[0]
-
     def out_dim(self, qk_dim: int) -> int:
         return qk_dim if self.kind == "elu_features" else self.directions.shape[0]
 

@@ -5,15 +5,19 @@ command-line overrides on top, runs deterministically given its seeds, and
 can write its full report as JSON (nested) and/or CSV (flat).  The effective
 config is echoed into every report.
 
-Exit codes: 0 everything verified, 1 usage or input error, 2 verification
-failure.
+Each subcommand is declared once, as an entry of ``COMMANDS``: its runner,
+help line, config keys and CSV columns.  A runner takes ``(cfg, args)`` and
+returns ``(passed, results, fields, lines)``; ``main`` alone builds the
+report envelope, the CSV rows and the exit code from that tuple.
+
+Exit codes (set in ``main``): 0 everything verified, 1 usage or input error,
+or a report that cannot be written, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -80,6 +84,16 @@ class Key:
     help: str
 
 
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner, help line, config keys and CSV columns."""
+
+    run: callable
+    help: str
+    keys: dict
+    columns: tuple
+
+
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -127,64 +141,6 @@ def _list_of(item):
     return parse
 
 
-KEY_TABLES = {
-    "verify-deepsets": {
-        "max_n": Key(_at_least(2), 16, "largest set size in the random grid"),
-        "max_d": Key(_at_least(1), 8,
-                     "largest feature dimension in the random grid"),
-        "seeds": Key(_at_least(1), 50, "number of random cases"),
-        "tol": Key(_positive, 1e-12, "max abs error allowed per case"),
-        "inject_fault": Key(_parse_bool, False,
-                            "perturb the mixing matrix by 1e-6 (negative "
-                            "control; the run must fail)"),
-    },
-    "verify-kernel": {
-        "max_n": Key(_at_least(1), 16, "largest node count in the random grid"),
-        "max_d": Key(_at_least(1), 4,
-                     "largest feature dimension in the random grid"),
-        "max_m": Key(_at_least(1), 16, "largest random-feature count"),
-        "seeds": Key(_at_least(1), 20, "number of random exact-mode cases"),
-        "tol": Key(_positive, 1e-12, "max abs error allowed in exact mode"),
-        "sweep": Key(_parse_bool, False,
-                     "also measure kernel-estimate convergence over m"),
-        "sweep_m": Key(_list_of(_at_least(1)), (64, 256, 1024, 4096),
-                       "feature counts for the convergence sweep"),
-        "sweep_pairs": Key(_at_least(1), 100,
-                           "random unit-ball pairs per sweep point"),
-        "sweep_seeds": Key(_at_least(1), 5, "direction seeds per sweep point"),
-        "mlp_table": Key(_parse_bool, False,
-                         "also compile one mlp-mode program and report its "
-                         "end-to-end error"),
-        "seed": Key(_at_least(0), 0, "base seed"),
-    },
-    "verify-deep": {
-        "n": Key(_at_least(2), 6, "node count for the compiled programs"),
-        "d": Key(_at_least(1), 3, "feature dimension"),
-        "seeds": Key(_at_least(1), 10, "number of random oracle-mode cases"),
-        "tol_oracle": Key(_positive, 1e-10,
-                          "max abs error allowed in oracle mode"),
-        "c_factors": Key(_list_of(_positive), (2.0, 4.0, 8.0, 16.0),
-                         "amplification factors (times 1/delta) for the sweep"),
-        "sweep_seeds": Key(_at_least(1), 5, "certified instances in the sweep"),
-        "min_delta": Key(_positive, 0.1, "required certificate margin"),
-        "eps": Key(_fraction, 1e-4,
-                   "selection slack for suggested amplification"),
-        "gatv2": Key(_parse_bool, False,
-                     "also run trained-score selection on the three-cluster "
-                     "line instance"),
-    },
-    "check-separability": {
-        "eps": Key(_fraction, 1e-4, "target selection slack for the suggested "
-                                    "amplification"),
-        "band": Key(_positive, 1e-6, "margin band below which separation is "
-                                     "reported as unreliable"),
-    },
-    "dataset-arith": {
-        "regions": Key(_at_least(1), 11, "number of spatial regions"),
-    },
-}
-
-
 def read_config_file(path: str) -> dict:
     """Parse a flat key=value file (#-comments and blank lines allowed)."""
     raw = {}
@@ -209,7 +165,7 @@ def read_config_file(path: str) -> dict:
 def build_config(command: str, config_path: str | None,
                  overrides: list) -> dict:
     """Defaults, then config-file values, then command-line overrides."""
-    table = KEY_TABLES[command]
+    table = COMMANDS[command].keys
     cfg = {name: key.default for name, key in table.items()}
     sources = []
     if config_path is not None:
@@ -236,13 +192,6 @@ def build_config(command: str, config_path: str | None,
     return cfg
 
 
-def _config_echo(cfg: dict) -> dict:
-    out = {}
-    for name, value in cfg.items():
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 # ---------------------------------------------------------------------------
 # report output
 # ---------------------------------------------------------------------------
@@ -256,20 +205,29 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+def _unwritable(kind: str, path: str, exc: OSError) -> CliInputError:
+    return CliInputError(f"cannot write {kind} report {exc.filename or path}: "
+                         f"{exc.strerror or exc}")
+
+
 def write_json_report(report: dict, path: str) -> str:
-    path = _resolve_out(path)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        path = _resolve_out(path)
+        numkit.dump_json(report, path)
+    except OSError as exc:
+        raise _unwritable("json", path, exc) from None
     return path
 
 
 def write_csv_report(header, rows, path: str) -> str:
-    path = _resolve_out(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        path = _resolve_out(path)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise _unwritable("csv", path, exc) from None
     return path
 
 
@@ -289,7 +247,7 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_deepsets(cfg: dict):
+def cmd_verify_deepsets(cfg: dict, args):
     rows = []
     worst = 0.0
     for case in range(cfg["seeds"]):
@@ -313,21 +271,6 @@ def cmd_verify_deepsets(cfg: dict):
                      "max_err": err, "ok": ok})
     passed = all(r["ok"] for r in rows)
     failing = [r["case"] for r in rows if not r["ok"]]
-    report = {
-        "format": "cli-report/v1",
-        "command": "verify-deepsets",
-        "config": _config_echo(cfg),
-        "results": rows,
-        "worst_err": worst,
-        "failing_cases": failing,
-        "pass": passed,
-    }
-    csv_rows = [
-        tuple(_fmt(r[k]) for k in
-              ("case", "n", "d_in", "d_out", "max_err", "ok"))
-        for r in rows
-    ]
-    header = ("case", "n", "d_in", "d_out", "max_err", "ok")
     lines = [
         f"{'PASS' if r['ok'] else 'FAIL'} case {r['case']}: "
         f"n={r['n']} d_in={r['d_in']} d_out={r['d_out']} "
@@ -338,7 +281,7 @@ def cmd_verify_deepsets(cfg: dict):
         f"{'PASS' if passed else 'FAIL'} verify-deepsets: "
         f"{len(rows)} cases, worst {worst:.3e} (tol {cfg['tol']:.0e})"
     )
-    return (0 if passed else 2), report, header, csv_rows, lines
+    return passed, rows, {"worst_err": worst, "failing_cases": failing}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +311,7 @@ def _kernel_sweep(cfg: dict):
     return sweep
 
 
-def cmd_verify_kernel(cfg: dict):
+def cmd_verify_kernel(cfg: dict, args):
     rows = []
     worst = 0.0
     for case in range(cfg["seeds"]):
@@ -423,18 +366,6 @@ def cmd_verify_kernel(cfg: dict):
                      "m": 4, "feature_kind": fm.kind,
                      "value": mlp_info["max_err"], "ok": True})
 
-    report = {
-        "format": "cli-report/v1",
-        "command": "verify-kernel",
-        "config": _config_echo(cfg),
-        "results": rows,
-        "sweep": sweep,
-        "mlp": mlp_info,
-        "worst_exact_err": worst,
-        "pass": passed,
-    }
-    header = ("phase", "case", "n", "d", "m", "feature_kind", "value", "ok")
-    csv_rows = [tuple(_fmt(r[k]) for k in header) for r in rows]
     lines = []
     for point in sweep:
         lines.append(
@@ -449,7 +380,8 @@ def cmd_verify_kernel(cfg: dict):
         f"{cfg['seeds']} cases x 2 feature kinds, worst {worst:.3e} "
         f"(tol {cfg['tol']:.0e})"
     )
-    return (0 if passed else 2), report, header, csv_rows, lines
+    fields = {"sweep": sweep, "mlp": mlp_info, "worst_exact_err": worst}
+    return passed, rows, fields, lines
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +415,7 @@ def _trace_time2_check(X, w, prog) -> bool:
     return True
 
 
-def cmd_verify_deep(cfg: dict):
+def cmd_verify_deep(cfg: dict, args):
     n, d = cfg["n"], cfg["d"]
     rows = []
     worst = 0.0
@@ -551,20 +483,6 @@ def cmd_verify_deep(cfg: dict):
                      "value": middle_weight, "ok": gatv2_pass})
 
     passed = oracle_pass and bounds_pass and gatv2_pass
-    report = {
-        "format": "cli-report/v1",
-        "command": "verify-deep",
-        "config": _config_echo(cfg),
-        "results": rows,
-        "sweep_medians": medians,
-        "sweep_monotone": monotone,
-        "trace_time2_exact": trace_ok,
-        "gatv2": gatv2_info,
-        "worst_oracle_err": worst,
-        "pass": passed,
-    }
-    header = ("phase", "case", "n", "d", "c", "value", "ok")
-    csv_rows = [tuple(_fmt(r[k]) for k in header) for r in rows]
     lines = [
         f"{'PASS' if oracle_pass else 'FAIL'} verify-deep oracle mode: "
         f"{cfg['seeds']} cases, worst {worst:.3e} "
@@ -583,7 +501,10 @@ def cmd_verify_deep(cfg: dict):
         f"{worst:.3e}, sweep monotone {monotone}"
         + (f", trained-score ok {gatv2_pass}" if gatv2_info else "")
     )
-    return (0 if passed else 2), report, header, csv_rows, lines
+    fields = {"sweep_medians": medians, "sweep_monotone": monotone,
+              "trace_time2_exact": trace_ok, "gatv2": gatv2_info,
+              "worst_oracle_err": worst}
+    return passed, rows, fields, lines
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +540,8 @@ def read_points_csv(path: str) -> np.ndarray:
     return np.array(points)
 
 
-def cmd_check_separability(cfg: dict, points_path: str):
-    X = read_points_csv(points_path)
+def cmd_check_separability(cfg: dict, args):
+    X = read_points_csv(args.points)
     n = X.shape[0]
     rows = []
     margins = []
@@ -634,23 +555,8 @@ def cmd_check_separability(cfg: dict, points_path: str):
             rows.append({"point": i, "separable": True, "margin": margin})
     all_separable = len(margins) == n
     delta = min(margins) if all_separable else None
-    suggested_c = (
-        amplification_for(delta, cfg["eps"], n)
-        if all_separable and n >= 2 else None
-    )
-    report = {
-        "format": "cli-report/v1",
-        "command": "check-separability",
-        "config": _config_echo(cfg),
-        "points_file": points_path,
-        "results": rows,
-        "all_separable": all_separable,
-        "delta": delta,
-        "suggested_amplification": suggested_c,
-        "pass": True,
-    }
-    header = ("point", "separable", "margin")
-    csv_rows = [tuple(_fmt(r[k]) for k in header) for r in rows]
+    suggested_c = (amplification_for(delta, cfg["eps"], n)
+                   if all_separable else None)
     lines = []
     for r in rows:
         if r["separable"]:
@@ -666,7 +572,10 @@ def cmd_check_separability(cfg: dict, points_path: str):
     else:
         bad = [r["point"] for r in rows if not r["separable"]]
         lines.append(f"inseparable points: {bad}")
-    return 0, report, header, csv_rows, lines
+    fields = {"points_file": args.points, "all_separable": all_separable,
+              "delta": delta, "suggested_amplification": suggested_c}
+    # a report on the input, not a verification: it always passes
+    return True, rows, fields, lines
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +583,7 @@ def cmd_check_separability(cfg: dict, points_path: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_dataset_arith(cfg: dict):
+def cmd_dataset_arith(cfg: dict, args):
     regions = cfg["regions"]
     rows = []
     lines = []
@@ -682,7 +591,7 @@ def cmd_dataset_arith(cfg: dict):
         lines.append(f"{split.name}: {split.start_year}-{split.end_year}, "
                      f"{split.days} days")
     passed = True
-    for wi, window in enumerate(BENCHMARK_WINDOWS):
+    for window in BENCHMARK_WINDOWS:
         expected_row = EXPECTED_WINDOW_COUNTS[(window.history, window.predict)]
         for si, split in enumerate(BENCHMARK_SPLITS):
             count = window_count(split.days, window, regions)
@@ -697,28 +606,104 @@ def cmd_dataset_arith(cfg: dict):
                 f"history={window.history} predict={window.predict}: "
                 f"{count} windows (expected {expected})"
             )
-    report = {
-        "format": "cli-report/v1",
-        "command": "dataset-arith",
-        "config": _config_echo(cfg),
-        "splits": [
-            {"name": s.name, "start_year": s.start_year,
-             "end_year": s.end_year, "days": s.days}
-            for s in BENCHMARK_SPLITS
-        ],
-        "results": rows,
-        "pass": passed,
-    }
-    header = ("split", "history", "predict", "count", "expected", "ok")
-    csv_rows = [tuple(_fmt(r[k]) for k in header) for r in rows]
     lines.append(f"{'PASS' if passed else 'FAIL'} dataset-arith: "
                  f"{len(rows)} cells checked at {regions} regions")
-    return (0 if passed else 2), report, header, csv_rows, lines
+    splits = [{"name": s.name, "start_year": s.start_year,
+               "end_year": s.end_year, "days": s.days}
+              for s in BENCHMARK_SPLITS]
+    return passed, rows, {"splits": splits}, lines
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command table, argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+COMMANDS = {
+    "verify-deepsets": Command(
+        run=cmd_verify_deepsets,
+        help="check the equivariant-set-layer compiler against direct "
+             "evaluation on a random grid",
+        keys={
+            "max_n": Key(_at_least(2), 16, "largest set size in the random grid"),
+            "max_d": Key(_at_least(1), 8,
+                         "largest feature dimension in the random grid"),
+            "seeds": Key(_at_least(1), 50, "number of random cases"),
+            "tol": Key(_positive, 1e-12, "max abs error allowed per case"),
+            "inject_fault": Key(_parse_bool, False,
+                                "perturb the mixing matrix by 1e-6 (negative "
+                                "control; the run must fail)"),
+        },
+        columns=("case", "n", "d_in", "d_out", "max_err", "ok"),
+    ),
+    "verify-kernel": Command(
+        run=cmd_verify_kernel,
+        help="check the constant-depth kernelized-attention compiler (exact "
+             "mode; optional convergence sweep and mlp-mode table)",
+        keys={
+            "max_n": Key(_at_least(1), 16, "largest node count in the random grid"),
+            "max_d": Key(_at_least(1), 4,
+                         "largest feature dimension in the random grid"),
+            "max_m": Key(_at_least(1), 16, "largest random-feature count"),
+            "seeds": Key(_at_least(1), 20, "number of random exact-mode cases"),
+            "tol": Key(_positive, 1e-12, "max abs error allowed in exact mode"),
+            "sweep": Key(_parse_bool, False,
+                         "also measure kernel-estimate convergence over m"),
+            "sweep_m": Key(_list_of(_at_least(1)), (64, 256, 1024, 4096),
+                           "feature counts for the convergence sweep"),
+            "sweep_pairs": Key(_at_least(1), 100,
+                               "random unit-ball pairs per sweep point"),
+            "sweep_seeds": Key(_at_least(1), 5, "direction seeds per sweep point"),
+            "mlp_table": Key(_parse_bool, False,
+                             "also compile one mlp-mode program and report its "
+                             "end-to-end error"),
+            "seed": Key(_at_least(0), 0, "base seed"),
+        },
+        columns=("phase", "case", "n", "d", "m", "feature_kind", "value",
+                 "ok"),
+    ),
+    "verify-deep": Command(
+        run=cmd_verify_deep,
+        help="check the linear-depth full-attention compiler (oracle mode, "
+             "time-2 trace, amplification sweep; optional trained-score run)",
+        keys={
+            "n": Key(_at_least(2), 6, "node count for the compiled programs"),
+            "d": Key(_at_least(1), 3, "feature dimension"),
+            "seeds": Key(_at_least(1), 10, "number of random oracle-mode cases"),
+            "tol_oracle": Key(_positive, 1e-10,
+                              "max abs error allowed in oracle mode"),
+            "c_factors": Key(_list_of(_positive), (2.0, 4.0, 8.0, 16.0),
+                             "amplification factors (times 1/delta) for the sweep"),
+            "sweep_seeds": Key(_at_least(1), 5, "certified instances in the sweep"),
+            "min_delta": Key(_positive, 0.1, "required certificate margin"),
+            "eps": Key(_fraction, 1e-4,
+                       "selection slack for suggested amplification"),
+            "gatv2": Key(_parse_bool, False,
+                         "also run trained-score selection on the three-cluster "
+                         "line instance"),
+        },
+        columns=("phase", "case", "n", "d", "c", "value", "ok"),
+    ),
+    "check-separability": Command(
+        run=cmd_check_separability,
+        help="per-point strict-separation report for a CSV point set",
+        keys={
+            "eps": Key(_fraction, 1e-4, "target selection slack for the suggested "
+                                        "amplification"),
+            "band": Key(_positive, 1e-6, "margin band below which separation is "
+                                         "reported as unreliable"),
+        },
+        columns=("point", "separable", "margin"),
+    ),
+    "dataset-arith": Command(
+        run=cmd_dataset_arith,
+        help="calendar-day and sliding-window counting checks",
+        keys={
+            "regions": Key(_at_least(1), 11, "number of spatial regions"),
+        },
+        columns=("split", "history", "predict", "count", "expected", "ok"),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -728,26 +713,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _keys_help(command: str) -> str:
-    table = KEY_TABLES[command]
+def _keys_help(table: dict) -> str:
     width = max(len(name) for name in table)
     return "config keys (via --config file or --set):\n" + "\n".join(
         f"  {name.ljust(width)}  {key.help} (default {key.default})"
         for name, key in sorted(table.items())
     )
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
-                     help="override one config key (repeatable)")
-    sub.add_argument("--json", metavar="PATH",
-                     help="write the JSON report here (relative paths go "
-                          f"under ${REPORT_DIR_ENV} if set)")
-    sub.add_argument("--csv", metavar="PATH",
-                     help="write the flat CSV report here")
-    sub.add_argument("--quiet", action="store_true",
-                     help="suppress per-case stdout lines")
 
 
 def build_parser() -> _Parser:
@@ -758,77 +729,49 @@ def build_parser() -> _Parser:
                     "arithmetic.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in [
-        ("verify-deepsets",
-         "check the equivariant-set-layer compiler against direct "
-         "evaluation on a random grid"),
-        ("verify-kernel",
-         "check the constant-depth kernelized-attention compiler (exact "
-         "mode; optional convergence sweep and mlp-mode table)"),
-        ("verify-deep",
-         "check the linear-depth full-attention compiler (oracle mode, "
-         "time-2 trace, amplification sweep; optional trained-score run)"),
-    ]:
+    for name, command in COMMANDS.items():
         sub = subs.add_parser(
-            name, help=help_text, epilog=_keys_help(name),
+            name, help=command.help, epilog=_keys_help(command.keys),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        _add_common(sub)
-
-    sep = subs.add_parser(
-        "check-separability",
-        help="per-point strict-separation report for a CSV point set",
-        epilog=_keys_help("check-separability"),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sep.add_argument("points", help="CSV file, one point per row")
-    _add_common(sep)
-
-    arith = subs.add_parser(
-        "dataset-arith",
-        help="calendar-day and sliding-window counting checks",
-        epilog=_keys_help("dataset-arith"),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    _add_common(arith)
+        if name == "check-separability":
+            sub.add_argument("points", help="CSV file, one point per row")
+        sub.add_argument("--config", help="flat key=value config file")
+        sub.add_argument("--set", action="append", default=[],
+                         metavar="KEY=VAL",
+                         help="override one config key (repeatable)")
+        sub.add_argument("--json", metavar="PATH",
+                         help="write the JSON report here (relative paths go "
+                              f"under ${REPORT_DIR_ENV} if set)")
+        sub.add_argument("--csv", metavar="PATH",
+                         help="write the flat CSV report here")
+        sub.add_argument("--quiet", action="store_true",
+                         help="suppress per-case stdout lines")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
         cfg = build_config(args.command, args.config, args.set)
-        if args.command == "verify-deepsets":
-            code, report, header, csv_rows, lines = cmd_verify_deepsets(cfg)
-        elif args.command == "verify-kernel":
-            code, report, header, csv_rows, lines = cmd_verify_kernel(cfg)
-        elif args.command == "verify-deep":
-            code, report, header, csv_rows, lines = cmd_verify_deep(cfg)
-        elif args.command == "check-separability":
-            code, report, header, csv_rows, lines = cmd_check_separability(
-                cfg, args.points
-            )
-        else:
-            code, report, header, csv_rows, lines = cmd_dataset_arith(cfg)
+        passed, results, fields, lines = command.run(cfg, args)
+        for line in lines[-1:] if args.quiet else lines:
+            print(line)
+        if args.json:
+            report = {"format": "cli-report/v1", "command": args.command,
+                      "config": cfg, "results": results, **fields,
+                      "pass": passed}
+            print(f"json report: {write_json_report(report, args.json)}")
+        if args.csv:
+            rows = [tuple(_fmt(r[k]) for k in command.columns)
+                    for r in results]
+            path = write_csv_report(command.columns, rows, args.csv)
+            print(f"csv report: {path}")
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if not args.quiet:
-        for line in lines:
-            print(line)
-    elif lines:
-        print(lines[-1])
-
-    if args.json:
-        path = write_json_report(report, args.json)
-        print(f"json report: {path}")
-    if args.csv:
-        path = write_csv_report(header, csv_rows, args.csv)
-        print(f"csv report: {path}")
-    return code
+    return 0 if passed else 2
 
 
 if __name__ == "__main__":

@@ -436,7 +436,6 @@ class DeepSimConfig:
     amplification: float | None = None
     gatv2_scores: tuple = ()
     gatv2_scale: float = 1.0
-    selectors: np.ndarray | None = None
     append_final_linear: bool = False
 
     def __post_init__(self):
@@ -444,21 +443,6 @@ class DeepSimConfig:
             raise ValueError("need at least one node")
         if self.selection not in ("oracle", "softmax", "gatv2"):
             raise ValueError(f"unknown selection mode {self.selection!r}")
-        if self.selectors is not None:
-            object.__setattr__(self, "selectors",
-                               numkit.as_matrix(self.selectors))
-
-
-def _deep_selectors(cfg: DeepSimConfig, d: int) -> np.ndarray:
-    if cfg.selection == "softmax":
-        return cfg.certificate.directions
-    if cfg.selectors is not None:
-        if cfg.selectors.shape != (cfg.n, d):
-            raise ValueError(
-                f"selectors must be ({cfg.n}, {d}), got {cfg.selectors.shape}"
-            )
-        return cfg.selectors
-    return np.zeros((cfg.n, d))
 
 
 def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
@@ -500,7 +484,8 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             )
         scale = cfg.gatv2_scale
 
-    selectors = _deep_selectors(cfg, d)
+    selectors = (cfg.certificate.directions if cfg.selection == "softmax"
+                 else np.zeros((n, d)))
 
     def pool_for(k: int):
         if cfg.selection == "oracle":

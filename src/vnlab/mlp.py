@@ -188,13 +188,6 @@ class FitReport:
     target_sup: float
     reached_target: bool
 
-    def best_so_far_losses(self) -> list[float]:
-        out, best = [], np.inf
-        for v in self.loss_curve:
-            best = min(best, v)
-            out.append(best)
-        return out
-
 
 def _lr_at(budget: FitBudget, epoch: int) -> float:
     if budget.schedule == "constant":

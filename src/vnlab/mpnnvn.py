@@ -223,10 +223,6 @@ class FeatureStatsPool(Descriptor):
         V = gn @ self.w_v
         return np.concatenate([P.sum(axis=0), numkit.flatten_raster(P.T @ V)]), None
 
-    def out_width(self) -> int:
-        m = self.feature_map.out_dim(self.w_k.shape[1])
-        return m * (1 + self.w_v.shape[1])
-
 
 @dataclass(frozen=True)
 class SoftmaxSelectPool(Descriptor):

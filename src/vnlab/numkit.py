@@ -75,11 +75,6 @@ def flatten_raster(m) -> np.ndarray:
     return np.ascontiguousarray(as_matrix(m).ravel(order="C"))
 
 
-def outer(u, v) -> np.ndarray:
-    """Outer product u v^T as a (len(u), len(v)) matrix."""
-    return np.outer(as_vector(u), as_vector(v))
-
-
 def relu(x) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 

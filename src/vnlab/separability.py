@@ -211,7 +211,6 @@ class SeparabilityCertificate:
     amplification: float
     eps: float
     band: float = MARGIN_BAND
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "directions", numkit.as_matrix(self.directions))
@@ -259,8 +258,7 @@ def amplification_for(delta: float, eps: float, n: int) -> float:
     return math.log((n - 1) * (1.0 - eps) / eps) / delta
 
 
-def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND,
-                       seed: int | None = None):
+def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
     """Certify every point as softmax-selectable, or report which are not.
 
     Success returns a :class:`SeparabilityCertificate` whose amplification is
@@ -289,7 +287,6 @@ def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND,
         amplification=amplification_for(delta, eps, n),
         eps=eps,
         band=band,
-        seed=seed,
     )
 
 

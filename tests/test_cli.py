@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from vnlab.cli import CliInputError, build_config, main, read_points_csv
+from vnlab.cli import (COMMANDS, CliInputError, build_config, main,
+                       read_points_csv)
 
 # the window-count table the dataset-arith command must reproduce exactly
 NINE_CELLS = {
@@ -381,6 +382,76 @@ class TestDeterminism:
         assert run(["dataset-arith", "--json", str(target), "--quiet"]) == 0
         assert target.exists()
         assert not (tmp_path / "reports" / "direct.json").exists()
+
+
+class TestUnwritableReport:
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_missing_directory_exits_1(self, tmp_path, capsys, flag):
+        target = tmp_path / "no-such-dir" / "report"
+        assert run(["dataset-arith", "--quiet", flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write {flag[2:]} report {target}: "
+                       "No such file or directory\n")
+
+    def test_directory_as_report_exits_1(self, tmp_path, capsys):
+        assert run(["dataset-arith", "--quiet", "--json", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write json report {tmp_path}: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# cheap settings for every subcommand, plus one run that must fail
+TABLE_RUNS = [
+    ("verify-deepsets", ["seeds=2"]),
+    ("verify-deepsets", ["seeds=2", "inject_fault=true"]),
+    ("verify-kernel", ["seeds=2"]),
+    ("verify-deep", ["seeds=1", "sweep_seeds=1"]),
+    ("check-separability", []),
+    ("dataset-arith", []),
+]
+
+
+class TestCommandTable:
+    """The envelope, CSV layout and exit code every table entry gets."""
+
+    def test_table_covers_every_subcommand(self):
+        assert {c for c, _ in TABLE_RUNS} == set(COMMANDS)
+
+    @pytest.mark.parametrize(
+        "command, settings", TABLE_RUNS,
+        ids=[f"{c}:{','.join(s)}" for c, s in TABLE_RUNS])
+    def test_report_envelope_csv_and_exit_code(self, tmp_path, command,
+                                               settings):
+        args = [command]
+        if command == "check-separability":
+            pts = tmp_path / "pts.csv"
+            pts.write_text("1,0\n0,1\n-1,0\n0,-1\n0,0\n")
+            args.append(str(pts))
+        for item in settings:
+            args += ["--set", item]
+        jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
+        code = run(args + ["--json", str(jp), "--csv", str(cp), "--quiet"])
+        report = json.loads(jp.read_text())
+        assert report["format"] == "cli-report/v1"
+        assert report["command"] == command
+        echo = json.loads(json.dumps(build_config(command, None, settings)))
+        assert report["config"] == echo
+        assert isinstance(report["pass"], bool)
+        with open(cp, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == COMMANDS[command].columns
+        assert len(rows) - 1 == len(report["results"]) > 0
+        assert code == (0 if report["pass"] else 2)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_every_config_key(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        listed = out.split("config keys (via --config file or --set):\n")[1]
+        names = [line.split()[0] for line in listed.splitlines()]
+        assert names == sorted(COMMANDS[command].keys)
 
 
 class TestConsoleEntryPoint:

@@ -379,14 +379,6 @@ class TestDeepOracle:
         with pytest.raises(ValueError, match="compiled for n=None"):
             program_from_json(blob).execute(attention_host_graph(6), X[:6])
 
-    def test_selectors_shape_checked(self):
-        rng = numkit.make_rng(0)
-        w = attention.random_weights(2, rng)
-        cfg = DeepSimConfig(n=3, selection="oracle",
-                            selectors=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="selectors"):
-            compile_deep_vn(w, cfg)
-
 
 # ---------------------------------------------------------------------------
 # linear-depth compiler, amplified-softmax selection
@@ -467,7 +459,6 @@ class TestDeepSoftmax:
             amplification=1.0,
             eps=1e-4,
             band=1e-6,
-            seed=None,
         )
         with pytest.raises(ValueError, match="band"):
             compile_deep_vn(

@@ -154,15 +154,6 @@ def test_fit_sup_error_median_nonincreasing_in_width():
     assert medians[0] >= medians[1] >= medians[2]
 
 
-def test_fit_loss_curve_best_so_far_monotone():
-    tx = mlp.lattice(-1, 1, 32, 1)
-    budget = mlp.FitBudget(max_epochs=300, lr=5e-3, eval_every=50)
-    _, report = mlp.fit(mlp.MlpSpec((1, 8, 1), "relu"), tx, tx, budget, tx, tx, seed=2)
-    best = report.best_so_far_losses()
-    assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
-    assert best[-1] < report.loss_curve[0]
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_divergence_raises_training_error():
     # the overflow on the way to the diagnostic is the point of the test

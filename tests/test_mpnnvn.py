@@ -352,7 +352,6 @@ class TestKernelLayers:
     def test_feature_stats_pool_width(self):
         fm = attention.exp_feature_map(8, 3, seed=0)
         pool = FeatureStatsPool(np.eye(3), np.ones((3, 2)), fm)
-        assert pool.out_width() == 8 * (1 + 2)
         out, _ = run_layer(NodeState(np.zeros((2, 3)), np.zeros(1)),
                            plain_layer(vn_pool=pool))
         assert out.vn.shape == (24,)

@@ -67,7 +67,7 @@ def test_softmax_rows_matches_vector_softmax():
 
 
 # ---------------------------------------------------------------------------
-# flatten / outer, checked against explicit double loops
+# flatten, checked against an explicit double loop
 # ---------------------------------------------------------------------------
 
 
@@ -77,14 +77,6 @@ def _flatten_oracle(m):
         for j in range(m.shape[1]):
             out.append(m[i, j])
     return np.asarray(out)
-
-
-def _outer_oracle(u, v):
-    out = np.zeros((len(u), len(v)))
-    for i in range(len(u)):
-        for j in range(len(v)):
-            out[i, j] = u[i] * v[j]
-    return out
 
 
 def test_flatten_raster_2x3():
@@ -99,20 +91,12 @@ def test_flatten_raster_matches_loop(rows, cols, seed):
     np.testing.assert_array_equal(numkit.flatten_raster(m), _flatten_oracle(m))
 
 
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
-@settings(deadline=None, max_examples=100)
-def test_outer_matches_loop(nu, nv, seed):
-    rng = numkit.make_rng(seed)
-    u, v = rng.standard_normal(nu), rng.standard_normal(nv)
-    np.testing.assert_array_equal(numkit.outer(u, v), _outer_oracle(u, v))
-
-
 def test_outer_then_flatten_is_kron_order():
     # flatten(u v^T) lists u_0*v, u_1*v, ... which is exactly kron(u, v)
     u = np.asarray([1.0, 2.0])
     v = np.asarray([3.0, 5.0, 7.0])
     np.testing.assert_array_equal(
-        numkit.flatten_raster(numkit.outer(u, v)), np.kron(u, v)
+        numkit.flatten_raster(np.outer(u, v)), np.kron(u, v)
     )
 
 

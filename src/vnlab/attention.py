@@ -227,6 +227,18 @@ class Gatv2Score:
         object.__setattr__(self, "b", b)
 
 
+def l1_score(d: int, slope: float = 0.2) -> Gatv2Score:
+    """The additive score -|u - v|_1 over d-dimensional u and v, exactly.
+
+    LeakyReLU(t) + LeakyReLU(-t) = (1 - slope) |t|, so W = [[I, -I], [-I, I]],
+    b = 0 and a = -1/(1 - slope) give minus the L1 distance: v itself scores
+    0, every other point strictly less (cf. Brody et al. 2022, 2105.14491).
+    """
+    w = np.eye(2 * d) - np.eye(2 * d, k=d) - np.eye(2 * d, k=-d)
+    return Gatv2Score(a=np.full(2 * d, -1.0 / (1.0 - slope)), w=w,
+                      b=np.zeros(2 * d), slope=slope)
+
+
 def gatv2_scores_against(fixed_v, rows, g: Gatv2Score) -> np.ndarray:
     """Score every row u of ``rows`` against one fixed second argument."""
     rows = numkit.as_matrix(rows)

@@ -33,6 +33,7 @@ from .constructions import (
     attention_host_graph,
     compile_deep_vn,
     compile_kernel_vn,
+    run_and_report,
     sweep_deep_amplification,
 )
 from .deepsets import (
@@ -50,9 +51,9 @@ from .mpnnvn import run_program
 from .separability import (
     amplification_for,
     gatv2_selection_weights,
+    l1_certificate,
     strict_separation,
     three_cluster_line,
-    train_gatv2_selector,
 )
 
 REPORT_DIR_ENV = "VNLAB_REPORT_DIR"
@@ -197,38 +198,48 @@ def build_config(command: str, config_path: str | None,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_out(path: str) -> str:
-    base = os.environ.get(REPORT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
-
-
 def _unwritable(kind: str, path: str, exc: OSError) -> CliInputError:
     return CliInputError(f"cannot write {kind} report {exc.filename or path}: "
                          f"{exc.strerror or exc}")
 
 
-def write_json_report(report: dict, path: str) -> str:
-    try:
-        path = _resolve_out(path)
-        numkit.dump_json(report, path)
-    except OSError as exc:
-        raise _unwritable("json", path, exc) from None
+def _report_path(kind: str, path: str) -> str:
+    """Resolve a report path (under ``$VNLAB_REPORT_DIR`` if relative).
+
+    Checked before the run, so no run is computed only to be thrown away.
+    """
+    base = os.environ.get(REPORT_DIR_ENV)
+    if base and not os.path.isabs(path):
+        try:
+            os.makedirs(base, exist_ok=True)
+        except OSError as exc:
+            raise _unwritable(kind, path, exc) from None
+        path = os.path.join(base, path)
+    # the messages are the ones the failed write would give
+    if os.path.isdir(path):
+        raise CliInputError(f"cannot write {kind} report {path}: "
+                            "Is a directory")
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise CliInputError(f"cannot write {kind} report {path}: "
+                            "No such file or directory")
     return path
 
 
-def write_csv_report(header, rows, path: str) -> str:
+def write_json_report(report: dict, path: str) -> None:
     try:
-        path = _resolve_out(path)
+        numkit.dump_json(report, path)
+    except OSError as exc:
+        raise _unwritable("json", path, exc) from None
+
+
+def write_csv_report(header, rows, path: str) -> None:
+    try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
     except OSError as exc:
         raise _unwritable("csv", path, exc) from None
-    return path
 
 
 def _fmt(value) -> str:
@@ -415,6 +426,39 @@ def _trace_time2_check(X, w, prog) -> bool:
     return True
 
 
+def _gatv2_phase(eps: float):
+    """Constructed-score selection on the three-cluster line.
+
+    Staged at the middle cluster's centre, ``l1_score`` clears the middle
+    points (inside the others' hull) by a gap; scale ln(99 * others) / gap
+    gives them weight >= 0.99.  The gatv2 deep program compiled from
+    ``l1_certificate`` must then keep every per-layer selection bound.
+    """
+    sets = three_cluster_line()
+    pts = np.vstack(sets)
+    n, d = pts.shape
+    middle = np.arange(len(sets[0]), len(sets[0]) + len(sets[1]))
+    centre = sets[1].mean(axis=0)
+    score = attention.l1_score(d)
+    values = attention.gatv2_scores_against(centre, pts, score)
+    gap = float(values[middle].min() - np.delete(values, middle).max())
+    scale = float(np.log(99.0 * (n - middle.size)) / gap)
+    weights = gatv2_selection_weights(pts, score, scale, centre)
+    cert = l1_certificate(pts, eps=eps)
+    w = attention.random_weights(d, numkit.make_rng(0))
+    prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="gatv2",
+                                            certificate=cert))
+    rep = run_and_report(pts, prog, w, reference="full", cert=cert)
+    info = {"achieved_gap": gap,
+            "middle_cluster_weight": float(weights[middle].sum()),
+            "program_max_abs": rep.max_abs,
+            "program_bounds_ok": rep.bounds_ok}
+    info["ok"] = (gap > 0.0 and info["middle_cluster_weight"] >= 0.99
+                  and rep.bounds_ok)
+    return info, {"phase": "gatv2", "case": None, "n": n, "d": d, "c": scale,
+                  "value": info["middle_cluster_weight"], "ok": info["ok"]}
+
+
 def cmd_verify_deep(cfg: dict, args):
     n, d = cfg["n"], cfg["d"]
     rows = []
@@ -463,24 +507,9 @@ def cmd_verify_deep(cfg: dict, args):
     gatv2_info = None
     gatv2_pass = True
     if cfg["gatv2"]:
-        sets = three_cluster_line()
-        pts = np.vstack(sets)
-        middle = len(sets[0])  # first index of the middle cluster
-        res = train_gatv2_selector(sets, target=1, seed=0)
-        scale = float(np.log(99.0 * (pts.shape[0] - 1)))
-        weights = gatv2_selection_weights(pts, res.score, scale)
-        middle_weight = float(
-            weights[middle:middle + len(sets[1])].sum()
-        )
-        gatv2_pass = res.ok and middle_weight >= 0.99
-        gatv2_info = {
-            "achieved_gap": res.achieved_gap,
-            "middle_cluster_weight": middle_weight,
-            "ok": gatv2_pass,
-        }
-        rows.append({"phase": "gatv2", "case": None, "n": pts.shape[0],
-                     "d": pts.shape[1], "c": scale,
-                     "value": middle_weight, "ok": gatv2_pass})
+        gatv2_info, gatv2_row = _gatv2_phase(cfg["eps"])
+        gatv2_pass = gatv2_info["ok"]
+        rows.append(gatv2_row)
 
     passed = oracle_pass and bounds_pass and gatv2_pass
     lines = [
@@ -493,13 +522,14 @@ def cmd_verify_deep(cfg: dict, args):
     ]
     if gatv2_info is not None:
         lines.append(
-            f"{'PASS' if gatv2_pass else 'FAIL'} trained-score selection: "
-            f"middle-cluster weight {gatv2_info['middle_cluster_weight']:.4f}"
+            f"{'PASS' if gatv2_pass else 'FAIL'} constructed-score selection: "
+            f"middle-cluster weight {gatv2_info['middle_cluster_weight']:.4f},"
+            f" program max error {gatv2_info['program_max_abs']:.3e}"
         )
     lines.append(
         f"{'PASS' if passed else 'FAIL'} verify-deep: oracle worst "
         f"{worst:.3e}, sweep monotone {monotone}"
-        + (f", trained-score ok {gatv2_pass}" if gatv2_info else "")
+        + (f", constructed-score ok {gatv2_pass}" if gatv2_info else "")
     )
     fields = {"sweep_medians": medians, "sweep_monotone": monotone,
               "trace_time2_exact": trace_ok, "gatv2": gatv2_info,
@@ -665,7 +695,8 @@ COMMANDS = {
     "verify-deep": Command(
         run=cmd_verify_deep,
         help="check the linear-depth full-attention compiler (oracle mode, "
-             "time-2 trace, amplification sweep; optional trained-score run)",
+             "time-2 trace, amplification sweep; optional constructed "
+             "additive-score run)",
         keys={
             "n": Key(_at_least(2), 6, "node count for the compiled programs"),
             "d": Key(_at_least(1), 3, "feature dimension"),
@@ -679,8 +710,8 @@ COMMANDS = {
             "eps": Key(_fraction, 1e-4,
                        "selection slack for suggested amplification"),
             "gatv2": Key(_parse_bool, False,
-                         "also run trained-score selection on the three-cluster "
-                         "line instance"),
+                         "also run constructed additive-score selection and "
+                         "its deep program on the three-cluster line"),
         },
         columns=("phase", "case", "n", "d", "c", "value", "ok"),
     ),
@@ -755,19 +786,22 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command = COMMANDS[args.command]
         cfg = build_config(args.command, args.config, args.set)
+        json_path = args.json and _report_path("json", args.json)
+        csv_path = args.csv and _report_path("csv", args.csv)
         passed, results, fields, lines = command.run(cfg, args)
         for line in lines[-1:] if args.quiet else lines:
             print(line)
-        if args.json:
+        if json_path:
             report = {"format": "cli-report/v1", "command": args.command,
                       "config": cfg, "results": results, **fields,
                       "pass": passed}
-            print(f"json report: {write_json_report(report, args.json)}")
-        if args.csv:
+            write_json_report(report, json_path)
+            print(f"json report: {json_path}")
+        if csv_path:
             rows = [tuple(_fmt(r[k]) for k in command.columns)
                     for r in results]
-            path = write_csv_report(command.columns, rows, args.csv)
-            print(f"csv report: {path}")
+            write_csv_report(command.columns, rows, csv_path)
+            print(f"csv report: {csv_path}")
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

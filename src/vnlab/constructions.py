@@ -11,8 +11,9 @@ Two constructions are implemented, each returning a runnable, serializable
   reports the achieved approximation quality instead of assuming it.
 
 * ``compile_deep_vn`` — linear depth (n + 2 layers).  The virtual node visits
-  the n node features one at a time (by oracle, amplified-softmax, or trained
-  additive-score selection); every graph node accumulates one unnormalized
+  the n node features one at a time (by oracle, by amplified-softmax
+  selection, or by the constructed additive score -|x - x_k|_1, which selects
+  any set of distinct points); every graph node accumulates one unnormalized
   attention term per step and finally normalizes.  With perfect selection the
   program equals full softmax attention to roundoff.
 
@@ -32,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import attention, mlp, numkit
-from .attention import AttnWeights, FeatureMap
+from .attention import AttnWeights, FeatureMap, l1_score
 from .graphs import Graph, add_virtual_node
 from .mpnnvn import (
     ConstVn,
@@ -424,8 +425,9 @@ class DeepSimConfig:
     """How to compile the depth-(n+2) full-attention program.
 
     selection: "oracle" (layer k reads node k's state directly), "softmax"
-    (amplified bilinear scores against certificate directions), or "gatv2"
-    (one trained additive score per step).  ``append_final_linear`` adds an
+    (amplified bilinear scores against a "bilinear" certificate's
+    directions), or "gatv2" (one shared constructed score -c |x - x_k|_1
+    against an "l1" certificate's points).  ``append_final_linear`` adds an
     (n+3)rd layer applying the output projection as an explicit linear layer
     instead of slicing the first channels.
     """
@@ -434,8 +436,6 @@ class DeepSimConfig:
     selection: str = "oracle"
     certificate: SeparabilityCertificate | None = None
     amplification: float | None = None
-    gatv2_scores: tuple = ()
-    gatv2_scale: float = 1.0
     append_final_linear: bool = False
 
     def __post_init__(self):
@@ -460,10 +460,18 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             f"square weights; got qk_dim={w.qk_dim}, out_dim={w.out_dim}"
         )
     scale = None
-    if cfg.selection == "softmax":
+    selectors = np.zeros((n, d))
+    if cfg.selection == "oracle":
+        pools = [OracleSelectPool(index=k) for k in range(n)]
+    else:
         cert = cfg.certificate
         if cert is None:
-            raise ValueError("softmax selection requires a certificate")
+            raise ValueError(f"{cfg.selection} selection requires a "
+                             "certificate")
+        want = "bilinear" if cfg.selection == "softmax" else "l1"
+        if cert.score != want:
+            raise ValueError(f"{cfg.selection} selection needs a {want!r} "
+                             f"certificate, got a {cert.score!r} one")
         if cert.n != n:
             raise ValueError(
                 f"certificate covers {cert.n} points, program needs {n}"
@@ -476,23 +484,10 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             )
         scale = cfg.amplification if cfg.amplification is not None \
             else cert.amplification
-    elif cfg.selection == "gatv2":
-        if len(cfg.gatv2_scores) != n:
-            raise ValueError(
-                f"gatv2 selection needs one trained score per step "
-                f"({n}), got {len(cfg.gatv2_scores)}"
-            )
-        scale = cfg.gatv2_scale
-
-    selectors = (cfg.certificate.directions if cfg.selection == "softmax"
-                 else np.zeros((n, d)))
-
-    def pool_for(k: int):
-        if cfg.selection == "oracle":
-            return OracleSelectPool(index=k - 1)
-        if cfg.selection == "softmax":
-            return SoftmaxSelectPool(width=d, scale=scale)
-        return Gatv2SelectPool(cfg.gatv2_scores[k - 1], width=d, scale=scale)
+        selectors = cert.directions
+        pools = [SoftmaxSelectPool(width=d, scale=scale)
+                 if cfg.selection == "softmax"
+                 else Gatv2SelectPool(l1_score(d), width=d, scale=scale)] * n
 
     ones = ConstVn(np.ones(2 * d + 1))
     accumulate = ScoreAccumulate(w.w_q, w.w_k, w.w_v, width=d)
@@ -500,7 +495,7 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     for k in range(1, n + 1):
         nxt = selectors[k] if k <= n - 1 else None
         layers.append(MpnnVnLayer(
-            vn_pool=pool_for(k),
+            vn_pool=pools[k - 1],
             vn_update=SelectorAdvance(width=d, next_selector=nxt),
             gn_update=IdentityGn() if k == 1 else accumulate,
         ))

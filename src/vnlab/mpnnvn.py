@@ -262,7 +262,10 @@ class OracleSelectPool(Descriptor):
 
 @dataclass(frozen=True, eq=False)
 class Gatv2SelectPool(Descriptor):
-    """Softmax selection driven by a trained additive score."""
+    """Softmax selection by an additive score against the staged selector.
+
+    The deep compiler builds ``attention.l1_score``: -|x - selector|_1.
+    """
 
     kind: ClassVar[str] = "gatv2_select_pool"
     score: attention.Gatv2Score = field(default=None)

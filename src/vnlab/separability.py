@@ -1,4 +1,4 @@
-"""Certifying when softmax attention can single out individual set elements.
+"""Certifying when attention can single out individual set elements.
 
 A point x_i can be selected by a softmax over bilinear scores exactly when
 some direction scores x_i strictly above every other point — equivalently,
@@ -11,9 +11,10 @@ min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
 * ``hull_member`` tests the same distance for zero;
 * ``vdelta_certificate`` packages per-point directions and margins, plus the
   score amplification needed to push the softmax weight to a target level;
-* ``delta_nonlin_sep`` and ``train_gatv2_selector`` cover the relaxation to
-  nonlinearly separated point clusters, where no bilinear score works but a
-  trained additive score does.
+* ``l1_certificate`` certifies any set of distinct points, with no LP, for
+  the constructed additive score ``attention.l1_score``;
+* ``delta_nonlin_sep`` and ``three_cluster_line`` measure and build
+  nonlinearly separated point clusters, where no bilinear score works.
 
 The LP solver is a dense primal simplex with Bland's anti-cycling pivot
 rule, run once from a feasible basis the caller supplies: the hull-distance
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp, numkit
+from . import numkit
 from .attention import Gatv2Score, gatv2_scores_against
 
 LP_TOL = 1e-9
@@ -201,16 +202,21 @@ def hull_member(p, points) -> bool:
 class SeparabilityCertificate:
     """Per-point selection directions with their margins.
 
-    The bilinear score is kept in normal form: the quadratic weight matrix is
-    the identity and the learned direction is folded into ``directions[i]``,
+    ``score`` names the score the certificate is for.  Under "bilinear" the
+    score is kept in normal form: the quadratic weight matrix is the identity
+    and the LP's direction (sup-norm <= 1) is folded into ``directions[i]``,
     so the selection score for target i is amplification * (x . directions[i]).
+    Under "l1", ``directions[i]`` is the point x_i itself and the score is
+    -amplification * |x - directions[i]|_1 (``attention.l1_score``).  Either
+    way ``margins[i]`` is how far x_i's score clears every other point's.
     """
 
-    directions: np.ndarray  # (n, d), box-normalized (sup-norm <= 1)
+    directions: np.ndarray  # (n, d)
     margins: np.ndarray  # (n,), all > 0
     amplification: float
     eps: float
     band: float = MARGIN_BAND
+    score: str = "bilinear"  # "bilinear" | "l1"
 
     def __post_init__(self):
         object.__setattr__(self, "directions", numkit.as_matrix(self.directions))
@@ -221,6 +227,8 @@ class SeparabilityCertificate:
             raise ValueError("certificate margins must be positive")
         if not self.amplification > 0.0:
             raise ValueError("amplification must be positive")
+        if self.score not in ("bilinear", "l1"):
+            raise ValueError(f"unknown certificate score {self.score!r}")
 
     @property
     def n(self) -> int:
@@ -290,6 +298,34 @@ def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
     )
 
 
+def l1_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
+    """Certify every point as selectable by the constructed L1 score.
+
+    With x_i staged, ``attention.l1_score`` scores x_i at 0 and x_j at
+    -|x_i - x_j|_1, so x_i's margin is its L1 distance to its nearest other
+    point; hull-interior points pass too.  Margins inside the ``band``
+    (duplicate points) give a :class:`CertificateFailure`.
+    """
+    X = numkit.check_finite(numkit.as_matrix(X), "points")
+    n = X.shape[0]
+    if n < 2:
+        raise ValueError("certification needs at least two points")
+    dist = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2)
+    np.fill_diagonal(dist, np.inf)
+    margins = dist.min(axis=1)
+    bad = np.flatnonzero(margins <= band)
+    if bad.size:
+        return CertificateFailure(tuple(int(i) for i in bad))
+    return SeparabilityCertificate(
+        directions=X.copy(),
+        margins=margins,
+        amplification=amplification_for(float(margins.min()), eps, n),
+        eps=eps,
+        band=band,
+        score="l1",
+    )
+
+
 def selection_weights(X, cert: SeparabilityCertificate, target: int) -> np.ndarray:
     """Softmax weights of the amplified bilinear selection score.
 
@@ -297,6 +333,8 @@ def selection_weights(X, cert: SeparabilityCertificate, target: int) -> np.ndarr
     c the certificate amplification and m the target's margin.
     """
     X = numkit.as_matrix(X)
+    if cert.score != "bilinear":
+        raise ValueError(f"not a bilinear certificate (score {cert.score!r})")
     if X.shape[0] != cert.n:
         raise ValueError("certificate covers a different point count")
     if not 0 <= target < cert.n:
@@ -313,7 +351,7 @@ def selection_weight_bound(c: float, margin: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# nonlinear separation and the trained additive selector
+# nonlinear separation and the constructed additive selector
 # ---------------------------------------------------------------------------
 
 
@@ -349,92 +387,9 @@ def three_cluster_line(n_per: int = 3, spread: float = 0.15,
     return [np.array([[c + o] for o in offsets]) for c in centers]
 
 
-@dataclass
-class SelectorResult:
-    """A trained additive selection score and how well it worked."""
-
-    score: Gatv2Score
-    achieved_gap: float
-    requested_gap: float
-    target: int
-    fit_report: mlp.FitReport
-
-    @property
-    def ok(self) -> bool:
-        return self.achieved_gap >= self.requested_gap
-
-
-def _mlp_to_gatv2(params: mlp.MlpParams, selector_dim: int) -> Gatv2Score:
-    """Exactly rewrite a 1-hidden-layer leaky-ReLU network as an added score.
-
-    The score form a^T LeakyReLU(W [u ; v] + b) has no output bias, so the
-    network's output bias rides along as one extra hidden unit with zero
-    incoming weights and bias 1 (LeakyReLU(1) = 1).  The selector block of W
-    is zero: the trained score reads only the candidate point, which keeps it
-    valid whatever the selector channels hold.
-    """
-    if params.spec.n_layers != 2:
-        raise ValueError("conversion expects exactly one hidden layer")
-    if params.spec.activation != "leaky_relu":
-        raise ValueError("conversion expects a leaky_relu hidden layer")
-    w1 = params.weights[0]  # (d_in, hidden)
-    b1 = params.biases[0]
-    w2 = params.weights[1]  # (hidden, 1)
-    b2 = params.biases[1]
-    d_in, hidden = w1.shape
-    W = np.zeros((hidden + 1, d_in + selector_dim))
-    W[:hidden, :d_in] = w1.T
-    b = np.concatenate([b1, [1.0]])
-    a = np.concatenate([w2[:, 0], [float(b2[0])]])
-    return Gatv2Score(a=a, w=W, b=b, slope=0.2)
-
-
-def train_gatv2_selector(
-    sets,
-    target: int,
-    gap: float = 1.0,
-    hidden: int = 16,
-    seed: int = 0,
-    budget: mlp.FitBudget | None = None,
-) -> SelectorResult:
-    """Fit an additive score separating one point set from all the others.
-
-    Trains a small network toward value 1.5 on the target set and 0 on the
-    rest, then rewrites it exactly in the additive-score form.  The achieved
-    gap (min target score minus max non-target score over the given points)
-    is reported; callers decide whether it suffices.
-    """
-    mats = [numkit.as_matrix(s) for s in sets]
-    if not 0 <= target < len(mats):
-        raise ValueError("target set index out of range")
-    X = np.vstack(mats)
-    y = np.concatenate(
-        [np.full(m.shape[0], 1.5 if k == target else 0.0)
-         for k, m in enumerate(mats)]
-    ).reshape(-1, 1)
-    d = X.shape[1]
-    spec = mlp.MlpSpec(widths=(d, hidden, 1), activation="leaky_relu")
-    if budget is None:
-        budget = mlp.FitBudget(max_epochs=3000, lr=1e-2, schedule="cosine",
-                               eval_every=50, target_sup=0.05)
-    params, report = mlp.fit(spec, X, y, budget, X, y, seed=seed)
-    score = _mlp_to_gatv2(params, selector_dim=d)
-
-    values = gatv2_scores_against(np.zeros(d), X, score)
-    mask = np.concatenate(
-        [np.full(m.shape[0], k == target) for k, m in enumerate(mats)]
-    )
-    achieved = float(values[mask].min() - values[~mask].max())
-    return SelectorResult(score=score, achieved_gap=achieved,
-                          requested_gap=gap, target=target,
-                          fit_report=report)
-
-
 def gatv2_selection_weights(points, score: Gatv2Score, scale: float,
-                            selector=None) -> np.ndarray:
-    """Softmax weights of the scaled additive score over the given points."""
+                            selector) -> np.ndarray:
+    """Softmax weights of the scaled additive score against ``selector``."""
     points = numkit.as_matrix(points)
-    if selector is None:
-        selector = np.zeros(points.shape[1])
     values = gatv2_scores_against(selector, points, score)
     return numkit.softmax(scale * values)

@@ -241,6 +241,22 @@ def test_gatv2_scores_against_matches_scalar_calls():
         )
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_l1_score_is_minus_l1_distance(d):
+    rng = numkit.make_rng(40 + d)
+    g = attention.l1_score(d)
+    for scale in (1e-3, 1.0, 1e3):
+        rows = scale * rng.standard_normal((50, d))
+        fixed = scale * rng.standard_normal(d)
+        got = attention.gatv2_scores_against(fixed, rows, g)
+        want = -np.abs(rows - fixed).sum(axis=1)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    # the staged point itself scores exactly 0, the top of every score
+    same = attention.gatv2_scores_against(fixed, np.vstack([fixed, rows]), g)
+    assert same[0] == 0.0
+    assert np.all(same[1:] < 0.0)
+
+
 # ---------------------------------------------------------------------------
 # assumptions
 # ---------------------------------------------------------------------------

@@ -170,8 +170,14 @@ class TestVerifyDeep:
                     "--json", str(out), "--quiet"])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["gatv2"]["ok"] is True
-        assert report["gatv2"]["middle_cluster_weight"] >= 0.99
+        assert report["config"]["gatv2"] is True
+        gatv2 = report["gatv2"]
+        assert gatv2["ok"] is True
+        assert gatv2["achieved_gap"] == pytest.approx(1.7, abs=1e-12)
+        assert gatv2["middle_cluster_weight"] >= 0.99
+        assert gatv2["program_bounds_ok"] is True
+        assert gatv2["program_max_abs"] < 1e-5
+        assert report["results"][-1]["phase"] == "gatv2"
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +404,21 @@ class TestUnwritableReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write json report {tmp_path}: ")
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory",
+                                       "missing-dir-under-env"])
+    def test_bad_path_fails_before_the_run(self, tmp_path, capsys,
+                                           monkeypatch, flag, where):
+        target = {"missing-dir": str(tmp_path / "no-such-dir" / "x"),
+                  "directory": str(tmp_path),
+                  "missing-dir-under-env": "no-such-dir/x"}[where]
+        monkeypatch.setenv("VNLAB_REPORT_DIR", str(tmp_path / "reports"))
+        assert run(["dataset-arith", flag, target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the run never started, so no PASS line
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write")
 
 
 # cheap settings for every subcommand, plus one run that must fail

@@ -34,10 +34,11 @@ from vnlab.mpnnvn import (
 )
 from vnlab.separability import (
     SeparabilityCertificate,
+    CertificateFailure,
     amplification_for,
+    l1_certificate,
     selection_weight_bound,
     three_cluster_line,
-    train_gatv2_selector,
     vdelta_certificate,
 )
 
@@ -483,64 +484,80 @@ class TestDeepSoftmax:
 
 
 # ---------------------------------------------------------------------------
-# linear-depth compiler, trained-score selection
+# linear-depth compiler, constructed-score selection
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def gatv2_line_setup():
-    """Three separated 1-D points with one trained selector per step."""
-    pts = [np.array([[-2.0]]), np.array([[0.0]]), np.array([[2.0]])]
-    scores = []
-    for target in range(3):
-        res = train_gatv2_selector(pts, target=target, gap=1.0, hidden=8,
-                                   seed=target)
-        assert res.ok
-        scores.append(res.score)
-    X = np.vstack(pts)
-    return X, tuple(scores)
+    """The three-cluster line: its middle points defeat bilinear selection."""
+    X = np.vstack(three_cluster_line())
+    return X, l1_certificate(X)
 
 
 class TestDeepGatv2:
-    def test_trained_selection_tracks_full_attention(self, gatv2_line_setup):
-        X, scores = gatv2_line_setup
+    def test_selection_tracks_full_attention(self, gatv2_line_setup):
+        X, cert = gatv2_line_setup
         n = X.shape[0]
-        rng = numkit.make_rng(2)
-        w = attention.random_weights(1, rng)
-        # scale ln(99 (n-1)) / gap makes each trained gap worth weight 0.99
-        scale = float(np.log(99.0 * (n - 1)))
+        w = attention.random_weights(1, numkit.make_rng(2))
         prog = compile_deep_vn(w, DeepSimConfig(
-            n=n, selection="gatv2", gatv2_scores=scores, gatv2_scale=scale,
+            n=n, selection="gatv2", certificate=cert,
         ))
-        rep = run_and_report(X, prog, w, reference="full", feature_bound=2.0)
+        # one shared score, built from the dimension alone
+        assert len({id(layer.vn_pool) for layer in prog.layers[:n]}) == 1
+        assert prog.metadata["c"] == cert.amplification
+        rep = run_and_report(X, prog, w, reference="full", cert=cert)
         for entry in rep.selection:
-            assert entry["weight"] >= 0.99
-            assert entry["feature_error_ok"]
-        assert rep.max_abs < 0.5  # coarse: selection weight 0.99, spread 4
+            assert entry["weight"] >= 1.0 - cert.eps - 1e-12
+            assert entry["weight_ok"] and entry["feature_error_ok"]
+        assert rep.bounds_ok
+        assert rep.max_abs < 1e-5
 
     def test_higher_scale_gives_smaller_error(self, gatv2_line_setup):
-        X, scores = gatv2_line_setup
+        X, cert = gatv2_line_setup
         n = X.shape[0]
-        rng = numkit.make_rng(2)
-        w = attention.random_weights(1, rng)
+        w = attention.random_weights(1, numkit.make_rng(2))
         errs = []
-        for scale in (np.log(99.0 * 2), 4 * np.log(99.0 * 2)):
+        for factor in (0.25, 1.0):
             prog = compile_deep_vn(w, DeepSimConfig(
-                n=n, selection="gatv2", gatv2_scores=scores,
-                gatv2_scale=float(scale),
+                n=n, selection="gatv2", certificate=cert,
+                amplification=factor * cert.amplification,
             ))
-            rep = run_and_report(X, prog, w, reference="full")
+            rep = run_and_report(X, prog, w, reference="full", cert=cert)
+            assert rep.bounds_ok
             errs.append(rep.max_abs)
         assert errs[1] < errs[0]
 
-    def test_needs_one_score_per_step(self, gatv2_line_setup):
-        _, scores = gatv2_line_setup
-        rng = numkit.make_rng(0)
-        w = attention.random_weights(1, rng)
-        with pytest.raises(ValueError, match="one trained score"):
+    def test_selects_points_no_bilinear_certificate_covers(self):
+        X = np.random.default_rng(2).normal(size=(64, 3))
+        assert isinstance(vdelta_certificate(X), CertificateFailure)
+        cert = l1_certificate(X)
+        w = attention.random_weights(3, numkit.make_rng(3))
+        prog = compile_deep_vn(w, DeepSimConfig(
+            n=64, selection="gatv2", certificate=cert,
+        ))
+        rep = run_and_report(X, prog, w, reference="full", cert=cert)
+        assert all("weight_ok" in entry for entry in rep.selection)
+        assert rep.bounds_ok
+        assert rep.max_abs <= 1e-8
+
+    def test_refuses_certificate_for_other_score(self, gatv2_line_setup):
+        X, l1 = gatv2_line_setup
+        bilinear = SeparabilityCertificate(
+            directions=np.ones((X.shape[0], 1)), margins=np.ones(X.shape[0]),
+            amplification=1.0, eps=1e-4,
+        )
+        w = attention.random_weights(1, numkit.make_rng(0))
+        with pytest.raises(ValueError, match="'bilinear' certificate"):
             compile_deep_vn(w, DeepSimConfig(
-                n=5, selection="gatv2", gatv2_scores=scores,
+                n=X.shape[0], selection="softmax", certificate=l1,
             ))
+        with pytest.raises(ValueError, match="'l1' certificate"):
+            compile_deep_vn(w, DeepSimConfig(
+                n=X.shape[0], selection="gatv2", certificate=bilinear,
+            ))
+        with pytest.raises(ValueError, match="requires a certificate"):
+            compile_deep_vn(w, DeepSimConfig(n=X.shape[0], selection="gatv2"))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from vnlab.mpnnvn import (
     run_program,
     save_program,
 )
+from vnlab.separability import l1_certificate
 
 
 def star(n):
@@ -521,6 +522,15 @@ class TestPersistence:
         w = self._pinned_weights(numkit.make_rng(21), 3)
         if name == "deep_oracle":
             return compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        if name == "deep_gatv2":
+            # the last point is inside the others' hull; the amplification
+            # is given so that the bytes do not depend on the libm's log
+            X = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0], [0.25, 0.25, 0.25]])
+            return compile_deep_vn(w, DeepSimConfig(
+                n=5, selection="gatv2", certificate=l1_certificate(X),
+                amplification=20.0,
+            ))
         fm = attention.exp_feature_map(4, 3, seed=2)
         return compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
 
@@ -531,6 +541,8 @@ class TestPersistence:
             "3c49eaac098a011673ce1d6cc37058be1e2dd266028d5c20c90b3374c8d59fc5",
         "deep_oracle":
             "2edabad9dbc1bf433063c7d41b81ee6a826f3d3f02adc6d3d8afa664ff062741",
+        "deep_gatv2":
+            "c7bda663e8db275572752e4f683d9dbf7510afddc2d20f11fc5e9f8242d1176d",
         "kernel_exact":
             "33e49bba961909178d425bcd97e6494c38267324982422010b00938d85400b73",
     }

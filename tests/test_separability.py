@@ -1,4 +1,4 @@
-"""Tests for LP-based selection certificates and the trained selector."""
+"""Tests for LP-based selection certificates and the constructed selector."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnlab import numkit
-from vnlab.attention import gatv2_scores_against
+from vnlab.attention import l1_score
 from vnlab.separability import (
     MARGIN_BAND,
     CertificateFailure,
@@ -17,12 +17,12 @@ from vnlab.separability import (
     delta_nonlin_sep,
     gatv2_selection_weights,
     hull_member,
+    l1_certificate,
     selection_weight_bound,
     selection_weights,
     solve_lp,
     strict_separation,
     three_cluster_line,
-    train_gatv2_selector,
     vdelta_certificate,
 )
 
@@ -403,6 +403,9 @@ class TestCertificates:
         with pytest.raises(ValueError, match="amplification"):
             SeparabilityCertificate(np.eye(2), np.array([1.0, 1.0]),
                                     amplification=0.0, eps=0.1)
+        with pytest.raises(ValueError, match="score"):
+            SeparabilityCertificate(np.eye(2), np.array([1.0, 1.0]),
+                                    amplification=1.0, eps=0.1, score="l2")
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +492,13 @@ class TestSelectionWeights:
             selection_weights(np.ones((2, 1)), cert, target=7)
         with pytest.raises(ValueError, match="point count"):
             selection_weights(np.ones((3, 1)), cert, target=0)
+        l1 = l1_certificate(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="bilinear"):
+            selection_weights(np.array([[0.0], [1.0]]), l1, target=0)
 
 
 # ---------------------------------------------------------------------------
-# nonlinear separation and the trained selector
+# nonlinear separation and the constructed selector
 # ---------------------------------------------------------------------------
 
 
@@ -547,54 +553,67 @@ class TestThreeClusterInstance:
         assert delta_nonlin_sep(sets) == pytest.approx(1.7, abs=1e-12)
 
 
-class TestTrainedSelector:
-    def test_two_far_singletons_trivial_gap(self):
-        sets = [np.array([[-3.0]]), np.array([[3.0]])]
-        res = train_gatv2_selector(sets, target=1, gap=1.0, seed=0)
-        assert res.ok
-        assert res.achieved_gap >= 1.0
+def _nearest_l1(X):
+    """Each point's L1 distance to its nearest other point, pair by pair."""
+    n = X.shape[0]
+    return np.array([min(float(np.sum(np.abs(X[i] - X[j])))
+                         for j in range(n) if j != i) for i in range(n)])
 
-    def test_middle_cluster_selected_despite_bilinear_failure(self):
-        sets = three_cluster_line()
-        res = train_gatv2_selector(sets, target=1, gap=1.0, seed=0)
-        assert res.achieved_gap >= 1.0
-        # amplify so the guaranteed weight at the requested gap is >= 0.99
-        X = np.vstack(sets)
-        n_other = X.shape[0] - sets[1].shape[0]
-        scale = math.log(99.0 * n_other) / res.requested_gap
-        w = gatv2_selection_weights(X, res.score, scale)
-        assert w[3:6].sum() >= 0.99
 
-    def test_same_seed_reproduces_gap(self):
-        sets = three_cluster_line()
-        r1 = train_gatv2_selector(sets, target=1, seed=0)
-        r2 = train_gatv2_selector(sets, target=1, seed=0)
-        assert r1.achieved_gap == r2.achieved_gap
+class TestL1Certificate:
+    @given(st.integers(2, 8), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_margins_at_least_euclidean_separation(self, n, d, data):
+        coords = st.floats(-100.0, 100.0, allow_nan=False,
+                           allow_subnormal=False)
+        X = np.array(data.draw(st.lists(st.lists(coords, min_size=d,
+                                                 max_size=d),
+                                        min_size=n, max_size=n)))
+        cert = l1_certificate(X)
+        nearest = _nearest_l1(X)
+        if isinstance(cert, CertificateFailure):
+            assert cert.inseparable == tuple(
+                int(i) for i in np.flatnonzero(nearest <= MARGIN_BAND))
+            return
+        assert cert.score == "l1"
+        assert np.array_equal(cert.directions, X)
+        assert np.array_equal(cert.margins, nearest)
+        # |.|_1 >= |.|_2, so no margin is below the Euclidean gap to the
+        # nearest other point, the singleton sets' delta_nonlin_sep
+        for i in range(n):
+            others = np.delete(X, i, axis=0)
+            assert cert.margins[i] >= delta_nonlin_sep([X[i:i + 1], others])
+        assert cert.delta >= delta_nonlin_sep([X[i:i + 1] for i in range(n)])
+        assert cert.amplification == amplification_for(cert.delta, 1e-4, n)
 
-    def test_conversion_is_exact(self):
-        # the additive-score rewrite must reproduce the trained network
-        # everywhere, not just on training points
-        from vnlab.mlp import MlpSpec, forward, init_params
-        from vnlab.separability import _mlp_to_gatv2
+    def test_duplicate_points_fail_with_their_indices(self):
+        X = np.array([[0.0, 1.0], [2.0, 2.0], [0.0, 1.0], [5.0, 0.0]])
+        got = l1_certificate(X)
+        assert isinstance(got, CertificateFailure)
+        assert got.inseparable == (0, 2)
 
-        spec = MlpSpec(widths=(2, 5, 1), activation="leaky_relu")
-        params = init_params(spec, numkit.make_rng(3), seed=3)
-        score = _mlp_to_gatv2(params, selector_dim=2)
-        rng = numkit.make_rng(4)
-        pts = rng.normal(size=(50, 2))
-        want = forward(params, pts)[:, 0]
-        got = gatv2_scores_against(np.zeros(2), pts, score)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    def test_hull_interior_points_are_certified(self):
+        X = np.vstack(three_cluster_line())
+        assert isinstance(vdelta_certificate(X), CertificateFailure)
+        cert = l1_certificate(X)
+        assert isinstance(cert, SeparabilityCertificate)
+        # neighbours within a cluster sit 0.15 apart
+        np.testing.assert_allclose(cert.margins, 0.15, rtol=1e-12)
 
-    def test_selector_ignores_selector_channels(self):
-        sets = [np.array([[-3.0]]), np.array([[3.0]])]
-        res = train_gatv2_selector(sets, target=0, seed=1)
-        X = np.vstack(sets)
-        w_zero = gatv2_selection_weights(X, res.score, 2.0)
-        w_other = gatv2_selection_weights(X, res.score, 2.0,
-                                          selector=np.array([42.0]))
-        assert np.array_equal(w_zero, w_other)
+    def test_built_score_meets_the_weight_bound(self):
+        X = numkit.make_rng(6).normal(size=(10, 3))
+        cert = l1_certificate(X, eps=1e-3)
+        score = l1_score(3)
+        for i in range(10):
+            w = gatv2_selection_weights(X, score, cert.amplification,
+                                        cert.directions[i])
+            bound = selection_weight_bound(cert.amplification,
+                                           float(cert.margins[i]), 10)
+            assert w[i] >= bound - 1e-12
+            assert w[i] >= 1.0 - 1e-3 - 1e-12
 
-    def test_validates_target_index(self):
-        with pytest.raises(ValueError, match="target set index"):
-            train_gatv2_selector([np.ones((1, 1))], target=3)
+    def test_validates_points(self):
+        with pytest.raises(ValueError, match="two points"):
+            l1_certificate(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            l1_certificate(np.array([[0.0], [np.nan]]))

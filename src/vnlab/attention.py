@@ -70,15 +70,15 @@ class AttnWeights:
 
 def random_weights(d: int, rng: np.random.Generator, qk_dim: int | None = None,
                    out_dim: int | None = None, feature_bound: float = 1.0,
-                   weight_bound: float = 1.0, spectral_fill: float = 0.8) -> AttnWeights:
-    """Random projections rescaled to sit strictly inside the weight bound."""
+                   weight_bound: float = 1.0) -> AttnWeights:
+    """Random projections rescaled to spectral norm 0.8 * ``weight_bound``."""
     qk_dim = d if qk_dim is None else qk_dim
     out_dim = d if out_dim is None else out_dim
 
     def draw(cols):
         m = numkit.gaussian_matrix(d, cols, rng)
         norm = numkit.spectral_norm(m)
-        return m * (spectral_fill * weight_bound / norm) if norm > 0 else m
+        return m * (0.8 * weight_bound / norm) if norm > 0 else m
 
     return AttnWeights(draw(qk_dim), draw(qk_dim), draw(out_dim),
                        feature_bound, weight_bound)

@@ -50,7 +50,6 @@ from .graphs import (
 from .mpnnvn import run_program
 from .separability import (
     amplification_for,
-    gatv2_selection_weights,
     l1_certificate,
     strict_separation,
     three_cluster_line,
@@ -443,7 +442,7 @@ def _gatv2_phase(eps: float):
     values = attention.gatv2_scores_against(centre, pts, score)
     gap = float(values[middle].min() - np.delete(values, middle).max())
     scale = float(np.log(99.0 * (n - middle.size)) / gap)
-    weights = gatv2_selection_weights(pts, score, scale, centre)
+    weights = numkit.softmax(scale * values)
     cert = l1_certificate(pts, eps=eps)
     w = attention.random_weights(d, numkit.make_rng(0))
     prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="gatv2",

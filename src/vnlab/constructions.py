@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -44,7 +44,6 @@ from .mpnnvn import (
     IdentityGn,
     KeepVn,
     LayerProgram,
-    LinearGn,
     MeanPool,
     MpnnVnLayer,
     OracleSelectPool,
@@ -160,8 +159,8 @@ def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
     dense = mlp.lattice(lo, hi, 2049, 1)
     dense_y = fn(dense)
     spec = mlp.MlpSpec(widths=(1, _PIECE_HIDDEN, 1), activation="elu")
-    budget = mlp.FitBudget(max_epochs=epochs, lr=1e-2, schedule="cosine",
-                           eval_every=50, target_sup=target)
+    budget = mlp.FitBudget(max_epochs=epochs, lr=1e-2, eval_every=50,
+                           target_sup=target)
     best_params, best_sup = None, np.inf
     for attempt in range(max(restarts, 1)):
         params, _ = mlp.fit(spec, train_x, train_y, budget,
@@ -427,22 +426,35 @@ class DeepSimConfig:
     selection: "oracle" (layer k reads node k's state directly), "softmax"
     (amplified bilinear scores against a "bilinear" certificate's
     directions), or "gatv2" (one shared constructed score -c |x - x_k|_1
-    against an "l1" certificate's points).  ``append_final_linear`` adds an
-    (n+3)rd layer applying the output projection as an explicit linear layer
-    instead of slicing the first channels.
+    against an "l1" certificate's points).  ``amplification`` overrides the
+    certificate's score scale; when given it must be finite and positive.
     """
 
     n: int
     selection: str = "oracle"
     certificate: SeparabilityCertificate | None = None
     amplification: float | None = None
-    append_final_linear: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one node")
         if self.selection not in ("oracle", "softmax", "gatv2"):
             raise ValueError(f"unknown selection mode {self.selection!r}")
+        if self.amplification is not None and not (
+                math.isfinite(self.amplification) and self.amplification > 0.0):
+            raise ValueError("amplification must be finite and positive, "
+                             f"got {self.amplification!r}")
+
+
+# the certificate score each certified selection mode reads
+_CERT_SCORE = {"softmax": "bilinear", "gatv2": "l1"}
+
+
+def _check_cert_score(selection: str, cert: SeparabilityCertificate) -> None:
+    want = _CERT_SCORE[selection]
+    if cert.score != want:
+        raise ValueError(f"{selection} selection needs a {want!r} "
+                         f"certificate, got a {cert.score!r} one")
 
 
 def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
@@ -451,7 +463,8 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     States are [feature | accumulator | mass] of width 2d+1.  Layer k in
     1..n selects node k's feature into the virtual node while every graph
     node accumulates the previously selected one (from layer 2 on); layer
-    n+1 accumulates the last selection; layer n+2 divides.
+    n+1 accumulates the last selection; layer n+2 divides.  The normalized
+    output sits in the first d channels, which ``gn_out=(0, d)`` reads.
     """
     n, d = cfg.n, w.in_dim
     if w.out_dim != d or w.qk_dim != d:
@@ -468,10 +481,7 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
         if cert is None:
             raise ValueError(f"{cfg.selection} selection requires a "
                              "certificate")
-        want = "bilinear" if cfg.selection == "softmax" else "l1"
-        if cert.score != want:
-            raise ValueError(f"{cfg.selection} selection needs a {want!r} "
-                             f"certificate, got a {cert.score!r} one")
+        _check_cert_score(cfg.selection, cert)
         if cert.n != n:
             raise ValueError(
                 f"certificate covers {cert.n} points, program needs {n}"
@@ -503,20 +513,13 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
                               gn_update=accumulate))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
                               gn_update=RatioUpdate(width=d)))
-    gn_out = (0, d)
-    if cfg.append_final_linear:
-        proj = np.zeros((2 * d + 1, d))
-        proj[:d, :d] = np.eye(d)
-        layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=KeepVn(),
-                                  gn_update=LinearGn(proj)))
-        gn_out = None
 
     vn_init = np.concatenate([np.zeros(d), selectors[0], [0.0]])
     return LayerProgram(
         layers=layers,
         vn_init=vn_init,
         gn_init=("pad", 2 * d + 1),
-        gn_out=gn_out,
+        gn_out=(0, d),
         provenance="deep-attention-compiler",
         metadata={
             "compiler": "deep",
@@ -524,7 +527,6 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             "n": n,
             "d": d,
             "c": scale,
-            "append_final_linear": cfg.append_final_linear,
         },
     )
 
@@ -532,6 +534,10 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
 # ---------------------------------------------------------------------------
 # certified instances
 # ---------------------------------------------------------------------------
+
+
+# how many point sets make_certified_instance draws before giving up
+_INSTANCE_DRAWS = 200
 
 
 class NoCertifiedInstance(RuntimeError):
@@ -545,24 +551,24 @@ def make_certified_instance(
     min_delta: float = 0.1,
     feature_bound: float = 1.0,
     eps: float = 1e-4,
-    max_tries: int = 200,
 ):
     """Draw a point set every point of which is certified selectable.
 
     Points are sampled on the sphere of radius ``feature_bound`` (sphere
     points are extreme points of their hull, so certification usually
     succeeds) and redrawn until the certificate margin reaches ``min_delta``.
-    Returns (X, certificate); raises ``NoCertifiedInstance`` when no draw
-    qualifies.
+    Returns (X, certificate); raises ``NoCertifiedInstance`` when none of
+    ``_INSTANCE_DRAWS`` draws qualifies.
     """
-    for _ in range(max_tries):
+    for _ in range(_INSTANCE_DRAWS):
         X = rng.normal(size=(n, d))
         X = X / np.linalg.norm(X, axis=1, keepdims=True) * feature_bound
         cert = vdelta_certificate(X, eps=eps)
         if isinstance(cert, SeparabilityCertificate) and cert.delta >= min_delta:
             return X, cert
     raise NoCertifiedInstance(
-        f"no (V, delta >= {min_delta}) instance found in {max_tries} draws"
+        f"no (V, delta >= {min_delta}) instance found in {_INSTANCE_DRAWS} "
+        "draws"
     )
 
 
@@ -594,18 +600,8 @@ class ErrorReport:
 
 
 def report_to_json(report: ErrorReport) -> dict:
-    return {
-        "format": "error-report/v1",
-        "reference": report.reference,
-        "max_abs": report.max_abs,
-        "mean_abs": report.mean_abs,
-        "max_rel": report.max_rel,
-        "per_node": report.per_node,
-        "selection": report.selection,
-        "config": report.config,
-        "seed": report.seed,
-        "rng_algorithm": report.rng_algorithm,
-    }
+    """One key per ``ErrorReport`` field, plus the format tag."""
+    return {"format": "error-report/v1", **asdict(report)}
 
 
 def report_csv_row(report: ErrorReport) -> tuple:
@@ -638,6 +634,8 @@ def run_and_report(
     get per-layer selection diagnostics: the realized selection weight, the
     selected-feature error, and the guaranteed bound n * C1 * (1 - weight)
     it must respect (C1 = ``feature_bound`` or the largest input row norm).
+    A ``cert`` must be for the program's score ("bilinear" for softmax
+    selection, "l1" for gatv2), as ``compile_deep_vn`` requires.
     """
     X = numkit.as_matrix(X)
     n = X.shape[0]
@@ -651,6 +649,8 @@ def run_and_report(
         raise ValueError(f"unknown reference {reference!r}")
 
     deep = prog.metadata.get("compiler") == "deep"
+    if deep and cert is not None and prog.metadata["selection"] in _CERT_SCORE:
+        _check_cert_score(prog.metadata["selection"], cert)
     d = prog.metadata["d"] if deep else 0
     measured = []  # after layer k <= n: (feature error, target's weight)
 

@@ -8,12 +8,13 @@ A linear equivariant layer on a set of n feature rows is
 with a pointwise nonlinearity are universal for permutation-equivariant maps;
 ``width_bound`` evaluates the width that suffices for universality.
 
-``compile_linear`` emits two virtual-node layers that *simulate the linear
-layer exactly* (closed-form evaluators, no approximation): the first layer
-stores the mean in the virtual node while each graph node applies A; the
-second layer mixes the broadcast mean through B and adds the bias.
-``compile_network`` chains the pairs, folding each pointwise nonlinearity
-into the second layer of its pair.
+``compile_network`` emits two virtual-node layers per linear layer that
+*simulate it exactly* (closed-form evaluators, no approximation): the first
+layer stores the mean in the virtual node while each graph node applies A;
+the second layer mixes the broadcast mean through B, adds the bias and
+applies the pointwise nonlinearity between linear layers.  ``eval_network``
+is the direct evaluation it is checked against; ``compile_linear`` compiles
+a single layer.
 """
 
 from __future__ import annotations
@@ -146,15 +147,13 @@ def _linear_pair(layer: EquivariantLinear, activation: str | None):
 
 
 def compile_linear(layer: EquivariantLinear, n: int) -> LayerProgram:
-    """Exact two-layer simulation of one linear equivariant layer."""
-    if n < 1:
-        raise ValueError("need at least one set element")
-    return LayerProgram(
-        layers=_linear_pair(layer, activation=None),
-        vn_init=np.zeros(layer.in_dim),
-        provenance="deepsets-compiler",
-        metadata={"n": n, "widths": [layer.in_dim, layer.out_dim]},
-    )
+    """Exact two-layer simulation of one linear equivariant layer.
+
+    The one-layer network case of ``compile_network``; a single layer has no
+    nonlinearity after it, so the ``activation`` echoed in the metadata is
+    "identity".
+    """
+    return compile_network(DeepSetsNet((layer,), activation="identity"), n)
 
 
 def compile_network(net: DeepSetsNet, n: int) -> LayerProgram:

@@ -162,19 +162,20 @@ def loss_and_grads(
 
 @dataclass(frozen=True)
 class FitBudget:
-    """Optimization budget: epoch cap plus a learning-rate schedule."""
+    """Optimization budget: epoch cap and peak learning rate.
+
+    The learning rate decays along a cosine from ``lr`` to ``lr / 50``
+    across the ``max_epochs`` epochs.
+    """
 
     max_epochs: int = 2000
     lr: float = 1e-3
-    schedule: str = "constant"  # "constant" or "cosine"
     eval_every: int = 25
     target_sup: float = 0.0  # early-stop threshold; 0 disables early stopping
 
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
-        if self.schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be positive")
 
@@ -190,8 +191,6 @@ class FitReport:
 
 
 def _lr_at(budget: FitBudget, epoch: int) -> float:
-    if budget.schedule == "constant":
-        return budget.lr
     # cosine decay from lr to lr/50 across the epoch budget
     lo = budget.lr / 50.0
     t = epoch / max(budget.max_epochs - 1, 1)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .attention import Gatv2Score, gatv2_scores_against
 
 LP_TOL = 1e-9
 # Margins at or below this are reported as "not separable": selection error
@@ -225,8 +224,8 @@ class SeparabilityCertificate:
             raise ValueError("one margin per direction required")
         if np.any(self.margins <= 0.0):
             raise ValueError("certificate margins must be positive")
-        if not self.amplification > 0.0:
-            raise ValueError("amplification must be positive")
+        if not (math.isfinite(self.amplification) and self.amplification > 0.0):
+            raise ValueError("amplification must be finite and positive")
         if self.score not in ("bilinear", "l1"):
             raise ValueError(f"unknown certificate score {self.score!r}")
 
@@ -326,23 +325,6 @@ def l1_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
     )
 
 
-def selection_weights(X, cert: SeparabilityCertificate, target: int) -> np.ndarray:
-    """Softmax weights of the amplified bilinear selection score.
-
-    Guarantee: weights[target] >= e^{c m} / (e^{c m} + n - 1) with
-    c the certificate amplification and m the target's margin.
-    """
-    X = numkit.as_matrix(X)
-    if cert.score != "bilinear":
-        raise ValueError(f"not a bilinear certificate (score {cert.score!r})")
-    if X.shape[0] != cert.n:
-        raise ValueError("certificate covers a different point count")
-    if not 0 <= target < cert.n:
-        raise ValueError("target index out of range")
-    scores = cert.amplification * (X @ cert.directions[target])
-    return numkit.softmax(scores)
-
-
 def selection_weight_bound(c: float, margin: float, n: int) -> float:
     """e^{c margin} / (e^{c margin} + n - 1), the guaranteed target weight."""
     # computed in log-space so huge amplifications don't overflow
@@ -351,7 +333,7 @@ def selection_weight_bound(c: float, margin: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# nonlinear separation and the constructed additive selector
+# nonlinear separation
 # ---------------------------------------------------------------------------
 
 
@@ -385,11 +367,3 @@ def three_cluster_line(n_per: int = 3, spread: float = 0.15,
     else:
         offsets = spread * np.linspace(-1.0, 1.0, n_per)
     return [np.array([[c + o] for o in offsets]) for c in centers]
-
-
-def gatv2_selection_weights(points, score: Gatv2Score, scale: float,
-                            selector) -> np.ndarray:
-    """Softmax weights of the scaled additive score against ``selector``."""
-    points = numkit.as_matrix(points)
-    values = gatv2_scores_against(selector, points, score)
-    return numkit.softmax(scale * values)

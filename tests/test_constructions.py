@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ class TestDeepOracle:
         assert len(prog.layers) == 9
         assert prog.metadata == {
             "compiler": "deep", "selection": "oracle", "n": 7, "d": 3,
-            "c": None, "append_final_linear": False,
+            "c": None,
         }
 
     def test_trace_matches_reference_exactly(self):
@@ -299,20 +300,6 @@ class TestDeepOracle:
         assert np.array_equal(states[n + 1].vn, np.ones(2 * d + 1))
         assert np.array_equal(states[n + 2].vn, np.ones(2 * d + 1))
 
-    def test_append_final_linear_variant_is_bitwise_equal(self):
-        rng = numkit.make_rng(8)
-        n, d = 5, 3
-        X = rng.normal(size=(n, d)) * 0.5
-        w = attention.random_weights(d, rng)
-        sliced = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        linear = compile_deep_vn(
-            w, DeepSimConfig(n=n, selection="oracle", append_final_linear=True)
-        )
-        assert len(linear.layers) == n + 3
-        assert linear.gn_out is None
-        g = attention_host_graph(n)
-        assert np.array_equal(linear.execute(g, X), sliced.execute(g, X))
-
     def test_requires_square_weights(self):
         rng = numkit.make_rng(0)
         w = attention.random_weights(3, rng, out_dim=2)
@@ -324,6 +311,14 @@ class TestDeepOracle:
             DeepSimConfig(n=3, selection="psychic")
         with pytest.raises(ValueError, match="at least one"):
             DeepSimConfig(n=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
+    def test_amplification_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="amplification"):
+            DeepSimConfig(n=6, selection="softmax", amplification=bad)
+        with pytest.raises(ValueError, match="amplification"):
+            SeparabilityCertificate(np.ones((2, 1)), np.ones(2),
+                                    amplification=bad, eps=1e-4)
 
     def test_nan_input_row_raises(self):
         # one NaN row enters every node's accumulated mass
@@ -559,6 +554,26 @@ class TestDeepGatv2:
         with pytest.raises(ValueError, match="requires a certificate"):
             compile_deep_vn(w, DeepSimConfig(n=X.shape[0], selection="gatv2"))
 
+    def test_report_refuses_certificate_for_other_score(self):
+        # the same points certified for both scores: each program's weight
+        # bounds must come from its own certificate, never the other one
+        X, bilinear = make_certified_instance(6, 3, numkit.make_rng(5))
+        l1 = l1_certificate(X)
+        w = attention.random_weights(3, numkit.make_rng(6))
+        gatv2 = compile_deep_vn(w, DeepSimConfig(
+            n=6, selection="gatv2", certificate=l1,
+        ))
+        softmax = compile_deep_vn(w, DeepSimConfig(
+            n=6, selection="softmax", certificate=bilinear,
+        ))
+        with pytest.raises(ValueError, match="gatv2 selection needs a 'l1' "
+                           "certificate, got a 'bilinear' one"):
+            run_and_report(X, gatv2, w, cert=bilinear)
+        with pytest.raises(ValueError, match="softmax selection needs a "
+                           "'bilinear' certificate, got a 'l1' one"):
+            run_and_report(X, softmax, w, cert=l1)
+        assert run_and_report(X, gatv2, w, cert=l1).bounds_ok
+
 
 # ---------------------------------------------------------------------------
 # error reports
@@ -589,6 +604,7 @@ class TestReports:
         blob = report_to_json(rep)
         assert blob["format"] == "error-report/v1"
         assert blob["seed"] == 11
+        assert set(blob) == {"format"} | {f.name for f in fields(ErrorReport)}
         assert json.dumps(blob)  # plain JSON, no numpy leftovers
 
     def test_full_reference_mismatched_reference_errors(self):

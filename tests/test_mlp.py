@@ -108,7 +108,7 @@ def test_fit_identity_width_16():
     rng = numkit.make_rng(0)
     tx = rng.uniform(-1, 1, size=(256, 1))
     hx = mlp.lattice(-1, 1, 201, 1)
-    budget = mlp.FitBudget(max_epochs=1500, lr=5e-3, schedule="cosine",
+    budget = mlp.FitBudget(max_epochs=1500, lr=5e-3,
                            eval_every=50, target_sup=0.02)
     _, report = mlp.fit(mlp.MlpSpec((1, 16, 1), "relu"), tx, tx, budget, hx, hx, seed=0)
     assert report.sup_error <= 0.02
@@ -120,7 +120,7 @@ def test_fit_constant_function():
     ty = np.full((64, 1), 0.75)
     hx = mlp.lattice(-1, 1, 101, 1)
     hy = np.full((101, 1), 0.75)
-    budget = mlp.FitBudget(max_epochs=2000, lr=5e-3, schedule="cosine",
+    budget = mlp.FitBudget(max_epochs=2000, lr=5e-3,
                            eval_every=50, target_sup=5e-3)
     _, report = mlp.fit(mlp.MlpSpec((1, 8, 1), "relu"), tx, ty, budget, hx, hy, seed=1)
     assert report.sup_error <= 1e-2
@@ -131,7 +131,7 @@ def test_fit_product_width_64():
     ty = _product_target(tx)
     hx = mlp.lattice(-1, 1, 41, 2)
     hy = _product_target(hx)
-    budget = mlp.FitBudget(max_epochs=4000, lr=1e-2, schedule="cosine",
+    budget = mlp.FitBudget(max_epochs=4000, lr=1e-2,
                            eval_every=100, target_sup=0.045)
     _, report = mlp.fit(mlp.MlpSpec((2, 64, 1), "elu"), tx, ty, budget, hx, hy, seed=0)
     assert report.sup_error <= 0.05
@@ -143,7 +143,7 @@ def test_fit_sup_error_median_nonincreasing_in_width():
     ty = _product_target(tx)
     hx = mlp.lattice(-1, 1, 33, 2)
     hy = _product_target(hx)
-    budget = mlp.FitBudget(max_epochs=1200, lr=1e-2, schedule="cosine", eval_every=100)
+    budget = mlp.FitBudget(max_epochs=1200, lr=1e-2, eval_every=100)
     medians = []
     for width in (16, 64, 256):
         sups = [

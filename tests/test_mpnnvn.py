@@ -540,9 +540,9 @@ class TestPersistence:
         "rich":
             "3c49eaac098a011673ce1d6cc37058be1e2dd266028d5c20c90b3374c8d59fc5",
         "deep_oracle":
-            "2edabad9dbc1bf433063c7d41b81ee6a826f3d3f02adc6d3d8afa664ff062741",
+            "9a018f6d548031a376c446823f29aa11766674ce7b283c5437f28679fec25eb9",
         "deep_gatv2":
-            "c7bda663e8db275572752e4f683d9dbf7510afddc2d20f11fc5e9f8242d1176d",
+            "f6c6436f0aabca4a47862773736ba38687df619f232dee356ebdd58d4c34c941",
         "kernel_exact":
             "33e49bba961909178d425bcd97e6494c38267324982422010b00938d85400b73",
     }

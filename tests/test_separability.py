@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from vnlab import numkit
 from vnlab.attention import l1_score
+from vnlab.mpnnvn import Gatv2SelectPool, SoftmaxSelectPool
 from vnlab.separability import (
     MARGIN_BAND,
     CertificateFailure,
     SeparabilityCertificate,
     amplification_for,
     delta_nonlin_sep,
-    gatv2_selection_weights,
     hull_member,
     l1_certificate,
     selection_weight_bound,
-    selection_weights,
     solve_lp,
     strict_separation,
     three_cluster_line,
@@ -443,6 +442,25 @@ class TestAmplification:
             amplification_for(*bad)
 
 
+def pool_weights(pool, X, selector):
+    """Selection weights of a deep program's pool, ``selector`` staged.
+
+    The virtual node holds [feature | selector | placeholder] as it does in
+    a compiled deep program; the graph nodes hold the points.
+    """
+    X = numkit.as_matrix(X)
+    d = X.shape[1]
+    vn = np.concatenate([np.zeros(d), selector, [0.0]])
+    _, aux = pool(vn, X)
+    return aux["selection_weights"]
+
+
+def softmax_weights(X, cert, target):
+    pool = SoftmaxSelectPool(width=cert.directions.shape[1],
+                             scale=cert.amplification)
+    return pool_weights(pool, X, cert.directions[target])
+
+
 class TestSelectionWeights:
     def test_tied_competitors_hit_bound_exactly(self):
         # scores: target cδ, others all 0 -> weight is the closed form
@@ -453,7 +471,7 @@ class TestSelectionWeights:
             amplification=math.log(9.0),
             eps=0.25,
         )
-        w = selection_weights(X, cert, target=0)
+        w = softmax_weights(X, cert, target=0)
         assert abs(w[0] - 0.75) < 1e-12
 
     def test_huge_amplification_saturates(self):
@@ -462,7 +480,7 @@ class TestSelectionWeights:
             directions=np.ones((3, 1)), margins=np.ones(3),
             amplification=50.0, eps=1e-4,
         )
-        w = selection_weights(X, cert, target=0)
+        w = softmax_weights(X, cert, target=0)
         assert w[0] >= 1.0 - 1e-12
 
     def test_weights_meet_guarantee_on_random_certified_instances(self):
@@ -475,7 +493,7 @@ class TestSelectionWeights:
                 continue
             hits += 1
             for i in range(6):
-                w = selection_weights(X, got, target=i)
+                w = softmax_weights(X, got, target=i)
                 bound = selection_weight_bound(
                     got.amplification, float(got.margins[i]), 6
                 )
@@ -484,17 +502,6 @@ class TestSelectionWeights:
 
     def test_bound_in_log_space_does_not_overflow(self):
         assert selection_weight_bound(1e6, 1.0, 8) == 1.0
-
-    def test_validates_target(self):
-        cert = SeparabilityCertificate(np.ones((2, 1)), np.ones(2),
-                                       amplification=1.0, eps=0.1)
-        with pytest.raises(ValueError, match="target"):
-            selection_weights(np.ones((2, 1)), cert, target=7)
-        with pytest.raises(ValueError, match="point count"):
-            selection_weights(np.ones((3, 1)), cert, target=0)
-        l1 = l1_certificate(np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError, match="bilinear"):
-            selection_weights(np.array([[0.0], [1.0]]), l1, target=0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +612,9 @@ class TestL1Certificate:
         cert = l1_certificate(X, eps=1e-3)
         score = l1_score(3)
         for i in range(10):
-            w = gatv2_selection_weights(X, score, cert.amplification,
-                                        cert.directions[i])
+            w = pool_weights(Gatv2SelectPool(score, width=3,
+                                             scale=cert.amplification),
+                             X, cert.directions[i])
             bound = selection_weight_bound(cert.amplification,
                                            float(cert.margins[i]), 10)
             assert w[i] >= bound - 1e-12

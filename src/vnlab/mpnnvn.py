@@ -21,9 +21,15 @@ Every function slot is filled by a *descriptor*: a frozen dataclass with a
 registered ``kind`` and a ``__call__``, either closed-form or backed by
 trained MLP weights.  Descriptors need no codec of their own: ``to_json`` and
 ``from_json`` derive the JSON layout from the dataclass fields (one key per
-field, decoded by the field's type), so programs (ordered layer lists plus
-initial-state and output conventions) persist to JSON wholesale.  Array
-fields are declared with ``matrix()`` or ``vector()``.
+field, decoded by the field's type).  Array fields are declared with
+``matrix()`` or ``vector()``.
+
+Programs (ordered layer lists plus initial-state and output conventions)
+persist as ``layer-program/v2`` documents: a ``descriptors`` table holds each
+distinct slot descriptor once, and each layer names its three slots by index
+into it, so a deep program's one shared ``ScoreAccumulate`` is stored once
+and is one object again after loading.  ``layer-program/v1`` documents, whose
+layers hold their descriptors inline, still load.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import types
 import typing
 from dataclasses import dataclass, field
@@ -140,8 +147,6 @@ def _type_codec(tp) -> tuple[Callable, Callable]:
         return _same, _same
     if tp in _LEAF_CODECS:
         return _LEAF_CODECS[tp]
-    if isinstance(tp, type) and issubclass(tp, Descriptor):
-        return Descriptor.to_json, descriptor_from_json
     if dataclasses.is_dataclass(tp):
         return to_json, functools.partial(from_json, tp)
     if typing.get_origin(tp) is dict:
@@ -571,18 +576,47 @@ def run_program(s0: NodeState, prog: LayerProgram,
 # ---------------------------------------------------------------------------
 
 
+_V1, _V2 = "layer-program/v1", "layer-program/v2"
+_SLOTS = tuple(f.name for f in dataclasses.fields(MpnnVnLayer))
+
+
 def program_to_json(prog: LayerProgram) -> dict:
+    """The program as a ``layer-program/v2`` document.
+
+    ``descriptors`` holds each distinct slot descriptor once, in order of
+    first use (layer order, then ``vn_pool``, ``vn_update``, ``gn_update``);
+    each layer maps its three slots to indexes into it.  Descriptors are told apart by their encoded
+    value, so equal descriptors share one entry whether or not they are one
+    object, and a program re-saves to the same bytes after a reload.
+    """
     gn_init = prog.gn_init
     if isinstance(gn_init, tuple):
         gn_init = list(gn_init)
+    descriptors, index_of_value, index_of_obj = [], {}, {}
+
+    def ref(slot: Descriptor) -> int:
+        # keyed by id() too, so a shared object is encoded once; ``prog``
+        # keeps every slot alive, so no id is reused meanwhile
+        if id(slot) not in index_of_obj:
+            blob = slot.to_json()
+            key = json.dumps(blob, sort_keys=True)
+            if key not in index_of_value:
+                index_of_value[key] = len(descriptors)
+                descriptors.append(blob)
+            index_of_obj[id(slot)] = index_of_value[key]
+        return index_of_obj[id(slot)]
+
+    layers = [{name: ref(getattr(l, name)) for name in _SLOTS}
+              for l in prog.layers]
     return {
-        "format": "layer-program/v1",
+        "format": _V2,
         "provenance": prog.provenance,
         "metadata": prog.metadata,
         "vn_init": numkit.vector_to_json(prog.vn_init),
         "gn_init": gn_init,
         "gn_out": None if prog.gn_out is None else list(prog.gn_out),
-        "layers": [to_json(l) for l in prog.layers],
+        "descriptors": descriptors,
+        "layers": layers,
     }
 
 
@@ -590,20 +624,64 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _decode_descriptor(where: str, blob) -> Descriptor:
+    if not isinstance(blob, dict):
+        raise ValueError(f"{where} must be an object, got {blob!r}")
+    try:
+        return descriptor_from_json(blob)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def _decode_layer(i: int, layer, table: list) -> MpnnVnLayer:
+    """Layer ``i``: each slot is an index into ``table`` (v2) or an inline
+    descriptor object (v1)."""
+    if not isinstance(layer, dict):
+        raise ValueError(f"layers[{i}] must be an object, got {layer!r}")
+    # a graph-to-graph channel is never dropped silently
+    if layer.get("gn_gn_msg") is not None:
+        raise ValueError(f"layers[{i}]: graph-to-graph messages "
+                         "('gn_gn_msg') are not supported")
+    slots = {}
+    for name in _SLOTS:
+        where, value = f"layers[{i}].{name}", layer.get(name)
+        if value is None:
+            raise ValueError(f"{where}: missing value for MpnnVnLayer "
+                             f"field {name!r}")
+        if isinstance(value, dict):
+            slots[name] = _decode_descriptor(where, value)
+        elif _is_int(value) and 0 <= value < len(table):
+            slots[name] = table[value]
+        else:
+            raise ValueError(
+                f"{where} must be an index into the {len(table)}-entry "
+                f"descriptor table or a descriptor object, got {value!r}")
+    return MpnnVnLayer(**slots)
+
+
 def program_from_json(blob: dict) -> LayerProgram:
-    if blob.get("format") != "layer-program/v1":
-        raise ValueError("not a layer-program/v1 document")
-    for name in ("layers", "vn_init"):
+    """Read a ``layer-program/v2`` or ``layer-program/v1`` document.
+
+    Each v2 table entry is decoded once, and every layer that refers to it
+    gets the same descriptor object.  A v1 document is read by the same
+    path with an empty table: its slots hold descriptors inline.
+    """
+    fmt = blob.get("format")
+    if fmt not in (_V1, _V2):
+        raise ValueError(f"not a {_V2} or {_V1} document: format {fmt!r}")
+    for name in ("layers", "vn_init") + (("descriptors",) if fmt == _V2 else ()):
         if name not in blob:
-            raise ValueError(f"layer-program/v1: missing field {name!r}")
+            raise ValueError(f"{fmt}: missing field {name!r}")
     # composite descriptors contributed by the compilers register on import
     from . import constructions  # noqa: F401
 
-    for i, layer in enumerate(blob["layers"]):
-        # a graph-to-graph channel is never dropped silently
-        if layer.get("gn_gn_msg") is not None:
-            raise ValueError(f"layers[{i}]: graph-to-graph messages "
-                             "('gn_gn_msg') are not supported")
+    entries = blob.get("descriptors", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"descriptors must be a list, got {entries!r}")
+    table = [_decode_descriptor(f"descriptors[{j}]", entry)
+             for j, entry in enumerate(entries)]
+    layers = [_decode_layer(i, layer, table)
+              for i, layer in enumerate(blob["layers"])]
     gn_init = blob.get("gn_init")
     if gn_init != "identity":
         if not (isinstance(gn_init, list) and len(gn_init) == 2
@@ -618,7 +696,7 @@ def program_from_json(blob: dict) -> LayerProgram:
             raise ValueError(f"gn_out must be null or two ints, got {gn_out!r}")
         gn_out = tuple(gn_out)
     return LayerProgram(
-        layers=[from_json(MpnnVnLayer, l) for l in blob["layers"]],
+        layers=layers,
         vn_init=numkit.vector_from_json(blob["vn_init"]),
         gn_init=gn_init,
         gn_out=gn_out,

@@ -167,10 +167,14 @@ def vector_from_json(d: dict) -> np.ndarray:
 
 
 def dump_json(obj, path) -> None:
-    """Write a JSON document with a stable layout (sorted keys, no spaces drift)."""
+    """Write a JSON document with a stable layout (sorted keys, no spaces drift).
+
+    The document is encoded before ``path`` is opened, so a value ``json``
+    cannot encode raises without creating or truncating the file.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path) -> dict:

@@ -1,6 +1,7 @@
 """Tests for the heterogeneous virtual-node layer engine."""
 
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ from vnlab.mpnnvn import (
     save_program,
 )
 from vnlab.separability import l1_certificate
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def star(n):
@@ -534,17 +537,17 @@ class TestPersistence:
         fm = attention.exp_feature_map(4, 3, seed=2)
         return compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
 
-    # sha256 of the saved layer-program/v1 documents; a change here is a
+    # sha256 of the saved layer-program/v2 documents; a change here is a
     # change of the on-disk format
     PINNED_SHA256 = {
         "rich":
-            "3c49eaac098a011673ce1d6cc37058be1e2dd266028d5c20c90b3374c8d59fc5",
+            "01ac4da75cdf101895bf858ba49a73a71e9bb7b93abecf43286905e878fc3ae9",
         "deep_oracle":
-            "9a018f6d548031a376c446823f29aa11766674ce7b283c5437f28679fec25eb9",
+            "dcf4828e756acbdd454d18c84af05c6b3c487e032730660b0849b8324c2673d3",
         "deep_gatv2":
-            "f6c6436f0aabca4a47862773736ba38687df619f232dee356ebdd58d4c34c941",
+            "a6acada833ad9bd567b2e566610fbe74933ee9c415b1e529481abcce4f4e404f",
         "kernel_exact":
-            "33e49bba961909178d425bcd97e6494c38267324982422010b00938d85400b73",
+            "8896ef5ebd5e3f997f4e6626494356a96b581c0f071215c089eceefe4cbe875c",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
@@ -554,23 +557,106 @@ class TestPersistence:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.PINNED_SHA256[name]
 
-    # every layer of a document written while graph nodes still read the
-    # virtual node through a separate message slot, or while layers still
-    # had an (always empty) graph-to-graph slot, carries these extra keys
-    OLD_LAYER_KEYS = {"gn_msg": {"kind": "copy_vn_msg"}, "gn_gn_msg": None}
+    # layer-program/v1 documents of the pinned programs, as the v1 writer
+    # saved them (tests/fixtures/<name>.v1.json), with their sha256.  The
+    # "_gn_msg" ones were written while graph nodes still read the virtual
+    # node through a separate message slot and layers still had an (always
+    # empty) graph-to-graph slot: every layer carries
+    # "gn_msg": {"kind": "copy_vn_msg"} and "gn_gn_msg": null.
+    V1_FIXTURE_SHA256 = {
+        "rich":
+            "3c49eaac098a011673ce1d6cc37058be1e2dd266028d5c20c90b3374c8d59fc5",
+        "deep_oracle":
+            "9a018f6d548031a376c446823f29aa11766674ce7b283c5437f28679fec25eb9",
+        "deep_gatv2":
+            "f6c6436f0aabca4a47862773736ba38687df619f232dee356ebdd58d4c34c941",
+        "kernel_exact":
+            "33e49bba961909178d425bcd97e6494c38267324982422010b00938d85400b73",
+        "deep_oracle_gn_msg":
+            "c12f7d0fe97763dbc4b6161a60272fd9c60997b21f52a0f1ab88f713a547d598",
+        "kernel_exact_gn_msg":
+            "f388138b5b113a758ab19c7768fd9bb0dd4c178af85c580385aa86fc0fc05b17",
+    }
+
+    @staticmethod
+    def _v1_fixture(name):
+        return FIXTURES / f"{name}.v1.json"
+
+    @pytest.mark.parametrize("name", sorted(V1_FIXTURE_SHA256))
+    def test_v1_fixture_holds_the_v1_bytes(self, name):
+        digest = hashlib.sha256(self._v1_fixture(name).read_bytes()).hexdigest()
+        assert digest == self.V1_FIXTURE_SHA256[name]
+        assert numkit.load_json(self._v1_fixture(name))["format"] == \
+            "layer-program/v1"
+
+    @pytest.mark.parametrize("name", sorted(V1_FIXTURE_SHA256))
+    def test_v1_fixture_resaves_to_the_v2_pin(self, name, tmp_path):
+        path = tmp_path / "program.json"
+        save_program(load_program(self._v1_fixture(name)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.PINNED_SHA256[name.removesuffix("_gn_msg")]
+
+    # the rich program covers the codec, not a runnable width chain, so its
+    # fixture is checked by the re-saved bytes above
+    @pytest.mark.parametrize("name", ["deep_oracle", "deep_gatv2",
+                                      "kernel_exact"])
+    def test_v1_fixture_runs_identically(self, name):
+        prog = self._pinned_program(name)
+        old = load_program(self._v1_fixture(name))
+        n = 5
+        X = 0.5 * numkit.make_rng(4).normal(size=(n, 3))
+        assert np.array_equal(old.execute(star(n), X),
+                              prog.execute(star(n), X))
 
     @pytest.mark.parametrize("name", ["deep_oracle", "kernel_exact"])
     def test_document_with_old_message_slot_runs_identically(self, name):
         prog = self._pinned_program(name)
-        blob = program_to_json(prog)
-        for layer in blob["layers"]:
-            layer.update(self.OLD_LAYER_KEYS)
-        old = program_from_json(blob)
+        old = load_program(self._v1_fixture(f"{name}_gn_msg"))
         assert program_to_json(old) == program_to_json(prog)
         n = 5
         X = 0.5 * numkit.make_rng(4).normal(size=(n, 3))
         assert np.array_equal(old.execute(star(n), X),
                               prog.execute(star(n), X))
+
+    @pytest.mark.parametrize("name", [*sorted(PINNED_SHA256), "v1_resaved"])
+    def test_save_load_save_is_byte_identical(self, name, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        if name == "v1_resaved":
+            save_program(load_program(self._v1_fixture("deep_oracle_gn_msg")),
+                         first)
+        else:
+            save_program(self._pinned_program(name), first)
+        save_program(load_program(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_deep_document_stores_the_accumulation_once(self, tmp_path):
+        n, d = 256, 8
+        w = attention.random_weights(d, numkit.make_rng(5))
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        path = tmp_path / "deep.json"
+        save_program(prog, path)
+        assert path.stat().st_size < 100_000
+        kinds = [e["kind"] for e in numkit.load_json(path)["descriptors"]]
+        assert kinds.count("score_accumulate") == 1
+        again = load_program(path)
+        accumulate = again.layers[1].gn_update
+        assert isinstance(accumulate, ScoreAccumulate)
+        assert all(l.gn_update is accumulate for l in again.layers[1 : n + 1])
+        X = 0.3 * numkit.make_rng(6).normal(size=(n, d))
+        assert np.array_equal(again.execute(star(n), X),
+                              prog.execute(star(n), X))
+
+    def test_equal_descriptors_share_one_entry(self):
+        # separate but equal objects, as a v1 document loads them
+        blob = program_to_json(LayerProgram(
+            layers=[plain_layer(gn_update=LinearGn(np.eye(2)))
+                    for _ in range(3)],
+            vn_init=np.zeros(2),
+        ))
+        assert [e["kind"] for e in blob["descriptors"]] == \
+            ["mean_pool", "copy_pooled", "linear_gn"]
+        assert blob["layers"] == [
+            {"vn_pool": 0, "vn_update": 1, "gn_update": 2}] * 3
 
     def test_graph_to_graph_channel_is_refused(self):
         blob = program_to_json(mean_subtract_program(2))
@@ -620,6 +706,38 @@ class TestPersistence:
     def test_format_tag_checked(self):
         with pytest.raises(ValueError, match="layer-program/v1"):
             program_from_json({"format": "other"})
+        with pytest.raises(ValueError, match="layer-program/v2.*'other'"):
+            program_from_json({"format": "other"})
+
+    @pytest.mark.parametrize("ref", [True, -1, 5, 1.0, "0", [0]],
+                             ids=["bool", "negative", "past_end", "float",
+                                  "string", "list"])
+    def test_bad_descriptor_reference_names_the_slot(self, ref):
+        blob = program_to_json(mean_subtract_program(2))
+        assert len(blob["descriptors"]) == 5
+        blob["layers"][1]["gn_update"] = ref
+        with pytest.raises(ValueError, match=r"layers\[1\]\.gn_update"):
+            program_from_json(blob)
+
+    def test_v2_document_without_table_is_refused(self):
+        blob = program_to_json(mean_subtract_program(2))
+        del blob["descriptors"]
+        with pytest.raises(ValueError, match="missing field 'descriptors'"):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("entry", [None, 3, [], "mean_pool"])
+    def test_table_entry_must_be_an_object(self, entry):
+        blob = program_to_json(mean_subtract_program(2))
+        blob["descriptors"][1] = entry
+        with pytest.raises(ValueError, match=r"descriptors\[1\] must be"):
+            program_from_json(blob)
+
+    def test_bad_table_entry_names_its_index(self):
+        blob = program_to_json(mean_subtract_program(2))
+        blob["descriptors"][2] = {"kind": "no_such_thing"}
+        with pytest.raises(ValueError,
+                           match=r"descriptors\[2\]: unknown descriptor kind"):
+            program_from_json(blob)
 
     def test_missing_required_field_names_kind_and_field(self):
         with pytest.raises(ValueError,

@@ -208,6 +208,21 @@ def test_vector_json_roundtrip(tmp_path):
     np.testing.assert_array_equal(numkit.vector_from_json(numkit.load_json(p)), v)
 
 
+def test_failed_dump_leaves_the_target_alone(tmp_path):
+    # np.int64 is not JSON-encodable; it sorts after a long encodable list
+    bad = {"a": [1.0] * 1000, "b": np.int64(3)}
+    existing = tmp_path / "existing.json"
+    numkit.dump_json({"kept": True}, existing)
+    before = existing.read_bytes()
+    with pytest.raises(TypeError):
+        numkit.dump_json(bad, existing)
+    assert existing.read_bytes() == before
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(TypeError):
+        numkit.dump_json(bad, fresh)
+    assert not fresh.exists()
+
+
 def test_matrix_from_json_validates_size():
     with pytest.raises(ValueError):
         numkit.matrix_from_json({"rows": 2, "cols": 2, "values": [1.0, 2.0, 3.0]})

@@ -400,7 +400,8 @@ def cmd_verify_kernel(cfg: dict, args):
 
 
 def _trace_time2_check(X, w, prog) -> bool:
-    """After layer 2 every node must hold exactly one accumulated term."""
+    """After layer 2 every node must hold exactly one accumulated term,
+    and its query, staged by layer 1."""
     n, d = X.shape
     after = {}
 
@@ -415,12 +416,15 @@ def _trace_time2_check(X, w, prog) -> bool:
     yv = y @ w.w_v
     for i in range(n):
         # per-row einsum, as the VM's batched einsum rounds (BLAS @ does not)
-        e = np.exp(np.einsum("c,c->", np.einsum("a,ac->c", X[i], w.w_q), yk))
+        q = np.einsum("a,ac->c", X[i], w.w_q)
+        e = np.exp(np.einsum("c,c->", q, yk))
         if not np.array_equal(gn[i, d:2 * d], e * yv):
             return False
         if gn[i, 2 * d] != e:
             return False
         if not np.array_equal(gn[i, :d], X[i]):
+            return False
+        if not np.array_equal(gn[i, 2 * d + 1:3 * d + 1], q):
             return False
     return True
 

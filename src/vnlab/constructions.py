@@ -52,6 +52,7 @@ from .mpnnvn import (
     ScoreAccumulate,
     SelectorAdvance,
     SoftmaxSelectPool,
+    StageQuery,
     matrix,
     run_program,
 )
@@ -460,16 +461,19 @@ def _check_cert_score(selection: str, cert: SeparabilityCertificate) -> None:
 def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     """Depth n+2 program: select, accumulate, normalize.
 
-    States are [feature | accumulator | mass] of width 2d+1.  Layer k in
-    1..n selects node k's feature into the virtual node while every graph
-    node accumulates the previously selected one (from layer 2 on); layer
-    n+1 accumulates the last selection; layer n+2 divides.  The normalized
-    output sits in the first d channels, which ``gn_out=(0, d)`` reads.
+    Graph-node states are [feature | accumulator | mass | query] of width
+    3d+1; the virtual node's are [feature | selector | placeholder] of width
+    2d+1.  Layer k in 1..n selects node k's feature into the virtual node
+    while every graph node accumulates the previously selected one (from
+    layer 2 on); layer 1 instead stages each node's query x_i @ w_q, which
+    every accumulation reads; layer n+1 accumulates the last selection;
+    layer n+2 divides.  The normalized output sits in the first d channels,
+    which ``gn_out=(0, d)`` reads.
     """
     n, d = cfg.n, w.in_dim
     if w.out_dim != d or w.qk_dim != d:
         raise ValueError(
-            "the deep construction keeps states of width 2d+1 and needs "
+            "the deep construction keeps states of width 3d+1 and needs "
             f"square weights; got qk_dim={w.qk_dim}, out_dim={w.out_dim}"
         )
     scale = None
@@ -500,14 +504,14 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
                  else Gatv2SelectPool(l1_score(d), width=d, scale=scale)] * n
 
     ones = ConstVn(np.ones(2 * d + 1))
-    accumulate = ScoreAccumulate(w.w_q, w.w_k, w.w_v, width=d)
+    accumulate = ScoreAccumulate(None, w.w_k, w.w_v, width=d)
     layers = []
     for k in range(1, n + 1):
         nxt = selectors[k] if k <= n - 1 else None
         layers.append(MpnnVnLayer(
             vn_pool=pools[k - 1],
             vn_update=SelectorAdvance(width=d, next_selector=nxt),
-            gn_update=IdentityGn() if k == 1 else accumulate,
+            gn_update=StageQuery(w.w_q, width=d) if k == 1 else accumulate,
         ))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
                               gn_update=accumulate))
@@ -518,7 +522,7 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     return LayerProgram(
         layers=layers,
         vn_init=vn_init,
-        gn_init=("pad", 2 * d + 1),
+        gn_init=("pad", 3 * d + 1),
         gn_out=(0, d),
         provenance="deep-attention-compiler",
         metadata={
@@ -671,15 +675,10 @@ def run_and_report(
         )
 
     diff = np.abs(got - want)
-    per_node = []
-    for i in range(n):
-        abs_i = float(diff[i].max())
-        ref_i = float(np.max(np.abs(want[i])))
-        per_node.append({
-            "node": i,
-            "abs": abs_i,
-            "rel": abs_i / max(ref_i, 1e-12),
-        })
+    abs_node = diff.max(axis=1)
+    rel_node = abs_node / np.maximum(np.abs(want).max(axis=1), 1e-12)
+    per_node = [{"node": i, "abs": a, "rel": r} for i, (a, r)
+                in enumerate(zip(abs_node.tolist(), rel_node.tolist()))]
 
     selection = []
     if deep:

@@ -186,12 +186,15 @@ def to_json(obj) -> dict:
 def from_json(cls, blob: dict):
     """Rebuild a ``cls`` written by :func:`to_json`, decoding by field type."""
     kwargs = {}
+    label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
     for f in _codec_fields(cls):
         value = blob.get(f.name)
         if value is None and not f.optional:
-            label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
             raise ValueError(f"{label}: missing value for field {f.name!r}")
-        kwargs[f.name] = None if value is None else f.decode(value)
+        try:
+            kwargs[f.name] = None if value is None else f.decode(value)
+        except ValueError as e:
+            raise ValueError(f"{label}: field {f.name!r}: {e}") from None
     return cls(**kwargs)
 
 
@@ -403,20 +406,45 @@ class ResolveQueryUpdate(Descriptor):
 
 
 @dataclass(frozen=True, eq=False)
+class StageQuery(Descriptor):
+    """Stage each node's query: [x | acc | mass | q] -> q = x @ w_q.
+
+    The query never changes during a run, so the deep program computes it
+    once, in its first layer, and every ``ScoreAccumulate`` reads it back.
+    """
+
+    kind: ClassVar[str] = "stage_query"
+    w_q: np.ndarray = matrix()
+    width: int = 0
+
+    def __call__(self, gn, vn):
+        d = self.width
+        out = gn.copy()
+        # einsum, not @, so each row is the per-row einsum of the
+        # reference trace (see ScoreAccumulate)
+        out[:, 2 * d + 1 : 3 * d + 1] = np.einsum("ia,ac->ic", gn[:, :d],
+                                                  self.w_q)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class ScoreAccumulate(Descriptor):
     """Accumulate one attention term against the virtual node's feature.
 
-    States are block-structured [x | acc | mass].  With y the first ``width``
-    channels of the virtual node's state,
+    States are block-structured [x | acc | mass | q].  With y the first
+    ``width`` channels of the virtual node's state,
 
-        acc  += exp(score(x_i, y)) * (y @ w_v)
-        mass += exp(score(x_i, y))
+        acc  += exp(q_i . (y @ w_k)) * (y @ w_v)
+        mass += exp(q_i . (y @ w_k))
 
-    and x stays fixed.
+    and x and q stay fixed.  q_i is read from the state, where
+    ``StageQuery`` put it; with ``w_q`` given (documents saved before the
+    query was staged, whose states are [x | acc | mass]) it is recomputed
+    as x_i @ w_q instead, in the same float operations.
     """
 
     kind: ClassVar[str] = "score_accumulate"
-    w_q: np.ndarray = matrix()
+    w_q: np.ndarray | None = matrix()
     w_k: np.ndarray = matrix()
     w_v: np.ndarray = matrix()
     width: int = 0
@@ -430,7 +458,10 @@ class ScoreAccumulate(Descriptor):
         # per-row products, but einsum's own loops reduce each row in the
         # same order whatever the batch, so every row here is bitwise the
         # per-row einsum the reference trace computes
-        q = np.einsum("ia,ac->ic", gn[:, :d], self.w_q)
+        if self.w_q is None:
+            q = gn[:, 2 * d + 1 : 3 * d + 1]
+        else:
+            q = np.einsum("ia,ac->ic", gn[:, :d], self.w_q)
         e = np.exp(np.einsum("ic,c->i", q, yk))
         out = gn.copy()
         out[:, d : 2 * d] += e[:, None] * yv
@@ -440,7 +471,10 @@ class ScoreAccumulate(Descriptor):
 
 @dataclass(frozen=True)
 class RatioUpdate(Descriptor):
-    """Finish accumulation: [x | acc | mass] -> [acc / mass | 0 | 0]."""
+    """Finish accumulation: [x | acc | mass | q] -> [acc / mass | 0 | 0 | 0].
+
+    Also reads [x | acc | mass] states, which have no q block.
+    """
 
     kind: ClassVar[str] = "ratio_update"
     width: int = 0

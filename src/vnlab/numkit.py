@@ -146,7 +146,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    """Read a blob written by :func:`matrix_to_json`; a malformed one
+    (not an object, a key missing, a non-integer size, non-list values)
+    raises ``ValueError``."""
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"matrix payload must be an object, got {type(d).__name__}")
+    missing = [key for key in ("rows", "cols", "values") if key not in d]
+    if missing:
+        raise ValueError(f"matrix payload has no {', '.join(missing)}")
+    rows, cols = d["rows"], d["cols"]
+    if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 0
+               for k in (rows, cols)):
+        raise ValueError(f"matrix payload size must be two non-negative "
+                         f"integers, got rows={rows!r}, cols={cols!r}")
+    if not isinstance(d["values"], list):
+        raise ValueError(f"matrix payload values must be a list, got "
+                         f"{type(d['values']).__name__}")
     values = np.asarray(d["values"], dtype=np.float64)
     if values.size != rows * cols:
         raise ValueError(

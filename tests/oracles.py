@@ -201,7 +201,11 @@ def deep_trace_oracle(X: np.ndarray, selectors: np.ndarray, w_q, w_k, w_v, time:
     the synchronous result after layer t.  Selection is assumed perfect
     (oracle mode), so the feature picked at layer k is exactly X[k-1].
 
-    Returns (gn_states (n, 2d+1), vn_state (2d+1,)).
+    Graph-node states are [x | acc | mass | q]: layer 1 stages each query
+    q_i = x_i @ w_q, which stays until the final normalization (time n+2)
+    zeroes every channel but the output.
+
+    Returns (gn_states (n, 3d+1), vn_state (2d+1,)).
     """
     n, d = X.shape
     if not 0 <= time <= n + 2:
@@ -226,8 +230,11 @@ def deep_trace_oracle(X: np.ndarray, selectors: np.ndarray, w_q, w_k, w_v, time:
     else:
         vn[:] = 1.0
 
-    gn = np.zeros((n, 2 * d + 1))
+    gn = np.zeros((n, 3 * d + 1))
     gn[:, :d] = X
+    if 1 <= time <= n + 1:
+        for i in range(n):
+            gn[i, 2 * d + 1 :] = np.einsum("a,ac->c", X[i], w_q)
     upto = min(max(time - 1, 0), n)  # accumulation covers features 1..time-1
     for i in range(n):
         acc = np.zeros(d)

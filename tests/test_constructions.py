@@ -27,6 +27,9 @@ from vnlab.constructions import (
 )
 from vnlab.cli import _trace_time2_check
 from vnlab.mpnnvn import (
+    MpnnVnLayer,
+    ScoreAccumulate,
+    StageQuery,
     load_program,
     program_from_json,
     program_to_json,
@@ -375,6 +378,28 @@ class TestDeepOracle:
         with pytest.raises(ValueError, match="compiled for n=None"):
             program_from_json(blob).execute(attention_host_graph(6), X[:6])
 
+    def test_time2_check_reads_the_staged_query(self):
+        # accumulations that recompute q from x keep every acc and mass
+        # bitwise, so only the query check sees that layer 1 staged zeros
+        rng = numkit.make_rng(17)
+        n, d = 5, 3
+        w = attention.random_weights(d, rng)
+        X = rng.normal(size=(n, d)) * 0.5
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        assert _trace_time2_check(X, w, prog)
+        before = prog.execute(attention_host_graph(n), X)
+        recompute = ScoreAccumulate(w.w_q, w.w_k, w.w_v, width=d)
+        first = prog.layers[0]
+        prog.layers = [MpnnVnLayer(first.vn_pool, first.vn_update,
+                                   StageQuery(np.zeros((d, d)), width=d))] + [
+            MpnnVnLayer(l.vn_pool, l.vn_update,
+                        recompute if isinstance(l.gn_update, ScoreAccumulate)
+                        else l.gn_update)
+            for l in prog.layers[1:]]
+        assert np.array_equal(prog.execute(attention_host_graph(n), X),
+                              before)
+        assert not _trace_time2_check(X, w, prog)
+
 
 # ---------------------------------------------------------------------------
 # linear-depth compiler, amplified-softmax selection
@@ -635,6 +660,48 @@ class TestReports:
             per_node=[], selection=[], config={}, seed=None,
         )
         assert rep.bounds_ok  # no selection entries: vacuously satisfied
+
+    @staticmethod
+    def _per_node_by_rows(got, want):
+        # the per-row construction run_and_report used before it computed
+        # the row maxima and the division once, over the whole array
+        diff = np.abs(got - want)
+        per_node = []
+        for i in range(got.shape[0]):
+            abs_i = float(diff[i].max())
+            ref_i = float(np.max(np.abs(want[i])))
+            per_node.append({"node": i, "abs": abs_i,
+                             "rel": abs_i / max(ref_i, 1e-12)})
+        return per_node
+
+    @pytest.mark.parametrize("kind", ["deep", "kernel", "softmax"])
+    def test_per_node_errors_equal_the_per_row_construction(self, kind):
+        rng = numkit.make_rng(31)
+        n, d = 9, 3
+        fm, cert = None, None
+        if kind == "softmax":
+            X, cert = make_certified_instance(n, d, rng)
+        else:
+            X = rng.normal(size=(n, d)) * 0.5
+        w = attention.random_weights(d, rng)
+        if kind == "kernel":
+            fm = attention.exp_feature_map(8, d, seed=3)
+            prog = compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
+            want = attention.approx_attention(X, w, fm)
+        else:
+            prog = compile_deep_vn(w, DeepSimConfig(
+                n=n, selection="oracle" if kind == "deep" else "softmax",
+                certificate=cert))
+            want = attention.self_attention(X, w)
+        rep = run_and_report(X, prog, w, fm=fm, cert=cert,
+                             reference="kernel" if kind == "kernel" else "full")
+        got = prog.extract(run_program(prog.initial_state(X), prog))
+        by_rows = self._per_node_by_rows(got, want)
+        blob = report_to_json(rep)
+        expected = {**blob, "per_node": by_rows,
+                    "max_rel": max(e["rel"] for e in by_rows)}
+        assert json.dumps(blob, sort_keys=True) == \
+            json.dumps(expected, sort_keys=True)
 
     def test_failed_weight_bound_fails_bounds_ok(self):
         entry = {"layer": 1, "target": 0, "feature_error_ok": True,

@@ -38,6 +38,7 @@ from vnlab.mpnnvn import (
     ScoreAccumulate,
     SelectorAdvance,
     SoftmaxSelectPool,
+    StageQuery,
     descriptor_from_json,
     load_program,
     program_from_json,
@@ -403,7 +404,8 @@ class TestScoreAccumulate:
 
     @staticmethod
     def _per_row(upd, gn, vn):
-        # one row at a time with einsum, the reference trace's rounding
+        # one row at a time with einsum, the reference trace's rounding; q is
+        # recomputed from x, so a staged q must equal it bitwise
         d = upd.width
         yk = vn[:d] @ upd.w_k
         yv = vn[:d] @ upd.w_v
@@ -419,8 +421,8 @@ class TestScoreAccumulate:
         (1, 1, 0), (5, 1, 0), (1, 4, 0), (256, 8, 0), (37, 3, 2), (256, 8, 5),
     ])
     def test_batched_equals_per_row_bitwise(self, n, d, pad):
-        # pad > 0: the [x | acc | mass] state sits inside a wider state, so
-        # the x block is a strided view
+        # pad > 0: the [x | acc | mass] (or [x | acc | mass | q]) state sits
+        # inside a wider state, so the x and q blocks are strided views
         rng = numkit.make_rng(1000 * n + 10 * d + pad)
         upd = ScoreAccumulate(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
                               rng.normal(size=(d, d)), width=d)
@@ -430,6 +432,16 @@ class TestScoreAccumulate:
         out = upd(gn, vn)
         assert np.array_equal(out, self._per_row(upd, gn, vn))
         assert np.array_equal(out[:, :d], gn[:, :d])
+        # staged path: StageQuery writes q once, the accumulation reads it
+        staged = rng.normal(size=(n, 3 * d + 1 + pad)) * 0.6
+        staged[:, 2 * d] = np.abs(staged[:, 2 * d])
+        staged = StageQuery(upd.w_q, width=d)(staged, vn)
+        q_rows = [np.einsum("a,ac->c", staged[i, :d], upd.w_q)
+                  for i in range(n)]
+        assert np.array_equal(staged[:, 2 * d + 1 : 3 * d + 1], q_rows)
+        hoisted = ScoreAccumulate(None, upd.w_k, upd.w_v, width=d)
+        assert np.array_equal(hoisted(staged, vn),
+                              self._per_row(upd, staged, vn))
 
     def test_ratio_update(self):
         upd = RatioUpdate(width=2)
@@ -493,6 +505,11 @@ class TestPersistence:
             MpnnVnLayer(MeanPool(), CopyPooled(),
                         AffineFromVn(rng.normal(size=(5, 5)),
                                      rng.normal(size=5))),
+            MpnnVnLayer(MeanPool(), KeepVn(),
+                        StageQuery(rng.normal(size=(1, 1)), width=1)),
+            MpnnVnLayer(MeanPool(), KeepVn(),
+                        ScoreAccumulate(None, rng.normal(size=(1, 1)),
+                                        rng.normal(size=(1, 1)), width=1)),
         ]
         return LayerProgram(
             layers=layers, vn_init=np.ones(5), gn_init=("pad", 5),
@@ -511,6 +528,9 @@ class TestPersistence:
                    for u in gn_updates)
         assert any(isinstance(u, SelectorAdvance) and u.next_selector is None
                    for u in vn_updates)
+        # the staged accumulation, and the one that recomputes the query
+        assert {u.w_q is None for u in gn_updates
+                if isinstance(u, ScoreAccumulate)} == {True, False}
 
     @staticmethod
     def _pinned_weights(rng, d):
@@ -541,11 +561,11 @@ class TestPersistence:
     # change of the on-disk format
     PINNED_SHA256 = {
         "rich":
-            "01ac4da75cdf101895bf858ba49a73a71e9bb7b93abecf43286905e878fc3ae9",
+            "bb4b815e52645e808156d9ee9846910cf67253398bd432e78bdffd03d6c65d31",
         "deep_oracle":
-            "dcf4828e756acbdd454d18c84af05c6b3c487e032730660b0849b8324c2673d3",
+            "d59df37e24ffdfe02d966fd2bf4582d8f8604ac69e98e76b719ee47529ecdcd1",
         "deep_gatv2":
-            "a6acada833ad9bd567b2e566610fbe74933ee9c415b1e529481abcce4f4e404f",
+            "5cfda202382fde4464196f429c1cb38d6e016bdccd3f4bafd8770c54671df70e",
         "kernel_exact":
             "8896ef5ebd5e3f997f4e6626494356a96b581c0f071215c089eceefe4cbe875c",
     }
@@ -589,12 +609,26 @@ class TestPersistence:
         assert numkit.load_json(self._v1_fixture(name))["format"] == \
             "layer-program/v1"
 
+    # sha256 of the layer-program/v2 documents the v1 fixtures re-save to.
+    # The rich and deep fixtures were written before StageQuery: their
+    # ScoreAccumulates carry w_q and recompute the query from x, and their
+    # deep states are [x | acc | mass], so they keep that old layout.
+    V1_RESAVED_SHA256 = {
+        "rich":
+            "01ac4da75cdf101895bf858ba49a73a71e9bb7b93abecf43286905e878fc3ae9",
+        "deep_oracle":
+            "dcf4828e756acbdd454d18c84af05c6b3c487e032730660b0849b8324c2673d3",
+        "deep_gatv2":
+            "a6acada833ad9bd567b2e566610fbe74933ee9c415b1e529481abcce4f4e404f",
+        "kernel_exact": PINNED_SHA256["kernel_exact"],
+    }
+
     @pytest.mark.parametrize("name", sorted(V1_FIXTURE_SHA256))
     def test_v1_fixture_resaves_to_the_v2_pin(self, name, tmp_path):
         path = tmp_path / "program.json"
         save_program(load_program(self._v1_fixture(name)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == self.PINNED_SHA256[name.removesuffix("_gn_msg")]
+        assert digest == self.V1_RESAVED_SHA256[name.removesuffix("_gn_msg")]
 
     # the rich program covers the codec, not a runnable width chain, so its
     # fixture is checked by the re-saved bytes above
@@ -612,7 +646,8 @@ class TestPersistence:
     def test_document_with_old_message_slot_runs_identically(self, name):
         prog = self._pinned_program(name)
         old = load_program(self._v1_fixture(f"{name}_gn_msg"))
-        assert program_to_json(old) == program_to_json(prog)
+        assert program_to_json(old) == \
+            program_to_json(load_program(self._v1_fixture(name)))
         n = 5
         X = 0.5 * numkit.make_rng(4).normal(size=(n, 3))
         assert np.array_equal(old.execute(star(n), X),
@@ -737,6 +772,22 @@ class TestPersistence:
         blob["descriptors"][2] = {"kind": "no_such_thing"}
         with pytest.raises(ValueError,
                            match=r"descriptors\[2\]: unknown descriptor kind"):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("matrix", [
+        {"values": [1.0]},
+        [1.0],
+        {"rows": 1.0, "cols": 1, "values": [1.0]},
+        {"rows": 1, "cols": 1, "values": "1.0"},
+    ], ids=["no_size", "list", "float_size", "string_values"])
+    def test_malformed_matrix_names_entry_and_field(self, matrix):
+        blob = program_to_json(LayerProgram(
+            layers=[plain_layer(gn_update=LinearGn(np.eye(2)))],
+            vn_init=np.zeros(2)))
+        assert blob["descriptors"][2]["kind"] == "linear_gn"
+        blob["descriptors"][2]["matrix"] = matrix
+        with pytest.raises(ValueError,
+                           match=r"descriptors\[2\]: linear_gn: field 'matrix'"):
             program_from_json(blob)
 
     def test_missing_required_field_names_kind_and_field(self):

@@ -226,3 +226,17 @@ def test_failed_dump_leaves_the_target_alone(tmp_path):
 def test_matrix_from_json_validates_size():
     with pytest.raises(ValueError):
         numkit.matrix_from_json({"rows": 2, "cols": 2, "values": [1.0, 2.0, 3.0]})
+
+
+@pytest.mark.parametrize("blob, message", [
+    ([1.0, 2.0], "must be an object"),
+    ({"values": [1.0]}, "has no rows, cols"),
+    ({"rows": 1, "cols": 1}, "has no values"),
+    ({"rows": "1", "cols": 1, "values": [1.0]}, "non-negative integers"),
+    ({"rows": True, "cols": 1, "values": [1.0]}, "non-negative integers"),
+    ({"rows": -1, "cols": -1, "values": [1.0]}, "non-negative integers"),
+    ({"rows": 1, "cols": 1, "values": {"0": 1.0}}, "must be a list"),
+])
+def test_matrix_from_json_rejects_malformed_blobs(blob, message):
+    with pytest.raises(ValueError, match=message):
+        numkit.matrix_from_json(blob)

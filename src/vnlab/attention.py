@@ -308,6 +308,7 @@ def feature_map_to_json(fm: FeatureMap) -> dict:
 
 
 def feature_map_from_json(blob: dict) -> FeatureMap:
+    numkit.require_object(blob, "feature map")
     if blob.get("kind") != "feature_map":
         raise ValueError(f"not a feature map file (kind={blob.get('kind')!r})")
     directions = None
@@ -330,6 +331,7 @@ def gatv2_to_json(g: Gatv2Score) -> dict:
 
 
 def gatv2_from_json(blob: dict) -> Gatv2Score:
+    numkit.require_object(blob, "gatv2 weight")
     if blob.get("kind") != "gatv2":
         raise ValueError(f"not a gatv2 weight file (kind={blob.get('kind')!r})")
     mats = blob["matrices"]

@@ -7,8 +7,9 @@ Two constructions are implemented, each returning a runnable, serializable
   kernel-feature statistics of all nodes; each graph node then resolves its
   own query against them.  Exact mode reproduces kernelized attention to
   roundoff; mlp mode swaps every nonlinear primitive (squaring, the scalar
-  kernel nonlinearity, reciprocal) for a *fitted* one-dimensional network and
-  reports the achieved approximation quality instead of assuming it.
+  kernel nonlinearity, reciprocal) for a one-dimensional network and reports
+  each network's measured error.  Squaring and the kernel nonlinearity are
+  ReLU interpolants built to a proven error bound; the reciprocal is trained.
 
 * ``compile_deep_vn`` — linear depth (n + 2 layers).  The virtual node visits
   the n node features one at a time (by oracle, by amplified-softmax
@@ -69,24 +70,32 @@ def attention_host_graph(n: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# fitted scalar pieces for mlp mode
+# scalar pieces for mlp mode
 # ---------------------------------------------------------------------------
 
-# the squaring piece is always fit on this fixed window; multiplication
+# the squaring piece is always built on this fixed window; multiplication
 # rescales its operands into [-2, 2] first (see _mul_via_sq)
 _SQ_LO, _SQ_HI = -2.2, 2.2
 
 # mlp mode: rows per probe batch, the factor probed piece domains are
-# inflated by, hidden width of every piece, and each piece's sup-error target
+# inflated by, hidden width of the trained piece, and each piece's sup-error
+# target
 _PROBE_N = 8
 _DOMAIN_INFLATION = 1.5
 _PIECE_HIDDEN = 48
-_SQ_TARGET, _EXP_TARGET, _RECIP_TARGET = 5e-2, 1e-2, 1e-2
+_SQ_TARGET, _EXP_TARGET, _RECIP_TARGET = 3e-3, 1e-3, 1e-2
+# a built piece's proven error bound is at most this share of its target,
+# so lattice roundoff cannot lift the measured error above the target
+_BOUND_SLACK = 0.99
 
 
 @dataclass(frozen=True, eq=False)
 class FittedPiece:
-    """A 1-D scalar function approximated by a trained network."""
+    """A 1-D scalar function approximated by a one-hidden-layer network.
+
+    ``sup_error`` is the network's measured error on a 2049-point lattice
+    over [lo, hi]; ``target`` is the error it was built or trained to meet.
+    """
 
     name: str
     params: mlp.MlpParams
@@ -98,12 +107,14 @@ class FittedPiece:
 
 @dataclass(frozen=True, eq=False)
 class KernelPieces:
-    """The fitted primitives an mlp-mode program is assembled from.
+    """The scalar pieces an mlp-mode program is assembled from.
 
     ``sq`` powers multiplication via ab = ((a+b)^2 - (a-b)^2)/4 after static
     rescaling; ``expish`` is the scalar kernel nonlinearity (exp, or the
     shifted elu for the elu feature map); ``recip`` implements division.
-    ``bounds`` holds the probe-calibrated magnitudes used for rescaling.
+    ``sq`` and ``expish`` are built ReLU interpolants (:func:`_build_piece`),
+    ``recip`` is a trained network (:func:`_fit_piece`).  ``bounds`` holds
+    the probe-calibrated magnitudes used for rescaling.
     """
 
     kind: str
@@ -130,17 +141,65 @@ def _piece_eval(piece: FittedPiece, t) -> np.ndarray:
     return mlp.forward(piece.params, flat)[:, 0].reshape(t.shape)
 
 
+def _lattice_sup_error(params: mlp.MlpParams, fn, lo: float,
+                       hi: float) -> float:
+    dense = mlp.lattice(lo, hi, 2049, 1)
+    return float(np.max(np.abs(mlp.forward(params, dense) - fn(dense))))
+
+
 def _mul_via_sq(sq: FittedPiece, a, b, bound_a: float, bound_b: float):
     """a*b through the squaring piece, operands statically rescaled.
 
     With |a| <= bound_a and |b| <= bound_b the piece only ever sees inputs in
-    [-2, 2], inside its fitted window; the absolute error is
+    [-2, 2], inside its window; the absolute error is at most
     bound_a * bound_b * (piece error) / 2.
     """
     ap = np.asarray(a, dtype=np.float64) / bound_a
     bp = np.asarray(b, dtype=np.float64) / bound_b
     diff = _piece_eval(sq, ap + bp) - _piece_eval(sq, ap - bp)
     return bound_a * bound_b * diff / 4.0
+
+
+# built pieces: name -> (function, max |f''| over a window [lo, hi])
+_BUILT = {
+    "sq": (np.square, lambda lo, hi: 2.0),
+    "exp": (np.exp, lambda lo, hi: math.exp(hi)),
+    # (elu + 1)'' is exp(t) below 0 and 0 above it
+    "elu_plus_one": (lambda t: numkit.elu(t) + 1.0,
+                     lambda lo, hi: math.exp(min(hi, 0.0)) if lo < 0 else 0.0),
+}
+
+
+def _build_piece(name: str, lo: float, hi: float,
+                 target: float) -> FittedPiece:
+    """The piecewise-linear interpolant of a ``_BUILT`` function, as a ReLU
+    network.
+
+    The function f is interpolated at H + 1 equispaced knots t_k over
+    [lo, hi].  With h = (hi - lo)/H the error on [lo, hi] is at most
+    h^2 * max|f''| / 8 (Yarotsky 2017), so H is the least count that keeps
+    this bound at ``_BOUND_SLACK * target``: the target holds before any
+    input is seen.  Hidden unit k < H is relu(t - t_k) and unit H is
+    relu(lo - t), so the network continues both end segments linearly
+    outside the window.
+    """
+    if not hi > lo:
+        raise ValueError(f"piece {name!r}: empty domain [{lo}, {hi}]")
+    fn, curvature = _BUILT[name]
+    H = max(1, math.ceil((hi - lo) * math.sqrt(
+        curvature(lo, hi) / (8.0 * _BOUND_SLACK * target))))
+    knots = np.linspace(lo, hi, H + 1)
+    values = fn(knots)
+    slopes = np.diff(values) / np.diff(knots)
+    w_in = np.ones((1, H + 1))
+    w_in[0, H] = -1.0
+    b_in = np.append(-knots[:-1], lo)
+    w_out = np.concatenate([slopes[:1], np.diff(slopes), -slopes[:1]])
+    params = mlp.MlpParams(mlp.MlpSpec((1, H + 1, 1), "relu"),
+                           [w_in, w_out[:, None]], [b_in, values[:1]])
+    return FittedPiece(name=name, params=params, lo=lo, hi=hi,
+                       sup_error=_lattice_sup_error(params, fn, lo, hi),
+                       target=target)
 
 
 def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
@@ -157,8 +216,6 @@ def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
     train_y = fn(train_x)
     mid = (train_x[:-1] + train_x[1:]) / 2.0
     mid_y = fn(mid)
-    dense = mlp.lattice(lo, hi, 2049, 1)
-    dense_y = fn(dense)
     spec = mlp.MlpSpec(widths=(1, _PIECE_HIDDEN, 1), activation="elu")
     budget = mlp.FitBudget(max_epochs=epochs, lr=1e-2, eval_every=50,
                            target_sup=target)
@@ -166,7 +223,7 @@ def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
     for attempt in range(max(restarts, 1)):
         params, _ = mlp.fit(spec, train_x, train_y, budget,
                             mid, mid_y, seed=seed + 1000 * attempt)
-        sup = float(np.max(np.abs(mlp.forward(params, dense) - dense_y)))
+        sup = _lattice_sup_error(params, fn, lo, hi)
         if sup < best_sup:
             best_params, best_sup = params, sup
         if best_sup <= target:
@@ -206,7 +263,7 @@ def _phi_via_pieces(rows: np.ndarray, fm: FeatureMap, pieces: KernelPieces,
 
 @dataclass(frozen=True, eq=False)
 class MlpStatsPool(Descriptor):
-    """Feature-statistics pool with every nonlinearity a fitted network."""
+    """Feature-statistics pool with every nonlinearity a scalar piece."""
 
     kind: ClassVar[str] = "mlp_stats_pool"
     w_k: np.ndarray = matrix()
@@ -227,7 +284,7 @@ class MlpStatsPool(Descriptor):
 
 @dataclass(frozen=True, eq=False)
 class MlpResolveUpdate(Descriptor):
-    """Query resolution (dot products and division) via fitted pieces."""
+    """Query resolution (dot products and division) via scalar pieces."""
 
     kind: ClassVar[str] = "mlp_resolve_update"
     w_q: np.ndarray = matrix()
@@ -249,7 +306,7 @@ class MlpResolveUpdate(Descriptor):
         if not np.all(den > 0.0):
             raise ValueError(
                 "approximate query resolution produced a non-positive "
-                "denominator; the fitted pieces are out of their domain"
+                "denominator; the pieces are out of their domain"
             )
         inv = _piece_eval(self.pieces.recip, den)
         return _mul_via_sq(self.pieces.sq, num, inv[:, None],
@@ -268,11 +325,14 @@ class KernelSimConfig:
     ``feature_bound`` is the radius of the input ball the program is
     declared for; mlp mode probes ``probe_batches`` random input sets of
     ``_PROBE_N`` rows with norms in [feature_bound/2, feature_bound] to
-    calibrate piece domains (inflated by ``_DOMAIN_INFLATION``), then fits
-    the pieces to their sup-error targets, each with up to
-    ``piece_restarts`` runs of ``piece_epochs`` epochs.  Inputs far inside
-    the probed range can push intermediate values outside the fitted
-    windows, where the pieces extrapolate and quality degrades gracefully.
+    calibrate piece domains (inflated by ``_DOMAIN_INFLATION``).  It then
+    builds the ``sq`` and kernel-nonlinearity pieces as ReLU interpolants
+    that meet their sup-error targets by construction, and trains the
+    ``recip`` piece: ``piece_epochs`` and ``piece_restarts`` govern only
+    that fit (up to ``piece_restarts`` runs of ``piece_epochs`` epochs).
+    Inputs outside the probed range, or more rows than a probe batch holds,
+    can push intermediate values outside the windows, where the built
+    pieces extrapolate linearly and the trained one as its network does.
     """
 
     feature_map: FeatureMap
@@ -349,23 +409,16 @@ def _probe_kernel_domains(w: AttnWeights, cfg: KernelSimConfig) -> dict:
     return bounds
 
 
-def _fit_kernel_pieces(w: AttnWeights, cfg: KernelSimConfig) -> KernelPieces:
+def _kernel_pieces(w: AttnWeights, cfg: KernelSimConfig) -> KernelPieces:
     fm = cfg.feature_map
     bounds = _probe_kernel_domains(w, cfg)
-
-    def fit(name, fn, lo, hi, target, seed_offset):
-        return _fit_piece(name, fn, lo, hi, target, cfg.piece_epochs,
-                          cfg.seed + seed_offset, cfg.piece_restarts)
-
-    sq = fit("sq", lambda t: t * t, _SQ_LO, _SQ_HI, _SQ_TARGET, 1)
-    if fm.kind == "exp_features":
-        expish = fit("exp", np.exp, bounds["arg_lo"], bounds["arg_hi"],
-                     _EXP_TARGET, 2)
-    else:
-        expish = fit("elu_plus_one", lambda t: numkit.elu(t) + 1.0,
-                     bounds["arg_lo"], bounds["arg_hi"], _EXP_TARGET, 2)
-    recip = fit("recip", lambda t: 1.0 / t, bounds["den_lo"],
-                bounds["den_hi"], _RECIP_TARGET, 3)
+    kernel_fn = "exp" if fm.kind == "exp_features" else "elu_plus_one"
+    sq = _build_piece("sq", _SQ_LO, _SQ_HI, _SQ_TARGET)
+    expish = _build_piece(kernel_fn, bounds["arg_lo"], bounds["arg_hi"],
+                          _EXP_TARGET)
+    recip = _fit_piece("recip", lambda t: 1.0 / t, bounds["den_lo"],
+                       bounds["den_hi"], _RECIP_TARGET, cfg.piece_epochs,
+                       cfg.seed + 3, cfg.piece_restarts)
     return KernelPieces(kind=fm.kind, sq=sq, expish=expish, recip=recip,
                         bounds=bounds)
 
@@ -392,7 +445,7 @@ def compile_kernel_vn(w: AttnWeights, cfg: KernelSimConfig) -> LayerProgram:
         pool = FeatureStatsPool(w.w_k, w.w_v, fm)
         resolve = ResolveQueryUpdate(w.w_q, fm, value_dim=w.out_dim)
     else:
-        pieces = _fit_kernel_pieces(w, cfg)
+        pieces = _kernel_pieces(w, cfg)
         pool = MlpStatsPool(w.w_k, w.w_v, fm, pieces)
         resolve = MlpResolveUpdate(w.w_q, fm, pieces, value_dim=w.out_dim)
         metadata["piece_fits"] = pieces.fit_summary()

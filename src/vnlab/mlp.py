@@ -319,6 +319,7 @@ def params_to_json(params: MlpParams) -> dict:
 
 
 def params_from_json(blob: dict) -> MlpParams:
+    numkit.require_object(blob, "mlp weight")
     if blob.get("kind") != "mlp":
         raise ValueError(f"not an mlp weight file (kind={blob.get('kind')!r})")
     spec = MlpSpec(tuple(blob["widths"]), blob["activation"])

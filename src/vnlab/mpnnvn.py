@@ -187,6 +187,7 @@ def from_json(cls, blob: dict):
     """Rebuild a ``cls`` written by :func:`to_json`, decoding by field type."""
     kwargs = {}
     label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
+    numkit.require_object(blob, label)
     for f in _codec_fields(cls):
         value = blob.get(f.name)
         if value is None and not f.optional:

@@ -145,13 +145,18 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def require_object(blob, what: str) -> None:
+    """Raise ``ValueError`` unless the JSON value ``blob`` is an object."""
+    if not isinstance(blob, dict):
+        raise ValueError(
+            f"{what} payload must be an object, got {type(blob).__name__}")
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
     """Read a blob written by :func:`matrix_to_json`; a malformed one
     (not an object, a key missing, a non-integer size, non-list values)
     raises ``ValueError``."""
-    if not isinstance(d, dict):
-        raise ValueError(
-            f"matrix payload must be an object, got {type(d).__name__}")
+    require_object(d, "matrix")
     missing = [key for key in ("rows", "cols", "values") if key not in d]
     if missing:
         raise ValueError(f"matrix payload has no {', '.join(missing)}")

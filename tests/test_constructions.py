@@ -1,6 +1,9 @@
 """Tests for the attention-to-layer-program compilers and error reports."""
 
+import hashlib
 import json
+import math
+import pathlib
 import warnings
 from dataclasses import fields
 
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import deep_trace_oracle, self_attention_oracle
 from traces import run_traced
-from vnlab import attention, numkit
+from vnlab import attention, constructions, mlp, numkit
 from vnlab.constructions import (
     DeepSimConfig,
     ErrorReport,
@@ -45,6 +48,8 @@ from vnlab.separability import (
     three_cluster_line,
     vdelta_certificate,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def sphere_points(n, d, rng, radius=1.0):
@@ -227,6 +232,181 @@ class TestKernelMlpMode:
         )
         with pytest.warns(RuntimeWarning, match="sup error"):
             compile_kernel_vn(w, cfg)
+
+    def test_starved_fit_budget_warns_only_for_recip(self):
+        # sq and the kernel nonlinearity are built, not trained, so only the
+        # trained recip piece can miss its target
+        rng = numkit.make_rng(9)
+        w = attention.random_weights(2, rng, feature_bound=0.4)
+        cfg = KernelSimConfig(
+            feature_map=attention.elu_feature_map(), mode="mlp",
+            feature_bound=0.4, seed=1, piece_epochs=40, piece_restarts=1,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            compile_kernel_vn(w, cfg)
+        messages = [str(c.message) for c in caught
+                    if issubclass(c.category, RuntimeWarning)]
+        assert messages
+        assert all("'recip'" in m for m in messages), messages
+
+    # sha256 of numkit.dump_json of the exp-features compile's recip piece
+    # parameters and of its probed bounds: the probe and the trained recip
+    # piece are unchanged by building sq and exp
+    RECIP_PARAMS_SHA256 = (
+        "12061aaf8902f25147e336f3bde90a63532342cda2b2dd9f097665e483c84094")
+    BOUNDS_SHA256 = (
+        "32d4657771ef218971065bc1ab3adb989085905fe3ca276174a08692af9f014d")
+
+    def test_recip_piece_and_bounds_are_pinned(self, mlp_kernel_setup,
+                                               tmp_path):
+        _, _, progs = mlp_kernel_setup
+        _, prog = progs["exp_features"]
+        recip = prog.layers[0].vn_pool.pieces.recip
+
+        def digest(blob):
+            path = tmp_path / "blob.json"
+            numkit.dump_json(blob, path)
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert digest(mlp.params_to_json(recip.params)) \
+            == self.RECIP_PARAMS_SHA256
+        assert digest(prog.metadata["bounds"]) == self.BOUNDS_SHA256
+
+    # tests/fixtures/kernel_mlp_trained.v2.json is the exp-features program
+    # of mlp_kernel_setup as saved while every piece was a trained ELU
+    # network, with the sha256 of the document and of its output bytes on
+    # the fixture's inputs at that time
+    TRAINED_DOC_SHA256 = (
+        "95e247e8c31ad7d594121682ee081b82ac333e49c1a7d269b64a9569a3cfeb1a")
+    TRAINED_OUT_SHA256 = (
+        "873d92b6e97c2bd9c6a32cfd3d8ba524dfb664e3b56c04d13c11001558694b49")
+
+    def test_document_with_trained_pieces_runs_as_before(self,
+                                                         mlp_kernel_setup,
+                                                         tmp_path):
+        _, X, _ = mlp_kernel_setup
+        path = FIXTURES / "kernel_mlp_trained.v2.json"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.TRAINED_DOC_SHA256
+        prog = load_program(path)
+        out = prog.execute(attention_host_graph(X.shape[0]), X)
+        assert hashlib.sha256(out.tobytes()).hexdigest() \
+            == self.TRAINED_OUT_SHA256
+        resaved = tmp_path / "resaved.json"
+        save_program(prog, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+
+def _max_f2(name, lo, hi):
+    """max |f''| over [lo, hi] for the built functions."""
+    if name == "sq":
+        return 2.0
+    if name == "exp":
+        return float(np.exp(hi))
+    # elu(t) + 1 has f'' = exp(t) for t < 0 and 0 for t > 0
+    return float(np.exp(min(hi, 0.0))) if lo < 0 else 0.0
+
+
+_FUNCTIONS = {"sq": lambda t: t * t, "exp": np.exp,
+              "elu_plus_one": lambda t: np.where(t < 0, np.expm1(t), t) + 1.0}
+
+
+class TestBuiltPieces:
+    """The sq and kernel pieces are piecewise-linear ReLU interpolants."""
+
+    @staticmethod
+    def check_piece(name, lo, hi, target):
+        piece = constructions._build_piece(name, lo, hi, target)
+        f = _FUNCTIONS[name]
+        H = piece.params.spec.widths[1] - 1
+        assert piece.params.spec.widths == (1, H + 1, 1)
+        assert piece.params.spec.activation == "relu"
+        max_f2 = _max_f2(name, lo, hi)
+        assert H == max(1, math.ceil((hi - lo) * math.sqrt(
+            max_f2 / (8 * constructions._BOUND_SLACK * target))))
+        h = (hi - lo) / H
+        bound = h * h * max_f2 / 8
+        assert bound < target
+        knots = np.linspace(lo, hi, H + 1)
+        # roundoff allowance: 1e-12 of the function's size on the window
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(f(knots)))))
+        # the lattice error, and the error at every knot midpoint, where
+        # the interpolation error of a convex piece peaks
+        lattice = np.linspace(lo, hi, 2049)
+        assert piece.sup_error == float(np.max(np.abs(
+            constructions._piece_eval(piece, lattice) - f(lattice))))
+        assert piece.sup_error <= piece.target
+        mids = (knots[:-1] + knots[1:]) / 2
+        for t in (lattice, mids):
+            err = np.abs(constructions._piece_eval(piece, t) - f(t))
+            assert np.max(err) <= bound + tol, (name, lo, hi)
+        assert np.max(np.abs(constructions._piece_eval(piece, knots)
+                             - f(knots))) <= tol
+        # outside the window both end segments continue linearly
+        s_lo = (f(knots[1]) - f(knots[0])) / (knots[1] - knots[0])
+        s_hi = (f(knots[-1]) - f(knots[-2])) / (knots[-1] - knots[-2])
+        steps = np.array([0.01, 0.5, 3.0]) * (hi - lo)
+        below, above = lo - steps, hi + steps
+        scale = tol * (1.0 + abs(s_lo) + abs(s_hi)) * 10
+        assert np.allclose(constructions._piece_eval(piece, below),
+                           f(knots[0]) + s_lo * (below - lo),
+                           rtol=1e-12, atol=scale)
+        assert np.allclose(constructions._piece_eval(piece, above),
+                           f(knots[-1]) + s_hi * (above - hi),
+                           rtol=1e-12, atol=scale)
+        return piece, H
+
+    def test_sq_on_its_fixed_window(self):
+        _, H = self.check_piece("sq", constructions._SQ_LO,
+                                constructions._SQ_HI,
+                                constructions._SQ_TARGET)
+        assert H == 41
+
+    @pytest.mark.parametrize("lo,hi", [(-0.58, 0.49), (-3.0, -1.0),
+                                       (0.5, 2.5), (-1.0, 1.0)])
+    @pytest.mark.parametrize("target", [1e-3, 1e-4])
+    def test_exp_windows(self, lo, hi, target):
+        self.check_piece("exp", lo, hi, target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.floats(-4.0, 2.0), width=st.floats(1e-3, 3.0),
+           target=st.floats(1e-4, 1e-1),
+           name=st.sampled_from(["exp", "elu_plus_one"]))
+    def test_random_windows(self, lo, width, target, name):
+        self.check_piece(name, lo, lo + width, target)
+
+    @pytest.mark.parametrize("lo,hi,H", [
+        (-2.0, -0.5, None),  # below 0: f'' = exp(t)
+        (-0.46, 0.46, None),  # across 0: max |f''| = 1
+        (0.2, 3.0, 1),  # above 0: f is linear, one segment is exact
+    ], ids=["below", "across", "above"])
+    def test_elu_plus_one_windows(self, lo, hi, H):
+        piece, got = self.check_piece("elu_plus_one", lo, hi, 1e-3)
+        if H is not None:
+            assert got == H
+            assert piece.sup_error <= 1e-15
+
+    def test_mul_via_sq_meets_its_documented_bound(self):
+        sq = constructions._build_piece("sq", constructions._SQ_LO,
+                                        constructions._SQ_HI,
+                                        constructions._SQ_TARGET)
+        rng = numkit.make_rng(21)
+        H = sq.params.spec.widths[1] - 1
+        knots = np.linspace(constructions._SQ_LO, constructions._SQ_HI, H + 1)
+        mids = (knots[:-1] + knots[1:]) / 2
+        for bound_a, bound_b in ((1.0, 1.0), (0.37, 5.5), (12.0, 0.02)):
+            a = rng.uniform(-1, 1, size=400)
+            b = rng.uniform(-1, 1, size=400)
+            # worst pairs: a + b at a knot midpoint and a - b at a knot
+            m = rng.choice(mids[np.abs(mids) <= 1.0], size=200)
+            k = rng.choice(knots[np.abs(knots) <= 1.0], size=200)
+            a = np.concatenate([a, (m + k) / 2, [1, 1, -1, -1, 0]])
+            b = np.concatenate([b, (m - k) / 2, [1, -1, 1, -1, 0]])
+            a, b = a * bound_a, b * bound_b
+            err = np.abs(constructions._mul_via_sq(sq, a, b, bound_a, bound_b)
+                         - a * b)
+            assert np.max(err) <= bound_a * bound_b * sq.sup_error / 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from vnlab import attention, mlp, numkit
+from vnlab import attention, mlp, mpnnvn, numkit
 from vnlab.constructions import (
     DeepSimConfig,
     FittedPiece,
@@ -789,6 +789,37 @@ class TestPersistence:
         with pytest.raises(ValueError,
                            match=r"descriptors\[2\]: linear_gn: field 'matrix'"):
             program_from_json(blob)
+
+    @pytest.mark.parametrize("case", ["feature_map", "params", "piece"])
+    def test_blob_that_is_not_an_object_names_entry_and_field(self, case):
+        w_k, w_v = np.eye(2), np.eye(2)
+        fm = attention.elu_feature_map()
+        pool = (FeatureStatsPool(w_k, w_v, fm) if case == "feature_map"
+                else MlpStatsPool(w_k, w_v, fm, unfitted_pieces()))
+        blob = program_to_json(LayerProgram(
+            layers=[plain_layer(vn_pool=pool)], vn_init=np.zeros(2)))
+        entry = blob["descriptors"][0]
+        if case == "feature_map":
+            entry["feature_map"] = [1.0]
+            where = r"feature_stats_pool: field 'feature_map': feature map"
+        elif case == "params":
+            entry["pieces"]["recip"]["params"] = [1.0]
+            where = (r"mlp_stats_pool: field 'pieces': KernelPieces: "
+                     r"field 'recip': FittedPiece: field 'params': mlp weight")
+        else:
+            entry["pieces"]["sq"] = [1.0]
+            where = (r"mlp_stats_pool: field 'pieces': KernelPieces: "
+                     r"field 'sq': FittedPiece")
+        with pytest.raises(ValueError, match=(
+                rf"descriptors\[0\]: {where} payload must be an object, "
+                r"got list")):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("blob", [[], "feature_map", 3, None])
+    def test_every_leaf_codec_refuses_a_non_object(self, blob):
+        for _, decode in mpnnvn._LEAF_CODECS.values():
+            with pytest.raises(ValueError, match="payload must be an object"):
+                decode(blob)
 
     def test_missing_required_field_names_kind_and_field(self):
         with pytest.raises(ValueError,

@@ -339,5 +339,5 @@ def gatv2_from_json(blob: dict) -> Gatv2Score:
         numkit.vector_from_json(mats["a"]),
         numkit.matrix_from_json(mats["w"]),
         numkit.vector_from_json(mats["b"]),
-        float(blob["slope"]),
+        numkit.scalar_from_json(blob.get("slope"), float, "gatv2 slope"),
     )

@@ -51,7 +51,7 @@ from .mpnnvn import run_program
 from .separability import (
     amplification_for,
     l1_certificate,
-    strict_separation,
+    point_separations,
     three_cluster_line,
 )
 
@@ -578,8 +578,7 @@ def cmd_check_separability(cfg: dict, args):
     n = X.shape[0]
     rows = []
     margins = []
-    for i in range(n):
-        result = strict_separation(i, X, band=cfg["band"])
+    for i, result in enumerate(point_separations(X, band=cfg["band"])):
         if result is None:
             rows.append({"point": i, "separable": False, "margin": None})
         else:

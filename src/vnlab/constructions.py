@@ -650,10 +650,12 @@ class ErrorReport:
 
     @property
     def bounds_ok(self) -> bool:
-        """Every selected feature and selection weight is within its bound."""
-        return all(entry.get("feature_error_ok", True)
-                   and entry.get("weight_ok", True)
-                   for entry in self.selection)
+        """The output is finite, and every selected feature and selection
+        weight is within its bound."""
+        return math.isfinite(self.max_abs) and all(
+            entry.get("feature_error_ok", True)
+            and entry.get("weight_ok", True)
+            for entry in self.selection)
 
 
 def report_to_json(report: ErrorReport) -> dict:

@@ -322,7 +322,11 @@ def params_from_json(blob: dict) -> MlpParams:
     numkit.require_object(blob, "mlp weight")
     if blob.get("kind") != "mlp":
         raise ValueError(f"not an mlp weight file (kind={blob.get('kind')!r})")
-    spec = MlpSpec(tuple(blob["widths"]), blob["activation"])
+    widths = blob.get("widths")
+    if not isinstance(widths, list):
+        raise ValueError(f"mlp widths must be a list, got {widths!r}")
+    spec = MlpSpec(tuple(numkit.scalar_from_json(w, int, "mlp width")
+                         for w in widths), blob["activation"])
     weights, biases = [], []
     for i, layer in enumerate(blob["layers"]):
         w = numkit.matrix_from_json(layer["weight"])

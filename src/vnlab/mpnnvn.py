@@ -111,6 +111,8 @@ class Descriptor:
 
 def descriptor_from_json(blob: dict) -> "Descriptor":
     kind = blob.get("kind")
+    if not isinstance(kind, str):
+        raise ValueError(f"field 'kind' must be a string, got {kind!r}")
     try:
         sub = Descriptor._registry[kind]
     except KeyError:
@@ -139,12 +141,21 @@ def _same(value):
     return value
 
 
+def _decode_int(value, least: int = 1) -> int:
+    """A JSON integer >= ``least``.  Descriptor ints are widths and sizes,
+    so at least 1, unless a field's codec says otherwise (an index)."""
+    got = numkit.scalar_from_json(value, int)
+    if got < least:
+        raise ValueError(f"value must be at least {least}, got {got}")
+    return got
+
+
 def _type_codec(tp) -> tuple[Callable, Callable]:
     """(encode, decode) for a value of annotated type ``tp``."""
-    if tp in (int, float):
-        return _same, tp
-    if tp is str:
-        return _same, _same
+    if tp is int:
+        return _same, _decode_int
+    if tp in (float, str):
+        return _same, functools.partial(numkit.scalar_from_json, tp=tp)
     if tp in _LEAF_CODECS:
         return _LEAF_CODECS[tp]
     if dataclasses.is_dataclass(tp):
@@ -259,7 +270,8 @@ class OracleSelectPool(Descriptor):
     """Ideal selection: returns the state of one fixed graph node."""
 
     kind: ClassVar[str] = "oracle_select_pool"
-    index: int = 0
+    index: int = field(default=0, metadata={"codec": (
+        None, _same, functools.partial(_decode_int, least=0))})
 
     def __call__(self, vn, gn):
         if not 0 <= self.index < gn.shape[0]:

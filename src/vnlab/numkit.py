@@ -152,6 +152,23 @@ def require_object(blob, what: str) -> None:
             f"{what} payload must be an object, got {type(blob).__name__}")
 
 
+# the JSON values a scalar of each type accepts (a bool is no int here)
+_JSON_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string")}
+
+
+def scalar_from_json(value, tp, what: str = "value"):
+    """A JSON scalar read as ``tp`` (int, float or str); ``ValueError``
+    names ``what`` and the value when it is anything else."""
+    accepted, name = _JSON_SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+    try:
+        return tp(value)
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{what} {value!r} is out of range") from None
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
     """Read a blob written by :func:`matrix_to_json`; a malformed one
     (not an object, a key missing, a non-integer size, non-list values)

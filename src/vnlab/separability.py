@@ -7,7 +7,8 @@ L1 distance from x_i to the others' hull is, by LP duality, the max margin
 min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
 (Mangasarian, "Arbitrary-norm separating plane", Oper. Res. Lett. 24, 1999).
 
-* ``strict_separation`` reads the max-margin direction off the duals;
+* ``strict_separation`` reads the max-margin direction off the duals, and
+  ``point_separations`` does so for every point at once;
 * ``hull_member`` tests the same distance for zero;
 * ``vdelta_certificate`` packages per-point directions and margins, plus the
   score amplification needed to push the softmax weight to a target level;
@@ -21,6 +22,15 @@ rule, run once from a feasible basis the caller supplies: the hull-distance
 LP always has one (the first point with weight 1, the slacks absorbing the
 rest).  Deterministic, dependency-free, adequate for the small instances
 certified here (d+1 rows, a few dozen columns).
+
+Certifying n points solves n such LPs.  They are stacked into one
+(n, d+2, n+2d) tableau and pivot in lockstep: each iteration every LP still
+running picks its own entering column and Bland leaving row, and all of
+them pivot in one numpy update, so the Python work per iteration is shared
+by the whole stack.  Each LP takes exactly the pivots, and gets exactly the
+bits, it would take solved alone.  Stacks are chunked so that one holds at
+most ``LP_BATCH_BYTES`` of tableau; a large point set still needs O(n d)
+memory per LP.
 """
 
 from __future__ import annotations
@@ -36,6 +46,10 @@ LP_TOL = 1e-9
 # Margins at or below this are reported as "not separable": selection error
 # grows like 1/margin, so certifying hairline margins is useless downstream.
 MARGIN_BAND = 1e-6
+# Tableau bytes one lockstep batch of LPs may hold.  Certifying n points
+# solves n LPs of O(n d) entries each; chunking them under this budget keeps
+# memory at O(n d) per LP however many points there are.
+LP_BATCH_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -51,44 +65,73 @@ class LpResult:
     basis: tuple | None = None  # final basic column of each row
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] = T[row] / T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] = T[r] - T[r, col] * T[row]
+def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+           moving: np.ndarray | None = None) -> None:
+    """Pivot tableau b of the stack ``T`` on (rows[b], cols[b]), in place.
+
+    Only tableaux with ``moving[b]`` (default: all) change.  A row whose
+    pivot-column entry is 0 is left untouched, as subtracting 0 times the
+    pivot row could flip the sign of a zero, so every tableau gets exactly
+    the float operations of a pivot done on it alone.
+    """
+    lp = np.arange(T.shape[0])
+    pivot = T[lp, rows, cols]
+    factor = T[lp, :, cols]
+    factor[lp, rows] = 0.0
+    if moving is not None:
+        pivot[~moving] = 1.0  # x / 1.0 is x, bit for bit
+        factor[~moving] = 0.0
+    prow = T[lp, rows] / pivot[:, None]
+    np.subtract(T, factor[:, :, None] * prow[:, None, :], out=T,
+                where=(factor != 0.0)[:, :, None])
+    T[lp, rows] = prow
 
 
-def _bland_iterate(T: np.ndarray, basis: list[int]) -> str:
-    """Run simplex iterations in place until optimal or unbounded."""
-    m = len(basis)
+def _bland_lockstep(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Run Bland's rule on a stack of tableaux in place until each ends.
+
+    ``T`` (B, m+1, n+1) holds every LP's rows [A | b] under its reduced-cost
+    row, canonical for ``basis`` (B, m).  Each iteration, every LP still
+    running picks its entering column and leaving row as it would alone, and
+    all of them pivot in one update; an LP that is optimal or unbounded
+    stays as it is.  Returns the unbounded flags (B,).
+    """
+    n_lp, m = basis.shape
+    n = T.shape[2] - 1
+    lp = np.arange(n_lp)
+    columns = np.arange(n)
+    unbounded = np.zeros(n_lp, dtype=bool)
     while True:
-        enter = -1
-        for j in range(T.shape[1] - 1):
-            if T[-1, j] < -LP_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = np.inf
+        # the first negative reduced cost, or n (the rhs column) if none
+        enter = np.where(T[:, -1, :-1] < -LP_TOL, columns, n).min(axis=1)
+        running = (enter < n) & ~unbounded
+        if not running.any():
+            return unbounded
+        column = T[lp, :m, enter]
+        positive = column > LP_TOL
+        ratios = np.divide(T[:, :m, -1], column, where=positive,
+                           out=np.zeros(column.shape))
+        leave = np.full(n_lp, -1)
+        best = np.full(n_lp, np.inf)
+        tie_key = np.zeros_like(leave)  # basis index of the current `leave`
         for i in range(m):
-            if T[i, enter] > LP_TOL:
-                ratio = T[i, -1] / T[i, enter]
-                # Bland: strictly better ratio wins; ties go to the smallest
-                # basis index, which is what rules out cycling.
-                if ratio < best - LP_TOL or (
-                    abs(ratio - best) <= LP_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _pivot(T, leave, enter)
-        basis[leave] = enter
+            ratio = ratios[:, i]
+            # Bland: strictly better ratio wins; ties go to the smallest
+            # basis index, which is what rules out cycling.
+            wins = positive[:, i] & (
+                (ratio < best - LP_TOL)
+                | ((np.abs(ratio - best) <= LP_TOL) & (basis[:, i] < tie_key))
+            )
+            best = np.where(wins, ratio, best)
+            leave = np.where(wins, i, leave)
+            tie_key = np.where(wins, basis[:, i], tie_key)
+        unbounded |= running & (leave < 0)
+        moving = running & (leave >= 0)
+        _pivot(T, leave, enter, moving)
+        basis[lp[moving], leave[moving]] = enter[moving]
 
 
-def solve_lp(c, A, b, basis) -> LpResult:
+def solve_lp(c, A, b, basis):
     """Minimize c.x subject to A x = b, x >= 0, starting from ``basis``.
 
     ``basis[i]`` is the column made basic in row i; the caller guarantees
@@ -97,31 +140,53 @@ def solve_lp(c, A, b, basis) -> LpResult:
     one run of Bland's rule from there ends optimal or unbounded, so
     termination is guaranteed and identical inputs take identical pivots.
     With the final basis B, the duals are y = solve(A[:, B].T, c[B]).
+
+    A stack of LPs (A of shape (k, m, n), with c (k, n), b (k, m) and basis
+    (k, m)) is solved in lockstep and gives a list of k results; each LP
+    takes exactly the pivots, and gets exactly the bits, it would alone.
     """
-    c = numkit.as_vector(c)
-    A = numkit.as_matrix(A)
-    b = numkit.as_vector(b)
-    m, n = A.shape
-    basis = [int(j) for j in basis]
-    if c.shape[0] != n or b.shape[0] != m or len(basis) != m:
+    A = np.asarray(A, dtype=np.float64)
+    single = A.ndim == 2
+    if single:
+        c, A, b, basis = [c], A[None], [b], [basis]
+    if A.ndim != 3:
+        raise ValueError(f"expected a constraint matrix or a stack of them, "
+                         f"got shape {A.shape}")
+    c = np.asarray(c, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    basis = np.array(basis, dtype=np.intp)
+    n_lp, m, n = A.shape
+    if c.shape != (n_lp, n) or b.shape != (n_lp, m) \
+            or basis.shape != (n_lp, m):
         raise ValueError("LP dimensions disagree")
-    T = np.zeros((m + 1, n + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    T[-1, :n] = c
-    for i, j in enumerate(basis):
-        if not 0 <= j < n or abs(T[i, j]) <= LP_TOL:
-            raise ValueError(f"start column {j} is singular in row {i}")
-        _pivot(T, i, j)
-    if np.any(T[:m, -1] < 0.0):
+    T = np.zeros((n_lp, m + 1, n + 1))
+    T[:, :m, :n] = A
+    T[:, :m, -1] = b
+    T[:, -1, :n] = c
+    lp = np.arange(n_lp)
+    for i in range(m):
+        j = basis[:, i]
+        bad = (j < 0) | (j >= n)
+        if not bad.any():
+            bad = np.abs(T[lp, i, j]) <= LP_TOL
+        if bad.any():
+            raise ValueError(f"start column {j[bad][0]} is singular in row {i}")
+        _pivot(T, np.full(n_lp, i), j)
+    if np.any(T[:, :m, -1] < 0.0):
         raise ValueError("start basis is not feasible")
 
-    if _bland_iterate(T, basis) == "unbounded":
-        return LpResult("unbounded", None, None)
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
-    return LpResult("optimal", x, float(c @ x), tuple(basis))
+    unbounded = _bland_lockstep(T, basis)
+    results = []
+    for cost, ends_unbounded, values, cols in zip(c, unbounded, T[:, :m, -1],
+                                                  basis):
+        if ends_unbounded:
+            results.append(LpResult("unbounded", None, None))
+            continue
+        x = np.zeros(n)
+        x[cols] = values
+        results.append(LpResult("optimal", x, float(cost @ x),
+                                tuple(cols.tolist())))
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +194,68 @@ def solve_lp(c, A, b, basis) -> LpResult:
 # ---------------------------------------------------------------------------
 
 
-def _hull_distance(p: np.ndarray, points: np.ndarray):
-    """(L1 distance from p to the hull of ``points``, dual direction w).
+def _hull_distances(P: np.ndarray, points: np.ndarray):
+    """(L1 distances from each P[b] to the hull of points[b], dual w's).
 
     min 1.(u + v)  s.t.  points.T lam + u - v = p,  1.lam = 1,  all >= 0; the
     u block makes the d+1 rows full rank.  The dual constraints make w a
     |w|_inf <= 1 direction whose margin min_j (p - x_j).w is the distance.
+    All the LPs go to ``solve_lp`` as one stack.
     """
-    k, d = points.shape
-    A = np.block([[points.T, np.eye(d), -np.eye(d)],
-                  [np.ones((1, k)), np.zeros((1, 2 * d))]])
-    b = np.concatenate([p, [1.0]])
+    n_lp, k, d = points.shape
+    A = np.zeros((n_lp, d + 1, k + 2 * d))
+    A[:, :d, :k] = points.transpose(0, 2, 1)
+    A[:, :d, k:k + d] = np.eye(d)
+    A[:, :d, k + d:] = -np.eye(d)
+    A[:, d, :k] = 1.0
+    b = np.concatenate([P, np.ones((n_lp, 1))], axis=1)
     c = np.concatenate([np.zeros(k), np.ones(2 * d)])
     # lam_0 = 1 leaves u - v = p - x_0; u_i or v_i takes each row's residual,
     # whichever keeps it non-negative, so this start is feasible exactly
-    start = [k + i if p[i] - points[0, i] >= 0.0 else k + d + i
-             for i in range(d)]
-    res = solve_lp(c, A, b, start + [0])
-    if res.status != "optimal":  # pragma: no cover - feasible and bounded
-        raise RuntimeError(f"hull-distance LP ended {res.status}")
-    B = list(res.basis)
-    w = np.linalg.solve(A[:, B].T, c[B])[:d]
+    rows = np.arange(d)
+    start = np.where(P - points[:, 0] >= 0.0, k + rows, k + d + rows)
+    start = np.concatenate([start, np.zeros((n_lp, 1), dtype=start.dtype)],
+                           axis=1)
+    results = solve_lp(np.broadcast_to(c, (n_lp, c.size)), A, b, start)
+    if any(r.status != "optimal" for r in results):  # pragma: no cover
+        raise RuntimeError("hull-distance LP ended unbounded")
+    basis = np.array([r.basis for r in results], dtype=np.intp)
+    # each LP's basic columns A[:, B], transposed, and their costs c[B]
+    A_B = A[np.arange(n_lp)[:, None, None], np.arange(d + 1)[:, None],
+            basis[:, None, :]]
+    w = np.linalg.solve(A_B.transpose(0, 2, 1), c[basis][:, :, None])
     # the dual box holds only to the pivot tolerance; make it exact
-    return res.objective, np.clip(w, -1.0, 1.0)
+    return [r.objective for r in results], np.clip(w[:, :d, 0], -1.0, 1.0)
+
+
+def _hull_distance(p: np.ndarray, points: np.ndarray):
+    """(L1 distance from p to the hull of ``points``, dual direction w)."""
+    distances, w = _hull_distances(p[None], points[None])
+    return distances[0], w[0]
+
+
+def _separations(X: np.ndarray, targets: np.ndarray, band: float) -> list:
+    """``strict_separation`` of each target point of the checked matrix X.
+
+    The targets' LPs are solved in lockstep, in chunks whose tableaux fit
+    in ``LP_BATCH_BYTES``.
+    """
+    n, d = X.shape
+    tableau_bytes = 8 * (d + 2) * (n + 2 * d)  # k + 2d + 1 columns, k = n - 1
+    step = max(1, LP_BATCH_BYTES // tableau_bytes)
+    out = []
+    for lo in range(0, len(targets), step):
+        chunk = targets[lo:lo + step]
+        points = X[chunk]
+        others = np.empty((len(chunk), n - 1, d))
+        for rest_of_x, i in zip(others, chunk):  # X without the target's row
+            rest_of_x[:i] = X[:i]
+            rest_of_x[i:] = X[i + 1:]
+        _, W = _hull_distances(points, others)
+        for p, rest_of_x, w in zip(points, others, W):
+            margin = float(np.min((p - rest_of_x) @ w))
+            out.append(None if margin <= band else (w, margin))
+    return out
 
 
 def strict_separation(i: int, X, band: float = MARGIN_BAND):
@@ -168,12 +272,18 @@ def strict_separation(i: int, X, band: float = MARGIN_BAND):
         raise ValueError(f"index {i} out of range for {n} points")
     if n < 2:
         raise ValueError("separation needs at least two points")
-    others = np.delete(X, i, axis=0)
-    _, w = _hull_distance(X[i], others)
-    margin = float(np.min((X[i] - others) @ w))
-    if margin <= band:
-        return None
-    return w, margin
+    return _separations(X, np.array([i]), band)[0]
+
+
+def point_separations(X, band: float = MARGIN_BAND) -> list:
+    """``strict_separation`` of every point of X, all its LPs in one call.
+
+    Returns one entry per point: (w, margin), or None when inseparable.
+    """
+    X = numkit.check_finite(numkit.as_matrix(X), "points")
+    if X.shape[0] < 2:
+        raise ValueError("separation needs at least two points")
+    return _separations(X, np.arange(X.shape[0]), band)
 
 
 def hull_member(p, points) -> bool:
@@ -272,15 +382,14 @@ def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
     sized so every point's selection weight reaches >= 1 - eps; failure
     returns a :class:`CertificateFailure` naming the inseparable indices.
     """
-    X = numkit.as_matrix(X)
+    X = numkit.check_finite(numkit.as_matrix(X), "points")
     n, d = X.shape
     if n < 2:
         raise ValueError("certification needs at least two points")
     directions = np.zeros((n, d))
     margins = np.zeros(n)
     bad = []
-    for i in range(n):
-        got = strict_separation(i, X, band=band)
+    for i, got in enumerate(_separations(X, np.arange(n), band)):
         if got is None:
             bad.append(i)
         else:

@@ -267,3 +267,129 @@ def deepsets_linear_oracle(X, A, B, c):
                 v += mean[p] * float(B[p, q])
             out[i, q] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# sequential hull-distance certifier
+# ---------------------------------------------------------------------------
+#
+# One dense simplex tableau per LP, pivoted row by row with Bland's rule and
+# priced column by column: the certifier as it was before its LPs were
+# stacked.  The stacked solver must take exactly these pivots, so agreement
+# is checked bit for bit.
+
+ORACLE_LP_TOL = 1e-9
+
+
+def _oracle_pivot(T, row, col):
+    T[row] = T[row] / T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] = T[r] - T[r, col] * T[row]
+
+
+def _oracle_bland_iterate(T, basis):
+    """Simplex iterations in place until optimal or unbounded."""
+    m = len(basis)
+    while True:
+        enter = -1
+        for j in range(T.shape[1] - 1):
+            if T[-1, j] < -ORACLE_LP_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = np.inf
+        for i in range(m):
+            if T[i, enter] > ORACLE_LP_TOL:
+                ratio = T[i, -1] / T[i, enter]
+                if ratio < best - ORACLE_LP_TOL or (
+                    abs(ratio - best) <= ORACLE_LP_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _oracle_pivot(T, leave, enter)
+        basis[leave] = enter
+
+
+def solve_lp_oracle(c, A, b, basis):
+    """min c.x s.t. A x = b, x >= 0 from a feasible start basis.
+
+    Returns (status, x, objective, final basis); x, objective and basis are
+    None when the LP is unbounded.
+    """
+    c = np.ascontiguousarray(np.asarray(c, dtype=np.float64))
+    A = np.ascontiguousarray(np.asarray(A, dtype=np.float64))
+    b = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
+    m, n = A.shape
+    basis = [int(j) for j in basis]
+    T = np.zeros((m + 1, n + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    T[-1, :n] = c
+    for i, j in enumerate(basis):
+        if not 0 <= j < n or abs(T[i, j]) <= ORACLE_LP_TOL:
+            raise ValueError(f"start column {j} is singular in row {i}")
+        _oracle_pivot(T, i, j)
+    if np.any(T[:m, -1] < 0.0):
+        raise ValueError("start basis is not feasible")
+    if _oracle_bland_iterate(T, basis) == "unbounded":
+        return "unbounded", None, None, None
+    x = np.zeros(n)
+    for i, bi in enumerate(basis):
+        x[bi] = T[i, -1]
+    return "optimal", x, float(c @ x), tuple(basis)
+
+
+def hull_distance_oracle(p, points):
+    """(L1 distance from p to conv(points), dual direction w), one LP."""
+    k, d = points.shape
+    A = np.block([[points.T, np.eye(d), -np.eye(d)],
+                  [np.ones((1, k)), np.zeros((1, 2 * d))]])
+    b = np.concatenate([p, [1.0]])
+    c = np.concatenate([np.zeros(k), np.ones(2 * d)])
+    start = [k + i if p[i] - points[0, i] >= 0.0 else k + d + i
+             for i in range(d)]
+    status, _, objective, basis = solve_lp_oracle(c, A, b, start + [0])
+    assert status == "optimal"
+    B = list(basis)
+    w = np.linalg.solve(A[:, B].T, c[B])[:d]
+    return objective, np.clip(w, -1.0, 1.0)
+
+
+def strict_separation_oracle(i, X, band):
+    """(w, margin) for point i of X, or None when the margin is <= band."""
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    others = np.delete(X, i, axis=0)
+    _, w = hull_distance_oracle(X[i], others)
+    margin = float(np.min((X[i] - others) @ w))
+    if margin <= band:
+        return None
+    return w, margin
+
+
+def vdelta_certificate_oracle(X, eps, band):
+    """(directions, margins, amplification, inseparable indices).
+
+    On failure the first three are None; on success the tuple is empty.
+    """
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    n, d = X.shape
+    directions = np.zeros((n, d))
+    margins = np.zeros(n)
+    bad = []
+    for i in range(n):
+        got = strict_separation_oracle(i, X, band)
+        if got is None:
+            bad.append(i)
+        else:
+            directions[i], margins[i] = got
+    if bad:
+        return None, None, None, tuple(bad)
+    delta = float(margins.min())
+    amplification = math.log((n - 1) * (1.0 - eps) / eps) / delta
+    return directions, margins, amplification, ()

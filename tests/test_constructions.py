@@ -894,6 +894,20 @@ class TestReports:
         entry["weight_ok"] = True
         assert rep.bounds_ok
 
+    def test_non_finite_output_fails_bounds_ok(self):
+        # exp(q.k) overflows in the accumulation at this scale, while the
+        # reference softmax shifts by the row max and stays finite; oracle
+        # selection adds no selection checks that could catch it
+        w = attention.random_weights(4, np.random.default_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=16, selection="oracle"))
+        X = np.random.default_rng(1).normal(size=(16, 4)) * 30
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run_and_report(X, prog, w)
+        assert math.isnan(rep.max_abs)
+        assert all("weight_ok" not in e for e in rep.selection)
+        assert not rep.bounds_ok
+        assert report_csv_row(rep)[-1] == "false"
+
 
 # ---------------------------------------------------------------------------
 # program persistence across compilers

@@ -3,8 +3,12 @@
 import hashlib
 import pathlib
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnlab import attention, mlp, mpnnvn, numkit
 from vnlab.constructions import (
@@ -821,6 +825,21 @@ class TestPersistence:
             with pytest.raises(ValueError, match="payload must be an object"):
                 decode(blob)
 
+    @pytest.mark.parametrize("widths", [None, 3, "x", [1, None], [1, 2.5],
+                                        [True, 1]])
+    def test_mlp_widths_must_be_a_list_of_integers(self, widths):
+        blob = mlp.params_to_json(unfitted_pieces().sq.params)
+        blob["widths"] = widths
+        with pytest.raises(ValueError, match="mlp width"):
+            mlp.params_from_json(blob)
+
+    @pytest.mark.parametrize("slope", [None, [], {}, True, "0.2"])
+    def test_gatv2_slope_must_be_a_number(self, slope):
+        blob = attention.gatv2_to_json(attention.l1_score(2))
+        blob["slope"] = slope
+        with pytest.raises(ValueError, match="gatv2 slope must be a number"):
+            attention.gatv2_from_json(blob)
+
     def test_missing_required_field_names_kind_and_field(self):
         with pytest.raises(ValueError,
                            match="softmax_select_pool.*'width'"):
@@ -845,6 +864,89 @@ class TestPersistence:
     def test_unknown_descriptor_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown descriptor kind"):
             descriptor_from_json({"kind": "no_such_thing"})
+
+    @pytest.mark.parametrize("kind", [{}, ["mean_pool"], 3, None, True])
+    def test_kind_that_is_not_a_string_is_refused(self, kind):
+        with pytest.raises(ValueError, match="field 'kind' must be a string"):
+            descriptor_from_json({"kind": kind})
+
+    @pytest.mark.parametrize("tp,value", [
+        (int, [1.0]), (int, {}), (int, True), (int, 1.5), (int, "2"),
+        (float, [1.0]), (float, {}), (float, False), (float, "0.5"),
+        (float, 10**400), (str, 3), (str, []), (str, True),
+    ])
+    def test_scalar_decoder_refuses_other_json_values(self, tp, value):
+        with pytest.raises(ValueError, match="width"):
+            numkit.scalar_from_json(value, tp, "width")
+
+    @pytest.mark.parametrize("value", [[1.0], -1, 0, 2.0, False])
+    def test_bad_width_in_a_document_names_entry_and_field(self, value):
+        blob = numkit.load_json(self._v1_fixture("rich"))
+        pool = blob["layers"][1]["vn_pool"]
+        assert pool["kind"] == "softmax_select_pool"
+        pool["width"] = value
+        with pytest.raises(ValueError, match=(
+                r"layers\[1\]\.vn_pool: softmax_select_pool: "
+                r"field 'width': value must be")):
+            program_from_json(blob)
+        resaved = program_to_json(load_program(self._v1_fixture("rich")))
+        entry = next(j for j, e in enumerate(resaved["descriptors"])
+                     if e["kind"] == "softmax_select_pool")
+        resaved["descriptors"][entry]["width"] = value
+        with pytest.raises(ValueError, match=(
+                rf"descriptors\[{entry}\]: softmax_select_pool: "
+                r"field 'width'")):
+            program_from_json(resaved)
+
+    def test_an_index_may_be_zero_but_not_negative(self):
+        pool = descriptor_from_json({"kind": "oracle_select_pool", "index": 0})
+        assert pool.index == 0
+        with pytest.raises(ValueError, match="'index': value must be at "
+                                             "least 0, got -1"):
+            descriptor_from_json({"kind": "oracle_select_pool", "index": -1})
+
+    # every pinned document as v2; all but "rich" (one of each descriptor
+    # kind, not a program meant to run) run on the rows below
+    FUZZ_X = 0.5 * numkit.make_rng(4).normal(size=(5, 3))
+    FUZZ_VALUES = [None, [], "x", -1, 0, 1.5, {}, [1.0], True, 1e9]
+
+    @staticmethod
+    def _leaves(blob, path=()):
+        """Paths to the scalars and number lists inside a JSON value."""
+        if isinstance(blob, dict):
+            for key, value in blob.items():
+                yield from TestPersistence._leaves(value, path + (key,))
+        elif isinstance(blob, list) and blob and not all(
+                isinstance(v, (int, float)) for v in blob):
+            for i, value in enumerate(blob):
+                yield from TestPersistence._leaves(value, path + (i,))
+        else:
+            yield path
+
+    @given(st.sampled_from(sorted(PINNED_SHA256)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_leaf_loads_and_runs_or_names_its_place(self, name,
+                                                            data):
+        blob = program_to_json(self._pinned_program(name))
+        j = data.draw(st.integers(0, len(blob["descriptors"]) - 1))
+        path = data.draw(st.sampled_from(
+            list(self._leaves(blob["descriptors"][j]))))
+        value = data.draw(st.sampled_from(self.FUZZ_VALUES))
+        mutated = copy.deepcopy(blob)
+        parent = mutated["descriptors"][j]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            prog = program_from_json(mutated)
+        except ValueError as exc:
+            field_named = "kind" if path[0] == "kind" else f"'{path[0]}'"
+            assert f"descriptors[{j}]: " in str(exc)
+            assert field_named in str(exc)
+            return
+        if name != "rich":
+            with np.errstate(all="ignore"):
+                prog.execute(star(5), self.FUZZ_X)
 
     def test_duplicate_kind_registration_rejected(self):
         with pytest.raises(TypeError, match="duplicate"):

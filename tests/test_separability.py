@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnlab import numkit
+from oracles import (
+    hull_distance_oracle,
+    solve_lp_oracle,
+    strict_separation_oracle,
+    vdelta_certificate_oracle,
+)
+from vnlab import numkit, separability
 from vnlab.attention import l1_score
 from vnlab.mpnnvn import Gatv2SelectPool, SoftmaxSelectPool
 from vnlab.separability import (
@@ -18,6 +24,7 @@ from vnlab.separability import (
     delta_nonlin_sep,
     hull_member,
     l1_certificate,
+    point_separations,
     selection_weight_bound,
     solve_lp,
     strict_separation,
@@ -121,6 +128,175 @@ class TestSolveLp:
         assert np.array_equal(r1.x, r2.x)
         assert r1.objective == r2.objective
         assert r1.basis == r2.basis
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def _staircase_lp(t, m=4):
+    """min -(x_0 + ... + x_{t-1})  s.t.  x_j + s_j = 1 (j < m), from the
+    slack basis: exactly t pivots, x_j replacing s_j for each j < t."""
+    A = np.hstack([np.eye(m), np.eye(m)])
+    c = np.concatenate([-(np.arange(m) < t).astype(float), np.zeros(m)])
+    return c, A, np.ones(m), list(range(m, 2 * m))
+
+
+class TestLockstepStack:
+    """Stacked LPs pivot in lockstep and each gets the bits it gets alone."""
+
+    def _check_against_oracle(self, got, c, A, b, start):
+        status, x, objective, basis = solve_lp_oracle(c, A, b, start)
+        assert got.status == status
+        if status == "optimal":
+            assert _same_bits(got.x, x)
+            assert got.objective == objective
+            assert got.basis == basis
+
+    def test_lps_ending_after_different_pivot_counts(self):
+        lps = [_staircase_lp(t) for t in (3, 0, 4, 1, 2)]
+        stacked = solve_lp(*(np.array([lp[k] for lp in lps])
+                             for k in range(4)))
+        for t, got, lp in zip((3, 0, 4, 1, 2), stacked, lps):
+            assert got.status == "optimal"
+            assert got.objective == -t
+            assert got.basis == tuple(range(t)) + tuple(range(4 + t, 8))
+            alone = solve_lp(*lp)
+            assert _same_bits(got.x, alone.x) and got.basis == alone.basis
+            self._check_against_oracle(got, *lp)
+
+    def test_unbounded_lp_next_to_optimal_ones(self):
+        # x_0 enters the middle LP, but its column has no positive entry
+        c, A, b, start = _staircase_lp(1)
+        A = A.copy()
+        A[0, 0] = -1.0
+        lps = [_staircase_lp(2), (c, A, b, start), _staircase_lp(4)]
+        stacked = solve_lp(*(np.array([lp[k] for lp in lps])
+                             for k in range(4)))
+        assert [r.status for r in stacked] == \
+            ["optimal", "unbounded", "optimal"]
+        assert stacked[1].x is None and stacked[1].objective is None
+        for got, lp in zip(stacked, lps):
+            self._check_against_oracle(got, *lp)
+
+    def test_rows_with_a_zero_pivot_column_entry_keep_their_bits(self):
+        # subtracting 0 * (-0.5) = -0.0 would turn the -0.0 below into +0.0
+        T = np.array([[[2.0, -1.0], [0.0, -0.0]],
+                      [[4.0, 2.0], [1.0, -0.0]]])
+        separability._pivot(T, np.array([0, 0]), np.array([0, 0]))
+        assert _same_bits(T[0], np.array([[1.0, -0.5], [0.0, -0.0]]))
+        assert _same_bits(T[1], np.array([[1.0, 0.5], [0.0, -0.5]]))
+        # an LP that is not moving keeps every bit
+        before = T.copy()
+        separability._pivot(T, np.array([1, 0]), np.array([1, 1]),
+                            np.array([False, True]))
+        assert _same_bits(T[0], before[0])
+
+    def test_stacked_dimensions_must_agree(self):
+        c, A, b, start = _staircase_lp(2)
+        with pytest.raises(ValueError, match="dimensions"):
+            solve_lp(np.array([c, c]), np.array([A]), np.array([b]),
+                     np.array([start]))
+        with pytest.raises(ValueError, match="constraint matrix"):
+            solve_lp(c, np.zeros((1, 1, 1, 1)), b, start)
+
+    def test_chunks_under_a_lowered_byte_budget_give_the_same_bits(
+            self, monkeypatch):
+        X = _unit_sphere_points(3)
+        calls = []
+
+        def counting_solve_lp(*args):
+            calls.append(np.shape(args[1])[0])
+            return solve_lp(*args)
+
+        monkeypatch.setattr(separability, "solve_lp", counting_solve_lp)
+        whole = vdelta_certificate(X)
+        assert calls == [32]
+        calls.clear()
+        # one 3-D hull-distance tableau of 32 points: (d+2) x (n+2d) floats
+        monkeypatch.setattr(separability, "LP_BATCH_BYTES", 11 * 8 * 5 * 38)
+        chunked = vdelta_certificate(X)
+        assert calls == [11, 11, 10]
+        assert _same_bits(chunked.directions, whole.directions)
+        assert _same_bits(chunked.margins, whole.margins)
+        assert chunked.amplification == whole.amplification
+        # a budget below one tableau still solves one LP at a time
+        calls.clear()
+        monkeypatch.setattr(separability, "LP_BATCH_BYTES", 1)
+        single = vdelta_certificate(X)
+        assert calls == [1] * 32
+        assert _same_bits(single.directions, whole.directions)
+
+    def test_points_are_checked_once(self, monkeypatch):
+        seen = []
+        check_finite = numkit.check_finite
+
+        def counting_check(arr, label="array"):
+            seen.append(label)
+            return check_finite(arr, label)
+
+        monkeypatch.setattr(separability.numkit, "check_finite",
+                            counting_check)
+        vdelta_certificate(_unit_sphere_points(3))
+        assert seen == ["points"]
+
+
+@st.composite
+def certifier_point_sets(draw):
+    """2-40 points in 1-5 dimensions, scaled by 1e-4 to 1e3, some of them
+    inside the others' hull or duplicated."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    rng = numkit.make_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(["normal", "sphere", "interior",
+                                 "duplicates"]))
+    X = rng.normal(size=(n, d))
+    if kind == "sphere":
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+    elif kind == "interior":
+        for j in rng.choice(n, size=max(1, n // 4), replace=False):
+            weights = rng.dirichlet(np.ones(n))
+            weights[j] = 0.0
+            X[j] = weights / weights.sum() @ X
+    elif kind == "duplicates":
+        k = n // 3 + 1
+        X[rng.integers(n, size=k)] = X[rng.integers(n, size=k)]
+    return X * 10.0 ** draw(st.floats(-4.0, 3.0))
+
+
+class TestSequentialOracle:
+    """The lockstep certifier against the one-LP-at-a-time solver, bitwise."""
+
+    @given(certifier_point_sets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_certificates_are_bitwise_equal(self, X, data):
+        got = vdelta_certificate(X)
+        directions, margins, amplification, inseparable = \
+            vdelta_certificate_oracle(X, 1e-4, MARGIN_BAND)
+        if inseparable:
+            assert isinstance(got, CertificateFailure)
+            assert got.inseparable == inseparable
+        else:
+            assert isinstance(got, SeparabilityCertificate)
+            assert _same_bits(got.directions, directions)
+            assert _same_bits(got.margins, margins)
+            assert got.amplification == amplification
+        everyone = point_separations(X)
+        i = data.draw(st.integers(0, X.shape[0] - 1))
+        one, want = strict_separation(i, X), \
+            strict_separation_oracle(i, X, MARGIN_BAND)
+        for result in (one, everyone[i]):
+            assert (result is None) == (want is None)
+            if want is not None:
+                assert _same_bits(result[0], want[0])
+                assert result[1] == want[1]
+        others = np.delete(X, i, axis=0)
+        distance, w = separability._hull_distance(X[i], others)
+        want_distance, want_w = hull_distance_oracle(X[i], others)
+        assert distance == want_distance
+        assert _same_bits(w, want_w)
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,8 @@ def feature_map_from_json(blob: dict) -> FeatureMap:
     directions = None
     if "matrices" in blob:
         directions = numkit.matrix_from_json(blob["matrices"]["directions"])
-    return FeatureMap(blob["map"], directions, blob.get("seed"))
+    return FeatureMap(blob["map"], directions,
+                      numkit.seed_from_json(blob, "feature map"))
 
 
 def gatv2_to_json(g: Gatv2Score) -> dict:

@@ -338,4 +338,5 @@ def params_from_json(blob: dict) -> MlpParams:
         biases.append(b)
     if len(weights) != spec.n_layers:
         raise ValueError("layer count does not match widths")
-    return MlpParams(spec, weights, biases, blob.get("seed"))
+    return MlpParams(spec, weights, biases,
+                     numkit.seed_from_json(blob, "mlp weight"))

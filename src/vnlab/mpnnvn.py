@@ -742,13 +742,27 @@ def program_from_json(blob: dict) -> LayerProgram:
                 and all(map(_is_int, gn_out))):
             raise ValueError(f"gn_out must be null or two ints, got {gn_out!r}")
         gn_out = tuple(gn_out)
+    provenance = blob.get("provenance", "unknown")
+    if not isinstance(provenance, str):
+        raise ValueError(f"provenance must be a string, got {provenance!r}")
+    metadata = blob.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata must be an object, got {metadata!r}")
+    if metadata.get("compiler") == "deep":
+        # the node count and dimension it runs on; a program without them
+        # loads, and refuses every input (``LayerProgram.initial_state``)
+        for name in ("n", "d"):
+            value = metadata.get(name)
+            if name in metadata and not (_is_int(value) and value >= 1):
+                raise ValueError(f"metadata field {name!r} of a deep program "
+                                 f"must be an integer >= 1, got {value!r}")
     return LayerProgram(
         layers=layers,
         vn_init=numkit.vector_from_json(blob["vn_init"]),
         gn_init=gn_init,
         gn_out=gn_out,
-        provenance=blob.get("provenance", "unknown"),
-        metadata=blob.get("metadata", {}),
+        provenance=provenance,
+        metadata=metadata,
     )
 
 

@@ -169,6 +169,26 @@ def scalar_from_json(value, tp, what: str = "value"):
         raise ValueError(f"{what} {value!r} is out of range") from None
 
 
+def seed_from_json(blob: dict, what: str) -> int | None:
+    """The provenance ``seed`` of a weight blob: an integer >= 0 or null.
+
+    The seed means something only under the generator it was drawn with,
+    so an ``rng_algorithm`` other than ``RNG_ALGORITHM`` is refused rather
+    than re-saved under the wrong name.
+    """
+    algorithm = blob.get("rng_algorithm", RNG_ALGORITHM)
+    if algorithm != RNG_ALGORITHM:
+        raise ValueError(f"{what} rng_algorithm must be {RNG_ALGORITHM!r}, "
+                         f"got {algorithm!r}")
+    seed = blob.get("seed")
+    if seed is None:
+        return None
+    seed = scalar_from_json(seed, int, f"{what} seed")
+    if seed < 0:
+        raise ValueError(f"{what} seed must be at least 0, got {seed}")
+    return seed
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
     """Read a blob written by :func:`matrix_to_json`; a malformed one
     (not an object, a key missing, a non-integer size, non-list values)

@@ -17,20 +17,20 @@ min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
 * ``delta_nonlin_sep`` and ``three_cluster_line`` measure and build
   nonlinearly separated point clusters, where no bilinear score works.
 
-The LP solver is a dense primal simplex with Bland's anti-cycling pivot
-rule, run once from a feasible basis the caller supplies: the hull-distance
-LP always has one (the first point with weight 1, the slacks absorbing the
-rest).  Deterministic, dependency-free, adequate for the small instances
-certified here (d+1 rows, a few dozen columns).
+The LP solver, ``solve_lp``, is a dense primal simplex with Bland's
+anti-cycling pivot rule, run once from a feasible basis the caller supplies:
+the hull-distance LP always has one (the first point with weight 1, the
+slacks absorbing the rest).  Deterministic, dependency-free, adequate for
+the small instances certified here (d+1 rows, a few dozen columns).
 
-Certifying n points solves n such LPs.  They are stacked into one
-(n, d+2, n+2d) tableau and pivot in lockstep: each iteration every LP still
-running picks its own entering column and Bland leaving row, and all of
-them pivot in one numpy update, so the Python work per iteration is shared
-by the whole stack.  Each LP takes exactly the pivots, and gets exactly the
-bits, it would take solved alone.  Stacks are chunked so that one holds at
-most ``LP_BATCH_BYTES`` of tableau; a large point set still needs O(n d)
-memory per LP.
+It solves only stacks of LPs and returns arrays.  Certifying n points
+stacks their n LPs into one (n, d+2, n+2d) tableau that pivots in lockstep:
+each iteration every LP still running picks its own entering column and
+Bland leaving row, and all of them pivot in one numpy update.  Each LP
+takes exactly the pivots, and gets exactly the bits, it would take solved
+alone; ``hull_member`` solves a stack of one.  Stacks are chunked so that
+one holds at most ``LP_BATCH_BYTES`` of tableau; a large point set still
+needs O(n d) memory per LP.
 """
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ LP_BATCH_BYTES = 1 << 21
 # ---------------------------------------------------------------------------
 # linear programming: dense primal simplex from a feasible basis, Bland's rule
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: str  # "optimal" | "unbounded"
-    x: np.ndarray | None
-    objective: float | None
-    basis: tuple | None = None  # final basic column of each row
 
 
 def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -132,26 +124,26 @@ def _bland_lockstep(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def solve_lp(c, A, b, basis):
-    """Minimize c.x subject to A x = b, x >= 0, starting from ``basis``.
+    """Minimize c[k].x subject to A[k] x = b[k], x >= 0, for each LP k.
 
-    ``basis[i]`` is the column made basic in row i; the caller guarantees
-    that these columns form a feasible basis.  Pivoting them into the tableau
-    [A | b] under the cost row [c | 0] turns that row into reduced costs, and
-    one run of Bland's rule from there ends optimal or unbounded, so
-    termination is guaranteed and identical inputs take identical pivots.
-    With the final basis B, the duals are y = solve(A[:, B].T, c[B]).
+    A stack of k LPs: A (k, m, n), c (k, n), b (k, m) and ``basis`` (k, m),
+    where ``basis[k, i]`` is the column made basic in row i of LP k; the
+    caller guarantees that these columns form a feasible basis.  Pivoting
+    them into the tableau [A | b] under the cost row [c | 0] turns that row
+    into reduced costs, and one run of Bland's rule from there ends optimal
+    or unbounded, so termination is guaranteed and identical inputs take
+    identical pivots.  The LPs pivot in lockstep; each takes exactly the
+    pivots, and gets exactly the bits, it would take solved alone.
 
-    A stack of LPs (A of shape (k, m, n), with c (k, n), b (k, m) and basis
-    (k, m)) is solved in lockstep and gives a list of k results; each LP
-    takes exactly the pivots, and gets exactly the bits, it would alone.
+    Returns (x, basis, unbounded): the final basic solutions (k, n), NaN
+    for an unbounded LP; the final bases (k, m); and the unbounded flags
+    (k,).  With LP k's final basis B, its duals are
+    y = solve(A[k][:, B].T, c[k][B]).
     """
     A = np.asarray(A, dtype=np.float64)
-    single = A.ndim == 2
-    if single:
-        c, A, b, basis = [c], A[None], [b], [basis]
     if A.ndim != 3:
-        raise ValueError(f"expected a constraint matrix or a stack of them, "
-                         f"got shape {A.shape}")
+        raise ValueError(f"expected A as a (k, m, n) stack, one constraint "
+                         f"matrix per LP, got shape {A.shape}")
     c = np.asarray(c, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     basis = np.array(basis, dtype=np.intp)
@@ -176,17 +168,10 @@ def solve_lp(c, A, b, basis):
         raise ValueError("start basis is not feasible")
 
     unbounded = _bland_lockstep(T, basis)
-    results = []
-    for cost, ends_unbounded, values, cols in zip(c, unbounded, T[:, :m, -1],
-                                                  basis):
-        if ends_unbounded:
-            results.append(LpResult("unbounded", None, None))
-            continue
-        x = np.zeros(n)
-        x[cols] = values
-        results.append(LpResult("optimal", x, float(cost @ x),
-                                tuple(cols.tolist())))
-    return results[0] if single else results
+    x = np.zeros((n_lp, n))
+    x[lp[:, None], basis] = T[:, :m, -1]
+    x[unbounded] = np.nan
+    return x, basis, unbounded
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +180,8 @@ def solve_lp(c, A, b, basis):
 
 
 def _hull_distances(P: np.ndarray, points: np.ndarray):
-    """(L1 distances from each P[b] to the hull of points[b], dual w's).
+    """(cost c, solutions x, dual w's) of the L1 distances from each P[b] to
+    the hull of points[b]; the distance itself is c @ x[b].
 
     min 1.(u + v)  s.t.  points.T lam + u - v = p,  1.lam = 1,  all >= 0; the
     u block makes the d+1 rows full rank.  The dual constraints make w a
@@ -216,22 +202,16 @@ def _hull_distances(P: np.ndarray, points: np.ndarray):
     start = np.where(P - points[:, 0] >= 0.0, k + rows, k + d + rows)
     start = np.concatenate([start, np.zeros((n_lp, 1), dtype=start.dtype)],
                            axis=1)
-    results = solve_lp(np.broadcast_to(c, (n_lp, c.size)), A, b, start)
-    if any(r.status != "optimal" for r in results):  # pragma: no cover
+    x, basis, unbounded = solve_lp(np.broadcast_to(c, (n_lp, c.size)), A, b,
+                                   start)
+    if unbounded.any():  # pragma: no cover
         raise RuntimeError("hull-distance LP ended unbounded")
-    basis = np.array([r.basis for r in results], dtype=np.intp)
     # each LP's basic columns A[:, B], transposed, and their costs c[B]
     A_B = A[np.arange(n_lp)[:, None, None], np.arange(d + 1)[:, None],
             basis[:, None, :]]
     w = np.linalg.solve(A_B.transpose(0, 2, 1), c[basis][:, :, None])
     # the dual box holds only to the pivot tolerance; make it exact
-    return [r.objective for r in results], np.clip(w[:, :d, 0], -1.0, 1.0)
-
-
-def _hull_distance(p: np.ndarray, points: np.ndarray):
-    """(L1 distance from p to the hull of ``points``, dual direction w)."""
-    distances, w = _hull_distances(p[None], points[None])
-    return distances[0], w[0]
+    return c, x, np.clip(w[:, :d, 0], -1.0, 1.0)
 
 
 def _separations(X: np.ndarray, targets: np.ndarray, band: float) -> list:
@@ -251,7 +231,7 @@ def _separations(X: np.ndarray, targets: np.ndarray, band: float) -> list:
         for rest_of_x, i in zip(others, chunk):  # X without the target's row
             rest_of_x[:i] = X[:i]
             rest_of_x[i:] = X[i + 1:]
-        _, W = _hull_distances(points, others)
+        _, _, W = _hull_distances(points, others)
         for p, rest_of_x, w in zip(points, others, W):
             margin = float(np.min((p - rest_of_x) @ w))
             out.append(None if margin <= band else (w, margin))
@@ -298,8 +278,8 @@ def hull_member(p, points) -> bool:
         raise ValueError("hull of an empty point set")
     if points.shape[1] != p.shape[0]:
         raise ValueError("dimension mismatch")
-    distance, _ = _hull_distance(p, points)
-    return distance <= 10.0 * LP_TOL
+    c, x, _ = _hull_distances(p[None], points[None])
+    return float(c @ x[0]) <= 10.0 * LP_TOL
 
 
 # ---------------------------------------------------------------------------

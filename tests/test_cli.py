@@ -152,6 +152,25 @@ class TestVerifyDeep:
         assert all(a > b for a, b in zip(medians, medians[1:]))
         assert report["worst_oracle_err"] <= 1e-10
 
+    def test_each_oracle_program_runs_once(self, monkeypatch):
+        # the oracle phase takes its output and its layer-2 trace from one
+        # run; the sweep's runs go through run_and_report
+        from vnlab import cli, mpnnvn
+        runs = []
+
+        def counting_run_program(s0, prog, observe=None):
+            runs.append(len(prog.layers))
+            return mpnnvn.run_program(s0, prog, observe)
+
+        def no_execute(self, g, X):
+            raise AssertionError("verify-deep ran a program twice")
+
+        monkeypatch.setattr(cli, "run_program", counting_run_program)
+        monkeypatch.setattr(mpnnvn.LayerProgram, "execute", no_execute)
+        assert run(["verify-deep", "--set", "seeds=3",
+                    "--set", "sweep_seeds=1", "--quiet"]) == 0
+        assert runs == [6 + 2] * 3  # one n + 2 layer program per seed, n=6
+
     def test_no_certified_instance_exits_1(self, capsys):
         # on a line at most two points are each separable from the rest
         assert run(["verify-deep", "--set", "n=3", "--set", "d=1",

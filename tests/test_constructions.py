@@ -28,7 +28,7 @@ from vnlab.constructions import (
     run_and_report,
     sweep_deep_amplification,
 )
-from vnlab.cli import _trace_time2_check
+from vnlab.cli import _run_checking_time2
 from vnlab.mpnnvn import (
     MpnnVnLayer,
     ScoreAccumulate,
@@ -547,7 +547,7 @@ class TestDeepOracle:
         with pytest.raises(ValueError, match=match):
             run_and_report(X, prog, w)
         with pytest.raises(ValueError, match=match):
-            _trace_time2_check(X, w, prog)
+            _run_checking_time2(X, w, prog)
         path = tmp_path / "deep.json"
         save_program(prog, path)
         with pytest.raises(ValueError, match=match):
@@ -566,8 +566,10 @@ class TestDeepOracle:
         w = attention.random_weights(d, rng)
         X = rng.normal(size=(n, d)) * 0.5
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        assert _trace_time2_check(X, w, prog)
+        got, exact = _run_checking_time2(X, w, prog)
+        assert exact
         before = prog.execute(attention_host_graph(n), X)
+        assert np.array_equal(got, before)
         recompute = ScoreAccumulate(w.w_q, w.w_k, w.w_v, width=d)
         first = prog.layers[0]
         prog.layers = [MpnnVnLayer(first.vn_pool, first.vn_update,
@@ -578,7 +580,7 @@ class TestDeepOracle:
             for l in prog.layers[1:]]
         assert np.array_equal(prog.execute(attention_host_graph(n), X),
                               before)
-        assert not _trace_time2_check(X, w, prog)
+        assert not _run_checking_time2(X, w, prog)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -840,6 +840,74 @@ class TestPersistence:
         with pytest.raises(ValueError, match="gatv2 slope must be a number"):
             attention.gatv2_from_json(blob)
 
+    @pytest.mark.parametrize("seed", [{"x": []}, -5, 1.5, [1], "3", True])
+    def test_provenance_seed_must_be_a_non_negative_integer(self, seed):
+        fm_blob = attention.feature_map_to_json(
+            attention.exp_feature_map(4, 2, 7))
+        mlp_blob = mlp.params_to_json(unfitted_pieces().sq.params)
+        for blob, decode, what in (
+                (fm_blob, attention.feature_map_from_json, "feature map"),
+                (mlp_blob, mlp.params_from_json, "mlp weight")):
+            assert decode(blob).seed == blob["seed"]
+            for ok in (None, 0):
+                assert decode({**blob, "seed": ok}).seed == ok
+            with pytest.raises(ValueError, match=f"{what} seed must be"):
+                decode({**blob, "seed": seed})
+
+    @pytest.mark.parametrize("algorithm", ["mt19937", "PCG64", None, 3])
+    def test_other_rng_algorithm_is_refused(self, algorithm):
+        fm_blob = attention.feature_map_to_json(
+            attention.exp_feature_map(4, 2, 7))
+        mlp_blob = mlp.params_to_json(unfitted_pieces().sq.params)
+        for blob, decode, what in (
+                (fm_blob, attention.feature_map_from_json, "feature map"),
+                (mlp_blob, mlp.params_from_json, "mlp weight")):
+            with pytest.raises(ValueError,
+                               match=f"{what} rng_algorithm must be 'pcg64'"):
+                decode({**blob, "rng_algorithm": algorithm})
+
+    def test_bad_seed_in_a_document_names_entry_and_field(self):
+        blob = program_to_json(self._pinned_program("kernel_exact"))
+        j = next(j for j, e in enumerate(blob["descriptors"])
+                 if e["kind"] == "feature_stats_pool")
+        blob["descriptors"][j]["feature_map"]["seed"] = {"x": []}
+        with pytest.raises(ValueError, match=(
+                rf"descriptors\[{j}\]: feature_stats_pool: field "
+                r"'feature_map': feature map seed must be an integer")):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("value", [3, None, [], {}])
+    def test_provenance_must_be_a_string(self, value):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob["provenance"] = value
+        with pytest.raises(ValueError, match="provenance must be a string"):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("value", [[], None, "deep", 4])
+    def test_metadata_must_be_an_object(self, value):
+        blob = program_to_json(self._pinned_program("kernel_exact"))
+        blob["metadata"] = value
+        with pytest.raises(ValueError, match="metadata must be an object"):
+            program_from_json(blob)
+
+    def test_missing_provenance_and_metadata_keep_their_defaults(self):
+        blob = program_to_json(self._pinned_program("kernel_exact"))
+        del blob["provenance"], blob["metadata"]
+        prog = program_from_json(blob)
+        assert prog.provenance == "unknown" and prog.metadata == {}
+
+    @pytest.mark.parametrize("name", ["n", "d"])
+    @pytest.mark.parametrize("value", ["4", 0, -1, 1.5, 5.0, True, None,
+                                       [5], {}])
+    def test_deep_program_node_count_and_dimension_are_checked(self, name,
+                                                               value):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob["metadata"][name] = value
+        with pytest.raises(ValueError, match=(
+                rf"metadata field '{name}' of a deep program must be an "
+                r"integer >= 1")):
+            program_from_json(blob)
+
     def test_missing_required_field_names_kind_and_field(self):
         with pytest.raises(ValueError,
                            match="softmax_select_pool.*'width'"):

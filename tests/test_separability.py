@@ -38,14 +38,22 @@ from vnlab.separability import (
 # ---------------------------------------------------------------------------
 
 
+def _solve_one(c, A, b, start):
+    """``solve_lp`` on a stack of one: (x, final basis, unbounded)."""
+    x, basis, unbounded = solve_lp(np.asarray(c)[None], np.asarray(A)[None],
+                                   np.asarray(b)[None], np.array([start]))
+    return x[0], tuple(basis[0].tolist()), bool(unbounded[0])
+
+
 class TestSolveLp:
     def test_simple_bounded_maximum(self):
         # max x  s.t. x + s = 1  ->  x = 1, from the slack start s = 1
-        res = solve_lp(np.array([-1.0, 0.0]),
-                       np.array([[1.0, 1.0]]), np.array([1.0]), [1])
-        assert res.status == "optimal"
-        assert abs(res.x[0] - 1.0) < 1e-9
-        assert abs(res.objective + 1.0) < 1e-9
+        c = np.array([-1.0, 0.0])
+        x, _, unbounded = _solve_one(c, np.array([[1.0, 1.0]]),
+                                     np.array([1.0]), [1])
+        assert not unbounded
+        assert abs(x[0] - 1.0) < 1e-9
+        assert abs(c @ x + 1.0) < 1e-9
 
     def test_two_variable_lp_known_solution(self):
         # min -(x + 2y)  s.t.  x + y + s1 = 4,  y + s2 = 3
@@ -53,27 +61,28 @@ class TestSolveLp:
         c = np.array([-1.0, -2.0, 0.0, 0.0])
         A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
         b = np.array([4.0, 3.0])
-        res = solve_lp(c, A, b, [2, 3])
-        assert res.status == "optimal"
-        assert np.allclose(res.x[:2], [1.0, 3.0], atol=1e-9)
-        assert abs(res.objective + 7.0) < 1e-9
+        x, _, unbounded = _solve_one(c, A, b, [2, 3])
+        assert not unbounded
+        assert np.allclose(x[:2], [1.0, 3.0], atol=1e-9)
+        assert abs(c @ x + 7.0) < 1e-9
 
     def test_basis_gives_the_duals(self):
         # same LP: both x and y basic, so B^T y = c_B gives y = (-1, -1)
         c = np.array([-1.0, -2.0, 0.0, 0.0])
         A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        res = solve_lp(c, A, np.array([4.0, 3.0]), [2, 3])
-        assert sorted(res.basis) == [0, 1]
-        B = list(res.basis)
+        x, basis, _ = _solve_one(c, A, np.array([4.0, 3.0]), [2, 3])
+        assert sorted(basis) == [0, 1]
+        B = list(basis)
         y = np.linalg.solve(A[:, B].T, c[B])
         assert np.allclose(y, [-1.0, -1.0], atol=1e-12)
-        assert abs(y @ [4.0, 3.0] - res.objective) < 1e-12
+        assert abs(y @ [4.0, 3.0] - c @ x) < 1e-12
 
     def test_unbounded_detected(self):
         # min -x  s.t. s - x = 1: x can grow without limit
-        res = solve_lp(np.array([-1.0, 0.0]),
-                       np.array([[-1.0, 1.0]]), np.array([1.0]), [1])
-        assert res.status == "unbounded"
+        _, _, unbounded = _solve_one(np.array([-1.0, 0.0]),
+                                     np.array([[-1.0, 1.0]]),
+                                     np.array([1.0]), [1])
+        assert unbounded
 
     def test_degenerate_vertex(self):
         # three constraints meeting at one vertex; Bland's rule must not cycle
@@ -84,36 +93,38 @@ class TestSolveLp:
             [1.0, 1.0, 0.0, 0.0, 1.0],
         ])
         b = np.array([1.0, 1.0, 2.0])
-        res = solve_lp(c, A, b, [2, 3, 4])
-        assert res.status == "optimal"
-        assert abs(res.objective + 2.0) < 1e-9
+        x, _, unbounded = _solve_one(c, A, b, [2, 3, 4])
+        assert not unbounded
+        assert abs(c @ x + 2.0) < 1e-9
 
     def test_zero_constraints(self):
-        res = solve_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), [])
-        assert res.status == "optimal"
-        assert np.array_equal(res.x, [0.0])
-        res = solve_lp(np.array([-1.0]), np.zeros((0, 1)), np.zeros(0), [])
-        assert res.status == "unbounded"
+        x, _, unbounded = _solve_one(np.array([1.0]), np.zeros((0, 1)),
+                                     np.zeros(0), [])
+        assert not unbounded
+        assert np.array_equal(x, [0.0])
+        _, _, unbounded = _solve_one(np.array([-1.0]), np.zeros((0, 1)),
+                                     np.zeros(0), [])
+        assert unbounded
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
-            solve_lp(np.zeros(2), np.ones((1, 3)), np.ones(1), [0])
+            _solve_one(np.zeros(2), np.ones((1, 3)), np.ones(1), [0])
         with pytest.raises(ValueError, match="dimensions"):
-            solve_lp(np.zeros(3), np.ones((1, 3)), np.ones(1), [0, 1])
+            _solve_one(np.zeros(3), np.ones((1, 3)), np.ones(1), [0, 1])
 
     def test_singular_start_column_rejected(self):
         A = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="singular"):
-            solve_lp(np.zeros(3), A, np.ones(2), [0, 1])  # zero column
+            _solve_one(np.zeros(3), A, np.ones(2), [0, 1])  # zero column
         with pytest.raises(ValueError, match="singular"):
-            solve_lp(np.zeros(3), A, np.ones(2), [2, 2])  # repeated column
+            _solve_one(np.zeros(3), A, np.ones(2), [2, 2])  # repeated column
         with pytest.raises(ValueError, match="singular"):
-            solve_lp(np.zeros(3), A, np.ones(2), [0, 3])  # no such column
+            _solve_one(np.zeros(3), A, np.ones(2), [0, 3])  # no such column
 
     def test_infeasible_start_basis_rejected(self):
         # x - s = 1 with s basic would need s = -1
         with pytest.raises(ValueError, match="not feasible"):
-            solve_lp(np.zeros(2), np.array([[1.0, -1.0]]), np.ones(1), [1])
+            _solve_one(np.zeros(2), np.array([[1.0, -1.0]]), np.ones(1), [1])
 
     def test_determinism_bitwise(self):
         rng = numkit.make_rng(0)
@@ -122,12 +133,12 @@ class TestSolveLp:
         b = np.abs(rng.normal(size=4))
         c = np.concatenate([rng.normal(size=7), np.zeros(4)])
         start = [7, 8, 9, 10]
-        r1 = solve_lp(c, A, b, start)
-        r2 = solve_lp(c, A, b, start)
-        assert r1.status == r2.status == "optimal"
-        assert np.array_equal(r1.x, r2.x)
-        assert r1.objective == r2.objective
-        assert r1.basis == r2.basis
+        x1, basis1, unbounded1 = _solve_one(c, A, b, start)
+        x2, basis2, unbounded2 = _solve_one(c, A, b, start)
+        assert not unbounded1 and not unbounded2
+        assert np.array_equal(x1, x2)
+        assert c @ x1 == c @ x2
+        assert basis1 == basis2
 
 
 def _same_bits(a, b) -> bool:
@@ -147,25 +158,29 @@ def _staircase_lp(t, m=4):
 class TestLockstepStack:
     """Stacked LPs pivot in lockstep and each gets the bits it gets alone."""
 
-    def _check_against_oracle(self, got, c, A, b, start):
-        status, x, objective, basis = solve_lp_oracle(c, A, b, start)
-        assert got.status == status
+    def _check_against_oracle(self, x, basis, unbounded, c, A, b, start):
+        status, want_x, objective, want_basis = solve_lp_oracle(c, A, b,
+                                                                start)
+        assert unbounded == (status == "unbounded")
         if status == "optimal":
-            assert _same_bits(got.x, x)
-            assert got.objective == objective
-            assert got.basis == basis
+            assert _same_bits(x, want_x)
+            assert float(c @ x) == objective
+            assert tuple(basis.tolist()) == want_basis
 
     def test_lps_ending_after_different_pivot_counts(self):
         lps = [_staircase_lp(t) for t in (3, 0, 4, 1, 2)]
-        stacked = solve_lp(*(np.array([lp[k] for lp in lps])
-                             for k in range(4)))
-        for t, got, lp in zip((3, 0, 4, 1, 2), stacked, lps):
-            assert got.status == "optimal"
-            assert got.objective == -t
-            assert got.basis == tuple(range(t)) + tuple(range(4 + t, 8))
-            alone = solve_lp(*lp)
-            assert _same_bits(got.x, alone.x) and got.basis == alone.basis
-            self._check_against_oracle(got, *lp)
+        x, basis, unbounded = solve_lp(*(np.array([lp[k] for lp in lps])
+                                         for k in range(4)))
+        for t, lp, x_k, basis_k, unbounded_k in zip((3, 0, 4, 1, 2), lps, x,
+                                                    basis, unbounded):
+            assert not unbounded_k
+            assert lp[0] @ x_k == -t
+            assert tuple(basis_k.tolist()) == \
+                tuple(range(t)) + tuple(range(4 + t, 8))
+            alone_x, alone_basis, _ = _solve_one(*lp)
+            assert _same_bits(x_k, alone_x)
+            assert tuple(basis_k.tolist()) == alone_basis
+            self._check_against_oracle(x_k, basis_k, unbounded_k, *lp)
 
     def test_unbounded_lp_next_to_optimal_ones(self):
         # x_0 enters the middle LP, but its column has no positive entry
@@ -173,13 +188,12 @@ class TestLockstepStack:
         A = A.copy()
         A[0, 0] = -1.0
         lps = [_staircase_lp(2), (c, A, b, start), _staircase_lp(4)]
-        stacked = solve_lp(*(np.array([lp[k] for lp in lps])
-                             for k in range(4)))
-        assert [r.status for r in stacked] == \
-            ["optimal", "unbounded", "optimal"]
-        assert stacked[1].x is None and stacked[1].objective is None
-        for got, lp in zip(stacked, lps):
-            self._check_against_oracle(got, *lp)
+        x, basis, unbounded = solve_lp(*(np.array([lp[k] for lp in lps])
+                                         for k in range(4)))
+        assert unbounded.tolist() == [False, True, False]
+        assert np.isnan(x[1]).all() and np.isnan(c @ x[1])
+        for lp, *got in zip(lps, x, basis, unbounded):
+            self._check_against_oracle(*got, *lp)
 
     def test_rows_with_a_zero_pivot_column_entry_keep_their_bits(self):
         # subtracting 0 * (-0.5) = -0.0 would turn the -0.0 below into +0.0
@@ -201,6 +215,8 @@ class TestLockstepStack:
                      np.array([start]))
         with pytest.raises(ValueError, match="constraint matrix"):
             solve_lp(c, np.zeros((1, 1, 1, 1)), b, start)
+        with pytest.raises(ValueError, match="constraint matrix"):
+            solve_lp(c, A, b, start)  # one LP must come as a stack of one
 
     def test_chunks_under_a_lowered_byte_budget_give_the_same_bits(
             self, monkeypatch):
@@ -293,10 +309,10 @@ class TestSequentialOracle:
                 assert _same_bits(result[0], want[0])
                 assert result[1] == want[1]
         others = np.delete(X, i, axis=0)
-        distance, w = separability._hull_distance(X[i], others)
+        c, x, w = separability._hull_distances(X[i][None], others[None])
         want_distance, want_w = hull_distance_oracle(X[i], others)
-        assert distance == want_distance
-        assert _same_bits(w, want_w)
+        assert float(c @ x[0]) == want_distance
+        assert _same_bits(w[0], want_w)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +463,28 @@ class TestHullMember:
             assert got[1] > MARGIN_BAND
             assert not member
 
+    @given(certifier_point_sets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_oracle_distance(self, X, data):
+        """For any p, inside the hull or not: the same distance bits as the
+        one-LP oracle, and membership exactly when it is <= 10 * LP_TOL."""
+        n, d = X.shape
+        rng = numkit.make_rng(data.draw(st.integers(0, 2**31 - 1)))
+        kind = data.draw(st.sampled_from(["anywhere", "vertex", "inside",
+                                          "nudged"]))
+        if kind == "anywhere":
+            p = rng.normal(size=d) * np.abs(X).max()
+        elif kind == "vertex":
+            p = X[rng.integers(n)].copy()
+        elif kind == "inside":
+            p = rng.dirichlet(np.ones(n)) @ X
+        else:  # within a few LP_TOL of a point of the set
+            p = X[rng.integers(n)] + rng.normal(size=d) * 3e-9
+        c, x, _ = separability._hull_distances(p[None], X[None])
+        distance, _ = hull_distance_oracle(p, X)
+        assert float(c @ x[0]) == distance
+        assert hull_member(p, X) == (distance <= 10.0 * separability.LP_TOL)
+
 
 @st.composite
 def degenerate_point_sets(draw):
@@ -530,13 +568,12 @@ def _hull_test_set(kind, seed):
 def test_hull_distance_matches_highs(kind):
     """The LP objective itself, not just the margin read off its duals."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    from vnlab.separability import _hull_distance
-
     for seed in range(20):
         X = _hull_test_set(kind, seed)
         for i in range(X.shape[0]):
             others = np.delete(X, i, axis=0)
-            got, _ = _hull_distance(X[i], others)
+            c, x, _ = separability._hull_distances(X[i][None], others[None])
+            got = float(c @ x[0])
             want = _highs_hull_distance(linprog, X[i], others)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -530,9 +530,13 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             f"square weights; got qk_dim={w.qk_dim}, out_dim={w.out_dim}"
         )
     scale = None
-    selectors = np.zeros((n, d))
     if cfg.selection == "oracle":
+        # the oracle pool reads no selector: every layer but the last
+        # stages the same zeros, so they share one step
+        first = np.zeros(d)
         pools = [OracleSelectPool(index=k) for k in range(n)]
+        advances = [SelectorAdvance(width=d, next_selector=np.zeros(d))] \
+            * (n - 1)
     else:
         cert = cfg.certificate
         if cert is None:
@@ -551,19 +555,21 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             )
         scale = cfg.amplification if cfg.amplification is not None \
             else cert.amplification
-        selectors = cert.directions
+        first = cert.directions[0]
         pools = [SoftmaxSelectPool(width=d, scale=scale)
                  if cfg.selection == "softmax"
                  else Gatv2SelectPool(l1_score(d), width=d, scale=scale)] * n
+        advances = [SelectorAdvance(width=d, next_selector=s)
+                    for s in cert.directions[1:]]
+    advances.append(SelectorAdvance(width=d, next_selector=None))
 
     ones = ConstVn(np.ones(2 * d + 1))
     accumulate = ScoreAccumulate(None, w.w_k, w.w_v, width=d)
     layers = []
     for k in range(1, n + 1):
-        nxt = selectors[k] if k <= n - 1 else None
         layers.append(MpnnVnLayer(
             vn_pool=pools[k - 1],
-            vn_update=SelectorAdvance(width=d, next_selector=nxt),
+            vn_update=advances[k - 1],
             gn_update=StageQuery(w.w_q, width=d) if k == 1 else accumulate,
         ))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
@@ -571,7 +577,7 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
                               gn_update=RatioUpdate(width=d)))
 
-    vn_init = np.concatenate([np.zeros(d), selectors[0], [0.0]])
+    vn_init = np.concatenate([np.zeros(d), first, [0.0]])
     return LayerProgram(
         layers=layers,
         vn_init=vn_init,

@@ -28,8 +28,10 @@ Programs (ordered layer lists plus initial-state and output conventions)
 persist as ``layer-program/v2`` documents: a ``descriptors`` table holds each
 distinct slot descriptor once, and each layer names its three slots by index
 into it, so a deep program's one shared ``ScoreAccumulate`` is stored once
-and is one object again after loading.  ``layer-program/v1`` documents, whose
-layers hold their descriptors inline, still load.
+and is one object again after loading.  ``save_program`` writes a document on
+one line, with sorted keys and no spaces; ``load_program`` reads it and also
+documents written indented.  ``layer-program/v1`` documents, whose layers hold
+their descriptors inline, still load.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
@@ -625,6 +627,9 @@ def run_program(s0: NodeState, prog: LayerProgram,
 
 _V1, _V2 = "layer-program/v1", "layer-program/v2"
 _SLOTS = tuple(f.name for f in dataclasses.fields(MpnnVnLayer))
+# a descriptor's dedupe key: its blob encoded with sorted keys (built once,
+# as ``json.dumps`` would build it again on every call)
+_descriptor_key = json.JSONEncoder(sort_keys=True).encode
 
 
 def program_to_json(prog: LayerProgram) -> dict:
@@ -646,7 +651,7 @@ def program_to_json(prog: LayerProgram) -> dict:
         # keeps every slot alive, so no id is reused meanwhile
         if id(slot) not in index_of_obj:
             blob = slot.to_json()
-            key = json.dumps(blob, sort_keys=True)
+            key = _descriptor_key(blob)
             if key not in index_of_value:
                 index_of_value[key] = len(descriptors)
                 descriptors.append(blob)
@@ -713,6 +718,7 @@ def program_from_json(blob: dict) -> LayerProgram:
     gets the same descriptor object.  A v1 document is read by the same
     path with an empty table: its slots hold descriptors inline.
     """
+    numkit.require_object(blob, "program document")
     fmt = blob.get("format")
     if fmt not in (_V1, _V2):
         raise ValueError(f"not a {_V2} or {_V1} document: format {fmt!r}")
@@ -725,6 +731,8 @@ def program_from_json(blob: dict) -> LayerProgram:
     entries = blob.get("descriptors", [])
     if not isinstance(entries, list):
         raise ValueError(f"descriptors must be a list, got {entries!r}")
+    if not isinstance(blob["layers"], list):
+        raise ValueError(f"layers must be a list, got {blob['layers']!r}")
     table = [_decode_descriptor(f"descriptors[{j}]", entry)
              for j, entry in enumerate(entries)]
     layers = [_decode_layer(i, layer, table)
@@ -767,7 +775,14 @@ def program_from_json(blob: dict) -> LayerProgram:
 
 
 def save_program(prog: LayerProgram, path) -> None:
-    numkit.dump_json(program_to_json(prog), path)
+    """Write ``prog`` to ``path`` as a ``layer-program/v2`` document.
+
+    The document is one line with sorted keys and no spaces, so equal
+    programs give equal bytes, and ``load_program`` followed by
+    ``save_program`` reproduces them.  A program that cannot be encoded
+    leaves ``path`` as it was.
+    """
+    numkit.dump_json(program_to_json(prog), path, compact=True)
 
 
 def load_program(path) -> LayerProgram:

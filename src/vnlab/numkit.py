@@ -9,7 +9,9 @@ Conventions used throughout the package:
   reproducible from its recorded seed;
 * JSON persistence stores matrices as ``{"rows", "cols", "values"}`` with
   values listed in row-major order.  Python's ``json`` round-trips float64
-  exactly (repr-based encoding), so save/load is bit-exact.
+  exactly (repr-based encoding), so save/load is bit-exact.  Documents are
+  written with sorted keys, indented (reports) or on one line (programs;
+  see :func:`dump_json`).
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "values": [float(x) for x in m.ravel(order="C")],
+        "values": m.ravel(order="C").tolist(),
     }
 
 
@@ -224,13 +226,23 @@ def vector_from_json(d: dict) -> np.ndarray:
     return np.ascontiguousarray(m[0])
 
 
-def dump_json(obj, path) -> None:
-    """Write a JSON document with a stable layout (sorted keys, no spaces drift).
+def dump_json(obj, path, *, compact: bool = False) -> None:
+    """Write a JSON document with sorted keys, so equal values give equal bytes.
+
+    The caller picks the layout.  By default the document is indented by two
+    spaces, which is how every CLI report is written.  ``compact=True``
+    writes it on one line with no space after ``,`` or ``:``; ``json`` then
+    encodes it in C rather than in Python, which is what makes saving a
+    long program cheap.  Either layout ends with a newline, and
+    :func:`load_json` reads both.
 
     The document is encoded before ``path`` is opened, so a value ``json``
     cannot encode raises without creating or truncating the file.
     """
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if compact:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

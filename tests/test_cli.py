@@ -472,6 +472,9 @@ class TestCommandTable:
         jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
         code = run(args + ["--json", str(jp), "--csv", str(cp), "--quiet"])
         report = json.loads(jp.read_text())
+        # reports stay indented; only program documents are one line
+        assert jp.read_text() == json.dumps(report, indent=2,
+                                            sort_keys=True) + "\n"
         assert report["format"] == "cli-report/v1"
         assert report["command"] == command
         echo = json.loads(json.dumps(build_config(command, None, settings)))

@@ -32,6 +32,7 @@ from vnlab.cli import _run_checking_time2
 from vnlab.mpnnvn import (
     MpnnVnLayer,
     ScoreAccumulate,
+    SelectorAdvance,
     StageQuery,
     load_program,
     program_from_json,
@@ -274,9 +275,9 @@ class TestKernelMlpMode:
         assert digest(prog.metadata["bounds"]) == self.BOUNDS_SHA256
 
     # tests/fixtures/kernel_mlp_trained.v2.json is the exp-features program
-    # of mlp_kernel_setup as saved while every piece was a trained ELU
-    # network, with the sha256 of the document and of its output bytes on
-    # the fixture's inputs at that time
+    # of mlp_kernel_setup as saved (indented) while every piece was a
+    # trained ELU network, with the sha256 of the document and of its
+    # output bytes on the fixture's inputs at that time
     TRAINED_DOC_SHA256 = (
         "95e247e8c31ad7d594121682ee081b82ac333e49c1a7d269b64a9569a3cfeb1a")
     TRAINED_OUT_SHA256 = (
@@ -295,7 +296,10 @@ class TestKernelMlpMode:
             == self.TRAINED_OUT_SHA256
         resaved = tmp_path / "resaved.json"
         save_program(prog, resaved)
-        assert resaved.read_bytes() == path.read_bytes()
+        content = json.loads(path.read_bytes())
+        assert json.loads(resaved.read_bytes()) == content
+        assert resaved.read_bytes() == (json.dumps(
+            content, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def _max_f2(name, lo, hi):
@@ -446,6 +450,21 @@ class TestDeepOracle:
             "compiler": "deep", "selection": "oracle", "n": 7, "d": 3,
             "c": None,
         }
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_zero_selector_step_is_one_object(self, n):
+        w = attention.random_weights(3, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        # layers 1..n-1 stage the same zeros, layer n stages nothing; a
+        # reloaded program shares the step as well
+        for p in (prog, program_from_json(program_to_json(prog))):
+            *shared, last = [layer.vn_update for layer in p.layers[:n]]
+            assert all(s is shared[0] for s in shared)
+            assert all(isinstance(s, SelectorAdvance)
+                       and np.array_equal(s.next_selector, np.zeros(3))
+                       for s in shared)
+            assert isinstance(last, SelectorAdvance)
+            assert last.next_selector is None
 
     def test_trace_matches_reference_exactly(self):
         # not approximately: the engine must reproduce the hand-rolled

@@ -1,6 +1,7 @@
 """Tests for the heterogeneous virtual-node layer engine."""
 
 import hashlib
+import json
 import pathlib
 
 import copy
@@ -54,6 +55,17 @@ from vnlab.mpnnvn import (
 from vnlab.separability import l1_certificate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+
+def sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
+def reindented(raw: bytes) -> bytes:
+    """A JSON document's content re-encoded with indent=2 and sorted keys,
+    the layout the content pins below are taken in."""
+    return (json.dumps(json.loads(raw), indent=2, sort_keys=True)
+            + "\n").encode()
 
 
 def star(n):
@@ -561,8 +573,9 @@ class TestPersistence:
         fm = attention.exp_feature_map(4, 3, seed=2)
         return compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
 
-    # sha256 of the saved layer-program/v2 documents; a change here is a
-    # change of the on-disk format
+    # sha256 of the saved layer-program/v2 documents' content, re-encoded
+    # with indent=2 and sorted keys (the layout they were first pinned in);
+    # a change here is a change of the on-disk format
     PINNED_SHA256 = {
         "rich":
             "bb4b815e52645e808156d9ee9846910cf67253398bd432e78bdffd03d6c65d31",
@@ -574,12 +587,26 @@ class TestPersistence:
             "8896ef5ebd5e3f997f4e6626494356a96b581c0f071215c089eceefe4cbe875c",
     }
 
+    # sha256 of the same documents as written, on one line: a change here
+    # with PINNED_SHA256 unchanged is a change of layout only
+    COMPACT_SHA256 = {
+        "rich":
+            "01030c3dcfc88da6c74172d8eb3ff02ed2cb44818f2a988f67f2f5fe6815acdf",
+        "deep_oracle":
+            "4021fc48a5087af2af4e75b54d994bedf05350c8b8990e32e02a5f5156c9cae5",
+        "deep_gatv2":
+            "b79a05100db8029a35e0c2efa09600a55ec9e4072763503a0878e085c9f75212",
+        "kernel_exact":
+            "21e7c1021cbccd981c18897ccf843e2fd76fa3793f3fe0fca12e1dbd31dec336",
+    }
+
     @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
     def test_saved_bytes_are_pinned(self, name, tmp_path):
         path = tmp_path / "program.json"
         save_program(self._pinned_program(name), path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == self.PINNED_SHA256[name]
+        saved = path.read_bytes()
+        assert sha256(saved) == self.COMPACT_SHA256[name]
+        assert sha256(reindented(saved)) == self.PINNED_SHA256[name]
 
     # layer-program/v1 documents of the pinned programs, as the v1 writer
     # saved them (tests/fixtures/<name>.v1.json), with their sha256.  The
@@ -613,7 +640,8 @@ class TestPersistence:
         assert numkit.load_json(self._v1_fixture(name))["format"] == \
             "layer-program/v1"
 
-    # sha256 of the layer-program/v2 documents the v1 fixtures re-save to.
+    # sha256 of the layer-program/v2 documents the v1 fixtures re-save to,
+    # as content (re-indented, like PINNED_SHA256) and as written.
     # The rich and deep fixtures were written before StageQuery: their
     # ScoreAccumulates carry w_q and recompute the query from x, and their
     # deep states are [x | acc | mass], so they keep that old layout.
@@ -626,13 +654,23 @@ class TestPersistence:
             "a6acada833ad9bd567b2e566610fbe74933ee9c415b1e529481abcce4f4e404f",
         "kernel_exact": PINNED_SHA256["kernel_exact"],
     }
+    V1_RESAVED_COMPACT_SHA256 = {
+        "rich":
+            "c9439fa17e660de1c6b95bc0a9ea45c602a0af8bd82273e9d5003384d5476ad8",
+        "deep_oracle":
+            "065739cb59db766f6a4a9f8c832b67599d15ac54074734482a2232cbce9b78fc",
+        "deep_gatv2":
+            "61a0b615a817f309bc019066280838333f2bfe2d54be25e3c695c9adb4451a0c",
+        "kernel_exact": COMPACT_SHA256["kernel_exact"],
+    }
 
     @pytest.mark.parametrize("name", sorted(V1_FIXTURE_SHA256))
     def test_v1_fixture_resaves_to_the_v2_pin(self, name, tmp_path):
         path = tmp_path / "program.json"
         save_program(load_program(self._v1_fixture(name)), path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == self.V1_RESAVED_SHA256[name.removesuffix("_gn_msg")]
+        saved, pin = path.read_bytes(), name.removesuffix("_gn_msg")
+        assert sha256(saved) == self.V1_RESAVED_COMPACT_SHA256[pin]
+        assert sha256(reindented(saved)) == self.V1_RESAVED_SHA256[pin]
 
     # the rich program covers the codec, not a runnable width chain, so its
     # fixture is checked by the re-saved bytes above
@@ -674,7 +712,8 @@ class TestPersistence:
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
         path = tmp_path / "deep.json"
         save_program(prog, path)
-        assert path.stat().st_size < 100_000
+        assert path.stat().st_size < 30_000
+        assert path.read_bytes().count(b"\n") == 1
         kinds = [e["kind"] for e in numkit.load_json(path)["descriptors"]]
         assert kinds.count("score_accumulate") == 1
         again = load_program(path)
@@ -717,6 +756,26 @@ class TestPersistence:
         blob = program_to_json(self._pinned_program("deep_oracle"))
         del blob[key]
         with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("document, kind", [
+        ("[]", "list"), ("null", "NoneType"), ('"x"', "str"), ("3", "int"),
+    ])
+    def test_document_that_is_not_an_object_is_refused(self, document, kind,
+                                                       tmp_path):
+        path = tmp_path / "program.json"
+        path.write_text(document + "\n")
+        with pytest.raises(ValueError, match=(
+                f"program document payload must be an object, got {kind}")):
+            load_program(path)
+
+    @pytest.mark.parametrize("layers", [5, None, {"a": 1}, "ab"],
+                             ids=["int", "null", "object", "string"])
+    @pytest.mark.parametrize("fmt", ["layer-program/v1", "layer-program/v2"])
+    def test_layers_that_are_not_a_list_are_refused(self, fmt, layers):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob["format"], blob["layers"] = fmt, layers
+        with pytest.raises(ValueError, match="^layers must be a list, got "):
             program_from_json(blob)
 
     def test_round_trip_preserves_document(self, tmp_path):

@@ -208,18 +208,20 @@ def test_vector_json_roundtrip(tmp_path):
     np.testing.assert_array_equal(numkit.vector_from_json(numkit.load_json(p)), v)
 
 
-def test_failed_dump_leaves_the_target_alone(tmp_path):
+@pytest.mark.parametrize("compact", [False, True],
+                         ids=["indented", "compact"])
+def test_failed_dump_leaves_the_target_alone(tmp_path, compact):
     # np.int64 is not JSON-encodable; it sorts after a long encodable list
     bad = {"a": [1.0] * 1000, "b": np.int64(3)}
     existing = tmp_path / "existing.json"
-    numkit.dump_json({"kept": True}, existing)
+    numkit.dump_json({"kept": True}, existing, compact=compact)
     before = existing.read_bytes()
     with pytest.raises(TypeError):
-        numkit.dump_json(bad, existing)
+        numkit.dump_json(bad, existing, compact=compact)
     assert existing.read_bytes() == before
     fresh = tmp_path / "fresh.json"
     with pytest.raises(TypeError):
-        numkit.dump_json(bad, fresh)
+        numkit.dump_json(bad, fresh, compact=compact)
     assert not fresh.exists()
 
 

@@ -145,7 +145,13 @@ def phi(x, fm: FeatureMap) -> np.ndarray:
 
 
 def phi_matrix(rows, fm: FeatureMap) -> np.ndarray:
-    """Apply the feature map to every row of a matrix."""
+    """Apply the feature map to every row of a matrix.
+
+    For exp_features the (n, m) features are computed in one freshly
+    allocated buffer: the projections ``rows @ directions.T`` are taken once
+    and the half-norm shift, ``exp`` and the 1/sqrt(m) scale are applied to
+    them in place.  Neither ``rows`` nor ``fm.directions`` is ever written.
+    """
     rows = numkit.as_matrix(rows)
     if fm.kind == "elu_features":
         return numkit.elu(rows) + 1.0
@@ -155,8 +161,11 @@ def phi_matrix(rows, fm: FeatureMap) -> np.ndarray:
         )
     m = fm.directions.shape[0]
     # phi_r(x) = exp(w_r . x - |x|^2 / 2) / sqrt(m)
-    args = rows @ fm.directions.T - 0.5 * np.sum(rows * rows, axis=1, keepdims=True)
-    return np.exp(args) / np.sqrt(m)
+    args = rows @ fm.directions.T
+    np.subtract(args, 0.5 * np.sum(rows * rows, axis=1, keepdims=True), out=args)
+    np.exp(args, out=args)
+    np.divide(args, np.sqrt(m), out=args)
+    return args
 
 
 def kernel_estimate(x, y, fm: FeatureMap) -> float:

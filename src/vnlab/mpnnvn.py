@@ -544,12 +544,13 @@ class LayerProgram:
     ``provenance`` names the compiler that produced the program; ``metadata``
     carries plain-JSON config echoes (fit errors, bounds, seeds).
 
-    A deep program (``metadata["compiler"] == "deep"``) has one selection
-    layer per input row, so it only simulates attention on the node count
-    ``metadata["n"]`` it was compiled for: ``initial_state`` raises
-    ``ValueError`` naming both counts on any other, which makes ``execute``
-    and every caller that starts from ``initial_state`` refuse it.  Other
-    programs run on any number of rows.
+    A deep program (``metadata["compiler"] == "deep"``, or provenance
+    "deep-attention-compiler") has one selection layer per input row, so it
+    only simulates attention on the node count ``metadata["n"]`` it was
+    compiled for: ``initial_state`` raises ``ValueError`` naming both counts
+    on any other, which makes ``execute`` and every caller that starts from
+    ``initial_state`` refuse it.  A deep program whose metadata lost ``n``
+    refuses every input.  Other programs run on any number of rows.
     """
 
     layers: list[MpnnVnLayer]
@@ -565,7 +566,9 @@ class LayerProgram:
     def initial_state(self, X) -> NodeState:
         X = numkit.as_matrix(X)
         n = self.metadata.get("n")
-        if self.metadata.get("compiler") == "deep" and X.shape[0] != n:
+        deep = (self.metadata.get("compiler") == "deep"
+                or self.provenance == "deep-attention-compiler")
+        if deep and X.shape[0] != n:
             raise ValueError(f"deep program was compiled for n={n} graph "
                              f"nodes, input has {X.shape[0]} rows")
         if self.gn_init == "identity":

@@ -143,6 +143,18 @@ def kernelized_attention_pairwise(X: np.ndarray, w_q, w_k, w_v, phi_fn) -> np.nd
     return out
 
 
+def exp_features_oracle(rows: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Performer's positive features exp(w . x - |x|^2 / 2) / sqrt(m).
+
+    One expression with a fresh temporary per step.  ``phi_matrix`` applies
+    the same ufuncs to the same operands in one buffer, so it must agree bit
+    for bit.
+    """
+    m = directions.shape[0]
+    return np.exp(rows @ directions.T
+                  - 0.5 * np.sum(rows * rows, axis=1, keepdims=True)) / np.sqrt(m)
+
+
 def gatv2_score_oracle(u, v, a, w, b, slope: float = 0.2) -> float:
     """a^T LeakyReLU(W [u ; v] + b), expanded entry by entry."""
     uv = list(u) + list(v)

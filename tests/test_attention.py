@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vnlab import attention, numkit
 from oracles import (
+    exp_features_oracle,
     gatv2_score_oracle,
     kernelized_attention_pairwise,
     self_attention_oracle,
@@ -89,6 +91,47 @@ def test_phi_exp_features_at_zero():
     fm = attention.exp_feature_map(16, 3, seed=0)
     np.testing.assert_array_equal(attention.phi(np.zeros(3), fm),
                                   np.full(16, 1.0 / 4.0))
+
+
+@given(st.integers(1, 64), st.integers(1, 8), st.integers(1, 300),
+       st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_phi_matrix_exp_features_matches_oracle_bitwise(n, d, m, seed):
+    rng = numkit.make_rng(seed)
+    rows = rng.standard_normal((n, d)) * rng.uniform(0.1, 2.0)
+    fm = attention.exp_feature_map(m, d, seed=seed)
+    assert np.array_equal(attention.phi_matrix(rows, fm),
+                          exp_features_oracle(rows, fm.directions))
+
+
+def _wide_rows_and_map():
+    """The kernel-wide size: 4096 rows of dimension 16, m = 256."""
+    rows = _bounded_rows(4096, 16, 21)
+    return rows, attention.exp_feature_map(256, 16, seed=22)
+
+
+def test_phi_matrix_exp_features_matches_oracle_at_width():
+    rows, fm = _wide_rows_and_map()
+    assert np.array_equal(attention.phi_matrix(rows, fm),
+                          exp_features_oracle(rows, fm.directions))
+
+
+def test_phi_matrix_exp_features_allocates_one_buffer():
+    # the features are computed in the one (n, m) array returned: the
+    # half-norm column, a (n, d) square and a few scalars are all else
+    rows, fm = _wide_rows_and_map()
+    rows_before, dirs_before = rows.copy(), fm.directions.copy()
+    tracemalloc.start()
+    try:
+        out = attention.phi_matrix(rows, fm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes, peak / out.nbytes
+    assert np.array_equal(rows, rows_before)
+    assert np.array_equal(fm.directions, dirs_before)
+    assert not np.shares_memory(out, rows)
+    assert not np.shares_memory(out, fm.directions)
 
 
 def test_phi_elu_features_values():

@@ -146,6 +146,23 @@ class TestKernelExact:
         assert prog.metadata["mode"] == "exact"
         assert prog.metadata["feature_kind"] == "elu_features"
 
+    # sha256 of the output bytes of one wide exact-mode program, recorded
+    # while phi_matrix still built its features from fresh temporaries
+    WIDE_OUT_SHA256 = (
+        "e1c07378ed5299e6cb4de7ac79261e2bf6c604218603d3e71b22a43f955e512e")
+
+    def test_wide_output_is_pinned(self):
+        rng = numkit.make_rng(24)
+        n, d, m = 1024, 16, 256
+        w = attention.random_weights(d, rng)
+        fm = attention.exp_feature_map(m, d, seed=25)
+        X = rng.normal(size=(n, d)) * 0.25
+        prog = compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
+        out = prog.execute(attention_host_graph(n), X)
+        assert hashlib.sha256(out.tobytes()).hexdigest() \
+            == self.WIDE_OUT_SHA256
+        assert np.array_equal(out, attention.approx_attention(X, w, fm))
+
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="mode"):
             KernelSimConfig(feature_map=attention.elu_feature_map(),
@@ -576,6 +593,20 @@ class TestDeepOracle:
         del blob["metadata"]["n"]
         with pytest.raises(ValueError, match="compiled for n=None"):
             program_from_json(blob).execute(attention_host_graph(6), X[:6])
+
+    def test_deep_document_with_empty_metadata_refuses_every_input(self):
+        # the provenance alone marks a deep program: with "metadata": {} it
+        # once ran on 6 rows with error 0.148 against self_attention
+        w = attention.random_weights(3, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=4, selection="oracle"))
+        blob = program_to_json(prog)
+        blob["metadata"] = {}
+        bare = program_from_json(blob)
+        assert bare.provenance == "deep-attention-compiler"
+        X = 0.6 * numkit.make_rng(1).normal(size=(6, 3))
+        for rows in (X, X[:4]):
+            with pytest.raises(ValueError, match="compiled for n=None"):
+                bare.execute(attention_host_graph(rows.shape[0]), rows)
 
     def test_time2_check_reads_the_staged_query(self):
         # accumulations that recompute q from x keep every acc and mass

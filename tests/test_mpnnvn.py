@@ -684,6 +684,17 @@ class TestPersistence:
         assert np.array_equal(old.execute(star(n), X),
                               prog.execute(star(n), X))
 
+    @pytest.mark.parametrize("name", ["deep_oracle", "deep_gatv2",
+                                      "deep_oracle_gn_msg"])
+    def test_deep_fixture_carries_its_node_count(self, name):
+        prog = load_program(self._v1_fixture(name))
+        assert prog.provenance == "deep-attention-compiler"
+        assert {k: prog.metadata[k] for k in ("compiler", "n", "d")} == \
+            {"compiler": "deep", "n": 5, "d": 3}
+        X = 0.5 * numkit.make_rng(4).normal(size=(6, 3))
+        with pytest.raises(ValueError, match="compiled for n=5 graph nodes"):
+            prog.execute(star(6), X)
+
     @pytest.mark.parametrize("name", ["deep_oracle", "kernel_exact"])
     def test_document_with_old_message_slot_runs_identically(self, name):
         prog = self._pinned_program(name)

@@ -68,20 +68,18 @@ class AttnWeights:
         return self.w_v.shape[1]
 
 
-def random_weights(d: int, rng: np.random.Generator, qk_dim: int | None = None,
-                   out_dim: int | None = None, feature_bound: float = 1.0,
-                   weight_bound: float = 1.0) -> AttnWeights:
-    """Random projections rescaled to spectral norm 0.8 * ``weight_bound``."""
-    qk_dim = d if qk_dim is None else qk_dim
+def random_weights(d: int, rng: np.random.Generator,
+                   out_dim: int | None = None,
+                   feature_bound: float = 1.0) -> AttnWeights:
+    """Random projections rescaled to spectral norm 0.8 (weight bound 1)."""
     out_dim = d if out_dim is None else out_dim
 
     def draw(cols):
         m = numkit.gaussian_matrix(d, cols, rng)
         norm = numkit.spectral_norm(m)
-        return m * (0.8 * weight_bound / norm) if norm > 0 else m
+        return m * (0.8 / norm) if norm > 0 else m
 
-    return AttnWeights(draw(qk_dim), draw(qk_dim), draw(out_dim),
-                       feature_bound, weight_bound)
+    return AttnWeights(draw(d), draw(d), draw(out_dim), feature_bound)
 
 
 def self_attention(X, w: AttnWeights) -> np.ndarray:
@@ -236,16 +234,17 @@ class Gatv2Score:
         object.__setattr__(self, "b", b)
 
 
-def l1_score(d: int, slope: float = 0.2) -> Gatv2Score:
+def l1_score(d: int) -> Gatv2Score:
     """The additive score -|u - v|_1 over d-dimensional u and v, exactly.
 
     LeakyReLU(t) + LeakyReLU(-t) = (1 - slope) |t|, so W = [[I, -I], [-I, I]],
     b = 0 and a = -1/(1 - slope) give minus the L1 distance: v itself scores
     0, every other point strictly less (cf. Brody et al. 2022, 2105.14491).
+    The slope is ``Gatv2Score``'s default, 0.2.
     """
     w = np.eye(2 * d) - np.eye(2 * d, k=d) - np.eye(2 * d, k=-d)
-    return Gatv2Score(a=np.full(2 * d, -1.0 / (1.0 - slope)), w=w,
-                      b=np.zeros(2 * d), slope=slope)
+    return Gatv2Score(a=np.full(2 * d, -1.0 / (1.0 - Gatv2Score.slope)), w=w,
+                      b=np.zeros(2 * d))
 
 
 def gatv2_scores_against(fixed_v, rows, g: Gatv2Score) -> np.ndarray:
@@ -276,16 +275,14 @@ class AssumptionReport:
         return self.feature_norms_ok and self.weight_norms_ok
 
 
-def check_assumptions(X, w: AttnWeights, feature_bound: float | None = None,
-                      weight_bound: float | None = None) -> AssumptionReport:
+def check_assumptions(X, w: AttnWeights) -> AssumptionReport:
     """Check the strict norm assumptions and report the implied score interval.
 
-    |u^T Wq Wk^T v| <= |u| |Wq| |Wk| |v| < feature_bound^2 * weight_bound^2,
-    so every unnormalized score lies in the reported interval.
+    |u^T Wq Wk^T v| <= |u| |Wq| |Wk| |v| < C1^2 C2^2 for the bounds C1, C2
+    of ``w``, so every unnormalized score lies in the reported interval.
     """
     X = numkit.as_matrix(X)
-    c1 = w.feature_bound if feature_bound is None else float(feature_bound)
-    c2 = w.weight_bound if weight_bound is None else float(weight_bound)
+    c1, c2 = w.feature_bound, w.weight_bound
     max_row = float(np.max(numkit.row_norms(X))) if X.size else 0.0
     max_weight = max(
         numkit.spectral_norm(w.w_q),

@@ -329,7 +329,7 @@ def cmd_verify_kernel(cfg: dict, args):
         n = int(rng.integers(1, cfg["max_n"] + 1))
         d = int(rng.integers(1, cfg["max_d"] + 1))
         m = int(rng.integers(1, cfg["max_m"] + 1))
-        w = attention.random_weights(d, rng, out_dim=d)
+        w = attention.random_weights(d, rng)
         X = rng.normal(size=(n, d)) * 0.5
         for fm in (attention.exp_feature_map(m, d, seed=cfg["seed"] + case),
                    attention.elu_feature_map()):
@@ -462,6 +462,11 @@ def _gatv2_phase(eps: float):
 
 def cmd_verify_deep(cfg: dict, args):
     n, d = cfg["n"], cfg["d"]
+    # every certified margin is >= min_delta: this bounds every amplification
+    if not math.isfinite(max(cfg["c_factors"]) / cfg["min_delta"]):
+        raise CliInputError(
+            f"c_factors value {max(cfg['c_factors'])!r} over min_delta="
+            f"{cfg['min_delta']!r} gives an infinite amplification")
     rows = []
     worst = 0.0
     trace_ok = True
@@ -484,7 +489,7 @@ def cmd_verify_deep(cfg: dict, args):
         sweep_reports = sweep_deep_amplification(
             n=n, d=d, factors=cfg["c_factors"],
             seeds=tuple(range(cfg["sweep_seeds"])),
-            min_delta=cfg["min_delta"], eps=cfg["eps"],
+            min_delta=cfg["min_delta"],
         )
     except NoCertifiedInstance as exc:
         raise CliInputError(
@@ -707,7 +712,8 @@ COMMANDS = {
             "sweep_seeds": Key(_at_least(1), 5, "certified instances in the sweep"),
             "min_delta": Key(_positive, 0.1, "required certificate margin"),
             "eps": Key(_fraction, 1e-4,
-                       "selection slack for suggested amplification"),
+                       "selection slack; sizes only the constructed-score "
+                       "run's amplification (gatv2=true)"),
             "gatv2": Key(_parse_bool, False,
                          "also run constructed additive-score selection and "
                          "its deep program on the three-cluster line"),

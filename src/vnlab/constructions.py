@@ -58,6 +58,7 @@ from .mpnnvn import (
     run_program,
 )
 from .separability import (
+    MARGIN_BAND,
     SeparabilityCertificate,
     selection_weight_bound,
     vdelta_certificate,
@@ -220,7 +221,7 @@ def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
     budget = mlp.FitBudget(max_epochs=epochs, lr=1e-2, eval_every=50,
                            target_sup=target)
     best_params, best_sup = None, np.inf
-    for attempt in range(max(restarts, 1)):
+    for attempt in range(restarts):
         params, _ = mlp.fit(spec, train_x, train_y, budget,
                             mid, mid_y, seed=seed + 1000 * attempt)
         sup = _lattice_sup_error(params, fn, lo, hi)
@@ -346,6 +347,13 @@ class KernelSimConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "mlp"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not (math.isfinite(self.feature_bound) and self.feature_bound > 0.0):
+            raise ValueError("feature_bound must be finite and positive, "
+                             f"got {self.feature_bound!r}")
+        for name in ("probe_batches", "piece_restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _probe_kernel_domains(w: AttnWeights, cfg: KernelSimConfig) -> dict:
@@ -482,6 +490,7 @@ class DeepSimConfig:
     directions), or "gatv2" (one shared constructed score -c |x - x_k|_1
     against an "l1" certificate's points).  ``amplification`` overrides the
     certificate's score scale; when given it must be finite and positive.
+    Oracle selection reads neither, and refuses both.
     """
 
     n: int
@@ -494,6 +503,10 @@ class DeepSimConfig:
             raise ValueError("need at least one node")
         if self.selection not in ("oracle", "softmax", "gatv2"):
             raise ValueError(f"unknown selection mode {self.selection!r}")
+        if self.selection == "oracle" and (self.certificate is not None
+                                           or self.amplification is not None):
+            raise ValueError("oracle selection takes no certificate and no "
+                             "amplification")
         if self.amplification is not None and not (
                 math.isfinite(self.amplification) and self.amplification > 0.0):
             raise ValueError("amplification must be finite and positive, "
@@ -547,10 +560,10 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             raise ValueError(
                 f"certificate covers {cert.n} points, program needs {n}"
             )
-        if cert.delta <= cert.band:
+        if cert.delta <= MARGIN_BAND:
             raise ValueError(
                 f"certificate margin {cert.delta:.3g} is inside the "
-                f"unreliable band (<= {cert.band:.3g}); selection would be "
+                f"unreliable band (<= {MARGIN_BAND:.3g}); selection would be "
                 "meaningless"
             )
         scale = cfg.amplification if cfg.amplification is not None \
@@ -607,26 +620,21 @@ class NoCertifiedInstance(RuntimeError):
     """``make_certified_instance`` ran out of draws."""
 
 
-def make_certified_instance(
-    n: int,
-    d: int,
-    rng: np.random.Generator,
-    min_delta: float = 0.1,
-    feature_bound: float = 1.0,
-    eps: float = 1e-4,
-):
+def make_certified_instance(n: int, d: int, rng: np.random.Generator,
+                            min_delta: float = 0.1):
     """Draw a point set every point of which is certified selectable.
 
-    Points are sampled on the sphere of radius ``feature_bound`` (sphere
-    points are extreme points of their hull, so certification usually
-    succeeds) and redrawn until the certificate margin reaches ``min_delta``.
-    Returns (X, certificate); raises ``NoCertifiedInstance`` when none of
+    Points are sampled on the unit sphere (sphere points are extreme points
+    of their hull, so certification usually succeeds) and redrawn until the
+    ``vdelta_certificate`` margin reaches ``min_delta``; the certificate's
+    amplification is the one for a selection weight of 1 - 1e-4.  Returns
+    (X, certificate); raises ``NoCertifiedInstance`` when none of
     ``_INSTANCE_DRAWS`` draws qualifies.
     """
     for _ in range(_INSTANCE_DRAWS):
         X = rng.normal(size=(n, d))
-        X = X / np.linalg.norm(X, axis=1, keepdims=True) * feature_bound
-        cert = vdelta_certificate(X, eps=eps)
+        X = X / np.linalg.norm(X, axis=1, keepdims=True)
+        cert = vdelta_certificate(X)
         if isinstance(cert, SeparabilityCertificate) and cert.delta >= min_delta:
             return X, cert
     raise NoCertifiedInstance(
@@ -782,30 +790,21 @@ def run_and_report(
 # ---------------------------------------------------------------------------
 
 
-def sweep_deep_amplification(
-    n: int,
-    d: int,
-    factors,
-    seeds,
-    min_delta: float = 0.1,
-    feature_bound: float = 1.0,
-    eps: float = 1e-4,
-):
+def sweep_deep_amplification(n: int, d: int, factors, seeds,
+                             min_delta: float = 0.1):
     """Deep-program error against full attention across amplification levels.
 
-    For every seed: draw one certified instance and one random weight set,
-    then compile the softmax-selection program once per factor with
-    amplification c = factor / delta.  Returns the reports as a list (seeds)
-    of lists (factors); medians across seeds are what sweeps assert on.
+    For every seed: draw one certified instance on the unit sphere and one
+    random weight set, then compile the softmax-selection program once per
+    factor with amplification c = factor / delta, and report it with the
+    feature bound C1 = 1.  Returns the reports as a list (seeds) of lists
+    (factors); medians across seeds are what sweeps assert on.
     """
     out = []
     for seed in seeds:
         rng = numkit.make_rng(seed)
-        X, cert = make_certified_instance(
-            n, d, rng, min_delta=min_delta, feature_bound=feature_bound,
-            eps=eps,
-        )
-        w = attention.random_weights(d, rng, out_dim=d)
+        X, cert = make_certified_instance(n, d, rng, min_delta=min_delta)
+        w = attention.random_weights(d, rng)
         row = []
         for factor in factors:
             cfg = DeepSimConfig(
@@ -815,7 +814,7 @@ def sweep_deep_amplification(
             prog = compile_deep_vn(w, cfg)
             row.append(run_and_report(
                 X, prog, w, reference="full", cert=cert,
-                feature_bound=feature_bound, seed=seed,
+                feature_bound=1.0, seed=seed,
             ))
         out.append(row)
     return out

@@ -58,13 +58,6 @@ class Graph:
     def has_vn(self) -> bool:
         return self.vn_index is not None
 
-    def degree(self, node: int) -> int:
-        return sum(1 for i, j in self.edges if node in (i, j))
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        out = [j if i == node else i for i, j in self.edges if node in (i, j)]
-        return tuple(sorted(out))
-
 
 def add_virtual_node(g: Graph) -> Graph:
     """Append one virtual node adjacent to every existing node."""

@@ -540,7 +540,8 @@ class LayerProgram:
 
     ``gn_init`` is "identity" (graph-node state = input row) or
     ("pad", width): input row left-aligned into a zero row of that width.
-    ``gn_out`` is None (full state) or (lo, hi): output = state[:, lo:hi].
+    ``gn_out`` is None (full state) or (lo, hi) with 0 <= lo < hi: output =
+    state[:, lo:hi], and ``extract`` refuses a state narrower than hi.
     ``provenance`` names the compiler that produced the program; ``metadata``
     carries plain-JSON config echoes (fit errors, bounds, seeds).
 
@@ -562,6 +563,11 @@ class LayerProgram:
 
     def __post_init__(self):
         self.vn_init = numkit.as_vector(self.vn_init)
+        if self.gn_out is not None:
+            lo, hi = self.gn_out
+            if not 0 <= lo < hi:
+                raise ValueError("gn_out must be (lo, hi) with 0 <= lo < hi, "
+                                 f"got {self.gn_out!r}")
 
     def initial_state(self, X) -> NodeState:
         X = numkit.as_matrix(X)
@@ -587,6 +593,9 @@ class LayerProgram:
         if self.gn_out is None:
             return s.gn.copy()
         lo, hi = self.gn_out
+        if hi > s.gn.shape[1]:
+            raise ValueError(f"gn_out {self.gn_out!r} reaches past the "
+                             f"{s.gn.shape[1]}-wide graph-node state")
         return s.gn[:, lo:hi].copy()
 
     def execute(self, g: Graph, X) -> np.ndarray:

@@ -11,7 +11,8 @@ min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
   ``point_separations`` does so for every point at once;
 * ``hull_member`` tests the same distance for zero;
 * ``vdelta_certificate`` packages per-point directions and margins, plus the
-  score amplification needed to push the softmax weight to a target level;
+  score amplification that lifts every target's softmax weight to at least
+  1 - 1e-4 (``CERT_EPS``); margins at or below ``MARGIN_BAND`` fail it;
 * ``l1_certificate`` certifies any set of distinct points, with no LP, for
   the constructed additive score ``attention.l1_score``;
 * ``delta_nonlin_sep`` and ``three_cluster_line`` measure and build
@@ -46,6 +47,7 @@ LP_TOL = 1e-9
 # Margins at or below this are reported as "not separable": selection error
 # grows like 1/margin, so certifying hairline margins is useless downstream.
 MARGIN_BAND = 1e-6
+CERT_EPS = 1e-4  # certified selection weights reach at least 1 - CERT_EPS
 # Tableau bytes one lockstep batch of LPs may hold.  Certifying n points
 # solves n LPs of O(n d) entries each; chunking them under this budget keeps
 # memory at O(n d) per LP however many points there are.
@@ -304,7 +306,6 @@ class SeparabilityCertificate:
     margins: np.ndarray  # (n,), all > 0
     amplification: float
     eps: float
-    band: float = MARGIN_BAND
     score: str = "bilinear"  # "bilinear" | "l1"
 
     def __post_init__(self):
@@ -334,10 +335,6 @@ class CertificateFailure:
 
     inseparable: tuple
 
-    @property
-    def ok(self) -> bool:
-        return False
-
 
 def amplification_for(delta: float, eps: float, n: int) -> float:
     """Smallest score scale making the target's softmax weight >= 1 - eps.
@@ -355,12 +352,13 @@ def amplification_for(delta: float, eps: float, n: int) -> float:
     return math.log((n - 1) * (1.0 - eps) / eps) / delta
 
 
-def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
+def vdelta_certificate(X):
     """Certify every point as softmax-selectable, or report which are not.
 
     Success returns a :class:`SeparabilityCertificate` whose amplification is
-    sized so every point's selection weight reaches >= 1 - eps; failure
-    returns a :class:`CertificateFailure` naming the inseparable indices.
+    sized so every point's selection weight reaches >= 1 - ``CERT_EPS``
+    (1 - 1e-4); failure returns a :class:`CertificateFailure` naming the
+    points whose margin is at or below ``MARGIN_BAND``.
     """
     X = numkit.check_finite(numkit.as_matrix(X), "points")
     n, d = X.shape
@@ -369,7 +367,7 @@ def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
     directions = np.zeros((n, d))
     margins = np.zeros(n)
     bad = []
-    for i, got in enumerate(_separations(X, np.arange(n), band)):
+    for i, got in enumerate(_separations(X, np.arange(n), MARGIN_BAND)):
         if got is None:
             bad.append(i)
         else:
@@ -380,19 +378,18 @@ def vdelta_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
     return SeparabilityCertificate(
         directions=directions,
         margins=margins,
-        amplification=amplification_for(delta, eps, n),
-        eps=eps,
-        band=band,
+        amplification=amplification_for(delta, CERT_EPS, n),
+        eps=CERT_EPS,
     )
 
 
-def l1_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
+def l1_certificate(X, eps: float = CERT_EPS):
     """Certify every point as selectable by the constructed L1 score.
 
     With x_i staged, ``attention.l1_score`` scores x_i at 0 and x_j at
     -|x_i - x_j|_1, so x_i's margin is its L1 distance to its nearest other
-    point; hull-interior points pass too.  Margins inside the ``band``
-    (duplicate points) give a :class:`CertificateFailure`.
+    point; hull-interior points pass too.  Margins at or below
+    ``MARGIN_BAND`` (duplicate points) give a :class:`CertificateFailure`.
     """
     X = numkit.check_finite(numkit.as_matrix(X), "points")
     n = X.shape[0]
@@ -401,7 +398,7 @@ def l1_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
     dist = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2)
     np.fill_diagonal(dist, np.inf)
     margins = dist.min(axis=1)
-    bad = np.flatnonzero(margins <= band)
+    bad = np.flatnonzero(margins <= MARGIN_BAND)
     if bad.size:
         return CertificateFailure(tuple(int(i) for i in bad))
     return SeparabilityCertificate(
@@ -409,7 +406,6 @@ def l1_certificate(X, eps: float = 1e-4, band: float = MARGIN_BAND):
         margins=margins,
         amplification=amplification_for(float(margins.min()), eps, n),
         eps=eps,
-        band=band,
         score="l1",
     )
 
@@ -442,17 +438,13 @@ def delta_nonlin_sep(sets) -> float:
     return best
 
 
-def three_cluster_line(n_per: int = 3, spread: float = 0.15,
-                       centers=(-2.0, 0.0, 2.0)):
+def three_cluster_line():
     """Three 1-D clusters on a line; the middle one defeats bilinear scores.
 
-    Every middle point lies between outer points, i.e. inside their convex
-    hull, so no direction separates it — yet the clusters are far apart, so a
-    nonlinear score can single the middle one out.  Points are deterministic
-    (evenly spread around each center).
+    Three points each, evenly spread over +-0.15 around the centers -2, 0
+    and 2.  Every middle point lies between outer points, i.e. inside their
+    convex hull, so no direction separates it — yet the clusters are far
+    apart, so a nonlinear score can single the middle one out.
     """
-    if n_per == 1:
-        offsets = np.zeros(1)
-    else:
-        offsets = spread * np.linspace(-1.0, 1.0, n_per)
-    return [np.array([[c + o] for o in offsets]) for c in centers]
+    offsets = 0.15 * np.linspace(-1.0, 1.0, 3)
+    return [np.array([[c + o] for o in offsets]) for c in (-2.0, 0.0, 2.0)]

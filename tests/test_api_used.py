@@ -1,10 +1,13 @@
-"""Every public top-level function or class of the package has a user.
+"""Every public top-level function or class of the package has a user, and
+so does every public method or property of a public class.
 
 A public name in ``src/vnlab/`` counts as used when something other than its
 own definition refers to it: package code, the benchmark harness
 (``benchmarks/*.py``), the acceptance criteria, or the README (a python block
-or a backticked name).  A name whose only users are unit tests is dead API
-unless ``KEPT`` names the test or ROADMAP item that keeps it.
+or a backticked name).  A member ``Class.name`` counts as used when such a
+user reads ``.name`` outside the member's own body.  A name whose only users
+are unit tests is dead API unless ``KEPT`` names the test or ROADMAP item
+that keeps it.
 """
 
 import ast
@@ -21,6 +24,8 @@ KEPT = {
     "denominator_lower_bound": "ROADMAP item 2: the recip window floor",
     "random_network": "test_deepsets.py: random multi-layer networks",
     "delta_nonlin_sep": "test_separability.py: the three-cluster gap",
+    "AssumptionReport.all_ok": "read with check_assumptions, whose score "
+                               "interval ROADMAP item 7 uses",
 }
 
 
@@ -54,6 +59,34 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def public_members(source: str) -> set[str]:
+    """``Class.name`` for each public method or property of each public
+    top-level class of ``source``."""
+    return {f"{node.name}.{item.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")}
+
+
+def attribute_names(source: str) -> set[str]:
+    """Attribute names ``source`` reads as ``x.name``, except inside a
+    function of that name (a member's references to itself)."""
+    names = set()
+
+    def visit(node, own: frozenset):
+        if isinstance(node, ast.FunctionDef):
+            own = own | {node.name}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and node.attr not in own:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), frozenset())
+    return names
+
+
 def readme_names(text: str) -> set[str]:
     """Names referred to in python blocks or backticked spans of ``text``."""
     names = set()
@@ -66,17 +99,31 @@ def readme_names(text: str) -> set[str]:
     return names
 
 
+def user_paths() -> list[pathlib.Path]:
+    """The package, the benchmark harness and the acceptance criteria."""
+    return [*sorted(PACKAGE.glob("*.py")),
+            *sorted((ROOT / "benchmarks").glob("*.py")),
+            ROOT / "tests" / "test_acceptance.py"]
+
+
 def unreferenced_names() -> list[str]:
     defined, used = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text()
-        defined |= public_definitions(source)
-        used |= referenced_names(source)
-    for path in [*sorted((ROOT / "benchmarks").glob("*.py")),
-                 ROOT / "tests" / "test_acceptance.py"]:
+        defined |= public_definitions(path.read_text())
+    for path in user_paths():
         used |= referenced_names(path.read_text())
     used |= readme_names((ROOT / "README.md").read_text())
     return sorted(defined - used)
+
+
+def unreferenced_members() -> list[str]:
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined |= public_members(path.read_text())
+    for path in user_paths():
+        used |= attribute_names(path.read_text())
+    used |= readme_names((ROOT / "README.md").read_text())
+    return sorted(m for m in defined if m.partition(".")[2] not in used)
 
 
 def test_detects_definitions_and_references():
@@ -93,5 +140,19 @@ def test_detects_readme_references():
     assert readme_names(text) == {"pkg", "f", "x", "g"}
 
 
+def test_detects_members_and_attribute_reads():
+    source = ("class A:\n    def f(self):\n        return self.f()\n"
+              "    @property\n    def g(self):\n        return self.h\n"
+              "    def _p(self): pass\n"
+              "class _B:\n    def q(self): pass\n"
+              "x = obj.g\ny = f\nobj.z = 1\n")
+    assert public_members(source) == {"A.f", "A.g"}
+    assert attribute_names(source) == {"h", "g"}
+
+
 def test_every_public_name_has_a_user():
-    assert unreferenced_names() == sorted(KEPT)
+    assert unreferenced_names() == sorted(k for k in KEPT if "." not in k)
+
+
+def test_every_public_member_has_a_user():
+    assert unreferenced_members() == sorted(k for k in KEPT if "." in k)

@@ -14,11 +14,8 @@ from oracles import (
 )
 
 
-def _weights(d, seed, qk_dim=None, out_dim=None, feature_bound=1.0):
-    return attention.random_weights(
-        d, numkit.make_rng(seed), qk_dim=qk_dim, out_dim=out_dim,
-        feature_bound=feature_bound,
-    )
+def _weights(d, seed):
+    return attention.random_weights(d, numkit.make_rng(seed))
 
 
 def _bounded_rows(n, d, seed, feature_bound=1.0, fill=0.8):
@@ -306,7 +303,7 @@ def test_l1_score_is_minus_l1_distance(d):
 
 
 def test_check_assumptions_pass_and_fail():
-    w = _weights(3, 41, feature_bound=1.0)
+    w = _weights(3, 41)
     X_ok = _bounded_rows(5, 3, 42)
     rep = attention.check_assumptions(X_ok, w)
     assert rep.all_ok
@@ -343,10 +340,11 @@ def test_score_interval_contains_measured_scores(n, seed):
 
 def test_random_weights_respect_spectral_bound():
     for seed in range(5):
-        w = attention.random_weights(4, numkit.make_rng(seed), weight_bound=2.0)
-        assert numkit.spectral_norm(w.w_q) < 2.0
-        assert numkit.spectral_norm(w.w_k) < 2.0
-        assert numkit.spectral_norm(w.w_v) < 2.0
+        w = attention.random_weights(4, numkit.make_rng(seed))
+        assert w.weight_bound == 1.0
+        assert numkit.spectral_norm(w.w_q) < 1.0
+        assert numkit.spectral_norm(w.w_k) < 1.0
+        assert numkit.spectral_norm(w.w_v) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,23 @@ class TestVerifyDeep:
         assert lines[0].startswith(
             "error: no certified instance for n=3, d=1, min_delta=0.1:")
 
+    @pytest.mark.parametrize("settings, factor", [
+        (["c_factors=1e308"], "1e+308"),
+        (["c_factors=2,1e308", "min_delta=0.05"], "1e+308"),
+    ])
+    def test_infinite_amplification_exits_1(self, capsys, settings, factor):
+        args = ["verify-deep", "--quiet"]
+        for item in settings:
+            args += ["--set", item]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: c_factors value {factor} over "
+                                   "min_delta=")
+        assert lines[0].endswith("gives an infinite amplification")
+
     def test_gatv2_mode(self, tmp_path):
         out = tmp_path / "deep2.json"
         code = run(["verify-deep", "--set", "seeds=1",

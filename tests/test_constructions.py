@@ -168,6 +168,27 @@ class TestKernelExact:
             KernelSimConfig(feature_map=attention.elu_feature_map(),
                             mode="quantum")
 
+    @pytest.mark.parametrize("mode", ["exact", "mlp"])
+    @pytest.mark.parametrize("bound", [0.0, -0.4, float("nan"),
+                                       float("inf")])
+    def test_feature_bound_must_be_finite_and_positive(self, mode, bound):
+        with pytest.raises(ValueError, match="feature_bound must be finite "
+                                             "and positive"):
+            KernelSimConfig(feature_map=attention.elu_feature_map(),
+                            mode=mode, feature_bound=bound)
+
+    @pytest.mark.parametrize("name", ["probe_batches", "piece_restarts"])
+    def test_probe_batches_and_restarts_are_at_least_one(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, "
+                                             "got 0"):
+            KernelSimConfig(feature_map=attention.elu_feature_map(),
+                            mode="mlp", **{name: 0})
+        # the smallest budget in use: the benchmark's mlp warm-up
+        cfg = KernelSimConfig(feature_map=attention.elu_feature_map(),
+                              mode="mlp", feature_bound=0.4, probe_batches=2,
+                              piece_epochs=200, piece_restarts=1)
+        assert (cfg.probe_batches, cfg.piece_restarts) == (2, 1)
+
     def test_nan_input_row_raises(self):
         # one NaN row poisons the pooled statistics of every node
         rng = numkit.make_rng(6)
@@ -531,6 +552,19 @@ class TestDeepOracle:
         with pytest.raises(ValueError, match="at least one"):
             DeepSimConfig(n=0)
 
+    @pytest.mark.parametrize("given", ["certificate", "amplification",
+                                       "both"])
+    def test_oracle_selection_refuses_certificate_and_amplification(
+            self, given):
+        _, cert = make_certified_instance(4, 2, numkit.make_rng(1))
+        kwargs = {"certificate": cert, "amplification": 5.0}
+        if given != "both":
+            kwargs = {given: kwargs[given]}
+        with pytest.raises(ValueError, match="oracle selection takes no "
+                                             "certificate and no "
+                                             "amplification"):
+            DeepSimConfig(n=4, selection="oracle", **kwargs)
+
     @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
     def test_amplification_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="amplification"):
@@ -711,7 +745,6 @@ class TestDeepSoftmax:
             margins=np.full(3, 5e-7),
             amplification=1.0,
             eps=1e-4,
-            band=1e-6,
         )
         with pytest.raises(ValueError, match="band"):
             compile_deep_vn(
@@ -731,7 +764,7 @@ class TestDeepSoftmax:
         sets = three_cluster_line()
         X = np.vstack(sets)
         result = vdelta_certificate(X)
-        assert not result.ok
+        assert isinstance(result, CertificateFailure)
         assert len(result.inseparable) > 0
 
 

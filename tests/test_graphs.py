@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,15 @@ from oracles import calendar_days_oracle, grid_degree_census
 # ---------------------------------------------------------------------------
 # graphs and grids
 # ---------------------------------------------------------------------------
+
+
+def degree_census(g) -> Counter:
+    """How many nodes have each degree, counted from the edge list."""
+    degrees = [0] * g.n
+    for i, j in g.edges:
+        degrees[i] += 1
+        degrees[j] += 1
+    return Counter(degrees)
 
 
 def test_graph_rejects_self_loop():
@@ -44,7 +55,7 @@ def test_add_virtual_node_on_path_of_three():
     assert g.n == 4
     assert len(g.edges) == 2 + 3
     assert g.vn_index == 3
-    assert g.neighbors(3) == (0, 1, 2)
+    assert sorted(i for i, j in g.edges if j == 3) == [0, 1, 2]
     # original structure preserved
     assert (0, 1) in g.edges and (1, 2) in g.edges
 
@@ -64,12 +75,8 @@ def test_grid_30x30_king_moves():
     g = graphs.grid_graph(graphs.GridSpec(30, 30, 8))
     assert g.n == 900
     assert len(g.edges) == 3422
-    census = {}
-    for node in range(g.n):
-        d = g.degree(node)
-        census[d] = census.get(d, 0) + 1
     # corners, border, interior
-    assert census == {3: 4, 5: 112, 8: 784}
+    assert degree_census(g) == {3: 4, 5: 112, 8: 784}
 
 
 def test_grid_1x1():
@@ -94,11 +101,7 @@ def test_grid_matches_degree_census_oracle(rows, cols, nb):
     g = graphs.grid_graph(graphs.GridSpec(rows, cols, nb))
     census, edge_count = grid_degree_census(rows, cols, nb)
     assert len(g.edges) == edge_count
-    got = {}
-    for node in range(g.n):
-        d = g.degree(node)
-        got[d] = got.get(d, 0) + 1
-    assert got == census
+    assert degree_census(g) == census
 
 
 # ---------------------------------------------------------------------------

@@ -762,6 +762,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=key):
             program_from_json(blob)
 
+    @pytest.mark.parametrize("gn_out", [[-1, 3], [2, 1], [2, 2]])
+    def test_gn_out_must_be_an_increasing_pair(self, gn_out):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob["gn_out"] = gn_out
+        with pytest.raises(ValueError, match=r"gn_out must be \(lo, hi\) "
+                                             r"with 0 <= lo < hi"):
+            program_from_json(blob)
+
+    def test_gn_out_past_the_state_is_refused_at_run(self):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob["gn_out"] = [0, 100]
+        prog = program_from_json(blob)  # the deep state is 3d+1 = 10 wide
+        X = numkit.make_rng(4).normal(size=(5, 3)) * 0.3
+        with pytest.raises(ValueError, match=r"gn_out \(0, 100\) reaches "
+                                             r"past the 10-wide"):
+            prog.execute(star(5), X)
+
     @pytest.mark.parametrize("key", ["layers", "vn_init"])
     def test_missing_layers_or_vn_init_names_the_field(self, key):
         blob = program_to_json(self._pinned_program("deep_oracle"))

@@ -1,4 +1,4 @@
-"""Self-attention layers, kernelized feature maps, and operating assumptions.
+"""Self-attention layers, kernelized feature maps and additive scores.
 
 Row-vector convention throughout: inputs X are (n, d) with one node per row,
 projections are Q = X @ w_q, K = X @ w_k, V = X @ w_v, and the unnormalized
@@ -29,17 +29,13 @@ from . import numkit
 
 @dataclass(frozen=True)
 class AttnWeights:
-    """Projection triple of one attention layer plus its operating bounds.
-
-    ``feature_bound`` caps row norms of valid inputs (strict); ``weight_bound``
-    caps the spectral norms of the three projections (strict).
-    """
+    """Projection triple of one attention layer; ``feature_bound`` caps the
+    row norms of valid inputs (strict)."""
 
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
     feature_bound: float = 1.0
-    weight_bound: float = 1.0
 
     def __post_init__(self):
         w_q = numkit.as_matrix(self.w_q)
@@ -49,8 +45,8 @@ class AttnWeights:
             raise ValueError("w_q and w_k must share a shape")
         if w_v.shape[0] != w_q.shape[0]:
             raise ValueError("w_v must accept the same input dimension")
-        if self.feature_bound <= 0 or self.weight_bound <= 0:
-            raise ValueError("bounds must be positive")
+        if self.feature_bound <= 0:
+            raise ValueError("feature_bound must be positive")
         object.__setattr__(self, "w_q", w_q)
         object.__setattr__(self, "w_k", w_k)
         object.__setattr__(self, "w_v", w_v)
@@ -71,7 +67,7 @@ class AttnWeights:
 def random_weights(d: int, rng: np.random.Generator,
                    out_dim: int | None = None,
                    feature_bound: float = 1.0) -> AttnWeights:
-    """Random projections rescaled to spectral norm 0.8 (weight bound 1)."""
+    """Random projections, each rescaled to spectral norm 0.8."""
     out_dim = d if out_dim is None else out_dim
 
     def draw(cols):
@@ -257,50 +253,6 @@ def gatv2_scores_against(fixed_v, rows, g: Gatv2Score) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# operating assumptions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    feature_norms_ok: bool       # strict row-norm bound on inputs
-    weight_norms_ok: bool        # strict spectral bound on projections
-    max_row_norm: float
-    max_weight_norm: float
-    score_lo: float              # proven score interval under the bounds
-    score_hi: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.feature_norms_ok and self.weight_norms_ok
-
-
-def check_assumptions(X, w: AttnWeights) -> AssumptionReport:
-    """Check the strict norm assumptions and report the implied score interval.
-
-    |u^T Wq Wk^T v| <= |u| |Wq| |Wk| |v| < C1^2 C2^2 for the bounds C1, C2
-    of ``w``, so every unnormalized score lies in the reported interval.
-    """
-    X = numkit.as_matrix(X)
-    c1, c2 = w.feature_bound, w.weight_bound
-    max_row = float(np.max(numkit.row_norms(X))) if X.size else 0.0
-    max_weight = max(
-        numkit.spectral_norm(w.w_q),
-        numkit.spectral_norm(w.w_k),
-        numkit.spectral_norm(w.w_v),
-    )
-    cap = (c1 * c1) * (c2 * c2)
-    return AssumptionReport(
-        feature_norms_ok=max_row < c1,
-        weight_norms_ok=max_weight < c2,
-        max_row_norm=max_row,
-        max_weight_norm=max_weight,
-        score_lo=-cap,
-        score_hi=cap,
-    )
-
-
-# ---------------------------------------------------------------------------
 # persistence (same weight envelope as the mlp module)
 # ---------------------------------------------------------------------------
 
@@ -317,11 +269,14 @@ def feature_map_from_json(blob: dict) -> FeatureMap:
     numkit.require_object(blob, "feature map")
     if blob.get("kind") != "feature_map":
         raise ValueError(f"not a feature map file (kind={blob.get('kind')!r})")
+    (kind,) = numkit.require_keys(blob, "feature map", "map")
     directions = None
     if "matrices" in blob:
-        directions = numkit.matrix_from_json(blob["matrices"]["directions"])
-    return FeatureMap(blob["map"], directions,
-                      numkit.seed_from_json(blob, "feature map"))
+        (directions,) = numkit.require_keys(blob["matrices"],
+                                            "feature map matrices", "directions")
+        directions = numkit.matrix_from_json(directions)
+    return FeatureMap(numkit.scalar_from_json(kind, str, "feature map kind"),
+                      directions, numkit.seed_from_json(blob, "feature map"))
 
 
 def gatv2_to_json(g: Gatv2Score) -> dict:
@@ -341,10 +296,11 @@ def gatv2_from_json(blob: dict) -> Gatv2Score:
     numkit.require_object(blob, "gatv2 weight")
     if blob.get("kind") != "gatv2":
         raise ValueError(f"not a gatv2 weight file (kind={blob.get('kind')!r})")
-    mats = blob["matrices"]
+    (mats,) = numkit.require_keys(blob, "gatv2 weight", "matrices")
+    a, w, b = numkit.require_keys(mats, "gatv2 matrices", "a", "w", "b")
     return Gatv2Score(
-        numkit.vector_from_json(mats["a"]),
-        numkit.matrix_from_json(mats["w"]),
-        numkit.vector_from_json(mats["b"]),
+        numkit.vector_from_json(a),
+        numkit.matrix_from_json(w),
+        numkit.vector_from_json(b),
         numkit.scalar_from_json(blob.get("slope"), float, "gatv2 slope"),
     )

@@ -85,6 +85,9 @@ _PROBE_N = 8
 _DOMAIN_INFLATION = 1.5
 _PIECE_HIDDEN = 48
 _SQ_TARGET, _EXP_TARGET, _RECIP_TARGET = 3e-3, 1e-3, 1e-2
+# the probed magnitudes a run rescales piece operands by (with inv_max)
+_SCALE_BOUNDS = ("k_abs", "q_abs", "v_abs", "phi_k_max", "phi_q_max",
+                 "s_max", "m_abs", "num_abs")
 # a built piece's proven error bound is at most this share of its target,
 # so lattice roundoff cannot lift the measured error above the target
 _BOUND_SLACK = 0.99
@@ -123,6 +126,10 @@ class KernelPieces:
     expish: FittedPiece
     recip: FittedPiece
     bounds: dict[str, float]
+
+    def __post_init__(self):
+        numkit.require_keys(self.bounds, "KernelPieces bounds",
+                            *_SCALE_BOUNDS, "inv_max")
 
     def fit_summary(self) -> dict:
         out = {}
@@ -350,7 +357,7 @@ class KernelSimConfig:
         if not (math.isfinite(self.feature_bound) and self.feature_bound > 0.0):
             raise ValueError("feature_bound must be finite and positive, "
                              f"got {self.feature_bound!r}")
-        for name in ("probe_batches", "piece_restarts"):
+        for name in ("probe_batches", "piece_epochs", "piece_restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)!r}")
@@ -405,9 +412,7 @@ def _probe_kernel_domains(w: AttnWeights, cfg: KernelSimConfig) -> dict:
                                   float(Q.max()))
 
     f = _DOMAIN_INFLATION
-    bounds = {k: track[k] * f for k in
-              ("k_abs", "q_abs", "v_abs", "phi_k_max", "phi_q_max",
-               "s_max", "m_abs", "num_abs")}
+    bounds = {k: track[k] * f for k in _SCALE_BOUNDS}
     bounds["arg_lo"], bounds["arg_hi"] = _inflate(track["arg_lo"],
                                                   track["arg_hi"], f)
     # the denominator window widens multiplicatively and must stay positive

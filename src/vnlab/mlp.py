@@ -322,21 +322,25 @@ def params_from_json(blob: dict) -> MlpParams:
     numkit.require_object(blob, "mlp weight")
     if blob.get("kind") != "mlp":
         raise ValueError(f"not an mlp weight file (kind={blob.get('kind')!r})")
-    widths = blob.get("widths")
+    widths, activation, layers = numkit.require_keys(
+        blob, "mlp weight", "widths", "activation", "layers")
     if not isinstance(widths, list):
         raise ValueError(f"mlp widths must be a list, got {widths!r}")
     spec = MlpSpec(tuple(numkit.scalar_from_json(w, int, "mlp width")
-                         for w in widths), blob["activation"])
+                         for w in widths),
+                   numkit.scalar_from_json(activation, str, "mlp activation"))
+    if not (isinstance(layers, list) and len(layers) == spec.n_layers):
+        raise ValueError("mlp layers must be a list of one layer per "
+                         "consecutive pair of widths")
     weights, biases = [], []
-    for i, layer in enumerate(blob["layers"]):
-        w = numkit.matrix_from_json(layer["weight"])
-        b = numkit.vector_from_json(layer["bias"])
+    for i, layer in enumerate(layers):
+        weight, bias = numkit.require_keys(layer, f"mlp layer {i}",
+                                           "weight", "bias")
+        w, b = numkit.matrix_from_json(weight), numkit.vector_from_json(bias)
         want = (spec.widths[i], spec.widths[i + 1])
         if w.shape != want or b.shape != (want[1],):
             raise ValueError(f"layer {i} has shape {w.shape}, expected {want}")
         weights.append(w)
         biases.append(b)
-    if len(weights) != spec.n_layers:
-        raise ValueError("layer count does not match widths")
     return MlpParams(spec, weights, biases,
                      numkit.seed_from_json(blob, "mlp weight"))

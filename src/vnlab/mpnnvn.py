@@ -35,6 +35,10 @@ their descriptors inline, still load.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
+
+States are not copied between layers: ``initial_state`` coerces the input
+once, descriptors return C-contiguous float64 arrays and never write into
+their arguments, so consecutive states may share arrays.
 """
 
 from __future__ import annotations
@@ -55,14 +59,11 @@ from .graphs import Graph
 
 @dataclass
 class NodeState:
-    """States of the graph nodes (one row each) and of the virtual node."""
+    """States of the graph nodes (one row each) and of the virtual node:
+    float64 arrays, 2-D and 1-D, that other states may share (never written)."""
 
     gn: np.ndarray
     vn: np.ndarray
-
-    def __post_init__(self):
-        self.gn = numkit.as_matrix(self.gn)
-        self.vn = numkit.as_vector(self.vn)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,8 @@ def _type_codec(tp) -> tuple[Callable, Callable]:
     if typing.get_origin(tp) is dict:
         enc, dec = _type_codec(typing.get_args(tp)[1])
         return (lambda d: {k: enc(v) for k, v in d.items()},
-                lambda d: {k: dec(v) for k, v in d.items()})
+                lambda d: {k: dec(v) for k, v
+                           in numkit.require_object(d, "mapping").items()})
     raise TypeError(f"no JSON codec for field type {tp!r}")
 
 
@@ -280,7 +282,7 @@ class OracleSelectPool(Descriptor):
             raise ValueError(f"selection index {self.index} out of range")
         weights = np.zeros(gn.shape[0])
         weights[self.index] = 1.0
-        return gn[self.index].copy(), {"selection_weights": weights}
+        return gn[self.index], {"selection_weights": weights}
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +317,7 @@ class CopyPooled(Descriptor):
     kind: ClassVar[str] = "copy_pooled"
 
     def __call__(self, vn, pooled):
-        return pooled.copy()
+        return pooled
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,7 @@ class KeepVn(Descriptor):
     kind: ClassVar[str] = "keep_vn"
 
     def __call__(self, vn, pooled):
-        return vn.copy()
+        return vn
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +365,7 @@ class IdentityGn(Descriptor):
     kind: ClassVar[str] = "identity_gn"
 
     def __call__(self, gn, vn):
-        return gn.copy()
+        return gn
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,7 +528,8 @@ def run_layer(s: NodeState, layer: MpnnVnLayer) -> tuple[NodeState, dict | None]
     nothing observes a mid-layer update.  Returns the post-layer state and
     the pool's aux output (None for plain pools; selection pools give
     ``selection_weights``).  The state's rows are the node set; checking
-    them against a host graph is ``LayerProgram.execute``'s job.
+    them against a host graph is ``LayerProgram.execute``'s job.  The new
+    state may share arrays with ``s``: no descriptor writes into ``s``.
     """
     pooled, aux = layer.vn_pool(s.vn, s.gn)
     new_vn = layer.vn_update(s.vn, pooled)
@@ -768,6 +771,10 @@ def program_from_json(blob: dict) -> LayerProgram:
     metadata = blob.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError(f"metadata must be an object, got {metadata!r}")
+    try:
+        vn_init = numkit.vector_from_json(blob["vn_init"])
+    except ValueError as e:
+        raise ValueError(f"vn_init: {e}") from None
     if metadata.get("compiler") == "deep":
         # the node count and dimension it runs on; a program without them
         # loads, and refuses every input (``LayerProgram.initial_state``)
@@ -778,7 +785,7 @@ def program_from_json(blob: dict) -> LayerProgram:
                                  f"must be an integer >= 1, got {value!r}")
     return LayerProgram(
         layers=layers,
-        vn_init=numkit.vector_from_json(blob["vn_init"]),
+        vn_init=vn_init,
         gn_init=gn_init,
         gn_out=gn_out,
         provenance=provenance,

@@ -147,11 +147,21 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def require_object(blob, what: str) -> None:
-    """Raise ``ValueError`` unless the JSON value ``blob`` is an object."""
+def require_object(blob, what: str) -> dict:
+    """``blob``, which must be a JSON object (``ValueError`` if not)."""
     if not isinstance(blob, dict):
         raise ValueError(
             f"{what} payload must be an object, got {type(blob).__name__}")
+    return blob
+
+
+def require_keys(blob, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``blob``; ``ValueError``
+    names ``what`` when ``blob`` is no object, and every key it lacks."""
+    missing = [key for key in keys if key not in require_object(blob, what)]
+    if missing:
+        raise ValueError(f"{what} payload has no {', '.join(missing)}")
+    return [blob[key] for key in keys]
 
 
 # the JSON values a scalar of each type accepts (a bool is no int here)
@@ -195,19 +205,15 @@ def matrix_from_json(d: dict) -> np.ndarray:
     """Read a blob written by :func:`matrix_to_json`; a malformed one
     (not an object, a key missing, a non-integer size, non-list values)
     raises ``ValueError``."""
-    require_object(d, "matrix")
-    missing = [key for key in ("rows", "cols", "values") if key not in d]
-    if missing:
-        raise ValueError(f"matrix payload has no {', '.join(missing)}")
-    rows, cols = d["rows"], d["cols"]
+    rows, cols, values = require_keys(d, "matrix", "rows", "cols", "values")
     if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 0
                for k in (rows, cols)):
         raise ValueError(f"matrix payload size must be two non-negative "
                          f"integers, got rows={rows!r}, cols={cols!r}")
-    if not isinstance(d["values"], list):
+    if not isinstance(values, list):
         raise ValueError(f"matrix payload values must be a list, got "
-                         f"{type(d['values']).__name__}")
-    values = np.asarray(d["values"], dtype=np.float64)
+                         f"{type(values).__name__}")
+    values = np.asarray(values, dtype=np.float64)
     if values.size != rows * cols:
         raise ValueError(
             f"matrix payload has {values.size} values, expected {rows}x{cols}"
@@ -260,12 +266,6 @@ def max_abs_diff(a, b) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))
-
-
-def row_norms(m) -> np.ndarray:
-    """Euclidean norm of every row."""
-    m = as_matrix(m)
-    return np.sqrt(np.sum(m * m, axis=1))
 
 
 def check_finite(arr, label: str = "array") -> np.ndarray:

@@ -305,7 +305,6 @@ class SeparabilityCertificate:
     directions: np.ndarray  # (n, d)
     margins: np.ndarray  # (n,), all > 0
     amplification: float
-    eps: float
     score: str = "bilinear"  # "bilinear" | "l1"
 
     def __post_init__(self):
@@ -379,7 +378,6 @@ def vdelta_certificate(X):
         directions=directions,
         margins=margins,
         amplification=amplification_for(delta, CERT_EPS, n),
-        eps=CERT_EPS,
     )
 
 
@@ -405,7 +403,6 @@ def l1_certificate(X, eps: float = CERT_EPS):
         directions=X.copy(),
         margins=margins,
         amplification=amplification_for(float(margins.min()), eps, n),
-        eps=eps,
         score="l1",
     )
 

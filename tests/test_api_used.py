@@ -19,13 +19,10 @@ PACKAGE = ROOT / "src" / "vnlab"
 
 # name -> what keeps it although no user outside the unit tests refers to it
 KEPT = {
-    "check_assumptions": "ROADMAP items 3 and 9: the score interval "
-                         "|s| <= C1^2 C2^2 for the output-error bound",
-    "denominator_lower_bound": "ROADMAP item 2: the recip window floor",
+    "denominator_lower_bound": "ROADMAP item 6: the recip window floor",
     "random_network": "test_deepsets.py: random multi-layer networks",
-    "delta_nonlin_sep": "test_separability.py: the three-cluster gap",
-    "AssumptionReport.all_ok": "read with check_assumptions, whose score "
-                               "interval ROADMAP item 7 uses",
+    "delta_nonlin_sep": "ROADMAP item 10: the three-cluster gap, adopted "
+                        "or deleted with lifted selection",
 }
 
 

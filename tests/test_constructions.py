@@ -41,6 +41,7 @@ from vnlab.mpnnvn import (
     save_program,
 )
 from vnlab.separability import (
+    CERT_EPS,
     SeparabilityCertificate,
     CertificateFailure,
     amplification_for,
@@ -177,7 +178,8 @@ class TestKernelExact:
             KernelSimConfig(feature_map=attention.elu_feature_map(),
                             mode=mode, feature_bound=bound)
 
-    @pytest.mark.parametrize("name", ["probe_batches", "piece_restarts"])
+    @pytest.mark.parametrize("name", ["probe_batches", "piece_epochs",
+                                      "piece_restarts"])
     def test_probe_batches_and_restarts_are_at_least_one(self, name):
         with pytest.raises(ValueError, match=f"{name} must be at least 1, "
                                              "got 0"):
@@ -571,7 +573,7 @@ class TestDeepOracle:
             DeepSimConfig(n=6, selection="softmax", amplification=bad)
         with pytest.raises(ValueError, match="amplification"):
             SeparabilityCertificate(np.ones((2, 1)), np.ones(2),
-                                    amplification=bad, eps=1e-4)
+                                    amplification=bad)
 
     def test_nan_input_row_raises(self):
         # one NaN row enters every node's accumulated mass
@@ -709,7 +711,7 @@ class TestDeepSoftmax:
         )
         rep = run_and_report(X, prog, w, reference="full", cert=cert)
         for entry in rep.selection:
-            assert entry["weight"] >= 1.0 - cert.eps - 1e-12
+            assert entry["weight"] >= 1.0 - CERT_EPS - 1e-12
         assert rep.max_abs < 1e-2
 
     def test_error_decreases_with_amplification(self):
@@ -744,7 +746,6 @@ class TestDeepSoftmax:
             directions=np.ones((3, 2)),
             margins=np.full(3, 5e-7),
             amplification=1.0,
-            eps=1e-4,
         )
         with pytest.raises(ValueError, match="band"):
             compile_deep_vn(
@@ -793,7 +794,7 @@ class TestDeepGatv2:
         assert prog.metadata["c"] == cert.amplification
         rep = run_and_report(X, prog, w, reference="full", cert=cert)
         for entry in rep.selection:
-            assert entry["weight"] >= 1.0 - cert.eps - 1e-12
+            assert entry["weight"] >= 1.0 - CERT_EPS - 1e-12
             assert entry["weight_ok"] and entry["feature_error_ok"]
         assert rep.bounds_ok
         assert rep.max_abs < 1e-5
@@ -830,7 +831,7 @@ class TestDeepGatv2:
         X, l1 = gatv2_line_setup
         bilinear = SeparabilityCertificate(
             directions=np.ones((X.shape[0], 1)), margins=np.ones(X.shape[0]),
-            amplification=1.0, eps=1e-4,
+            amplification=1.0,
         )
         w = attention.random_weights(1, numkit.make_rng(0))
         with pytest.raises(ValueError, match="'bilinear' certificate"):

@@ -36,8 +36,6 @@ KEPT = {
     "random_network.activation": "test_deepsets.py: random multi-layer "
                                  "networks (see test_api_used.KEPT)",
     "ErrorReport.rng_algorithm": "echoed in every error report",
-    "AttnWeights.weight_bound": "read by check_assumptions, whose score "
-                                "interval ROADMAP item 7 uses",
 }
 
 

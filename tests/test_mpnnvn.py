@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnlab import attention, mlp, mpnnvn, numkit
+from vnlab import attention, deepsets, mlp, mpnnvn, numkit
 from vnlab.constructions import (
     DeepSimConfig,
     FittedPiece,
@@ -21,6 +21,7 @@ from vnlab.constructions import (
     MlpStatsPool,
     compile_deep_vn,
     compile_kernel_vn,
+    make_certified_instance,
 )
 from vnlab.graphs import Graph, add_virtual_node
 from vnlab.mpnnvn import (
@@ -333,6 +334,49 @@ class TestPrograms:
                           observe=lambda *args: seen.append(args))
         assert seen == []
         assert out is s0
+
+    @staticmethod
+    def _compiled_case(name):
+        """(program, rows) for one program of each compiler."""
+        rng = numkit.make_rng(8)
+        X = rng.uniform(-0.2, 0.2, size=(5, 3))
+        w = attention.random_weights(3, rng)
+        if name == "kernel_exp":
+            fm = attention.exp_feature_map(4, 3, seed=2)
+            return compile_kernel_vn(w, KernelSimConfig(feature_map=fm)), X
+        if name == "kernel_elu":
+            return compile_kernel_vn(w, KernelSimConfig(
+                feature_map=attention.elu_feature_map())), X
+        if name == "kernel_mlp":
+            return (load_program(FIXTURES / "kernel_mlp_trained.v2.json"),
+                    X[:, :2])
+        if name == "deepsets":
+            net = deepsets.random_network((3, 4, 2), rng)
+            return deepsets.compile_network(net, 5), X
+        if name == "deep_softmax":
+            X, cert = make_certified_instance(5, 3, rng)
+        else:
+            cert = None if name == "deep_oracle" else l1_certificate(X)
+        return compile_deep_vn(w, DeepSimConfig(
+            n=5, selection=name[len("deep_"):], certificate=cert)), X
+
+    @pytest.mark.parametrize("name", [
+        "kernel_exp", "kernel_elu", "kernel_mlp", "deep_oracle",
+        "deep_softmax", "deep_gatv2", "deepsets"])
+    def test_every_layer_hands_on_contiguous_float64_states(self, name):
+        # states are not coerced between layers, so each descriptor must
+        # return arrays of the state's kind itself
+        prog, X = self._compiled_case(name)
+        seen = []
+
+        def check(k, state, aux):
+            seen.append(k)
+            for arr, ndim in ((state.gn, 2), (state.vn, 1)):
+                assert isinstance(arr, np.ndarray) and arr.ndim == ndim
+                assert arr.dtype == np.float64 and arr.flags.c_contiguous
+
+        run_program(prog.initial_state(X), prog, observe=check)
+        assert seen == list(range(1, len(prog.layers) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1146,67 @@ class TestPersistence:
         if name != "rich":
             with np.errstate(all="ignore"):
                 prog.execute(star(5), self.FUZZ_X)
+
+    # the broken-document sweep: each case deletes one object key, or
+    # replaces one object or list with one of BREAKERS; the width is the
+    # one each fixture's rows have ("rich" is not a program meant to run)
+    BREAKERS = [5, "x", [], {}]
+    SWEEP_WIDTHS = {"kernel_mlp_trained.v2": 2, "kernel_exact.v1": 3,
+                    "deep_gatv2.v1": 3, "deep_oracle.v1": 3, "rich.v1": None}
+
+    @classmethod
+    def _breakages(cls, node, path=()):
+        """(path, value) for each broken copy of the JSON value ``node``:
+        value None deletes the key at ``path``, any other replaces it."""
+        if path and isinstance(node, (dict, list)):
+            for value in cls.BREAKERS:
+                yield path, value
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            if isinstance(node, dict):
+                yield path + (key,), None
+            yield from cls._breakages(child, path + (key,))
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_WIDTHS))
+    def test_broken_document_loads_and_runs_or_names_its_place(self, name):
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        width = self.SWEEP_WIDTHS[name]
+        X = numkit.make_rng(4).uniform(-0.2, 0.2, size=(5, width or 1))
+        wrong = []
+        for path, value in self._breakages(doc):
+            broken = copy.deepcopy(doc)
+            parent = broken
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            place = (f"{path[0]}[{path[1]}]" if len(path) > 1
+                     and path[0] in ("descriptors", "layers") else path[0])
+            try:
+                prog = program_from_json(broken)
+            except ValueError as exc:
+                # an emptied table is found where a layer first indexes it
+                if not (place in str(exc) or path == ("descriptors",)
+                        and "descriptor table" in str(exc)):
+                    wrong.append((path, value, str(exc)))
+                continue
+            except Exception as exc:
+                wrong.append((path, value, repr(exc)))
+                continue
+            try:
+                if width is not None:
+                    with np.errstate(all="ignore"):
+                        prog.execute(star(5), X)
+            except ValueError:
+                # a run may refuse its input (a deep program that lost its n)
+                # or stop on layers whose widths disagree (ROADMAP item 7)
+                pass
+            except Exception as exc:
+                wrong.append((path, value, repr(exc)))
+        assert wrong == []
 
     def test_duplicate_kind_registration_rejected(self):
         with pytest.raises(TypeError, match="duplicate"):

@@ -610,13 +610,13 @@ class TestCertificates:
     def test_certificate_validation(self):
         with pytest.raises(ValueError, match="positive"):
             SeparabilityCertificate(np.eye(2), np.array([1.0, 0.0]),
-                                    amplification=1.0, eps=0.1)
+                                    amplification=1.0)
         with pytest.raises(ValueError, match="amplification"):
             SeparabilityCertificate(np.eye(2), np.array([1.0, 1.0]),
-                                    amplification=0.0, eps=0.1)
+                                    amplification=0.0)
         with pytest.raises(ValueError, match="score"):
             SeparabilityCertificate(np.eye(2), np.array([1.0, 1.0]),
-                                    amplification=1.0, eps=0.1, score="l2")
+                                    amplification=1.0, score="l2")
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +681,6 @@ class TestSelectionWeights:
             directions=np.tile([1.0, 0.0], (4, 1)),
             margins=np.ones(4),
             amplification=math.log(9.0),
-            eps=0.25,
         )
         w = softmax_weights(X, cert, target=0)
         assert abs(w[0] - 0.75) < 1e-12
@@ -690,7 +689,7 @@ class TestSelectionWeights:
         X = np.array([[1.0], [0.0], [-1.0]])
         cert = SeparabilityCertificate(
             directions=np.ones((3, 1)), margins=np.ones(3),
-            amplification=50.0, eps=1e-4,
+            amplification=50.0,
         )
         w = softmax_weights(X, cert, target=0)
         assert w[0] >= 1.0 - 1e-12

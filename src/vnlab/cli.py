@@ -403,7 +403,7 @@ def _run_checking_time2(X, w, prog) -> tuple[np.ndarray, bool]:
     """Run ``prog`` on X once: (its output, whether the time-2 trace is
     exact).  After layer 2 every node must hold exactly one accumulated
     term, and its query, staged by layer 1."""
-    n, d = X.shape
+    n = X.shape[0]
     after = {}
 
     def keep_layer2(k, state, aux):
@@ -420,9 +420,9 @@ def _run_checking_time2(X, w, prog) -> tuple[np.ndarray, bool]:
         # per-row einsum, as the VM's batched einsum rounds (BLAS @ does not)
         q = np.einsum("a,ac->c", X[i], w.w_q)
         e = np.exp(np.einsum("c,c->", q, yk))
-        if not (np.array_equal(gn[i, d:2 * d], e * yv) and gn[i, 2 * d] == e
-                and np.array_equal(gn[i, :d], X[i])
-                and np.array_equal(gn[i, 2 * d + 1:3 * d + 1], q)):
+        if not (np.array_equal(gn["acc"][i], e * yv) and gn["mass"][i, 0] == e
+                and np.array_equal(gn["x"][i], X[i])
+                and np.array_equal(gn["q"][i], q)):
             return out, False
     return out, True
 

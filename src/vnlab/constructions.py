@@ -280,9 +280,10 @@ class MlpStatsPool(Descriptor):
     pieces: KernelPieces = field(default=None)
 
     def __call__(self, vn, gn):
-        P = _phi_via_pieces(gn @ self.w_k, self.feature_map, self.pieces,
+        x = gn["x"]
+        P = _phi_via_pieces(x @ self.w_k, self.feature_map, self.pieces,
                             "k_abs")
-        V = gn @ self.w_v
+        V = x @ self.w_v
         b = self.pieces.bounds
         prods = _mul_via_sq(self.pieces.sq, P[:, :, None], V[:, None, :],
                             b["phi_k_max"], b["v_abs"])
@@ -304,8 +305,8 @@ class MlpResolveUpdate(Descriptor):
         m = self.feature_map.out_dim(self.w_q.shape[1])
         key_sum = vn[:m]
         kv_sum = vn[m:].reshape(m, self.value_dim)
-        P_q = _phi_via_pieces(gn @ self.w_q, self.feature_map, self.pieces,
-                              "q_abs")
+        P_q = _phi_via_pieces(gn["x"] @ self.w_q, self.feature_map,
+                              self.pieces, "q_abs")
         b = self.pieces.bounds
         num = _mul_via_sq(self.pieces.sq, P_q[:, :, None], kv_sum[None, :, :],
                           b["phi_q_max"], b["m_abs"]).sum(axis=1)
@@ -317,8 +318,8 @@ class MlpResolveUpdate(Descriptor):
                 "denominator; the pieces are out of their domain"
             )
         inv = _piece_eval(self.pieces.recip, den)
-        return _mul_via_sq(self.pieces.sq, num, inv[:, None],
-                           b["num_abs"], b["inv_max"])
+        return {"x": _mul_via_sq(self.pieces.sq, num, inv[:, None],
+                                 b["num_abs"], b["inv_max"])}
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +533,23 @@ def _check_cert_score(selection: str, cert: SeparabilityCertificate) -> None:
 def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     """Depth n+2 program: select, accumulate, normalize.
 
-    Graph-node states are [feature | accumulator | mass | query] of width
-    3d+1; the virtual node's are [feature | selector | placeholder] of width
-    2d+1.  Layer k in 1..n selects node k's feature into the virtual node
-    while every graph node accumulates the previously selected one (from
-    layer 2 on); layer 1 instead stages each node's query x_i @ w_q, which
-    every accumulation reads; layer n+1 accumulates the last selection;
-    layer n+2 divides.  The normalized output sits in the first d channels,
-    which ``gn_out=(0, d)`` reads.
+    Graph-node states are four blocks: feature ``x``, accumulator ``acc``,
+    ``mass`` and query ``q`` (widths d, d, 1, d; ``gn_init=("pad", 3d+1)``
+    lays them out as [x | acc | mass | q]).  The virtual node's state is
+    [feature | selector | placeholder] of width 2d+1.  Layer k in 1..n
+    selects node k's ``x`` row into the virtual node (every selection pool
+    reads only block x) while every graph node accumulates the previously
+    selected one (from layer 2 on).  Layer 1 instead stages each node's
+    query x_i @ w_q into a new ``q`` block and shares x, acc and mass.  Each
+    ``ScoreAccumulate`` returns new ``acc`` and ``mass`` blocks and shares
+    x and q with the state before it.  Layer n+1 accumulates the last
+    selection; layer n+2 divides, returning x = acc / mass and zero blocks.
+    The normalized output is block x, which ``gn_out=(0, d)`` reads.
     """
     n, d = cfg.n, w.in_dim
     if w.out_dim != d or w.qk_dim != d:
         raise ValueError(
-            "the deep construction keeps states of width 3d+1 and needs "
+            "the deep construction keeps blocks of width d and needs "
             f"square weights; got qk_dim={w.qk_dim}, out_dim={w.out_dim}"
         )
     scale = None

@@ -36,9 +36,24 @@ their descriptors inline, still load.
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
 
+Graph-node states are named blocks, one (rows, width) array each.  A
+program with no deep descriptor runs on one block ``x``.  A deep program's
+state is ``x``, ``acc``, ``mass`` and ``q`` (``[x | acc | mass | q]`` in
+column order); the layout is worked out from the pad width and the deep
+descriptors' ``width`` (see ``LayerProgram``).  Each descriptor declares the
+blocks it reads or returns (``Descriptor.blocks``), and a graph-node update
+returns the whole new block mapping, sharing every block it leaves alone:
+
+* every pool reads ``x`` only (a selection pool returns ``x`` rows);
+* ``StageQuery`` reads ``x`` and returns a new ``q``, sharing the rest;
+* ``ScoreAccumulate`` reads ``q`` (or ``x``, given ``w_q``), ``acc`` and
+  ``mass``, and returns new ``acc`` and ``mass``, sharing ``x`` and ``q``;
+* ``RatioUpdate`` reads ``acc`` and ``mass`` and returns a new ``x`` and
+  new zero blocks, sharing nothing.
+
 States are not copied between layers: ``initial_state`` coerces the input
 once, descriptors return C-contiguous float64 arrays and never write into
-their arguments, so consecutive states may share arrays.
+their arguments, so consecutive states may share blocks.
 """
 
 from __future__ import annotations
@@ -59,10 +74,15 @@ from .graphs import Graph
 
 @dataclass
 class NodeState:
-    """States of the graph nodes (one row each) and of the virtual node:
-    float64 arrays, 2-D and 1-D, that other states may share (never written)."""
+    """States of the graph nodes and of the virtual node.
 
-    gn: np.ndarray
+    ``gn`` maps block names to 2-D float64 arrays with one row per graph
+    node, in column order (``{"x": ...}``, or ``x``, ``acc``, ``mass`` and
+    ``q`` for a deep program); ``vn`` is a 1-D float64 array.  Other states
+    may share any of these arrays, so none is ever written.
+    """
+
+    gn: dict[str, np.ndarray]
     vn: np.ndarray
 
 
@@ -90,9 +110,14 @@ class Descriptor:
     ``__call__``; its JSON form is derived from its fields, so it needs no
     codec.  Array fields declared with ``matrix()``/``vector()`` are coerced
     to float64 on construction.
+
+    ``blocks`` names the graph-node blocks a pool or graph-node update reads
+    or returns.  A descriptor that names a block other than ``x`` is a deep
+    descriptor: its ``width`` sets the program's block layout.
     """
 
     kind: ClassVar[str] = ""
+    blocks: ClassVar[tuple[str, ...]] = ("x",)
     _registry: ClassVar[dict[str, type]] = {}
 
     def __init_subclass__(cls, **kwargs):
@@ -215,7 +240,7 @@ def from_json(cls, blob: dict):
 
 
 # ---------------------------------------------------------------------------
-# virtual-node pools: (vn, gn) -> (pooled vector, aux or None)
+# virtual-node pools: (vn, gn blocks) -> (pooled vector, aux or None)
 # ---------------------------------------------------------------------------
 
 
@@ -224,7 +249,8 @@ class MeanPool(Descriptor):
     kind: ClassVar[str] = "mean_pool"
 
     def __call__(self, vn, gn):
-        return gn.sum(axis=0) / gn.shape[0], None
+        x = gn["x"]
+        return x.sum(axis=0) / x.shape[0], None
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,18 +269,19 @@ class FeatureStatsPool(Descriptor):
     feature_map: attention.FeatureMap = field(default=None)
 
     def __call__(self, vn, gn):
-        P = attention.phi_matrix(gn @ self.w_k, self.feature_map)
-        V = gn @ self.w_v
+        x = gn["x"]
+        P = attention.phi_matrix(x @ self.w_k, self.feature_map)
+        V = x @ self.w_v
         return np.concatenate([P.sum(axis=0), numkit.flatten_raster(P.T @ V)]), None
 
 
 @dataclass(frozen=True)
 class SoftmaxSelectPool(Descriptor):
-    """Softmax-weighted combination of graph-node states.
+    """Softmax-weighted combination of the graph nodes' ``x`` blocks.
 
-    Scores read block-structured states: the first ``width`` channels of each
-    graph node against the selector stored in the virtual node's channels
-    [width, 2*width), scaled by ``scale`` (the amplification factor).
+    Scores read the first ``width`` channels of each ``x`` row against the
+    selector stored in the virtual node's channels [width, 2*width), scaled
+    by ``scale`` (the amplification factor).
     """
 
     kind: ClassVar[str] = "softmax_select_pool"
@@ -263,31 +290,34 @@ class SoftmaxSelectPool(Descriptor):
 
     def __call__(self, vn, gn):
         d = self.width
+        x = gn["x"]
         selector = vn[d : 2 * d]
-        scores = self.scale * (gn[:, :d] @ selector)
+        scores = self.scale * (x[:, :d] @ selector)
         weights = numkit.softmax(scores)
-        return weights @ gn, {"selection_weights": weights}
+        return weights @ x, {"selection_weights": weights}
 
 
 @dataclass(frozen=True)
 class OracleSelectPool(Descriptor):
-    """Ideal selection: returns the state of one fixed graph node."""
+    """Ideal selection: returns the ``x`` block of one fixed graph node."""
 
     kind: ClassVar[str] = "oracle_select_pool"
     index: int = field(default=0, metadata={"codec": (
         None, _same, functools.partial(_decode_int, least=0))})
 
     def __call__(self, vn, gn):
-        if not 0 <= self.index < gn.shape[0]:
+        x = gn["x"]
+        if not 0 <= self.index < x.shape[0]:
             raise ValueError(f"selection index {self.index} out of range")
-        weights = np.zeros(gn.shape[0])
+        weights = np.zeros(x.shape[0])
         weights[self.index] = 1.0
-        return gn[self.index], {"selection_weights": weights}
+        return x[self.index], {"selection_weights": weights}
 
 
 @dataclass(frozen=True, eq=False)
 class Gatv2SelectPool(Descriptor):
-    """Softmax selection by an additive score against the staged selector.
+    """Softmax selection of the ``x`` blocks by an additive score against
+    the staged selector.
 
     The deep compiler builds ``attention.l1_score``: -|x - selector|_1.
     """
@@ -299,12 +329,13 @@ class Gatv2SelectPool(Descriptor):
 
     def __call__(self, vn, gn):
         d = self.width
+        x = gn["x"]
         selector = vn[d : 2 * d]
         scores = self.scale * attention.gatv2_scores_against(
-            selector, gn[:, :d], self.score
+            selector, x[:, :d], self.score
         )
         weights = numkit.softmax(scores)
-        return weights @ gn, {"selection_weights": weights}
+        return weights @ x, {"selection_weights": weights}
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +387,7 @@ class SelectorAdvance(Descriptor):
 
 
 # ---------------------------------------------------------------------------
-# graph-node updates: (gn, vn) -> new gn matrix
+# graph-node updates: (gn blocks, vn) -> new gn blocks
 # ---------------------------------------------------------------------------
 
 
@@ -374,7 +405,7 @@ class LinearGn(Descriptor):
     matrix: np.ndarray = matrix()
 
     def __call__(self, gn, vn):
-        return gn @ self.matrix
+        return {"x": gn["x"] @ self.matrix}
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,10 +422,10 @@ class AffineFromVn(Descriptor):
     activation: str | None = None
 
     def __call__(self, gn, vn):
-        out = gn + vn @ self.matrix + self.bias
+        out = gn["x"] + vn @ self.matrix + self.bias
         if self.activation is not None:
             out = numkit.activation_fn(self.activation)(out)
-        return out
+        return {"x": out}
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,51 +444,49 @@ class ResolveQueryUpdate(Descriptor):
 
     def __call__(self, gn, vn):
         m = self.feature_map.out_dim(self.w_q.shape[1])
-        P_q = attention.phi_matrix(gn @ self.w_q, self.feature_map)
+        P_q = attention.phi_matrix(gn["x"] @ self.w_q, self.feature_map)
         key_sum = vn[:m]
         kv_sum = vn[m:].reshape(m, self.value_dim)
         den = P_q @ key_sum
         if not np.all(den > 0.0):
             raise ValueError("query resolution denominator not positive")
-        return (P_q @ kv_sum) / den[:, None]
+        return {"x": (P_q @ kv_sum) / den[:, None]}
 
 
 @dataclass(frozen=True, eq=False)
 class StageQuery(Descriptor):
-    """Stage each node's query: [x | acc | mass | q] -> q = x @ w_q.
+    """Stage each node's query: returns a new block q = x @ w_q and shares
+    every other block.
 
     The query never changes during a run, so the deep program computes it
     once, in its first layer, and every ``ScoreAccumulate`` reads it back.
     """
 
     kind: ClassVar[str] = "stage_query"
+    blocks: ClassVar[tuple[str, ...]] = ("x", "q")
     w_q: np.ndarray = matrix()
     width: int = 0
 
     def __call__(self, gn, vn):
-        d = self.width
-        out = gn.copy()
         # einsum, not @, so each row is the per-row einsum of the
         # reference trace (see ScoreAccumulate)
-        out[:, 2 * d + 1 : 3 * d + 1] = np.einsum("ia,ac->ic", gn[:, :d],
-                                                  self.w_q)
-        return out
+        return {**gn, "q": np.einsum("ia,ac->ic", gn["x"], self.w_q)}
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreAccumulate(Descriptor):
     """Accumulate one attention term against the virtual node's feature.
 
-    States are block-structured [x | acc | mass | q].  With y the first
-    ``width`` channels of the virtual node's state,
+    With y the first ``width`` channels of the virtual node's state,
 
         acc  += exp(q_i . (y @ w_k)) * (y @ w_v)
         mass += exp(q_i . (y @ w_k))
 
-    and x and q stay fixed.  q_i is read from the state, where
+    in new ``acc`` and ``mass`` blocks; every other block (x and q) is
+    shared with the input state.  q_i is read from block q, where
     ``StageQuery`` put it; with ``w_q`` given (documents saved before the
-    query was staged, whose states are [x | acc | mass]) it is recomputed
-    as x_i @ w_q instead, in the same float operations.
+    query was staged, whose states have no q block) it is recomputed as
+    x_i @ w_q instead, in the same float operations.
     """
 
     kind: ClassVar[str] = "score_accumulate"
@@ -465,6 +494,11 @@ class ScoreAccumulate(Descriptor):
     w_k: np.ndarray = matrix()
     w_v: np.ndarray = matrix()
     width: int = 0
+
+    @property
+    def blocks(self) -> tuple[str, ...]:
+        return ("acc", "mass", "q") if self.w_q is None \
+            else ("x", "acc", "mass")
 
     def __call__(self, gn, vn):
         d = self.width
@@ -476,34 +510,36 @@ class ScoreAccumulate(Descriptor):
         # same order whatever the batch, so every row here is bitwise the
         # per-row einsum the reference trace computes
         if self.w_q is None:
-            q = gn[:, 2 * d + 1 : 3 * d + 1]
+            q = gn["q"]
         else:
-            q = np.einsum("ia,ac->ic", gn[:, :d], self.w_q)
+            q = np.einsum("ia,ac->ic", gn["x"], self.w_q)
         e = np.exp(np.einsum("ic,c->i", q, yk))
-        out = gn.copy()
-        out[:, d : 2 * d] += e[:, None] * yv
-        out[:, 2 * d] += e
-        return out
+        # the term e_i * yv_c is one product per entry, as with a
+        # broadcast *, but einsum needs no scratch buffer for it; the old
+        # sum is added into it (addition commutes exactly), so the layer's
+        # only new arrays are its acc and mass blocks
+        acc = np.einsum("i,c->ic", e, yv)
+        acc += gn["acc"]
+        return {**gn, "acc": acc, "mass": gn["mass"] + e[:, None]}
 
 
 @dataclass(frozen=True)
 class RatioUpdate(Descriptor):
-    """Finish accumulation: [x | acc | mass | q] -> [acc / mass | 0 | 0 | 0].
+    """Finish accumulation: x = acc / mass, and every other block zero.
 
-    Also reads [x | acc | mass] states, which have no q block.
+    Reads states with or without a q block.
     """
 
     kind: ClassVar[str] = "ratio_update"
+    blocks: ClassVar[tuple[str, ...]] = ("acc", "mass")
     width: int = 0
 
     def __call__(self, gn, vn):
-        d = self.width
-        mass = gn[:, 2 * d]
+        mass = gn["mass"]
         if not np.all(mass > 0.0):
             raise ValueError("accumulated mass not positive")
-        out = np.zeros_like(gn)
-        out[:, :d] = gn[:, d : 2 * d] / mass[:, None]
-        return out
+        zeros = {name: np.zeros_like(block) for name, block in gn.items()}
+        return zeros | {"x": gn["acc"] / mass}
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +565,39 @@ def run_layer(s: NodeState, layer: MpnnVnLayer) -> tuple[NodeState, dict | None]
     the pool's aux output (None for plain pools; selection pools give
     ``selection_weights``).  The state's rows are the node set; checking
     them against a host graph is ``LayerProgram.execute``'s job.  The new
-    state may share arrays with ``s``: no descriptor writes into ``s``.
+    state shares every block the graph-node update returned unchanged (all
+    of them for ``IdentityGn``; x and q for ``ScoreAccumulate``): no
+    descriptor writes into ``s``.
     """
     pooled, aux = layer.vn_pool(s.vn, s.gn)
     new_vn = layer.vn_update(s.vn, pooled)
     new_gn = layer.gn_update(s.gn, s.vn)
     return NodeState(new_gn, new_vn), aux
+
+
+def _deep_slots(layers):
+    """(layer index, slot, descriptor) for each deep descriptor in a pool or
+    graph-node update slot: one whose ``blocks`` name more than x."""
+    for i, layer in enumerate(layers):
+        for slot in ("vn_pool", "gn_update"):
+            desc = getattr(layer, slot)
+            if desc.blocks != ("x",):
+                yield i, slot, desc
+
+
+def _deep_blocks(width: int, d: int) -> dict[str, int]:
+    """The blocks, with their widths, that a ``width``-wide padded state
+    holds for deep descriptors of width ``d``: those of [x | acc | mass | q]
+    (widths d, d, 1, d) whose columns fit.  A 3d+1-wide state holds all
+    four; a 2d+1-wide one, as documents written before the query was staged
+    pad to, has no q."""
+    blocks, end = {}, 0
+    for name, w in (("x", d), ("acc", d), ("mass", 1), ("q", d)):
+        end += w
+        if end > width:
+            break
+        blocks[name] = w
+    return blocks
 
 
 @dataclass(eq=False)
@@ -544,9 +607,18 @@ class LayerProgram:
     ``gn_init`` is "identity" (graph-node state = input row) or
     ("pad", width): input row left-aligned into a zero row of that width.
     ``gn_out`` is None (full state) or (lo, hi) with 0 <= lo < hi: output =
-    state[:, lo:hi], and ``extract`` refuses a state narrower than hi.
-    ``provenance`` names the compiler that produced the program; ``metadata``
-    carries plain-JSON config echoes (fit errors, bounds, seeds).
+    columns lo:hi of the graph-node blocks laid side by side, and
+    ``extract`` refuses a state narrower than hi.  ``provenance`` names the
+    compiler that produced the program; ``metadata`` carries plain-JSON
+    config echoes (fit errors, bounds, seeds).
+
+    The graph-node state is one block ``x`` unless a layer holds a deep
+    descriptor (one whose ``blocks`` name more than ``x``).  Then the padded
+    row splits into [x | acc | mass | q] blocks of the first deep
+    descriptor's ``width`` d, so the pad width must be 3d+1, or 2d+1 (no q).
+    Construction refuses a layer whose deep descriptor needs a block that
+    the padded state cannot hold for its width, naming the layer, slot,
+    kind and block.
 
     A deep program (``metadata["compiler"] == "deep"``, or provenance
     "deep-attention-compiler") has one selection layer per input row, so it
@@ -571,9 +643,26 @@ class LayerProgram:
             if not 0 <= lo < hi:
                 raise ValueError("gn_out must be (lo, hi) with 0 <= lo < hi, "
                                  f"got {self.gn_out!r}")
+        width = self.gn_init[1] if isinstance(self.gn_init, tuple) else 0
+        checked = set()  # a descriptor shared by many layers is checked once
+        for i, slot, desc in _deep_slots(self.layers):
+            if id(desc) in checked:
+                continue
+            checked.add(id(desc))
+            held = _deep_blocks(width, desc.width)
+            for name in desc.blocks:
+                if name not in held:
+                    raise ValueError(
+                        f"layers[{i}].{slot}: {desc.kind} needs graph-node "
+                        f"block {name!r}, which a state initialized by "
+                        f"{self.gn_init!r} does not hold for width "
+                        f"{desc.width}")
 
     def initial_state(self, X) -> NodeState:
-        X = numkit.as_matrix(X)
+        """The state before layer 1 for the rows of ``X``, split into the
+        program's blocks.  A non-finite entry of ``X`` is refused, naming
+        the first one by (row, column)."""
+        X = numkit.check_finite(numkit.as_matrix(X), "input X")
         n = self.metadata.get("n")
         deep = (self.metadata.get("compiler") == "deep"
                 or self.provenance == "deep-attention-compiler")
@@ -581,25 +670,43 @@ class LayerProgram:
             raise ValueError(f"deep program was compiled for n={n} graph "
                              f"nodes, input has {X.shape[0]} rows")
         if self.gn_init == "identity":
-            gn = X.copy()
+            full = X.copy()
         else:
             tag, width = self.gn_init
             if tag != "pad":
                 raise ValueError(f"unknown gn_init {self.gn_init!r}")
             if width < X.shape[1]:
                 raise ValueError("pad width smaller than the input dimension")
-            gn = np.zeros((X.shape[0], width))
-            gn[:, : X.shape[1]] = X
+            full = np.zeros((X.shape[0], width))
+            full[:, : X.shape[1]] = X
+        d = next((desc.width for _, _, desc in _deep_slots(self.layers)),
+                 None)
+        if d is None:
+            return NodeState({"x": full}, self.vn_init.copy())
+        blocks = _deep_blocks(full.shape[1], d)
+        if sum(blocks.values()) != full.shape[1]:
+            raise ValueError(f"a {full.shape[1]}-wide graph-node state does "
+                             f"not split into [x | acc | mass | q] blocks of "
+                             f"width {d}: the pad width must be {2 * d + 1} "
+                             f"or {3 * d + 1}")
+        gn, start = {}, 0
+        for name, w in blocks.items():
+            gn[name] = full[:, start : start + w].copy()
+            start += w
         return NodeState(gn, self.vn_init.copy())
 
     def extract(self, s: NodeState) -> np.ndarray:
-        if self.gn_out is None:
-            return s.gn.copy()
-        lo, hi = self.gn_out
-        if hi > s.gn.shape[1]:
+        blocks = list(s.gn.values())
+        width = sum(block.shape[1] for block in blocks)
+        lo, hi = self.gn_out or (0, width)
+        if hi > width:
             raise ValueError(f"gn_out {self.gn_out!r} reaches past the "
-                             f"{s.gn.shape[1]}-wide graph-node state")
-        return s.gn[:, lo:hi].copy()
+                             f"{width}-wide graph-node state")
+        # a deep program's output lies in its first block, x: the others
+        # need not be joined to read it
+        full = blocks[0] if hi <= blocks[0].shape[1] \
+            else np.concatenate(blocks, axis=1)
+        return full[:, lo:hi].copy()
 
     def execute(self, g: Graph, X) -> np.ndarray:
         """Run on the rows of ``X``: the one VM function that reads a graph.
@@ -609,9 +716,10 @@ class LayerProgram:
         if not g.has_vn:
             raise ValueError("execute requires a graph with a virtual node")
         s0 = self.initial_state(X)
-        if s0.gn.shape[0] != g.n - 1:
+        rows = s0.gn["x"].shape[0]
+        if rows != g.n - 1:
             raise ValueError(
-                f"state has {s0.gn.shape[0]} graph-node rows, graph has {g.n - 1}"
+                f"state has {rows} graph-node rows, graph has {g.n - 1}"
             )
         return self.extract(run_program(s0, self))
 

@@ -269,7 +269,13 @@ def max_abs_diff(a, b) -> float:
 
 
 def check_finite(arr, label: str = "array") -> np.ndarray:
+    """``arr`` as float64; a non-finite entry raises ``ValueError`` naming
+    the first one (in row-major order) by its (row, column), or its index
+    in a vector."""
     arr = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{label} contains non-finite entries")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"{label} contains non-finite entries, the first "
+                         f"{arr[at]} at {at[0] if arr.ndim == 1 else at}")
     return arr

@@ -18,7 +18,7 @@ from oracles import (
     finite_diff_grads,
     grad_rel_err,
 )
-from traces import run_traced
+from traces import gn_matrix, run_traced
 from vnlab import attention, mlp, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -150,7 +150,7 @@ def test_criterion_04_deep_oracle_exact_with_trace():
         X = rng.normal(size=(n, d)) * 0.6
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
         states, _ = run_traced(prog.initial_state(X), prog)
-        got = states[-1].gn[:, :d]
+        got = states[-1].gn["x"]
         worst = max(
             worst, numkit.max_abs_diff(got, attention.self_attention(X, w))
         )
@@ -159,7 +159,7 @@ def test_criterion_04_deep_oracle_exact_with_trace():
             gn_want, vn_want = deep_trace_oracle(
                 X, selectors, w.w_q, w.w_k, w.w_v, t
             )
-            if not (np.array_equal(states[t].gn, gn_want)
+            if not (np.array_equal(gn_matrix(states[t].gn), gn_want)
                     and np.array_equal(states[t].vn, vn_want)):
                 trace_exact = False
     elapsed = time.perf_counter() - t0

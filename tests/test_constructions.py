@@ -4,16 +4,17 @@ import hashlib
 import json
 import math
 import pathlib
+import tracemalloc
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import deep_trace_oracle, self_attention_oracle
-from traces import run_traced
+from traces import gn_matrix, run_traced
 from vnlab import attention, constructions, mlp, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -31,12 +32,14 @@ from vnlab.constructions import (
 from vnlab.cli import _run_checking_time2
 from vnlab.mpnnvn import (
     MpnnVnLayer,
+    NodeState,
     ScoreAccumulate,
     SelectorAdvance,
     StageQuery,
     load_program,
     program_from_json,
     program_to_json,
+    run_layer,
     run_program,
     save_program,
 )
@@ -192,7 +195,8 @@ class TestKernelExact:
         assert (cfg.probe_batches, cfg.piece_restarts) == (2, 1)
 
     def test_nan_input_row_raises(self):
-        # one NaN row poisons the pooled statistics of every node
+        # execute refuses the input; a state holding it anyway poisons the
+        # pooled statistics of every node, and the resolution refuses that
         rng = numkit.make_rng(6)
         w = attention.random_weights(3, rng)
         prog = compile_kernel_vn(
@@ -200,8 +204,12 @@ class TestKernelExact:
         )
         X = rng.normal(size=(6, 3)) * 0.5
         X[2, 1] = np.nan
-        with pytest.raises(ValueError, match="denominator"):
+        with pytest.raises(ValueError, match=r"input X contains non-finite "
+                                             r"entries, the first nan at "
+                                             r"\(2, 1\)"):
             prog.execute(attention_host_graph(6), X)
+        with pytest.raises(ValueError, match="denominator"):
+            run_program(NodeState({"x": X}, prog.vn_init.copy()), prog)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +528,70 @@ class TestDeepOracle:
             gn_want, vn_want = deep_trace_oracle(
                 X, selectors, w.w_q, w.w_k, w.w_v, t
             )
-            assert np.array_equal(states[t].gn, gn_want), t
+            assert np.array_equal(gn_matrix(states[t].gn), gn_want), t
             assert np.array_equal(states[t].vn, vn_want), t
+
+    @given(st.integers(1, 24), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example(1, 1, 0)
+    @example(1, 6, 1)
+    @example(24, 6, 2)
+    @settings(max_examples=30, deadline=None)
+    def test_every_state_matches_reference_trace(self, n, d, seed):
+        rng = numkit.make_rng(seed)
+        X = rng.normal(size=(n, d)) * 0.6
+        w = attention.random_weights(d, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        states, _ = run_traced(prog.initial_state(X), prog)
+        selectors = np.zeros((n, d))
+        for t in range(n + 3):
+            gn_want, vn_want = deep_trace_oracle(
+                X, selectors, w.w_q, w.w_k, w.w_v, t
+            )
+            assert list(states[t].gn) == ["x", "acc", "mass", "q"], t
+            assert np.array_equal(gn_matrix(states[t].gn), gn_want), t
+            assert np.array_equal(states[t].vn, vn_want), t
+
+    @staticmethod
+    def _benchmark_shape_program():
+        # the deep-oracle benchmark's shape: n=256, d=8, rows 0.3 N(0, 1)
+        rng = numkit.make_rng(32)
+        n, d = 256, 8
+        X = rng.normal(size=(n, d)) * 0.3
+        w = attention.random_weights(d, rng)
+        return X, compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+
+    def test_accumulation_shares_x_and_q(self):
+        X, prog = self._benchmark_shape_program()
+        n = X.shape[0]
+        states, _ = run_traced(prog.initial_state(X), prog)
+        shared = np.shares_memory
+        for k in range(1, n + 2):
+            before, after = states[k - 1].gn, states[k].gn
+            # layer 1 stages q; layers 2..n+1 accumulate into new acc and
+            # mass blocks; layer n+2 writes the output into a new x
+            assert shared(after["x"], before["x"]), k
+            assert shared(after["q"], before["q"]) == (k >= 2), k
+            assert shared(after["acc"], before["acc"]) == (k == 1), k
+        assert not shared(states[n + 2].gn["x"], states[n + 1].gn["x"])
+
+    def test_accumulation_layer_allocates_less_than_a_state_copy(self):
+        X, prog = self._benchmark_shape_program()
+        n, d = X.shape
+        s1, _ = run_layer(prog.initial_state(X), prog.layers[0])
+        run_layer(s1, prog.layers[1])  # first call: any one-time set-up
+        tracemalloc.start()
+        try:
+            run_layer(s1, prog.layers[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # copying the whole [x | acc | mass | q] state, as every layer once
+        # did, takes n (3d+1) float64s: 256 * 25 * 8 = 51,200 bytes by
+        # itself (such a layer peaked near 107,000 bytes).  New acc and mass
+        # blocks take n (d+1) * 8 = 18,432 bytes; with the n-long score and
+        # selection-weight vectors (2,048 bytes each) the peak is about
+        # 24,000 bytes.
+        assert peak < n * (3 * d + 1) * 8
 
     def test_state_layout_through_time(self):
         rng = numkit.make_rng(4)
@@ -533,7 +603,7 @@ class TestDeepOracle:
         for t in range(n + 2):
             # graph nodes carry the raw feature up front until the final
             # normalization overwrites it with the output
-            assert np.array_equal(states[t].gn[:, :d], X), t
+            assert np.array_equal(states[t].gn["x"], X), t
         for k in range(1, n + 1):
             # after layer k the virtual node holds node k-1's feature and a
             # zeroed placeholder channel
@@ -576,14 +646,21 @@ class TestDeepOracle:
                                     amplification=bad)
 
     def test_nan_input_row_raises(self):
-        # one NaN row enters every node's accumulated mass
+        # execute refuses the input; a state holding it anyway enters every
+        # node's accumulated mass, and the ratio refuses that
         rng = numkit.make_rng(6)
         w = attention.random_weights(3, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=6, selection="oracle"))
         X = rng.normal(size=(6, 3)) * 0.5
         X[2, 1] = np.nan
-        with pytest.raises(ValueError, match="mass"):
+        with pytest.raises(ValueError, match=r"input X contains non-finite "
+                                             r"entries, the first nan at "
+                                             r"\(2, 1\)"):
             prog.execute(attention_host_graph(6), X)
+        s0 = prog.initial_state(np.nan_to_num(X))
+        s0.gn["x"] = X
+        with pytest.raises(ValueError, match="mass"):
+            run_program(s0, prog)
 
     def test_trace_matches_reference_at_benchmark_shape(self):
         # the deep-oracle benchmark's shape: 256 rows of width 8, checked
@@ -603,8 +680,30 @@ class TestDeepOracle:
         gn_want, vn_want = deep_trace_oracle(
             X, np.zeros((n, d)), w.w_q, w.w_k, w.w_v, n + 1
         )
-        assert np.array_equal(seen["state"].gn, gn_want)
+        assert np.array_equal(gn_matrix(seen["state"].gn), gn_want)
         assert np.array_equal(seen["state"].vn, vn_want)
+
+    # sha256 of the output bytes of one oracle program at the deep-oracle
+    # benchmark's shape, fresh and after a save/load round trip, recorded
+    # while graph-node states were still one (n, 3d+1) matrix
+    WIDE_ORACLE_OUT_SHA256 = {
+        "compiled": "236e60266e4981886ebf3436db34cf8d7c3ce9daefdf76099123651cc64f0979",
+        "reloaded": "236e60266e4981886ebf3436db34cf8d7c3ce9daefdf76099123651cc64f0979",
+    }
+
+    def test_wide_oracle_output_is_pinned(self, tmp_path):
+        rng = numkit.make_rng(31)
+        n, d = 256, 8
+        X = rng.normal(size=(n, d)) * 0.3
+        w = attention.random_weights(d, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        path = tmp_path / "wide.json"
+        save_program(prog, path)
+        g = attention_host_graph(n)
+        for name, p in (("compiled", prog), ("reloaded", load_program(path))):
+            out = p.execute(g, X)
+            assert hashlib.sha256(out.tobytes()).hexdigest() \
+                == self.WIDE_ORACLE_OUT_SHA256[name], name
 
     def test_refuses_other_node_count(self, tmp_path):
         # compiled for 6 rows, a deep program on 8 would select only the

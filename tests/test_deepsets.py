@@ -267,7 +267,7 @@ class TestCompileNetwork:
         prog = compile_network(net, 5)
         X = rng.normal(size=(5, 3))
         states, _ = run_traced(prog.initial_state(X), prog)
-        w = max(max(s.gn.shape[1], s.vn.shape[0]) for s in states)
+        w = max(max(s.gn["x"].shape[1], s.vn.shape[0]) for s in states)
         assert w <= 2 * max(widths)
         # this compiler in fact needs no extra width at all
         assert w == max(widths)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traces import gn_matrix
 from vnlab import attention, deepsets, mlp, mpnnvn, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -92,6 +93,15 @@ def unfitted_pieces():
     )
 
 
+def as_blocks(gn, d):
+    """The columns [x | acc | mass | q] of the matrix ``gn`` as named views
+    (q only when ``gn`` is at least 3d+1 wide; later columns left out)."""
+    cuts = {"x": (0, d), "acc": (d, 2 * d), "mass": (2 * d, 2 * d + 1),
+            "q": (2 * d + 1, 3 * d + 1)}
+    return {name: gn[:, lo:hi] for name, (lo, hi) in cuts.items()
+            if hi <= gn.shape[1]}
+
+
 def plain_layer(vn_pool=None, vn_update=None, gn_update=None):
     return MpnnVnLayer(
         vn_pool=vn_pool or MeanPool(),
@@ -108,7 +118,7 @@ def plain_layer(vn_pool=None, vn_update=None, gn_update=None):
 class TestPoolsAndUpdates:
     def test_mean_pool(self):
         X = np.arange(8.0).reshape(4, 2)
-        s = NodeState(X, np.zeros(2))
+        s = NodeState({"x": X}, np.zeros(2))
         out, _ = run_layer(s, plain_layer(vn_pool=MeanPool()))
         assert np.allclose(out.vn, X.mean(axis=0), atol=1e-15)
 
@@ -122,12 +132,12 @@ class TestPoolsAndUpdates:
             vn_update=CopyPooled(),
             gn_update=AffineFromVn(np.eye(1), np.zeros(1)),
         )
-        out, _ = run_layer(NodeState(X, old_vn), layer)
+        out, _ = run_layer(NodeState({"x": X}, old_vn), layer)
         assert np.array_equal(out.vn, np.array([1.5]))  # updated
-        assert np.array_equal(out.gn, X + 7.0)  # but nodes saw 7, not 1.5
+        assert np.array_equal(out.gn["x"], X + 7.0)  # but nodes saw 7, not 1.5
 
     def test_const_vn(self):
-        s = NodeState(np.ones((2, 3)), np.zeros(1))
+        s = NodeState({"x": np.ones((2, 3))}, np.zeros(1))
         out, _ = run_layer(
             s,
             plain_layer(vn_update=ConstVn(np.array([5.0, 5.0, 5.0]))),
@@ -135,14 +145,14 @@ class TestPoolsAndUpdates:
         assert np.array_equal(out.vn, np.array([5.0, 5.0, 5.0]))
 
     def test_keep_vn(self):
-        s = NodeState(np.ones((2, 2)), np.array([3.0, 4.0]))
+        s = NodeState({"x": np.ones((2, 2))}, np.array([3.0, 4.0]))
         out, _ = run_layer(s, plain_layer(vn_update=KeepVn()))
         assert np.array_equal(out.vn, s.vn)
 
     def test_oracle_select_pool_picks_one_row(self):
         X = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
         out, aux = run_layer(
-            NodeState(X, np.zeros(2)),
+            NodeState({"x": X}, np.zeros(2)),
             plain_layer(vn_pool=OracleSelectPool(index=1)),
         )
         assert np.array_equal(out.vn, X[1])
@@ -150,7 +160,7 @@ class TestPoolsAndUpdates:
 
     def test_oracle_select_pool_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
-            run_layer(NodeState(np.ones((2, 1)), np.zeros(1)),
+            run_layer(NodeState({"x": np.ones((2, 1))}, np.zeros(1)),
                       plain_layer(vn_pool=OracleSelectPool(index=5)))
 
     def test_softmax_select_zero_scale_is_mean(self):
@@ -161,7 +171,7 @@ class TestPoolsAndUpdates:
         vn = np.zeros(5)
         vn[d:2 * d] = [1.0, 0.0]
         out, aux = run_layer(
-            NodeState(gn, vn),
+            NodeState({"x": gn}, vn),
             plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=0.0)),
         )
         assert np.allclose(aux["selection_weights"], np.full(3, 1 / 3), atol=1e-15)
@@ -175,7 +185,7 @@ class TestPoolsAndUpdates:
         vn = np.zeros(5)
         vn[d:2 * d] = [1.0, 0.0]  # selector aligned with row 0
         _, aux = run_layer(
-            NodeState(gn, vn),
+            NodeState({"x": gn}, vn),
             plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=200.0)),
         )
         w = aux["selection_weights"]
@@ -195,9 +205,9 @@ class TestPoolsAndUpdates:
     def test_linear_gn(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out, _ = run_layer(NodeState(X, np.zeros(1)),
+        out, _ = run_layer(NodeState({"x": X}, np.zeros(1)),
                            plain_layer(gn_update=LinearGn(A)))
-        assert np.array_equal(out.gn, X @ A)
+        assert np.array_equal(out.gn["x"], X @ A)
 
     def test_affine_from_vn_with_activation(self):
         X = np.array([[1.0], [-10.0]])
@@ -206,9 +216,9 @@ class TestPoolsAndUpdates:
             gn_update=AffineFromVn(np.array([[1.0]]), np.array([2.0]),
                                    activation="relu"),
         )
-        out, _ = run_layer(NodeState(X, np.array([1.0])), layer)
+        out, _ = run_layer(NodeState({"x": X}, np.array([1.0])), layer)
         # relu(x + 1 + 2)
-        assert np.array_equal(out.gn, [[4.0], [0.0]])
+        assert np.array_equal(out.gn["x"], [[4.0], [0.0]])
 
 
 class TestRunLayerValidation:
@@ -274,9 +284,40 @@ class TestPrograms:
         prog = LayerProgram(layers=[], vn_init=np.zeros(1),
                             gn_init=("pad", 5))
         s = prog.initial_state(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert s.gn.shape == (2, 5)
-        assert np.array_equal(s.gn[:, :2], [[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(s.gn[:, 2:], np.zeros((2, 3)))
+        assert list(s.gn) == ["x"]  # no deep descriptor: one block
+        assert s.gn["x"].shape == (2, 5)
+        assert np.array_equal(s.gn["x"][:, :2], [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(s.gn["x"][:, 2:], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_initial_state_refuses_non_finite_input(self, bad):
+        X = 0.5 * numkit.make_rng(4).normal(size=(5, 3))
+        X[1, 2] = bad
+        X[3, 0] = np.nan  # later in row-major order: not the one named
+        w = attention.random_weights(3, numkit.make_rng(0))
+        deep = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        for prog in (mean_subtract_program(3), deep):
+            with pytest.raises(ValueError, match=(
+                    rf"^input X contains non-finite entries, the first {bad} "
+                    r"at \(1, 2\)$")):
+                prog.execute(star(5), X)
+
+    def test_deep_state_splits_into_named_blocks(self):
+        w = attention.random_weights(2, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=3, selection="oracle"))
+        X = np.arange(6.0).reshape(3, 2)
+        s = prog.initial_state(X)
+        assert {k: v.shape for k, v in s.gn.items()} == {
+            "x": (3, 2), "acc": (3, 2), "mass": (3, 1), "q": (3, 2)}
+        assert np.array_equal(s.gn["x"], X) and s.gn["x"] is not X
+        assert all(not v.any() for k, v in s.gn.items() if k != "x")
+        # a pad width that is neither 2d+1 nor 3d+1 splits into no layout
+        prog.gn_init = ("pad", 6)
+        with pytest.raises(ValueError, match=(
+                r"a 6-wide graph-node state does not split into "
+                r"\[x \| acc \| mass \| q\] blocks of width 2: the pad "
+                r"width must be 5 or 7")):
+            prog.initial_state(X)
 
     def test_pad_width_too_small(self):
         prog = LayerProgram(layers=[], vn_init=np.zeros(1),
@@ -302,7 +343,7 @@ class TestPrograms:
                         vn_update=KeepVn()),
             plain_layer(vn_pool=OracleSelectPool(index=2)),
         ], vn_init=vn)
-        s0 = NodeState(gn, vn)
+        s0 = NodeState({"x": gn}, vn)
         seen = []
         final = run_program(s0, prog,
                             observe=lambda k, s, aux: seen.append((k, s, aux)))
@@ -314,7 +355,8 @@ class TestPrograms:
         s = s0
         for (_, state, _), layer in zip(seen, prog.layers):
             s, _ = run_layer(s, layer)
-            assert np.array_equal(state.gn, s.gn)
+            assert list(state.gn) == list(s.gn) == ["x"]
+            assert np.array_equal(state.gn["x"], s.gn["x"])
             assert np.array_equal(state.vn, s.vn)
         assert seen[-1][1] is final
 
@@ -327,7 +369,7 @@ class TestPrograms:
         assert np.array_equal(seen[2][2]["selection_weights"], [0.0, 0.0, 1.0])
 
     def test_empty_program_never_observes(self):
-        s0 = NodeState(np.ones((3, 2)), np.zeros(2))
+        s0 = NodeState({"x": np.ones((3, 2))}, np.zeros(2))
         seen = []
         empty = LayerProgram(layers=[], vn_init=np.zeros(2))
         out = run_program(s0, empty,
@@ -365,13 +407,18 @@ class TestPrograms:
         "deep_softmax", "deep_gatv2", "deepsets"])
     def test_every_layer_hands_on_contiguous_float64_states(self, name):
         # states are not coerced between layers, so each descriptor must
-        # return arrays of the state's kind itself
+        # return arrays of the state's kind itself; deep programs run on
+        # the [x | acc | mass | q] blocks, every other one on x alone
         prog, X = self._compiled_case(name)
+        blocks = ["x", "acc", "mass", "q"] if name.startswith("deep_") \
+            else ["x"]
         seen = []
 
         def check(k, state, aux):
             seen.append(k)
-            for arr, ndim in ((state.gn, 2), (state.vn, 1)):
+            assert list(state.gn) == blocks
+            arrays = [(block, 2) for block in state.gn.values()]
+            for arr, ndim in arrays + [(state.vn, 1)]:
                 assert isinstance(arr, np.ndarray) and arr.ndim == ndim
                 assert arr.dtype == np.float64 and arr.flags.c_contiguous
 
@@ -417,7 +464,7 @@ class TestKernelLayers:
     def test_feature_stats_pool_width(self):
         fm = attention.exp_feature_map(8, 3, seed=0)
         pool = FeatureStatsPool(np.eye(3), np.ones((3, 2)), fm)
-        out, _ = run_layer(NodeState(np.zeros((2, 3)), np.zeros(1)),
+        out, _ = run_layer(NodeState({"x": np.zeros((2, 3))}, np.zeros(1)),
                            plain_layer(vn_pool=pool))
         assert out.vn.shape == (24,)
 
@@ -426,7 +473,7 @@ class TestKernelLayers:
         upd = ResolveQueryUpdate(np.eye(2), fm, value_dim=2)
         vn = np.zeros(6)  # key_sum = 0 -> denominator 0
         with pytest.raises(ValueError, match="denominator"):
-            upd(np.zeros((2, 2)), vn)
+            upd({"x": np.zeros((2, 2))}, vn)
 
     def test_resolve_query_rejects_nan_denominator(self):
         fm = attention.elu_feature_map()
@@ -434,7 +481,7 @@ class TestKernelLayers:
         vn = np.ones(6)
         gn = np.array([[0.1, 0.2], [np.nan, 0.3]])
         with pytest.raises(ValueError, match="denominator"):
-            upd(gn, vn)
+            upd({"x": gn}, vn)
 
     def test_mlp_resolve_rejects_nan_denominator(self):
         # unfitted pieces can give either sign, so only NaN rows are fed
@@ -443,7 +490,7 @@ class TestKernelLayers:
         vn = np.ones(12)
         gn = np.full((2, 2), np.nan)
         with pytest.raises(ValueError, match="denominator"):
-            upd(gn, vn)
+            upd({"x": gn}, vn)
 
 
 class TestScoreAccumulate:
@@ -453,9 +500,9 @@ class TestScoreAccumulate:
         w_k = np.array([[1.0]])
         w_v = np.array([[3.0]])
         upd = ScoreAccumulate(w_q, w_k, w_v, width=d)
-        gn = np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 1.0]])
+        gn = as_blocks(np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 1.0]]), d)
         vn = np.array([0.5, 9.0, 9.0])  # only the first block is read
-        out = upd(gn, vn)
+        out = gn_matrix(upd(gn, vn))
         e0 = np.exp(1.0 * 2.0 * 0.5 * 1.0)
         e1 = np.exp(2.0 * 2.0 * 0.5 * 1.0)
         assert np.allclose(out[:, 0], [1.0, 2.0], atol=0)
@@ -463,9 +510,10 @@ class TestScoreAccumulate:
         assert np.allclose(out[1], [2.0, 1.0 + e1 * 1.5, 1.0 + e1], atol=1e-12)
 
     @staticmethod
-    def _per_row(upd, gn, vn):
+    def _per_row(upd, blocks, vn):
         # one row at a time with einsum, the reference trace's rounding; q is
         # recomputed from x, so a staged q must equal it bitwise
+        gn = gn_matrix(blocks)
         d = upd.width
         yk = vn[:d] @ upd.w_k
         yv = vn[:d] @ upd.w_v
@@ -481,43 +529,52 @@ class TestScoreAccumulate:
         (1, 1, 0), (5, 1, 0), (1, 4, 0), (256, 8, 0), (37, 3, 2), (256, 8, 5),
     ])
     def test_batched_equals_per_row_bitwise(self, n, d, pad):
-        # pad > 0: the [x | acc | mass] (or [x | acc | mass | q]) state sits
-        # inside a wider state, so the x and q blocks are strided views
+        # pad == 0: contiguous blocks, as the VM hands them on; pad > 0: the
+        # blocks are strided views into one wider matrix
         rng = numkit.make_rng(1000 * n + 10 * d + pad)
         upd = ScoreAccumulate(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
                               rng.normal(size=(d, d)), width=d)
-        gn = rng.normal(size=(n, 2 * d + 1 + pad)) * 0.6
-        gn[:, 2 * d] = np.abs(gn[:, 2 * d])
+
+        def blocks(width):
+            gn = rng.normal(size=(n, width + pad)) * 0.6
+            gn[:, 2 * d] = np.abs(gn[:, 2 * d])
+            views = as_blocks(gn, d)
+            return views if pad else {k: v.copy() for k, v in views.items()}
+
+        gn = blocks(2 * d + 1)
+        before = {k: v.copy() for k, v in gn.items()}
         vn = rng.normal(size=2 * d + 1) * 0.6
         out = upd(gn, vn)
-        assert np.array_equal(out, self._per_row(upd, gn, vn))
-        assert np.array_equal(out[:, :d], gn[:, :d])
+        assert np.array_equal(gn_matrix(out), self._per_row(upd, gn, vn))
+        assert out["x"] is gn["x"]  # shared, not copied
+        assert all(np.array_equal(gn[k], before[k]) for k in gn)  # unwritten
         # staged path: StageQuery writes q once, the accumulation reads it
-        staged = rng.normal(size=(n, 3 * d + 1 + pad)) * 0.6
-        staged[:, 2 * d] = np.abs(staged[:, 2 * d])
+        staged = blocks(3 * d + 1)
         staged = StageQuery(upd.w_q, width=d)(staged, vn)
-        q_rows = [np.einsum("a,ac->c", staged[i, :d], upd.w_q)
+        q_rows = [np.einsum("a,ac->c", staged["x"][i], upd.w_q)
                   for i in range(n)]
-        assert np.array_equal(staged[:, 2 * d + 1 : 3 * d + 1], q_rows)
+        assert np.array_equal(staged["q"], q_rows)
         hoisted = ScoreAccumulate(None, upd.w_k, upd.w_v, width=d)
-        assert np.array_equal(hoisted(staged, vn),
-                              self._per_row(upd, staged, vn))
+        out = hoisted(staged, vn)
+        assert np.array_equal(gn_matrix(out), self._per_row(upd, staged, vn))
+        assert out["x"] is staged["x"] and out["q"] is staged["q"]
 
     def test_ratio_update(self):
         upd = RatioUpdate(width=2)
-        gn = np.array([[9.0, 9.0, 6.0, 8.0, 2.0]])
+        gn = as_blocks(np.array([[9.0, 9.0, 6.0, 8.0, 2.0]]), 2)
         out = upd(gn, None)
-        assert np.array_equal(out, [[3.0, 4.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(gn_matrix(out), [[3.0, 4.0, 0.0, 0.0, 0.0]])
 
     def test_ratio_update_rejects_zero_mass(self):
         upd = RatioUpdate(width=1)
         with pytest.raises(ValueError, match="mass"):
-            upd(np.array([[1.0, 1.0, 0.0]]), None)
+            upd(as_blocks(np.array([[1.0, 1.0, 0.0]]), 1), None)
 
     def test_ratio_update_rejects_nan_mass(self):
         upd = RatioUpdate(width=1)
         with pytest.raises(ValueError, match="mass"):
-            upd(np.array([[1.0, 1.0, 2.0], [1.0, 1.0, np.nan]]), None)
+            upd(as_blocks(np.array([[1.0, 1.0, 2.0], [1.0, 1.0, np.nan]]),
+                          1), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,6 +1210,10 @@ class TestPersistence:
     BREAKERS = [5, "x", [], {}]
     SWEEP_WIDTHS = {"kernel_mlp_trained.v2": 2, "kernel_exact.v1": 3,
                     "deep_gatv2.v1": 3, "deep_oracle.v1": 3, "rich.v1": None}
+    # the layers whose accumulation, once it loses w_q, reads a q block
+    # that the fixture's 2d+1-wide state does not hold: refused at load
+    LOST_W_Q = {"deep_gatv2.v1": range(1, 6), "deep_oracle.v1": range(1, 6),
+                "rich.v1": [1]}
 
     @classmethod
     def _breakages(cls, node, path=()):
@@ -1173,7 +1234,7 @@ class TestPersistence:
         doc = json.loads((FIXTURES / f"{name}.json").read_text())
         width = self.SWEEP_WIDTHS[name]
         X = numkit.make_rng(4).uniform(-0.2, 0.2, size=(5, width or 1))
-        wrong = []
+        wrong, blocked = [], []
         for path, value in self._breakages(doc):
             broken = copy.deepcopy(doc)
             parent = broken
@@ -1192,6 +1253,8 @@ class TestPersistence:
                 if not (place in str(exc) or path == ("descriptors",)
                         and "descriptor table" in str(exc)):
                     wrong.append((path, value, str(exc)))
+                if "needs graph-node block" in str(exc):
+                    blocked.append(path)
                 continue
             except Exception as exc:
                 wrong.append((path, value, repr(exc)))
@@ -1207,6 +1270,20 @@ class TestPersistence:
             except Exception as exc:
                 wrong.append((path, value, repr(exc)))
         assert wrong == []
+        assert blocked == [("layers", i, "gn_update", "w_q")
+                           for i in self.LOST_W_Q.get(name, ())]
+
+    @pytest.mark.parametrize("name", ["deep_oracle", "deep_gatv2"])
+    def test_v1_accumulation_without_w_q_is_refused_at_load(self, name):
+        # it once loaded, then stopped in layer 2 on numpy's einsum
+        # broadcast error: the 2d+1-wide v1 state has no q block to read
+        blob = numkit.load_json(self._v1_fixture(name))
+        del blob["layers"][2]["gn_update"]["w_q"]
+        with pytest.raises(ValueError, match=(
+                r"^layers\[2\]\.gn_update: score_accumulate needs graph-node "
+                r"block 'q', which a state initialized by \('pad', 7\) does "
+                r"not hold for width 3$")):
+            program_from_json(blob)
 
     def test_duplicate_kind_registration_rejected(self):
         with pytest.raises(TypeError, match="duplicate"):

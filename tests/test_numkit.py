@@ -242,3 +242,17 @@ def test_matrix_from_json_validates_size():
 def test_matrix_from_json_rejects_malformed_blobs(blob, message):
     with pytest.raises(ValueError, match=message):
         numkit.matrix_from_json(blob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_names_the_first_bad_entry(bad):
+    m = np.zeros((3, 4))
+    m[1, 2] = bad
+    m[2, 0] = np.nan
+    with pytest.raises(ValueError, match=(
+            rf"^rows contains non-finite entries, the first {bad} at "
+            r"\(1, 2\)$")):
+        numkit.check_finite(m, "rows")
+    with pytest.raises(ValueError, match=rf"the first {bad} at 2$"):
+        numkit.check_finite(np.array([0.0, 1.0, bad]), "v")
+    assert numkit.check_finite(np.eye(2), "rows").dtype == np.float64

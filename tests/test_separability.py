@@ -658,12 +658,12 @@ def pool_weights(pool, X, selector):
     """Selection weights of a deep program's pool, ``selector`` staged.
 
     The virtual node holds [feature | selector | placeholder] as it does in
-    a compiled deep program; the graph nodes hold the points.
+    a compiled deep program; the graph nodes' x blocks hold the points.
     """
     X = numkit.as_matrix(X)
     d = X.shape[1]
     vn = np.concatenate([np.zeros(d), selector, [0.0]])
-    _, aux = pool(vn, X)
+    _, aux = pool(vn, {"x": X})
     return aux["selection_weights"]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from vnlab.mpnnvn import run_program
 
 
@@ -20,3 +22,10 @@ def run_traced(s0, prog):
 
     run_program(s0, prog, observe=keep)
     return states, auxes
+
+
+def gn_matrix(blocks):
+    """Graph-node blocks side by side, in their order: for a deep program's
+    state the [x | acc | mass | q] matrix ``oracles.deep_trace_oracle``
+    returns."""
+    return np.concatenate(list(blocks.values()), axis=1)

@@ -86,7 +86,7 @@ def self_attention(X, w: AttnWeights) -> np.ndarray:
     if X.shape[1] != w.in_dim:
         raise ValueError(f"input dim {X.shape[1]} does not match weights ({w.in_dim})")
     scores = (X @ w.w_q) @ (X @ w.w_k).T
-    return numkit.softmax_rows(scores) @ (X @ w.w_v)
+    return numkit.softmax(scores) @ (X @ w.w_v)
 
 
 # ---------------------------------------------------------------------------

@@ -731,10 +731,10 @@ def run_and_report(
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    deep = prog.metadata.get("compiler") == "deep"
-    if deep and cert is not None and prog.metadata["selection"] in _CERT_SCORE:
-        _check_cert_score(prog.metadata["selection"], cert)
-    d = prog.metadata["d"] if deep else 0
+    deep, selection = prog.deep, prog.metadata.get("selection")
+    if deep and cert is not None and selection in _CERT_SCORE:
+        _check_cert_score(selection, cert)
+    d = prog.layout["x"] if deep else 0
     measured = []  # after layer k <= n: (feature error, target's weight)
 
     def measure_selection(k, state, aux):

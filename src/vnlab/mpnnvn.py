@@ -39,10 +39,12 @@ Determinism note: pooled reductions always run in ascending node-index order
 Graph-node states are named blocks, one (rows, width) array each.  A
 program with no deep descriptor runs on one block ``x``.  A deep program's
 state is ``x``, ``acc``, ``mass`` and ``q`` (``[x | acc | mass | q]`` in
-column order); the layout is worked out from the pad width and the deep
-descriptors' ``width`` (see ``LayerProgram``).  Each descriptor declares the
-blocks it reads or returns (``Descriptor.blocks``), and a graph-node update
-returns the whole new block mapping, sharing every block it leaves alone:
+column order).  Building a program works out its layout once, from the pad
+width and the deep descriptors' ``width``, and settles whether it is deep
+and on how many rows it runs; a run checks only its input (see
+``LayerProgram``).  Each descriptor declares the blocks it reads or returns
+(``Descriptor.blocks``), and a graph-node update returns the whole new
+block mapping, sharing every block it leaves alone:
 
 * every pool reads ``x`` only (a selection pool returns ``x`` rows);
 * ``StageQuery`` reads ``x`` and returns a new ``q``, sharing the rest;
@@ -58,6 +60,7 @@ their arguments, so consecutive states may share blocks.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import json
@@ -575,22 +578,14 @@ def run_layer(s: NodeState, layer: MpnnVnLayer) -> tuple[NodeState, dict | None]
     return NodeState(new_gn, new_vn), aux
 
 
-def _deep_slots(layers):
-    """(layer index, slot, descriptor) for each deep descriptor in a pool or
-    graph-node update slot: one whose ``blocks`` name more than x."""
-    for i, layer in enumerate(layers):
-        for slot in ("vn_pool", "gn_update"):
-            desc = getattr(layer, slot)
-            if desc.blocks != ("x",):
-                yield i, slot, desc
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _deep_blocks(width: int, d: int) -> dict[str, int]:
-    """The blocks, with their widths, that a ``width``-wide padded state
-    holds for deep descriptors of width ``d``: those of [x | acc | mass | q]
-    (widths d, d, 1, d) whose columns fit.  A 3d+1-wide state holds all
-    four; a 2d+1-wide one, as documents written before the query was staged
-    pad to, has no q."""
+    """The [x | acc | mass | q] blocks (widths d, d, 1, d) whose columns fit
+    a ``width``-wide padded state: all four at 3d+1, no q at 2d+1 (as in
+    documents written before the query was staged)."""
     blocks, end = {}, 0
     for name, w in (("x", d), ("acc", d), ("mass", 1), ("q", d)):
         end += w
@@ -612,21 +607,24 @@ class LayerProgram:
     compiler that produced the program; ``metadata`` carries plain-JSON
     config echoes (fit errors, bounds, seeds).
 
-    The graph-node state is one block ``x`` unless a layer holds a deep
-    descriptor (one whose ``blocks`` name more than ``x``).  Then the padded
-    row splits into [x | acc | mass | q] blocks of the first deep
-    descriptor's ``width`` d, so the pad width must be 3d+1, or 2d+1 (no q).
-    Construction refuses a layer whose deep descriptor needs a block that
-    the padded state cannot hold for its width, naming the layer, slot,
-    kind and block.
+    Construction settles once, for compiled, hand-built and loaded programs
+    alike, what a run needs, and keeps it in three plain attributes:
 
-    A deep program (``metadata["compiler"] == "deep"``, or provenance
-    "deep-attention-compiler") has one selection layer per input row, so it
-    only simulates attention on the node count ``metadata["n"]`` it was
-    compiled for: ``initial_state`` raises ``ValueError`` naming both counts
-    on any other, which makes ``execute`` and every caller that starts from
-    ``initial_state`` refuse it.  A deep program whose metadata lost ``n``
-    refuses every input.  Other programs run on any number of rows.
+    * ``layout``: None for a state of one block ``x``.  With a deep
+      descriptor (one whose ``blocks`` name more than ``x``), the widths of
+      the [x | acc | mass | q] blocks the padded row splits into for the
+      first one's ``width`` d: the pad width must be 3d+1, or 2d+1 (no q),
+      and a deep descriptor needing a block the state cannot hold for its
+      width is refused, naming the layer, slot, kind and block.
+    * ``deep``: ``metadata["compiler"] == "deep"`` or provenance
+      "deep-attention-compiler".  A deep program has one selection layer
+      per input row, so it must hold a deep descriptor (a refusal names
+      ``layers``), and ``metadata["d"]``, when present, must be d.
+    * ``n``: a deep program's ``metadata["n"]`` (an integer >= 1 when
+      present), the only row count it runs on; else None.
+
+    A run then checks only its input (``initial_state``), so a deep
+    program whose metadata lost ``n`` refuses every input.
     """
 
     layers: list[MpnnVnLayer]
@@ -643,57 +641,78 @@ class LayerProgram:
             if not 0 <= lo < hi:
                 raise ValueError("gn_out must be (lo, hi) with 0 <= lo < hi, "
                                  f"got {self.gn_out!r}")
-        width = self.gn_init[1] if isinstance(self.gn_init, tuple) else 0
+        if self.gn_init != "identity" and not (
+                isinstance(self.gn_init, tuple) and len(self.gn_init) == 2
+                and self.gn_init[0] == "pad"):
+            raise ValueError(f"unknown gn_init {self.gn_init!r}")
+        width = 0 if self.gn_init == "identity" else self.gn_init[1]
+        self.layout = None
         checked = set()  # a descriptor shared by many layers is checked once
-        for i, slot, desc in _deep_slots(self.layers):
-            if id(desc) in checked:
-                continue
-            checked.add(id(desc))
-            held = _deep_blocks(width, desc.width)
-            for name in desc.blocks:
-                if name not in held:
-                    raise ValueError(
-                        f"layers[{i}].{slot}: {desc.kind} needs graph-node "
-                        f"block {name!r}, which a state initialized by "
-                        f"{self.gn_init!r} does not hold for width "
-                        f"{desc.width}")
+        for i, layer in enumerate(self.layers):
+            for slot in ("vn_pool", "gn_update"):
+                desc = getattr(layer, slot)
+                if desc.blocks == ("x",) or id(desc) in checked:
+                    continue
+                checked.add(id(desc))
+                d, held = desc.width, _deep_blocks(width, desc.width)
+                if self.layout is None:
+                    if sum(held.values()) != width:
+                        raise ValueError(
+                            f"a {width}-wide graph-node state does not split "
+                            f"into [x | acc | mass | q] blocks of width {d}: "
+                            f"the pad width must be {2 * d + 1} or {3 * d + 1}")
+                    self.layout = held
+                for name in desc.blocks:
+                    if name not in held:
+                        raise ValueError(
+                            f"layers[{i}].{slot}: {desc.kind} needs "
+                            f"graph-node block {name!r}, which a state "
+                            f"initialized by {self.gn_init!r} does not hold "
+                            f"for width {d}")
+        self.deep = (self.metadata.get("compiler") == "deep"
+                     or self.provenance == "deep-attention-compiler")
+        self.n = self.metadata.get("n") if self.deep else None
+        if not self.deep:
+            return
+        if self.layout is None:
+            raise ValueError(f"layers: a deep program needs a deep "
+                             f"descriptor, and its {len(self.layers)} "
+                             f"layers hold none")
+        for name in ("n", "d"):
+            value = self.metadata.get(name)
+            if name in self.metadata and not (_is_int(value) and value >= 1):
+                raise ValueError(f"metadata field {name!r} of a deep program "
+                                 f"must be an integer >= 1, got {value!r}")
+        d = self.metadata.get("d", self.layout["x"])
+        if d != self.layout["x"]:
+            raise ValueError(f"metadata field 'd' of a deep program is {d}, "
+                             f"but its x block is {self.layout['x']} wide")
 
     def initial_state(self, X) -> NodeState:
         """The state before layer 1 for the rows of ``X``, split into the
-        program's blocks.  A non-finite entry of ``X`` is refused, naming
-        the first one by (row, column)."""
+        program's blocks.  Only ``X`` is checked here: a non-finite entry is
+        refused, naming the first one by (row, column), and so is a deep
+        program's X of another row count than ``n`` and, with a layout, an
+        X whose column count is not the width of block ``x``."""
         X = numkit.check_finite(numkit.as_matrix(X), "input X")
-        n = self.metadata.get("n")
-        deep = (self.metadata.get("compiler") == "deep"
-                or self.provenance == "deep-attention-compiler")
-        if deep and X.shape[0] != n:
-            raise ValueError(f"deep program was compiled for n={n} graph "
-                             f"nodes, input has {X.shape[0]} rows")
-        if self.gn_init == "identity":
-            full = X.copy()
-        else:
-            tag, width = self.gn_init
-            if tag != "pad":
-                raise ValueError(f"unknown gn_init {self.gn_init!r}")
-            if width < X.shape[1]:
-                raise ValueError("pad width smaller than the input dimension")
-            full = np.zeros((X.shape[0], width))
-            full[:, : X.shape[1]] = X
-        d = next((desc.width for _, _, desc in _deep_slots(self.layers)),
-                 None)
-        if d is None:
-            return NodeState({"x": full}, self.vn_init.copy())
-        blocks = _deep_blocks(full.shape[1], d)
-        if sum(blocks.values()) != full.shape[1]:
-            raise ValueError(f"a {full.shape[1]}-wide graph-node state does "
-                             f"not split into [x | acc | mass | q] blocks of "
-                             f"width {d}: the pad width must be {2 * d + 1} "
-                             f"or {3 * d + 1}")
-        gn, start = {}, 0
-        for name, w in blocks.items():
-            gn[name] = full[:, start : start + w].copy()
-            start += w
-        return NodeState(gn, self.vn_init.copy())
+        rows, cols = X.shape
+        if self.deep and rows != self.n:
+            raise ValueError(f"deep program was compiled for n={self.n} "
+                             f"graph nodes, input has {rows} rows")
+        if self.layout is not None:
+            if cols != self.layout["x"]:
+                raise ValueError(f"input X has {cols} columns, but the "
+                                 f"program's x block is {self.layout['x']} "
+                                 f"wide")
+            gn = {name: X.copy() if name == "x" else np.zeros((rows, w))
+                  for name, w in self.layout.items()}
+            return NodeState(gn, self.vn_init.copy())
+        width = cols if self.gn_init == "identity" else self.gn_init[1]
+        if width < cols:
+            raise ValueError("pad width smaller than the input dimension")
+        full = np.zeros((rows, width))
+        full[:, :cols] = X
+        return NodeState({"x": full}, self.vn_init.copy())
 
     def extract(self, s: NodeState) -> np.ndarray:
         blocks = list(s.gn.values())
@@ -762,7 +781,8 @@ def program_to_json(prog: LayerProgram) -> dict:
     first use (layer order, then ``vn_pool``, ``vn_update``, ``gn_update``);
     each layer maps its three slots to indexes into it.  Descriptors are told apart by their encoded
     value, so equal descriptors share one entry whether or not they are one
-    object, and a program re-saves to the same bytes after a reload.
+    object, and a program re-saves to the same bytes after a reload.  The
+    document holds a copy of the program's ``metadata``.
     """
     gn_init = prog.gn_init
     if isinstance(gn_init, tuple):
@@ -786,17 +806,13 @@ def program_to_json(prog: LayerProgram) -> dict:
     return {
         "format": _V2,
         "provenance": prog.provenance,
-        "metadata": prog.metadata,
+        "metadata": copy.deepcopy(prog.metadata),
         "vn_init": numkit.vector_to_json(prog.vn_init),
         "gn_init": gn_init,
         "gn_out": None if prog.gn_out is None else list(prog.gn_out),
         "descriptors": descriptors,
         "layers": layers,
     }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _decode_descriptor(where: str, blob) -> Descriptor:
@@ -839,7 +855,8 @@ def program_from_json(blob: dict) -> LayerProgram:
 
     Each v2 table entry is decoded once, and every layer that refers to it
     gets the same descriptor object.  A v1 document is read by the same
-    path with an empty table: its slots hold descriptors inline.
+    path with an empty table: its slots hold descriptors inline.  The
+    program gets a copy of the document's ``metadata``.
     """
     numkit.require_object(blob, "program document")
     fmt = blob.get("format")
@@ -883,21 +900,13 @@ def program_from_json(blob: dict) -> LayerProgram:
         vn_init = numkit.vector_from_json(blob["vn_init"])
     except ValueError as e:
         raise ValueError(f"vn_init: {e}") from None
-    if metadata.get("compiler") == "deep":
-        # the node count and dimension it runs on; a program without them
-        # loads, and refuses every input (``LayerProgram.initial_state``)
-        for name in ("n", "d"):
-            value = metadata.get(name)
-            if name in metadata and not (_is_int(value) and value >= 1):
-                raise ValueError(f"metadata field {name!r} of a deep program "
-                                 f"must be an integer >= 1, got {value!r}")
     return LayerProgram(
         layers=layers,
         vn_init=vn_init,
         gn_init=gn_init,
         gn_out=gn_out,
         provenance=provenance,
-        metadata=metadata,
+        metadata=copy.deepcopy(metadata),
     )
 
 

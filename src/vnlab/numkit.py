@@ -48,28 +48,19 @@ def as_matrix(values) -> np.ndarray:
 
 
 def softmax(v) -> np.ndarray:
-    """Numerically safe softmax of a vector.
+    """Numerically safe softmax over the last axis of a vector or matrix
+    (each row of a matrix normalized independently).
 
     Implemented with max-subtraction, which makes the result invariant under
     adding a constant to every entry and keeps ``exp`` away from overflow:
     entries of 1e4 are fine even though ``exp(1e4)`` itself would overflow.
     """
-    v = as_vector(v)
-    if v.size == 0:
-        raise ValueError("softmax of an empty vector is undefined")
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax of a matrix (each row normalized independently)."""
-    m = as_matrix(m)
-    if m.shape[1] == 0:
-        raise ValueError("softmax over zero columns is undefined")
-    shifted = m - np.max(m, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError(f"softmax needs a non-empty last axis of a vector "
+                         f"or matrix, got shape {v.shape}")
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def flatten_raster(m) -> np.ndarray:

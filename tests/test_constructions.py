@@ -1,5 +1,6 @@
 """Tests for the attention-to-layer-program compilers and error reports."""
 
+import copy
 import hashlib
 import json
 import math
@@ -774,6 +775,24 @@ class TestDeepOracle:
 
 
 class TestDeepSoftmax:
+    def test_renamed_compiler_key_keeps_the_selection_report(self):
+        # the provenance marks the program deep: with the key renamed it
+        # once ran with no selection entries and reported bounds_ok=True
+        rng = numkit.make_rng(3)
+        w = attention.random_weights(3, rng)
+        X, cert = make_certified_instance(5, 3, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(
+            n=5, selection="softmax", certificate=cert))
+        blob = copy.deepcopy(program_to_json(prog))
+        blob["metadata"]["built_by"] = blob["metadata"].pop("compiler")
+        renamed = program_from_json(blob)
+        swapped = X[[1, 0, 2, 3, 4]]
+        intact, other = (run_and_report(swapped, p, w, cert=cert)
+                         for p in (prog, renamed))
+        assert len(other.selection) == 5
+        assert other.selection == intact.selection
+        assert other.bounds_ok is intact.bounds_ok is False
+
     def test_certified_instance_properties(self):
         rng = numkit.make_rng(5)
         X, cert = make_certified_instance(6, 3, rng, min_delta=0.1)

@@ -311,13 +311,71 @@ class TestPrograms:
             "x": (3, 2), "acc": (3, 2), "mass": (3, 1), "q": (3, 2)}
         assert np.array_equal(s.gn["x"], X) and s.gn["x"] is not X
         assert all(not v.any() for k, v in s.gn.items() if k != "x")
-        # a pad width that is neither 2d+1 nor 3d+1 splits into no layout
-        prog.gn_init = ("pad", 6)
+        assert prog.layout == {"x": 2, "acc": 2, "mass": 1, "q": 2}
+
+    @staticmethod
+    def _rebuilt(prog, **changes):
+        """``prog``'s parts built into a new program, with ``changes``."""
+        parts = {name: getattr(prog, name) for name in (
+            "layers", "vn_init", "gn_init", "gn_out", "provenance",
+            "metadata")}
+        return LayerProgram(**(parts | changes))
+
+    def test_pad_that_does_not_split_is_refused_at_construction(self):
+        # it once built, and every run was refused
+        w = attention.random_weights(2, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=3, selection="oracle"))
         with pytest.raises(ValueError, match=(
                 r"a 6-wide graph-node state does not split into "
                 r"\[x \| acc \| mass \| q\] blocks of width 2: the pad "
                 r"width must be 5 or 7")):
-            prog.initial_state(X)
+            self._rebuilt(prog, gn_init=("pad", 6))
+
+    def test_deep_node_count_is_checked_at_construction(self):
+        # it once built, then refused every input: "compiled for n=5 graph
+        # nodes, input has 5 rows"
+        w = attention.random_weights(3, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        with pytest.raises(ValueError, match=(
+                r"metadata field 'n' of a deep program must be an integer "
+                r">= 1, got '5'")):
+            self._rebuilt(prog, provenance="hand-built",
+                          metadata={"compiler": "deep", "n": "5"})
+
+    def test_deep_dimension_must_be_the_x_block_width(self):
+        w = attention.random_weights(3, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        with pytest.raises(ValueError, match=(
+                r"metadata field 'd' of a deep program is 2, but its x "
+                r"block is 3 wide")):
+            self._rebuilt(prog, metadata={**prog.metadata, "d": 2})
+
+    def test_deep_program_without_a_deep_descriptor_is_refused(self):
+        # it once loaded, and returned X unchanged as its "attention"
+        blob = numkit.load_json(FIXTURES / "deep_oracle.v1.json")
+        blob["layers"] = []
+        with pytest.raises(ValueError, match=(
+                r"^layers: a deep program needs a deep descriptor, and its "
+                r"0 layers hold none$")):
+            program_from_json(blob)
+        blob["provenance"] = "hand-built"
+        with pytest.raises(ValueError, match="^layers: "):
+            program_from_json(blob)  # the compiler key alone marks it
+
+    def test_block_layout_refuses_other_input_widths(self):
+        # a 5-column X once ran, columns 3-4 landing in acc, and the output
+        # was 0.284 off self_attention on the first three columns
+        w = attention.random_weights(3, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        X = 0.5 * numkit.make_rng(1).normal(size=(5, 5))
+        for cols in (5, 2):
+            with pytest.raises(ValueError, match=(
+                    rf"^input X has {cols} columns, but the program's x "
+                    r"block is 3 wide$")):
+                prog.execute(star(5), X[:, :cols])
+        out = prog.execute(star(5), X[:, :3])
+        np.testing.assert_allclose(
+            out, attention.self_attention(X[:, :3], w), atol=1e-12)
 
     def test_pad_width_too_small(self):
         prog = LayerProgram(layers=[], vn_init=np.zeros(1),
@@ -1077,6 +1135,25 @@ class TestPersistence:
         blob["metadata"] = value
         with pytest.raises(ValueError, match="metadata must be an object"):
             program_from_json(blob)
+
+    def test_documents_and_programs_share_no_metadata(self):
+        prog = self._pinned_program("deep_oracle")
+        blob = program_to_json(prog)
+        blob["metadata"]["note"] = 1
+        assert "note" not in prog.metadata
+        loaded = program_from_json(blob)
+        del blob["metadata"]["n"]
+        assert loaded.metadata["n"] == prog.metadata["n"] == 5
+        # nested values are copied too
+        mlp_prog = load_program(FIXTURES / "kernel_mlp_trained.v2.json")
+        bounds = dict(mlp_prog.metadata["bounds"])
+        name = next(iter(bounds))
+        program_to_json(mlp_prog)["metadata"]["bounds"][name] = -1.0
+        blob = program_to_json(mlp_prog)
+        loaded = program_from_json(blob)
+        blob["metadata"]["bounds"][name] = -2.0
+        assert mlp_prog.metadata["bounds"] == loaded.metadata["bounds"] \
+            == bounds
 
     def test_missing_provenance_and_metadata_keep_their_defaults(self):
         blob = program_to_json(self._pinned_program("kernel_exact"))

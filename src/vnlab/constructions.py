@@ -473,8 +473,6 @@ def compile_kernel_vn(w: AttnWeights, cfg: KernelSimConfig) -> LayerProgram:
     prog = LayerProgram(
         layers=layers,
         vn_init=np.ones(vn_width),
-        gn_init="identity",
-        gn_out=None,
         provenance="kernel-attention-compiler",
         metadata=metadata,
     )
@@ -519,12 +517,13 @@ class DeepSimConfig:
                              f"got {self.amplification!r}")
 
 
-# the certificate score each certified selection mode reads
-_CERT_SCORE = {"softmax": "bilinear", "gatv2": "l1"}
+# the pool and the certificate score of each certified selection mode
+_CERTIFIED = {"softmax": (SoftmaxSelectPool, "bilinear"),
+              "gatv2": (Gatv2SelectPool, "l1")}
 
 
 def _check_cert_score(selection: str, cert: SeparabilityCertificate) -> None:
-    want = _CERT_SCORE[selection]
+    want = _CERTIFIED[selection][1]
     if cert.score != want:
         raise ValueError(f"{selection} selection needs a {want!r} "
                          f"certificate, got a {cert.score!r} one")
@@ -534,8 +533,10 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     """Depth n+2 program: select, accumulate, normalize.
 
     Graph-node states are four blocks: feature ``x``, accumulator ``acc``,
-    ``mass`` and query ``q`` (widths d, d, 1, d; ``gn_init=("pad", 3d+1)``
-    lays them out as [x | acc | mass | q]).  The virtual node's state is
+    ``mass`` and query ``q`` (widths d, d, 1, d, laid out as
+    [x | acc | mass | q]); the program derives them from its descriptors'
+    width d, and its node count from its n selection layers.  The
+    ``metadata`` only echoes the config.  The virtual node's state is
     [feature | selector | placeholder] of width 2d+1.  Layer k in 1..n
     selects node k's ``x`` row into the virtual node (every selection pool
     reads only block x) while every graph node accumulates the previously
@@ -544,7 +545,7 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     ``ScoreAccumulate`` returns new ``acc`` and ``mass`` blocks and shares
     x and q with the state before it.  Layer n+1 accumulates the last
     selection; layer n+2 divides, returning x = acc / mass and zero blocks.
-    The normalized output is block x, which ``gn_out=(0, d)`` reads.
+    The normalized output is block x, as in every program.
     """
     n, d = cfg.n, w.in_dim
     if w.out_dim != d or w.qk_dim != d:
@@ -604,8 +605,6 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     return LayerProgram(
         layers=layers,
         vn_init=vn_init,
-        gn_init=("pad", 3 * d + 1),
-        gn_out=(0, d),
         provenance="deep-attention-compiler",
         metadata={
             "compiler": "deep",
@@ -713,12 +712,14 @@ def run_and_report(
     """Execute a compiled program and measure errors against a reference.
 
     reference "full" compares against softmax attention; "kernel" against
-    kernelized attention with feature map ``fm``.  Deep programs additionally
-    get per-layer selection diagnostics: the realized selection weight, the
-    selected-feature error, and the guaranteed bound n * C1 * (1 - weight)
-    it must respect (C1 = ``feature_bound`` or the largest input row norm).
-    A ``cert`` must be for the program's score ("bilinear" for softmax
-    selection, "l1" for gatv2), as ``compile_deep_vn`` requires.
+    kernelized attention with feature map ``fm``.  Deep programs (those
+    with a block layout) additionally get per-layer selection diagnostics:
+    the realized selection weight, the selected-feature error, and the
+    guaranteed bound n * C1 * (1 - weight) it must respect (C1 =
+    ``feature_bound`` or the largest input row norm).  A ``cert`` must be
+    for the program's selection pools ("bilinear" for softmax, "l1" for
+    gatv2), as ``compile_deep_vn`` requires; each weight bound is for its
+    pool's ``scale``.
     """
     X = numkit.as_matrix(X)
     n = X.shape[0]
@@ -731,9 +732,15 @@ def run_and_report(
     else:
         raise ValueError(f"unknown reference {reference!r}")
 
-    deep, selection = prog.deep, prog.metadata.get("selection")
-    if deep and cert is not None and selection in _CERT_SCORE:
-        _check_cert_score(selection, cert)
+    deep = prog.n is not None
+    # a deep program's selection layers come first, one per row; each pool
+    # says which certificate it reads and, as ``scale``, the amplification
+    # its weight bound is for (the oracle pool reads neither)
+    pools = [layer.vn_pool for layer in prog.layers[:prog.n]] if deep else []
+    if cert is not None:
+        for selection, (kind, _) in _CERTIFIED.items():
+            if any(isinstance(pool, kind) for pool in pools):
+                _check_cert_score(selection, cert)
     d = prog.layout["x"] if deep else 0
     measured = []  # after layer k <= n: (feature error, target's weight)
 
@@ -763,9 +770,9 @@ def run_and_report(
     if deep:
         c1 = feature_bound if feature_bound is not None \
             else float(np.linalg.norm(X, axis=1).max())
-        c = prog.metadata.get("c")
         for k in range(1, n + 1):
             feat_err, w_target = measured[k - 1]
+            c = getattr(pools[k - 1], "scale", None)
             entry = {"layer": k, "target": k - 1}
             if w_target is not None:
                 entry["weight"] = w_target

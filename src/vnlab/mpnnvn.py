@@ -24,14 +24,16 @@ trained MLP weights.  Descriptors need no codec of their own: ``to_json`` and
 field, decoded by the field's type).  Array fields are declared with
 ``matrix()`` or ``vector()``.
 
-Programs (ordered layer lists plus initial-state and output conventions)
-persist as ``layer-program/v2`` documents: a ``descriptors`` table holds each
+Programs (ordered layer lists plus the virtual node's initial state) persist
+as ``layer-program/v2`` documents: a ``descriptors`` table holds each
 distinct slot descriptor once, and each layer names its three slots by index
 into it, so a deep program's one shared ``ScoreAccumulate`` is stored once
 and is one object again after loading.  ``save_program`` writes a document on
 one line, with sorted keys and no spaces; ``load_program`` reads it and also
 documents written indented.  ``layer-program/v1`` documents, whose layers hold
-their descriptors inline, still load.
+their descriptors inline, still load.  Documents still record the state
+layout as ``gn_init``/``gn_out``; both are written from the layers, and a
+document whose keys disagree with its layers is refused.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
@@ -39,12 +41,11 @@ Determinism note: pooled reductions always run in ascending node-index order
 Graph-node states are named blocks, one (rows, width) array each.  A
 program with no deep descriptor runs on one block ``x``.  A deep program's
 state is ``x``, ``acc``, ``mass`` and ``q`` (``[x | acc | mass | q]`` in
-column order).  Building a program works out its layout once, from the pad
-width and the deep descriptors' ``width``, and settles whether it is deep
-and on how many rows it runs; a run checks only its input (see
-``LayerProgram``).  Each descriptor declares the blocks it reads or returns
-(``Descriptor.blocks``), and a graph-node update returns the whole new
-block mapping, sharing every block it leaves alone:
+column order).  Building a program derives its layout, its node count and
+its output (block ``x``) from its descriptors alone; a run checks only its
+input (see ``LayerProgram``).  Each descriptor declares the blocks it reads
+or returns (``Descriptor.blocks``), and a graph-node update returns the
+whole new block mapping, sharing every block it leaves alone:
 
 * every pool reads ``x`` only (a selection pool returns ``x`` rows);
 * ``StageQuery`` reads ``x`` and returns a new ``q``, sharing the rest;
@@ -63,7 +64,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import itertools
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -116,7 +119,8 @@ class Descriptor:
 
     ``blocks`` names the graph-node blocks a pool or graph-node update reads
     or returns.  A descriptor that names a block other than ``x`` is a deep
-    descriptor: its ``width`` sets the program's block layout.
+    descriptor; a program's deep descriptors share one ``width``, which
+    sets its block layout.
     """
 
     kind: ClassVar[str] = ""
@@ -278,8 +282,19 @@ class FeatureStatsPool(Descriptor):
         return np.concatenate([P.sum(axis=0), numkit.flatten_raster(P.T @ V)]), None
 
 
+class _AmplifiedPool(Descriptor):
+    """A softmax selection pool: its ``scale`` (the amplification factor)
+    must be finite and positive."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"{self.kind}: field 'scale' must be finite "
+                             f"and positive, got {self.scale!r}")
+
+
 @dataclass(frozen=True)
-class SoftmaxSelectPool(Descriptor):
+class SoftmaxSelectPool(_AmplifiedPool):
     """Softmax-weighted combination of the graph nodes' ``x`` blocks.
 
     Scores read the first ``width`` channels of each ``x`` row against the
@@ -318,7 +333,7 @@ class OracleSelectPool(Descriptor):
 
 
 @dataclass(frozen=True, eq=False)
-class Gatv2SelectPool(Descriptor):
+class Gatv2SelectPool(_AmplifiedPool):
     """Softmax selection of the ``x`` blocks by an additive score against
     the staged selector.
 
@@ -582,150 +597,96 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _deep_blocks(width: int, d: int) -> dict[str, int]:
-    """The [x | acc | mass | q] blocks (widths d, d, 1, d) whose columns fit
-    a ``width``-wide padded state: all four at 3d+1, no q at 2d+1 (as in
-    documents written before the query was staged)."""
-    blocks, end = {}, 0
-    for name, w in (("x", d), ("acc", d), ("mass", 1), ("q", d)):
-        end += w
-        if end > width:
-            break
-        blocks[name] = w
-    return blocks
+# the pools that select one input row each: a deep program has one
+# selection layer per row
+_SELECTION_POOLS = (OracleSelectPool, SoftmaxSelectPool, Gatv2SelectPool)
 
 
 @dataclass(eq=False)
 class LayerProgram:
-    """An ordered layer list plus input/output conventions.
+    """An ordered layer list and the virtual node's initial state.
 
-    ``gn_init`` is "identity" (graph-node state = input row) or
-    ("pad", width): input row left-aligned into a zero row of that width.
-    ``gn_out`` is None (full state) or (lo, hi) with 0 <= lo < hi: output =
-    columns lo:hi of the graph-node blocks laid side by side, and
-    ``extract`` refuses a state narrower than hi.  ``provenance`` names the
-    compiler that produced the program; ``metadata`` carries plain-JSON
-    config echoes (fit errors, bounds, seeds).
+    ``provenance`` names the compiler that produced the program and
+    ``metadata`` carries plain-JSON config echoes (fit errors, bounds,
+    seeds); nothing reads either to run or check the program.
 
-    Construction settles once, for compiled, hand-built and loaded programs
-    alike, what a run needs, and keeps it in three plain attributes:
+    Construction derives what a run needs from the descriptors alone, once,
+    for compiled, hand-built and loaded programs alike, and keeps it in two
+    plain attributes:
 
-    * ``layout``: None for a state of one block ``x``.  With a deep
-      descriptor (one whose ``blocks`` name more than ``x``), the widths of
-      the [x | acc | mass | q] blocks the padded row splits into for the
-      first one's ``width`` d: the pad width must be 3d+1, or 2d+1 (no q),
-      and a deep descriptor needing a block the state cannot hold for its
-      width is refused, naming the layer, slot, kind and block.
-    * ``deep``: ``metadata["compiler"] == "deep"`` or provenance
-      "deep-attention-compiler".  A deep program has one selection layer
-      per input row, so it must hold a deep descriptor (a refusal names
-      ``layers``), and ``metadata["d"]``, when present, must be d.
-    * ``n``: a deep program's ``metadata["n"]`` (an integer >= 1 when
-      present), the only row count it runs on; else None.
+    * ``layout``: None (one block ``x``, the input rows) when no descriptor
+      names a block other than ``x``.  Otherwise the widths of the blocks
+      ``x``, ``acc`` and ``mass`` (d, d, 1), plus ``q`` (d) when a
+      descriptor names it, for the one ``width`` d that every deep
+      descriptor must share; a deep descriptor of another width is
+      refused, naming its layer, slot and kind.
+    * ``n``: with a layout, the number of selection layers (oracle, softmax
+      or gatv2 pools), the only row count the program runs on; a program
+      with a layout and no selection layer is refused, naming ``layers``.
+      Else None.
 
-    A run then checks only its input (``initial_state``), so a deep
-    program whose metadata lost ``n`` refuses every input.
+    The output is always block ``x``.  A run checks only its input
+    (``initial_state``).
     """
 
     layers: list[MpnnVnLayer]
     vn_init: np.ndarray
-    gn_init: str | tuple[str, int] = "identity"
-    gn_out: tuple[int, int] | None = None
     provenance: str = "hand-built"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.vn_init = numkit.as_vector(self.vn_init)
-        if self.gn_out is not None:
-            lo, hi = self.gn_out
-            if not 0 <= lo < hi:
-                raise ValueError("gn_out must be (lo, hi) with 0 <= lo < hi, "
-                                 f"got {self.gn_out!r}")
-        if self.gn_init != "identity" and not (
-                isinstance(self.gn_init, tuple) and len(self.gn_init) == 2
-                and self.gn_init[0] == "pad"):
-            raise ValueError(f"unknown gn_init {self.gn_init!r}")
-        width = 0 if self.gn_init == "identity" else self.gn_init[1]
-        self.layout = None
-        checked = set()  # a descriptor shared by many layers is checked once
+        self.layout = self.n = None
+        width, named = None, set()
         for i, layer in enumerate(self.layers):
             for slot in ("vn_pool", "gn_update"):
                 desc = getattr(layer, slot)
-                if desc.blocks == ("x",) or id(desc) in checked:
+                if desc.blocks == ("x",):
                     continue
-                checked.add(id(desc))
-                d, held = desc.width, _deep_blocks(width, desc.width)
-                if self.layout is None:
-                    if sum(held.values()) != width:
-                        raise ValueError(
-                            f"a {width}-wide graph-node state does not split "
-                            f"into [x | acc | mass | q] blocks of width {d}: "
-                            f"the pad width must be {2 * d + 1} or {3 * d + 1}")
-                    self.layout = held
-                for name in desc.blocks:
-                    if name not in held:
-                        raise ValueError(
-                            f"layers[{i}].{slot}: {desc.kind} needs "
-                            f"graph-node block {name!r}, which a state "
-                            f"initialized by {self.gn_init!r} does not hold "
-                            f"for width {d}")
-        self.deep = (self.metadata.get("compiler") == "deep"
-                     or self.provenance == "deep-attention-compiler")
-        self.n = self.metadata.get("n") if self.deep else None
-        if not self.deep:
+                if width is None:
+                    width = desc.width
+                elif desc.width != width:
+                    raise ValueError(
+                        f"layers[{i}].{slot}: {desc.kind} has width "
+                        f"{desc.width}, but the program's deep descriptors "
+                        f"have width {width}")
+                named.update(desc.blocks)
+        if width is None:
             return
-        if self.layout is None:
-            raise ValueError(f"layers: a deep program needs a deep "
-                             f"descriptor, and its {len(self.layers)} "
-                             f"layers hold none")
-        for name in ("n", "d"):
-            value = self.metadata.get(name)
-            if name in self.metadata and not (_is_int(value) and value >= 1):
-                raise ValueError(f"metadata field {name!r} of a deep program "
-                                 f"must be an integer >= 1, got {value!r}")
-        d = self.metadata.get("d", self.layout["x"])
-        if d != self.layout["x"]:
-            raise ValueError(f"metadata field 'd' of a deep program is {d}, "
-                             f"but its x block is {self.layout['x']} wide")
+        self.layout = {"x": width, "acc": width, "mass": 1}
+        if "q" in named:
+            self.layout["q"] = width
+        self.n = sum(isinstance(layer.vn_pool, _SELECTION_POOLS)
+                     for layer in self.layers)
+        if not self.n:
+            raise ValueError(
+                f"layers: a program with graph-node blocks "
+                f"{list(self.layout)} needs a selection layer per input "
+                f"row, and its {len(self.layers)} layers hold none")
 
     def initial_state(self, X) -> NodeState:
-        """The state before layer 1 for the rows of ``X``, split into the
-        program's blocks.  Only ``X`` is checked here: a non-finite entry is
-        refused, naming the first one by (row, column), and so is a deep
-        program's X of another row count than ``n`` and, with a layout, an
-        X whose column count is not the width of block ``x``."""
+        """The state before layer 1 for the rows of ``X``: block ``x`` is a
+        copy of ``X`` and every other block of the layout is zero.  Only
+        ``X`` is checked here: a non-finite entry is refused, naming the
+        first one by (row, column), and, with a layout, so is an X of
+        another row count than ``n`` or another column count than the width
+        of block ``x``."""
         X = numkit.check_finite(numkit.as_matrix(X), "input X")
         rows, cols = X.shape
-        if self.deep and rows != self.n:
+        layout = self.layout or {"x": cols}
+        if self.n is not None and rows != self.n:
             raise ValueError(f"deep program was compiled for n={self.n} "
                              f"graph nodes, input has {rows} rows")
-        if self.layout is not None:
-            if cols != self.layout["x"]:
-                raise ValueError(f"input X has {cols} columns, but the "
-                                 f"program's x block is {self.layout['x']} "
-                                 f"wide")
-            gn = {name: X.copy() if name == "x" else np.zeros((rows, w))
-                  for name, w in self.layout.items()}
-            return NodeState(gn, self.vn_init.copy())
-        width = cols if self.gn_init == "identity" else self.gn_init[1]
-        if width < cols:
-            raise ValueError("pad width smaller than the input dimension")
-        full = np.zeros((rows, width))
-        full[:, :cols] = X
-        return NodeState({"x": full}, self.vn_init.copy())
+        if cols != layout["x"]:
+            raise ValueError(f"input X has {cols} columns, but the "
+                             f"program's x block is {layout['x']} wide")
+        gn = {name: X.copy() if name == "x" else np.zeros((rows, w))
+              for name, w in layout.items()}
+        return NodeState(gn, self.vn_init.copy())
 
     def extract(self, s: NodeState) -> np.ndarray:
-        blocks = list(s.gn.values())
-        width = sum(block.shape[1] for block in blocks)
-        lo, hi = self.gn_out or (0, width)
-        if hi > width:
-            raise ValueError(f"gn_out {self.gn_out!r} reaches past the "
-                             f"{width}-wide graph-node state")
-        # a deep program's output lies in its first block, x: the others
-        # need not be joined to read it
-        full = blocks[0] if hi <= blocks[0].shape[1] \
-            else np.concatenate(blocks, axis=1)
-        return full[:, lo:hi].copy()
+        """The program's output: a copy of block ``x``."""
+        return s.gn["x"].copy()
 
     def execute(self, g: Graph, X) -> np.ndarray:
         """Run on the rows of ``X``: the one VM function that reads a graph.
@@ -774,6 +735,16 @@ _SLOTS = tuple(f.name for f in dataclasses.fields(MpnnVnLayer))
 _descriptor_key = json.JSONEncoder(sort_keys=True).encode
 
 
+def _recorded_layout(prog: LayerProgram) -> dict:
+    """``gn_init`` and ``gn_out`` as a document records the layout:
+    "identity" and null for one block ``x``, else the blocks' total width
+    as a pad and the columns of ``x``."""
+    if prog.layout is None:
+        return {"gn_init": "identity", "gn_out": None}
+    return {"gn_init": ["pad", sum(prog.layout.values())],
+            "gn_out": [0, prog.layout["x"]]}
+
+
 def program_to_json(prog: LayerProgram) -> dict:
     """The program as a ``layer-program/v2`` document.
 
@@ -782,11 +753,9 @@ def program_to_json(prog: LayerProgram) -> dict:
     each layer maps its three slots to indexes into it.  Descriptors are told apart by their encoded
     value, so equal descriptors share one entry whether or not they are one
     object, and a program re-saves to the same bytes after a reload.  The
-    document holds a copy of the program's ``metadata``.
+    document holds a copy of the program's ``metadata``, and ``gn_init`` and
+    ``gn_out`` written from its layout.
     """
-    gn_init = prog.gn_init
-    if isinstance(gn_init, tuple):
-        gn_init = list(gn_init)
     descriptors, index_of_value, index_of_obj = [], {}, {}
 
     def ref(slot: Descriptor) -> int:
@@ -808,8 +777,7 @@ def program_to_json(prog: LayerProgram) -> dict:
         "provenance": prog.provenance,
         "metadata": copy.deepcopy(prog.metadata),
         "vn_init": numkit.vector_to_json(prog.vn_init),
-        "gn_init": gn_init,
-        "gn_out": None if prog.gn_out is None else list(prog.gn_out),
+        **_recorded_layout(prog),
         "descriptors": descriptors,
         "layers": layers,
     }
@@ -850,13 +818,45 @@ def _decode_layer(i: int, layer, table: list) -> MpnnVnLayer:
     return MpnnVnLayer(**slots)
 
 
+def _check_recorded_layout(blob: dict, prog: LayerProgram) -> None:
+    """Refuse a document whose ``gn_init`` or ``gn_out`` is not what its
+    layers imply.  A pad too narrow for a block that a layer needs names
+    the first such ``layers[i].slot``; any other disagreement names its
+    key.  Values are compared by ``repr``, so that 7.0, true or a tuple is
+    not taken for 7, 1 or a list."""
+    for key, implied in _recorded_layout(prog).items():
+        declared = blob.get(key)
+        if repr(declared) == repr(implied):
+            continue
+        if key == "gn_init" and prog.layout is not None \
+                and isinstance(declared, list) and len(declared) == 2 \
+                and declared[0] == "pad" and _is_int(declared[1]):
+            d = prog.layout["x"]
+            ends = itertools.accumulate((d, d, 1, d))
+            held = {name for name, end in zip(("x", "acc", "mass", "q"), ends)
+                    if end <= declared[1]}
+            for i, layer in enumerate(prog.layers):
+                for slot in ("vn_pool", "gn_update"):
+                    desc = getattr(layer, slot)
+                    for name in desc.blocks:
+                        if name not in held:
+                            raise ValueError(
+                                f"layers[{i}].{slot}: {desc.kind} needs "
+                                f"graph-node block {name!r}, which a state "
+                                f"initialized by {tuple(declared)!r} does "
+                                f"not hold for width {d}")
+        raise ValueError(f"{key} {declared!r} disagrees with the layers, "
+                         f"which imply {implied!r}")
+
+
 def program_from_json(blob: dict) -> LayerProgram:
     """Read a ``layer-program/v2`` or ``layer-program/v1`` document.
 
     Each v2 table entry is decoded once, and every layer that refers to it
     gets the same descriptor object.  A v1 document is read by the same
     path with an empty table: its slots hold descriptors inline.  The
-    program gets a copy of the document's ``metadata``.
+    program gets a copy of the document's ``metadata``.  Its ``gn_init`` and
+    ``gn_out`` must be the ones ``program_to_json`` writes for its layers.
     """
     numkit.require_object(blob, "program document")
     fmt = blob.get("format")
@@ -877,19 +877,6 @@ def program_from_json(blob: dict) -> LayerProgram:
              for j, entry in enumerate(entries)]
     layers = [_decode_layer(i, layer, table)
               for i, layer in enumerate(blob["layers"])]
-    gn_init = blob.get("gn_init")
-    if gn_init != "identity":
-        if not (isinstance(gn_init, list) and len(gn_init) == 2
-                and gn_init[0] == "pad" and _is_int(gn_init[1])):
-            raise ValueError(
-                f"gn_init must be \"identity\" or [\"pad\", int], got {gn_init!r}")
-        gn_init = tuple(gn_init)
-    gn_out = blob.get("gn_out")
-    if gn_out is not None:
-        if not (isinstance(gn_out, list) and len(gn_out) == 2
-                and all(map(_is_int, gn_out))):
-            raise ValueError(f"gn_out must be null or two ints, got {gn_out!r}")
-        gn_out = tuple(gn_out)
     provenance = blob.get("provenance", "unknown")
     if not isinstance(provenance, str):
         raise ValueError(f"provenance must be a string, got {provenance!r}")
@@ -900,14 +887,14 @@ def program_from_json(blob: dict) -> LayerProgram:
         vn_init = numkit.vector_from_json(blob["vn_init"])
     except ValueError as e:
         raise ValueError(f"vn_init: {e}") from None
-    return LayerProgram(
+    prog = LayerProgram(
         layers=layers,
         vn_init=vn_init,
-        gn_init=gn_init,
-        gn_out=gn_out,
         provenance=provenance,
         metadata=copy.deepcopy(metadata),
     )
+    _check_recorded_layout(blob, prog)
+    return prog
 
 
 def save_program(prog: LayerProgram, path) -> None:

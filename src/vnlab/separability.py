@@ -312,7 +312,10 @@ class SeparabilityCertificate:
         object.__setattr__(self, "margins", numkit.as_vector(self.margins))
         if self.directions.shape[0] != self.margins.shape[0]:
             raise ValueError("one margin per direction required")
-        if np.any(self.margins <= 0.0):
+        if not np.all(np.isfinite(self.directions)):
+            raise ValueError("certificate directions must be finite")
+        # not ``any(m <= 0)``, which a NaN margin passes
+        if not np.all(self.margins > 0.0):
             raise ValueError("certificate margins must be positive")
         if not (math.isfinite(self.amplification) and self.amplification > 0.0):
             raise ValueError("amplification must be finite and positive")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import deep_trace_oracle, self_attention_oracle
 from traces import gn_matrix, run_traced
-from vnlab import attention, constructions, mlp, numkit
+from vnlab import attention, constructions, deepsets, mlp, numkit
 from vnlab.constructions import (
     DeepSimConfig,
     ErrorReport,
@@ -724,25 +724,30 @@ class TestDeepOracle:
         save_program(prog, path)
         with pytest.raises(ValueError, match=match):
             load_program(path).execute(attention_host_graph(8), X)
-        # a document that lost its node count refuses every input
+        # a document that lost the node count in its metadata takes it
+        # from its layers: it refuses 8 rows and runs 6 as the program does
         blob = program_to_json(prog)
         del blob["metadata"]["n"]
-        with pytest.raises(ValueError, match="compiled for n=None"):
-            program_from_json(blob).execute(attention_host_graph(6), X[:6])
+        lost = program_from_json(blob)
+        with pytest.raises(ValueError, match=match):
+            lost.execute(attention_host_graph(8), X)
+        g = attention_host_graph(6)
+        assert np.array_equal(lost.execute(g, X[:6]), prog.execute(g, X[:6]))
 
-    def test_deep_document_with_empty_metadata_refuses_every_input(self):
-        # the provenance alone marks a deep program: with "metadata": {} it
-        # once ran on 6 rows with error 0.148 against self_attention
+    def test_deep_document_with_empty_metadata_runs_its_own_node_count(self):
+        # with "metadata": {} and the provenance rewritten too, it once ran
+        # on 6 rows with error 0.148 against self_attention
         w = attention.random_weights(3, numkit.make_rng(0))
         prog = compile_deep_vn(w, DeepSimConfig(n=4, selection="oracle"))
         blob = program_to_json(prog)
-        blob["metadata"] = {}
+        blob["metadata"], blob["provenance"] = {}, "hand-built"
         bare = program_from_json(blob)
-        assert bare.provenance == "deep-attention-compiler"
         X = 0.6 * numkit.make_rng(1).normal(size=(6, 3))
-        for rows in (X, X[:4]):
-            with pytest.raises(ValueError, match="compiled for n=None"):
-                bare.execute(attention_host_graph(rows.shape[0]), rows)
+        with pytest.raises(ValueError, match="compiled for n=4 graph nodes, "
+                                             "input has 6 rows"):
+            bare.execute(attention_host_graph(6), X)
+        g = attention_host_graph(4)
+        assert np.array_equal(bare.execute(g, X[:4]), prog.execute(g, X[:4]))
 
     def test_time2_check_reads_the_staged_query(self):
         # accumulations that recompute q from x keep every acc and mass
@@ -767,6 +772,63 @@ class TestDeepOracle:
         assert np.array_equal(prog.execute(attention_host_graph(n), X),
                               before)
         assert not _run_checking_time2(X, w, prog)[1]
+
+
+# ---------------------------------------------------------------------------
+# the layers are a program's one contract
+# ---------------------------------------------------------------------------
+
+
+def _compiled_case(name: str, seed: int):
+    """(program, X, weights, certificate or None) for one compiler, on five
+    rows of width 3."""
+    rng = numkit.make_rng(seed)
+    n, d = 5, 3
+    w = attention.random_weights(d, rng)
+    X = 0.5 * rng.normal(size=(n, d))
+    if name == "kernel_exact":
+        fm = attention.exp_feature_map(4, d, seed=seed)
+        return compile_kernel_vn(w, KernelSimConfig(feature_map=fm)), X, w, None
+    if name == "deepsets":
+        net = deepsets.random_network((d, 4, 2), rng)
+        return deepsets.compile_network(net, n), X, w, None
+    cert = None
+    if name == "deep_softmax":
+        X, cert = make_certified_instance(n, d, rng)
+    elif name == "deep_gatv2":
+        cert = l1_certificate(X)
+    prog = compile_deep_vn(w, DeepSimConfig(
+        n=n, selection=name[len("deep_"):], certificate=cert))
+    return prog, X, w, cert
+
+
+class TestLayersAreTheContract:
+    @given(name=st.sampled_from(["deep_oracle", "deep_softmax", "deep_gatv2",
+                                 "kernel_exact", "deepsets"]),
+           seed=st.integers(0, 2**16), provenance=st.text(max_size=24))
+    @settings(max_examples=30, deadline=None)
+    def test_metadata_and_provenance_are_echoes(self, name, seed,
+                                                provenance):
+        # once, a deep document with both rewritten ran on any row count,
+        # and its selection report lost every entry
+        prog, X, w, cert = _compiled_case(name, seed)
+        blob = program_to_json(prog)
+        blob["metadata"], blob["provenance"] = {}, provenance
+        bare = program_from_json(blob)
+        g = attention_host_graph(5)
+        assert np.array_equal(bare.execute(g, X), prog.execute(g, X))
+        assert (bare.layout, bare.n) == (prog.layout, prog.n)
+        if name.startswith("deep_"):
+            with pytest.raises(ValueError, match=(
+                    "compiled for n=5 graph nodes, input has 6 rows")):
+                bare.execute(attention_host_graph(6), np.vstack([X, X[:1]]))
+        if cert is not None:
+            swapped = X[[1, 0, 2, 3, 4]]
+            intact, other = (run_and_report(swapped, p, w, cert=cert)
+                             for p in (prog, bare))
+            assert len(other.selection) == 5
+            assert other.selection == intact.selection
+            assert other.bounds_ok is intact.bounds_ok
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pathlib
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -163,7 +164,9 @@ class TestPoolsAndUpdates:
             run_layer(NodeState({"x": np.ones((2, 1))}, np.zeros(1)),
                       plain_layer(vn_pool=OracleSelectPool(index=5)))
 
-    def test_softmax_select_zero_scale_is_mean(self):
+    def test_softmax_select_vanishing_scale_is_mean(self):
+        # a zero scale is refused; at 1e-300 every score rounds to the same
+        # exp, so the weights are exactly uniform
         d = 2
         gn = np.array([[1.0, 0.0, 9.0, 9.0, 0.0],
                        [0.0, 1.0, 8.0, 8.0, 0.0],
@@ -172,10 +175,28 @@ class TestPoolsAndUpdates:
         vn[d:2 * d] = [1.0, 0.0]
         out, aux = run_layer(
             NodeState({"x": gn}, vn),
-            plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=0.0)),
+            plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=1e-300)),
         )
         assert np.allclose(aux["selection_weights"], np.full(3, 1 / 3), atol=1e-15)
         assert np.allclose(out.vn, gn.mean(axis=0), atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, -1e6, np.nan, np.inf])
+    def test_selection_pool_scale_must_be_finite_and_positive(self, scale):
+        # a -1e6 scale once loaded and ran, selecting the lowest-scoring
+        # row, and its weight bound would overflow math.exp
+        for pool in (SoftmaxSelectPool, functools.partial(
+                Gatv2SelectPool, attention.l1_score(2))):
+            with pytest.raises(ValueError, match=(
+                    r"select_pool: field 'scale' must be finite and "
+                    rf"positive, got {scale}")):
+                pool(width=2, scale=scale)
+        blob = program_to_json(LayerProgram(
+            layers=[plain_layer(vn_pool=SoftmaxSelectPool(width=2, scale=3.0))],
+            vn_init=np.zeros(5)))
+        blob["descriptors"][0]["scale"] = scale
+        with pytest.raises(ValueError, match=(
+                r"^descriptors\[0\]: softmax_select_pool: field 'scale'")):
+            program_from_json(blob)
 
     def test_softmax_select_large_scale_approaches_argmax(self):
         d = 2
@@ -280,15 +301,6 @@ class TestPrograms:
         out_p = prog.execute(g, X[perm])
         assert np.allclose(out_p, out[perm], atol=1e-12)
 
-    def test_pad_initial_state(self):
-        prog = LayerProgram(layers=[], vn_init=np.zeros(1),
-                            gn_init=("pad", 5))
-        s = prog.initial_state(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert list(s.gn) == ["x"]  # no deep descriptor: one block
-        assert s.gn["x"].shape == (2, 5)
-        assert np.array_equal(s.gn["x"][:, :2], [[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(s.gn["x"][:, 2:], np.zeros((2, 3)))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_initial_state_refuses_non_finite_input(self, bad):
         X = 0.5 * numkit.make_rng(4).normal(size=(5, 3))
@@ -317,50 +329,75 @@ class TestPrograms:
     def _rebuilt(prog, **changes):
         """``prog``'s parts built into a new program, with ``changes``."""
         parts = {name: getattr(prog, name) for name in (
-            "layers", "vn_init", "gn_init", "gn_out", "provenance",
-            "metadata")}
+            "layers", "vn_init", "provenance", "metadata")}
         return LayerProgram(**(parts | changes))
 
     def test_pad_that_does_not_split_is_refused_at_construction(self):
-        # it once built, and every run was refused
+        # the layout comes from the layers; a document recording a pad that
+        # does not split into their blocks is refused while it is built
         w = attention.random_weights(2, numkit.make_rng(0))
-        prog = compile_deep_vn(w, DeepSimConfig(n=3, selection="oracle"))
+        blob = program_to_json(
+            compile_deep_vn(w, DeepSimConfig(n=3, selection="oracle")))
+        assert blob["gn_init"] == ["pad", 7]
+        blob["gn_init"] = ["pad", 8]
         with pytest.raises(ValueError, match=(
-                r"a 6-wide graph-node state does not split into "
-                r"\[x \| acc \| mass \| q\] blocks of width 2: the pad "
-                r"width must be 5 or 7")):
-            self._rebuilt(prog, gn_init=("pad", 6))
+                r"^gn_init \['pad', 8\] disagrees with the layers, which "
+                r"imply \['pad', 7\]$")):
+            program_from_json(blob)
+        blob["gn_init"] = ["pad", 6]  # holds x, acc and mass, but not q
+        with pytest.raises(ValueError, match=(
+                r"^layers\[0\]\.gn_update: stage_query needs graph-node "
+                r"block 'q', which a state initialized by \('pad', 6\) does "
+                r"not hold for width 2$")):
+            program_from_json(blob)
 
     def test_deep_node_count_is_checked_at_construction(self):
-        # it once built, then refused every input: "compiled for n=5 graph
-        # nodes, input has 5 rows"
+        # the node count is the number of selection layers, whatever the
+        # metadata says (an "n": "5" once refused every input), and a
+        # layout needs at least one
         w = attention.random_weights(3, numkit.make_rng(0))
         prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        relabelled = self._rebuilt(prog, provenance="hand-built",
+                                   metadata={"compiler": "deep", "n": "5"})
+        assert relabelled.n == 5
+        X = 0.5 * numkit.make_rng(1).normal(size=(5, 3))
+        assert np.array_equal(relabelled.execute(star(5), X),
+                              prog.execute(star(5), X))
+        unselected = [MpnnVnLayer(MeanPool(), l.vn_update, l.gn_update)
+                      for l in prog.layers]
         with pytest.raises(ValueError, match=(
-                r"metadata field 'n' of a deep program must be an integer "
-                r">= 1, got '5'")):
-            self._rebuilt(prog, provenance="hand-built",
-                          metadata={"compiler": "deep", "n": "5"})
+                r"^layers: a program with graph-node blocks \['x', 'acc', "
+                r"'mass', 'q'\] needs a selection layer per input row, and "
+                r"its 7 layers hold none$")):
+            self._rebuilt(prog, layers=unselected)
 
     def test_deep_dimension_must_be_the_x_block_width(self):
+        # the metadata's d is an echo; every deep descriptor must have the
+        # one width of block x
         w = attention.random_weights(3, numkit.make_rng(0))
         prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        assert self._rebuilt(prog, metadata={"d": 2}).layout["x"] == 3
+        last = prog.layers[-1]
+        layers = prog.layers[:-1] + [MpnnVnLayer(
+            last.vn_pool, last.vn_update, RatioUpdate(width=2))]
         with pytest.raises(ValueError, match=(
-                r"metadata field 'd' of a deep program is 2, but its x "
-                r"block is 3 wide")):
-            self._rebuilt(prog, metadata={**prog.metadata, "d": 2})
+                r"^layers\[6\]\.gn_update: ratio_update has width 2, but "
+                r"the program's deep descriptors have width 3$")):
+            self._rebuilt(prog, layers=layers)
 
     def test_deep_program_without_a_deep_descriptor_is_refused(self):
-        # it once loaded, and returned X unchanged as its "attention"
+        # it once loaded, and returned X unchanged as its "attention"; with
+        # no layers the document's pad disagrees with them
         blob = numkit.load_json(FIXTURES / "deep_oracle.v1.json")
         blob["layers"] = []
-        with pytest.raises(ValueError, match=(
-                r"^layers: a deep program needs a deep descriptor, and its "
-                r"0 layers hold none$")):
+        match = (r"^gn_init \['pad', 7\] disagrees with the layers, which "
+                 r"imply 'identity'$")
+        with pytest.raises(ValueError, match=match):
             program_from_json(blob)
         blob["provenance"] = "hand-built"
-        with pytest.raises(ValueError, match="^layers: "):
-            program_from_json(blob)  # the compiler key alone marks it
+        del blob["metadata"]["compiler"]
+        with pytest.raises(ValueError, match=match):
+            program_from_json(blob)
 
     def test_block_layout_refuses_other_input_widths(self):
         # a 5-column X once ran, columns 3-4 landing in acc, and the output
@@ -378,16 +415,32 @@ class TestPrograms:
             out, attention.self_attention(X[:, :3], w), atol=1e-12)
 
     def test_pad_width_too_small(self):
-        prog = LayerProgram(layers=[], vn_init=np.zeros(1),
-                            gn_init=("pad", 1))
-        with pytest.raises(ValueError, match="pad width"):
-            prog.initial_state(np.ones((2, 3)))
+        # a document's pad narrower than block x: the first slot reading x
+        # is named
+        w = attention.random_weights(3, numkit.make_rng(0))
+        blob = program_to_json(
+            compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle")))
+        blob["gn_init"] = ["pad", 2]
+        with pytest.raises(ValueError, match=(
+                r"^layers\[0\]\.vn_pool: oracle_select_pool needs "
+                r"graph-node block 'x', which a state initialized by "
+                r"\('pad', 2\) does not hold for width 3$")):
+            program_from_json(blob)
 
     def test_gn_out_slice(self):
+        # the output is block x: all of it for a program without deep
+        # descriptors, and a document asking for other columns is refused
         g = star(2)
         X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        prog = LayerProgram(layers=[], vn_init=np.zeros(1), gn_out=(1, 3))
-        assert np.array_equal(prog.execute(g, X), X[:, 1:3])
+        prog = LayerProgram(layers=[], vn_init=np.zeros(1))
+        assert np.array_equal(prog.execute(g, X), X)
+        blob = program_to_json(prog)
+        assert (blob["gn_init"], blob["gn_out"]) == ("identity", None)
+        blob["gn_out"] = [1, 3]
+        with pytest.raises(ValueError, match=(
+                r"^gn_out \[1, 3\] disagrees with the layers, which imply "
+                r"None$")):
+            program_from_json(blob)
 
     @staticmethod
     def _observed_selection_run():
@@ -681,14 +734,13 @@ class TestPersistence:
                         AffineFromVn(rng.normal(size=(5, 5)),
                                      rng.normal(size=5))),
             MpnnVnLayer(MeanPool(), KeepVn(),
-                        StageQuery(rng.normal(size=(1, 1)), width=1)),
+                        StageQuery(rng.normal(size=(2, 2)), width=2)),
             MpnnVnLayer(MeanPool(), KeepVn(),
-                        ScoreAccumulate(None, rng.normal(size=(1, 1)),
-                                        rng.normal(size=(1, 1)), width=1)),
+                        ScoreAccumulate(None, rng.normal(size=(2, 2)),
+                                        rng.normal(size=(2, 2)), width=2)),
         ]
         return LayerProgram(
-            layers=layers, vn_init=np.ones(5), gn_init=("pad", 5),
-            gn_out=(0, 2), provenance="round-trip-test",
+            layers=layers, vn_init=np.ones(5), provenance="round-trip-test",
             metadata={"note": "exercises every descriptor kind"},
         )
 
@@ -737,7 +789,7 @@ class TestPersistence:
     # a change here is a change of the on-disk format
     PINNED_SHA256 = {
         "rich":
-            "bb4b815e52645e808156d9ee9846910cf67253398bd432e78bdffd03d6c65d31",
+            "c597318ffe4d649bf262f473ae31f3bfb679b612a7f8c39bb303316d7ef53a26",
         "deep_oracle":
             "d59df37e24ffdfe02d966fd2bf4582d8f8604ac69e98e76b719ee47529ecdcd1",
         "deep_gatv2":
@@ -750,7 +802,7 @@ class TestPersistence:
     # with PINNED_SHA256 unchanged is a change of layout only
     COMPACT_SHA256 = {
         "rich":
-            "01030c3dcfc88da6c74172d8eb3ff02ed2cb44818f2a988f67f2f5fe6815acdf",
+            "c8b8c15b69fbe23f5351853165843d781f646a2bd6fa90c78c14946eecc3c693",
         "deep_oracle":
             "4021fc48a5087af2af4e75b54d994bedf05350c8b8990e32e02a5f5156c9cae5",
         "deep_gatv2":
@@ -923,20 +975,34 @@ class TestPersistence:
 
     @pytest.mark.parametrize("gn_out", [[-1, 3], [2, 1], [2, 2]])
     def test_gn_out_must_be_an_increasing_pair(self, gn_out):
+        # a deep document's gn_out is block x's columns, [0, d]
         blob = program_to_json(self._pinned_program("deep_oracle"))
         blob["gn_out"] = gn_out
-        with pytest.raises(ValueError, match=r"gn_out must be \(lo, hi\) "
-                                             r"with 0 <= lo < hi"):
+        with pytest.raises(ValueError, match=(
+                rf"^gn_out \[{gn_out[0]}, {gn_out[1]}\] disagrees with the "
+                r"layers, which imply \[0, 3\]$")):
             program_from_json(blob)
 
-    def test_gn_out_past_the_state_is_refused_at_run(self):
+    def test_gn_out_past_the_state_is_refused_at_load(self):
+        # it once loaded, and every run was refused
         blob = program_to_json(self._pinned_program("deep_oracle"))
         blob["gn_out"] = [0, 100]
-        prog = program_from_json(blob)  # the deep state is 3d+1 = 10 wide
-        X = numkit.make_rng(4).normal(size=(5, 3)) * 0.3
-        with pytest.raises(ValueError, match=r"gn_out \(0, 100\) reaches "
-                                             r"past the 10-wide"):
-            prog.execute(star(5), X)
+        with pytest.raises(ValueError, match=(
+                r"^gn_out \[0, 100\] disagrees with the layers, which imply "
+                r"\[0, 3\]$")):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gn_out", [0, 3.0]), ("gn_out", [False, 3]), ("gn_out", (0, 3)),
+        ("gn_out", None), ("gn_init", ["pad", 10.0]), ("gn_init", None),
+    ])
+    def test_recorded_layout_must_be_the_written_one(self, key, value):
+        # a float, a boolean or a tuple is not taken for what it equals
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob[key] = value
+        with pytest.raises(ValueError, match=(
+                rf"^{key} .* disagrees with the layers, which imply ")):
+            program_from_json(blob)
 
     @pytest.mark.parametrize("key", ["layers", "vn_init"])
     def test_missing_layers_or_vn_init_names_the_field(self, key):
@@ -972,8 +1038,9 @@ class TestPersistence:
         again = load_program(path)
         assert program_to_json(again) == program_to_json(prog)
         assert again.provenance == "round-trip-test"
-        assert again.gn_init == ("pad", 5)
-        assert again.gn_out == (0, 2)
+        assert again.layout == prog.layout == {"x": 2, "acc": 2, "mass": 1,
+                                               "q": 2}
+        assert again.n == prog.n == 3
         assert len(again.layers) == len(prog.layers)
 
     def test_round_trip_mean_subtract_execution_identical(self, tmp_path):
@@ -1166,12 +1233,21 @@ class TestPersistence:
                                        [5], {}])
     def test_deep_program_node_count_and_dimension_are_checked(self, name,
                                                                value):
-        blob = program_to_json(self._pinned_program("deep_oracle"))
+        # the metadata echoes n and d; the layers fix both, and a run
+        # checks its input against them
+        prog = self._pinned_program("deep_oracle")
+        blob = program_to_json(prog)
         blob["metadata"][name] = value
-        with pytest.raises(ValueError, match=(
-                rf"metadata field '{name}' of a deep program must be an "
-                r"integer >= 1")):
-            program_from_json(blob)
+        loaded = program_from_json(blob)
+        assert (loaded.n, loaded.layout) == (prog.n, prog.layout)
+        assert np.array_equal(loaded.execute(star(5), self.FUZZ_X),
+                              prog.execute(star(5), self.FUZZ_X))
+        X = np.vstack([self.FUZZ_X, self.FUZZ_X[:1]])
+        with pytest.raises(ValueError, match="compiled for n=5 graph nodes, "
+                                             "input has 6 rows"):
+            loaded.execute(star(6), X)
+        with pytest.raises(ValueError, match="input X has 2 columns"):
+            loaded.execute(star(5), self.FUZZ_X[:, :2])
 
     def test_missing_required_field_names_kind_and_field(self):
         with pytest.raises(ValueError,

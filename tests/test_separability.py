@@ -618,6 +618,19 @@ class TestCertificates:
             SeparabilityCertificate(np.eye(2), np.array([1.0, 1.0]),
                                     amplification=1.0, score="l2")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_certificate_refuses_nan_margins_and_non_finite_directions(
+            self, bad):
+        # a NaN margin once passed (NaN <= 0 is false) and gave delta nan,
+        # which the compiler's margin-band guard let through
+        with pytest.raises(ValueError, match="margins must be positive"):
+            SeparabilityCertificate(np.eye(2), np.array([1.0, np.nan]),
+                                    amplification=1.0)
+        directions = np.eye(2)
+        directions[1, 0] = bad
+        with pytest.raises(ValueError, match="directions must be finite"):
+            SeparabilityCertificate(directions, np.ones(2), amplification=1.0)
+
 
 # ---------------------------------------------------------------------------
 # amplification and selection weights

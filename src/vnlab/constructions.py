@@ -279,7 +279,7 @@ class MlpStatsPool(Descriptor):
     feature_map: FeatureMap = field(default=None)
     pieces: KernelPieces = field(default=None)
 
-    def __call__(self, vn, gn):
+    def __call__(self, vn, gn, k):
         x = gn["x"]
         P = _phi_via_pieces(x @ self.w_k, self.feature_map, self.pieces,
                             "k_abs")
@@ -545,7 +545,12 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     ``ScoreAccumulate`` returns new ``acc`` and ``mass`` blocks and shares
     x and q with the state before it.  Layer n+1 accumulates the last
     selection; layer n+2 divides, returning x = acc / mass and zero blocks.
-    The normalized output is block x, as in every program.
+    The normalized output is block x, as in every program.  Under oracle
+    selection rounds 2..n are one ``MpnnVnLayer`` object: its
+    ``OracleSelectPool`` has no index, so layer k selects row k - 1, and
+    its one ``SelectorAdvance`` stages zeros; a saved program stores them
+    as one run.  Softmax and gatv2 rounds each stage their own next
+    selector.
     """
     n, d = cfg.n, w.in_dim
     if w.out_dim != d or w.qk_dim != d:
@@ -554,13 +559,17 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             f"square weights; got qk_dim={w.qk_dim}, out_dim={w.out_dim}"
         )
     scale = None
+    stage = StageQuery(w.w_q, width=d)
+    accumulate = ScoreAccumulate(None, w.w_k, w.w_v, width=d)
     if cfg.selection == "oracle":
-        # the oracle pool reads no selector: every layer but the last
-        # stages the same zeros, so they share one step
+        # the oracle pool reads no selector and layer k selects row k - 1,
+        # so rounds 2..n are one layer object, with one pool and one step
+        # staging zeros
         first = np.zeros(d)
-        pools = [OracleSelectPool(index=k) for k in range(n)]
-        advances = [SelectorAdvance(width=d, next_selector=np.zeros(d))] \
-            * (n - 1)
+        pool = OracleSelectPool(index=None)
+        advance = SelectorAdvance(width=d, next_selector=None)
+        layers = [MpnnVnLayer(pool, advance, stage)] \
+            + [MpnnVnLayer(pool, advance, accumulate)] * (n - 1)
     else:
         cert = cfg.certificate
         if cert is None:
@@ -580,22 +589,15 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
         scale = cfg.amplification if cfg.amplification is not None \
             else cert.amplification
         first = cert.directions[0]
-        pools = [SoftmaxSelectPool(width=d, scale=scale)
-                 if cfg.selection == "softmax"
-                 else Gatv2SelectPool(l1_score(d), width=d, scale=scale)] * n
+        pool = SoftmaxSelectPool(width=d, scale=scale) \
+            if cfg.selection == "softmax" \
+            else Gatv2SelectPool(l1_score(d), width=d, scale=scale)
         advances = [SelectorAdvance(width=d, next_selector=s)
                     for s in cert.directions[1:]]
-    advances.append(SelectorAdvance(width=d, next_selector=None))
-
+        advances.append(SelectorAdvance(width=d, next_selector=None))
+        layers = [MpnnVnLayer(pool, advance, stage if k == 1 else accumulate)
+                  for k, advance in enumerate(advances, start=1)]
     ones = ConstVn(np.ones(2 * d + 1))
-    accumulate = ScoreAccumulate(None, w.w_k, w.w_v, width=d)
-    layers = []
-    for k in range(1, n + 1):
-        layers.append(MpnnVnLayer(
-            vn_pool=pools[k - 1],
-            vn_update=advances[k - 1],
-            gn_update=StageQuery(w.w_q, width=d) if k == 1 else accumulate,
-        ))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
                               gn_update=accumulate))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,

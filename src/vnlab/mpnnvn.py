@@ -25,15 +25,19 @@ field, decoded by the field's type).  Array fields are declared with
 ``matrix()`` or ``vector()``.
 
 Programs (ordered layer lists plus the virtual node's initial state) persist
-as ``layer-program/v2`` documents: a ``descriptors`` table holds each
-distinct slot descriptor once, and each layer names its three slots by index
-into it, so a deep program's one shared ``ScoreAccumulate`` is stored once
-and is one object again after loading.  ``save_program`` writes a document on
-one line, with sorted keys and no spaces; ``load_program`` reads it and also
-documents written indented.  ``layer-program/v1`` documents, whose layers hold
-their descriptors inline, still load.  Documents still record the state
-layout as ``gn_init``/``gn_out``; both are written from the layers, and a
-document whose keys disagree with its layers is refused.
+as ``layer-program/v3`` documents: a ``descriptors`` table holds each
+distinct slot descriptor once, and ``layers`` is a list of runs, each naming
+its three slots by index into the table plus a ``repeat`` count of the
+consecutive layers that use them.  A deep program's one shared
+``ScoreAccumulate`` is stored once and is one object again after loading,
+and with oracle selection its n - 1 accumulation rounds are one run, so the
+document does not grow with n.  ``save_program`` writes a document on one
+line, with sorted keys and no spaces; ``load_program`` reads it and also
+documents written indented.  ``layer-program/v2`` documents (one entry per
+layer, no ``repeat``) and ``layer-program/v1`` documents (whose layers hold
+their descriptors inline) still load and run as before.  Both record the
+state layout as ``gn_init``/``gn_out``, and one whose keys disagree with its
+layers is refused; v3 does not record them, since the layers imply both.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
@@ -247,7 +251,8 @@ def from_json(cls, blob: dict):
 
 
 # ---------------------------------------------------------------------------
-# virtual-node pools: (vn, gn blocks) -> (pooled vector, aux or None)
+# virtual-node pools: (vn, gn blocks, layer number) -> (pooled vector, aux
+# or None)
 # ---------------------------------------------------------------------------
 
 
@@ -255,7 +260,7 @@ def from_json(cls, blob: dict):
 class MeanPool(Descriptor):
     kind: ClassVar[str] = "mean_pool"
 
-    def __call__(self, vn, gn):
+    def __call__(self, vn, gn, k):
         x = gn["x"]
         return x.sum(axis=0) / x.shape[0], None
 
@@ -275,7 +280,7 @@ class FeatureStatsPool(Descriptor):
     w_v: np.ndarray = matrix()
     feature_map: attention.FeatureMap = field(default=None)
 
-    def __call__(self, vn, gn):
+    def __call__(self, vn, gn, k):
         x = gn["x"]
         P = attention.phi_matrix(x @ self.w_k, self.feature_map)
         V = x @ self.w_v
@@ -306,7 +311,7 @@ class SoftmaxSelectPool(_AmplifiedPool):
     width: int = 0
     scale: float = 1.0
 
-    def __call__(self, vn, gn):
+    def __call__(self, vn, gn, k):
         d = self.width
         x = gn["x"]
         selector = vn[d : 2 * d]
@@ -317,19 +322,25 @@ class SoftmaxSelectPool(_AmplifiedPool):
 
 @dataclass(frozen=True)
 class OracleSelectPool(Descriptor):
-    """Ideal selection: returns the ``x`` block of one fixed graph node."""
+    """Ideal selection: returns the ``x`` row of one graph node.
+
+    With ``index`` None (the deep compiler's one shared pool) layer k
+    selects row k - 1; with an int (documents saved before selection was
+    round-indexed) every layer selects that fixed row.
+    """
 
     kind: ClassVar[str] = "oracle_select_pool"
-    index: int = field(default=0, metadata={"codec": (
+    index: int | None = field(default=None, metadata={"codec": (
         None, _same, functools.partial(_decode_int, least=0))})
 
-    def __call__(self, vn, gn):
+    def __call__(self, vn, gn, k):
         x = gn["x"]
-        if not 0 <= self.index < x.shape[0]:
-            raise ValueError(f"selection index {self.index} out of range")
+        row = k - 1 if self.index is None else self.index
+        if not 0 <= row < x.shape[0]:
+            raise ValueError(f"selection index {row} out of range")
         weights = np.zeros(x.shape[0])
-        weights[self.index] = 1.0
-        return x[self.index], {"selection_weights": weights}
+        weights[row] = 1.0
+        return x[row], {"selection_weights": weights}
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +356,7 @@ class Gatv2SelectPool(_AmplifiedPool):
     width: int = 0
     scale: float = 1.0
 
-    def __call__(self, vn, gn):
+    def __call__(self, vn, gn, k):
         d = self.width
         x = gn["x"]
         selector = vn[d : 2 * d]
@@ -391,17 +402,30 @@ class SelectorAdvance(Descriptor):
     """Store the selected feature and stage the next selector.
 
     new vn = [pooled[:width], next_selector or zeros, 0] in block layout
-    [feature | selector | placeholder].
+    [feature | selector | placeholder]; a ``next_selector`` has ``width``
+    values.
     """
 
     kind: ClassVar[str] = "selector_advance"
     width: int = 0
     next_selector: np.ndarray | None = vector()
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.next_selector is not None \
+                and self.next_selector.shape != (self.width,):
+            raise ValueError(
+                f"{self.kind}: field 'next_selector' has "
+                f"{self.next_selector.size} values, but field 'width' is "
+                f"{self.width}")
+
     def __call__(self, vn, pooled):
         d = self.width
-        nxt = self.next_selector if self.next_selector is not None else np.zeros(d)
-        return np.concatenate([pooled[:d], nxt, [0.0]])
+        new = np.zeros(2 * d + 1)
+        new[:d] = pooled[:d]
+        if self.next_selector is not None:
+            new[d : 2 * d] = self.next_selector
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +598,15 @@ class MpnnVnLayer:
     gn_update: Descriptor
 
 
-def run_layer(s: NodeState, layer: MpnnVnLayer) -> tuple[NodeState, dict | None]:
-    """Apply one layer with a synchronous barrier.
+def run_layer(s: NodeState, layer: MpnnVnLayer,
+              k: int) -> tuple[NodeState, dict | None]:
+    """Apply ``layer`` as the program's layer ``k`` (1-based) with a
+    synchronous barrier.
 
-    The pool and every graph-node update read the pre-layer state ``s``:
+    The pool is called as ``pool(vn, gn, k)``: a round-indexed pool (an
+    ``OracleSelectPool`` without ``index``) reads its row from ``k``, so one
+    layer object can serve every round.  The pool and every graph-node
+    update read the pre-layer state ``s``:
     each graph node sees the pre-layer virtual-node vector ``s.vn``, so
     nothing observes a mid-layer update.  Returns the post-layer state and
     the pool's aux output (None for plain pools; selection pools give
@@ -587,7 +616,7 @@ def run_layer(s: NodeState, layer: MpnnVnLayer) -> tuple[NodeState, dict | None]
     of them for ``IdentityGn``; x and q for ``ScoreAccumulate``): no
     descriptor writes into ``s``.
     """
-    pooled, aux = layer.vn_pool(s.vn, s.gn)
+    pooled, aux = layer.vn_pool(s.vn, s.gn, k)
     new_vn = layer.vn_update(s.vn, pooled)
     new_gn = layer.gn_update(s.gn, s.vn)
     return NodeState(new_gn, new_vn), aux
@@ -637,8 +666,11 @@ class LayerProgram:
     def __post_init__(self):
         self.vn_init = numkit.as_vector(self.vn_init)
         self.layout = self.n = None
-        width, named = None, set()
+        width, named, previous = None, set(), None
         for i, layer in enumerate(self.layers):
+            if layer is previous:  # a run of one layer object: checked once
+                continue
+            previous = layer
             for slot in ("vn_pool", "gn_update"):
                 desc = getattr(layer, slot)
                 if desc.blocks == ("x",):
@@ -717,7 +749,7 @@ def run_program(s0: NodeState, prog: LayerProgram,
     """
     s = s0
     for k, layer in enumerate(prog.layers, start=1):
-        s, aux = run_layer(s, layer)
+        s, aux = run_layer(s, layer, k)
         if observe is not None:
             observe(k, s, aux)
     return s
@@ -728,17 +760,24 @@ def run_program(s0: NodeState, prog: LayerProgram,
 # ---------------------------------------------------------------------------
 
 
-_V1, _V2 = "layer-program/v1", "layer-program/v2"
+# the document formats ``program_from_json`` reads; ``program_to_json``
+# writes the last
+FORMATS = ("layer-program/v1", "layer-program/v2", "layer-program/v3")
+_V1, _V2, _V3 = FORMATS
 _SLOTS = tuple(f.name for f in dataclasses.fields(MpnnVnLayer))
 # a descriptor's dedupe key: its blob encoded with sorted keys (built once,
 # as ``json.dumps`` would build it again on every call)
 _descriptor_key = json.JSONEncoder(sort_keys=True).encode
+# the most layers a v3 document may expand to, checked before any layer is
+# built: far above any compiled program (a deep one has n + 2 layers), so a
+# short document cannot ask the loader for billions of them
+MAX_LAYERS = 1_000_000
 
 
 def _recorded_layout(prog: LayerProgram) -> dict:
-    """``gn_init`` and ``gn_out`` as a document records the layout:
-    "identity" and null for one block ``x``, else the blocks' total width
-    as a pad and the columns of ``x``."""
+    """``gn_init`` and ``gn_out`` as a v1 or v2 document records the
+    layout: "identity" and null for one block ``x``, else the blocks' total
+    width as a pad and the columns of ``x``."""
     if prog.layout is None:
         return {"gn_init": "identity", "gn_out": None}
     return {"gn_init": ["pad", sum(prog.layout.values())],
@@ -746,15 +785,17 @@ def _recorded_layout(prog: LayerProgram) -> dict:
 
 
 def program_to_json(prog: LayerProgram) -> dict:
-    """The program as a ``layer-program/v2`` document.
+    """The program as a ``layer-program/v3`` document.
 
     ``descriptors`` holds each distinct slot descriptor once, in order of
-    first use (layer order, then ``vn_pool``, ``vn_update``, ``gn_update``);
-    each layer maps its three slots to indexes into it.  Descriptors are told apart by their encoded
-    value, so equal descriptors share one entry whether or not they are one
-    object, and a program re-saves to the same bytes after a reload.  The
-    document holds a copy of the program's ``metadata``, and ``gn_init`` and
-    ``gn_out`` written from its layout.
+    first use (layer order, then ``vn_pool``, ``vn_update``, ``gn_update``).
+    ``layers`` is a list of maximal runs: each run maps the three slots to
+    indexes into the table and says in ``repeat`` how many consecutive
+    layers use them, so a deep program's n - 1 accumulation rounds are one
+    entry.  Descriptors are told apart by their encoded value, and layers by
+    their three indexes, so equal descriptors share one entry whether or
+    not they are one object, and a program re-saves to the same bytes after
+    a reload.  The document holds a copy of the program's ``metadata``.
     """
     descriptors, index_of_value, index_of_obj = [], {}, {}
 
@@ -770,14 +811,22 @@ def program_to_json(prog: LayerProgram) -> dict:
             index_of_obj[id(slot)] = index_of_value[key]
         return index_of_obj[id(slot)]
 
-    layers = [{name: ref(getattr(l, name)) for name in _SLOTS}
-              for l in prog.layers]
+    # consecutive references to one layer object are encoded once; then
+    # neighbouring runs with the same three indexes merge
+    runs = []  # [slot indexes, repeat]
+    for _, same in itertools.groupby(prog.layers, key=id):
+        same = list(same)
+        key = tuple(ref(getattr(same[0], name)) for name in _SLOTS)
+        if runs and runs[-1][0] == key:
+            runs[-1][1] += len(same)
+        else:
+            runs.append([key, len(same)])
+    layers = [dict(zip(_SLOTS, key), repeat=repeat) for key, repeat in runs]
     return {
-        "format": _V2,
+        "format": _V3,
         "provenance": prog.provenance,
         "metadata": copy.deepcopy(prog.metadata),
         "vn_init": numkit.vector_to_json(prog.vn_init),
-        **_recorded_layout(prog),
         "descriptors": descriptors,
         "layers": layers,
     }
@@ -792,11 +841,15 @@ def _decode_descriptor(where: str, blob) -> Descriptor:
         raise ValueError(f"{where}: {e}") from None
 
 
-def _decode_layer(i: int, layer, table: list) -> MpnnVnLayer:
-    """Layer ``i``: each slot is an index into ``table`` (v2) or an inline
-    descriptor object (v1)."""
+def _check_layer_entry(i: int, layer) -> None:
     if not isinstance(layer, dict):
         raise ValueError(f"layers[{i}] must be an object, got {layer!r}")
+
+
+def _decode_layer(i: int, layer, table: list) -> MpnnVnLayer:
+    """Layer entry ``i``: each slot is an index into ``table`` (v2, v3) or
+    an inline descriptor object (v1)."""
+    _check_layer_entry(i, layer)
     # a graph-to-graph channel is never dropped silently
     if layer.get("gn_gn_msg") is not None:
         raise ValueError(f"layers[{i}]: graph-to-graph messages "
@@ -818,12 +871,33 @@ def _decode_layer(i: int, layer, table: list) -> MpnnVnLayer:
     return MpnnVnLayer(**slots)
 
 
+def _run_lengths(runs: list) -> list[int]:
+    """The ``repeat`` of every run of a v3 ``layers`` list: a JSON integer
+    >= 1 (a bool, a float or a string is not taken for one), and all of
+    them together at most ``MAX_LAYERS``.  Checked before any layer is
+    built."""
+    lengths, total = [], 0
+    for i, run in enumerate(runs):
+        _check_layer_entry(i, run)
+        repeat = run.get("repeat")
+        if not (_is_int(repeat) and repeat >= 1):
+            raise ValueError(f"layers[{i}].repeat must be an integer >= 1, "
+                             f"got {repeat!r}")
+        total += repeat
+        if total > MAX_LAYERS:
+            raise ValueError(
+                f"layers[{i}].repeat {repeat} brings the program to {total} "
+                f"layers, more than the {MAX_LAYERS} a document may hold")
+        lengths.append(repeat)
+    return lengths
+
+
 def _check_recorded_layout(blob: dict, prog: LayerProgram) -> None:
-    """Refuse a document whose ``gn_init`` or ``gn_out`` is not what its
-    layers imply.  A pad too narrow for a block that a layer needs names
-    the first such ``layers[i].slot``; any other disagreement names its
-    key.  Values are compared by ``repr``, so that 7.0, true or a tuple is
-    not taken for 7, 1 or a list."""
+    """Refuse a v1 or v2 document whose ``gn_init`` or ``gn_out`` is not
+    what its layers imply.  A pad too narrow for a block that a layer needs
+    names the first such ``layers[i].slot``; any other disagreement names
+    its key.  Values are compared by ``repr``, so that 7.0, true or a tuple
+    is not taken for 7, 1 or a list."""
     for key, implied in _recorded_layout(prog).items():
         declared = blob.get(key)
         if repr(declared) == repr(implied):
@@ -850,19 +924,23 @@ def _check_recorded_layout(blob: dict, prog: LayerProgram) -> None:
 
 
 def program_from_json(blob: dict) -> LayerProgram:
-    """Read a ``layer-program/v2`` or ``layer-program/v1`` document.
+    """Read a ``layer-program/v3``, ``v2`` or ``v1`` document.
 
-    Each v2 table entry is decoded once, and every layer that refers to it
-    gets the same descriptor object.  A v1 document is read by the same
-    path with an empty table: its slots hold descriptors inline.  The
-    program gets a copy of the document's ``metadata``.  Its ``gn_init`` and
-    ``gn_out`` must be the ones ``program_to_json`` writes for its layers.
+    Each table entry is decoded once, and every layer that refers to it gets
+    the same descriptor object.  A v3 run is decoded once and expanded into
+    ``repeat`` references to one layer object; its ``repeat`` counts are
+    checked first (see ``_run_lengths``).  A v2 layer entry is one layer,
+    and a v1 document is read by the same path with an empty table: its
+    slots hold descriptors inline.  The program gets a copy of the
+    document's ``metadata``.  A v1 or v2 document's ``gn_init`` and
+    ``gn_out`` must be the ones its layers imply; v3 does not record them.
     """
     numkit.require_object(blob, "program document")
     fmt = blob.get("format")
-    if fmt not in (_V1, _V2):
-        raise ValueError(f"not a {_V2} or {_V1} document: format {fmt!r}")
-    for name in ("layers", "vn_init") + (("descriptors",) if fmt == _V2 else ()):
+    if fmt not in FORMATS:
+        raise ValueError(f"not a {_V3}, {_V2} or {_V1} document: "
+                         f"format {fmt!r}")
+    for name in ("layers", "vn_init") + (("descriptors",) if fmt != _V1 else ()):
         if name not in blob:
             raise ValueError(f"{fmt}: missing field {name!r}")
     # composite descriptors contributed by the compilers register on import
@@ -873,10 +951,13 @@ def program_from_json(blob: dict) -> LayerProgram:
         raise ValueError(f"descriptors must be a list, got {entries!r}")
     if not isinstance(blob["layers"], list):
         raise ValueError(f"layers must be a list, got {blob['layers']!r}")
+    repeats = _run_lengths(blob["layers"]) if fmt == _V3 \
+        else itertools.repeat(1)
     table = [_decode_descriptor(f"descriptors[{j}]", entry)
              for j, entry in enumerate(entries)]
-    layers = [_decode_layer(i, layer, table)
-              for i, layer in enumerate(blob["layers"])]
+    layers = []
+    for i, (layer, repeat) in enumerate(zip(blob["layers"], repeats)):
+        layers += [_decode_layer(i, layer, table)] * repeat
     provenance = blob.get("provenance", "unknown")
     if not isinstance(provenance, str):
         raise ValueError(f"provenance must be a string, got {provenance!r}")
@@ -893,12 +974,13 @@ def program_from_json(blob: dict) -> LayerProgram:
         provenance=provenance,
         metadata=copy.deepcopy(metadata),
     )
-    _check_recorded_layout(blob, prog)
+    if fmt != _V3:
+        _check_recorded_layout(blob, prog)
     return prog
 
 
 def save_program(prog: LayerProgram, path) -> None:
-    """Write ``prog`` to ``path`` as a ``layer-program/v2`` document.
+    """Write ``prog`` to ``path`` as a ``layer-program/v3`` document.
 
     The document is one line with sorted keys and no spaces, so equal
     programs give equal bytes, and ``load_program`` followed by

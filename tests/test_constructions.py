@@ -34,6 +34,7 @@ from vnlab.cli import _run_checking_time2
 from vnlab.mpnnvn import (
     MpnnVnLayer,
     NodeState,
+    OracleSelectPool,
     ScoreAccumulate,
     SelectorAdvance,
     StageQuery,
@@ -345,7 +346,12 @@ class TestKernelMlpMode:
             == self.TRAINED_OUT_SHA256
         resaved = tmp_path / "resaved.json"
         save_program(prog, resaved)
+        # it re-saves as layer-program/v3: each layer one run, and the
+        # layout implied by the layers instead of recorded
         content = json.loads(path.read_bytes())
+        del content["gn_init"], content["gn_out"]
+        content["format"] = "layer-program/v3"
+        content["layers"] = [dict(l, repeat=1) for l in content["layers"]]
         assert json.loads(resaved.read_bytes()) == content
         assert resaved.read_bytes() == (json.dumps(
             content, sort_keys=True, separators=(",", ":")) + "\n").encode()
@@ -504,16 +510,18 @@ class TestDeepOracle:
     def test_zero_selector_step_is_one_object(self, n):
         w = attention.random_weights(3, numkit.make_rng(0))
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        # layers 1..n-1 stage the same zeros, layer n stages nothing; a
-        # reloaded program shares the step as well
+        # every round stages zeros through one step and selects through one
+        # round-indexed pool, and rounds 2..n are one layer object; a
+        # reloaded program shares them as well
         for p in (prog, program_from_json(program_to_json(prog))):
-            *shared, last = [layer.vn_update for layer in p.layers[:n]]
-            assert all(s is shared[0] for s in shared)
-            assert all(isinstance(s, SelectorAdvance)
-                       and np.array_equal(s.next_selector, np.zeros(3))
-                       for s in shared)
-            assert isinstance(last, SelectorAdvance)
-            assert last.next_selector is None
+            rounds = p.layers[:n]
+            step, pool = rounds[0].vn_update, rounds[0].vn_pool
+            assert all(l.vn_update is step and l.vn_pool is pool
+                       for l in rounds)
+            assert isinstance(step, SelectorAdvance)
+            assert step.next_selector is None
+            assert isinstance(pool, OracleSelectPool) and pool.index is None
+            assert all(l is rounds[-1] for l in rounds[1:])
 
     def test_trace_matches_reference_exactly(self):
         # not approximately: the engine must reproduce the hand-rolled
@@ -578,11 +586,11 @@ class TestDeepOracle:
     def test_accumulation_layer_allocates_less_than_a_state_copy(self):
         X, prog = self._benchmark_shape_program()
         n, d = X.shape
-        s1, _ = run_layer(prog.initial_state(X), prog.layers[0])
-        run_layer(s1, prog.layers[1])  # first call: any one-time set-up
+        s1, _ = run_layer(prog.initial_state(X), prog.layers[0], 1)
+        run_layer(s1, prog.layers[1], 2)  # first call: any one-time set-up
         tracemalloc.start()
         try:
-            run_layer(s1, prog.layers[1])
+            run_layer(s1, prog.layers[1], 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

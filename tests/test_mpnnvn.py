@@ -3,6 +3,9 @@
 import hashlib
 import json
 import pathlib
+import re
+import time
+import tracemalloc
 
 import copy
 import functools
@@ -103,6 +106,18 @@ def as_blocks(gn, d):
             if hi <= gn.shape[1]}
 
 
+def v2_document(prog):
+    """``prog`` as the ``layer-program/v2`` writer laid it out: one entry per
+    layer, without ``repeat``, and the layout recorded as ``gn_init`` and
+    ``gn_out`` (``TestPersistence`` checks this against the v2 fixtures)."""
+    blob = program_to_json(prog)
+    layers = [{slot: run[slot] for slot in ("vn_pool", "vn_update",
+                                            "gn_update")}
+              for run in blob["layers"] for _ in range(run["repeat"])]
+    return blob | {"format": "layer-program/v2", "layers": layers} \
+        | mpnnvn._recorded_layout(prog)
+
+
 def plain_layer(vn_pool=None, vn_update=None, gn_update=None):
     return MpnnVnLayer(
         vn_pool=vn_pool or MeanPool(),
@@ -120,7 +135,7 @@ class TestPoolsAndUpdates:
     def test_mean_pool(self):
         X = np.arange(8.0).reshape(4, 2)
         s = NodeState({"x": X}, np.zeros(2))
-        out, _ = run_layer(s, plain_layer(vn_pool=MeanPool()))
+        out, _ = run_layer(s, plain_layer(vn_pool=MeanPool()), 1)
         assert np.allclose(out.vn, X.mean(axis=0), atol=1e-15)
 
     def test_synchronous_barrier_gn_sees_pre_layer_vn(self):
@@ -133,7 +148,7 @@ class TestPoolsAndUpdates:
             vn_update=CopyPooled(),
             gn_update=AffineFromVn(np.eye(1), np.zeros(1)),
         )
-        out, _ = run_layer(NodeState({"x": X}, old_vn), layer)
+        out, _ = run_layer(NodeState({"x": X}, old_vn), layer, 1)
         assert np.array_equal(out.vn, np.array([1.5]))  # updated
         assert np.array_equal(out.gn["x"], X + 7.0)  # but nodes saw 7, not 1.5
 
@@ -142,12 +157,13 @@ class TestPoolsAndUpdates:
         out, _ = run_layer(
             s,
             plain_layer(vn_update=ConstVn(np.array([5.0, 5.0, 5.0]))),
+            1,
         )
         assert np.array_equal(out.vn, np.array([5.0, 5.0, 5.0]))
 
     def test_keep_vn(self):
         s = NodeState({"x": np.ones((2, 2))}, np.array([3.0, 4.0]))
-        out, _ = run_layer(s, plain_layer(vn_update=KeepVn()))
+        out, _ = run_layer(s, plain_layer(vn_update=KeepVn()), 1)
         assert np.array_equal(out.vn, s.vn)
 
     def test_oracle_select_pool_picks_one_row(self):
@@ -155,6 +171,7 @@ class TestPoolsAndUpdates:
         out, aux = run_layer(
             NodeState({"x": X}, np.zeros(2)),
             plain_layer(vn_pool=OracleSelectPool(index=1)),
+            1,
         )
         assert np.array_equal(out.vn, X[1])
         assert np.array_equal(aux["selection_weights"], [0.0, 1.0, 0.0])
@@ -162,7 +179,24 @@ class TestPoolsAndUpdates:
     def test_oracle_select_pool_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             run_layer(NodeState({"x": np.ones((2, 1))}, np.zeros(1)),
-                      plain_layer(vn_pool=OracleSelectPool(index=5)))
+                      plain_layer(vn_pool=OracleSelectPool(index=5)), 1)
+
+    def test_round_indexed_oracle_pool_selects_row_k_minus_1(self):
+        # without an index, layer k selects row k - 1, so one pool serves
+        # every round; a fixed index ignores the layer number
+        X = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
+        pool = OracleSelectPool()
+        assert pool.index is None
+        for k in (1, 2, 3):
+            row, aux = pool(np.zeros(2), {"x": X}, k)
+            assert np.array_equal(row, X[k - 1])
+            assert np.array_equal(aux["selection_weights"], np.eye(3)[k - 1])
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=(
+                    rf"^selection index {k - 1} out of range$")):
+                pool(np.zeros(2), {"x": X}, k)
+        row, _ = OracleSelectPool(index=1)(np.zeros(2), {"x": X}, 3)
+        assert np.array_equal(row, X[1])
 
     def test_softmax_select_vanishing_scale_is_mean(self):
         # a zero scale is refused; at 1e-300 every score rounds to the same
@@ -176,6 +210,7 @@ class TestPoolsAndUpdates:
         out, aux = run_layer(
             NodeState({"x": gn}, vn),
             plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=1e-300)),
+            1,
         )
         assert np.allclose(aux["selection_weights"], np.full(3, 1 / 3), atol=1e-15)
         assert np.allclose(out.vn, gn.mean(axis=0), atol=1e-15)
@@ -208,6 +243,7 @@ class TestPoolsAndUpdates:
         _, aux = run_layer(
             NodeState({"x": gn}, vn),
             plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=200.0)),
+            1,
         )
         w = aux["selection_weights"]
         assert w[0] > 1.0 - 1e-12
@@ -223,11 +259,29 @@ class TestPoolsAndUpdates:
         newvn = adv(np.zeros(5), np.array([10.0, 20.0, 99.0, 99.0, 99.0]))
         assert np.array_equal(newvn, [10.0, 20.0, 0.0, 0.0, 0.0])
 
+    def test_next_selector_must_have_width_values(self):
+        # a 4-value selector in a width-3 gatv2 document once loaded and ran
+        # on a virtual-node state shifted by one channel
+        with pytest.raises(ValueError, match=(
+                r"^selector_advance: field 'next_selector' has 4 values, but "
+                r"field 'width' is 3$")):
+            SelectorAdvance(width=3, next_selector=np.ones(4))
+        blob = program_to_json(LayerProgram(
+            layers=[plain_layer(vn_update=SelectorAdvance(
+                width=2, next_selector=np.ones(2)))],
+            vn_init=np.zeros(5)))
+        blob["descriptors"][1]["next_selector"] = \
+            numkit.vector_to_json(np.ones(3))
+        with pytest.raises(ValueError, match=(
+                r"^descriptors\[1\]: selector_advance: field 'next_selector' "
+                r"has 3 values")):
+            program_from_json(blob)
+
     def test_linear_gn(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         out, _ = run_layer(NodeState({"x": X}, np.zeros(1)),
-                           plain_layer(gn_update=LinearGn(A)))
+                           plain_layer(gn_update=LinearGn(A)), 1)
         assert np.array_equal(out.gn["x"], X @ A)
 
     def test_affine_from_vn_with_activation(self):
@@ -237,7 +291,7 @@ class TestPoolsAndUpdates:
             gn_update=AffineFromVn(np.array([[1.0]]), np.array([2.0]),
                                    activation="relu"),
         )
-        out, _ = run_layer(NodeState({"x": X}, np.array([1.0])), layer)
+        out, _ = run_layer(NodeState({"x": X}, np.array([1.0])), layer, 1)
         # relu(x + 1 + 2)
         assert np.array_equal(out.gn["x"], [[4.0], [0.0]])
 
@@ -336,7 +390,7 @@ class TestPrograms:
         # the layout comes from the layers; a document recording a pad that
         # does not split into their blocks is refused while it is built
         w = attention.random_weights(2, numkit.make_rng(0))
-        blob = program_to_json(
+        blob = v2_document(
             compile_deep_vn(w, DeepSimConfig(n=3, selection="oracle")))
         assert blob["gn_init"] == ["pad", 7]
         blob["gn_init"] = ["pad", 8]
@@ -418,7 +472,7 @@ class TestPrograms:
         # a document's pad narrower than block x: the first slot reading x
         # is named
         w = attention.random_weights(3, numkit.make_rng(0))
-        blob = program_to_json(
+        blob = v2_document(
             compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle")))
         blob["gn_init"] = ["pad", 2]
         with pytest.raises(ValueError, match=(
@@ -434,7 +488,8 @@ class TestPrograms:
         X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         prog = LayerProgram(layers=[], vn_init=np.zeros(1))
         assert np.array_equal(prog.execute(g, X), X)
-        blob = program_to_json(prog)
+        assert "gn_out" not in program_to_json(prog)
+        blob = v2_document(prog)
         assert (blob["gn_init"], blob["gn_out"]) == ("identity", None)
         blob["gn_out"] = [1, 3]
         with pytest.raises(ValueError, match=(
@@ -464,8 +519,8 @@ class TestPrograms:
         s0, prog, seen, final = self._observed_selection_run()
         assert [k for k, _, _ in seen] == [1, 2, 3]
         s = s0
-        for (_, state, _), layer in zip(seen, prog.layers):
-            s, _ = run_layer(s, layer)
+        for (k, state, _), layer in zip(seen, prog.layers):
+            s, _ = run_layer(s, layer, k)
             assert list(state.gn) == list(s.gn) == ["x"]
             assert np.array_equal(state.gn["x"], s.gn["x"])
             assert np.array_equal(state.vn, s.vn)
@@ -576,7 +631,7 @@ class TestKernelLayers:
         fm = attention.exp_feature_map(8, 3, seed=0)
         pool = FeatureStatsPool(np.eye(3), np.ones((3, 2)), fm)
         out, _ = run_layer(NodeState({"x": np.zeros((2, 3))}, np.zeros(1)),
-                           plain_layer(vn_pool=pool))
+                           plain_layer(vn_pool=pool), 1)
         assert out.vn.shape == (24,)
 
     def test_resolve_query_rejects_nonpositive_denominator(self):
@@ -784,31 +839,33 @@ class TestPersistence:
         fm = attention.exp_feature_map(4, 3, seed=2)
         return compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
 
-    # sha256 of the saved layer-program/v2 documents' content, re-encoded
-    # with indent=2 and sorted keys (the layout they were first pinned in);
-    # a change here is a change of the on-disk format
+    # sha256 of the saved documents' content, re-encoded with indent=2 and
+    # sorted keys (the layout they were first pinned in); a change here is a
+    # change of the on-disk format.  Re-recorded for layer-program/v3 (runs
+    # with a repeat count, no gn_init/gn_out, the deep oracle's one
+    # round-indexed pool); the v2 pins live on as V2_FIXTURE_SHA256.
     PINNED_SHA256 = {
         "rich":
-            "c597318ffe4d649bf262f473ae31f3bfb679b612a7f8c39bb303316d7ef53a26",
+            "4f6385eac01efa921efc0c0212079191d9dabb275fb113df3ed36b1545f2cc6f",
         "deep_oracle":
-            "d59df37e24ffdfe02d966fd2bf4582d8f8604ac69e98e76b719ee47529ecdcd1",
+            "d25b1a2328c05214af341d50dc7eff7e3747075440119edd68e98cd425a2f75c",
         "deep_gatv2":
-            "5cfda202382fde4464196f429c1cb38d6e016bdccd3f4bafd8770c54671df70e",
+            "0059662421369427c873b0d7b405b41d536850ac60e084949de6d8136866673a",
         "kernel_exact":
-            "8896ef5ebd5e3f997f4e6626494356a96b581c0f071215c089eceefe4cbe875c",
+            "9213c81b2a449c53975732172ca3641013a41537664429d4057d9beb3d8e3719",
     }
 
     # sha256 of the same documents as written, on one line: a change here
     # with PINNED_SHA256 unchanged is a change of layout only
     COMPACT_SHA256 = {
         "rich":
-            "c8b8c15b69fbe23f5351853165843d781f646a2bd6fa90c78c14946eecc3c693",
+            "6b30cf7cc926d6e85ece32e2d20af35ae60168341347af44f16a4aa80828f30f",
         "deep_oracle":
-            "4021fc48a5087af2af4e75b54d994bedf05350c8b8990e32e02a5f5156c9cae5",
+            "fc0f7dc053de4519fd82848e0460ae853e8a74e7c13fcce1f9579b9c74d48174",
         "deep_gatv2":
-            "b79a05100db8029a35e0c2efa09600a55ec9e4072763503a0878e085c9f75212",
+            "ac727ea8ce8baa6d6df8cbdd71b5c3d5663ae4ba58125747da1a189e49c15687",
         "kernel_exact":
-            "21e7c1021cbccd981c18897ccf843e2fd76fa3793f3fe0fca12e1dbd31dec336",
+            "0a03b360f06da4bd397a70469e8e9464b226e3755a34c048f64d718082fb2d7f",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
@@ -851,27 +908,27 @@ class TestPersistence:
         assert numkit.load_json(self._v1_fixture(name))["format"] == \
             "layer-program/v1"
 
-    # sha256 of the layer-program/v2 documents the v1 fixtures re-save to,
+    # sha256 of the layer-program/v3 documents the v1 fixtures re-save to,
     # as content (re-indented, like PINNED_SHA256) and as written.
     # The rich and deep fixtures were written before StageQuery: their
     # ScoreAccumulates carry w_q and recompute the query from x, and their
     # deep states are [x | acc | mass], so they keep that old layout.
     V1_RESAVED_SHA256 = {
         "rich":
-            "01ac4da75cdf101895bf858ba49a73a71e9bb7b93abecf43286905e878fc3ae9",
+            "8d6e5245eef1622ae62473a848936333be7717c66f95cfbfa53b2ea1b70427af",
         "deep_oracle":
-            "dcf4828e756acbdd454d18c84af05c6b3c487e032730660b0849b8324c2673d3",
+            "ade3e4c922518dff6d0b37e6525c05a3164847d302724b1e2bb0d36f8ded94ae",
         "deep_gatv2":
-            "a6acada833ad9bd567b2e566610fbe74933ee9c415b1e529481abcce4f4e404f",
+            "45e157687afa339c86b47a49970e83cf6dcff0982a8a0507fc0445163579d8a5",
         "kernel_exact": PINNED_SHA256["kernel_exact"],
     }
     V1_RESAVED_COMPACT_SHA256 = {
         "rich":
-            "c9439fa17e660de1c6b95bc0a9ea45c602a0af8bd82273e9d5003384d5476ad8",
+            "886577cb6dd4d6b5cf8c17a5d3c54eb0ce66f36e67b1656053fdab4d19d8562a",
         "deep_oracle":
-            "065739cb59db766f6a4a9f8c832b67599d15ac54074734482a2232cbce9b78fc",
+            "f9051e1aa7b4860e2d4904276814fa6a6ff4341e053d91c6ba6ff3a20ad8c1b5",
         "deep_gatv2":
-            "61a0b615a817f309bc019066280838333f2bfe2d54be25e3c695c9adb4451a0c",
+            "a3a69537c06fdc6b051398bb116861bc4f83a9f6e619065691c4a88ac3863090",
         "kernel_exact": COMPACT_SHA256["kernel_exact"],
     }
 
@@ -917,6 +974,69 @@ class TestPersistence:
         assert np.array_equal(old.execute(star(n), X),
                               prog.execute(star(n), X))
 
+    # layer-program/v2 documents of the pinned programs, as the v2 writer
+    # saved them (tests/fixtures/<name>.v2.json); their sha256 are the pins
+    # of the saved bytes while v2 was the written format
+    V2_FIXTURE_SHA256 = {
+        "rich":
+            "c8b8c15b69fbe23f5351853165843d781f646a2bd6fa90c78c14946eecc3c693",
+        "deep_oracle":
+            "4021fc48a5087af2af4e75b54d994bedf05350c8b8990e32e02a5f5156c9cae5",
+        "deep_gatv2":
+            "b79a05100db8029a35e0c2efa09600a55ec9e4072763503a0878e085c9f75212",
+        "kernel_exact":
+            "21e7c1021cbccd981c18897ccf843e2fd76fa3793f3fe0fca12e1dbd31dec336",
+    }
+
+    # sha256 of the layer-program/v3 documents the v2 fixtures re-save to,
+    # as written.  The v2 deep oracle selects through one fixed-index pool
+    # per round, which it keeps, so it does not fold into one round.
+    V2_RESAVED_COMPACT_SHA256 = {
+        "rich": COMPACT_SHA256["rich"],
+        "deep_oracle":
+            "3b922e2fb6c4ffc274916a46b0f0e8a2c53705b47d4e6a6e4f17475470375ff4",
+        "deep_gatv2": COMPACT_SHA256["deep_gatv2"],
+        "kernel_exact": COMPACT_SHA256["kernel_exact"],
+    }
+
+    @staticmethod
+    def _v2_fixture_document(name):
+        return numkit.load_json(FIXTURES / f"{name}.v2.json")
+
+    @pytest.mark.parametrize("name", sorted(V2_FIXTURE_SHA256))
+    def test_v2_fixture_holds_the_v2_bytes(self, name):
+        path = FIXTURES / f"{name}.v2.json"
+        raw = path.read_bytes()
+        assert sha256(raw) == self.V2_FIXTURE_SHA256[name]
+        # v2_document lays a program out as the v2 writer did
+        assert json.loads(raw) == v2_document(load_program(path))
+
+    @pytest.mark.parametrize("name", sorted(V2_FIXTURE_SHA256))
+    def test_v2_fixture_resaves_to_the_v3_pin(self, name, tmp_path):
+        path = tmp_path / "program.json"
+        save_program(load_program(FIXTURES / f"{name}.v2.json"), path)
+        assert sha256(path.read_bytes()) == \
+            self.V2_RESAVED_COMPACT_SHA256[name]
+        assert numkit.load_json(path)["format"] == "layer-program/v3"
+
+    @pytest.mark.parametrize("name", ["deep_oracle", "deep_gatv2",
+                                      "kernel_exact"])
+    def test_v2_fixture_runs_identically(self, name):
+        prog = self._pinned_program(name)
+        old = load_program(FIXTURES / f"{name}.v2.json")
+        assert np.array_equal(old.execute(star(5), self.FUZZ_X),
+                              prog.execute(star(5), self.FUZZ_X))
+
+    def test_v3_fixture_holds_the_pinned_bytes(self):
+        # tests/fixtures/deep_oracle.v3.json is the pinned deep oracle
+        # program as save_program writes it
+        raw = (FIXTURES / "deep_oracle.v3.json").read_bytes()
+        assert sha256(raw) == self.COMPACT_SHA256["deep_oracle"]
+        prog = load_program(FIXTURES / "deep_oracle.v3.json")
+        assert np.array_equal(
+            prog.execute(star(5), self.FUZZ_X),
+            self._pinned_program("deep_oracle").execute(star(5), self.FUZZ_X))
+
     @pytest.mark.parametrize("name", [*sorted(PINNED_SHA256), "v1_resaved"])
     def test_save_load_save_is_byte_identical(self, name, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -946,6 +1066,108 @@ class TestPersistence:
         assert np.array_equal(again.execute(star(n), X),
                               prog.execute(star(n), X))
 
+    def test_oracle_document_does_not_grow_with_n(self, tmp_path):
+        # one round-indexed pool and one zero step serve every round, and
+        # rounds 2..n are one run: the documents differ only in the digits
+        # of metadata.n and of that run's repeat
+        w = attention.random_weights(8, numkit.make_rng(5))
+        shapes = set()
+        for n in (4, 16, 256, 1024):
+            prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+            path = tmp_path / f"deep{n}.json"
+            save_program(prog, path)
+            assert path.stat().st_size < 6_000
+            blob = numkit.load_json(path)
+            assert len(blob["descriptors"]) == 7
+            assert [run["repeat"] for run in blob["layers"]] == [1, n - 1, 1, 1]
+            text = path.read_text()
+            digits = (f'"n":{n},', f'"repeat":{n - 1},')
+            assert [text.count(d) for d in digits] == [1, 1]
+            for d in digits:
+                text = text.replace(d, "")
+            shapes.add(text)
+        assert len(shapes) == 1
+
+    # a small pool of layers, two of them equal in value but separate
+    # objects, and two oracle pools that differ only in a null index
+    RUN_POOL = [
+        plain_layer(),
+        plain_layer(vn_update=KeepVn()),
+        plain_layer(gn_update=LinearGn(np.eye(2))),
+        plain_layer(gn_update=LinearGn(np.eye(2))),
+        plain_layer(gn_update=LinearGn(2.0 * np.eye(2))),
+        plain_layer(vn_pool=OracleSelectPool()),
+        plain_layer(vn_pool=OracleSelectPool(index=0)),
+    ]
+
+    @given(st.lists(st.tuples(st.integers(0, len(RUN_POOL) - 1),
+                              st.integers(1, 4)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_round_trip_and_are_maximal(self, draws):
+        layers = [self.RUN_POOL[i] for i, repeat in draws
+                  for _ in range(repeat)]
+        blob = program_to_json(LayerProgram(layers=layers,
+                                            vn_init=np.zeros(2)))
+        text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
+        again = program_from_json(json.loads(text))
+        assert json.dumps(program_to_json(again), sort_keys=True,
+                          separators=(",", ":")) == text
+        slots = ("vn_pool", "vn_update", "gn_update")
+        keys = [tuple(run[slot] for slot in slots) for run in blob["layers"]]
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+
+        def values(layer_list):
+            return [[getattr(l, slot).to_json() for slot in slots]
+                    for l in layer_list]
+
+        assert values(again.layers) == values(layers)
+
+    REPEAT_UNSET = object()
+
+    @pytest.mark.parametrize("repeat", [
+        0, -1, True, False, 2.0, 1.5, "2", None, [2], {}, REPEAT_UNSET,
+    ], ids=["zero", "negative", "true", "false", "float", "fraction",
+            "string", "null", "list", "object", "missing"])
+    def test_repeat_must_be_a_positive_integer(self, repeat):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        if repeat is self.REPEAT_UNSET:
+            del blob["layers"][1]["repeat"]
+            repeat = None
+        else:
+            blob["layers"][1]["repeat"] = repeat
+        with pytest.raises(ValueError, match=(
+                r"^layers\[1\]\.repeat must be an integer >= 1, got "
+                + re.escape(repr(repeat)) + "$")):
+            program_from_json(blob)
+
+    def test_huge_repeat_is_refused_before_any_layer_is_built(self):
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob["layers"][1]["repeat"] = 10**12
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=(
+                    r"^layers\[1\]\.repeat 1000000000000 brings the program "
+                    r"to 1000000000001 layers, more than the 1000000 a "
+                    r"document may hold$")):
+                program_from_json(blob)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1_000_000
+
+    def test_layer_ceiling_counts_every_run(self):
+        # the ceiling is on the total, so it names the run that passes it
+        assert mpnnvn.MAX_LAYERS == 1_000_000
+        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob["layers"][0]["repeat"] = mpnnvn.MAX_LAYERS - 1
+        with pytest.raises(ValueError, match=(
+                r"^layers\[1\]\.repeat 4 brings the program to 1000003 "
+                r"layers, more than the 1000000 a document may hold$")):
+            program_from_json(blob)
+
     def test_equal_descriptors_share_one_entry(self):
         # separate but equal objects, as a v1 document loads them
         blob = program_to_json(LayerProgram(
@@ -956,7 +1178,7 @@ class TestPersistence:
         assert [e["kind"] for e in blob["descriptors"]] == \
             ["mean_pool", "copy_pooled", "linear_gn"]
         assert blob["layers"] == [
-            {"vn_pool": 0, "vn_update": 1, "gn_update": 2}] * 3
+            {"vn_pool": 0, "vn_update": 1, "gn_update": 2, "repeat": 3}]
 
     def test_graph_to_graph_channel_is_refused(self):
         blob = program_to_json(mean_subtract_program(2))
@@ -968,7 +1190,7 @@ class TestPersistence:
         ("gn_init", ["pad"]), ("gn_init", "foo"), ("gn_out", [0]),
     ])
     def test_malformed_init_or_out_names_the_field(self, key, value):
-        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob = self._v2_fixture_document("deep_oracle")
         blob[key] = value
         with pytest.raises(ValueError, match=key):
             program_from_json(blob)
@@ -976,7 +1198,7 @@ class TestPersistence:
     @pytest.mark.parametrize("gn_out", [[-1, 3], [2, 1], [2, 2]])
     def test_gn_out_must_be_an_increasing_pair(self, gn_out):
         # a deep document's gn_out is block x's columns, [0, d]
-        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob = self._v2_fixture_document("deep_oracle")
         blob["gn_out"] = gn_out
         with pytest.raises(ValueError, match=(
                 rf"^gn_out \[{gn_out[0]}, {gn_out[1]}\] disagrees with the "
@@ -985,7 +1207,7 @@ class TestPersistence:
 
     def test_gn_out_past_the_state_is_refused_at_load(self):
         # it once loaded, and every run was refused
-        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob = self._v2_fixture_document("deep_oracle")
         blob["gn_out"] = [0, 100]
         with pytest.raises(ValueError, match=(
                 r"^gn_out \[0, 100\] disagrees with the layers, which imply "
@@ -998,7 +1220,7 @@ class TestPersistence:
     ])
     def test_recorded_layout_must_be_the_written_one(self, key, value):
         # a float, a boolean or a tuple is not taken for what it equals
-        blob = program_to_json(self._pinned_program("deep_oracle"))
+        blob = self._v2_fixture_document("deep_oracle")
         blob[key] = value
         with pytest.raises(ValueError, match=(
                 rf"^{key} .* disagrees with the layers, which imply ")):
@@ -1024,7 +1246,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("layers", [5, None, {"a": 1}, "ab"],
                              ids=["int", "null", "object", "string"])
-    @pytest.mark.parametrize("fmt", ["layer-program/v1", "layer-program/v2"])
+    @pytest.mark.parametrize("fmt", ["layer-program/v1", "layer-program/v2",
+                                     "layer-program/v3"])
     def test_layers_that_are_not_a_list_are_refused(self, fmt, layers):
         blob = program_to_json(self._pinned_program("deep_oracle"))
         blob["format"], blob["layers"] = fmt, layers
@@ -1362,7 +1585,8 @@ class TestPersistence:
     # one each fixture's rows have ("rich" is not a program meant to run)
     BREAKERS = [5, "x", [], {}]
     SWEEP_WIDTHS = {"kernel_mlp_trained.v2": 2, "kernel_exact.v1": 3,
-                    "deep_gatv2.v1": 3, "deep_oracle.v1": 3, "rich.v1": None}
+                    "deep_gatv2.v1": 3, "deep_oracle.v1": 3, "rich.v1": None,
+                    "deep_oracle.v2": 3, "deep_oracle.v3": 3}
     # the layers whose accumulation, once it loses w_q, reads a q block
     # that the fixture's 2d+1-wide state does not hold: refused at load
     LOST_W_Q = {"deep_gatv2.v1": range(1, 6), "deep_oracle.v1": range(1, 6),

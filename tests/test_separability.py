@@ -672,11 +672,12 @@ def pool_weights(pool, X, selector):
 
     The virtual node holds [feature | selector | placeholder] as it does in
     a compiled deep program; the graph nodes' x blocks hold the points.
+    The pool reads the staged selector, not the layer number it is given.
     """
     X = numkit.as_matrix(X)
     d = X.shape[1]
     vn = np.concatenate([np.zeros(d), selector, [0.0]])
-    _, aux = pool(vn, {"x": X})
+    _, aux = pool(vn, {"x": X}, 1)
     return aux["selection_weights"]
 
 

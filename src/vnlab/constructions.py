@@ -41,7 +41,6 @@ from .mpnnvn import (
     CopyPooled,
     Descriptor,
     FeatureStatsPool,
-    Gatv2SelectPool,
     IdentityGn,
     KeepVn,
     LayerProgram,
@@ -517,13 +516,12 @@ class DeepSimConfig:
                              f"got {self.amplification!r}")
 
 
-# the pool and the certificate score of each certified selection mode
-_CERTIFIED = {"softmax": (SoftmaxSelectPool, "bilinear"),
-              "gatv2": (Gatv2SelectPool, "l1")}
-
-
-def _check_cert_score(selection: str, cert: SeparabilityCertificate) -> None:
-    want = _CERTIFIED[selection][1]
+def _check_cert_score(pool: SoftmaxSelectPool,
+                      cert: SeparabilityCertificate) -> None:
+    """A bilinear pool (no ``score``) reads a "bilinear" certificate, an
+    additive one an "l1" certificate."""
+    selection, want = ("softmax", "bilinear") if pool.score is None \
+        else ("gatv2", "l1")
     if cert.score != want:
         raise ValueError(f"{selection} selection needs a {want!r} "
                          f"certificate, got a {cert.score!r} one")
@@ -545,12 +543,13 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     ``ScoreAccumulate`` returns new ``acc`` and ``mass`` blocks and shares
     x and q with the state before it.  Layer n+1 accumulates the last
     selection; layer n+2 divides, returning x = acc / mass and zero blocks.
-    The normalized output is block x, as in every program.  Under oracle
-    selection rounds 2..n are one ``MpnnVnLayer`` object: its
-    ``OracleSelectPool`` has no index, so layer k selects row k - 1, and
-    its one ``SelectorAdvance`` stages zeros; a saved program stores them
-    as one run.  Softmax and gatv2 rounds each stage their own next
-    selector.
+    The normalized output is block x, as in every program.  The selection
+    modes differ only in the one pool all rounds share, which reads row
+    k - 1 at layer k: an ``OracleSelectPool`` without an index selects it,
+    a ``SoftmaxSelectPool`` (bilinear for softmax, l1 for gatv2) scores
+    against it in its table of the certificate's directions.  So one
+    ``SelectorAdvance`` stages zeros, ``vn_init`` is zero and rounds 2..n
+    are one ``MpnnVnLayer`` object (one saved run).
     """
     n, d = cfg.n, w.in_dim
     if w.out_dim != d or w.qk_dim != d:
@@ -558,55 +557,44 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             "the deep construction keeps blocks of width d and needs "
             f"square weights; got qk_dim={w.qk_dim}, out_dim={w.out_dim}"
         )
-    scale = None
     stage = StageQuery(w.w_q, width=d)
     accumulate = ScoreAccumulate(None, w.w_k, w.w_v, width=d)
     if cfg.selection == "oracle":
-        # the oracle pool reads no selector and layer k selects row k - 1,
-        # so rounds 2..n are one layer object, with one pool and one step
-        # staging zeros
-        first = np.zeros(d)
-        pool = OracleSelectPool(index=None)
-        advance = SelectorAdvance(width=d, next_selector=None)
-        layers = [MpnnVnLayer(pool, advance, stage)] \
-            + [MpnnVnLayer(pool, advance, accumulate)] * (n - 1)
+        scale, pool = None, OracleSelectPool(index=None)
     else:
         cert = cfg.certificate
         if cert is None:
             raise ValueError(f"{cfg.selection} selection requires a "
                              "certificate")
-        _check_cert_score(cfg.selection, cert)
+        scale = cfg.amplification if cfg.amplification is not None \
+            else cert.amplification
+        pool = SoftmaxSelectPool(
+            width=d, scale=scale,
+            score=None if cfg.selection == "softmax" else l1_score(d),
+            selectors=cert.directions)
+        _check_cert_score(pool, cert)
         if cert.n != n:
-            raise ValueError(
-                f"certificate covers {cert.n} points, program needs {n}"
-            )
+            raise ValueError(f"certificate covers {cert.n} points, program "
+                             f"needs {n}")
         if cert.delta <= MARGIN_BAND:
             raise ValueError(
                 f"certificate margin {cert.delta:.3g} is inside the "
                 f"unreliable band (<= {MARGIN_BAND:.3g}); selection would be "
                 "meaningless"
             )
-        scale = cfg.amplification if cfg.amplification is not None \
-            else cert.amplification
-        first = cert.directions[0]
-        pool = SoftmaxSelectPool(width=d, scale=scale) \
-            if cfg.selection == "softmax" \
-            else Gatv2SelectPool(l1_score(d), width=d, scale=scale)
-        advances = [SelectorAdvance(width=d, next_selector=s)
-                    for s in cert.directions[1:]]
-        advances.append(SelectorAdvance(width=d, next_selector=None))
-        layers = [MpnnVnLayer(pool, advance, stage if k == 1 else accumulate)
-                  for k, advance in enumerate(advances, start=1)]
+    # the pool reads no staged selector: one step staging zeros serves all
+    advance = SelectorAdvance(width=d, next_selector=None)
+    layers = [MpnnVnLayer(pool, advance, stage)] \
+        + [MpnnVnLayer(pool, advance, accumulate)] * (n - 1)
     ones = ConstVn(np.ones(2 * d + 1))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
                               gn_update=accumulate))
     layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
                               gn_update=RatioUpdate(width=d)))
 
-    vn_init = np.concatenate([np.zeros(d), first, [0.0]])
     return LayerProgram(
         layers=layers,
-        vn_init=vn_init,
+        vn_init=np.zeros(2 * d + 1),
         provenance="deep-attention-compiler",
         metadata={
             "compiler": "deep",
@@ -740,9 +728,9 @@ def run_and_report(
     # its weight bound is for (the oracle pool reads neither)
     pools = [layer.vn_pool for layer in prog.layers[:prog.n]] if deep else []
     if cert is not None:
-        for selection, (kind, _) in _CERTIFIED.items():
-            if any(isinstance(pool, kind) for pool in pools):
-                _check_cert_score(selection, cert)
+        for pool in pools:
+            if isinstance(pool, SoftmaxSelectPool):
+                _check_cert_score(pool, cert)
     d = prog.layout["x"] if deep else 0
     measured = []  # after layer k <= n: (feature error, target's weight)
 

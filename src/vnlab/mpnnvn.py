@@ -28,16 +28,16 @@ Programs (ordered layer lists plus the virtual node's initial state) persist
 as ``layer-program/v3`` documents: a ``descriptors`` table holds each
 distinct slot descriptor once, and ``layers`` is a list of runs, each naming
 its three slots by index into the table plus a ``repeat`` count of the
-consecutive layers that use them.  A deep program's one shared
-``ScoreAccumulate`` is stored once and is one object again after loading,
-and with oracle selection its n - 1 accumulation rounds are one run, so the
-document does not grow with n.  ``save_program`` writes a document on one
-line, with sorted keys and no spaces; ``load_program`` reads it and also
-documents written indented.  ``layer-program/v2`` documents (one entry per
-layer, no ``repeat``) and ``layer-program/v1`` documents (whose layers hold
-their descriptors inline) still load and run as before.  Both record the
-state layout as ``gn_init``/``gn_out``, and one whose keys disagree with its
-layers is refused; v3 does not record them, since the layers imply both.
+consecutive layers that use them.  A compiled deep program selects through
+one round-indexed pool (oracle, or softmax with an n x d ``selectors``
+table), so its rounds 2..n are one run: 7 entries in 4 runs for any n.
+``save_program`` writes a document on one line, with sorted keys and no
+spaces; ``load_program`` reads it and also documents written indented.
+``layer-program/v2`` documents (one entry per layer, no ``repeat``) and
+``layer-program/v1`` documents (whose layers hold their descriptors inline)
+still load and run as before.  Both record the state layout as
+``gn_init``/``gn_out``, and one whose keys disagree with its layers is
+refused; v3 does not record them, since the layers imply both.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
@@ -152,6 +152,10 @@ def descriptor_from_json(blob: dict) -> "Descriptor":
     kind = blob.get("kind")
     if not isinstance(kind, str):
         raise ValueError(f"field 'kind' must be a string, got {kind!r}")
+    if kind == "gatv2_select_pool":  # older documents' additive pool
+        if blob.get("score") is None:
+            raise ValueError(f"{kind}: missing value for field 'score'")
+        return from_json(SoftmaxSelectPool, blob, kind)
     try:
         sub = Descriptor._registry[kind]
     except KeyError:
@@ -234,12 +238,19 @@ def to_json(obj) -> dict:
     return blob
 
 
-def from_json(cls, blob: dict):
-    """Rebuild a ``cls`` written by :func:`to_json`, decoding by field type."""
+def from_json(cls, blob: dict, label: str | None = None):
+    """Rebuild a ``cls`` written by :func:`to_json`, decoding by field type.
+    A key that is no field (nor ``kind``) is refused, so a misspelt optional
+    field is not read as missing; errors name ``label`` or the kind."""
     kwargs = {}
-    label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
+    if label is None:
+        label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
     numkit.require_object(blob, label)
-    for f in _codec_fields(cls):
+    fields = _codec_fields(cls)
+    unknown = sorted(blob.keys() - {"kind", *(f.name for f in fields)})
+    if unknown:
+        raise ValueError(f"{label}: unknown field {unknown[0]!r}")
+    for f in fields:
         value = blob.get(f.name)
         if value is None and not f.optional:
             raise ValueError(f"{label}: missing value for field {f.name!r}")
@@ -287,9 +298,23 @@ class FeatureStatsPool(Descriptor):
         return np.concatenate([P.sum(axis=0), numkit.flatten_raster(P.T @ V)]), None
 
 
-class _AmplifiedPool(Descriptor):
-    """A softmax selection pool: its ``scale`` (the amplification factor)
-    must be finite and positive."""
+@dataclass(frozen=True, eq=False)
+class SoftmaxSelectPool(Descriptor):
+    """Softmax-weighted combination of the graph nodes' ``x`` blocks.
+
+    Each row's first ``width`` channels are scored against a selector, times
+    ``scale`` (the amplification, finite and positive): x . selector with
+    ``score`` None, else the additive ``score`` (the deep compiler builds
+    ``attention.l1_score``, -|x - selector|_1).  Layer k reads row k - 1 of
+    the ``selectors`` table; without one (older documents, hand-built
+    programs) the selector staged in the virtual node's [width, 2*width).
+    """
+
+    kind: ClassVar[str] = "softmax_select_pool"
+    width: int = 0
+    scale: float = 1.0
+    score: attention.Gatv2Score | None = None
+    selectors: np.ndarray | None = matrix()
 
     def __post_init__(self):
         super().__post_init__()
@@ -297,26 +322,14 @@ class _AmplifiedPool(Descriptor):
             raise ValueError(f"{self.kind}: field 'scale' must be finite "
                              f"and positive, got {self.scale!r}")
 
-
-@dataclass(frozen=True)
-class SoftmaxSelectPool(_AmplifiedPool):
-    """Softmax-weighted combination of the graph nodes' ``x`` blocks.
-
-    Scores read the first ``width`` channels of each ``x`` row against the
-    selector stored in the virtual node's channels [width, 2*width), scaled
-    by ``scale`` (the amplification factor).
-    """
-
-    kind: ClassVar[str] = "softmax_select_pool"
-    width: int = 0
-    scale: float = 1.0
-
     def __call__(self, vn, gn, k):
         d = self.width
         x = gn["x"]
-        selector = vn[d : 2 * d]
-        scores = self.scale * (x[:, :d] @ selector)
-        weights = numkit.softmax(scores)
+        selector = vn[d : 2 * d] if self.selectors is None \
+            else self.selectors[k - 1]
+        scores = x[:, :d] @ selector if self.score is None \
+            else attention.gatv2_scores_against(selector, x[:, :d], self.score)
+        weights = numkit.softmax(self.scale * scores)
         return weights @ x, {"selection_weights": weights}
 
 
@@ -341,30 +354,6 @@ class OracleSelectPool(Descriptor):
         weights = np.zeros(x.shape[0])
         weights[row] = 1.0
         return x[row], {"selection_weights": weights}
-
-
-@dataclass(frozen=True, eq=False)
-class Gatv2SelectPool(_AmplifiedPool):
-    """Softmax selection of the ``x`` blocks by an additive score against
-    the staged selector.
-
-    The deep compiler builds ``attention.l1_score``: -|x - selector|_1.
-    """
-
-    kind: ClassVar[str] = "gatv2_select_pool"
-    score: attention.Gatv2Score = field(default=None)
-    width: int = 0
-    scale: float = 1.0
-
-    def __call__(self, vn, gn, k):
-        d = self.width
-        x = gn["x"]
-        selector = vn[d : 2 * d]
-        scores = self.scale * attention.gatv2_scores_against(
-            selector, x[:, :d], self.score
-        )
-        weights = numkit.softmax(scores)
-        return weights @ x, {"selection_weights": weights}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +392,8 @@ class SelectorAdvance(Descriptor):
 
     new vn = [pooled[:width], next_selector or zeros, 0] in block layout
     [feature | selector | placeholder]; a ``next_selector`` has ``width``
-    values.
+    values.  Compiled programs stage zeros; only documents saved before the
+    ``selectors`` table carry a ``next_selector``, one per round.
     """
 
     kind: ClassVar[str] = "selector_advance"
@@ -604,17 +594,17 @@ def run_layer(s: NodeState, layer: MpnnVnLayer,
     synchronous barrier.
 
     The pool is called as ``pool(vn, gn, k)``: a round-indexed pool (an
-    ``OracleSelectPool`` without ``index``) reads its row from ``k``, so one
-    layer object can serve every round.  The pool and every graph-node
-    update read the pre-layer state ``s``:
-    each graph node sees the pre-layer virtual-node vector ``s.vn``, so
-    nothing observes a mid-layer update.  Returns the post-layer state and
-    the pool's aux output (None for plain pools; selection pools give
-    ``selection_weights``).  The state's rows are the node set; checking
-    them against a host graph is ``LayerProgram.execute``'s job.  The new
-    state shares every block the graph-node update returned unchanged (all
-    of them for ``IdentityGn``; x and q for ``ScoreAccumulate``): no
-    descriptor writes into ``s``.
+    ``OracleSelectPool`` without ``index``, or a ``SoftmaxSelectPool`` with
+    a ``selectors`` table) reads its row from ``k``, so one layer object can
+    serve every round.  The pool and every graph-node update read the
+    pre-layer state ``s``: each graph node sees the pre-layer virtual-node
+    vector ``s.vn``, so nothing observes a mid-layer update.  Returns the
+    post-layer state and the pool's aux output (None for plain pools;
+    selection pools give ``selection_weights``).  The state's rows are the
+    node set; checking them against a host graph is
+    ``LayerProgram.execute``'s job.  The new state shares every block the
+    graph-node update returned unchanged (all of them for ``IdentityGn``; x
+    and q for ``ScoreAccumulate``): no descriptor writes into ``s``.
     """
     pooled, aux = layer.vn_pool(s.vn, s.gn, k)
     new_vn = layer.vn_update(s.vn, pooled)
@@ -628,7 +618,7 @@ def _is_int(value) -> bool:
 
 # the pools that select one input row each: a deep program has one
 # selection layer per row
-_SELECTION_POOLS = (OracleSelectPool, SoftmaxSelectPool, Gatv2SelectPool)
+_SELECTION_POOLS = (OracleSelectPool, SoftmaxSelectPool)
 
 
 @dataclass(eq=False)
@@ -649,12 +639,15 @@ class LayerProgram:
       descriptor names it, for the one ``width`` d that every deep
       descriptor must share; a deep descriptor of another width is
       refused, naming its layer, slot and kind.
-    * ``n``: with a layout, the number of selection layers (oracle, softmax
-      or gatv2 pools), the only row count the program runs on; a program
+    * ``n``: with a layout, the number of selection layers (oracle or
+      softmax pools), the only row count the program runs on; a program
       with a layout and no selection layer is refused, naming ``layers``.
       Else None.
 
-    The output is always block ``x``.  A run checks only its input
+    A round-indexed pool (see ``run_layer``) past layer n is refused, as is
+    a ``selectors`` table that is not a finite (n, width) matrix (without a
+    layout, any row count), each naming its ``layers[i].vn_pool``.  The
+    output is always block ``x``.  A run checks only its input
     (``initial_state``).
     """
 
@@ -683,18 +676,36 @@ class LayerProgram:
                         f"{desc.width}, but the program's deep descriptors "
                         f"have width {width}")
                 named.update(desc.blocks)
-        if width is None:
-            return
-        self.layout = {"x": width, "acc": width, "mass": 1}
-        if "q" in named:
-            self.layout["q"] = width
-        self.n = sum(isinstance(layer.vn_pool, _SELECTION_POOLS)
-                     for layer in self.layers)
-        if not self.n:
-            raise ValueError(
-                f"layers: a program with graph-node blocks "
-                f"{list(self.layout)} needs a selection layer per input "
-                f"row, and its {len(self.layers)} layers hold none")
+        if width is not None:
+            self.layout = {"x": width, "acc": width, "mass": 1}
+            if "q" in named:
+                self.layout["q"] = width
+            self.n = sum(isinstance(layer.vn_pool, _SELECTION_POOLS)
+                         for layer in self.layers)
+            if not self.n:
+                raise ValueError(
+                    f"layers: a program with graph-node blocks "
+                    f"{list(self.layout)} needs a selection layer per input "
+                    f"row, and its {len(self.layers)} layers hold none")
+        previous = None
+        for i, layer in enumerate(self.layers):  # round-indexed pools
+            pool, where = layer.vn_pool, f"layers[{i}].vn_pool"
+            table = getattr(pool, "selectors", None)
+            if table is None and getattr(pool, "index", 0) is not None:
+                continue
+            if self.n is not None and i >= self.n:
+                raise ValueError(f"{where}: round-indexed {pool.kind} at "
+                                 f"layer {i + 1}, past n={self.n}")
+            if table is None or layer is previous:  # a run: checked once
+                continue
+            previous = layer
+            rows = table.shape[0] if self.n is None else self.n
+            if table.shape != (rows, pool.width):
+                raise ValueError(f"{where}: {pool.kind} field 'selectors' is "
+                                 f"{table.shape}, not (n, width) = "
+                                 f"{(rows, pool.width)}")
+            numkit.check_finite(table, f"{where}: {pool.kind} field "
+                                       "'selectors'")
 
     def initial_state(self, X) -> NodeState:
         """The state before layer 1 for the rows of ``X``: block ``x`` is a

@@ -37,6 +37,7 @@ from vnlab.mpnnvn import (
     OracleSelectPool,
     ScoreAccumulate,
     SelectorAdvance,
+    SoftmaxSelectPool,
     StageQuery,
     load_program,
     program_from_json,
@@ -837,6 +838,92 @@ class TestLayersAreTheContract:
             assert len(other.selection) == 5
             assert other.selection == intact.selection
             assert other.bounds_ok is intact.bounds_ok
+
+
+# ---------------------------------------------------------------------------
+# linear-depth compiler: one program shape for every selection mode
+# ---------------------------------------------------------------------------
+
+
+def _sweep_program(selection: str, seed: int):
+    """(program, X) for one case of the selection sweep: unit-sphere rows,
+    redrawn until no two are close, weights drawn directly (no LAPACK) and
+    certificates built without an LP, with the amplification given."""
+    rng = numkit.make_rng(seed)
+    n, d = int(rng.integers(2, 12)), int(rng.integers(2, 5))
+    w = attention.AttnWeights(*(0.3 * rng.normal(size=(d, d))
+                                for _ in range(3)))
+    while True:
+        X = rng.normal(size=(n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        dots = X @ X.T
+        np.fill_diagonal(dots, -np.inf)
+        if dots.max() < 0.95:
+            break
+    if selection == "oracle":
+        return compile_deep_vn(w, DeepSimConfig(n=n)), X
+    cert = SeparabilityCertificate(directions=X, margins=1.0 - dots.max(axis=1),
+                                   amplification=30.0) \
+        if selection == "softmax" else l1_certificate(X)
+    return compile_deep_vn(w, DeepSimConfig(
+        n=n, selection=selection, certificate=cert, amplification=30.0)), X
+
+
+class TestOneShapeForEverySelection:
+    @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_every_round_is_one_layer_object(self, selection, seed):
+        # the modes differ only in the one pool every round shares; one step
+        # stages zeros, vn_init is zero, and a reload shares them as well
+        prog, X = _sweep_program(selection, seed)
+        n = X.shape[0]
+        assert len(prog.layers) == n + 2
+        for p in (prog, program_from_json(program_to_json(prog))):
+            rounds = p.layers[:n]
+            step, pool = rounds[0].vn_update, rounds[0].vn_pool
+            assert all(l.vn_update is step and l.vn_pool is pool
+                       for l in rounds)
+            assert all(l is rounds[-1] for l in rounds[1:])
+            assert isinstance(step, SelectorAdvance)
+            assert step.next_selector is None
+            assert not p.vn_init.any()
+            if selection == "oracle":
+                assert isinstance(pool, OracleSelectPool)
+                assert pool.index is None
+            else:
+                assert isinstance(pool, SoftmaxSelectPool)
+                assert (pool.score is None) == (selection == "softmax")
+                assert np.array_equal(pool.selectors, X)
+
+    # sha256 over a seed sweep of fresh compiles, each run as compiled and
+    # after a save/load round trip: the output bytes, then every selection
+    # weight vector in layer order.  Recorded while softmax and gatv2
+    # rounds each staged their own next selector in the virtual node.
+    SELECTION_SWEEP_SHA256 = {
+        "oracle":
+            "90a8c80082e17bd363fc6a8d359f4a3465666f2f06c5c1f7909dfedb11061852",
+        "softmax":
+            "1591fd143817dc59b659371cc10926df8d7de5b10435d6d45d4a2fdb8dd74f4d",
+        "gatv2":
+            "3452b78d5024570c090c907357089eb4a1b2f3e352ce3686ecc94c31bafdfd65",
+    }
+
+    @pytest.mark.parametrize("selection", sorted(SELECTION_SWEEP_SHA256))
+    def test_selection_sweep_is_pinned(self, selection):
+        digest = hashlib.sha256()
+        for seed in range(12):
+            prog, X = _sweep_program(selection, seed)
+            again = program_from_json(json.loads(json.dumps(
+                program_to_json(prog))))
+            for p in (prog, again):
+                weights = []
+                final = run_program(
+                    p.initial_state(X), p, observe=lambda k, s, aux:
+                    aux and weights.append(aux["selection_weights"]))
+                digest.update(p.extract(final).tobytes())
+                for wt in weights:
+                    digest.update(wt.tobytes())
+        assert digest.hexdigest() == self.SELECTION_SWEEP_SHA256[selection]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 
 import copy
+import dataclasses
 import functools
 
 import numpy as np
@@ -35,7 +36,6 @@ from vnlab.mpnnvn import (
     CopyPooled,
     Descriptor,
     FeatureStatsPool,
-    Gatv2SelectPool,
     IdentityGn,
     KeepVn,
     LayerProgram,
@@ -58,7 +58,7 @@ from vnlab.mpnnvn import (
     run_program,
     save_program,
 )
-from vnlab.separability import l1_certificate
+from vnlab.separability import SeparabilityCertificate, l1_certificate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -109,13 +109,48 @@ def as_blocks(gn, d):
 def v2_document(prog):
     """``prog`` as the ``layer-program/v2`` writer laid it out: one entry per
     layer, without ``repeat``, and the layout recorded as ``gn_init`` and
-    ``gn_out`` (``TestPersistence`` checks this against the v2 fixtures)."""
+    ``gn_out`` (``TestPersistence`` checks this against the v2 fixtures).
+    That writer had no ``selectors`` table, and wrote a softmax pool with an
+    additive ``score`` as the kind ``gatv2_select_pool``."""
     blob = program_to_json(prog)
+    for entry in blob["descriptors"]:
+        if entry["kind"] == "softmax_select_pool":
+            assert entry.pop("selectors") is None
+            score = entry.pop("score")
+            if score is not None:
+                entry.update(kind="gatv2_select_pool", score=score)
     layers = [{slot: run[slot] for slot in ("vn_pool", "vn_update",
                                             "gn_update")}
               for run in blob["layers"] for _ in range(run["repeat"])]
     return blob | {"format": "layer-program/v2", "layers": layers} \
         | mpnnvn._recorded_layout(prog)
+
+
+def certified_program(selection, X, w, amplification=30.0):
+    """A deep program selecting the unit rows of ``X``, certified without an
+    LP: "softmax" by a bilinear certificate whose directions are the rows
+    themselves (a row clears another by 1 - their dot product), "gatv2" by
+    ``l1_certificate``.  The amplification is given, so no libm call sets
+    it."""
+    if selection == "softmax":
+        dots = X @ X.T
+        np.fill_diagonal(dots, -np.inf)
+        cert = SeparabilityCertificate(directions=X,
+                                       margins=1.0 - dots.max(axis=1),
+                                       amplification=amplification)
+    else:
+        cert = l1_certificate(X)
+    return compile_deep_vn(w, DeepSimConfig(
+        n=X.shape[0], selection=selection, certificate=cert,
+        amplification=amplification))
+
+
+def selection_run(prog, X):
+    """(output, every layer's selection weights) of one run on ``X``."""
+    weights = []
+    final = run_program(prog.initial_state(X), prog, observe=lambda k, s, aux:
+                        aux and weights.append(aux["selection_weights"]))
+    return prog.extract(final), weights
 
 
 def plain_layer(vn_pool=None, vn_update=None, gn_update=None):
@@ -220,7 +255,7 @@ class TestPoolsAndUpdates:
         # a -1e6 scale once loaded and ran, selecting the lowest-scoring
         # row, and its weight bound would overflow math.exp
         for pool in (SoftmaxSelectPool, functools.partial(
-                Gatv2SelectPool, attention.l1_score(2))):
+                SoftmaxSelectPool, score=attention.l1_score(2))):
             with pytest.raises(ValueError, match=(
                     r"select_pool: field 'scale' must be finite and "
                     rf"positive, got {scale}")):
@@ -248,6 +283,24 @@ class TestPoolsAndUpdates:
         w = aux["selection_weights"]
         assert w[0] > 1.0 - 1e-12
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("score", [None, attention.l1_score(2)],
+                             ids=["bilinear", "l1"])
+    def test_table_pool_reads_row_k_minus_1(self, score):
+        # layer k scores against row k - 1 of the table, bitwise as against
+        # that row staged in the virtual node; the staged slot is not read
+        gn = {"x": numkit.make_rng(2).normal(size=(4, 2))}
+        table = numkit.make_rng(3).normal(size=(4, 2))
+        pool = SoftmaxSelectPool(width=2, scale=3.0, score=score,
+                                 selectors=table)
+        staged = SoftmaxSelectPool(width=2, scale=3.0, score=score)
+        for k in (1, 2, 3, 4):
+            vn = np.concatenate([[9.0, 9.0], table[k - 1], [0.0]])
+            got, aux = pool(np.full(5, np.nan), gn, k)
+            want, want_aux = staged(vn, gn, k)
+            assert np.array_equal(got, want)
+            assert np.array_equal(aux["selection_weights"],
+                                  want_aux["selection_weights"])
 
     def test_selector_advance_layout(self):
         adv = SelectorAdvance(width=2, next_selector=np.array([3.0, 4.0]))
@@ -424,6 +477,63 @@ class TestPrograms:
                 r"'mass', 'q'\] needs a selection layer per input row, and "
                 r"its 7 layers hold none$")):
             self._rebuilt(prog, layers=unselected)
+
+    def test_round_indexed_pool_past_n_is_refused(self):
+        # an oracle program with a plain layer put before its rounds once
+        # built, ran its 5 rounds and stopped on "selection index 5 out of
+        # range", naming no layer; a fixed-index pool may stand anywhere
+        w = attention.random_weights(3, numkit.make_rng(0))
+        X = numkit.make_rng(1).normal(size=(5, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        for prog in (compile_deep_vn(w, DeepSimConfig(n=5)),
+                     certified_program("softmax", X, w)):
+            kind = prog.layers[0].vn_pool.kind
+            with pytest.raises(ValueError, match=(
+                    rf"^layers\[5\]\.vn_pool: round-indexed {kind} at "
+                    r"layer 6, past n=5$")):
+                self._rebuilt(prog, layers=[plain_layer()] + prog.layers)
+        fixed = [plain_layer()] + [
+            MpnnVnLayer(OracleSelectPool(index=k), l.vn_update, l.gn_update)
+            for k, l in enumerate(prog.layers[:5])] + prog.layers[5:]
+        assert self._rebuilt(prog, layers=fixed).n == 5
+
+    def test_selector_table_must_be_a_finite_n_by_width_matrix(self):
+        w = attention.random_weights(3, numkit.make_rng(0))
+        X = numkit.make_rng(1).normal(size=(5, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        prog = certified_program("gatv2", X, w)
+        pool = prog.layers[0].vn_pool
+
+        def with_table(table):
+            other = dataclasses.replace(pool, selectors=table)
+            return self._rebuilt(prog, layers=[
+                MpnnVnLayer(other, l.vn_update, l.gn_update)
+                if l.vn_pool is pool else l for l in prog.layers])
+
+        for table in (X[:4], np.hstack([X, X])):
+            with pytest.raises(ValueError, match=(
+                    r"^layers\[0\]\.vn_pool: softmax_select_pool field "
+                    rf"'selectors' is \({table.shape[0]}, {table.shape[1]}\), "
+                    r"not \(n, width\) = \(5, 3\)$")):
+                with_table(table)
+        bad = X.copy()
+        bad[2, 1] = np.inf
+        match = (r"^layers\[0\]\.vn_pool: softmax_select_pool field "
+                 r"'selectors' contains non-finite entries, the first inf "
+                 r"at \(2, 1\)$")
+        with pytest.raises(ValueError, match=match):
+            with_table(bad)
+        # JSON documents may spell Infinity and NaN
+        blob = json.loads(json.dumps(program_to_json(prog)))
+        blob["descriptors"][0]["selectors"]["values"][7] = float("inf")
+        with pytest.raises(ValueError, match=match):
+            program_from_json(blob)
+        # without a layout no row count is known, but the width is
+        with pytest.raises(ValueError, match=(
+                r"^layers\[0\]\.vn_pool: softmax_select_pool field "
+                r"'selectors' is \(3, 3\), not \(n, width\) = \(3, 2\)$")):
+            LayerProgram(layers=[plain_layer(vn_pool=SoftmaxSelectPool(
+                width=2, selectors=np.ones((3, 3))))], vn_init=np.zeros(5))
 
     def test_deep_dimension_must_be_the_x_block_width(self):
         # the metadata's d is an echo; every deep descriptor must have the
@@ -757,19 +867,29 @@ class TestPersistence:
             b=rng.normal(size=3),
         )
         pieces = unfitted_pieces()
+        # the five selection layers come first, so n = 5: the two table
+        # pools read rows of a (5, 2) table, and the oracle pool could lose
+        # its index and still select inside the rows
+        table = np.arange(10.0).reshape(5, 2) / 8.0
         layers = [
-            MpnnVnLayer(FeatureStatsPool(rng.normal(size=(2, 2)),
-                                         rng.normal(size=(2, 2)), fm),
-                        CopyPooled(), IdentityGn()),
             MpnnVnLayer(SoftmaxSelectPool(width=2, scale=3.5),
                         SelectorAdvance(width=2,
                                         next_selector=np.array([1.0, -1.0])),
                         ScoreAccumulate(np.eye(2), np.eye(2),
                                         rng.normal(size=(2, 2)), width=2)),
-            MpnnVnLayer(Gatv2SelectPool(g2, width=2, scale=2.0),
+            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=2.0, score=g2),
                         ConstVn(np.ones(5)), IdentityGn()),
+            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=1.5,
+                                          selectors=table),
+                        KeepVn(), IdentityGn()),
+            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=2.5, score=g2,
+                                          selectors=-table),
+                        CopyPooled(), IdentityGn()),
             MpnnVnLayer(OracleSelectPool(index=1), KeepVn(),
                         RatioUpdate(width=2)),
+            MpnnVnLayer(FeatureStatsPool(rng.normal(size=(2, 2)),
+                                         rng.normal(size=(2, 2)), fm),
+                        CopyPooled(), IdentityGn()),
             MpnnVnLayer(MeanPool(), CopyPooled(),
                         AffineFromVn(rng.normal(size=(5, 5)),
                                      rng.normal(size=5),
@@ -813,6 +933,12 @@ class TestPersistence:
         # the staged accumulation, and the one that recomputes the query
         assert {u.w_q is None for u in gn_updates
                 if isinstance(u, ScoreAccumulate)} == {True, False}
+        # the softmax pool with and without an additive score, each with and
+        # without a selector table
+        assert {(p.score is None, p.selectors is None)
+                for p in (layer.vn_pool for layer in prog.layers)
+                if isinstance(p, SoftmaxSelectPool)} == \
+            {(True, True), (True, False), (False, True), (False, False)}
 
     @staticmethod
     def _pinned_weights(rng, d):
@@ -836,6 +962,11 @@ class TestPersistence:
                 n=5, selection="gatv2", certificate=l1_certificate(X),
                 amplification=20.0,
             ))
+        if name == "deep_softmax":
+            # unit vectors, each clearing every other by 1
+            X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                          [-1.0, 0.0, 0.0], [0.0, -0.6, -0.8]])
+            return certified_program("softmax", X, w, amplification=20.0)
         fm = attention.exp_feature_map(4, 3, seed=2)
         return compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
 
@@ -843,14 +974,17 @@ class TestPersistence:
     # sorted keys (the layout they were first pinned in); a change here is a
     # change of the on-disk format.  Re-recorded for layer-program/v3 (runs
     # with a repeat count, no gn_init/gn_out, the deep oracle's one
-    # round-indexed pool); the v2 pins live on as V2_FIXTURE_SHA256.
+    # round-indexed pool); the v2 pins live on as V2_FIXTURE_SHA256.  "rich"
+    # and "deep_gatv2" re-recorded again when the softmax and additive pools
+    # became one kind with a round-indexed selector table (the per-round
+    # deep_gatv2 document lives on as V3_PER_ROUND_FIXTURE_SHA256).
     PINNED_SHA256 = {
         "rich":
-            "4f6385eac01efa921efc0c0212079191d9dabb275fb113df3ed36b1545f2cc6f",
+            "a5d5d46f97bce42ca8ae57790ce77e0ca4f3109b5fa46f5187617e57511df277",
         "deep_oracle":
             "d25b1a2328c05214af341d50dc7eff7e3747075440119edd68e98cd425a2f75c",
         "deep_gatv2":
-            "0059662421369427c873b0d7b405b41d536850ac60e084949de6d8136866673a",
+            "11048d3d7655658c7551023b4836f78a95ec920129dc811e2ed082a9bd0016f7",
         "kernel_exact":
             "9213c81b2a449c53975732172ca3641013a41537664429d4057d9beb3d8e3719",
     }
@@ -859,11 +993,11 @@ class TestPersistence:
     # with PINNED_SHA256 unchanged is a change of layout only
     COMPACT_SHA256 = {
         "rich":
-            "6b30cf7cc926d6e85ece32e2d20af35ae60168341347af44f16a4aa80828f30f",
+            "649bccc6ed336c06f44bf5bfc3eb5d65d243ce6ae7a2c2140d195eb1f039ddf4",
         "deep_oracle":
             "fc0f7dc053de4519fd82848e0460ae853e8a74e7c13fcce1f9579b9c74d48174",
         "deep_gatv2":
-            "ac727ea8ce8baa6d6df8cbdd71b5c3d5663ae4ba58125747da1a189e49c15687",
+            "0b72756367e17ea9a8d7524164d99413accdc022ef26956eff0fa6d616bcb212",
         "kernel_exact":
             "0a03b360f06da4bd397a70469e8e9464b226e3755a34c048f64d718082fb2d7f",
     }
@@ -912,23 +1046,25 @@ class TestPersistence:
     # as content (re-indented, like PINNED_SHA256) and as written.
     # The rich and deep fixtures were written before StageQuery: their
     # ScoreAccumulates carry w_q and recompute the query from x, and their
-    # deep states are [x | acc | mass], so they keep that old layout.
+    # deep states are [x | acc | mass], so they keep that old layout.  "rich"
+    # and "deep_gatv2" re-recorded when their pools re-saved as the one
+    # softmax_select_pool kind, with null score or selectors keys.
     V1_RESAVED_SHA256 = {
         "rich":
-            "8d6e5245eef1622ae62473a848936333be7717c66f95cfbfa53b2ea1b70427af",
+            "ae92dc2ee1d91f2c5a7af3ed23e12aca4a59286dca1371ac1b110132fff72641",
         "deep_oracle":
             "ade3e4c922518dff6d0b37e6525c05a3164847d302724b1e2bb0d36f8ded94ae",
         "deep_gatv2":
-            "45e157687afa339c86b47a49970e83cf6dcff0982a8a0507fc0445163579d8a5",
+            "e651352e75a8b3601568a239f80da8126a85a74d24ecbaacbb49d467dd1d924d",
         "kernel_exact": PINNED_SHA256["kernel_exact"],
     }
     V1_RESAVED_COMPACT_SHA256 = {
         "rich":
-            "886577cb6dd4d6b5cf8c17a5d3c54eb0ce66f36e67b1656053fdab4d19d8562a",
+            "be535fb475f75c8d898bcd11d313780854eecc4584ae5f87b56608eb2da8513c",
         "deep_oracle":
             "f9051e1aa7b4860e2d4904276814fa6a6ff4341e053d91c6ba6ff3a20ad8c1b5",
         "deep_gatv2":
-            "a3a69537c06fdc6b051398bb116861bc4f83a9f6e619065691c4a88ac3863090",
+            "b7e72b5b54c3c164d732c8efc4990faf9d9dbbdf066c7cf895112ef20b52aa0f",
         "kernel_exact": COMPACT_SHA256["kernel_exact"],
     }
 
@@ -990,12 +1126,17 @@ class TestPersistence:
 
     # sha256 of the layer-program/v3 documents the v2 fixtures re-save to,
     # as written.  The v2 deep oracle selects through one fixed-index pool
-    # per round, which it keeps, so it does not fold into one round.
+    # per round, which it keeps, so it does not fold into one round; the v2
+    # deep gatv2 likewise keeps its staged selector per round.  "rich" and
+    # "deep_gatv2" were the COMPACT_SHA256 pins until their pools re-saved
+    # as the one softmax_select_pool kind.
     V2_RESAVED_COMPACT_SHA256 = {
-        "rich": COMPACT_SHA256["rich"],
+        "rich":
+            "6f04e6431430e69e4d1509f33816c535ee777d903c1de887617a07282cbb426e",
         "deep_oracle":
             "3b922e2fb6c4ffc274916a46b0f0e8a2c53705b47d4e6a6e4f17475470375ff4",
-        "deep_gatv2": COMPACT_SHA256["deep_gatv2"],
+        "deep_gatv2":
+            "3cd5d41de7c54ec86d2ea64af45c54bb366d0947428e3f406588dbee2461d045",
         "kernel_exact": COMPACT_SHA256["kernel_exact"],
     }
 
@@ -1036,6 +1177,67 @@ class TestPersistence:
         assert np.array_equal(
             prog.execute(star(5), self.FUZZ_X),
             self._pinned_program("deep_oracle").execute(star(5), self.FUZZ_X))
+
+    # layer-program/v3 documents of the pinned certified programs, saved
+    # while softmax and gatv2 rounds each staged their own next selector
+    # (tests/fixtures/<name>.v3.json): n + 6 table entries in n + 2 runs.
+    # The deep_gatv2 one is that time's COMPACT_SHA256 pin.
+    V3_PER_ROUND_FIXTURE_SHA256 = {
+        "deep_softmax":
+            "62fd6222dda4176ba91d2eb3d8e82157490d41a8e4edd0c62f29c2ddae208d62",
+        "deep_gatv2":
+            "ac727ea8ce8baa6d6df8cbdd71b5c3d5663ae4ba58125747da1a189e49c15687",
+    }
+
+    @pytest.mark.parametrize("name", sorted(V3_PER_ROUND_FIXTURE_SHA256))
+    def test_per_round_fixture_runs_as_the_table_compile(self, name):
+        path = FIXTURES / f"{name}.v3.json"
+        assert sha256(path.read_bytes()) == \
+            self.V3_PER_ROUND_FIXTURE_SHA256[name]
+        blob = numkit.load_json(path)
+        assert len(blob["descriptors"]) == 11
+        assert [run["repeat"] for run in blob["layers"]] == [1] * 7
+        old = load_program(path)
+        assert old.n == 5
+        assert all(isinstance(l.vn_pool, SoftmaxSelectPool)
+                   and l.vn_pool.selectors is None for l in old.layers[:5])
+        fresh = self._pinned_program(name)
+        assert fresh.layers[0].vn_pool.selectors.shape == (5, 3)
+        got, got_weights = selection_run(old, self.FUZZ_X)
+        want, want_weights = selection_run(fresh, self.FUZZ_X)
+        assert np.array_equal(got, want)
+        assert len(got_weights) == len(want_weights) == 5
+        for a, b in zip(got_weights, want_weights):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
+    def test_deep_document_grows_only_by_its_table(self, selection,
+                                                   tmp_path):
+        # every deep program is 7 table entries in 4 runs; from n to 2n rows
+        # a certified document grows by the n extra table rows (their values
+        # and commas) and by one digit in each of the counts rows, n and
+        # repeat where those gain one
+        w = self._pinned_weights(numkit.make_rng(5), 3)
+        X = numkit.make_rng(6).normal(size=(128, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        sizes = {}
+        for n in (2, 4, 16, 32, 64, 128):
+            prog = compile_deep_vn(w, DeepSimConfig(n=n)) \
+                if selection == "oracle" \
+                else certified_program(selection, X[:n], w)
+            path = tmp_path / f"deep{n}.json"
+            save_program(prog, path)
+            blob = numkit.load_json(path)
+            assert len(blob["descriptors"]) == 7
+            assert [run["repeat"] for run in blob["layers"]] == \
+                [1, n - 1, 1, 1]
+            sizes[n] = path.stat().st_size
+        for n in (2, 16, 64):
+            rows = json.dumps(X[n : 2 * n].ravel().tolist(),
+                              separators=(",", ":"))
+            extra = 0 if selection == "oracle" else len(rows) - 1
+            digits = 3 * (len(str(2 * n)) - len(str(n)))
+            assert sizes[2 * n] - sizes[n] <= extra + digits, n
 
     @pytest.mark.parametrize("name", [*sorted(PINNED_SHA256), "v1_resaved"])
     def test_save_load_save_is_byte_identical(self, name, tmp_path):
@@ -1263,7 +1465,8 @@ class TestPersistence:
         assert again.provenance == "round-trip-test"
         assert again.layout == prog.layout == {"x": 2, "acc": 2, "mass": 1,
                                                "q": 2}
-        assert again.n == prog.n == 3
+        # four softmax pools (two with a table) and a fixed oracle pool
+        assert again.n == prog.n == 5
         assert len(again.layers) == len(prog.layers)
 
     def test_round_trip_mean_subtract_execution_identical(self, tmp_path):
@@ -1483,6 +1686,55 @@ class TestPersistence:
         with pytest.raises(ValueError, match="MpnnVnLayer.*'gn_update'"):
             program_from_json(blob)
 
+    def test_unknown_field_is_refused(self):
+        # a misspelt table once decoded into a pool that read the staged
+        # selector, with no error
+        with pytest.raises(ValueError, match=(
+                r"^softmax_select_pool: unknown field 'selectorz'$")):
+            descriptor_from_json({"kind": "softmax_select_pool", "width": 3,
+                                  "scale": 2.0, "selectorz": [1]})
+        blob = program_to_json(self._pinned_program("deep_gatv2"))
+        assert blob["descriptors"][3]["kind"] == "score_accumulate"
+        blob["descriptors"][3]["w_qq"] = None
+        with pytest.raises(ValueError, match=(
+                r"^descriptors\[3\]: score_accumulate: unknown field "
+                r"'w_qq'$")):
+            program_from_json(blob)
+        # so are those of nested dataclass blobs, by class name
+        blob = program_to_json(self._rich_program())
+        entry = next(j for j, e in enumerate(blob["descriptors"])
+                     if e["kind"] == "mlp_stats_pool")
+        blob["descriptors"][entry]["pieces"]["sq"]["note"] = 1
+        with pytest.raises(ValueError, match=(
+                rf"^descriptors\[{entry}\]: mlp_stats_pool: field 'pieces': "
+                r"KernelPieces: field 'sq': FittedPiece: unknown field "
+                r"'note'$")):
+            program_from_json(blob)
+
+    def test_old_additive_pool_kind_decodes_into_the_softmax_pool(self):
+        # the v1/v2 gatv2 fixtures and older rich ones name it
+        # gatv2_select_pool; its score stays required
+        blob = program_to_json(self._rich_program())
+        entry = next(e for e in blob["descriptors"]
+                     if e["kind"] == "softmax_select_pool"
+                     and e["score"] is not None and e["selectors"] is None)
+        old = {k: v for k, v in entry.items() if k != "selectors"} \
+            | {"kind": "gatv2_select_pool"}
+        pool = descriptor_from_json(old)
+        assert isinstance(pool, SoftmaxSelectPool)
+        assert pool.to_json() == entry
+        assert "gatv2_select_pool" not in Descriptor._registry
+        for broken, match in ((old | {"score": None}, "missing value for "
+                               "field 'score'"),
+                              (old | {"slope": 0.2}, "unknown field 'slope'")):
+            with pytest.raises(ValueError,
+                               match=rf"^gatv2_select_pool: {match}$"):
+                descriptor_from_json(broken)
+        # the pool's own check names the kind it decoded into
+        with pytest.raises(ValueError, match=(
+                r"^softmax_select_pool: field 'scale' must be finite")):
+            descriptor_from_json(old | {"scale": -1.0})
+
     def test_missing_optional_fields_decode_to_none(self):
         adv = descriptor_from_json({"kind": "selector_advance", "width": 2})
         assert adv.width == 2 and adv.next_selector is None
@@ -1586,7 +1838,8 @@ class TestPersistence:
     BREAKERS = [5, "x", [], {}]
     SWEEP_WIDTHS = {"kernel_mlp_trained.v2": 2, "kernel_exact.v1": 3,
                     "deep_gatv2.v1": 3, "deep_oracle.v1": 3, "rich.v1": None,
-                    "deep_oracle.v2": 3, "deep_oracle.v3": 3}
+                    "deep_oracle.v2": 3, "deep_oracle.v3": 3,
+                    "deep_softmax.v3": 3, "deep_gatv2.v3": 3}
     # the layers whose accumulation, once it loses w_q, reads a q block
     # that the fixture's 2d+1-wide state does not hold: refused at load
     LOST_W_Q = {"deep_gatv2.v1": range(1, 6), "deep_oracle.v1": range(1, 6),

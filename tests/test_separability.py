@@ -15,7 +15,7 @@ from oracles import (
 )
 from vnlab import numkit, separability
 from vnlab.attention import l1_score
-from vnlab.mpnnvn import Gatv2SelectPool, SoftmaxSelectPool
+from vnlab.mpnnvn import SoftmaxSelectPool
 from vnlab.separability import (
     MARGIN_BAND,
     CertificateFailure,
@@ -837,8 +837,9 @@ class TestL1Certificate:
         cert = l1_certificate(X, eps=1e-3)
         score = l1_score(3)
         for i in range(10):
-            w = pool_weights(Gatv2SelectPool(score, width=3,
-                                             scale=cert.amplification),
+            w = pool_weights(SoftmaxSelectPool(width=3,
+                                               scale=cert.amplification,
+                                               score=score),
                              X, cert.directions[i])
             bound = selection_weight_bound(cert.amplification,
                                            float(cert.margins[i]), 10)

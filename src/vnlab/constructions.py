@@ -27,7 +27,6 @@ guaranteed bounds.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
@@ -78,18 +77,19 @@ def attention_host_graph(n: int) -> Graph:
 _SQ_LO, _SQ_HI = -2.2, 2.2
 
 # mlp mode: rows per probe batch, the factor probed piece domains are
-# inflated by, hidden width of the trained piece, and each piece's sup-error
-# target
+# inflated by, and each piece's sup-error target
 _PROBE_N = 8
 _DOMAIN_INFLATION = 1.5
-_PIECE_HIDDEN = 48
-_SQ_TARGET, _EXP_TARGET, _RECIP_TARGET = 3e-3, 1e-3, 1e-2
+_SQ_TARGET, _EXP_TARGET, _RECIP_TARGET = 3e-3, 1e-3, 1e-3
 # the probed magnitudes a run rescales piece operands by (with inv_max)
 _SCALE_BOUNDS = ("k_abs", "q_abs", "v_abs", "phi_k_max", "phi_q_max",
                  "s_max", "m_abs", "num_abs")
 # a built piece's proven error bound is at most this share of its target,
 # so lattice roundoff cannot lift the measured error above the target
 _BOUND_SLACK = 0.99
+# the most knot intervals H a built piece may have: the 2049-point lattice
+# check of a piece at the cap holds about 268 MB
+_MAX_KNOTS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,9 @@ class FittedPiece:
     """A 1-D scalar function approximated by a one-hidden-layer network.
 
     ``sup_error`` is the network's measured error on a 2049-point lattice
-    over [lo, hi]; ``target`` is the error it was built or trained to meet.
+    over [lo, hi]; ``target`` is the error it was built to meet.  A compile
+    builds every piece (:func:`_build_piece`); a document saved while pieces
+    were trained loads its ELU networks and runs them as saved.
     """
 
     name: str
@@ -115,9 +117,9 @@ class KernelPieces:
     ``sq`` powers multiplication via ab = ((a+b)^2 - (a-b)^2)/4 after static
     rescaling; ``expish`` is the scalar kernel nonlinearity (exp, or the
     shifted elu for the elu feature map); ``recip`` implements division.
-    ``sq`` and ``expish`` are built ReLU interpolants (:func:`_build_piece`),
-    ``recip`` is a trained network (:func:`_fit_piece`).  ``bounds`` holds
-    the probe-calibrated magnitudes used for rescaling.
+    All three are built ReLU interpolants (:func:`_build_piece`) that meet
+    their targets by construction.  ``bounds`` holds the probe-calibrated
+    magnitudes used for rescaling.
     """
 
     kind: str
@@ -174,6 +176,10 @@ _BUILT = {
     # (elu + 1)'' is exp(t) below 0 and 0 above it
     "elu_plus_one": (lambda t: numkit.elu(t) + 1.0,
                      lambda lo, hi: math.exp(min(hi, 0.0)) if lo < 0 else 0.0),
+    # (1/t)'' = 2/t^3 peaks at lo; a window reaching 0, or whose lo^3
+    # underflows, has no finite bound
+    "recip": (np.reciprocal,
+              lambda lo, hi: 2.0 / lo**3 if lo**3 > 0 else math.inf),
 }
 
 
@@ -188,13 +194,20 @@ def _build_piece(name: str, lo: float, hi: float,
     this bound at ``_BOUND_SLACK * target``: the target holds before any
     input is seen.  Hidden unit k < H is relu(t - t_k) and unit H is
     relu(lo - t), so the network continues both end segments linearly
-    outside the window.
+    outside the window.  A window that needs H > ``_MAX_KNOTS`` is refused
+    before anything is allocated.
     """
     if not hi > lo:
         raise ValueError(f"piece {name!r}: empty domain [{lo}, {hi}]")
     fn, curvature = _BUILT[name]
-    H = max(1, math.ceil((hi - lo) * math.sqrt(
-        curvature(lo, hi) / (8.0 * _BOUND_SLACK * target))))
+    H = (hi - lo) * math.sqrt(
+        curvature(lo, hi) / (8.0 * _BOUND_SLACK * target))
+    if not H <= _MAX_KNOTS:
+        raise ValueError(
+            f"piece {name!r} on [{lo:.6g}, {hi:.6g}] needs H = {H:.4g} "
+            f"knot intervals to meet its target {target:.3g}, more than "
+            f"{_MAX_KNOTS}; lower the feature bound")
+    H = max(1, math.ceil(H))
     knots = np.linspace(lo, hi, H + 1)
     values = fn(knots)
     slopes = np.diff(values) / np.diff(knots)
@@ -207,42 +220,6 @@ def _build_piece(name: str, lo: float, hi: float,
     return FittedPiece(name=name, params=params, lo=lo, hi=hi,
                        sup_error=_lattice_sup_error(params, fn, lo, hi),
                        target=target)
-
-
-def _fit_piece(name: str, fn, lo: float, hi: float, target: float,
-               epochs: int, seed: int, restarts: int) -> FittedPiece:
-    """Fit one scalar piece on a lattice; report its holdout sup error.
-
-    Individual fits vary a lot with the initialization, so up to ``restarts``
-    fits are run from different seeds and the best dense-lattice sup error
-    wins; a restart that reaches ``target`` stops the search.
-    """
-    if not hi > lo:
-        raise ValueError(f"piece {name!r}: empty domain [{lo}, {hi}]")
-    train_x = mlp.lattice(lo, hi, 513, 1)
-    train_y = fn(train_x)
-    mid = (train_x[:-1] + train_x[1:]) / 2.0
-    mid_y = fn(mid)
-    spec = mlp.MlpSpec(widths=(1, _PIECE_HIDDEN, 1), activation="elu")
-    budget = mlp.FitBudget(max_epochs=epochs, lr=1e-2, eval_every=50,
-                           target_sup=target)
-    best_params, best_sup = None, np.inf
-    for attempt in range(restarts):
-        params, _ = mlp.fit(spec, train_x, train_y, budget,
-                            mid, mid_y, seed=seed + 1000 * attempt)
-        sup = _lattice_sup_error(params, fn, lo, hi)
-        if sup < best_sup:
-            best_params, best_sup = params, sup
-        if best_sup <= target:
-            break
-    if best_sup > target:
-        warnings.warn(
-            f"fitted piece {name!r} reached sup error {best_sup:.3e} "
-            f"(target {target:.3e}) on [{lo:.3g}, {hi:.3g}]",
-            RuntimeWarning,
-        )
-    return FittedPiece(name=name, params=best_params, lo=lo, hi=hi,
-                       sup_error=best_sup, target=target)
 
 
 def _inflate(lo: float, hi: float, factor: float) -> tuple[float, float]:
@@ -334,13 +311,17 @@ class KernelSimConfig:
     declared for; mlp mode probes ``probe_batches`` random input sets of
     ``_PROBE_N`` rows with norms in [feature_bound/2, feature_bound] to
     calibrate piece domains (inflated by ``_DOMAIN_INFLATION``).  It then
-    builds the ``sq`` and kernel-nonlinearity pieces as ReLU interpolants
-    that meet their sup-error targets by construction, and trains the
-    ``recip`` piece: ``piece_epochs`` and ``piece_restarts`` govern only
-    that fit (up to ``piece_restarts`` runs of ``piece_epochs`` epochs).
-    Inputs outside the probed range, or more rows than a probe batch holds,
-    can push intermediate values outside the windows, where the built
-    pieces extrapolate linearly and the trained one as its network does.
+    builds the ``sq``, kernel-nonlinearity and ``recip`` pieces as ReLU
+    interpolants that meet their sup-error targets by construction; a window
+    too wide for its target is refused with a ``ValueError``.  Inputs
+    outside the probed range, or more rows than a probe batch holds, can
+    push intermediate values outside the windows, where the pieces
+    extrapolate linearly.
+
+    ``piece_epochs`` and ``piece_restarts`` are inert: they budgeted the
+    trained ``recip`` piece, which is now built.  They still construct and
+    are still checked to be at least 1, because the benchmark's warm-up
+    passes them; they go with the benchmark catch-up (ROADMAP item 1).
     """
 
     feature_map: FeatureMap
@@ -429,9 +410,8 @@ def _kernel_pieces(w: AttnWeights, cfg: KernelSimConfig) -> KernelPieces:
     sq = _build_piece("sq", _SQ_LO, _SQ_HI, _SQ_TARGET)
     expish = _build_piece(kernel_fn, bounds["arg_lo"], bounds["arg_hi"],
                           _EXP_TARGET)
-    recip = _fit_piece("recip", lambda t: 1.0 / t, bounds["den_lo"],
-                       bounds["den_hi"], _RECIP_TARGET, cfg.piece_epochs,
-                       cfg.seed + 3, cfg.piece_restarts)
+    recip = _build_piece("recip", bounds["den_lo"], bounds["den_hi"],
+                         _RECIP_TARGET)
     return KernelPieces(kind=fm.kind, sq=sq, expish=expish, recip=recip,
                         bounds=bounds)
 

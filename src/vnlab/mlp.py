@@ -1,11 +1,11 @@
-"""Plain feedforward networks with hand-written backprop and an Adam fitter.
+"""Plain feedforward networks: forward pass, hand-written backprop, JSON.
 
-The networks here exist to substantiate "this continuous map can be
-approximated by an MLP" steps with *measured* sup-errors, and to serve as
-drop-in replacements for closed-form pieces inside compiled layer programs.
-Everything is deliberately explicit: forward, gradients, and the optimizer
-are spelled out so an independent finite-difference oracle can check the
-gradients end to end.
+The networks here substantiate "this continuous map can be approximated by
+an MLP" steps with *measured* sup-errors, and serve as drop-in replacements
+for closed-form pieces inside compiled layer programs; mlp mode writes its
+pieces' weights directly (``constructions._build_piece``), so nothing here
+trains.  Forward and gradients are spelled out so an independent
+finite-difference oracle can check the gradients end to end.
 
 Shapes follow the row convention: inputs are rows, a layer maps
 ``h -> act(h @ W + b)`` with ``W`` of shape (fan_in, fan_out), and the final
@@ -19,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-
-
-class TrainingError(RuntimeError):
-    """Raised when optimization produces non-finite losses or parameters."""
 
 
 @dataclass(frozen=True)
@@ -61,23 +57,15 @@ class MlpParams:
     biases: list[np.ndarray]
     seed: int | None = None
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            self.spec,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.seed,
-        )
 
-
-def init_params(spec: MlpSpec, rng: np.random.Generator, seed: int | None = None) -> MlpParams:
+def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
     """He-style initialization: N(0, 2/fan_in) weights, zero biases."""
     weights, biases = [], []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         scale = np.sqrt(2.0 / fan_in)
         weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
         biases.append(np.zeros(fan_out))
-    return MlpParams(spec, weights, biases, seed)
+    return MlpParams(spec, weights, biases)
 
 
 def _act_and_deriv(name: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,133 +146,6 @@ def loss_and_grads(
         if i > 0:
             delta = (delta @ params.weights[i].T) * derivs[i - 1]
     return loss, grad_w, grad_b
-
-
-@dataclass(frozen=True)
-class FitBudget:
-    """Optimization budget: epoch cap and peak learning rate.
-
-    The learning rate decays along a cosine from ``lr`` to ``lr / 50``
-    across the ``max_epochs`` epochs.
-    """
-
-    max_epochs: int = 2000
-    lr: float = 1e-3
-    eval_every: int = 25
-    target_sup: float = 0.0  # early-stop threshold; 0 disables early stopping
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be positive")
-
-
-@dataclass
-class FitReport:
-    sup_error: float
-    loss_curve: list[float]
-    epochs_run: int
-    seed: int
-    target_sup: float
-    reached_target: bool
-
-
-def _lr_at(budget: FitBudget, epoch: int) -> float:
-    # cosine decay from lr to lr/50 across the epoch budget
-    lo = budget.lr / 50.0
-    t = epoch / max(budget.max_epochs - 1, 1)
-    return lo + 0.5 * (budget.lr - lo) * (1.0 + np.cos(np.pi * t))
-
-
-def fit(
-    spec: MlpSpec,
-    train_x,
-    train_y,
-    budget: FitBudget,
-    holdout_x,
-    holdout_y,
-    seed: int = 0,
-) -> tuple[MlpParams, FitReport]:
-    """Full-batch Adam fit against squared error, tracking held-out sup-error.
-
-    Returns the parameters that achieved the best held-out sup-error together
-    with a report.  Raises :class:`TrainingError` if the loss goes non-finite.
-    """
-    train_x = np.asarray(train_x, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.float64)
-    holdout_x = np.asarray(holdout_x, dtype=np.float64)
-    holdout_y = np.asarray(holdout_y, dtype=np.float64)
-    if train_x.ndim == 1:
-        train_x = train_x.reshape(-1, 1)
-    if train_y.ndim == 1:
-        train_y = train_y.reshape(-1, 1)
-    if holdout_x.ndim == 1:
-        holdout_x = holdout_x.reshape(-1, 1)
-    if holdout_y.ndim == 1:
-        holdout_y = holdout_y.reshape(-1, 1)
-
-    rng = numkit.make_rng(seed)
-    params = init_params(spec, rng, seed)
-
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_w = [np.zeros_like(w) for w in params.weights]
-    v_w = [np.zeros_like(w) for w in params.weights]
-    m_b = [np.zeros_like(b) for b in params.biases]
-    v_b = [np.zeros_like(b) for b in params.biases]
-
-    def sup_err(p: MlpParams) -> float:
-        pred = forward(p, holdout_x)
-        return float(np.max(np.abs(pred - holdout_y)))
-
-    losses: list[float] = []
-    best_sup = sup_err(params)
-    best_params = params.copy()
-    reached = budget.target_sup > 0.0 and best_sup <= budget.target_sup
-    epochs_run = 0
-    t = 0
-    for epoch in range(budget.max_epochs):
-        loss, gw, gb = loss_and_grads(params, train_x, train_y)
-        if not np.isfinite(loss):
-            raise TrainingError(
-                f"loss became non-finite at epoch {epoch} (seed {seed}, "
-                f"widths {spec.widths}); try a smaller learning rate"
-            )
-        losses.append(loss)
-        t += 1
-        lr = _lr_at(budget, epoch)
-        corr1 = 1.0 - beta1**t
-        corr2 = 1.0 - beta2**t
-        for i in range(spec.n_layers):
-            m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-            v_w[i] = beta2 * v_w[i] + (1 - beta2) * (gw[i] * gw[i])
-            m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-            v_b[i] = beta2 * v_b[i] + (1 - beta2) * (gb[i] * gb[i])
-            params.weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
-            params.biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
-        epochs_run = epoch + 1
-        if (epoch + 1) % budget.eval_every == 0 or epoch == budget.max_epochs - 1:
-            if not all(np.all(np.isfinite(w)) for w in params.weights):
-                raise TrainingError(
-                    f"parameters became non-finite at epoch {epoch} (seed {seed})"
-                )
-            cur = sup_err(params)
-            if cur < best_sup:
-                best_sup = cur
-                best_params = params.copy()
-            if budget.target_sup > 0.0 and best_sup <= budget.target_sup:
-                reached = True
-                break
-
-    report = FitReport(
-        sup_error=best_sup,
-        loss_curve=losses,
-        epochs_run=epochs_run,
-        seed=seed,
-        target_sup=budget.target_sup,
-        reached_target=reached or (budget.target_sup > 0.0 and best_sup <= budget.target_sup),
-    )
-    return best_params, report
 
 
 def lattice(lo: float, hi: float, points: int, dims: int = 1) -> np.ndarray:

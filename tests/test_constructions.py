@@ -275,38 +275,58 @@ class TestKernelMlpMode:
         clone = program_from_json(program_to_json(prog))
         assert np.array_equal(clone.execute(g, X), prog.execute(g, X))
 
-    def test_starved_fit_budget_warns(self):
-        rng = numkit.make_rng(9)
-        w = attention.random_weights(2, rng, feature_bound=0.4)
-        cfg = KernelSimConfig(
-            feature_map=attention.elu_feature_map(), mode="mlp",
-            feature_bound=0.4, seed=1, piece_epochs=40, piece_restarts=1,
-        )
-        with pytest.warns(RuntimeWarning, match="sup error"):
-            compile_kernel_vn(w, cfg)
+    # the benchmark warm-up's budget: a smaller probe and the smallest
+    # fitting budget in use
+    WARM_UP = dict(probe_batches=2, piece_epochs=200, piece_restarts=1)
 
-    def test_starved_fit_budget_warns_only_for_recip(self):
-        # sq and the kernel nonlinearity are built, not trained, so only the
-        # trained recip piece can miss its target
-        rng = numkit.make_rng(9)
-        w = attention.random_weights(2, rng, feature_bound=0.4)
-        cfg = KernelSimConfig(
-            feature_map=attention.elu_feature_map(), mode="mlp",
-            feature_bound=0.4, seed=1, piece_epochs=40, piece_restarts=1,
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    def test_compiles_without_warnings_and_ignores_fit_budget(self):
+        # every piece is built, so no compile misses a target or warns, and
+        # the retired fit budget changes no byte of the program
+        for seed in range(20):
+            w = attention.random_weights(2, numkit.make_rng(seed),
+                                         feature_bound=0.4)
+            for fm in (attention.exp_feature_map(4, 2, seed=11),
+                       attention.elu_feature_map()):
+                docs = {}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for name, budget in (
+                            ("default", {}),
+                            ("default", dict(piece_epochs=200,
+                                             piece_restarts=1)),
+                            ("warm", self.WARM_UP),
+                            ("warm", dict(self.WARM_UP, piece_epochs=6000,
+                                          piece_restarts=3))):
+                        prog = compile_kernel_vn(w, KernelSimConfig(
+                            feature_map=fm, mode="mlp", feature_bound=0.4,
+                            seed=seed, **budget))
+                        for piece, fit in prog.metadata["piece_fits"].items():
+                            assert fit["sup_error"] <= fit["target"], \
+                                (seed, fm.kind, name, piece)
+                        doc = json.dumps(program_to_json(prog),
+                                         sort_keys=True)
+                        assert docs.setdefault(name, doc) == doc, \
+                            (seed, fm.kind, name)
+
+    @pytest.mark.parametrize("feature_bound,piece", [(16.0, "exp"),
+                                                      (6.0, "recip")])
+    def test_oversized_window_is_refused(self, feature_bound, piece):
+        # the d=2, m=4 exp-features layer of mlp_kernel_setup: at
+        # feature_bound 16 the exp window is about [-114, 23.9] (H ~ 2.4e8),
+        # at 6 the recip window about [8.3e-4, 6.43] (H ~ 4.3e6)
+        w = attention.random_weights(2, numkit.make_rng(3), feature_bound=0.4)
+        cfg = KernelSimConfig(feature_map=attention.exp_feature_map(4, 2, 11),
+                              mode="mlp", feature_bound=feature_bound, seed=5)
+        with pytest.raises(ValueError, match=(
+                rf"piece '{piece}' on \[\S+, \S+\] needs H = \S+ knot "
+                r"intervals to meet its target 0\.001, more than 16384")):
             compile_kernel_vn(w, cfg)
-        messages = [str(c.message) for c in caught
-                    if issubclass(c.category, RuntimeWarning)]
-        assert messages
-        assert all("'recip'" in m for m in messages), messages
 
     # sha256 of numkit.dump_json of the exp-features compile's recip piece
-    # parameters and of its probed bounds: the probe and the trained recip
-    # piece are unchanged by building sq and exp
+    # parameters and of its probed bounds: the built recip piece, on the
+    # window of the probe, which building recip left unchanged
     RECIP_PARAMS_SHA256 = (
-        "12061aaf8902f25147e336f3bde90a63532342cda2b2dd9f097665e483c84094")
+        "e9323fabc97caf4a1f7284fdc9b26c8f0e7fcd8c9dceae4356dcc313a3b3da32")
     BOUNDS_SHA256 = (
         "32d4657771ef218971065bc1ab3adb989085905fe3ca276174a08692af9f014d")
 
@@ -364,16 +384,19 @@ def _max_f2(name, lo, hi):
         return 2.0
     if name == "exp":
         return float(np.exp(hi))
+    if name == "recip":
+        return 2.0 / lo**3
     # elu(t) + 1 has f'' = exp(t) for t < 0 and 0 for t > 0
     return float(np.exp(min(hi, 0.0))) if lo < 0 else 0.0
 
 
 _FUNCTIONS = {"sq": lambda t: t * t, "exp": np.exp,
-              "elu_plus_one": lambda t: np.where(t < 0, np.expm1(t), t) + 1.0}
+              "elu_plus_one": lambda t: np.where(t < 0, np.expm1(t), t) + 1.0,
+              "recip": lambda t: 1.0 / t}
 
 
 class TestBuiltPieces:
-    """The sq and kernel pieces are piecewise-linear ReLU interpolants."""
+    """Every mlp-mode piece is a piecewise-linear ReLU interpolant."""
 
     @staticmethod
     def check_piece(name, lo, hi, target):
@@ -428,6 +451,34 @@ class TestBuiltPieces:
     @pytest.mark.parametrize("target", [1e-3, 1e-4])
     def test_exp_windows(self, lo, hi, target):
         self.check_piece("exp", lo, hi, target)
+
+    # the recip windows of mlp_kernel_setup (exp and elu features), a
+    # window reaching close to 0, and a narrow one
+    @pytest.mark.parametrize("lo,hi", [(4.92, 13.08), (10.27, 26.21),
+                                       (0.2, 4.0), (1.0, 1.001)])
+    @pytest.mark.parametrize("target", [1e-3, 1e-4])
+    def test_recip_windows(self, lo, hi, target):
+        self.check_piece("recip", lo, hi, target)
+
+    @pytest.mark.parametrize("name,lo,hi", [
+        ("exp", -114.345, 23.9047),  # feature_bound 16: H ~ 2.4e8
+        ("recip", 8.31642e-4, 6.43412),  # feature_bound 6: H ~ 4.3e6
+        ("recip", 0.0, 1.0),  # the pole: no finite bound
+        ("recip", 1e-110, 1.0),  # lo^3 underflows to 0
+    ])
+    def test_window_over_the_knot_cap_is_refused_before_allocating(
+            self, name, lo, hi):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    rf"piece '{name}' on \[\S+, \S+\] needs H = \S+ "
+                    r"knot intervals to meet its target 0\.001, more than "
+                    r"16384")):
+                constructions._build_piece(name, lo, hi, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(lo=st.floats(-4.0, 2.0), width=st.floats(1e-3, 3.0),

@@ -71,13 +71,25 @@ def test_detects_reads():
     assert cfg_reads(source) == ({"mode"}, {"seeds"})
 
 
+# "Class.field" -> why the field stays although the package no longer reads
+# it; every other field must be read
+RETIRED = {
+    "KernelSimConfig.piece_epochs": "inert since recip is built; the "
+                                    "benchmark warm-up still passes it "
+                                    "(ROADMAP item 1)",
+    "KernelSimConfig.piece_restarts": "inert since recip is built; the "
+                                      "benchmark warm-up still passes it "
+                                      "(ROADMAP item 1)",
+}
+
+
 def test_every_config_field_is_read():
     attrs, _ = package_reads()
     unread = sorted(f"{cls.__name__}.{f.name}"
                     for cls in (DeepSimConfig, KernelSimConfig)
                     for f in dataclasses.fields(cls)
                     if f.name not in attrs)
-    assert unread == []
+    assert unread == sorted(RETIRED)
 
 
 def test_every_cli_key_is_read():

@@ -5,10 +5,6 @@ from vnlab import mlp, numkit
 from oracles import MLP_SHAPE_MATRIX, finite_diff_grads, grad_rel_err, mlp_forward_oracle
 
 
-def _product_target(x):
-    return (x[:, 0] * x[:, 1]).reshape(-1, 1)
-
-
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -97,80 +93,6 @@ def test_gradient_matches_central_differences(widths, act):
     fw, fb = finite_diff_grads(lambda p: mlp.loss_and_grads(p, x, y)[0], params)
     assert grad_rel_err(gw, fw) <= 1e-4
     assert grad_rel_err(gb, fb) <= 1e-4
-
-
-# ---------------------------------------------------------------------------
-# fitting
-# ---------------------------------------------------------------------------
-
-
-def test_fit_identity_width_16():
-    rng = numkit.make_rng(0)
-    tx = rng.uniform(-1, 1, size=(256, 1))
-    hx = mlp.lattice(-1, 1, 201, 1)
-    budget = mlp.FitBudget(max_epochs=1500, lr=5e-3,
-                           eval_every=50, target_sup=0.02)
-    _, report = mlp.fit(mlp.MlpSpec((1, 16, 1), "relu"), tx, tx, budget, hx, hx, seed=0)
-    assert report.sup_error <= 0.02
-    assert report.reached_target
-
-
-def test_fit_constant_function():
-    tx = mlp.lattice(-1, 1, 64, 1)
-    ty = np.full((64, 1), 0.75)
-    hx = mlp.lattice(-1, 1, 101, 1)
-    hy = np.full((101, 1), 0.75)
-    budget = mlp.FitBudget(max_epochs=2000, lr=5e-3,
-                           eval_every=50, target_sup=5e-3)
-    _, report = mlp.fit(mlp.MlpSpec((1, 8, 1), "relu"), tx, ty, budget, hx, hy, seed=1)
-    assert report.sup_error <= 1e-2
-
-
-def test_fit_product_width_64():
-    tx = mlp.lattice(-1, 1, 33, 2)
-    ty = _product_target(tx)
-    hx = mlp.lattice(-1, 1, 41, 2)
-    hy = _product_target(hx)
-    budget = mlp.FitBudget(max_epochs=4000, lr=1e-2,
-                           eval_every=100, target_sup=0.045)
-    _, report = mlp.fit(mlp.MlpSpec((2, 64, 1), "elu"), tx, ty, budget, hx, hy, seed=0)
-    assert report.sup_error <= 0.05
-
-
-def test_fit_sup_error_median_nonincreasing_in_width():
-    # statistical property: wider nets fit the product at least as well
-    tx = mlp.lattice(-1, 1, 25, 2)
-    ty = _product_target(tx)
-    hx = mlp.lattice(-1, 1, 33, 2)
-    hy = _product_target(hx)
-    budget = mlp.FitBudget(max_epochs=1200, lr=1e-2, eval_every=100)
-    medians = []
-    for width in (16, 64, 256):
-        sups = [
-            mlp.fit(mlp.MlpSpec((2, width, 1), "elu"), tx, ty, budget, hx, hy, seed=s)[1].sup_error
-            for s in range(5)
-        ]
-        medians.append(float(np.median(sups)))
-    assert medians[0] >= medians[1] >= medians[2]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_fit_divergence_raises_training_error():
-    # the overflow on the way to the diagnostic is the point of the test
-    tx = mlp.lattice(-1, 1, 16, 1)
-    budget = mlp.FitBudget(max_epochs=50, lr=1e120, eval_every=10)
-    with pytest.raises(mlp.TrainingError):
-        mlp.fit(mlp.MlpSpec((1, 8, 1), "relu"), tx, tx, budget, tx, tx, seed=0)
-
-
-def test_fit_deterministic_given_seed():
-    tx = mlp.lattice(-1, 1, 24, 1)
-    budget = mlp.FitBudget(max_epochs=120, lr=5e-3, eval_every=40)
-    p1, r1 = mlp.fit(mlp.MlpSpec((1, 6, 1), "relu"), tx, tx, budget, tx, tx, seed=9)
-    p2, r2 = mlp.fit(mlp.MlpSpec((1, 6, 1), "relu"), tx, tx, budget, tx, tx, seed=9)
-    assert r1.loss_curve == r2.loss_curve
-    for a, b in zip(p1.weights, p2.weights):
-        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ def unfitted_pieces():
 
     def piece(name, seed, lo, hi):
         spec = mlp.MlpSpec(widths=(1, 3, 1), activation="elu")
-        params = mlp.init_params(spec, numkit.make_rng(seed), seed=seed)
+        params = mlp.init_params(spec, numkit.make_rng(seed))
+        params.seed = seed
         return FittedPiece(name=name, params=params, lo=lo, hi=hi,
                            sup_error=0.5, target=0.25)
 

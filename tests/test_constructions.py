@@ -279,34 +279,52 @@ class TestKernelMlpMode:
     # fitting budget in use
     WARM_UP = dict(probe_batches=2, piece_epochs=200, piece_restarts=1)
 
-    def test_compiles_without_warnings_and_ignores_fit_budget(self):
-        # every piece is built, so no compile misses a target or warns, and
-        # the retired fit budget changes no byte of the program
+    # the fitting budgets once in use: the defaults, the benchmark warm-up's,
+    # and a starved one that made the trained recip piece miss its target
+    BUDGETS = (("default", {}),
+               ("default", dict(piece_epochs=200, piece_restarts=1)),
+               ("warm", WARM_UP),
+               ("warm", dict(WARM_UP, piece_epochs=6000, piece_restarts=3)),
+               ("default", dict(piece_epochs=40, piece_restarts=1)))
+
+    @staticmethod
+    def compile_cases():
+        # seeds 0-19 over both feature kinds
         for seed in range(20):
             w = attention.random_weights(2, numkit.make_rng(seed),
                                          feature_bound=0.4)
             for fm in (attention.exp_feature_map(4, 2, seed=11),
                        attention.elu_feature_map()):
-                docs = {}
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    for name, budget in (
-                            ("default", {}),
-                            ("default", dict(piece_epochs=200,
-                                             piece_restarts=1)),
-                            ("warm", self.WARM_UP),
-                            ("warm", dict(self.WARM_UP, piece_epochs=6000,
-                                          piece_restarts=3))):
-                        prog = compile_kernel_vn(w, KernelSimConfig(
-                            feature_map=fm, mode="mlp", feature_bound=0.4,
-                            seed=seed, **budget))
-                        for piece, fit in prog.metadata["piece_fits"].items():
-                            assert fit["sup_error"] <= fit["target"], \
-                                (seed, fm.kind, name, piece)
-                        doc = json.dumps(program_to_json(prog),
-                                         sort_keys=True)
-                        assert docs.setdefault(name, doc) == doc, \
-                            (seed, fm.kind, name)
+                yield seed, w, fm
+
+    def test_no_fit_budget_warns_or_changes_the_program(self):
+        # every piece is built, so no budget, starved or not, makes a compile
+        # warn, and the retired fit budget changes no byte of the program
+        for seed, w, fm in self.compile_cases():
+            docs = {}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for name, budget in self.BUDGETS:
+                    prog = compile_kernel_vn(w, KernelSimConfig(
+                        feature_map=fm, mode="mlp", feature_bound=0.4,
+                        seed=seed, **budget))
+                    doc = json.dumps(program_to_json(prog), sort_keys=True)
+                    assert docs.setdefault(name, doc) == doc, \
+                        (seed, fm.kind, name, budget)
+
+    def test_every_piece_meets_its_target(self):
+        # recip is built like sq and the kernel nonlinearity, so no piece,
+        # recip included, misses its target
+        for seed, w, fm in self.compile_cases():
+            for name, budget in self.BUDGETS[::2]:
+                prog = compile_kernel_vn(w, KernelSimConfig(
+                    feature_map=fm, mode="mlp", feature_bound=0.4,
+                    seed=seed, **budget))
+                fits = prog.metadata["piece_fits"]
+                assert "recip" in fits, (seed, fm.kind, sorted(fits))
+                for piece, fit in fits.items():
+                    assert fit["sup_error"] <= fit["target"], \
+                        (seed, fm.kind, name, piece)
 
     @pytest.mark.parametrize("feature_bound,piece", [(16.0, "exp"),
                                                       (6.0, "recip")])

@@ -244,12 +244,20 @@ def l1_score(d: int) -> Gatv2Score:
 
 
 def gatv2_scores_against(fixed_v, rows, g: Gatv2Score) -> np.ndarray:
-    """Score every row u of ``rows`` against one fixed second argument."""
+    """Score every row u of ``rows`` against one fixed second argument v:
+    n scores.  Given an (r, d_v) stack of v's instead, an (r, n) array
+    whose row j is, bitwise, what v_j alone gets: each v's pre-activation
+    is its own (n, d_u + d_v) matrix product, as for a single v."""
     rows = numkit.as_matrix(rows)
-    fixed_v = numkit.as_vector(fixed_v)
-    uv = np.concatenate([rows, np.tile(fixed_v, (rows.shape[0], 1))], axis=1)
-    pre = uv @ g.w.T + g.b
-    return numkit.leaky_relu(pre, g.slope) @ g.a
+    stacked = np.ndim(fixed_v) == 2
+    vs = numkit.as_matrix(fixed_v) if stacked \
+        else numkit.as_vector(fixed_v)[None]
+    shape = (vs.shape[0], rows.shape[0])
+    uv = np.concatenate([np.broadcast_to(rows, shape + rows.shape[1:]),
+                         np.broadcast_to(vs[:, None], shape + vs.shape[1:])],
+                        axis=2)
+    scores = numkit.leaky_relu(uv @ g.w.T + g.b, g.slope) @ g.a
+    return scores if stacked else scores[0]
 
 
 # ---------------------------------------------------------------------------

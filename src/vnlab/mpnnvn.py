@@ -16,6 +16,16 @@ takes one, and checks it against the input once per program.
 ``run_program`` is the one loop over a program's layers.  Callers that need
 intermediate results (per-layer selection weights, a state at some time)
 pass an ``observe(k, state, aux)`` callback instead of asking for a trace.
+It walks the program's runs, stretches of layers that hold the same three
+slot objects (``LayerProgram.runs``).  A run of selection rounds (rounds
+2..n of a compiled deep program: a round-indexed selection pool, a
+``SelectorAdvance`` staging zeros and a ``ScoreAccumulate``) never writes
+block ``x``, so it is computed a chunk of rounds at a time: the pooled rows
+and score terms are stacked products, and only the sums go round by round.
+Every state, aux and output is bitwise what ``run_layer``, applied to one
+layer after another, gives: each pool's and ``ScoreAccumulate``'s one-layer
+``__call__`` is the one-round case of the same stacked code.  Every other
+run goes layer by layer through ``run_layer``.
 
 Every function slot is filled by a *descriptor*: a frozen dataclass with a
 registered ``kind`` and a ``__call__``, either closed-form or backed by
@@ -322,15 +332,27 @@ class SoftmaxSelectPool(Descriptor):
             raise ValueError(f"{self.kind}: field 'scale' must be finite "
                              f"and positive, got {self.scale!r}")
 
-    def __call__(self, vn, gn, k):
+    def select(self, vn, gn, ks: range, weigh: bool = True):
+        """The pooled rows of layers ``ks`` and their selection weights, one
+        row per layer: ((rounds, x width), (rounds, rows)).  Every pooled
+        row reads only ``x``, and a staged selector (no table) serves one
+        layer.  Each round's scores, softmax and weighted sum are stacked
+        1-D products and a row-wise softmax, so row j is bitwise what layer
+        ``ks[j]`` alone gets; the weights are built whatever ``weigh``."""
         d = self.width
         x = gn["x"]
-        selector = vn[d : 2 * d] if self.selectors is None \
-            else self.selectors[k - 1]
-        scores = x[:, :d] @ selector if self.score is None \
-            else attention.gatv2_scores_against(selector, x[:, :d], self.score)
+        selectors = vn[None, d : 2 * d] if self.selectors is None \
+            else self.selectors[ks.start - 1 : ks.stop - 1]
+        scores = np.matmul(x[None, :, :d], selectors[:, :, None])[:, :, 0] \
+            if self.score is None \
+            else attention.gatv2_scores_against(selectors, x[:, :d],
+                                                self.score)
         weights = numkit.softmax(self.scale * scores)
-        return weights @ x, {"selection_weights": weights}
+        return np.matmul(weights[:, None], x)[:, 0], weights
+
+    def __call__(self, vn, gn, k):
+        pooled, weights = self.select(vn, gn, range(k, k + 1))
+        return pooled[0], {"selection_weights": weights[0]}
 
 
 @dataclass(frozen=True)
@@ -346,14 +368,25 @@ class OracleSelectPool(Descriptor):
     index: int | None = field(default=None, metadata={"codec": (
         None, _same, functools.partial(_decode_int, least=0))})
 
-    def __call__(self, vn, gn, k):
+    def select(self, vn, gn, ks: range, weigh: bool = True):
+        """The ``x`` rows layers ``ks`` select, one row per layer, and, with
+        ``weigh``, their one-hot selection weights as the rows of one
+        (rounds, rows) array (else None: nothing builds them)."""
         x = gn["x"]
-        row = k - 1 if self.index is None else self.index
-        if not 0 <= row < x.shape[0]:
-            raise ValueError(f"selection index {row} out of range")
-        weights = np.zeros(x.shape[0])
-        weights[row] = 1.0
-        return x[row], {"selection_weights": weights}
+        rows = np.arange(ks.start - 1, ks.stop - 1) if self.index is None \
+            else np.full(len(ks), self.index)
+        outside = rows[(rows < 0) | (rows >= x.shape[0])]
+        if outside.size:
+            raise ValueError(f"selection index {outside[0]} out of range")
+        weights = None
+        if weigh:
+            weights = np.zeros((rows.size, x.shape[0]))
+            weights[np.arange(rows.size), rows] = 1.0
+        return x[rows], weights
+
+    def __call__(self, vn, gn, k):
+        pooled, weights = self.select(vn, gn, range(k, k + 1))
+        return pooled[0], {"selection_weights": weights[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +442,18 @@ class SelectorAdvance(Descriptor):
                 f"{self.next_selector.size} values, but field 'width' is "
                 f"{self.width}")
 
-    def __call__(self, vn, pooled):
+    def stage(self, pooled):
+        """The new virtual-node states for a stack of pooled rows, one row
+        each: (rounds, 2 * width + 1)."""
         d = self.width
-        new = np.zeros(2 * d + 1)
-        new[:d] = pooled[:d]
+        new = np.zeros((len(pooled), 2 * d + 1))
+        new[:, :d] = pooled[:, :d]
         if self.next_selector is not None:
-            new[d : 2 * d] = self.next_selector
+            new[:, d : 2 * d] = self.next_selector
         return new
+
+    def __call__(self, vn, pooled):
+        return self.stage(pooled[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,27 +570,35 @@ class ScoreAccumulate(Descriptor):
         return ("acc", "mass", "q") if self.w_q is None \
             else ("x", "acc", "mass")
 
-    def __call__(self, gn, vn):
-        d = self.width
-        y = vn[:d]
-        yk = y @ self.w_k
-        yv = y @ self.w_v
+    def terms(self, gn, ys):
+        """The terms of rounds that read the features ``ys`` (one row each)
+        from state ``gn``: (e, t), e[j] = exp(q . (ys[j] @ w_k)) with one
+        entry per node and t[j] = e[j] (x) (ys[j] @ w_v)."""
         # einsum, not @: a batched BLAS matmul rounds differently from
         # per-row products, but einsum's own loops reduce each row in the
         # same order whatever the batch, so every row here is bitwise the
-        # per-row einsum the reference trace computes
+        # per-row einsum the reference trace computes; the stacked 1 x width
+        # products y @ w are each the one a lone y gets
         if self.w_q is None:
             q = gn["q"]
         else:
             q = np.einsum("ia,ac->ic", gn["x"], self.w_q)
-        e = np.exp(np.einsum("ic,c->i", q, yk))
+        ys = ys[:, None, : self.width]
+        e = np.exp(np.einsum("ic,kc->ki", q, (ys @ self.w_k)[:, 0]))
         # the term e_i * yv_c is one product per entry, as with a
-        # broadcast *, but einsum needs no scratch buffer for it; the old
-        # sum is added into it (addition commutes exactly), so the layer's
-        # only new arrays are its acc and mass blocks
-        acc = np.einsum("i,c->ic", e, yv)
-        acc += gn["acc"]
-        return {**gn, "acc": acc, "mass": gn["mass"] + e[:, None]}
+        # broadcast *, but einsum needs no scratch buffer for it
+        return e, np.einsum("ki,kc->kic", e, (ys @ self.w_v)[:, 0])
+
+    def add(self, gn, e, term):
+        """One round: the new blocks after adding ``terms``' (e[j], t[j]).
+        The old sum is added into ``term`` (addition commutes exactly), so
+        the round's only new arrays are its acc and mass blocks."""
+        term += gn["acc"]
+        return {**gn, "acc": term, "mass": gn["mass"] + e[:, None]}
+
+    def __call__(self, gn, vn):
+        e, terms = self.terms(gn, vn[None])
+        return self.add(gn, e[0], terms[0])
 
 
 @dataclass(frozen=True)
@@ -621,6 +667,25 @@ def _is_int(value) -> bool:
 _SELECTION_POOLS = (OracleSelectPool, SoftmaxSelectPool)
 
 
+def _round_indexed(pool: Descriptor) -> bool:
+    """Whether ``pool`` reads its row from the layer number (``run_layer``)."""
+    return getattr(pool, "selectors", None) is not None \
+        or getattr(pool, "index", 0) is None
+
+
+class Run(NamedTuple):
+    """``repeat`` consecutive layers from ``layers[start]`` on, all holding
+    ``layer``'s three slot objects."""
+
+    start: int
+    layer: MpnnVnLayer
+    repeat: int
+
+
+def _slot_ids(layer: MpnnVnLayer) -> tuple[int, int, int]:
+    return id(layer.vn_pool), id(layer.vn_update), id(layer.gn_update)
+
+
 @dataclass(eq=False)
 class LayerProgram:
     """An ordered layer list and the virtual node's initial state.
@@ -630,9 +695,15 @@ class LayerProgram:
     seeds); nothing reads either to run or check the program.
 
     Construction derives what a run needs from the descriptors alone, once,
-    for compiled, hand-built and loaded programs alike, and keeps it in two
-    plain attributes:
+    for compiled, hand-built and loaded programs alike, and keeps it in
+    three plain attributes (assigning a new ``layers`` list derives them
+    again; the list is not to be changed in place):
 
+    * ``runs``: the layers as maximal stretches that hold the same three
+      slot objects (``Run``), in order.  A compiled deep program's rounds
+      2..n are one run, and so are the layers of a loaded document that
+      name the same descriptors.  Every check below, ``run_program`` and
+      ``program_to_json`` walk these.
     * ``layout``: None (one block ``x``, the input rows) when no descriptor
       names a block other than ``x``.  Otherwise the widths of the blocks
       ``x``, ``acc`` and ``mass`` (d, d, 1), plus ``q`` (d) when a
@@ -656,23 +727,30 @@ class LayerProgram:
     provenance: str = "hand-built"
     metadata: dict = field(default_factory=dict)
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "layers" and "runs" in vars(self):
+            self.__post_init__()
+
     def __post_init__(self):
         self.vn_init = numkit.as_vector(self.vn_init)
+        self.runs, start = [], 0
+        for _, same in itertools.groupby(self.layers, key=_slot_ids):
+            same = list(same)
+            self.runs.append(Run(start, same[0], len(same)))
+            start += len(same)
         self.layout = self.n = None
-        width, named, previous = None, set(), None
-        for i, layer in enumerate(self.layers):
-            if layer is previous:  # a run of one layer object: checked once
-                continue
-            previous = layer
+        width, named = None, set()
+        for run in self.runs:
             for slot in ("vn_pool", "gn_update"):
-                desc = getattr(layer, slot)
+                desc = getattr(run.layer, slot)
                 if desc.blocks == ("x",):
                     continue
                 if width is None:
                     width = desc.width
                 elif desc.width != width:
                     raise ValueError(
-                        f"layers[{i}].{slot}: {desc.kind} has width "
+                        f"layers[{run.start}].{slot}: {desc.kind} has width "
                         f"{desc.width}, but the program's deep descriptors "
                         f"have width {width}")
                 named.update(desc.blocks)
@@ -680,32 +758,32 @@ class LayerProgram:
             self.layout = {"x": width, "acc": width, "mass": 1}
             if "q" in named:
                 self.layout["q"] = width
-            self.n = sum(isinstance(layer.vn_pool, _SELECTION_POOLS)
-                         for layer in self.layers)
+            self.n = sum(run.repeat for run in self.runs
+                         if isinstance(run.layer.vn_pool, _SELECTION_POOLS))
             if not self.n:
                 raise ValueError(
                     f"layers: a program with graph-node blocks "
                     f"{list(self.layout)} needs a selection layer per input "
                     f"row, and its {len(self.layers)} layers hold none")
-        previous = None
-        for i, layer in enumerate(self.layers):  # round-indexed pools
-            pool, where = layer.vn_pool, f"layers[{i}].vn_pool"
+        for run in self.runs:
+            pool, where = run.layer.vn_pool, f"layers[{run.start}].vn_pool"
+            if not _round_indexed(pool):
+                continue
             table = getattr(pool, "selectors", None)
-            if table is None and getattr(pool, "index", 0) is not None:
-                continue
-            if self.n is not None and i >= self.n:
-                raise ValueError(f"{where}: round-indexed {pool.kind} at "
-                                 f"layer {i + 1}, past n={self.n}")
-            if table is None or layer is previous:  # a run: checked once
-                continue
-            previous = layer
-            rows = table.shape[0] if self.n is None else self.n
-            if table.shape != (rows, pool.width):
-                raise ValueError(f"{where}: {pool.kind} field 'selectors' is "
-                                 f"{table.shape}, not (n, width) = "
-                                 f"{(rows, pool.width)}")
-            numkit.check_finite(table, f"{where}: {pool.kind} field "
-                                       "'selectors'")
+            if table is not None and (self.n is None or run.start < self.n):
+                rows = table.shape[0] if self.n is None else self.n
+                if table.shape != (rows, pool.width):
+                    raise ValueError(
+                        f"{where}: {pool.kind} field 'selectors' is "
+                        f"{table.shape}, not (n, width) = "
+                        f"{(rows, pool.width)}")
+                numkit.check_finite(table, f"{where}: {pool.kind} field "
+                                           "'selectors'")
+            if self.n is not None and run.start + run.repeat > self.n:
+                i = max(run.start, self.n)  # the run's first layer past n
+                raise ValueError(f"layers[{i}].vn_pool: round-indexed "
+                                 f"{pool.kind} at layer {i + 1}, past "
+                                 f"n={self.n}")
 
     def initial_state(self, X) -> NodeState:
         """The state before layer 1 for the rows of ``X``: block ``x`` is a
@@ -747,6 +825,54 @@ class LayerProgram:
         return self.extract(run_program(s0, self))
 
 
+# the most score-term floats a chunk of selection rounds holds at once: a
+# chunk on (rows, width) ``x`` blocks is this many // (rows * width) rounds,
+# at least one, so its (rounds, rows, width) terms stay within 256 KiB
+# whatever n (16 rounds at n = 256, d = 8; 4 at n = 1024)
+_CHUNK_FLOATS = 1 << 15
+
+
+def _selection_run(run: Run) -> bool:
+    """Whether ``run`` is r > 1 selection rounds (see ``run_program``).
+    Such a run never writes block ``x``."""
+    pool, advance, accumulate = (run.layer.vn_pool, run.layer.vn_update,
+                                 run.layer.gn_update)
+    return (run.repeat > 1 and _round_indexed(pool)
+            and isinstance(advance, SelectorAdvance)
+            and advance.next_selector is None
+            and isinstance(accumulate, ScoreAccumulate)
+            and accumulate.width == advance.width)
+
+
+def _layer_by_layer(s: NodeState, run: Run):
+    for k in range(run.start + 1, run.start + run.repeat + 1):
+        s, aux = run_layer(s, run.layer, k)
+        yield k, s, aux
+
+
+def _selection_rounds(s: NodeState, run: Run, weigh: bool):
+    """The rounds of a selection run (``_selection_run``), a chunk at a
+    time: each chunk's pooled rows, virtual-node states and score terms in
+    one stacked call each, then one round's sums at a time.  Every pooled
+    row reads the run's first ``x`` block, and round k accumulates the
+    feature round k - 1 selected.  Yields (k, state, aux) for each layer k,
+    each state bitwise what ``run_layer`` gives; ``weigh`` asks the pool
+    for selection weights (the aux), else aux is None."""
+    pool, advance, accumulate = (run.layer.vn_pool, run.layer.vn_update,
+                                 run.layer.gn_update)
+    d, stop = accumulate.width, run.start + run.repeat + 1
+    chunk = max(1, _CHUNK_FLOATS // max(1, s.gn["x"].size))
+    for first in range(run.start + 1, stop, chunk):
+        ks = range(first, min(first + chunk, stop))
+        pooled, weights = pool.select(s.vn, s.gn, ks, weigh)
+        vns = advance.stage(pooled)
+        e, terms = accumulate.terms(
+            s.gn, np.concatenate([s.vn[None, :d], vns[:-1, :d]]))
+        for j, k in enumerate(ks):
+            s = NodeState(accumulate.add(s.gn, e[j], terms[j]), vns[j])
+            yield k, s, {"selection_weights": weights[j]} if weigh else None
+
+
 def run_program(s0: NodeState, prog: LayerProgram,
                 observe: Callable | None = None) -> NodeState:
     """Run all layers in order; the empty program is the identity.
@@ -754,15 +880,27 @@ def run_program(s0: NodeState, prog: LayerProgram,
     The layers act on ``s0``'s node set and read no graph; the host graph is
     checked once per program, by ``LayerProgram.execute``.
 
+    The program runs by its ``runs``.  A run of r > 1 selection rounds (a
+    round-indexed selection pool, a ``SelectorAdvance`` staging zeros and
+    a ``ScoreAccumulate`` of its width) goes a chunk of rounds at a time,
+    each chunk holding about ``_CHUNK_FLOATS`` score-term floats, so its
+    memory does not grow with n (``_selection_rounds``); every other run
+    goes layer by layer through ``run_layer``.  Either way each state and
+    aux is bitwise what ``run_layer`` gives, and no state handed out is
+    written afterwards.
+
     ``observe(k, state, aux)``, when given, is called after layer k for
     k = 1..L with the post-layer state and the pool's aux output (None for
-    plain pools); it keeps whatever it needs.
+    plain pools); it keeps whatever it needs.  Without it, batched rounds
+    build no selection weights.
     """
     s = s0
-    for k, layer in enumerate(prog.layers, start=1):
-        s, aux = run_layer(s, layer, k)
-        if observe is not None:
-            observe(k, s, aux)
+    for run in prog.runs:
+        steps = _selection_rounds(s, run, observe is not None) \
+            if _selection_run(run) else _layer_by_layer(s, run)
+        for k, s, aux in steps:
+            if observe is not None:
+                observe(k, s, aux)
     return s
 
 
@@ -822,16 +960,15 @@ def program_to_json(prog: LayerProgram) -> dict:
             index_of_obj[id(slot)] = index_of_value[key]
         return index_of_obj[id(slot)]
 
-    # consecutive references to one layer object are encoded once; then
-    # neighbouring runs with the same three indexes merge
+    # each of the program's runs is encoded once; then neighbouring runs
+    # with the same three indexes merge
     runs = []  # [slot indexes, repeat]
-    for _, same in itertools.groupby(prog.layers, key=id):
-        same = list(same)
-        key = tuple(ref(getattr(same[0], name)) for name in _SLOTS)
+    for run in prog.runs:
+        key = tuple(ref(getattr(run.layer, name)) for name in _SLOTS)
         if runs and runs[-1][0] == key:
-            runs[-1][1] += len(same)
+            runs[-1][1] += run.repeat
         else:
-            runs.append([key, len(same)])
+            runs.append([key, run.repeat])
     layers = [dict(zip(_SLOTS, key), repeat=repeat) for key, repeat in runs]
     return {
         "format": _V3,

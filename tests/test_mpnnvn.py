@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traces import gn_matrix
+from traces import gn_matrix, run_stepwise, run_traced
 from vnlab import attention, deepsets, mlp, mpnnvn, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -852,6 +852,204 @@ class TestScoreAccumulate:
         with pytest.raises(ValueError, match="mass"):
             upd(as_blocks(np.array([[1.0, 1.0, 2.0], [1.0, 1.0, np.nan]]),
                           1), None)
+
+
+# ---------------------------------------------------------------------------
+# runs of selection rounds go in chunks, bitwise as layer by layer
+# ---------------------------------------------------------------------------
+
+
+def deep_case(selection, n, d=3, seed=0):
+    """(program, X): a compiled deep program with ``selection`` and its n
+    unit rows of width d."""
+    rng = numkit.make_rng(100 * n + seed)
+    X = rng.normal(size=(n, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    w = attention.random_weights(d, rng)
+    if selection == "oracle":
+        return compile_deep_vn(w, DeepSimConfig(n=n)), X
+    if selection == "gatv2" and n == 1:  # l1_certificate needs two points
+        cert = SeparabilityCertificate(X, [1.0], amplification=30.0,
+                                       score="l1")
+        return compile_deep_vn(w, DeepSimConfig(
+            n=1, selection="gatv2", certificate=cert)), X
+    return certified_program(selection, X, w), X
+
+
+def assert_same_trace(got, want):
+    """Two (states, auxes) traces hold equal arrays, bitwise (NaN equal to
+    NaN), under the same block names and aux keys."""
+    (states, auxes), (want_states, want_auxes) = got, want
+    assert len(states) == len(want_states)
+    for t, (s, w) in enumerate(zip(states, want_states)):
+        assert list(s.gn) == list(w.gn), t
+        for name in s.gn:
+            assert np.array_equal(s.gn[name], w.gn[name], equal_nan=True), \
+                (t, name)
+        assert np.array_equal(s.vn, w.vn, equal_nan=True), t
+    assert len(auxes) == len(want_auxes)
+    for k, (a, w) in enumerate(zip(auxes, want_auxes), start=1):
+        assert (a is None) == (w is None), k
+        if a is not None:
+            assert a.keys() == w.keys(), k
+            for key in a:
+                assert np.array_equal(a[key], w[key], equal_nan=True), (k, key)
+
+
+class TestSelectionRounds:
+    """``run_program`` computes a run of selection rounds a chunk at a
+    time; ``traces.run_stepwise`` applies ``run_layer`` one layer at a
+    time, and every state, aux and output must agree bitwise."""
+
+    def _check_against_stepwise(self, prog, X):
+        s0 = prog.initial_state(X)
+        kept = []
+
+        def keep(k, state, aux):
+            # a snapshot now, to find writes into a state handed out earlier
+            kept.append((k, state, aux, copy.deepcopy((state, aux))))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_program(s0, prog, observe=keep)
+            want = run_stepwise(s0, prog)
+            out = prog.execute(star(X.shape[0]), X)
+        assert [k for k, _, _, _ in kept] == \
+            list(range(1, len(prog.layers) + 1))
+        assert_same_trace(([s0] + [s for _, s, _, _ in kept],
+                           [aux for _, _, aux, _ in kept]), want)
+        assert_same_trace(([s0] + [snap[0] for _, _, _, snap in kept],
+                           [snap[1] for _, _, _, snap in kept]), want)
+        assert np.array_equal(out, prog.extract(want[0][-1]), equal_nan=True)
+        return want
+
+    @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_chunked_rounds_equal_a_stepwise_run(self, selection, n, scale,
+                                                  monkeypatch):
+        # n = 11, width 3: 3 rounds a chunk, so rounds 2..11 are three full
+        # chunks and one of a single round.  Rows times 30 overflow exp
+        # (inf and NaN sums), which must come out the same way too
+        prog, X = deep_case(selection, n)
+        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * X.size)
+        self._check_against_stepwise(prog, scale * X)
+
+    @pytest.mark.parametrize("budget", [1, 20, 1 << 15])
+    def test_any_chunk_size_gives_the_same_trace(self, budget, monkeypatch):
+        # one round a chunk, uneven chunks of 2, and the whole run at once
+        prog, X = deep_case("softmax", 9, d=4, seed=1)
+        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", budget)
+        self._check_against_stepwise(prog, X)
+
+    def test_accumulation_that_recomputes_its_query(self, monkeypatch):
+        # a ScoreAccumulate with w_q reads x, not a staged q, in every round
+        prog, X = deep_case("oracle", 11, seed=2)
+        w_q = prog.layers[0].gn_update.w_q
+        old = prog.layers[1].gn_update
+        recompute = ScoreAccumulate(w_q, old.w_k, old.w_v, width=old.width)
+        prog.layers = [MpnnVnLayer(l.vn_pool, l.vn_update, recompute)
+                       if l.gn_update is old else l for l in prog.layers]
+        assert [run.repeat for run in prog.runs] == [1, 10, 1, 1]
+        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * X.size)
+        self._check_against_stepwise(prog, X)
+
+    # the fixtures that run, with their input width; "rich" holds every
+    # descriptor kind but no runnable program
+    FIXTURE_WIDTHS = {
+        "deep_oracle.v1": 3, "deep_oracle.v2": 3, "deep_oracle.v3": 3,
+        "deep_gatv2.v1": 3, "deep_gatv2.v2": 3, "deep_gatv2.v3": 3,
+        "deep_softmax.v3": 3, "kernel_exact.v1": 3, "kernel_exact.v2": 3,
+        "kernel_mlp_trained.v2": 2,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_WIDTHS))
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_fixture_runs_as_stepwise(self, name, scale, monkeypatch):
+        # v1 and v2 deep fixtures accumulate with w_q; only deep_oracle.v3
+        # has a run of rounds (four), here in chunks of 3 and 1
+        prog = load_program(FIXTURES / f"{name}.json")
+        X = scale * numkit.make_rng(4).uniform(
+            -0.5, 0.5, size=(5, self.FIXTURE_WIDTHS[name]))
+        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * X.size)
+        want = self._check_against_stepwise(prog, X)
+        assert len(want[0]) == len(prog.layers) + 1
+
+    def test_v2_layers_naming_one_descriptor_form_one_run(self):
+        # a v2 document has one layer object per entry, but the entries of
+        # rounds 2..n name the same table entries, so they are one run
+        prog, X = deep_case("oracle", 6)
+        old = program_from_json(v2_document(prog))
+        assert len({id(layer) for layer in old.layers}) == len(old.layers)
+        assert [(run.start, run.repeat) for run in old.runs] == \
+            [(0, 1), (1, 5), (6, 1), (7, 1)]
+        assert program_to_json(old) == program_to_json(prog)
+        self._check_against_stepwise(old, X)
+
+    @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_execute_takes_rounds_2_to_n_in_chunks(self, selection, n,
+                                                    monkeypatch):
+        # only the first round and the two closing layers go through
+        # run_layer; a change that sent deep programs back to one call per
+        # layer fails here, not only in the benchmark
+        prog, X = deep_case(selection, n)
+        calls = []
+
+        def counting(s, layer, k):
+            calls.append(k)
+            return run_layer(s, layer, k)
+
+        monkeypatch.setattr(mpnnvn, "run_layer", counting)
+        prog.execute(star(n), X)
+        assert calls == [1, n + 1, n + 2]
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_oracle_execute_peak_memory(self, n):
+        # the (rounds, n, d) score terms of a chunk shrink in rounds as
+        # n * d grows: the parent of chunked rounds peaked near 170 KB and
+        # 668 KB here; the whole run's terms at once would take 4 MiB and
+        # 64 MiB, and a fixed 16-round chunk 640 KB and 2.5 MB
+        rng = numkit.make_rng(n)
+        d = 8
+        w = attention.random_weights(d, rng)
+        X = 0.3 * rng.normal(size=(n, d))
+        prog = compile_deep_vn(w, DeepSimConfig(n=n))
+        g = star(n)
+        prog.execute(g, X)  # first call: any one-time set-up
+        tracemalloc.start()
+        try:
+            prog.execute(g, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_unobserved_oracle_rounds_build_no_selection_weights(
+            self, monkeypatch):
+        # under execute nothing reads the one-hot weights, so the chunk of
+        # rounds 2..n asks the pool for none (layer 1 goes through
+        # run_layer, which returns them); observed, they are rows of one
+        # (rounds, n) array
+        prog, X = deep_case("oracle", 5)
+        built = []
+        select = OracleSelectPool.select
+
+        def spy(self, vn, gn, ks, weigh=True):
+            pooled, weights = select(self, vn, gn, ks, weigh)
+            built.append((ks, weights))
+            return pooled, weights
+
+        monkeypatch.setattr(OracleSelectPool, "select", spy)
+        prog.execute(star(5), X)
+        assert [(ks, w is None) for ks, w in built] == \
+            [(range(1, 2), False), (range(2, 6), True)]
+        built.clear()
+        _, auxes = run_traced(prog.initial_state(X), prog)
+        assert [ks for ks, _ in built] == [range(1, 2), range(2, 6)]
+        assert np.array_equal(built[1][1], np.eye(5)[1:])
+        for k, aux in enumerate(auxes[1:5], start=2):
+            assert aux["selection_weights"].base is built[1][1]
+            assert np.array_equal(aux["selection_weights"], np.eye(5)[k - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Full program traces for tests, recorded through ``run_program``'s hook."""
+"""Full program traces for tests, recorded through ``run_program``'s hook,
+and the same trace taken one ``run_layer`` call at a time."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vnlab.mpnnvn import run_program
+from vnlab.mpnnvn import run_layer, run_program
 
 
 def run_traced(s0, prog):
@@ -21,6 +22,18 @@ def run_traced(s0, prog):
         auxes.append(aux)
 
     run_program(s0, prog, observe=keep)
+    return states, auxes
+
+
+def run_stepwise(s0, prog):
+    """``run_traced``'s (states, auxes), taken by applying ``run_layer`` to
+    each of ``prog.layers`` in turn; ``run_program``, which computes runs of
+    selection rounds in chunks, is never called."""
+    states, auxes = [s0], []
+    for k, layer in enumerate(prog.layers, start=1):
+        state, aux = run_layer(states[-1], layer, k)
+        states.append(state)
+        auxes.append(aux)
     return states, auxes
 
 

@@ -26,6 +26,7 @@ guaranteed bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
@@ -118,8 +119,10 @@ class KernelPieces:
     rescaling; ``expish`` is the scalar kernel nonlinearity (exp, or the
     shifted elu for the elu feature map); ``recip`` implements division.
     All three are built ReLU interpolants (:func:`_build_piece`) that meet
-    their targets by construction.  ``bounds`` holds the probe-calibrated
-    magnitudes used for rescaling.
+    their targets by construction.  ``sq`` depends on nothing a compile is
+    given, so every program shares one (:func:`_sq_piece`).  ``bounds``
+    holds the probe-calibrated magnitudes used for rescaling; the probe
+    holds O(``probe_batches`` · ``_PROBE_N`` · (d + m)) floats at once.
     """
 
     kind: str
@@ -303,6 +306,18 @@ class MlpResolveUpdate(Descriptor):
 # ---------------------------------------------------------------------------
 
 
+def _require_ints(cfg, *names: str) -> None:
+    """Refuse a config count or seed that is not an integer (a numpy integer
+    is one, a bool is not), naming the field; a numpy integer is stored as
+    a Python int, so the metadata it reaches stays JSON."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(cfg, name, int(value))
+
+
 @dataclass(frozen=True, eq=False)
 class KernelSimConfig:
     """How to compile the constant-depth kernelized-attention program.
@@ -310,7 +325,9 @@ class KernelSimConfig:
     ``feature_bound`` is the radius of the input ball the program is
     declared for; mlp mode probes ``probe_batches`` random input sets of
     ``_PROBE_N`` rows with norms in [feature_bound/2, feature_bound] to
-    calibrate piece domains (inflated by ``_DOMAIN_INFLATION``).  It then
+    calibrate piece domains (inflated by ``_DOMAIN_INFLATION``), all
+    batches in one stacked pass of O(``probe_batches`` · ``_PROBE_N`` ·
+    (d + m)) floats for input width d and feature count m.  It then
     builds the ``sq``, kernel-nonlinearity and ``recip`` pieces as ReLU
     interpolants that meet their sup-error targets by construction; a window
     too wide for its target is refused with a ``ValueError``.  Inputs
@@ -338,76 +355,80 @@ class KernelSimConfig:
         if not (math.isfinite(self.feature_bound) and self.feature_bound > 0.0):
             raise ValueError("feature_bound must be finite and positive, "
                              f"got {self.feature_bound!r}")
-        for name in ("probe_batches", "piece_epochs", "piece_restarts"):
+        counts = ("probe_batches", "piece_epochs", "piece_restarts")
+        _require_ints(self, "seed", *counts)
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, "
                                  f"got {getattr(self, name)!r}")
 
 
 def _probe_kernel_domains(w: AttnWeights, cfg: KernelSimConfig) -> dict:
-    """Measure every piece input/operand range on random in-ball inputs."""
+    """Measure every piece input/operand range on random in-ball inputs.
+
+    The batches are drawn one after another (directions, then radii) and
+    measured in one pass over their (``probe_batches``, ``_PROBE_N``, ·)
+    stack; every tracked bound is a max or min over the stack, so it is
+    bitwise the bound a batch-by-batch loop finds.
+    """
     fm = cfg.feature_map
     rng = numkit.make_rng(cfg.seed)
-    track = {
-        "k_abs": 0.0, "q_abs": 0.0, "v_abs": 0.0,
-        "phi_k_max": 0.0, "phi_q_max": 0.0,
-        "s_max": 0.0, "m_abs": 0.0, "num_abs": 0.0,
-        "arg_lo": np.inf, "arg_hi": -np.inf,
-        "den_lo": np.inf, "den_hi": -np.inf,
-    }
-    for _ in range(cfg.probe_batches):
-        X = rng.normal(size=(_PROBE_N, w.in_dim))
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        radii = cfg.feature_bound * rng.uniform(
-            0.5, 1.0, size=(_PROBE_N, 1)
-        )
-        X = X / norms * radii
-        K, Q, V = X @ w.w_k, X @ w.w_q, X @ w.w_v
-        P_k = attention.phi_matrix(K, fm)
-        P_q = attention.phi_matrix(Q, fm)
-        S = P_k.sum(axis=0)
-        M = P_k.T @ V
-        den = P_q @ S
-        num = P_q @ M
-        track["k_abs"] = max(track["k_abs"], float(np.max(np.abs(K))))
-        track["q_abs"] = max(track["q_abs"], float(np.max(np.abs(Q))))
-        track["v_abs"] = max(track["v_abs"], float(np.max(np.abs(V))))
-        track["phi_k_max"] = max(track["phi_k_max"], float(np.max(np.abs(P_k))))
-        track["phi_q_max"] = max(track["phi_q_max"], float(np.max(np.abs(P_q))))
-        track["s_max"] = max(track["s_max"], float(np.max(np.abs(S))))
-        track["m_abs"] = max(track["m_abs"], float(np.max(np.abs(M))))
-        track["num_abs"] = max(track["num_abs"], float(np.max(np.abs(num))))
-        track["den_lo"] = min(track["den_lo"], float(den.min()))
-        track["den_hi"] = max(track["den_hi"], float(den.max()))
-        if fm.kind == "exp_features":
-            args = K @ fm.directions.T - 0.5 * (K**2).sum(axis=1)[:, None]
-            args_q = Q @ fm.directions.T - 0.5 * (Q**2).sum(axis=1)[:, None]
-            track["arg_lo"] = min(track["arg_lo"], float(args.min()),
-                                  float(args_q.min()))
-            track["arg_hi"] = max(track["arg_hi"], float(args.max()),
-                                  float(args_q.max()))
-        else:
-            track["arg_lo"] = min(track["arg_lo"], float(K.min()),
-                                  float(Q.min()))
-            track["arg_hi"] = max(track["arg_hi"], float(K.max()),
-                                  float(Q.max()))
+    draws = [(rng.normal(size=(_PROBE_N, w.in_dim)),
+              rng.uniform(0.5, 1.0, size=(_PROBE_N, 1)))
+             for _ in range(cfg.probe_batches)]
+    X = np.stack([x for x, _ in draws])
+    radii = cfg.feature_bound * np.stack([r for _, r in draws])
+    X = X / np.linalg.norm(X, axis=2, keepdims=True) * radii
+    K, Q, V = X @ w.w_k, X @ w.w_q, X @ w.w_v
 
+    def phi(rows):  # one row per probe row, back to batches
+        flat = attention.phi_matrix(rows.reshape(-1, rows.shape[2]), fm)
+        return flat.reshape(rows.shape[:2] + flat.shape[1:])
+
+    P_k, P_q = phi(K), phi(Q)
+    S = P_k.sum(axis=1)
+    M = P_k.transpose(0, 2, 1) @ V
+    den = P_q @ S[:, :, None]
+    num = P_q @ M
+    if fm.kind == "exp_features":
+        args = [R @ fm.directions.T - 0.5 * (R**2).sum(axis=2)[:, :, None]
+                for R in (K, Q)]
+    else:
+        args = [K, Q]
     f = _DOMAIN_INFLATION
-    bounds = {k: track[k] * f for k in _SCALE_BOUNDS}
-    bounds["arg_lo"], bounds["arg_hi"] = _inflate(track["arg_lo"],
-                                                  track["arg_hi"], f)
+    magnitudes = {
+        "k_abs": K, "q_abs": Q, "v_abs": V,
+        "phi_k_max": P_k, "phi_q_max": P_q,
+        "s_max": S, "m_abs": M, "num_abs": num,
+    }
+    bounds = {k: float(np.max(np.abs(a))) * f for k, a in magnitudes.items()}
+    bounds["arg_lo"], bounds["arg_hi"] = _inflate(
+        min(float(a.min()) for a in args), max(float(a.max()) for a in args),
+        f)
     # the denominator window widens multiplicatively and must stay positive
-    bounds["den_lo"] = track["den_lo"] / f
-    bounds["den_hi"] = track["den_hi"] * f
+    bounds["den_lo"] = float(den.min()) / f
+    bounds["den_hi"] = float(den.max()) * f
     bounds["inv_max"] = 1.0 / bounds["den_lo"]
     return bounds
+
+
+@functools.cache
+def _sq_piece() -> FittedPiece:
+    """The squaring piece: its window and target are fixed, so it is built
+    once per process and shared by every program, its arrays read-only."""
+    sq = _build_piece("sq", _SQ_LO, _SQ_HI, _SQ_TARGET)
+    for a in sq.params.weights + sq.params.biases:
+        a.setflags(write=False)
+    return sq
 
 
 def _kernel_pieces(w: AttnWeights, cfg: KernelSimConfig) -> KernelPieces:
     fm = cfg.feature_map
     bounds = _probe_kernel_domains(w, cfg)
     kernel_fn = "exp" if fm.kind == "exp_features" else "elu_plus_one"
-    sq = _build_piece("sq", _SQ_LO, _SQ_HI, _SQ_TARGET)
+    sq = _sq_piece()
     expish = _build_piece(kernel_fn, bounds["arg_lo"], bounds["arg_hi"],
                           _EXP_TARGET)
     recip = _build_piece("recip", bounds["den_lo"], bounds["den_hi"],
@@ -482,6 +503,7 @@ class DeepSimConfig:
     amplification: float | None = None
 
     def __post_init__(self):
+        _require_ints(self, "n")
         if self.n < 1:
             raise ValueError("need at least one node")
         if self.selection not in ("oracle", "softmax", "gatv2"):
@@ -717,8 +739,9 @@ def run_and_report(
     def measure_selection(k, state, aux):
         if k <= n:
             weights = None if aux is None else aux.get("selection_weights")
+            diff = state.vn[:d] - X[k - 1]
             measured.append((
-                float(np.linalg.norm(state.vn[:d] - X[k - 1])),
+                math.sqrt(diff @ diff),
                 None if weights is None else float(weights[k - 1]),
             ))
 

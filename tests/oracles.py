@@ -405,3 +405,72 @@ def vdelta_certificate_oracle(X, eps, band):
     delta = float(margins.min())
     amplification = math.log((n - 1) * (1.0 - eps) / eps) / delta
     return directions, margins, amplification, ()
+
+
+# ---------------------------------------------------------------------------
+# mlp-mode probe oracle
+# ---------------------------------------------------------------------------
+
+
+def probe_bounds_oracle(w, cfg) -> dict:
+    """The mlp-mode probe as a batch-by-batch loop: every bound is updated
+    after each batch of ``_PROBE_N`` in-ball rows, then inflated."""
+    from vnlab import attention, numkit
+    from vnlab.constructions import (_DOMAIN_INFLATION, _PROBE_N,
+                                     _SCALE_BOUNDS, _inflate)
+
+    fm = cfg.feature_map
+    rng = numkit.make_rng(cfg.seed)
+    track = {
+        "k_abs": 0.0, "q_abs": 0.0, "v_abs": 0.0,
+        "phi_k_max": 0.0, "phi_q_max": 0.0,
+        "s_max": 0.0, "m_abs": 0.0, "num_abs": 0.0,
+        "arg_lo": np.inf, "arg_hi": -np.inf,
+        "den_lo": np.inf, "den_hi": -np.inf,
+    }
+    for _ in range(cfg.probe_batches):
+        X = rng.normal(size=(_PROBE_N, w.in_dim))
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        radii = cfg.feature_bound * rng.uniform(
+            0.5, 1.0, size=(_PROBE_N, 1)
+        )
+        X = X / norms * radii
+        K, Q, V = X @ w.w_k, X @ w.w_q, X @ w.w_v
+        P_k = attention.phi_matrix(K, fm)
+        P_q = attention.phi_matrix(Q, fm)
+        S = P_k.sum(axis=0)
+        M = P_k.T @ V
+        den = P_q @ S
+        num = P_q @ M
+        track["k_abs"] = max(track["k_abs"], float(np.max(np.abs(K))))
+        track["q_abs"] = max(track["q_abs"], float(np.max(np.abs(Q))))
+        track["v_abs"] = max(track["v_abs"], float(np.max(np.abs(V))))
+        track["phi_k_max"] = max(track["phi_k_max"], float(np.max(np.abs(P_k))))
+        track["phi_q_max"] = max(track["phi_q_max"], float(np.max(np.abs(P_q))))
+        track["s_max"] = max(track["s_max"], float(np.max(np.abs(S))))
+        track["m_abs"] = max(track["m_abs"], float(np.max(np.abs(M))))
+        track["num_abs"] = max(track["num_abs"], float(np.max(np.abs(num))))
+        track["den_lo"] = min(track["den_lo"], float(den.min()))
+        track["den_hi"] = max(track["den_hi"], float(den.max()))
+        if fm.kind == "exp_features":
+            args = K @ fm.directions.T - 0.5 * (K**2).sum(axis=1)[:, None]
+            args_q = Q @ fm.directions.T - 0.5 * (Q**2).sum(axis=1)[:, None]
+            track["arg_lo"] = min(track["arg_lo"], float(args.min()),
+                                  float(args_q.min()))
+            track["arg_hi"] = max(track["arg_hi"], float(args.max()),
+                                  float(args_q.max()))
+        else:
+            track["arg_lo"] = min(track["arg_lo"], float(K.min()),
+                                  float(Q.min()))
+            track["arg_hi"] = max(track["arg_hi"], float(K.max()),
+                                  float(Q.max()))
+
+    f = _DOMAIN_INFLATION
+    bounds = {k: track[k] * f for k in _SCALE_BOUNDS}
+    bounds["arg_lo"], bounds["arg_hi"] = _inflate(track["arg_lo"],
+                                                  track["arg_hi"], f)
+    # the denominator window widens multiplicatively and must stay positive
+    bounds["den_lo"] = track["den_lo"] / f
+    bounds["den_hi"] = track["den_hi"] * f
+    bounds["inv_max"] = 1.0 / bounds["den_lo"]
+    return bounds

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import deep_trace_oracle, self_attention_oracle
+from oracles import (deep_trace_oracle, probe_bounds_oracle,
+                     self_attention_oracle)
 from traces import gn_matrix, run_traced
 from vnlab import attention, constructions, deepsets, mlp, numkit
 from vnlab.constructions import (
@@ -197,6 +199,52 @@ class TestKernelExact:
                               piece_epochs=200, piece_restarts=1)
         assert (cfg.probe_batches, cfg.piece_restarts) == (2, 1)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda fm: DeepSimConfig(n=4.0), "n must be an integer, got 4.0"),
+        (lambda fm: DeepSimConfig(n=2.5), "n must be an integer, got 2.5"),
+        (lambda fm: DeepSimConfig(n=True), "n must be an integer, got True"),
+        (lambda fm: KernelSimConfig(feature_map=fm, mode="mlp",
+                                    probe_batches=2.5),
+         "probe_batches must be an integer, got 2.5"),
+        (lambda fm: KernelSimConfig(feature_map=fm, piece_epochs=6000.0),
+         "piece_epochs must be an integer, got 6000.0"),
+        (lambda fm: KernelSimConfig(feature_map=fm, piece_restarts=False),
+         "piece_restarts must be an integer, got False"),
+        (lambda fm: KernelSimConfig(feature_map=fm, mode="mlp", seed=1.5),
+         "seed must be an integer, got 1.5"),
+        (lambda fm: KernelSimConfig(feature_map=fm, mode="mlp", seed=-1),
+         "seed must be at least 0, got -1"),
+    ], ids=["n-float", "n-fraction", "n-bool", "probe-batches-fraction",
+            "epochs-float", "restarts-bool", "seed-fraction",
+            "seed-negative"])
+    def test_config_counts_and_seed_must_be_integers(self, make, message):
+        # each of these once failed late (mid-compile, inside the probe or
+        # in numpy's seeding) or compiled a wrong program (n=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(attention.elu_feature_map())
+
+    def test_numpy_integer_counts_and_seed_are_accepted(self):
+        rng = numkit.make_rng(2)
+        w = attention.random_weights(2, rng, feature_bound=0.4)
+        X = rng.normal(size=(4, 2)) * 0.2
+        # stored as a Python int, so the program and its report save as
+        # JSON (an np.int64 n once reached the metadata and failed to save)
+        cfg = DeepSimConfig(n=np.int64(4))
+        assert type(cfg.n) is int
+        deep, plain = (compile_deep_vn(w, c)
+                       for c in (cfg, DeepSimConfig(n=4)))
+        assert json.dumps(program_to_json(deep)) \
+            == json.dumps(program_to_json(plain))
+        assert json.dumps(report_to_json(run_and_report(X, deep, w))) \
+            == json.dumps(report_to_json(run_and_report(X, plain, w)))
+        fm = attention.elu_feature_map()
+        docs = [json.dumps(program_to_json(compile_kernel_vn(
+            w, KernelSimConfig(feature_map=fm, mode="mlp", feature_bound=0.4,
+                               seed=seed, probe_batches=batches))),
+            sort_keys=True)
+            for seed, batches in ((np.uint8(5), np.int32(3)), (5, 3))]
+        assert docs[0] == docs[1]
+
     def test_nan_input_row_raises(self):
         # execute refuses the input; a state holding it anyway poisons the
         # pooled statistics of every node, and the resolution refuses that
@@ -274,6 +322,66 @@ class TestKernelMlpMode:
         _, prog = progs["exp_features"]
         clone = program_from_json(program_to_json(prog))
         assert np.array_equal(clone.execute(g, X), prog.execute(g, X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 8), m=st.integers(1, 64),
+           out_dim=st.integers(1, 8), batches=st.integers(1, 20),
+           feature_bound=st.floats(0.03, 2.0), seed=st.integers(0, 2**32),
+           kind=st.sampled_from(["exp_features", "elu_features"]))
+    def test_probe_equals_the_batch_by_batch_loop(self, d, m, out_dim,
+                                                  batches, feature_bound,
+                                                  seed, kind):
+        # the stacked probe takes the same max and min over the same
+        # values as the loop, so every bound is bitwise the loop's
+        w = attention.random_weights(d, numkit.make_rng(seed),
+                                     out_dim=out_dim,
+                                     feature_bound=feature_bound)
+        fm = attention.exp_feature_map(m, d, seed) \
+            if kind == "exp_features" else attention.elu_feature_map()
+        cfg = KernelSimConfig(feature_map=fm, mode="mlp",
+                              feature_bound=feature_bound, seed=seed,
+                              probe_batches=batches)
+        got = constructions._probe_kernel_domains(w, cfg)
+        want = probe_bounds_oracle(w, cfg)
+        assert got == want
+        assert list(got) == list(want)
+
+    def test_sq_is_built_once_and_shared(self, monkeypatch):
+        real = constructions._build_piece
+        built = []
+
+        def counting(name, *args):
+            built.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(constructions, "_build_piece", counting)
+        constructions._sq_piece.cache_clear()
+        w = attention.random_weights(2, numkit.make_rng(4),
+                                     feature_bound=0.4)
+        progs = [compile_kernel_vn(w, KernelSimConfig(
+            feature_map=fm, mode="mlp", feature_bound=0.4, seed=5))
+            for fm in (attention.exp_feature_map(4, 2, seed=11),
+                       attention.elu_feature_map())]
+        assert built.count("sq") == 1
+        assert len(built) == 5  # plus the expish and recip of each
+        sq = progs[0].layers[0].vn_pool.pieces.sq
+        for prog in progs:
+            assert prog.layers[0].vn_pool.pieces.sq is sq
+            assert prog.layers[1].gn_update.pieces.sq is sq
+        arrays = sq.params.weights + sq.params.biases
+        for a in arrays:
+            # assigning a its own values: harmless if it were allowed
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+        fresh = real("sq", constructions._SQ_LO, constructions._SQ_HI,
+                     constructions._SQ_TARGET)
+        assert sq.params.spec == fresh.params.spec
+        for a, b in zip(arrays, fresh.params.weights + fresh.params.biases):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (sq.name, sq.lo, sq.hi, sq.target) \
+            == (fresh.name, fresh.lo, fresh.hi, fresh.target)
+        assert np.float64(sq.sup_error).tobytes() \
+            == np.float64(fresh.sup_error).tobytes()
 
     # the benchmark warm-up's budget: a smaller probe and the smallest
     # fitting budget in use
@@ -1241,6 +1349,32 @@ class TestReports:
         assert blob["seed"] == 11
         assert set(blob) == {"format"} | {f.name for f in fields(ErrorReport)}
         assert json.dumps(blob)  # plain JSON, no numpy leftovers
+
+    def test_feature_errors_are_bitwise_the_2_norm(self):
+        # each reported feature error is np.linalg.norm of the selected
+        # feature's deviation, as an observer of the same run measures it
+        rng = numkit.make_rng(8)
+        n, d = 7, 3
+        X, cert = make_certified_instance(n, d, rng)
+        w = attention.random_weights(d, rng)
+        for cfg, c in ((DeepSimConfig(n=n), None),
+                       (DeepSimConfig(n=n, selection="softmax",
+                                      certificate=cert, amplification=6.0),
+                        cert)):
+            prog = compile_deep_vn(w, cfg)
+            norms = []
+
+            def observe(k, state, aux):
+                if k <= n:
+                    norms.append(float(np.linalg.norm(state.vn[:d]
+                                                      - X[k - 1])))
+
+            run_program(prog.initial_state(X), prog, observe=observe)
+            got = [e["feature_error"]
+                   for e in run_and_report(X, prog, w, cert=c).selection]
+            assert len(got) == n
+            assert np.array(got).tobytes() == np.array(norms).tobytes()
+            assert any(v > 0.0 for v in got) == (c is not None)
 
     def test_full_reference_mismatched_reference_errors(self):
         rng = numkit.make_rng(0)

@@ -20,6 +20,7 @@ phi(x) = elu(x) + 1 entrywise (positive, no sampling).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class AttnWeights:
             raise ValueError("w_q and w_k must share a shape")
         if w_v.shape[0] != w_q.shape[0]:
             raise ValueError("w_v must accept the same input dimension")
-        if self.feature_bound <= 0:
-            raise ValueError("feature_bound must be positive")
+        if not (math.isfinite(self.feature_bound) and self.feature_bound > 0.0):
+            raise ValueError("feature_bound must be finite and positive, "
+                             f"got {self.feature_bound!r}")
         object.__setattr__(self, "w_q", w_q)
         object.__setattr__(self, "w_k", w_k)
         object.__setattr__(self, "w_v", w_v)

@@ -8,8 +8,8 @@ Two constructions are implemented, each returning a runnable, serializable
   own query against them.  Exact mode reproduces kernelized attention to
   roundoff; mlp mode swaps every nonlinear primitive (squaring, the scalar
   kernel nonlinearity, reciprocal) for a one-dimensional network and reports
-  each network's measured error.  Squaring and the kernel nonlinearity are
-  ReLU interpolants built to a proven error bound; the reciprocal is trained.
+  each network's measured error.  Every network is a ReLU interpolant
+  built to a proven error bound; nothing is trained.
 
 * ``compile_deep_vn`` — linear depth (n + 2 layers).  The virtual node visits
   the n node features one at a time (by oracle, by amplified-softmax
@@ -121,8 +121,10 @@ class KernelPieces:
     All three are built ReLU interpolants (:func:`_build_piece`) that meet
     their targets by construction.  ``sq`` depends on nothing a compile is
     given, so every program shares one (:func:`_sq_piece`).  ``bounds``
-    holds the probe-calibrated magnitudes used for rescaling; the probe
-    holds O(``probe_batches`` · ``_PROBE_N`` · (d + m)) floats at once.
+    holds the probe-calibrated magnitudes used for rescaling; operands are
+    divided by them, so each of ``_SCALE_BOUNDS`` and ``inv_max`` must be
+    finite and positive.  The probe holds O(``probe_batches`` ·
+    ``_PROBE_N`` · (d + m)) floats at once.
     """
 
     kind: str
@@ -132,8 +134,12 @@ class KernelPieces:
     bounds: dict[str, float]
 
     def __post_init__(self):
-        numkit.require_keys(self.bounds, "KernelPieces bounds",
-                            *_SCALE_BOUNDS, "inv_max")
+        keys = (*_SCALE_BOUNDS, "inv_max")
+        for key, value in zip(keys, numkit.require_keys(
+                self.bounds, "KernelPieces bounds", *keys)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"KernelPieces bounds[{key!r}] must be "
+                                 f"finite and positive, got {value!r}")
 
     def fit_summary(self) -> dict:
         out = {}
@@ -155,7 +161,7 @@ def _piece_eval(piece: FittedPiece, t) -> np.ndarray:
 
 def _lattice_sup_error(params: mlp.MlpParams, fn, lo: float,
                        hi: float) -> float:
-    dense = mlp.lattice(lo, hi, 2049, 1)
+    dense = np.linspace(lo, hi, 2049)[:, None]
     return float(np.max(np.abs(mlp.forward(params, dense) - fn(dense))))
 
 

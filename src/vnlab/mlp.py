@@ -1,11 +1,8 @@
-"""Plain feedforward networks: forward pass, hand-written backprop, JSON.
+"""Plain feedforward networks: the forward pass and the JSON weight codec.
 
-The networks here substantiate "this continuous map can be approximated by
-an MLP" steps with *measured* sup-errors, and serve as drop-in replacements
-for closed-form pieces inside compiled layer programs; mlp mode writes its
-pieces' weights directly (``constructions._build_piece``), so nothing here
-trains.  Forward and gradients are spelled out so an independent
-finite-difference oracle can check the gradients end to end.
+mlp mode's scalar pieces are networks of this kind: ReLU interpolants whose
+weights ``constructions._build_piece`` writes directly, and the ELU networks
+that older documents saved.  Nothing here trains.
 
 Shapes follow the row convention: inputs are rows, a layer maps
 ``h -> act(h @ W + b)`` with ``W`` of shape (fan_in, fan_out), and the final
@@ -42,10 +39,6 @@ class MlpSpec:
         return self.widths[0]
 
     @property
-    def out_dim(self) -> int:
-        return self.widths[-1]
-
-    @property
     def n_layers(self) -> int:
         return len(self.widths) - 1
 
@@ -58,36 +51,21 @@ class MlpParams:
     seed: int | None = None
 
 
-def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
-    """He-style initialization: N(0, 2/fan_in) weights, zero biases."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        scale = np.sqrt(2.0 / fan_in)
-        weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(spec, weights, biases)
-
-
-def _act_and_deriv(name: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        mask = (z > 0.0).astype(np.float64)
-        return z * mask, mask
+        return z * (z > 0.0)
     if name == "leaky_relu":
-        slope = 0.2
-        mask = np.where(z > 0.0, 1.0, slope)
-        return z * mask, mask
-    if name == "elu":
-        ez = np.exp(np.minimum(z, 0.0))
-        out = np.where(z >= 0.0, z, ez - 1.0)
-        return out, np.where(z >= 0.0, 1.0, ez)
-    raise ValueError(f"unsupported activation {name!r}")
+        return z * np.where(z > 0.0, 1.0, 0.2)
+    # elu; MlpSpec admits no other name
+    return np.where(z >= 0.0, z, np.exp(np.minimum(z, 0.0)) - 1.0)
 
 
 def forward(params: MlpParams, x) -> np.ndarray:
-    """Evaluate the network on a single input (1-D) or a batch (2-D)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x.reshape(1, -1) if single else x
+    """Evaluate the network on a batch: one input per row of the 2-D ``x``."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2:
+        raise ValueError("forward takes a batch with one input per row, "
+                         f"got an array of shape {h.shape}")
     if h.shape[1] != params.spec.in_dim:
         raise ValueError(
             f"input has {h.shape[1]} features, network expects {params.spec.in_dim}"
@@ -96,67 +74,8 @@ def forward(params: MlpParams, x) -> np.ndarray:
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w + b
         if i != last:
-            h, _ = _act_and_deriv(params.spec.activation, h)
-    return h[0] if single else h
-
-
-def loss_and_grads(
-    params: MlpParams, x: np.ndarray, y: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared-error loss over the batch and its parameter gradients.
-
-    loss = mean_batch 0.5 * ||f(x) - y||^2, gradients by reverse accumulation.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if y.ndim == 1:
-        y = y.reshape(-1, params.spec.out_dim) if y.size else y.reshape(0, 0)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y batches differ in length")
-    batch = x.shape[0]
-    if batch == 0:
-        raise ValueError("cannot compute a loss on an empty batch")
-
-    last = params.spec.n_layers - 1
-    h = x
-    pre_acts: list[np.ndarray] = []
-    hiddens: list[np.ndarray] = [h]
-    derivs: list[np.ndarray] = []
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        pre_acts.append(z)
-        if i != last:
-            h, d = _act_and_deriv(params.spec.activation, z)
-            derivs.append(d)
-        else:
-            h = z
-        hiddens.append(h)
-
-    resid = h - y
-    loss = float(0.5 * np.sum(resid * resid) / batch)
-
-    grad_w = [np.zeros_like(w) for w in params.weights]
-    grad_b = [np.zeros_like(b) for b in params.biases]
-    delta = resid / batch
-    for i in range(last, -1, -1):
-        grad_w[i] = hiddens[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ params.weights[i].T) * derivs[i - 1]
-    return loss, grad_w, grad_b
-
-
-def lattice(lo: float, hi: float, points: int, dims: int = 1) -> np.ndarray:
-    """Regular evaluation lattice over [lo, hi]^dims, one row per grid point."""
-    if points < 2:
-        raise ValueError("a lattice needs at least 2 points per axis")
-    axis = np.linspace(lo, hi, points)
-    if dims == 1:
-        return axis.reshape(-1, 1)
-    grids = np.meshgrid(*([axis] * dims), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+            h = _activate(params.spec.activation, h)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ run goes layer by layer through ``run_layer``.
 
 Every function slot is filled by a *descriptor*: a frozen dataclass with a
 registered ``kind`` and a ``__call__``, either closed-form or backed by
-trained MLP weights.  Descriptors need no codec of their own: ``to_json`` and
+built MLP weights.  Descriptors need no codec of their own: ``to_json`` and
 ``from_json`` derive the JSON layout from the dataclass fields (one key per
 field, decoded by the field's type).  Array fields are declared with
 ``matrix()`` or ``vector()``.

@@ -16,7 +16,7 @@ import numpy as np
 # mlp oracles
 # ---------------------------------------------------------------------------
 
-# (widths, activation) pairs exercised by the gradient checks.
+# (widths, activation) pairs the forward-pass tests run.
 MLP_SHAPE_MATRIX = [
     ((1, 1), "relu"),
     ((1, 8, 1), "relu"),
@@ -52,48 +52,6 @@ def mlp_forward_oracle(params, x: np.ndarray) -> np.ndarray:
             nxt.append(acc)
         h = nxt
     return np.asarray(h)
-
-
-def finite_diff_grads(loss_fn, params, h: float = 1e-5):
-    """Central finite-difference gradients of loss_fn(params) w.r.t. every entry.
-
-    ``loss_fn`` must treat ``params`` as read-only apart from the transient
-    perturbations applied here.  Returns (grad_weights, grad_biases) lists of
-    arrays shaped like the parameters.
-    """
-    gw = [np.zeros_like(w) for w in params.weights]
-    gb = [np.zeros_like(b) for b in params.biases]
-    for li, w in enumerate(params.weights):
-        it = np.nditer(w, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = w[idx]
-            w[idx] = orig + h
-            up = loss_fn(params)
-            w[idx] = orig - h
-            dn = loss_fn(params)
-            w[idx] = orig
-            gw[li][idx] = (up - dn) / (2.0 * h)
-            it.iternext()
-    for li, b in enumerate(params.biases):
-        for idx in range(b.shape[0]):
-            orig = b[idx]
-            b[idx] = orig + h
-            up = loss_fn(params)
-            b[idx] = orig - h
-            dn = loss_fn(params)
-            b[idx] = orig
-            gb[li][idx] = (up - dn) / (2.0 * h)
-    return gw, gb
-
-
-def grad_rel_err(analytic, numeric) -> float:
-    """max over entries of |a - n| / max(1, |a|, |n|)."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

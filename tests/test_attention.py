@@ -26,6 +26,15 @@ def _bounded_rows(n, d, seed, feature_bound=1.0, fill=0.8):
     return X * (scale / norms)[:, None]
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_weights_refuse_a_feature_bound_not_finite_and_positive(bound):
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="feature_bound must be finite and "
+                                         "positive"):
+        attention.AttnWeights(eye, eye, eye, bound)
+    assert attention.AttnWeights(eye, eye, eye, 0.4).feature_bound == 0.4
+
+
 # ---------------------------------------------------------------------------
 # exact attention
 # ---------------------------------------------------------------------------

@@ -448,6 +448,17 @@ class TestKernelMlpMode:
                 r"intervals to meet its target 0\.001, more than 16384")):
             compile_kernel_vn(w, cfg)
 
+    def test_zero_value_weights_are_refused(self):
+        # a zero w_v probes v_abs = 0, which every product of a value
+        # divides by, so the program could only return NaN
+        w = attention.random_weights(2, numkit.make_rng(3), feature_bound=0.4)
+        w = attention.AttnWeights(w.w_q, w.w_k, np.zeros((2, 2)), 0.4)
+        cfg = KernelSimConfig(feature_map=attention.exp_feature_map(4, 2, 11),
+                              mode="mlp", feature_bound=0.4, seed=5)
+        with pytest.raises(ValueError, match=r"KernelPieces bounds\['v_abs'\] "
+                                             r"must be finite and positive"):
+            compile_kernel_vn(w, cfg)
+
     # sha256 of numkit.dump_json of the exp-features compile's recip piece
     # parameters and of its probed bounds: the built recip piece, on the
     # window of the probe, which building recip left unchanged

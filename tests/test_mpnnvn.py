@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_mlp import random_mlp
 from traces import gn_matrix, run_stepwise, run_traced
 from vnlab import attention, deepsets, mlp, mpnnvn, numkit
 from vnlab.constructions import (
@@ -80,11 +81,11 @@ def star(n):
 
 
 def unfitted_pieces():
-    """Kernel pieces with freshly initialized networks; nothing is fit."""
+    """Kernel pieces with random networks; nothing is fit."""
 
     def piece(name, seed, lo, hi):
         spec = mlp.MlpSpec(widths=(1, 3, 1), activation="elu")
-        params = mlp.init_params(spec, numkit.make_rng(seed))
+        params = random_mlp(spec, numkit.make_rng(seed))
         params.seed = seed
         return FittedPiece(name=name, params=params, lo=lo, hi=hi,
                            sup_error=0.5, target=0.25)
@@ -1755,6 +1756,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=(
                 rf"descriptors\[0\]: {where} payload must be an object, "
                 r"got list")):
+            program_from_json(blob)
+
+    @pytest.mark.parametrize("key,value", [
+        *((key, 0.0) for key in ("k_abs", "q_abs", "v_abs", "phi_k_max",
+                                 "phi_q_max", "s_max", "m_abs", "num_abs",
+                                 "inv_max")),
+        ("k_abs", -1.0), ("s_max", float("nan")), ("inv_max", float("inf"))])
+    def test_non_positive_scale_bound_is_refused_on_load(self, key, value):
+        # a run divides operands by each of these bounds
+        blob = numkit.load_json(FIXTURES / "kernel_mlp_trained.v2.json")
+        j = next(j for j, e in enumerate(blob["descriptors"])
+                 if "pieces" in e)
+        blob["descriptors"][j]["pieces"]["bounds"][key] = value
+        with pytest.raises(ValueError, match=(
+                rf"descriptors\[{j}\]: {blob['descriptors'][j]['kind']}: "
+                rf"field 'pieces': KernelPieces bounds\['{key}'\] must be "
+                r"finite and positive")):
             program_from_json(blob)
 
     @pytest.mark.parametrize("blob", [[], "feature_map", 3, None])

@@ -188,25 +188,6 @@ def approx_attention(X, w: AttnWeights, fm: FeatureMap) -> np.ndarray:
     return (P_q @ kv_sum) / den[:, None]
 
 
-def denominator_lower_bound(fm: FeatureMap, feature_bound: float,
-                            weight_bound: float, n: int, qk_dim: int) -> float:
-    """Analytic positive floor of the kernelized-attention denominator.
-
-    Every projected row has norm < B = feature_bound * weight_bound, so each
-    feature entry is at least exp(-B^2/2 - |w_r| B)/sqrt(m) (exp features) or
-    exp(-B) entrywise (elu features, since elu(t)+1 = exp(t) for t < 0).  The
-    denominator sums n products of matching positive entries.
-    """
-    b = feature_bound * weight_bound
-    if fm.kind == "elu_features":
-        per_entry = np.exp(-b)
-        return float(n * qk_dim * per_entry * per_entry)
-    norms = np.sqrt(np.sum(fm.directions * fm.directions, axis=1))
-    m = fm.directions.shape[0]
-    entries = np.exp(-0.5 * b * b - norms * b) / np.sqrt(m)
-    return float(n * np.sum(entries * entries))
-
-
 # ---------------------------------------------------------------------------
 # bilinear-vs-nonlinear scoring
 # ---------------------------------------------------------------------------

@@ -334,9 +334,8 @@ def cmd_verify_kernel(cfg: dict, args):
         for fm in (attention.exp_feature_map(m, d, seed=cfg["seed"] + case),
                    attention.elu_feature_map()):
             prog = compile_kernel_vn(w, KernelSimConfig(feature_map=fm))
-            got = prog.execute(attention_host_graph(n), X)
-            want = attention.approx_attention(X, w, fm)
-            err = numkit.max_abs_diff(got, want)
+            err = run_and_report(X, prog, w, reference="kernel",
+                                 fm=fm).max_abs
             ok = err <= cfg["tol"]
             worst = max(worst, err)
             rows.append({"phase": "exact", "case": case, "n": n, "d": d,
@@ -366,10 +365,9 @@ def cmd_verify_kernel(cfg: dict, args):
         X = rng.normal(size=(n, d))
         X = X / np.linalg.norm(X, axis=1, keepdims=True)
         X = X * (0.4 * rng.uniform(0.5, 1.0, size=(n, 1)))
-        got = prog.execute(attention_host_graph(n), X)
-        want = attention.approx_attention(X, w, fm)
         mlp_info = {
-            "max_err": numkit.max_abs_diff(got, want),
+            "max_err": run_and_report(X, prog, w, reference="kernel",
+                                      fm=fm).max_abs,
             "piece_fits": prog.metadata["piece_fits"],
         }
         rows.append({"phase": "mlp", "case": None, "n": n, "d": d,

@@ -667,7 +667,7 @@ class ErrorReport:
     selection: list
     config: dict
     seed: int | None
-    rng_algorithm: str = numkit.RNG_ALGORITHM
+    rng_algorithm: ClassVar[str] = numkit.RNG_ALGORITHM
 
     @property
     def bounds_ok(self) -> bool:
@@ -680,8 +680,9 @@ class ErrorReport:
 
 
 def report_to_json(report: ErrorReport) -> dict:
-    """One key per ``ErrorReport`` field, plus the format tag."""
-    return {"format": "error-report/v1", **asdict(report)}
+    """The format tag, one key per ``ErrorReport`` field, the rng algorithm."""
+    return {"format": "error-report/v1", **asdict(report),
+            "rng_algorithm": report.rng_algorithm}
 
 
 def report_csv_row(report: ErrorReport) -> tuple:

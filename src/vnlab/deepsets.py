@@ -187,9 +187,3 @@ def random_linear(d_in: int, d_out: int, rng: np.random.Generator) -> Equivarian
         B=rng.normal(size=(d_in, d_out)),
         c=rng.normal(size=d_out),
     )
-
-
-def random_network(widths, rng: np.random.Generator,
-                   activation: str = "relu") -> DeepSetsNet:
-    layers = [random_linear(a, b, rng) for a, b in zip(widths[:-1], widths[1:])]
-    return DeepSetsNet(tuple(layers), activation=activation)

@@ -5,7 +5,8 @@ weights ``constructions._build_piece`` writes directly, and the ELU networks
 that older documents saved.  Nothing here trains.
 
 Shapes follow the row convention: inputs are rows, a layer maps
-``h -> act(h @ W + b)`` with ``W`` of shape (fan_in, fan_out), and the final
+``h -> act(h @ W + b)`` with ``W`` of shape (fan_in, fan_out), where ``act``
+is relu or elu (the only hidden activations a piece has used), and the final
 layer is always affine (no activation).
 """
 
@@ -20,7 +21,8 @@ from . import numkit
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture: layer widths (input, hidden..., output) and hidden activation."""
+    """Architecture: layer widths (input, hidden..., output) and the hidden
+    activation, "relu" or "elu"."""
 
     widths: tuple[int, ...]
     activation: str = "relu"
@@ -30,7 +32,7 @@ class MlpSpec:
             raise ValueError("an MLP needs at least input and output widths")
         if any(w < 1 for w in self.widths):
             raise ValueError("layer widths must be positive")
-        if self.activation not in ("relu", "leaky_relu", "elu"):
+        if self.activation not in ("relu", "elu"):
             raise ValueError(f"unsupported hidden activation {self.activation!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
@@ -54,8 +56,6 @@ class MlpParams:
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return z * (z > 0.0)
-    if name == "leaky_relu":
-        return z * np.where(z > 0.0, 1.0, 0.2)
     # elu; MlpSpec admits no other name
     return np.where(z >= 0.0, z, np.exp(np.minimum(z, 0.0)) - 1.0)
 

@@ -686,7 +686,7 @@ def _slot_ids(layer: MpnnVnLayer) -> tuple[int, int, int]:
     return id(layer.vn_pool), id(layer.vn_update), id(layer.gn_update)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LayerProgram:
     """An ordered layer list and the virtual node's initial state.
 
@@ -696,8 +696,9 @@ class LayerProgram:
 
     Construction derives what a run needs from the descriptors alone, once,
     for compiled, hand-built and loaded programs alike, and keeps it in
-    three plain attributes (assigning a new ``layers`` list derives them
-    again; the list is not to be changed in place):
+    three plain attributes.  The program is frozen (``dataclasses.replace``
+    builds a changed copy, which derives them again), and its ``layers``
+    list is not to be changed in place:
 
     * ``runs``: the layers as maximal stretches that hold the same three
       slot objects (``Run``), in order.  A compiled deep program's rounds
@@ -727,21 +728,15 @@ class LayerProgram:
     provenance: str = "hand-built"
     metadata: dict = field(default_factory=dict)
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name == "layers" and "runs" in vars(self):
-            self.__post_init__()
-
     def __post_init__(self):
-        self.vn_init = numkit.as_vector(self.vn_init)
-        self.runs, start = [], 0
+        runs, start = [], 0
         for _, same in itertools.groupby(self.layers, key=_slot_ids):
             same = list(same)
-            self.runs.append(Run(start, same[0], len(same)))
+            runs.append(Run(start, same[0], len(same)))
             start += len(same)
-        self.layout = self.n = None
+        layout = n = None
         width, named = None, set()
-        for run in self.runs:
+        for run in runs:
             for slot in ("vn_pool", "gn_update"):
                 desc = getattr(run.layer, slot)
                 if desc.blocks == ("x",):
@@ -755,23 +750,23 @@ class LayerProgram:
                         f"have width {width}")
                 named.update(desc.blocks)
         if width is not None:
-            self.layout = {"x": width, "acc": width, "mass": 1}
+            layout = {"x": width, "acc": width, "mass": 1}
             if "q" in named:
-                self.layout["q"] = width
-            self.n = sum(run.repeat for run in self.runs
-                         if isinstance(run.layer.vn_pool, _SELECTION_POOLS))
-            if not self.n:
+                layout["q"] = width
+            n = sum(run.repeat for run in runs
+                    if isinstance(run.layer.vn_pool, _SELECTION_POOLS))
+            if not n:
                 raise ValueError(
                     f"layers: a program with graph-node blocks "
-                    f"{list(self.layout)} needs a selection layer per input "
+                    f"{list(layout)} needs a selection layer per input "
                     f"row, and its {len(self.layers)} layers hold none")
-        for run in self.runs:
+        for run in runs:
             pool, where = run.layer.vn_pool, f"layers[{run.start}].vn_pool"
             if not _round_indexed(pool):
                 continue
             table = getattr(pool, "selectors", None)
-            if table is not None and (self.n is None or run.start < self.n):
-                rows = table.shape[0] if self.n is None else self.n
+            if table is not None and (n is None or run.start < n):
+                rows = table.shape[0] if n is None else n
                 if table.shape != (rows, pool.width):
                     raise ValueError(
                         f"{where}: {pool.kind} field 'selectors' is "
@@ -779,11 +774,14 @@ class LayerProgram:
                         f"{(rows, pool.width)}")
                 numkit.check_finite(table, f"{where}: {pool.kind} field "
                                            "'selectors'")
-            if self.n is not None and run.start + run.repeat > self.n:
-                i = max(run.start, self.n)  # the run's first layer past n
+            if n is not None and run.start + run.repeat > n:
+                i = max(run.start, n)  # the run's first layer past n
                 raise ValueError(f"layers[{i}].vn_pool: round-indexed "
                                  f"{pool.kind} at layer {i + 1}, past "
-                                 f"n={self.n}")
+                                 f"n={n}")
+        for name, value in (("vn_init", numkit.as_vector(self.vn_init)),
+                            ("runs", runs), ("layout", layout), ("n", n)):
+            object.__setattr__(self, name, value)
 
     def initial_state(self, X) -> NodeState:
         """The state before layer 1 for the rows of ``X``: block ``x`` is a

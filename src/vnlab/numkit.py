@@ -162,14 +162,17 @@ _JSON_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 def scalar_from_json(value, tp, what: str = "value"):
     """A JSON scalar read as ``tp`` (int, float or str); ``ValueError``
-    names ``what`` and the value when it is anything else."""
+    names ``what`` and the value when it is anything else or not finite."""
     accepted, name = _JSON_SCALARS[tp]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{what} must be {name}, got {value!r}")
     try:
-        return tp(value)
+        value = tp(value)
     except OverflowError:  # an int too large for a float
         raise ValueError(f"{what} {value!r} is out of range") from None
+    if tp is float and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 def seed_from_json(blob: dict, what: str) -> int | None:
@@ -193,9 +196,9 @@ def seed_from_json(blob: dict, what: str) -> int | None:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    """Read a blob written by :func:`matrix_to_json`; a malformed one
-    (not an object, a key missing, a non-integer size, non-list values)
-    raises ``ValueError``."""
+    """Read a blob written by :func:`matrix_to_json`; a malformed one (not
+    an object, a key missing, a non-integer size, non-list values, a value
+    that is not finite) raises ``ValueError``, naming the first bad value."""
     rows, cols, values = require_keys(d, "matrix", "rows", "cols", "values")
     if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 0
                for k in (rows, cols)):
@@ -209,7 +212,7 @@ def matrix_from_json(d: dict) -> np.ndarray:
         raise ValueError(
             f"matrix payload has {values.size} values, expected {rows}x{cols}"
         )
-    return values.reshape(rows, cols)
+    return check_finite(values.reshape(rows, cols), "matrix payload")
 
 
 def vector_to_json(v: np.ndarray) -> dict:

@@ -15,8 +15,8 @@ min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
   1 - 1e-4 (``CERT_EPS``); margins at or below ``MARGIN_BAND`` fail it;
 * ``l1_certificate`` certifies any set of distinct points, with no LP, for
   the constructed additive score ``attention.l1_score``;
-* ``delta_nonlin_sep`` and ``three_cluster_line`` measure and build
-  nonlinearly separated point clusters, where no bilinear score works.
+* ``three_cluster_line`` builds nonlinearly separated point clusters,
+  where no bilinear score works.
 
 The LP solver, ``solve_lp``, is a dense primal simplex with Bland's
 anti-cycling pivot rule, run once from a feasible basis the caller supplies:
@@ -420,22 +420,6 @@ def selection_weight_bound(c: float, margin: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # nonlinear separation
 # ---------------------------------------------------------------------------
-
-
-def delta_nonlin_sep(sets) -> float:
-    """Smallest cross-set distance: min over set pairs of min pair distance."""
-    mats = [numkit.as_matrix(s) for s in sets]
-    if len(mats) < 2:
-        raise ValueError("need at least two point sets")
-    if any(m.shape[0] == 0 for m in mats):
-        raise ValueError("point sets must be non-empty")
-    best = np.inf
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            diff = mats[a][:, None, :] - mats[b][None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
-            best = min(best, float(dist.min()))
-    return best
 
 
 def three_cluster_line():

@@ -20,18 +20,16 @@ import numpy as np
 MLP_SHAPE_MATRIX = [
     ((1, 1), "relu"),
     ((1, 8, 1), "relu"),
-    ((2, 16, 4), "leaky_relu"),
+    ((2, 16, 4), "relu"),
     ((3, 8, 8, 2), "elu"),
     ((5, 4, 3), "elu"),
-    ((2, 12, 12, 1), "leaky_relu"),
+    ((2, 12, 12, 1), "relu"),
 ]
 
 
 def _act_scalar(name: str, z: float) -> float:
     if name == "relu":
         return z if z > 0.0 else 0.0
-    if name == "leaky_relu":
-        return z if z > 0.0 else 0.2 * z
     if name == "elu":
         return z if z >= 0.0 else math.exp(z) - 1.0
     raise ValueError(name)
@@ -237,6 +235,38 @@ def deepsets_linear_oracle(X, A, B, c):
                 v += mean[p] * float(B[p, q])
             out[i, q] = v
     return out
+
+
+def random_network(widths, rng, activation: str = "relu"):
+    """A set network with one ``random_linear`` layer per consecutive pair
+    of ``widths``, the layers drawn from ``rng`` in order."""
+    from vnlab.deepsets import DeepSetsNet, random_linear
+
+    layers = [random_linear(a, b, rng) for a, b in zip(widths[:-1], widths[1:])]
+    return DeepSetsNet(tuple(layers), activation=activation)
+
+
+# ---------------------------------------------------------------------------
+# nonlinear separation
+# ---------------------------------------------------------------------------
+
+
+def delta_nonlin_sep(sets) -> float:
+    """Smallest cross-set distance: min over set pairs of min pair distance."""
+    from vnlab import numkit
+
+    mats = [numkit.as_matrix(s) for s in sets]
+    if len(mats) < 2:
+        raise ValueError("need at least two point sets")
+    if any(m.shape[0] == 0 for m in mats):
+        raise ValueError("point sets must be non-empty")
+    best = np.inf
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            diff = mats[a][:, None, :] - mats[b][None, :, :]
+            dist = np.sqrt((diff**2).sum(axis=2))
+            best = min(best, float(dist.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vnlab"
 
 # name -> what keeps it although no user outside the unit tests refers to it
-KEPT = {
-    "denominator_lower_bound": "ROADMAP item 5: the recip window floor",
-    "random_network": "test_deepsets.py: random multi-layer networks",
-    "delta_nonlin_sep": "ROADMAP item 9: the three-cluster gap, adopted "
-                        "or deleted with lifted selection",
-}
+KEPT = {}
 
 
 def public_definitions(source: str) -> set[str]:

@@ -229,21 +229,6 @@ def test_approx_attention_identical_rows():
                                np.tile(row @ w.w_v, (5, 1)), atol=1e-12)
 
 
-@given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**31))
-@settings(deadline=None, max_examples=40)
-def test_denominator_analytic_floor(n, d, seed):
-    w = _weights(d, seed % 991)
-    X = _bounded_rows(n, d, seed, feature_bound=1.0)
-    for fm in (attention.exp_feature_map(8, d, seed=seed % 103),
-               attention.elu_feature_map()):
-        P_k = attention.phi_matrix(X @ w.w_k, fm)
-        P_q = attention.phi_matrix(X @ w.w_q, fm)
-        den = P_q @ P_k.sum(axis=0)
-        floor = attention.denominator_lower_bound(fm, 1.0, 1.0, n, d)
-        assert np.all(den > 0)
-        assert np.all(den >= floor)
-
-
 def test_approx_attention_permutation_equivariant():
     rng = numkit.make_rng(23)
     w = _weights(3, 23)

@@ -8,14 +8,14 @@ import pathlib
 import re
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (deep_trace_oracle, probe_bounds_oracle,
+from oracles import (deep_trace_oracle, probe_bounds_oracle, random_network,
                      self_attention_oracle)
 from traces import gn_matrix, run_traced
 from vnlab import attention, constructions, deepsets, mlp, numkit
@@ -960,12 +960,13 @@ class TestDeepOracle:
         assert np.array_equal(got, before)
         recompute = ScoreAccumulate(w.w_q, w.w_k, w.w_v, width=d)
         first = prog.layers[0]
-        prog.layers = [MpnnVnLayer(first.vn_pool, first.vn_update,
-                                   StageQuery(np.zeros((d, d)), width=d))] + [
+        prog = replace(prog, layers=[
+            MpnnVnLayer(first.vn_pool, first.vn_update,
+                        StageQuery(np.zeros((d, d)), width=d))] + [
             MpnnVnLayer(l.vn_pool, l.vn_update,
                         recompute if isinstance(l.gn_update, ScoreAccumulate)
                         else l.gn_update)
-            for l in prog.layers[1:]]
+            for l in prog.layers[1:]])
         assert np.array_equal(prog.execute(attention_host_graph(n), X),
                               before)
         assert not _run_checking_time2(X, w, prog)[1]
@@ -987,7 +988,7 @@ def _compiled_case(name: str, seed: int):
         fm = attention.exp_feature_map(4, d, seed=seed)
         return compile_kernel_vn(w, KernelSimConfig(feature_map=fm)), X, w, None
     if name == "deepsets":
-        net = deepsets.random_network((d, 4, 2), rng)
+        net = random_network((d, 4, 2), rng)
         return deepsets.compile_network(net, n), X, w, None
     cert = None
     if name == "deep_softmax":
@@ -1358,7 +1359,10 @@ class TestReports:
         blob = report_to_json(rep)
         assert blob["format"] == "error-report/v1"
         assert blob["seed"] == 11
-        assert set(blob) == {"format"} | {f.name for f in fields(ErrorReport)}
+        # the rng algorithm is a class constant, echoed after the fields
+        assert list(blob) == ["format", *(f.name for f in fields(ErrorReport)),
+                              "rng_algorithm"]
+        assert blob["rng_algorithm"] == "pcg64"
         assert json.dumps(blob)  # plain JSON, no numpy leftovers
 
     def test_feature_errors_are_bitwise_the_2_norm(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import deepsets_linear_oracle
+from oracles import deepsets_linear_oracle, random_network
 from traces import run_traced
 from vnlab import numkit
 from vnlab.deepsets import (
@@ -16,7 +16,6 @@ from vnlab.deepsets import (
     eval_linear,
     eval_network,
     random_linear,
-    random_network,
     width_bound,
 )
 from vnlab.graphs import Graph, add_virtual_node

@@ -30,12 +30,6 @@ PACKAGE = ROOT / "src" / "vnlab"
 KEPT = {
     "main.argv": "the tests drive the CLI in-process through main([...]); "
                  "the console entry point reads sys.argv",
-    "run_and_report.fm": "the benchmark passes ``reference``, so the "
-                         "kernel reference, which needs the feature map, "
-                         "stays",
-    "random_network.activation": "test_deepsets.py: random multi-layer "
-                                 "networks (see test_api_used.KEPT)",
-    "ErrorReport.rng_algorithm": "echoed in every error report",
 }
 
 

@@ -25,8 +25,10 @@ def random_mlp(spec: mlp.MlpSpec, rng) -> mlp.MlpParams:
 # finite inputs at the edges of float64: signed zeros, subnormals and
 # values whose products with the weights stay finite only just
 FORWARD_SPECIALS = (0.0, -0.0, 1e-310, -1e-310, 1e300, -1e300)
+# re-recorded when the shape matrix's two leaky_relu rows became relu (the
+# relu and elu forward passes themselves did not change)
 FORWARD_SHA256 = (
-    "7da10eeb0a0f8ef4e844004f559d318657bf12eee438f858f7752964da4633cb")
+    "13c5cb946af9984217c248488112dd54a6891d8af452d64c224f4c8604fcd7f5")
 
 
 def test_forward_single_affine_layer_by_hand():
@@ -72,6 +74,13 @@ def test_forward_bits_are_pinned():
         x = np.vstack([rng.standard_normal((8, widths[0])), specials])
         digest.update(mlp.forward(params, x).tobytes())
     assert digest.hexdigest() == FORWARD_SHA256
+
+
+def test_spec_refuses_other_activations():
+    # no piece was ever built or saved with leaky_relu hidden units
+    with pytest.raises(ValueError, match="unsupported hidden activation "
+                                         "'leaky_relu'"):
+        mlp.MlpSpec((1, 4, 1), "leaky_relu")
 
 
 def test_forward_rejects_wrong_width():

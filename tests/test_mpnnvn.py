@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import pathlib
 import re
 import time
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_network
 from test_mlp import random_mlp
 from traces import gn_matrix, run_stepwise, run_traced
 from vnlab import attention, deepsets, mlp, mpnnvn, numkit
@@ -400,6 +402,18 @@ class TestPrograms:
         out = mean_subtract_program(3).execute(g, X)
         assert np.allclose(out, X - X.mean(axis=0), atol=1e-14)
 
+    def test_program_is_frozen(self):
+        # runs, layout and n are derived from the layers once, so a program
+        # with other layers is a new program
+        w = attention.random_weights(3, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.layers = prog.layers[:1]
+        longer = dataclasses.replace(prog, layers=prog.layers + [plain_layer()])
+        assert [run.repeat for run in prog.runs] == [1, 4, 1, 1]
+        assert [run.repeat for run in longer.runs] == [1, 4, 1, 1, 1]
+        assert longer.n == prog.n == 5
+
     def test_permutation_equivariance(self):
         g = star(6)
         rng = numkit.make_rng(1)
@@ -434,13 +448,6 @@ class TestPrograms:
         assert all(not v.any() for k, v in s.gn.items() if k != "x")
         assert prog.layout == {"x": 2, "acc": 2, "mass": 1, "q": 2}
 
-    @staticmethod
-    def _rebuilt(prog, **changes):
-        """``prog``'s parts built into a new program, with ``changes``."""
-        parts = {name: getattr(prog, name) for name in (
-            "layers", "vn_init", "provenance", "metadata")}
-        return LayerProgram(**(parts | changes))
-
     def test_pad_that_does_not_split_is_refused_at_construction(self):
         # the layout comes from the layers; a document recording a pad that
         # does not split into their blocks is refused while it is built
@@ -466,7 +473,7 @@ class TestPrograms:
         # layout needs at least one
         w = attention.random_weights(3, numkit.make_rng(0))
         prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
-        relabelled = self._rebuilt(prog, provenance="hand-built",
+        relabelled = dataclasses.replace(prog, provenance="hand-built",
                                    metadata={"compiler": "deep", "n": "5"})
         assert relabelled.n == 5
         X = 0.5 * numkit.make_rng(1).normal(size=(5, 3))
@@ -478,7 +485,7 @@ class TestPrograms:
                 r"^layers: a program with graph-node blocks \['x', 'acc', "
                 r"'mass', 'q'\] needs a selection layer per input row, and "
                 r"its 7 layers hold none$")):
-            self._rebuilt(prog, layers=unselected)
+            dataclasses.replace(prog, layers=unselected)
 
     def test_round_indexed_pool_past_n_is_refused(self):
         # an oracle program with a plain layer put before its rounds once
@@ -493,11 +500,11 @@ class TestPrograms:
             with pytest.raises(ValueError, match=(
                     rf"^layers\[5\]\.vn_pool: round-indexed {kind} at "
                     r"layer 6, past n=5$")):
-                self._rebuilt(prog, layers=[plain_layer()] + prog.layers)
+                dataclasses.replace(prog, layers=[plain_layer()] + prog.layers)
         fixed = [plain_layer()] + [
             MpnnVnLayer(OracleSelectPool(index=k), l.vn_update, l.gn_update)
             for k, l in enumerate(prog.layers[:5])] + prog.layers[5:]
-        assert self._rebuilt(prog, layers=fixed).n == 5
+        assert dataclasses.replace(prog, layers=fixed).n == 5
 
     def test_selector_table_must_be_a_finite_n_by_width_matrix(self):
         w = attention.random_weights(3, numkit.make_rng(0))
@@ -508,7 +515,7 @@ class TestPrograms:
 
         def with_table(table):
             other = dataclasses.replace(pool, selectors=table)
-            return self._rebuilt(prog, layers=[
+            return dataclasses.replace(prog, layers=[
                 MpnnVnLayer(other, l.vn_update, l.gn_update)
                 if l.vn_pool is pool else l for l in prog.layers])
 
@@ -525,10 +532,14 @@ class TestPrograms:
                  r"at \(2, 1\)$")
         with pytest.raises(ValueError, match=match):
             with_table(bad)
-        # JSON documents may spell Infinity and NaN
+        # JSON documents may spell Infinity and NaN; the loader refuses
+        # them before any program is built
         blob = json.loads(json.dumps(program_to_json(prog)))
         blob["descriptors"][0]["selectors"]["values"][7] = float("inf")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=(
+                r"^descriptors\[0\]: softmax_select_pool: field 'selectors': "
+                r"matrix payload contains non-finite entries, the first inf "
+                r"at \(2, 1\)$")):
             program_from_json(blob)
         # without a layout no row count is known, but the width is
         with pytest.raises(ValueError, match=(
@@ -542,14 +553,14 @@ class TestPrograms:
         # one width of block x
         w = attention.random_weights(3, numkit.make_rng(0))
         prog = compile_deep_vn(w, DeepSimConfig(n=5, selection="oracle"))
-        assert self._rebuilt(prog, metadata={"d": 2}).layout["x"] == 3
+        assert dataclasses.replace(prog, metadata={"d": 2}).layout["x"] == 3
         last = prog.layers[-1]
         layers = prog.layers[:-1] + [MpnnVnLayer(
             last.vn_pool, last.vn_update, RatioUpdate(width=2))]
         with pytest.raises(ValueError, match=(
                 r"^layers\[6\]\.gn_update: ratio_update has width 2, but "
                 r"the program's deep descriptors have width 3$")):
-            self._rebuilt(prog, layers=layers)
+            dataclasses.replace(prog, layers=layers)
 
     def test_deep_program_without_a_deep_descriptor_is_refused(self):
         # it once loaded, and returned X unchanged as its "attention"; with
@@ -671,7 +682,7 @@ class TestPrograms:
             return (load_program(FIXTURES / "kernel_mlp_trained.v2.json"),
                     X[:, :2])
         if name == "deepsets":
-            net = deepsets.random_network((3, 4, 2), rng)
+            net = random_network((3, 4, 2), rng)
             return deepsets.compile_network(net, 5), X
         if name == "deep_softmax":
             X, cert = make_certified_instance(5, 3, rng)
@@ -948,8 +959,9 @@ class TestSelectionRounds:
         w_q = prog.layers[0].gn_update.w_q
         old = prog.layers[1].gn_update
         recompute = ScoreAccumulate(w_q, old.w_k, old.w_v, width=old.width)
-        prog.layers = [MpnnVnLayer(l.vn_pool, l.vn_update, recompute)
-                       if l.gn_update is old else l for l in prog.layers]
+        prog = dataclasses.replace(prog, layers=[
+            MpnnVnLayer(l.vn_pool, l.vn_update, recompute)
+            if l.gn_update is old else l for l in prog.layers])
         assert [run.repeat for run in prog.runs] == [1, 10, 1, 1]
         monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * X.size)
         self._check_against_stepwise(prog, X)
@@ -1769,11 +1781,61 @@ class TestPersistence:
         j = next(j for j, e in enumerate(blob["descriptors"])
                  if "pieces" in e)
         blob["descriptors"][j]["pieces"]["bounds"][key] = value
+        # a non-finite float is refused as it is read, before KernelPieces
+        # checks the bound
+        why = (rf"KernelPieces bounds\['{key}'\] must be finite and positive"
+               if math.isfinite(value) else
+               rf"KernelPieces: field 'bounds': value must be finite, "
+               rf"got {value}")
         with pytest.raises(ValueError, match=(
                 rf"descriptors\[{j}\]: {blob['descriptors'][j]['kind']}: "
-                rf"field 'pieces': KernelPieces bounds\['{key}'\] must be "
-                r"finite and positive")):
+                rf"field 'pieces': {why}")):
             program_from_json(blob)
+
+    @staticmethod
+    def _load_with_token(blob, path, token):
+        """Save ``blob``, whose one edited value is the marker 424242.5,
+        with ``token`` written in its place, and load it."""
+        path.write_text(json.dumps(blob).replace("424242.5", token))
+        return load_program(path)
+
+    def test_non_finite_payloads_are_refused_on_load(self, tmp_path):
+        # json reads NaN, Infinity and 1e999 (as inf); each is refused where
+        # it is read, so the error names the weight, not a failed run
+        path = tmp_path / "edited.json"
+        blob = numkit.load_json(FIXTURES / "kernel_mlp_trained.v2.json")
+        sq = blob["descriptors"][0]["pieces"]["sq"]
+        sq["params"]["layers"][0]["bias"]["values"][3] = 424242.5
+        with pytest.raises(ValueError, match=(
+                r"^descriptors\[0\]: mlp_stats_pool: field 'pieces': "
+                r"KernelPieces: field 'sq': FittedPiece: field 'params': "
+                r"matrix payload contains non-finite entries, the first nan "
+                r"at \(0, 3\)$")):
+            self._load_with_token(blob, path, "NaN")
+        blob = numkit.load_json(FIXTURES / "deep_oracle.v3.json")
+        blob["vn_init"]["values"][3] = 424242.5
+        with pytest.raises(ValueError, match=(
+                r"^vn_init: matrix payload contains non-finite entries, the "
+                r"first nan at \(0, 3\)$")):
+            self._load_with_token(blob, path, "NaN")
+        w = attention.random_weights(3, numkit.make_rng(0))
+        X = numkit.make_rng(1).normal(size=(5, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        blob = program_to_json(certified_program("gatv2", X, w))
+        blob["descriptors"][0]["selectors"]["values"][7] = 424242.5
+        with pytest.raises(ValueError, match=(
+                r"^descriptors\[0\]: softmax_select_pool: field 'selectors': "
+                r"matrix payload contains non-finite entries, the first inf "
+                r"at \(2, 1\)$")):
+            self._load_with_token(blob, path, "1e999")
+        # the marker itself is a finite value, and loads
+        assert self._load_with_token(blob, path, "424242.5").n == 5
+
+    def test_every_fixture_loads(self):
+        paths = sorted(FIXTURES.glob("*.json"))
+        assert len(paths) == 14
+        for path in paths:
+            assert load_program(path).layers
 
     @pytest.mark.parametrize("blob", [[], "feature_map", 3, None])
     def test_every_leaf_codec_refuses_a_non_object(self, blob):
@@ -2112,7 +2174,7 @@ class TestPersistence:
                         prog.execute(star(5), X)
             except ValueError:
                 # a run may refuse its input (a deep program that lost its n)
-                # or stop on layers whose widths disagree (ROADMAP item 7)
+                # or stop on layers whose widths disagree (ROADMAP item 6)
                 pass
             except Exception as exc:
                 wrong.append((path, value, repr(exc)))

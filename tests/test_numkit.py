@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -256,3 +257,27 @@ def test_check_finite_names_the_first_bad_entry(bad):
     with pytest.raises(ValueError, match=rf"the first {bad} at 2$"):
         numkit.check_finite(np.array([0.0, 1.0, bad]), "v")
     assert numkit.check_finite(np.eye(2), "rows").dtype == np.float64
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_payloads_refuse_what_json_reads_as_non_finite(token):
+    # json.loads reads each of these tokens, 1e999 as inf
+    blob = json.loads(f'{{"rows": 2, "cols": 2, "values": [0, 1, {token}, 3]}}')
+    bad = blob["values"][2]
+    with pytest.raises(ValueError, match=(
+            rf"^matrix payload contains non-finite entries, the first {bad} "
+            r"at \(1, 0\)$")):
+        numkit.matrix_from_json(blob)
+    blob = json.loads(f'{{"rows": 1, "cols": 3, "values": [0, 1, {token}]}}')
+    with pytest.raises(ValueError, match=r"the first \S+ at \(0, 2\)$"):
+        numkit.vector_from_json(blob)
+    with pytest.raises(ValueError, match=(
+            rf"^gatv2 slope must be finite, got {bad}$")):
+        numkit.scalar_from_json(json.loads(token), float, "gatv2 slope")
+
+
+def test_finite_scalars_still_read():
+    assert numkit.scalar_from_json(1e308, float) == 1e308
+    assert numkit.scalar_from_json(3, float) == 3.0
+    with pytest.raises(ValueError, match=r"^width must be an integer, got inf$"):
+        numkit.scalar_from_json(json.loads("1e999"), int, "width")

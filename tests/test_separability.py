@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    delta_nonlin_sep,
     hull_distance_oracle,
     solve_lp_oracle,
     strict_separation_oracle,
@@ -21,7 +22,6 @@ from vnlab.separability import (
     CertificateFailure,
     SeparabilityCertificate,
     amplification_for,
-    delta_nonlin_sep,
     hull_member,
     l1_certificate,
     point_separations,

@@ -27,11 +27,16 @@ the small instances certified here (d+1 rows, a few dozen columns).
 It solves only stacks of LPs and returns arrays.  Certifying n points
 stacks their n LPs into one (n, d+2, n+2d) tableau that pivots in lockstep:
 each iteration every LP still running picks its own entering column and
-Bland leaving row, and all of them pivot in one numpy update.  Each LP
-takes exactly the pivots, and gets exactly the bits, it would take solved
-alone; ``hull_member`` solves a stack of one.  Stacks are chunked so that
-one holds at most ``LP_BATCH_BYTES`` of tableau; a large point set still
-needs O(n d) memory per LP.
+Bland leaving row, and all of them pivot in one numpy update.  The running
+LPs form a compacted working stack; an LP that ends optimal or unbounded is
+written back and leaves it.  The leaving row comes from the least ratio in
+a few array operations, exact ties going to the smallest basis index; only
+LPs with another ratio within ``LP_TOL`` of the least, where the order of
+Bland's row scan decides, run that scan.  Each LP takes exactly the pivots,
+and gets exactly the bits, it would take solved alone; ``hull_member``
+solves a stack of one.  Stacks are chunked so that one holds at most
+``LP_BATCH_BYTES`` of tableau, and the working stack is at most a copy of
+it, so a large point set still needs O(n d) memory per LP.
 """
 
 from __future__ import annotations
@@ -59,70 +64,126 @@ LP_BATCH_BYTES = 1 << 21
 # ---------------------------------------------------------------------------
 
 
-def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-           moving: np.ndarray | None = None) -> None:
-    """Pivot tableau b of the stack ``T`` on (rows[b], cols[b]), in place.
+def _pivot(T: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Pivot tableau b of the C-contiguous stack ``T`` on (rows[b], cols[b]),
+    in place.
 
-    Only tableaux with ``moving[b]`` (default: all) change.  A row whose
-    pivot-column entry is 0 is left untouched, as subtracting 0 times the
-    pivot row could flip the sign of a zero, so every tableau gets exactly
+    A row whose pivot-column entry is 0 is left as it is: its update is set
+    to +0.0, and x - (+0.0) is x bit for bit, where subtracting 0 times the
+    pivot row could turn a -0.0 into +0.0.  So every tableau gets exactly
     the float operations of a pivot done on it alone.
     """
-    lp = np.arange(T.shape[0])
-    pivot = T[lp, rows, cols]
-    factor = T[lp, :, cols]
-    factor[lp, rows] = 0.0
-    if moving is not None:
-        pivot[~moving] = 1.0  # x / 1.0 is x, bit for bit
-        factor[~moving] = 0.0
-    prow = T[lp, rows] / pivot[:, None]
-    np.subtract(T, factor[:, :, None] * prow[:, None, :], out=T,
-                where=(factor != 0.0)[:, :, None])
-    T[lp, rows] = prow
+    n_lp, height, width = T.shape
+    stacked_rows = T.reshape(n_lp * height, width)  # a view: T is contiguous
+    at = np.arange(0, n_lp * height, height) + rows
+    factor = T[np.arange(n_lp), :, cols]
+    prow = stacked_rows.take(at, axis=0) / factor.reshape(-1)[at][:, None]
+    update = factor[:, :, None] * prow[:, None, :]
+    update[factor == 0.0] = 0.0
+    np.subtract(T, update, out=T)
+    stacked_rows[at] = prow  # the pivot row's own update is overwritten
+
+
+def _ratio_scan(ratios: np.ndarray, positive: np.ndarray,
+                basis: np.ndarray) -> np.ndarray:
+    """Bland's leaving row of each LP by a scan over its rows, or -1.
+
+    Only rows with ``positive`` pivot-column entries compete.  A ratio
+    below the best so far by more than ``LP_TOL`` wins; one within
+    ``LP_TOL`` of it goes to the smaller basis index, which is what rules
+    out cycling.
+    """
+    n_lp, m = basis.shape
+    leave = np.full(n_lp, -1)
+    best = np.full(n_lp, np.inf)
+    tie_key = np.zeros_like(leave)  # basis index of the current `leave`
+    for i in range(m):
+        ratio = ratios[:, i]
+        wins = positive[:, i] & (
+            (ratio < best - LP_TOL)
+            | ((np.abs(ratio - best) <= LP_TOL) & (basis[:, i] < tie_key))
+        )
+        best = np.where(wins, ratio, best)
+        leave = np.where(wins, i, leave)
+        tie_key = np.where(wins, basis[:, i], tie_key)
+    return leave
+
+
+def _leaving_rows(rhs: np.ndarray, column: np.ndarray,
+                  basis: np.ndarray) -> np.ndarray:
+    """``_ratio_scan``'s leaving row of each LP (or -1 where no row can
+    leave), mostly without the scan.
+
+    Among the rows whose ratio equals the least ratio r*, the scan ends on
+    the one with the smallest basis index whenever every other ratio r has
+    fl(r - LP_TOL) > r* and fl(r - r*) > LP_TOL; both sides are monotone in
+    r, so checking the least such r checks them all.  Only the LPs where
+    some other ratio lies within ``LP_TOL`` of r* (or r* is not finite),
+    where the scan's order decides, run the scan.
+    """
+    lp = np.arange(len(column))
+    positive = column > LP_TOL
+    ratios = np.divide(rhs, column, where=positive,
+                       out=np.full(column.shape, np.inf))
+    least = ratios[lp, ratios.argmin(axis=1)]  # NaN if any ratio is NaN
+    tied = ratios == least[:, None]
+    others = np.where(tied, np.inf, ratios)
+    untied = others[lp, others.argmin(axis=1)]
+    leave = np.where(tied, basis, np.inf).argmin(axis=1)
+    stuck = least == np.inf  # no finite ratio: the scan finds no row
+    # inf - inf, from rows that cannot leave, is NaN and compares false
+    with np.errstate(invalid="ignore"):
+        clear = (untied - LP_TOL > least) & (untied - least > LP_TOL) \
+            & (least > -np.inf)
+        near = ~(clear | stuck)
+        if np.count_nonzero(near):
+            leave[near] = _ratio_scan(ratios[near], positive[near],
+                                      basis[near])
+    leave[stuck] = -1
+    return leave
 
 
 def _bland_lockstep(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Run Bland's rule on a stack of tableaux in place until each ends.
 
-    ``T`` (B, m+1, n+1) holds every LP's rows [A | b] under its reduced-cost
-    row, canonical for ``basis`` (B, m).  Each iteration, every LP still
-    running picks its entering column and leaving row as it would alone, and
-    all of them pivot in one update; an LP that is optimal or unbounded
-    stays as it is.  Returns the unbounded flags (B,).
+    ``T`` (B, m+1, n+1), C-contiguous, holds every LP's rows [A | b] under
+    its reduced-cost row, canonical for ``basis`` (B, m).  Each iteration,
+    every LP still running picks its entering column and leaving row as it
+    would alone, and all of them pivot in one update.  The running LPs form
+    a compacted working stack: an LP that ends optimal or unbounded has its
+    tableau and basis written back to ``T`` and ``basis`` once and leaves
+    the stack.  Returns the unbounded flags (B,).
     """
     n_lp, m = basis.shape
-    n = T.shape[2] - 1
-    lp = np.arange(n_lp)
-    columns = np.arange(n)
+    if m == 0 or n_lp == 0:
+        # nothing to pivot; with no row to leave, an entering column is
+        # unbounded
+        return (T[:, -1, :-1] < -LP_TOL).any(axis=1)
     unbounded = np.zeros(n_lp, dtype=bool)
+    ids = lp = np.arange(n_lp)  # each running LP's place in T
+    work, work_basis = T, basis  # copied on the first LP to end
     while True:
-        # the first negative reduced cost, or n (the rhs column) if none
-        enter = np.where(T[:, -1, :-1] < -LP_TOL, columns, n).min(axis=1)
-        running = (enter < n) & ~unbounded
-        if not running.any():
-            return unbounded
-        column = T[lp, :m, enter]
-        positive = column > LP_TOL
-        ratios = np.divide(T[:, :m, -1], column, where=positive,
-                           out=np.zeros(column.shape))
-        leave = np.full(n_lp, -1)
-        best = np.full(n_lp, np.inf)
-        tie_key = np.zeros_like(leave)  # basis index of the current `leave`
-        for i in range(m):
-            ratio = ratios[:, i]
-            # Bland: strictly better ratio wins; ties go to the smallest
-            # basis index, which is what rules out cycling.
-            wins = positive[:, i] & (
-                (ratio < best - LP_TOL)
-                | ((np.abs(ratio - best) <= LP_TOL) & (basis[:, i] < tie_key))
-            )
-            best = np.where(wins, ratio, best)
-            leave = np.where(wins, i, leave)
-            tie_key = np.where(wins, basis[:, i], tie_key)
-        unbounded |= running & (leave < 0)
-        moving = running & (leave >= 0)
-        _pivot(T, leave, enter, moving)
-        basis[lp[moving], leave[moving]] = enter[moving]
+        negative = work[:, -1, :-1] < -LP_TOL
+        enter = negative.argmax(axis=1)  # the first negative reduced cost
+        optimal = ~negative[lp, enter]
+        leave = _leaving_rows(work[:, :m, -1], work[lp, :m, enter],
+                              work_basis)
+        ended = optimal | (leave < 0)
+        if np.count_nonzero(ended):
+            gone = np.flatnonzero(ended)
+            done = ids[gone]
+            T[done] = work.take(gone, axis=0)
+            basis[done] = work_basis.take(gone, axis=0)
+            unbounded[done] = ~optimal[gone]
+            keep = np.flatnonzero(~ended)
+            if not keep.size:
+                return unbounded
+            work = work.take(keep, axis=0)
+            work_basis = work_basis.take(keep, axis=0)
+            ids, enter, leave = ids[keep], enter[keep], leave[keep]
+            lp = lp[:keep.size]
+        _pivot(work, leave, enter)
+        work_basis[lp, leave] = enter
 
 
 def solve_lp(c, A, b, basis):
@@ -158,12 +219,13 @@ def solve_lp(c, A, b, basis):
     T[:, :m, -1] = b
     T[:, -1, :n] = c
     lp = np.arange(n_lp)
+    no_such_column = (basis < 0) | (basis >= n)
     for i in range(m):
         j = basis[:, i]
-        bad = (j < 0) | (j >= n)
-        if not bad.any():
+        bad = no_such_column[:, i]
+        if not np.count_nonzero(bad):
             bad = np.abs(T[lp, i, j]) <= LP_TOL
-        if bad.any():
+        if np.count_nonzero(bad):
             raise ValueError(f"start column {j[bad][0]} is singular in row {i}")
         _pivot(T, np.full(n_lp, i), j)
     if np.any(T[:, :m, -1] < 0.0):
@@ -216,8 +278,9 @@ def _hull_distances(P: np.ndarray, points: np.ndarray):
     return c, x, np.clip(w[:, :d, 0], -1.0, 1.0)
 
 
-def _separations(X: np.ndarray, targets: np.ndarray, band: float) -> list:
-    """``strict_separation`` of each target point of the checked matrix X.
+def _separations(X: np.ndarray, targets: np.ndarray):
+    """Max-margin directions (k, d) and margins (k,) of the target points
+    of the checked matrix X, as ``strict_separation`` reads them.
 
     The targets' LPs are solved in lockstep, in chunks whose tableaux fit
     in ``LP_BATCH_BYTES``.
@@ -225,19 +288,18 @@ def _separations(X: np.ndarray, targets: np.ndarray, band: float) -> list:
     n, d = X.shape
     tableau_bytes = 8 * (d + 2) * (n + 2 * d)  # k + 2d + 1 columns, k = n - 1
     step = max(1, LP_BATCH_BYTES // tableau_bytes)
-    out = []
+    rest = np.arange(n - 1)
+    directions, margins = [], []
     for lo in range(0, len(targets), step):
         chunk = targets[lo:lo + step]
         points = X[chunk]
-        others = np.empty((len(chunk), n - 1, d))
-        for rest_of_x, i in zip(others, chunk):  # X without the target's row
-            rest_of_x[:i] = X[:i]
-            rest_of_x[i:] = X[i + 1:]
+        # X without each target's own row
+        others = X.take(rest + (rest >= chunk[:, None]), axis=0)
         _, _, W = _hull_distances(points, others)
-        for p, rest_of_x, w in zip(points, others, W):
-            margin = float(np.min((p - rest_of_x) @ w))
-            out.append(None if margin <= band else (w, margin))
-    return out
+        directions.append(W)
+        margins.append(np.matmul(points[:, None, :] - others,
+                                 W[:, :, None])[:, :, 0].min(axis=1))
+    return np.concatenate(directions), np.concatenate(margins)
 
 
 def strict_separation(i: int, X, band: float = MARGIN_BAND):
@@ -250,11 +312,15 @@ def strict_separation(i: int, X, band: float = MARGIN_BAND):
     """
     X = numkit.check_finite(numkit.as_matrix(X), "points")
     n = X.shape[0]
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValueError(f"point index must be an integer, got {i!r}")
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for {n} points")
     if n < 2:
         raise ValueError("separation needs at least two points")
-    return _separations(X, np.array([i]), band)[0]
+    W, margins = _separations(X, np.array([i]))
+    margin = float(margins[0])
+    return None if margin <= band else (W[0], margin)
 
 
 def point_separations(X, band: float = MARGIN_BAND) -> list:
@@ -265,7 +331,9 @@ def point_separations(X, band: float = MARGIN_BAND) -> list:
     X = numkit.check_finite(numkit.as_matrix(X), "points")
     if X.shape[0] < 2:
         raise ValueError("separation needs at least two points")
-    return _separations(X, np.arange(X.shape[0]), band)
+    W, margins = _separations(X, np.arange(X.shape[0]))
+    return [None if margin <= band else (w, margin)
+            for w, margin in zip(W, margins.tolist())]
 
 
 def hull_member(p, points) -> bool:
@@ -345,8 +413,8 @@ def amplification_for(delta: float, eps: float, n: int) -> float:
     gives the target weight e^{c delta} / (e^{c delta} + n - 1); solving for
     weight = 1 - eps yields c = ln((n-1)(1-eps)/eps) / delta.
     """
-    if delta <= 0.0:
-        raise ValueError("margin must be positive")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ValueError(f"margin must be finite and positive, got {delta!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
     if n < 2:
@@ -363,19 +431,13 @@ def vdelta_certificate(X):
     points whose margin is at or below ``MARGIN_BAND``.
     """
     X = numkit.check_finite(numkit.as_matrix(X), "points")
-    n, d = X.shape
+    n = X.shape[0]
     if n < 2:
         raise ValueError("certification needs at least two points")
-    directions = np.zeros((n, d))
-    margins = np.zeros(n)
-    bad = []
-    for i, got in enumerate(_separations(X, np.arange(n), MARGIN_BAND)):
-        if got is None:
-            bad.append(i)
-        else:
-            directions[i], margins[i] = got
-    if bad:
-        return CertificateFailure(tuple(bad))
+    directions, margins = _separations(X, np.arange(n))
+    bad = np.flatnonzero(margins <= MARGIN_BAND)
+    if bad.size:
+        return CertificateFailure(tuple(bad.tolist()))
     delta = float(margins.min())
     return SeparabilityCertificate(
         directions=directions,

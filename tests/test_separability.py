@@ -1,6 +1,8 @@
 """Tests for LP-based selection certificates and the constructed selector."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +157,33 @@ def _staircase_lp(t, m=4):
     return c, A, np.ones(m), list(range(m, 2 * m))
 
 
+def _ratio_lp(rhs, start):
+    """min -x_0  s.t.  x_0 + s_i = rhs[i], with slack s_i in column
+    start[i]: entering x_0 has ratio rhs[i] in row i, so the first pivot's
+    leaving row is the ratio test's answer, and the LP ends optimal."""
+    m = len(rhs)
+    A = np.zeros((m, m + 1))
+    A[:, 0] = 1.0
+    A[np.arange(m), start] = 1.0
+    c = np.zeros(m + 1)
+    c[0] = -1.0
+    return c, A, np.array(rhs), list(start)
+
+
+def _scaled_staircase_lp(t, seed, m=4):
+    """``_staircase_lp`` with random positive entries: x_j = b_j / a_j,
+    after exactly t pivots."""
+    rng = numkit.make_rng(seed)
+    c, _, _, start = _staircase_lp(t, m)
+    A = np.hstack([np.diag(rng.uniform(0.5, 2.0, m)), np.eye(m)])
+    return c * rng.uniform(0.5, 2.0, 2 * m), A, rng.uniform(0.5, 2.0, m), start
+
+
+def _solve_stack(lps):
+    """``solve_lp`` on the LPs (c, A, b, start) stacked in order."""
+    return solve_lp(*(np.array([lp[k] for lp in lps]) for k in range(4)))
+
+
 class TestLockstepStack:
     """Stacked LPs pivot in lockstep and each gets the bits it gets alone."""
 
@@ -169,8 +198,7 @@ class TestLockstepStack:
 
     def test_lps_ending_after_different_pivot_counts(self):
         lps = [_staircase_lp(t) for t in (3, 0, 4, 1, 2)]
-        x, basis, unbounded = solve_lp(*(np.array([lp[k] for lp in lps])
-                                         for k in range(4)))
+        x, basis, unbounded = _solve_stack(lps)
         for t, lp, x_k, basis_k, unbounded_k in zip((3, 0, 4, 1, 2), lps, x,
                                                     basis, unbounded):
             assert not unbounded_k
@@ -188,8 +216,7 @@ class TestLockstepStack:
         A = A.copy()
         A[0, 0] = -1.0
         lps = [_staircase_lp(2), (c, A, b, start), _staircase_lp(4)]
-        x, basis, unbounded = solve_lp(*(np.array([lp[k] for lp in lps])
-                                         for k in range(4)))
+        x, basis, unbounded = _solve_stack(lps)
         assert unbounded.tolist() == [False, True, False]
         assert np.isnan(x[1]).all() and np.isnan(c @ x[1])
         for lp, *got in zip(lps, x, basis, unbounded):
@@ -202,11 +229,55 @@ class TestLockstepStack:
         separability._pivot(T, np.array([0, 0]), np.array([0, 0]))
         assert _same_bits(T[0], np.array([[1.0, -0.5], [0.0, -0.0]]))
         assert _same_bits(T[1], np.array([[1.0, 0.5], [0.0, -0.5]]))
-        # an LP that is not moving keeps every bit
+        # a tableau outside the stack being pivoted keeps every bit
         before = T.copy()
-        separability._pivot(T, np.array([1, 0]), np.array([1, 1]),
-                            np.array([False, True]))
+        separability._pivot(T[1:], np.array([0]), np.array([1]))
         assert _same_bits(T[0], before[0])
+        assert _same_bits(T[1], np.array([[2.0, 1.0], [1.0, 0.0]]))
+
+    def test_exact_tie_goes_to_the_smaller_basis_index(self):
+        # rows 0 and 1 tie at ratio 0 exactly, row 0 holding the larger
+        # basis index: Bland's rule takes row 1, whatever the row order
+        lps = [_ratio_lp([0.0, 0.0, 1.0], [3, 2, 1]),
+               _ratio_lp([0.0, 0.0, 1.0], [2, 3, 1]),
+               _ratio_lp([2.0, 0.0, 0.0], [1, 3, 2]),
+               _ratio_lp([0.5, 0.25, 1.0], [3, 2, 1])]
+        x, basis, unbounded = _solve_stack(lps)
+        assert basis[:, :2].tolist() == [[3, 0], [0, 3], [1, 3], [3, 0]]
+        for lp, *got in zip(lps, x, basis, unbounded):
+            self._check_against_oracle(*got, *lp)
+
+    def test_ratios_within_the_tolerance_follow_the_scan_order(self):
+        # unequal ratios closer than LP_TOL: the row scan decides, not the
+        # least ratio; in the chain 0 ~ 0.8e-9 ~ 1.6e-9 the last row wins
+        # though its ratio is more than LP_TOL above the least
+        lps = [_ratio_lp([0.5e-9, 1e-9, 1.0], [3, 2, 1]),
+               _ratio_lp([0.0, 0.8e-9, 1.6e-9], [3, 2, 1]),
+               _ratio_lp([1.0, 0.5, 0.25], [3, 2, 1])]
+        x, basis, unbounded = _solve_stack(lps)
+        assert basis.tolist() == [[3, 0, 1], [3, 2, 0], [3, 2, 0]]
+        assert x[0, 0] == 1e-9 and x[1, 0] == 1.6e-9
+        for lp, *got in zip(lps, x, basis, unbounded):
+            self._check_against_oracle(*got, *lp)
+
+    def test_lps_that_end_leave_the_stack_with_their_bits(self):
+        # after the first pivot one LP is optimal and one unbounded; the
+        # other three go on pivoting for up to three more iterations
+        unbounded_lp = _scaled_staircase_lp(2, seed=3)
+        unbounded_lp[1][1, 1] *= -1.0  # x_1 enters with no positive entry
+        lps = [_scaled_staircase_lp(4, seed=1),
+               _scaled_staircase_lp(1, seed=2), unbounded_lp,
+               _scaled_staircase_lp(3, seed=4),
+               _scaled_staircase_lp(4, seed=5)]
+        x, basis, unbounded = _solve_stack(lps)
+        assert unbounded.tolist() == [False, False, True, False, False]
+        assert np.isnan(x[2]).all()
+        for lp, *got in zip(lps, x, basis, unbounded):
+            self._check_against_oracle(*got, *lp)
+            alone_x, alone_basis, alone_unbounded = _solve_one(*lp)
+            assert _same_bits(got[0], alone_x)
+            assert tuple(got[1].tolist()) == alone_basis
+            assert got[2] == alone_unbounded
 
     def test_stacked_dimensions_must_agree(self):
         c, A, b, start = _staircase_lp(2)
@@ -315,6 +386,31 @@ class TestSequentialOracle:
         assert _same_bits(w[0], want_w)
 
 
+# sha256 of directions.tobytes() + margins.tobytes() of the certificate of
+# 32 unit-sphere points in 3-D drawn with numkit.make_rng(seed): the certify
+# benchmark's shape, which the sampled sets above may never hit.  Recorded
+# while every LP's ratio test was a row scan (Python 3.11.7, numpy 2.4.6); a
+# change here is a change of some LP's pivots or bits.
+CERTIFY_SHAPE_SHA256 = {
+    0: "c96612663ca72851e6138e223079d2faa2a82663ad9c4f7e5d5a687fb6d218b9",
+    1: "53da9ba45135e82d59d73c6e32b7be85d943451df0ae6b4834da3fa55f5ad782",
+    2: "36c216c16cf36d18859a64a2b92614a3413bed2bb5258e1ed27479c0a2fcf172",
+    3: "6bf3b7d9313200ecc7d87be46df43614626d388ffb598714266662438f3679e4",
+    4: "59775e6d4a8af98632a747ff4a7ce71000d7ed72dfa3a2c60bfce9e7da5f0943",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CERTIFY_SHAPE_SHA256))
+def test_certify_shape_certificates_are_pinned(seed):
+    X = numkit.make_rng(seed).normal(size=(32, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    cert = vdelta_certificate(X)
+    assert isinstance(cert, SeparabilityCertificate)
+    digest = hashlib.sha256(cert.directions.tobytes()
+                            + cert.margins.tobytes()).hexdigest()
+    assert digest == CERTIFY_SHAPE_SHA256[seed]
+
+
 # ---------------------------------------------------------------------------
 # separation and hull membership
 # ---------------------------------------------------------------------------
@@ -353,6 +449,19 @@ class TestStrictSeparation:
             strict_separation(5, np.ones((2, 2)))
         with pytest.raises(ValueError, match="two points"):
             strict_separation(0, np.ones((1, 2)))
+
+    @pytest.mark.parametrize("i", [1.0, 1.5, True, np.float64(1.0), "1"])
+    def test_non_integer_index_refused(self, i):
+        # these once leaked numpy's IndexError, or read True as point 1
+        with pytest.raises(ValueError,
+                           match=re.escape(f"integer, got {i!r}")):
+            strict_separation(i, np.eye(3))
+
+    def test_numpy_integer_index_accepted(self):
+        X = np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 2.0]])
+        want = strict_separation(1, X)
+        got = strict_separation(np.int64(1), X)
+        assert _same_bits(got[0], want[0]) and got[1] == want[1]
 
     def test_margin_on_the_band_is_inseparable(self):
         assert strict_separation(1, [[0.0], [1e-6]]) is None
@@ -665,6 +774,13 @@ class TestAmplification:
     def test_domain_validated(self, bad):
         with pytest.raises(ValueError):
             amplification_for(*bad)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_margin_refused(self, delta):
+        # a NaN margin once gave amplification nan, and an infinite one 0.0
+        with pytest.raises(ValueError, match="margin must be finite and "
+                                             "positive"):
+            amplification_for(delta, 0.1, 4)
 
 
 def pool_weights(pool, X, selector):

@@ -741,19 +741,28 @@ def run_and_report(
             if isinstance(pool, SoftmaxSelectPool):
                 _check_cert_score(pool, cert)
     d = prog.layout["x"] if deep else 0
-    measured = []  # after layer k <= n: (feature error, target's weight)
+    # after layer k <= n: the feature stored, and the target's weight where
+    # the pool gives selection weights
+    features, w_target = np.zeros((n, d)), np.zeros(n)
+    weighed = np.zeros(n, dtype=bool)
 
-    def measure_selection(k, state, aux):
-        if k <= n:
-            weights = None if aux is None else aux.get("selection_weights")
-            diff = state.vn[:d] - X[k - 1]
-            measured.append((
-                math.sqrt(diff @ diff),
-                None if weights is None else float(weights[k - 1]),
-            ))
+    class MeasureSelection:
+        def __call__(self, k, state, aux):
+            if k <= n:
+                weights = None if aux is None \
+                    else aux.get("selection_weights")
+                self.chunk(range(k, k + 1), state.vn[None],
+                           None if weights is None else weights[None])
+
+        def chunk(self, ks, vn_rows, weights):
+            rows = np.arange(ks.start - 1, ks.stop - 1)
+            features[rows] = vn_rows[:, :d]
+            if weights is not None:
+                w_target[rows] = weights[np.arange(len(ks)), rows]
+                weighed[rows] = True
 
     final = run_program(prog.initial_state(X), prog,
-                        observe=measure_selection if deep else None)
+                        observe=MeasureSelection() if deep else None)
     got = prog.extract(final)
     if got.shape != want.shape:
         raise ValueError(
@@ -770,22 +779,25 @@ def run_and_report(
     if deep:
         c1 = feature_bound if feature_bound is not None \
             else float(np.linalg.norm(X, axis=1).max())
-        for k in range(1, n + 1):
-            feat_err, w_target = measured[k - 1]
+        offset = features - X
+        feat_errs = np.sqrt(np.vecdot(offset, offset))
+        bounds = n * c1 * (1.0 - w_target)
+        columns = zip(weighed.tolist(), w_target.tolist(), feat_errs.tolist(),
+                      bounds.tolist(), (feat_errs <= bounds + 1e-12).tolist())
+        for k, (has_weight, weight, feat_err, bound, ok) in enumerate(
+                columns, start=1):
             c = getattr(pools[k - 1], "scale", None)
             entry = {"layer": k, "target": k - 1}
-            if w_target is not None:
-                entry["weight"] = w_target
+            if has_weight:
+                entry["weight"] = weight
                 entry["feature_error"] = feat_err
-                entry["feature_error_bound"] = n * c1 * (1.0 - w_target)
-                entry["feature_error_ok"] = (
-                    feat_err <= n * c1 * (1.0 - w_target) + 1e-12
-                )
+                entry["feature_error_bound"] = bound
+                entry["feature_error_ok"] = ok
                 if cert is not None and c is not None:
                     entry["weight_bound"] = selection_weight_bound(
                         c, float(cert.margins[k - 1]), n
                     )
-                    entry["weight_ok"] = w_target >= entry["weight_bound"] - 1e-12
+                    entry["weight_ok"] = weight >= entry["weight_bound"] - 1e-12
             selection.append(entry)
 
     config = dict(prog.metadata)

@@ -21,11 +21,15 @@ slot objects (``LayerProgram.runs``).  A run of selection rounds (rounds
 2..n of a compiled deep program: a round-indexed selection pool, a
 ``SelectorAdvance`` staging zeros and a ``ScoreAccumulate``) never writes
 block ``x``, so it is computed a chunk of rounds at a time: the pooled rows
-and score terms are stacked products, and only the sums go round by round.
-Every state, aux and output is bitwise what ``run_layer``, applied to one
-layer after another, gives: each pool's and ``ScoreAccumulate``'s one-layer
-``__call__`` is the one-round case of the same stacked code.  Every other
-run goes layer by layer through ``run_layer``.
+and score terms are stacked products.  Unless a plain ``observe`` callable
+needs every round's state, each chunk's terms are folded into ``acc`` and
+``mass`` by one reduce each, in round order; an observer with a
+``chunk(ks, vn_rows, weights)`` method gets each chunk's virtual-node states
+and selection weights as arrays.  Every state, aux and output is bitwise
+what ``run_layer``, applied to one layer after another, gives: each pool's
+and ``ScoreAccumulate``'s one-layer ``__call__`` is the one-round case of
+the same stacked code.  Every other run goes layer by layer through
+``run_layer``.
 
 Every function slot is filled by a *descriptor*: a frozen dataclass with a
 registered ``kind`` and a ``__call__``, either closed-form or backed by
@@ -848,27 +852,56 @@ def _layer_by_layer(s: NodeState, run: Run):
         yield k, s, aux
 
 
-def _selection_rounds(s: NodeState, run: Run, weigh: bool):
+def _round_chunks(s: NodeState, run: Run, weigh: bool):
     """The rounds of a selection run (``_selection_run``), a chunk at a
-    time: each chunk's pooled rows, virtual-node states and score terms in
-    one stacked call each, then one round's sums at a time.  Every pooled
-    row reads the run's first ``x`` block, and round k accumulates the
-    feature round k - 1 selected.  Yields (k, state, aux) for each layer k,
-    each state bitwise what ``run_layer`` gives; ``weigh`` asks the pool
-    for selection weights (the aux), else aux is None."""
+    time: yields (ks, vns, weights, e, terms) for each chunk of layers ks,
+    with its virtual-node states (one row per layer), the pool's selection
+    weights (None without ``weigh``) and ``ScoreAccumulate.terms``, each
+    from one stacked call.  Every pooled row reads the run's first ``x``
+    block, and round k accumulates the feature round k - 1 selected; the
+    sums of ``acc`` and ``mass`` are left to the caller."""
     pool, advance, accumulate = (run.layer.vn_pool, run.layer.vn_update,
                                  run.layer.gn_update)
-    d, stop = accumulate.width, run.start + run.repeat + 1
+    d, stop, vn = accumulate.width, run.start + run.repeat + 1, s.vn
     chunk = max(1, _CHUNK_FLOATS // max(1, s.gn["x"].size))
     for first in range(run.start + 1, stop, chunk):
         ks = range(first, min(first + chunk, stop))
-        pooled, weights = pool.select(s.vn, s.gn, ks, weigh)
+        pooled, weights = pool.select(vn, s.gn, ks, weigh)
         vns = advance.stage(pooled)
         e, terms = accumulate.terms(
-            s.gn, np.concatenate([s.vn[None, :d], vns[:-1, :d]]))
+            s.gn, np.concatenate([vn[None, :d], vns[:-1, :d]]))
+        yield ks, vns, weights, e, terms
+        vn = vns[-1]
+
+
+def _selection_rounds(s: NodeState, run: Run):
+    """A selection run one round's sums at a time: yields (k, state, aux)
+    for each layer k, each bitwise what ``run_layer`` gives."""
+    add = run.layer.gn_update.add
+    for ks, vns, weights, e, terms in _round_chunks(s, run, True):
         for j, k in enumerate(ks):
-            s = NodeState(accumulate.add(s.gn, e[j], terms[j]), vns[j])
-            yield k, s, {"selection_weights": weights[j]} if weigh else None
+            s = NodeState(add(s.gn, e[j], terms[j]), vns[j])
+            yield k, s, {"selection_weights": weights[j]}
+
+
+def _folded_rounds(s: NodeState, run: Run, chunk: Callable | None):
+    """A selection run's final state, each chunk's terms folded into
+    ``acc`` and ``mass`` by one reduce each; ``chunk(ks, vns, weights)``,
+    when given, sees every chunk.  The old sum goes into the first term
+    (addition commutes exactly), and ``np.add.reduce`` over the leading
+    axis of a C-contiguous stack adds ``out += a[j]`` in round order, so
+    the sums are bitwise one round at a time.  (It would sum pairwise if
+    the stack were (rounds, 1), i.e. n = 1, which no selection run has.)"""
+    gn, vn, weigh = s.gn, s.vn, chunk is not None
+    for ks, vn_rows, weights, e, terms in _round_chunks(s, run, weigh):
+        terms[0] += gn["acc"]
+        e[0] += gn["mass"][:, 0]
+        gn = {**gn, "acc": np.add.reduce(terms, axis=0),
+              "mass": np.add.reduce(e, axis=0)[:, None]}
+        vn = vn_rows[-1]
+        if weigh:
+            chunk(ks, vn_rows, weights)
+    return NodeState(gn, vn)
 
 
 def run_program(s0: NodeState, prog: LayerProgram,
@@ -882,20 +915,34 @@ def run_program(s0: NodeState, prog: LayerProgram,
     round-indexed selection pool, a ``SelectorAdvance`` staging zeros and
     a ``ScoreAccumulate`` of its width) goes a chunk of rounds at a time,
     each chunk holding about ``_CHUNK_FLOATS`` score-term floats, so its
-    memory does not grow with n (``_selection_rounds``); every other run
-    goes layer by layer through ``run_layer``.  Either way each state and
-    aux is bitwise what ``run_layer`` gives, and no state handed out is
-    written afterwards.
+    memory does not grow with n; every other run goes layer by layer
+    through ``run_layer``.  Unless an observer needs every state of the
+    run, each chunk's score terms are folded into ``acc`` and ``mass`` by
+    one reduce each (``_folded_rounds``), else they are added one round at
+    a time (``_selection_rounds``).  Either way each state, aux and output
+    is bitwise what ``run_layer`` gives, and no state handed out is written
+    afterwards.
 
-    ``observe(k, state, aux)``, when given, is called after layer k for
-    k = 1..L with the post-layer state and the pool's aux output (None for
-    plain pools); it keeps whatever it needs.  Without it, batched rounds
-    build no selection weights.
+    ``observe(k, state, aux)``, when given, is called after layer k with
+    the post-layer state and the pool's aux output (None for plain pools);
+    it keeps whatever it needs.  A plain callable is called for every layer
+    k = 1..L.  An ``observe`` with a ``chunk`` method is called so only
+    outside runs of selection rounds; each chunk of such a run's layers
+    ``ks`` (a ``range``) instead reaches ``observe.chunk(ks, vn_rows,
+    weights)``: the post-layer virtual-node states and the selection
+    weights, one row per layer, each bitwise what a per-layer observer sees
+    at that k.  Without an observer, batched rounds build no selection
+    weights.
     """
     s = s0
+    chunk = getattr(observe, "chunk", None)
     for run in prog.runs:
-        steps = _selection_rounds(s, run, observe is not None) \
-            if _selection_run(run) else _layer_by_layer(s, run)
+        if not _selection_run(run):
+            steps = _layer_by_layer(s, run)
+        elif observe is None or chunk is not None:
+            s, steps = _folded_rounds(s, run, chunk), ()
+        else:
+            steps = _selection_rounds(s, run)
         for k, s, aux in steps:
             if observe is not None:
                 observe(k, s, aux)

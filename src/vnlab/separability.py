@@ -150,9 +150,10 @@ def _bland_lockstep(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     its reduced-cost row, canonical for ``basis`` (B, m).  Each iteration,
     every LP still running picks its entering column and leaving row as it
     would alone, and all of them pivot in one update.  The running LPs form
-    a compacted working stack: an LP that ends optimal or unbounded has its
-    tableau and basis written back to ``T`` and ``basis`` once and leaves
-    the stack.  Returns the unbounded flags (B,).
+    a compacted working stack: an LP that ends optimal (before the ratio
+    test) or unbounded (after it) has its tableau and basis written back to
+    ``T`` and ``basis`` once and leaves the stack.  Returns the unbounded
+    flags (B,).
     """
     n_lp, m = basis.shape
     if m == 0 or n_lp == 0:
@@ -162,26 +163,39 @@ def _bland_lockstep(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     unbounded = np.zeros(n_lp, dtype=bool)
     ids = lp = np.arange(n_lp)  # each running LP's place in T
     work, work_basis = T, basis  # copied on the first LP to end
+
+    def retire(ended, why):
+        """Write the LPs ``ended`` marks back to ``T`` and ``basis`` with
+        unbounded flag ``why``; returns the places of the others."""
+        nonlocal ids, lp, work, work_basis
+        gone = np.flatnonzero(ended)
+        done = ids[gone]
+        T[done] = work.take(gone, axis=0)
+        basis[done] = work_basis.take(gone, axis=0)
+        unbounded[done] = why
+        keep = np.flatnonzero(~ended)
+        work = work.take(keep, axis=0)
+        work_basis = work_basis.take(keep, axis=0)
+        ids, lp = ids[keep], lp[:keep.size]
+        return keep
+
     while True:
         negative = work[:, -1, :-1] < -LP_TOL
         enter = negative.argmax(axis=1)  # the first negative reduced cost
+        # an optimal LP leaves before the ratio test: its enter is column
+        # 0 by default, whose ratios mean nothing
         optimal = ~negative[lp, enter]
+        if np.count_nonzero(optimal):
+            enter = enter[retire(optimal, False)]
+            if not enter.size:
+                return unbounded
         leave = _leaving_rows(work[:, :m, -1], work[lp, :m, enter],
                               work_basis)
-        ended = optimal | (leave < 0)
-        if np.count_nonzero(ended):
-            gone = np.flatnonzero(ended)
-            done = ids[gone]
-            T[done] = work.take(gone, axis=0)
-            basis[done] = work_basis.take(gone, axis=0)
-            unbounded[done] = ~optimal[gone]
-            keep = np.flatnonzero(~ended)
+        if np.count_nonzero(leave < 0):
+            keep = retire(leave < 0, True)
             if not keep.size:
                 return unbounded
-            work = work.take(keep, axis=0)
-            work_basis = work_basis.take(keep, axis=0)
-            ids, enter, leave = ids[keep], enter[keep], leave[keep]
-            lp = lp[:keep.size]
+            enter, leave = enter[keep], leave[keep]
         _pivot(work, leave, enter)
         work_basis[lp, leave] = enter
 

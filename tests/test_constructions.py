@@ -1391,6 +1391,37 @@ class TestReports:
             assert np.array(got).tobytes() == np.array(norms).tobytes()
             assert any(v > 0.0 for v in got) == (c is not None)
 
+    # sha256 of json.dumps(report_to_json(report), sort_keys=True) for the
+    # deep-oracle benchmark's shape and for a certify-shape softmax case
+    # (unit rows), both drawn from np.random.default_rng([77, 0, 0]);
+    # recorded while the report measured each selection round through a
+    # per-layer observer
+    REPORT_SHA256 = {
+        "deep-oracle": "5922026e4d0992225ebe25f2eebf9398958594d704fcf935e2b17950936ef7ea",
+        "certify-softmax": "9ee637301b040d564b131a93c8cca2eaa8e17c4d1704ddfbf3358ad3ca0e46f6",
+    }
+
+    @pytest.mark.parametrize("case", sorted(REPORT_SHA256))
+    def test_report_is_pinned(self, case):
+        rng = np.random.default_rng([77, 0, 0])
+        if case == "deep-oracle":
+            X = rng.normal(size=(256, 8)) * 0.3
+            w = attention.random_weights(8, rng)
+            rep = run_and_report(X, compile_deep_vn(w, DeepSimConfig(n=256)),
+                                 w)
+        else:
+            X = rng.normal(size=(32, 3))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            w = attention.random_weights(3, rng)
+            cert = vdelta_certificate(X)
+            prog = compile_deep_vn(w, DeepSimConfig(
+                n=32, selection="softmax", certificate=cert))
+            rep = run_and_report(X, prog, w, cert=cert, feature_bound=1.0)
+            assert all("weight_ok" in e for e in rep.selection)
+        blob = json.dumps(report_to_json(rep), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() \
+            == self.REPORT_SHA256[case]
+
     def test_full_reference_mismatched_reference_errors(self):
         rng = numkit.make_rng(0)
         w = attention.random_weights(2, rng)

@@ -1064,6 +1064,113 @@ class TestSelectionRounds:
             assert aux["selection_weights"].base is built[1][1]
             assert np.array_equal(aux["selection_weights"], np.eye(5)[k - 1])
 
+    @staticmethod
+    def _any_selection_case(selection, n, d):
+        """(program, X): a deep program whose softmax or gatv2 pool scores
+        against random selectors (no LP: the fold is checked, not the
+        selection), on rows whose norms span three decades, so the terms
+        of one node's sums do too."""
+        rng = numkit.make_rng(1000 * n + d)
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2.0, 1.0, (n, 1))
+        w = attention.random_weights(d, rng)
+        cert = None if selection == "oracle" else SeparabilityCertificate(
+            rng.normal(size=(n, d)), np.ones(n), amplification=3.0,
+            score="bilinear" if selection == "softmax" else "l1")
+        return compile_deep_vn(w, DeepSimConfig(
+            n=n, selection=selection, certificate=cert)), X
+
+    class ChunkObserver:
+        """Keeps every per-layer call and every chunk of selection rounds."""
+
+        def __init__(self):
+            self.layers, self.chunks = [], []
+
+        def __call__(self, k, state, aux):
+            self.layers.append((k, state, aux))
+
+        def chunk(self, ks, vn_rows, weights):
+            self.chunks.append((ks, vn_rows.copy(), weights.copy()))
+
+    @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
+    @pytest.mark.parametrize("n", [3, 5, 33])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_folded_chunks_equal_a_stepwise_run(self, selection, n, d,
+                                                 rounds, monkeypatch):
+        # rounds 2..n in chunks of 1, 2 or 3 rounds (the last one partial
+        # for 3 rounds at every n here), folded into acc and mass by one
+        # reduce a chunk, with no observer and with a chunk observer
+        prog, X = self._any_selection_case(selection, n, d)
+        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", rounds * X.size)
+        s0 = prog.initial_state(X)
+        states, _ = run_stepwise(s0, prog)
+        want = states[-1]
+        observer = self.ChunkObserver()
+        for final in (run_program(s0, prog),
+                      run_program(s0, prog, observe=observer)):
+            assert_same_trace(([final], []), ([want], []))
+        assert np.array_equal(prog.execute(star(n), X), prog.extract(want))
+        assert [k for k, _, _ in observer.layers] == [1, n + 1, n + 2]
+        assert [len(ks) for ks, _, _ in observer.chunks] == \
+            [len(range(first, min(first + rounds, n + 1)))
+             for first in range(2, n + 1, rounds)]
+
+    @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
+    def test_chunk_and_per_layer_observers_agree(self, selection,
+                                                 monkeypatch):
+        # what a chunk observer gets for rounds 2..n, row by row, is what a
+        # per-layer observer sees at each k; every other layer reaches
+        # both as the same per-layer call
+        prog, X = self._any_selection_case(selection, 11, 3)
+        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * X.size)
+        s0 = prog.initial_state(X)
+        states, auxes = run_traced(s0, prog)
+        observer = self.ChunkObserver()
+        run_program(s0, prog, observe=observer)
+        assert [ks for ks, _, _ in observer.chunks] == \
+            [range(2, 5), range(5, 8), range(8, 11), range(11, 12)]
+        for ks, vn_rows, weights in observer.chunks:
+            for j, k in enumerate(ks):
+                assert np.array_equal(vn_rows[j], states[k].vn)
+                assert np.array_equal(weights[j],
+                                      auxes[k - 1]["selection_weights"])
+        for k, state, aux in observer.layers:
+            assert_same_trace(([state], [aux]), ([states[k]], [auxes[k - 1]]))
+
+    def test_fold_adds_in_round_order(self, monkeypatch):
+        # a chunk of 32 rounds on 5 nodes whose terms span 16 decades:
+        # summed pairwise (as numpy sums a contiguous axis), acc and mass
+        # differ from the round-by-round sums; the fold must give the latter
+        rng = numkit.make_rng(5)
+        rounds, rows, d = 32, 5, 3
+        e = 10.0 ** rng.uniform(-8.0, 8.0, (rounds, rows))
+        terms = rng.normal(size=(rounds, rows, d)) \
+            * 10.0 ** rng.uniform(-8.0, 8.0, (rounds, rows, 1))
+        gn = {"x": np.zeros((rows, d)), "acc": rng.normal(size=(rows, d)),
+              "mass": rng.uniform(size=(rows, 1))}
+        acc, mass = gn["acc"], gn["mass"]
+        for j in range(rounds):
+            acc, mass = terms[j] + acc, mass + e[j][:, None]
+
+        def pairwise(first, stack):  # each node's sum along a contiguous axis
+            return np.ascontiguousarray(
+                np.moveaxis(np.concatenate([first[None], stack]), 0, -1)
+            ).sum(axis=-1)
+
+        assert not np.array_equal(pairwise(gn["acc"], terms), acc)
+        assert not np.array_equal(pairwise(gn["mass"][:, 0], e), mass[:, 0])
+
+        vn_rows = rng.normal(size=(rounds, 2 * d + 1))
+        chunks = [(range(2, rounds + 2), vn_rows, None, e.copy(),
+                   terms.copy())]
+        monkeypatch.setattr(mpnnvn, "_round_chunks",
+                            lambda s, run, weigh: iter(chunks))
+        final = mpnnvn._folded_rounds(NodeState(gn, np.zeros(2 * d + 1)),
+                                      None, None)
+        assert np.array_equal(final.gn["acc"], acc)
+        assert np.array_equal(final.gn["mass"], mass)
+        assert np.array_equal(final.vn, vn_rows[-1])
+
 
 # ---------------------------------------------------------------------------
 # persistence

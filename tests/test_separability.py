@@ -279,6 +279,47 @@ class TestLockstepStack:
             assert tuple(got[1].tolist()) == alone_basis
             assert got[2] == alone_unbounded
 
+    def test_the_ratio_test_sees_only_lps_that_pivot(self, monkeypatch):
+        # an LP with no reduced cost below -LP_TOL is optimal, and its
+        # entering column is column 0 by default, so its ratios mean
+        # nothing: it must not reach _leaving_rows.  No LP here ends
+        # unbounded, so every LP the ratio test sees pivots right after,
+        # on a negative reduced cost
+        sizes = []  # per iteration: [LPs ratio-tested, LPs pivoted]
+        in_lockstep = []
+        leaving_rows, pivot = separability._leaving_rows, separability._pivot
+        lockstep = separability._bland_lockstep
+
+        def lockstep_spy(T, basis):
+            in_lockstep.append(True)
+            try:
+                return lockstep(T, basis)
+            finally:
+                in_lockstep.clear()
+
+        def ratio_spy(rhs, column, basis):
+            leave = leaving_rows(rhs, column, basis)
+            assert (leave >= 0).all()
+            sizes.append([len(column), 0])
+            return leave
+
+        def pivot_spy(T, rows, cols):
+            if in_lockstep:  # not a start-basis pivot of solve_lp
+                reduced = T[np.arange(len(cols)), -1, cols]
+                assert (reduced < -separability.LP_TOL).all()
+                sizes[-1][1] += len(cols)
+            pivot(T, rows, cols)
+
+        monkeypatch.setattr(separability, "_bland_lockstep", lockstep_spy)
+        monkeypatch.setattr(separability, "_leaving_rows", ratio_spy)
+        monkeypatch.setattr(separability, "_pivot", pivot_spy)
+        # t = 0 is optimal from the start; the others end after t pivots
+        _solve_stack([_staircase_lp(t) for t in (3, 0, 4, 1, 2)])
+        assert sizes == [[4, 4], [3, 3], [2, 2], [1, 1]]
+        sizes.clear()
+        vdelta_certificate(_unit_sphere_points(3))
+        assert sizes and all(seen == pivoted for seen, pivoted in sizes)
+
     def test_stacked_dimensions_must_agree(self):
         c, A, b, start = _staircase_lp(2)
         with pytest.raises(ValueError, match="dimensions"):

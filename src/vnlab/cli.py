@@ -11,7 +11,9 @@ returns ``(passed, results, fields, lines)``; ``main`` alone builds the
 report envelope, the CSV rows and the exit code from that tuple.
 
 Exit codes (set in ``main``): 0 everything verified, 1 usage or input error,
-or a report that cannot be written, 2 verification failure.
+or a report that cannot be written, 2 verification failure, 3 an internal
+error (any other exception: its traceback, then one ``internal error:``
+line on stderr).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +50,7 @@ from .graphs import (
     BENCHMARK_WINDOWS,
     window_count,
 )
-from .mpnnvn import run_program
+from .mpnnvn import run_layer, run_program
 from .separability import (
     amplification_for,
     l1_certificate,
@@ -398,19 +401,15 @@ def cmd_verify_kernel(cfg: dict, args):
 
 
 def _run_checking_time2(X, w, prog) -> tuple[np.ndarray, bool]:
-    """Run ``prog`` on X once: (its output, whether the time-2 trace is
-    exact).  After layer 2 every node must hold exactly one accumulated
-    term, and its query, staged by layer 1."""
+    """Run ``prog`` on X: (its output, whether the time-2 trace is exact).
+    After layer 2 every node must hold exactly one accumulated term, and
+    its query, staged by layer 1.  That state comes from ``run_layer`` on
+    layers 1 and 2, so the one ``run_program`` call needs no observer."""
     n = X.shape[0]
-    after = {}
-
-    def keep_layer2(k, state, aux):
-        if k == 2:
-            after["gn"] = state.gn
-
-    out = prog.extract(run_program(prog.initial_state(X), prog,
-                                   observe=keep_layer2))
-    gn = after["gn"]
+    s0 = prog.initial_state(X)
+    s1, _ = run_layer(s0, prog.layers[0], 1)
+    gn = run_layer(s1, prog.layers[1], 2)[0].gn
+    out = prog.extract(run_program(s0, prog))
     y = X[0]
     yk = y @ w.w_k
     yv = y @ w.w_v
@@ -808,6 +807,10 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault in vnlab itself, not in its input
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if passed else 2
 
 

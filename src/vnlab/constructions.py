@@ -713,12 +713,15 @@ def run_and_report(
     reference "full" compares against softmax attention; "kernel" against
     kernelized attention with feature map ``fm``.  Deep programs (those
     with a block layout) additionally get per-layer selection diagnostics:
-    the realized selection weight, the selected-feature error, and the
-    guaranteed bound n * C1 * (1 - weight) it must respect (C1 =
-    ``feature_bound`` or the largest input row norm).  A ``cert`` must be
-    for the program's selection pools ("bilinear" for softmax, "l1" for
-    gatv2), as ``compile_deep_vn`` requires; each weight bound is for its
-    pool's ``scale``.
+    the round's target (the row its selection weights favour most, the
+    first on ties), the realized weight of that row, the selected feature's
+    error against it, and the guaranteed bound n * C1 * (1 - weight) that
+    error must respect (C1 = ``feature_bound`` or the largest input row
+    norm).  A ``cert`` must be for the program's selection pools
+    ("bilinear" for softmax, "l1" for gatv2), as ``compile_deep_vn``
+    requires; each weight bound is for its pool's ``scale`` and the margin
+    of round k's selector, ``cert.margins[k - 1]``, whichever row now holds
+    its point.
     """
     X = numkit.as_matrix(X)
     n = X.shape[0]
@@ -741,28 +744,24 @@ def run_and_report(
             if isinstance(pool, SoftmaxSelectPool):
                 _check_cert_score(pool, cert)
     d = prog.layout["x"] if deep else 0
-    # after layer k <= n: the feature stored, and the target's weight where
-    # the pool gives selection weights
-    features, w_target = np.zeros((n, d)), np.zeros(n)
-    weighed = np.zeros(n, dtype=bool)
+    # after layer k <= n: the feature stored and, where the pool gives
+    # selection weights, the row it weighs most (its target, the first on
+    # ties) and that row's weight; without weights the target is row k - 1
+    features, targets = np.zeros((n, d)), np.arange(n)
+    w_target, weighed = np.zeros(n), np.zeros(n, dtype=bool)
 
-    class MeasureSelection:
-        def __call__(self, k, state, aux):
-            if k <= n:
-                weights = None if aux is None \
-                    else aux.get("selection_weights")
-                self.chunk(range(k, k + 1), state.vn[None],
-                           None if weights is None else weights[None])
-
-        def chunk(self, ks, vn_rows, weights):
-            rows = np.arange(ks.start - 1, ks.stop - 1)
-            features[rows] = vn_rows[:, :d]
-            if weights is not None:
-                w_target[rows] = weights[np.arange(len(ks)), rows]
-                weighed[rows] = True
+    def measure_selection(ks, state, vn_rows, weights):
+        if ks.start > n:
+            return
+        rows = np.arange(ks.start - 1, ks.stop - 1)
+        features[rows] = vn_rows[:, :d]
+        if weights is not None:
+            targets[rows] = weights.argmax(axis=1)
+            w_target[rows] = weights.max(axis=1)
+            weighed[rows] = True
 
     final = run_program(prog.initial_state(X), prog,
-                        observe=MeasureSelection() if deep else None)
+                        observe=measure_selection if deep else None)
     got = prog.extract(final)
     if got.shape != want.shape:
         raise ValueError(
@@ -779,15 +778,16 @@ def run_and_report(
     if deep:
         c1 = feature_bound if feature_bound is not None \
             else float(np.linalg.norm(X, axis=1).max())
-        offset = features - X
+        offset = features - X[targets]
         feat_errs = np.sqrt(np.vecdot(offset, offset))
         bounds = n * c1 * (1.0 - w_target)
-        columns = zip(weighed.tolist(), w_target.tolist(), feat_errs.tolist(),
-                      bounds.tolist(), (feat_errs <= bounds + 1e-12).tolist())
-        for k, (has_weight, weight, feat_err, bound, ok) in enumerate(
+        columns = zip(targets.tolist(), weighed.tolist(), w_target.tolist(),
+                      feat_errs.tolist(), bounds.tolist(),
+                      (feat_errs <= bounds + 1e-12).tolist())
+        for k, (target, has_weight, weight, feat_err, bound, ok) in enumerate(
                 columns, start=1):
             c = getattr(pools[k - 1], "scale", None)
-            entry = {"layer": k, "target": k - 1}
+            entry = {"layer": k, "target": target}
             if has_weight:
                 entry["weight"] = weight
                 entry["feature_error"] = feat_err

@@ -14,22 +14,21 @@ and the VM needs no graph: ``LayerProgram.execute`` is the one function that
 takes one, and checks it against the input once per program.
 
 ``run_program`` is the one loop over a program's layers.  Callers that need
-intermediate results (per-layer selection weights, a state at some time)
-pass an ``observe(k, state, aux)`` callback instead of asking for a trace.
-It walks the program's runs, stretches of layers that hold the same three
-slot objects (``LayerProgram.runs``).  A run of selection rounds (rounds
-2..n of a compiled deep program: a round-indexed selection pool, a
-``SelectorAdvance`` staging zeros and a ``ScoreAccumulate``) never writes
-block ``x``, so it is computed a chunk of rounds at a time: the pooled rows
-and score terms are stacked products.  Unless a plain ``observe`` callable
-needs every round's state, each chunk's terms are folded into ``acc`` and
-``mass`` by one reduce each, in round order; an observer with a
-``chunk(ks, vn_rows, weights)`` method gets each chunk's virtual-node states
-and selection weights as arrays.  Every state, aux and output is bitwise
-what ``run_layer``, applied to one layer after another, gives: each pool's
-and ``ScoreAccumulate``'s one-layer ``__call__`` is the one-round case of
-the same stacked code.  Every other run goes layer by layer through
-``run_layer``.
+intermediate results (selection weights, a state at some time) pass an
+``observe(ks, state, vn_rows, weights)`` callback instead of asking for a
+trace; it is called once per step, a step being one layer or one chunk of
+selection rounds.  The loop walks the program's runs, stretches of layers
+that hold the same three slot objects (``LayerProgram.runs``).  A run of
+selection rounds (rounds 2..n of a compiled deep program: a round-indexed
+selection pool, a ``SelectorAdvance`` staging zeros and a
+``ScoreAccumulate``) never writes block ``x``, so it is computed a chunk of
+rounds at a time: the pooled rows and score terms are stacked products, and
+each chunk's terms are folded into ``acc`` and ``mass`` by one reduce each,
+in round order, observed or not.  Every state, virtual-node row, selection
+weight and output is bitwise what ``run_layer``, applied to one layer after
+another, gives: each pool's and ``ScoreAccumulate``'s one-layer
+``__call__`` is the one-round case of the same stacked code.  Every other
+run goes layer by layer through ``run_layer``.
 
 Every function slot is filled by a *descriptor*: a frozen dataclass with a
 registered ``kind`` and a ``__call__``, either closed-form or backed by
@@ -276,8 +275,8 @@ def from_json(cls, blob: dict, label: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# virtual-node pools: (vn, gn blocks, layer number) -> (pooled vector, aux
-# or None)
+# virtual-node pools: (vn, gn blocks, layer number) -> (pooled vector,
+# selection weights or None)
 # ---------------------------------------------------------------------------
 
 
@@ -356,7 +355,7 @@ class SoftmaxSelectPool(Descriptor):
 
     def __call__(self, vn, gn, k):
         pooled, weights = self.select(vn, gn, range(k, k + 1))
-        return pooled[0], {"selection_weights": weights[0]}
+        return pooled[0], weights[0]
 
 
 @dataclass(frozen=True)
@@ -390,7 +389,7 @@ class OracleSelectPool(Descriptor):
 
     def __call__(self, vn, gn, k):
         pooled, weights = self.select(vn, gn, range(k, k + 1))
-        return pooled[0], {"selection_weights": weights[0]}
+        return pooled[0], weights[0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +592,13 @@ class ScoreAccumulate(Descriptor):
         # broadcast *, but einsum needs no scratch buffer for it
         return e, np.einsum("ki,kc->kic", e, (ys @ self.w_v)[:, 0])
 
-    def add(self, gn, e, term):
-        """One round: the new blocks after adding ``terms``' (e[j], t[j]).
-        The old sum is added into ``term`` (addition commutes exactly), so
-        the round's only new arrays are its acc and mass blocks."""
-        term += gn["acc"]
-        return {**gn, "acc": term, "mass": gn["mass"] + e[:, None]}
-
     def __call__(self, gn, vn):
         e, terms = self.terms(gn, vn[None])
-        return self.add(gn, e[0], terms[0])
+        # the old sum is added into the term (addition commutes exactly),
+        # so the layer's only new arrays are its acc and mass blocks
+        term = terms[0]
+        term += gn["acc"]
+        return {**gn, "acc": term, "mass": gn["mass"] + e[0][:, None]}
 
 
 @dataclass(frozen=True)
@@ -639,7 +635,7 @@ class MpnnVnLayer:
 
 
 def run_layer(s: NodeState, layer: MpnnVnLayer,
-              k: int) -> tuple[NodeState, dict | None]:
+              k: int) -> tuple[NodeState, np.ndarray | None]:
     """Apply ``layer`` as the program's layer ``k`` (1-based) with a
     synchronous barrier.
 
@@ -649,17 +645,17 @@ def run_layer(s: NodeState, layer: MpnnVnLayer,
     serve every round.  The pool and every graph-node update read the
     pre-layer state ``s``: each graph node sees the pre-layer virtual-node
     vector ``s.vn``, so nothing observes a mid-layer update.  Returns the
-    post-layer state and the pool's aux output (None for plain pools;
-    selection pools give ``selection_weights``).  The state's rows are the
+    post-layer state and the pool's selection weights, one per row (None
+    for a pool that is not a selection pool).  The state's rows are the
     node set; checking them against a host graph is
     ``LayerProgram.execute``'s job.  The new state shares every block the
     graph-node update returned unchanged (all of them for ``IdentityGn``; x
     and q for ``ScoreAccumulate``): no descriptor writes into ``s``.
     """
-    pooled, aux = layer.vn_pool(s.vn, s.gn, k)
+    pooled, weights = layer.vn_pool(s.vn, s.gn, k)
     new_vn = layer.vn_update(s.vn, pooled)
     new_gn = layer.gn_update(s.gn, s.vn)
-    return NodeState(new_gn, new_vn), aux
+    return NodeState(new_gn, new_vn), weights
 
 
 def _is_int(value) -> bool:
@@ -848,8 +844,9 @@ def _selection_run(run: Run) -> bool:
 
 def _layer_by_layer(s: NodeState, run: Run):
     for k in range(run.start + 1, run.start + run.repeat + 1):
-        s, aux = run_layer(s, run.layer, k)
-        yield k, s, aux
+        s, weights = run_layer(s, run.layer, k)
+        yield range(k, k + 1), s, s.vn[None], \
+            None if weights is None else weights[None]
 
 
 def _round_chunks(s: NodeState, run: Run, weigh: bool):
@@ -874,34 +871,21 @@ def _round_chunks(s: NodeState, run: Run, weigh: bool):
         vn = vns[-1]
 
 
-def _selection_rounds(s: NodeState, run: Run):
-    """A selection run one round's sums at a time: yields (k, state, aux)
-    for each layer k, each bitwise what ``run_layer`` gives."""
-    add = run.layer.gn_update.add
-    for ks, vns, weights, e, terms in _round_chunks(s, run, True):
-        for j, k in enumerate(ks):
-            s = NodeState(add(s.gn, e[j], terms[j]), vns[j])
-            yield k, s, {"selection_weights": weights[j]}
-
-
-def _folded_rounds(s: NodeState, run: Run, chunk: Callable | None):
-    """A selection run's final state, each chunk's terms folded into
-    ``acc`` and ``mass`` by one reduce each; ``chunk(ks, vns, weights)``,
-    when given, sees every chunk.  The old sum goes into the first term
+def _folded_rounds(s: NodeState, run: Run, weigh: bool):
+    """A selection run's steps: yields (ks, state, vn_rows, weights) for
+    each chunk of ``_round_chunks``, its terms folded into ``acc`` and
+    ``mass`` by one reduce each.  The old sum goes into the first term
     (addition commutes exactly), and ``np.add.reduce`` over the leading
     axis of a C-contiguous stack adds ``out += a[j]`` in round order, so
     the sums are bitwise one round at a time.  (It would sum pairwise if
     the stack were (rounds, 1), i.e. n = 1, which no selection run has.)"""
-    gn, vn, weigh = s.gn, s.vn, chunk is not None
+    gn = s.gn
     for ks, vn_rows, weights, e, terms in _round_chunks(s, run, weigh):
         terms[0] += gn["acc"]
         e[0] += gn["mass"][:, 0]
         gn = {**gn, "acc": np.add.reduce(terms, axis=0),
               "mass": np.add.reduce(e, axis=0)[:, None]}
-        vn = vn_rows[-1]
-        if weigh:
-            chunk(ks, vn_rows, weights)
-    return NodeState(gn, vn)
+        yield ks, NodeState(gn, vn_rows[-1]), vn_rows, weights
 
 
 def run_program(s0: NodeState, prog: LayerProgram,
@@ -915,37 +899,29 @@ def run_program(s0: NodeState, prog: LayerProgram,
     round-indexed selection pool, a ``SelectorAdvance`` staging zeros and
     a ``ScoreAccumulate`` of its width) goes a chunk of rounds at a time,
     each chunk holding about ``_CHUNK_FLOATS`` score-term floats, so its
-    memory does not grow with n; every other run goes layer by layer
-    through ``run_layer``.  Unless an observer needs every state of the
-    run, each chunk's score terms are folded into ``acc`` and ``mass`` by
-    one reduce each (``_folded_rounds``), else they are added one round at
-    a time (``_selection_rounds``).  Either way each state, aux and output
-    is bitwise what ``run_layer`` gives, and no state handed out is written
-    afterwards.
+    memory does not grow with n, and each chunk's score terms are folded
+    into ``acc`` and ``mass`` by one reduce each (``_folded_rounds``).
+    Every other run goes layer by layer through ``run_layer``.
 
-    ``observe(k, state, aux)``, when given, is called after layer k with
-    the post-layer state and the pool's aux output (None for plain pools);
-    it keeps whatever it needs.  A plain callable is called for every layer
-    k = 1..L.  An ``observe`` with a ``chunk`` method is called so only
-    outside runs of selection rounds; each chunk of such a run's layers
-    ``ks`` (a ``range``) instead reaches ``observe.chunk(ks, vn_rows,
-    weights)``: the post-layer virtual-node states and the selection
-    weights, one row per layer, each bitwise what a per-layer observer sees
-    at that k.  Without an observer, batched rounds build no selection
-    weights.
+    ``observe(ks, state, vn_rows, weights)``, when given, is called once
+    per step, in layer order, and keeps whatever it needs.  A step is one
+    layer (``ks = range(k, k + 1)``) or one chunk of a run of selection
+    rounds (``ks`` its layers); the steps' ``ks`` cover layers 1..L once
+    each.  ``state`` is the state after layer ``ks[-1]``, ``vn_rows`` the
+    virtual-node state after each layer of the step, (len(ks), vn width),
+    and ``weights`` each layer's selection weights, (len(ks), rows), or
+    None when the step's pool is not a selection pool.  Each is bitwise
+    what ``run_layer`` gives at those layers, and no array handed out is
+    written afterwards.  Only an observer makes the folded rounds of an
+    oracle pool build their one-hot weights.
     """
     s = s0
-    chunk = getattr(observe, "chunk", None)
     for run in prog.runs:
-        if not _selection_run(run):
-            steps = _layer_by_layer(s, run)
-        elif observe is None or chunk is not None:
-            s, steps = _folded_rounds(s, run, chunk), ()
-        else:
-            steps = _selection_rounds(s, run)
-        for k, s, aux in steps:
+        steps = _folded_rounds(s, run, observe is not None) \
+            if _selection_run(run) else _layer_by_layer(s, run)
+        for ks, s, vn_rows, weights in steps:
             if observe is not None:
-                observe(k, s, aux)
+                observe(ks, s, vn_rows, weights)
     return s
 
 

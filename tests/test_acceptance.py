@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from oracles import deep_trace_oracle, mlp_forward_oracle
-from traces import gn_matrix, run_traced
+from traces import gn_matrix, run_stepwise
 from vnlab import attention, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -145,7 +145,7 @@ def test_criterion_04_deep_oracle_exact_with_trace():
         w = attention.random_weights(d, rng)
         X = rng.normal(size=(n, d)) * 0.6
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        states, _ = run_traced(prog.initial_state(X), prog)
+        states, _ = run_stepwise(prog.initial_state(X), prog)
         got = states[-1].gn["x"]
         worst = max(
             worst, numkit.max_abs_diff(got, attention.self_attention(X, w))
@@ -183,10 +183,10 @@ def test_criterion_05_deep_softmax_bounds_and_convergence():
         prog = compile_deep_vn(w, DeepSimConfig(
             n=n, selection="softmax", certificate=cert, amplification=c,
         ))
-        states, auxes = run_traced(prog.initial_state(X), prog)
+        states, weights = run_stepwise(prog.initial_state(X), prog)
         bound = selection_weight_bound(c, cert.delta, n)
         for k in range(1, n + 1):
-            weight = float(auxes[k - 1]["selection_weights"][k - 1])
+            weight = float(weights[k - 1][k - 1])
             if weight < bound - 1e-12:
                 weight_ok = False
             feat_err = float(np.linalg.norm(states[k].vn[:d] - X[k - 1]))

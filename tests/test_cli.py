@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -502,6 +503,24 @@ class TestCommandTable:
         assert tuple(rows[0]) == COMMANDS[command].columns
         assert len(rows) - 1 == len(report["results"]) > 0
         assert code == (0 if report["pass"] else 2)
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a fault in the package is not a usage error (1): it shows its
+        # traceback, then names itself on the last line, and writes nothing
+        def broken(cfg, args):
+            raise RuntimeError("runner broke")
+
+        monkeypatch.setitem(COMMANDS, "dataset-arith", dataclasses.replace(
+            COMMANDS["dataset-arith"], run=broken))
+        jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run(["dataset-arith", "--json", str(jp),
+                    "--csv", str(cp)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert lines[-1] == "internal error: RuntimeError: runner broke"
+        assert not jp.exists() and not cp.exists()
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_help_lists_every_config_key(self, capsys, command):

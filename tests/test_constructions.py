@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import (deep_trace_oracle, probe_bounds_oracle, random_network,
                      self_attention_oracle)
-from traces import gn_matrix, run_traced
+from traces import gn_matrix, run_stepwise
 from vnlab import attention, constructions, deepsets, mlp, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -141,7 +141,7 @@ class TestKernelExact:
         assert prog.metadata["vn_width"] == (out + 1) * m
         assert prog.vn_init.shape == ((out + 1) * m,)
         X = rng.normal(size=(4, d)) * 0.5
-        states, _ = run_traced(prog.initial_state(X), prog)
+        states, _ = run_stepwise(prog.initial_state(X), prog)
         assert states[1].vn.shape == ((out + 1) * m,)
 
     def test_two_layers_and_metadata(self):
@@ -720,7 +720,7 @@ class TestDeepOracle:
         X = rng.normal(size=(n, d)) * 0.6
         w = attention.random_weights(d, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        states, _ = run_traced(prog.initial_state(X), prog)
+        states, _ = run_stepwise(prog.initial_state(X), prog)
         selectors = np.zeros((n, d))
         for t in (0, 1, 2, n, n + 1, n + 2):
             gn_want, vn_want = deep_trace_oracle(
@@ -739,7 +739,7 @@ class TestDeepOracle:
         X = rng.normal(size=(n, d)) * 0.6
         w = attention.random_weights(d, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        states, _ = run_traced(prog.initial_state(X), prog)
+        states, _ = run_stepwise(prog.initial_state(X), prog)
         selectors = np.zeros((n, d))
         for t in range(n + 3):
             gn_want, vn_want = deep_trace_oracle(
@@ -761,7 +761,7 @@ class TestDeepOracle:
     def test_accumulation_shares_x_and_q(self):
         X, prog = self._benchmark_shape_program()
         n = X.shape[0]
-        states, _ = run_traced(prog.initial_state(X), prog)
+        states, _ = run_stepwise(prog.initial_state(X), prog)
         shared = np.shares_memory
         for k in range(1, n + 2):
             before, after = states[k - 1].gn, states[k].gn
@@ -797,7 +797,7 @@ class TestDeepOracle:
         X = rng.normal(size=(n, d)) * 0.5
         w = attention.random_weights(d, rng)
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
-        states, _ = run_traced(prog.initial_state(X), prog)
+        states, _ = run_stepwise(prog.initial_state(X), prog)
         for t in range(n + 2):
             # graph nodes carry the raw feature up front until the final
             # normalization overwrites it with the output
@@ -870,8 +870,8 @@ class TestDeepOracle:
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
         seen = {}
 
-        def keep(k, state, aux):
-            if k == n + 1:
+        def keep(ks, state, vn_rows, weights):
+            if ks[-1] == n + 1:
                 seen["state"] = state
 
         run_program(prog.initial_state(X), prog, observe=keep)
@@ -1107,9 +1107,10 @@ class TestOneShapeForEverySelection:
             for p in (prog, again):
                 weights = []
                 final = run_program(
-                    p.initial_state(X), p, observe=lambda k, s, aux:
-                    aux and weights.append(aux["selection_weights"]))
+                    p.initial_state(X), p, observe=lambda ks, s, v, wts:
+                    wts is not None and weights.append(wts))
                 digest.update(p.extract(final).tobytes())
+                # a stack's (C-order) bytes are its rows', in order
                 for wt in weights:
                     digest.update(wt.tobytes())
         assert digest.hexdigest() == self.SELECTION_SWEEP_SHA256[selection]
@@ -1132,8 +1133,10 @@ class TestDeepSoftmax:
         blob = copy.deepcopy(program_to_json(prog))
         blob["metadata"]["built_by"] = blob["metadata"].pop("compiler")
         renamed = program_from_json(blob)
-        swapped = X[[1, 0, 2, 3, 4]]
-        intact, other = (run_and_report(swapped, p, w, cert=cert)
+        # point 1 in rows 0 and 1, point 0 in none: rounds 1 and 2 split
+        # their weight, below its bound (a row permutation keeps every bound)
+        doubled = X[[1, 1, 2, 3, 4]]
+        intact, other = (run_and_report(doubled, p, w, cert=cert)
                          for p in (prog, renamed))
         assert len(other.selection) == 5
         assert other.selection == intact.selection
@@ -1163,6 +1166,42 @@ class TestDeepSoftmax:
             assert entry["feature_error"] <= entry["feature_error_bound"] + 1e-12
             assert entry["weight_ok"] and entry["feature_error_ok"]
         assert rep.bounds_ok
+
+    def test_reversed_rows_are_measured_against_the_rows_selected(self):
+        # round k selects the row that now holds point k - 1: row n - k.
+        # The output is as close to attention as on the instance in order,
+        # and the report once measured every round against row k - 1 and
+        # said bounds_ok False
+        rng = numkit.make_rng(3)
+        n = 6
+        X, cert = make_certified_instance(n, 3, rng)
+        w = attention.random_weights(3, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(
+            n=n, selection="softmax", certificate=cert))
+        in_order, reversed_ = (run_and_report(Y, prog, w, cert=cert)
+                               for Y in (X, X[::-1]))
+        assert [e["target"] for e in reversed_.selection] == \
+            list(range(n - 1, -1, -1))
+        assert reversed_.bounds_ok and in_order.bounds_ok
+        assert reversed_.max_abs == in_order.max_abs
+
+    @given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_row_permutations_keep_every_bound(self, n, d, seed):
+        # the program selects by point, not by row: any order of a
+        # certified instance's rows keeps each round's bounds, and the
+        # output's error is the tolerance of the instance in order
+        rng = numkit.make_rng(seed)
+        X, cert = make_certified_instance(n, d, rng)
+        w = attention.random_weights(d, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(
+            n=n, selection="softmax", certificate=cert))
+        perm = rng.permutation(n)
+        rep = run_and_report(X[perm], prog, w, cert=cert)
+        assert [e["target"] for e in rep.selection] == \
+            np.argsort(perm).tolist()
+        assert rep.bounds_ok
+        assert rep.max_abs < 1e-2
 
     def test_default_amplification_meets_eps_weight(self):
         # the certificate's own amplification guarantees weight >= 1 - eps
@@ -1379,10 +1418,11 @@ class TestReports:
             prog = compile_deep_vn(w, cfg)
             norms = []
 
-            def observe(k, state, aux):
-                if k <= n:
-                    norms.append(float(np.linalg.norm(state.vn[:d]
-                                                      - X[k - 1])))
+            def observe(ks, state, vn_rows, weights):
+                for k, vn in zip(ks, vn_rows):
+                    if k <= n:
+                        norms.append(float(np.linalg.norm(vn[:d]
+                                                          - X[k - 1])))
 
             run_program(prog.initial_state(X), prog, observe=observe)
             got = [e["feature_error"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import deepsets_linear_oracle, random_network
-from traces import run_traced
+from traces import run_stepwise
 from vnlab import numkit
 from vnlab.deepsets import (
     DeepSetsNet,
@@ -265,7 +265,7 @@ class TestCompileNetwork:
         net = random_network(widths, rng)
         prog = compile_network(net, 5)
         X = rng.normal(size=(5, 3))
-        states, _ = run_traced(prog.initial_state(X), prog)
+        states, _ = run_stepwise(prog.initial_state(X), prog)
         w = max(max(s.gn["x"].shape[1], s.vn.shape[0]) for s in states)
         assert w <= 2 * max(widths)
         # this compiler in fact needs no extra width at all

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import random_network
 from test_mlp import random_mlp
-from traces import gn_matrix, run_stepwise, run_traced
+from traces import gn_matrix, run_stepwise
 from vnlab import attention, deepsets, mlp, mpnnvn, numkit
 from vnlab.constructions import (
     DeepSimConfig,
@@ -152,8 +152,8 @@ def certified_program(selection, X, w, amplification=30.0):
 def selection_run(prog, X):
     """(output, every layer's selection weights) of one run on ``X``."""
     weights = []
-    final = run_program(prog.initial_state(X), prog, observe=lambda k, s, aux:
-                        aux and weights.append(aux["selection_weights"]))
+    final = run_program(prog.initial_state(X), prog, observe=lambda ks, s, v, w:
+                        w is not None and weights.extend(w))
     return prog.extract(final), weights
 
 
@@ -207,13 +207,13 @@ class TestPoolsAndUpdates:
 
     def test_oracle_select_pool_picks_one_row(self):
         X = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
-        out, aux = run_layer(
+        out, weights = run_layer(
             NodeState({"x": X}, np.zeros(2)),
             plain_layer(vn_pool=OracleSelectPool(index=1)),
             1,
         )
         assert np.array_equal(out.vn, X[1])
-        assert np.array_equal(aux["selection_weights"], [0.0, 1.0, 0.0])
+        assert np.array_equal(weights, [0.0, 1.0, 0.0])
 
     def test_oracle_select_pool_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -227,9 +227,9 @@ class TestPoolsAndUpdates:
         pool = OracleSelectPool()
         assert pool.index is None
         for k in (1, 2, 3):
-            row, aux = pool(np.zeros(2), {"x": X}, k)
+            row, weights = pool(np.zeros(2), {"x": X}, k)
             assert np.array_equal(row, X[k - 1])
-            assert np.array_equal(aux["selection_weights"], np.eye(3)[k - 1])
+            assert np.array_equal(weights, np.eye(3)[k - 1])
         for k in (0, 4):
             with pytest.raises(ValueError, match=(
                     rf"^selection index {k - 1} out of range$")):
@@ -246,12 +246,12 @@ class TestPoolsAndUpdates:
                        [1.0, 1.0, 7.0, 7.0, 0.0]])
         vn = np.zeros(5)
         vn[d:2 * d] = [1.0, 0.0]
-        out, aux = run_layer(
+        out, weights = run_layer(
             NodeState({"x": gn}, vn),
             plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=1e-300)),
             1,
         )
-        assert np.allclose(aux["selection_weights"], np.full(3, 1 / 3), atol=1e-15)
+        assert np.allclose(weights, np.full(3, 1 / 3), atol=1e-15)
         assert np.allclose(out.vn, gn.mean(axis=0), atol=1e-15)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, -1e6, np.nan, np.inf])
@@ -279,12 +279,11 @@ class TestPoolsAndUpdates:
                        [0.3, 0.3, 0.3, 0.3, 0.0]])
         vn = np.zeros(5)
         vn[d:2 * d] = [1.0, 0.0]  # selector aligned with row 0
-        _, aux = run_layer(
+        _, w = run_layer(
             NodeState({"x": gn}, vn),
             plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=200.0)),
             1,
         )
-        w = aux["selection_weights"]
         assert w[0] > 1.0 - 1e-12
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) < 1e-12
 
@@ -300,11 +299,10 @@ class TestPoolsAndUpdates:
         staged = SoftmaxSelectPool(width=2, scale=3.0, score=score)
         for k in (1, 2, 3, 4):
             vn = np.concatenate([[9.0, 9.0], table[k - 1], [0.0]])
-            got, aux = pool(np.full(5, np.nan), gn, k)
-            want, want_aux = staged(vn, gn, k)
+            got, weights = pool(np.full(5, np.nan), gn, k)
+            want, want_weights = staged(vn, gn, k)
             assert np.array_equal(got, want)
-            assert np.array_equal(aux["selection_weights"],
-                                  want_aux["selection_weights"])
+            assert np.array_equal(weights, want_weights)
 
     def test_selector_advance_layout(self):
         adv = SelectorAdvance(width=2, next_selector=np.array([3.0, 4.0]))
@@ -634,16 +632,17 @@ class TestPrograms:
         ], vn_init=vn)
         s0 = NodeState({"x": gn}, vn)
         seen = []
-        final = run_program(s0, prog,
-                            observe=lambda k, s, aux: seen.append((k, s, aux)))
+        final = run_program(s0, prog, observe=lambda ks, s, v, w:
+                            seen.append((ks, s, w)))
         return s0, prog, seen, final
 
     def test_trace_records_every_state(self):
         s0, prog, seen, final = self._observed_selection_run()
-        assert [k for k, _, _ in seen] == [1, 2, 3]
+        assert [ks for ks, _, _ in seen] == [range(1, 2), range(2, 3),
+                                            range(3, 4)]
         s = s0
-        for (k, state, _), layer in zip(seen, prog.layers):
-            s, _ = run_layer(s, layer, k)
+        for (ks, state, _), layer in zip(seen, prog.layers):
+            s, _ = run_layer(s, layer, ks[0])
             assert list(state.gn) == list(s.gn) == ["x"]
             assert np.array_equal(state.gn["x"], s.gn["x"])
             assert np.array_equal(state.vn, s.vn)
@@ -653,9 +652,8 @@ class TestPrograms:
         _, _, seen, _ = self._observed_selection_run()
         assert seen[0][2] is None  # plain pool
         scores = np.exp([1.0, 2.0, 3.0])
-        assert np.allclose(seen[1][2]["selection_weights"],
-                           scores / scores.sum(), atol=1e-15)
-        assert np.array_equal(seen[2][2]["selection_weights"], [0.0, 0.0, 1.0])
+        assert np.allclose(seen[1][2], [scores / scores.sum()], atol=1e-15)
+        assert np.array_equal(seen[2][2], [[0.0, 0.0, 1.0]])
 
     def test_empty_program_never_observes(self):
         s0 = NodeState({"x": np.ones((3, 2))}, np.zeros(2))
@@ -703,8 +701,8 @@ class TestPrograms:
             else ["x"]
         seen = []
 
-        def check(k, state, aux):
-            seen.append(k)
+        def check(ks, state, vn_rows, weights):
+            seen.extend(ks)
             assert list(state.gn) == blocks
             arrays = [(block, 2) for block in state.gn.values()]
             for arr, ndim in arrays + [(state.vn, 1)]:
@@ -713,6 +711,40 @@ class TestPrograms:
 
         run_program(prog.initial_state(X), prog, observe=check)
         assert seen == list(range(1, len(prog.layers) + 1))
+
+    @pytest.mark.parametrize("name", [
+        "kernel_exp", "kernel_elu", "kernel_mlp", "deep_oracle",
+        "deep_softmax", "deep_gatv2", "deepsets"])
+    def test_observer_sees_each_step_as_run_layer(self, name, monkeypatch):
+        # one call per step, a layer or a chunk of selection rounds (1, 2
+        # or 3 rounds a chunk in a deep program): the steps cover every
+        # layer once, in order, each bitwise what run_stepwise has at its
+        # layers, in C-contiguous float64 arrays, with weights exactly
+        # where the pool is a selection pool
+        prog, X = self._compiled_case(name)
+        s0 = prog.initial_state(X)
+        want = run_stepwise(s0, prog)
+        layers = list(range(1, len(prog.layers) + 1))
+        for rounds in (1, 2, 3) if name.startswith("deep_") else (None,):
+            if rounds is not None:
+                monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", rounds * X.size)
+            steps = []
+            run_program(s0, prog, observe=lambda *step: steps.append(step))
+            assert all(isinstance(ks, range) for ks, *_ in steps)
+            assert [k for ks, *_ in steps for k in ks] == layers
+            assert max(len(ks) for ks, *_ in steps) == (rounds or 1)
+            for step in steps:
+                assert_step_is_stepwise(step, want)
+                ks, state, vn_rows, weights = step
+                assert vn_rows.shape == (len(ks), state.vn.size)
+                pool = prog.layers[ks[0] - 1].vn_pool
+                if isinstance(pool, (OracleSelectPool, SoftmaxSelectPool)):
+                    assert weights.shape == (len(ks), X.shape[0])
+                else:
+                    assert weights is None
+                for arr in [*state.gn.values(), state.vn, vn_rows] + (
+                        [] if weights is None else [weights]):
+                    assert arr.dtype == np.float64 and arr.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -889,9 +921,9 @@ def deep_case(selection, n, d=3, seed=0):
 
 
 def assert_same_trace(got, want):
-    """Two (states, auxes) traces hold equal arrays, bitwise (NaN equal to
-    NaN), under the same block names and aux keys."""
-    (states, auxes), (want_states, want_auxes) = got, want
+    """Two (states, weights) traces hold equal arrays, bitwise (NaN equal to
+    NaN), under the same block names, and None where the other has None."""
+    (states, weights), (want_states, want_weights) = got, want
     assert len(states) == len(want_states)
     for t, (s, w) in enumerate(zip(states, want_states)):
         assert list(s.gn) == list(w.gn), t
@@ -899,38 +931,52 @@ def assert_same_trace(got, want):
             assert np.array_equal(s.gn[name], w.gn[name], equal_nan=True), \
                 (t, name)
         assert np.array_equal(s.vn, w.vn, equal_nan=True), t
-    assert len(auxes) == len(want_auxes)
-    for k, (a, w) in enumerate(zip(auxes, want_auxes), start=1):
+    assert len(weights) == len(want_weights)
+    for k, (a, w) in enumerate(zip(weights, want_weights), start=1):
         assert (a is None) == (w is None), k
         if a is not None:
-            assert a.keys() == w.keys(), k
-            for key in a:
-                assert np.array_equal(a[key], w[key], equal_nan=True), (k, key)
+            assert np.array_equal(a, w, equal_nan=True), k
+
+
+def assert_step_is_stepwise(step, want):
+    """An observed step (ks, state, vn_rows, weights) holds, bitwise, what
+    the stepwise trace ``want`` (``traces.run_stepwise``) has at layers ks:
+    the state after ks[-1], and each layer's virtual-node state and
+    selection weights, one row per layer (None for a pool that is not a
+    selection pool)."""
+    ks, state, vn_rows, weights = step
+    states, want_weights = want
+    assert_same_trace(([state], []), ([states[ks[-1]]], []))
+    assert np.array_equal(vn_rows, [states[k].vn for k in ks],
+                          equal_nan=True), ks
+    assert (weights is None) == (want_weights[ks[0] - 1] is None), ks
+    if weights is not None:
+        assert np.array_equal(weights, [want_weights[k - 1] for k in ks],
+                              equal_nan=True), ks
 
 
 class TestSelectionRounds:
     """``run_program`` computes a run of selection rounds a chunk at a
     time; ``traces.run_stepwise`` applies ``run_layer`` one layer at a
-    time, and every state, aux and output must agree bitwise."""
+    time, and every observed step and output must agree bitwise."""
 
     def _check_against_stepwise(self, prog, X):
         s0 = prog.initial_state(X)
         kept = []
 
-        def keep(k, state, aux):
-            # a snapshot now, to find writes into a state handed out earlier
-            kept.append((k, state, aux, copy.deepcopy((state, aux))))
+        def keep(*step):
+            # a snapshot now, to find writes into arrays handed out earlier
+            kept.append((step, copy.deepcopy(step)))
 
         with np.errstate(over="ignore", invalid="ignore"):
             run_program(s0, prog, observe=keep)
             want = run_stepwise(s0, prog)
             out = prog.execute(star(X.shape[0]), X)
-        assert [k for k, _, _, _ in kept] == \
+        assert [k for (ks, *_), _ in kept for k in ks] == \
             list(range(1, len(prog.layers) + 1))
-        assert_same_trace(([s0] + [s for _, s, _, _ in kept],
-                           [aux for _, _, aux, _ in kept]), want)
-        assert_same_trace(([s0] + [snap[0] for _, _, _, snap in kept],
-                           [snap[1] for _, _, _, snap in kept]), want)
+        for step, snap in kept:
+            assert_step_is_stepwise(step, want)
+            assert_step_is_stepwise(snap, want)
         assert np.array_equal(out, prog.extract(want[0][-1]), equal_nan=True)
         return want
 
@@ -1041,8 +1087,8 @@ class TestSelectionRounds:
             self, monkeypatch):
         # under execute nothing reads the one-hot weights, so the chunk of
         # rounds 2..n asks the pool for none (layer 1 goes through
-        # run_layer, which returns them); observed, they are rows of one
-        # (rounds, n) array
+        # run_layer, which returns them); observed, the chunk's step hands
+        # on the one (rounds, n) array the pool built
         prog, X = deep_case("oracle", 5)
         built = []
         select = OracleSelectPool.select
@@ -1057,12 +1103,12 @@ class TestSelectionRounds:
         assert [(ks, w is None) for ks, w in built] == \
             [(range(1, 2), False), (range(2, 6), True)]
         built.clear()
-        _, auxes = run_traced(prog.initial_state(X), prog)
+        seen = []
+        run_program(prog.initial_state(X), prog,
+                    observe=lambda ks, s, v, w: seen.append((ks, w)))
         assert [ks for ks, _ in built] == [range(1, 2), range(2, 6)]
         assert np.array_equal(built[1][1], np.eye(5)[1:])
-        for k, aux in enumerate(auxes[1:5], start=2):
-            assert aux["selection_weights"].base is built[1][1]
-            assert np.array_equal(aux["selection_weights"], np.eye(5)[k - 1])
+        assert seen[1][0] == range(2, 6) and seen[1][1] is built[1][1]
 
     @staticmethod
     def _any_selection_case(selection, n, d):
@@ -1079,18 +1125,6 @@ class TestSelectionRounds:
         return compile_deep_vn(w, DeepSimConfig(
             n=n, selection=selection, certificate=cert)), X
 
-    class ChunkObserver:
-        """Keeps every per-layer call and every chunk of selection rounds."""
-
-        def __init__(self):
-            self.layers, self.chunks = [], []
-
-        def __call__(self, k, state, aux):
-            self.layers.append((k, state, aux))
-
-        def chunk(self, ks, vn_rows, weights):
-            self.chunks.append((ks, vn_rows.copy(), weights.copy()))
-
     @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
     @pytest.mark.parametrize("n", [3, 5, 33])
     @pytest.mark.parametrize("d", [1, 3, 8])
@@ -1099,43 +1133,22 @@ class TestSelectionRounds:
                                                  rounds, monkeypatch):
         # rounds 2..n in chunks of 1, 2 or 3 rounds (the last one partial
         # for 3 rounds at every n here), folded into acc and mass by one
-        # reduce a chunk, with no observer and with a chunk observer
+        # reduce a chunk, with no observer and with one
         prog, X = self._any_selection_case(selection, n, d)
         monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", rounds * X.size)
         s0 = prog.initial_state(X)
         states, _ = run_stepwise(s0, prog)
         want = states[-1]
-        observer = self.ChunkObserver()
+        seen = []
         for final in (run_program(s0, prog),
-                      run_program(s0, prog, observe=observer)):
+                      run_program(s0, prog,
+                                  observe=lambda ks, *_: seen.append(ks))):
             assert_same_trace(([final], []), ([want], []))
         assert np.array_equal(prog.execute(star(n), X), prog.extract(want))
-        assert [k for k, _, _ in observer.layers] == [1, n + 1, n + 2]
-        assert [len(ks) for ks, _, _ in observer.chunks] == \
-            [len(range(first, min(first + rounds, n + 1)))
-             for first in range(2, n + 1, rounds)]
-
-    @pytest.mark.parametrize("selection", ["oracle", "softmax", "gatv2"])
-    def test_chunk_and_per_layer_observers_agree(self, selection,
-                                                 monkeypatch):
-        # what a chunk observer gets for rounds 2..n, row by row, is what a
-        # per-layer observer sees at each k; every other layer reaches
-        # both as the same per-layer call
-        prog, X = self._any_selection_case(selection, 11, 3)
-        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * X.size)
-        s0 = prog.initial_state(X)
-        states, auxes = run_traced(s0, prog)
-        observer = self.ChunkObserver()
-        run_program(s0, prog, observe=observer)
-        assert [ks for ks, _, _ in observer.chunks] == \
-            [range(2, 5), range(5, 8), range(8, 11), range(11, 12)]
-        for ks, vn_rows, weights in observer.chunks:
-            for j, k in enumerate(ks):
-                assert np.array_equal(vn_rows[j], states[k].vn)
-                assert np.array_equal(weights[j],
-                                      auxes[k - 1]["selection_weights"])
-        for k, state, aux in observer.layers:
-            assert_same_trace(([state], [aux]), ([states[k]], [auxes[k - 1]]))
+        assert seen == [range(1, 2)] + [
+            range(first, min(first + rounds, n + 1))
+            for first in range(2, n + 1, rounds)] + [range(n + 1, n + 2),
+                                                     range(n + 2, n + 3)]
 
     def test_fold_adds_in_round_order(self, monkeypatch):
         # a chunk of 32 rounds on 5 nodes whose terms span 16 decades:
@@ -1165,8 +1178,8 @@ class TestSelectionRounds:
                    terms.copy())]
         monkeypatch.setattr(mpnnvn, "_round_chunks",
                             lambda s, run, weigh: iter(chunks))
-        final = mpnnvn._folded_rounds(NodeState(gn, np.zeros(2 * d + 1)),
-                                      None, None)
+        (_, final, _, _), = mpnnvn._folded_rounds(
+            NodeState(gn, np.zeros(2 * d + 1)), None, False)
         assert np.array_equal(final.gn["acc"], acc)
         assert np.array_equal(final.gn["mass"], mass)
         assert np.array_equal(final.vn, vn_rows[-1])

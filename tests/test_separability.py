@@ -834,8 +834,8 @@ def pool_weights(pool, X, selector):
     X = numkit.as_matrix(X)
     d = X.shape[1]
     vn = np.concatenate([np.zeros(d), selector, [0.0]])
-    _, aux = pool(vn, {"x": X}, 1)
-    return aux["selection_weights"]
+    _, weights = pool(vn, {"x": X}, 1)
+    return weights
 
 
 def softmax_weights(X, cert, target):

@@ -1,40 +1,27 @@
-"""Full program traces for tests, recorded through ``run_program``'s hook,
-and the same trace taken one ``run_layer`` call at a time."""
+"""Full program traces for tests, taken one ``run_layer`` call at a time."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vnlab.mpnnvn import run_layer, run_program
-
-
-def run_traced(s0, prog):
-    """Run ``prog`` and keep everything the observer sees.
-
-    Returns (states, auxes): states[t] is the state at time t (states[0] is
-    ``s0``, states[k] the state after layer k) and auxes[k - 1] is layer k's
-    pool aux output (None for plain pools).
-    """
-    states, auxes = [s0], []
-
-    def keep(k, state, aux):
-        states.append(state)
-        auxes.append(aux)
-
-    run_program(s0, prog, observe=keep)
-    return states, auxes
+from vnlab.mpnnvn import run_layer
 
 
 def run_stepwise(s0, prog):
-    """``run_traced``'s (states, auxes), taken by applying ``run_layer`` to
-    each of ``prog.layers`` in turn; ``run_program``, which computes runs of
-    selection rounds in chunks, is never called."""
-    states, auxes = [s0], []
+    """Apply ``run_layer`` to each of ``prog.layers`` in turn; ``run_program``,
+    which computes runs of selection rounds in chunks, is never called.
+
+    Returns (states, weights): states[t] is the state at time t (states[0]
+    is ``s0``, states[k] the state after layer k) and weights[k - 1] is
+    layer k's selection weights (None for a pool that is not a selection
+    pool).
+    """
+    states, weights = [s0], []
     for k, layer in enumerate(prog.layers, start=1):
-        state, aux = run_layer(states[-1], layer, k)
+        state, w = run_layer(states[-1], layer, k)
         states.append(state)
-        auxes.append(aux)
-    return states, auxes
+        weights.append(w)
+    return states, weights
 
 
 def gn_matrix(blocks):

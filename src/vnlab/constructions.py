@@ -719,10 +719,15 @@ def run_and_report(
     error must respect (C1 = ``feature_bound`` or the largest input row
     norm).  A ``cert`` must be for the program's selection pools
     ("bilinear" for softmax, "l1" for gatv2), as ``compile_deep_vn``
-    requires; each weight bound is for its pool's ``scale`` and the margin
-    of round k's selector, ``cert.margins[k - 1]``, whichever row now holds
-    its point.
+    requires, and cover the program's n points; each weight bound is for
+    its pool's ``scale`` and the margin of round k's selector,
+    ``cert.margins[k - 1]``, whichever row now holds its point.  A
+    ``feature_bound`` must be finite and positive.
     """
+    if feature_bound is not None and not (
+            math.isfinite(feature_bound) and feature_bound > 0.0):
+        raise ValueError("feature_bound must be finite and positive, "
+                         f"got {feature_bound!r}")
     X = numkit.as_matrix(X)
     n = X.shape[0]
     if reference == "full":
@@ -740,6 +745,9 @@ def run_and_report(
     # its weight bound is for (the oracle pool reads neither)
     pools = [layer.vn_pool for layer in prog.layers[:prog.n]] if deep else []
     if cert is not None:
+        if deep and cert.n != prog.n:
+            raise ValueError(f"certificate covers {cert.n} points, program "
+                             f"needs {prog.n}")
         for pool in pools:
             if isinstance(pool, SoftmaxSelectPool):
                 _check_cert_score(pool, cert)

@@ -22,13 +22,14 @@ that hold the same three slot objects (``LayerProgram.runs``).  A run of
 selection rounds (rounds 2..n of a compiled deep program: a round-indexed
 selection pool, a ``SelectorAdvance`` staging zeros and a
 ``ScoreAccumulate``) never writes block ``x``, so it is computed a chunk of
-rounds at a time: the pooled rows and score terms are stacked products, and
-each chunk's terms are folded into ``acc`` and ``mass`` by one reduce each,
-in round order, observed or not.  Every state, virtual-node row, selection
-weight and output is bitwise what ``run_layer``, applied to one layer after
-another, gives: each pool's and ``ScoreAccumulate``'s one-layer
-``__call__`` is the one-round case of the same stacked code.  Every other
-run goes layer by layer through ``run_layer``.
+rounds at a time, observed or not, by three stacked calls: the pool's
+``select``, ``SelectorAdvance.stage`` and ``ScoreAccumulate.fold``, which
+folds the chunk's score terms into ``acc`` and ``mass`` by one reduce each,
+in round order.  Every state, virtual-node row, selection weight and output
+is bitwise what ``run_layer``, applied to one layer after another, gives:
+the one-layer ``__call__`` of each pool, of ``SelectorAdvance`` and of
+``ScoreAccumulate`` is the one-round case of the same stacked method.
+Every other run goes layer by layer through ``run_layer``.
 
 Every function slot is filled by a *descriptor*: a frozen dataclass with a
 registered ``kind`` and a ``__call__``, either closed-form or backed by
@@ -573,10 +574,15 @@ class ScoreAccumulate(Descriptor):
         return ("acc", "mass", "q") if self.w_q is None \
             else ("x", "acc", "mass")
 
-    def terms(self, gn, ys):
-        """The terms of rounds that read the features ``ys`` (one row each)
-        from state ``gn``: (e, t), e[j] = exp(q . (ys[j] @ w_k)) with one
-        entry per node and t[j] = e[j] (x) (ys[j] @ w_v)."""
+    def fold(self, gn, ys):
+        """State ``gn`` after the rounds that read the features ``ys`` (one
+        row each, in round order; each round's y is the first ``width``
+        channels of its row): new ``acc`` and ``mass`` blocks, each the old
+        sum plus every round's term, and x and q shared.  The old sum is
+        added into the first round's term (addition commutes exactly), and
+        ``np.add.reduce`` over the leading axis of a C-contiguous stack adds
+        ``out += a[j]`` row by row, so the sums are bitwise those of one
+        round at a time, however the rounds are split into calls."""
         # einsum, not @: a batched BLAS matmul rounds differently from
         # per-row products, but einsum's own loops reduce each row in the
         # same order whatever the batch, so every row here is bitwise the
@@ -586,19 +592,24 @@ class ScoreAccumulate(Descriptor):
             q = gn["q"]
         else:
             q = np.einsum("ia,ac->ic", gn["x"], self.w_q)
+        # numpy sums a lone contiguous axis pairwise, so a one-node state
+        # gets a copy of its node as a second row, dropped from the sums:
+        # with two nodes each reduce adds row by row
+        rows = len(q)
+        if rows == 1:
+            q = np.concatenate([q, q])
         ys = ys[:, None, : self.width]
         e = np.exp(np.einsum("ic,kc->ki", q, (ys @ self.w_k)[:, 0]))
         # the term e_i * yv_c is one product per entry, as with a
         # broadcast *, but einsum needs no scratch buffer for it
-        return e, np.einsum("ki,kc->kic", e, (ys @ self.w_v)[:, 0])
+        terms = np.einsum("ki,kc->kic", e, (ys @ self.w_v)[:, 0])
+        terms[0] += gn["acc"]
+        e[0] += gn["mass"][:, 0]
+        return {**gn, "acc": np.add.reduce(terms, axis=0)[:rows],
+                "mass": np.add.reduce(e, axis=0)[:rows, None]}
 
     def __call__(self, gn, vn):
-        e, terms = self.terms(gn, vn[None])
-        # the old sum is added into the term (addition commutes exactly),
-        # so the layer's only new arrays are its acc and mass blocks
-        term = terms[0]
-        term += gn["acc"]
-        return {**gn, "acc": term, "mass": gn["mass"] + e[0][:, None]}
+        return self.fold(gn, vn[None])
 
 
 @dataclass(frozen=True)
@@ -849,43 +860,25 @@ def _layer_by_layer(s: NodeState, run: Run):
             None if weights is None else weights[None]
 
 
-def _round_chunks(s: NodeState, run: Run, weigh: bool):
-    """The rounds of a selection run (``_selection_run``), a chunk at a
-    time: yields (ks, vns, weights, e, terms) for each chunk of layers ks,
-    with its virtual-node states (one row per layer), the pool's selection
-    weights (None without ``weigh``) and ``ScoreAccumulate.terms``, each
-    from one stacked call.  Every pooled row reads the run's first ``x``
-    block, and round k accumulates the feature round k - 1 selected; the
-    sums of ``acc`` and ``mass`` are left to the caller."""
+def _folded_rounds(s: NodeState, run: Run, weigh: bool):
+    """The steps of a selection run (``_selection_run``), a chunk of rounds
+    at a time: yields (ks, state, vn_rows, weights) for each chunk of layers
+    ks, from three stacked calls: the pool's ``select`` (weights None
+    without ``weigh``), ``SelectorAdvance.stage`` and
+    ``ScoreAccumulate.fold``.  Every pooled row reads the run's first ``x``
+    block, and round k accumulates the feature round k - 1 selected."""
     pool, advance, accumulate = (run.layer.vn_pool, run.layer.vn_update,
                                  run.layer.gn_update)
-    d, stop, vn = accumulate.width, run.start + run.repeat + 1, s.vn
-    chunk = max(1, _CHUNK_FLOATS // max(1, s.gn["x"].size))
+    d, stop, gn, vn = accumulate.width, run.start + run.repeat + 1, s.gn, s.vn
+    chunk = max(1, _CHUNK_FLOATS // max(1, gn["x"].size))
     for first in range(run.start + 1, stop, chunk):
         ks = range(first, min(first + chunk, stop))
-        pooled, weights = pool.select(vn, s.gn, ks, weigh)
-        vns = advance.stage(pooled)
-        e, terms = accumulate.terms(
-            s.gn, np.concatenate([vn[None, :d], vns[:-1, :d]]))
-        yield ks, vns, weights, e, terms
-        vn = vns[-1]
-
-
-def _folded_rounds(s: NodeState, run: Run, weigh: bool):
-    """A selection run's steps: yields (ks, state, vn_rows, weights) for
-    each chunk of ``_round_chunks``, its terms folded into ``acc`` and
-    ``mass`` by one reduce each.  The old sum goes into the first term
-    (addition commutes exactly), and ``np.add.reduce`` over the leading
-    axis of a C-contiguous stack adds ``out += a[j]`` in round order, so
-    the sums are bitwise one round at a time.  (It would sum pairwise if
-    the stack were (rounds, 1), i.e. n = 1, which no selection run has.)"""
-    gn = s.gn
-    for ks, vn_rows, weights, e, terms in _round_chunks(s, run, weigh):
-        terms[0] += gn["acc"]
-        e[0] += gn["mass"][:, 0]
-        gn = {**gn, "acc": np.add.reduce(terms, axis=0),
-              "mass": np.add.reduce(e, axis=0)[:, None]}
-        yield ks, NodeState(gn, vn_rows[-1]), vn_rows, weights
+        pooled, weights = pool.select(vn, gn, ks, weigh)
+        vn_rows = advance.stage(pooled)
+        gn = accumulate.fold(
+            gn, np.concatenate([vn[None, :d], vn_rows[:-1, :d]]))
+        vn = vn_rows[-1]
+        yield ks, NodeState(gn, vn), vn_rows, weights
 
 
 def run_program(s0: NodeState, prog: LayerProgram,
@@ -900,7 +893,8 @@ def run_program(s0: NodeState, prog: LayerProgram,
     a ``ScoreAccumulate`` of its width) goes a chunk of rounds at a time,
     each chunk holding about ``_CHUNK_FLOATS`` score-term floats, so its
     memory does not grow with n, and each chunk's score terms are folded
-    into ``acc`` and ``mass`` by one reduce each (``_folded_rounds``).
+    into ``acc`` and ``mass`` by one ``ScoreAccumulate.fold``
+    (``_folded_rounds``).
     Every other run goes layer by layer through ``run_layer``.
 
     ``observe(ks, state, vn_rows, weights)``, when given, is called once

@@ -221,6 +221,28 @@ def deep_trace_oracle(X: np.ndarray, selectors: np.ndarray, w_q, w_k, w_v, time:
     return gn, vn
 
 
+def time2_rows_oracle(X: np.ndarray, w_q, w_k, w_v, gn: dict) -> bool:
+    """Whether the deep program's state after layer 2, as its named blocks
+    ``gn``, is exact: each row i holds x_i, its query q_i = x_i @ w_q, and
+    one accumulated term against y = X[0], acc_i = e_i (y @ w_v) and
+    mass_i = e_i with e_i = exp(q_i . (y @ w_k)).
+
+    One row at a time, with the per-row einsum (not BLAS @), so an exact
+    state agrees bitwise.
+    """
+    y = X[0]
+    yk = y @ w_k
+    yv = y @ w_v
+    for i in range(X.shape[0]):
+        q = np.einsum("a,ac->c", X[i], w_q)
+        e = np.exp(np.einsum("c,c->", q, yk))
+        if not (np.array_equal(gn["acc"][i], e * yv) and gn["mass"][i, 0] == e
+                and np.array_equal(gn["x"][i], X[i])
+                and np.array_equal(gn["q"][i], q)):
+            return False
+    return True
+
+
 def deepsets_linear_oracle(X, A, B, c):
     """Explicit-summation evaluation of X A + (1/n) 1 1^T X B + 1 c^T."""
     n, d_in = X.shape

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (deep_trace_oracle, probe_bounds_oracle, random_network,
-                     self_attention_oracle)
+                     self_attention_oracle, time2_rows_oracle)
 from traces import gn_matrix, run_stepwise
 from vnlab import attention, constructions, deepsets, mlp, numkit
 from vnlab.constructions import (
@@ -971,6 +971,51 @@ class TestDeepOracle:
                               before)
         assert not _run_checking_time2(X, w, prog)[1]
 
+    @staticmethod
+    def _time2_verdicts(X, w, prog) -> tuple[bool, bool]:
+        """(the CLI's whole-block time-2 check, the per-row oracle's
+        verdict on the same state after layer 2)."""
+        s1, _ = run_layer(prog.initial_state(X), prog.layers[0], 1)
+        gn = run_layer(s1, prog.layers[1], 2)[0].gn
+        return (_run_checking_time2(X, w, prog)[1],
+                time2_rows_oracle(X, w.w_q, w.w_k, w.w_v, gn))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 17, 40, 64, 256])
+    @pytest.mark.parametrize("d", [1, 3, 5, 8, 17, 33])
+    def test_time2_check_agrees_with_the_per_row_check(self, n, d):
+        rng = numkit.make_rng(100 * n + d)
+        w = attention.random_weights(d, rng)
+        X = rng.normal(size=(n, d)) * 0.6
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        assert self._time2_verdicts(X, w, prog) == (True, True)
+
+    @pytest.mark.parametrize("block", ["acc", "mass", "x"])
+    def test_time2_check_reads_every_block(self, block):
+        # layer 2 moves one block one ulp up and leaves the rest exact:
+        # each clause of the check alone must see it (the query's clause
+        # has test_time2_check_reads_the_staged_query)
+        class Nudge:
+            blocks = ("x",)
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __call__(self, gn, vn):
+                out = self.inner(gn, vn)
+                return {**out, block: np.nextafter(out[block], np.inf)}
+
+        rng = numkit.make_rng(19)
+        n, d = 6, 3
+        w = attention.random_weights(d, rng)
+        X = rng.normal(size=(n, d)) * 0.5
+        prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
+        second = prog.layers[1]
+        prog = replace(prog, layers=[
+            prog.layers[0], MpnnVnLayer(second.vn_pool, second.vn_update,
+                                        Nudge(second.gn_update)),
+            *prog.layers[2:]])
+        assert self._time2_verdicts(X, w, prog) == (False, False)
+
 
 # ---------------------------------------------------------------------------
 # the layers are a program's one contract
@@ -1184,6 +1229,35 @@ class TestDeepSoftmax:
             list(range(n - 1, -1, -1))
         assert reversed_.bounds_ok and in_order.bounds_ok
         assert reversed_.max_abs == in_order.max_abs
+
+    @staticmethod
+    def _six_point_case():
+        """(X, certificate, weights, program): a certified 6-point instance
+        in 3-D and its softmax deep program."""
+        rng = numkit.make_rng(3)
+        X, cert = make_certified_instance(6, 3, rng)
+        w = attention.random_weights(3, rng)
+        return X, cert, w, compile_deep_vn(w, DeepSimConfig(
+            n=6, selection="softmax", certificate=cert))
+
+    @pytest.mark.parametrize("points", [5, 7])
+    def test_refuses_a_certificate_of_another_size(self, points):
+        # a 5-point certificate once stopped with numpy's bare IndexError,
+        # and a 7-point one was read for the margins of other points
+        X, _, w, prog = self._six_point_case()
+        _, other = make_certified_instance(points, 3, numkit.make_rng(4))
+        with pytest.raises(ValueError, match=f"certificate covers {points} "
+                                             "points, program needs 6"):
+            run_and_report(X, prog, w, cert=other)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_a_feature_bound_not_finite_and_positive(self, bound):
+        # each once gave bounds_ok False without a reason, and inf wrote
+        # Infinity, which is not JSON, into every feature_error_bound
+        X, cert, w, prog = self._six_point_case()
+        with pytest.raises(ValueError, match="feature_bound must be finite "
+                                             "and positive"):
+            run_and_report(X, prog, w, cert=cert, feature_bound=bound)
 
     @given(st.integers(3, 8), st.integers(2, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1150,19 +1150,43 @@ class TestSelectionRounds:
             for first in range(2, n + 1, rounds)] + [range(n + 1, n + 2),
                                                      range(n + 2, n + 3)]
 
-    def test_fold_adds_in_round_order(self, monkeypatch):
-        # a chunk of 32 rounds on 5 nodes whose terms span 16 decades:
-        # summed pairwise (as numpy sums a contiguous axis), acc and mass
-        # differ from the round-by-round sums; the fold must give the latter
+    @staticmethod
+    def _fold_case(rng, rows, d, rounds, legacy=False):
+        """(accumulate, state, ys): a ``ScoreAccumulate`` reading block q
+        (or, ``legacy``, recomputing it from x with ``w_q``), a state with
+        random old sums, and ``rounds`` features whose scores q . (y @ w_k)
+        reach +-8 decades, so the terms span up to 16 decades."""
+        q = rng.normal(size=(rows, d))
+        w_q = None
+        gn = {"x": rng.normal(size=(rows, d)),
+              "acc": rng.normal(size=(rows, d)),
+              "mass": rng.uniform(size=(rows, 1)), "q": q}
+        if legacy:
+            w_q = rng.normal(size=(d, d))
+            del gn["q"]
+            q = np.einsum("ia,ac->ic", gn["x"], w_q)
+        w_k, w_v = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+        ys = rng.normal(size=(rounds, 2 * d + 1))
+        scores = np.abs(q @ (ys[:, :d] @ w_k).T).max()
+        ys *= 8.0 * math.log(10.0) / max(scores, 1e-300)
+        return ScoreAccumulate(w_q, w_k, w_v, width=d), gn, ys
+
+    def test_fold_adds_in_round_order(self):
+        # 32 rounds on 5 nodes whose terms span 16 decades: summed pairwise
+        # (as numpy sums a contiguous axis), acc and mass differ from the
+        # round-by-round sums; the fold must give the latter
         rng = numkit.make_rng(5)
-        rounds, rows, d = 32, 5, 3
-        e = 10.0 ** rng.uniform(-8.0, 8.0, (rounds, rows))
-        terms = rng.normal(size=(rounds, rows, d)) \
-            * 10.0 ** rng.uniform(-8.0, 8.0, (rounds, rows, 1))
-        gn = {"x": np.zeros((rows, d)), "acc": rng.normal(size=(rows, d)),
-              "mass": rng.uniform(size=(rows, 1))}
+        rows, d = 5, 3
+        accumulate, gn, ys = self._fold_case(rng, rows, d, 32)
+        # each round's term alone: folded into zero sums, which adds
+        # nothing to it
+        zero = {**gn, "acc": np.zeros((rows, d)), "mass": np.zeros((rows, 1))}
+        alone = [accumulate.fold(zero, y[None]) for y in ys]
+        terms = np.stack([t["acc"] for t in alone])
+        e = np.stack([t["mass"][:, 0] for t in alone])
+        assert np.ptp(np.log10(e)) > 14.0
         acc, mass = gn["acc"], gn["mass"]
-        for j in range(rounds):
+        for j in range(len(ys)):
             acc, mass = terms[j] + acc, mass + e[j][:, None]
 
         def pairwise(first, stack):  # each node's sum along a contiguous axis
@@ -1172,17 +1196,38 @@ class TestSelectionRounds:
 
         assert not np.array_equal(pairwise(gn["acc"], terms), acc)
         assert not np.array_equal(pairwise(gn["mass"][:, 0], e), mass[:, 0])
+        final = accumulate.fold(gn, ys)
+        assert np.array_equal(final["acc"], acc)
+        assert np.array_equal(final["mass"], mass)
+        assert final["x"] is gn["x"] and final["q"] is gn["q"]
 
-        vn_rows = rng.normal(size=(rounds, 2 * d + 1))
-        chunks = [(range(2, rounds + 2), vn_rows, None, e.copy(),
-                   terms.copy())]
-        monkeypatch.setattr(mpnnvn, "_round_chunks",
-                            lambda s, run, weigh: iter(chunks))
-        (_, final, _, _), = mpnnvn._folded_rounds(
-            NodeState(gn, np.zeros(2 * d + 1)), None, False)
-        assert np.array_equal(final.gn["acc"], acc)
-        assert np.array_equal(final.gn["mass"], mass)
-        assert np.array_equal(final.vn, vn_rows[-1])
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+           d=st.integers(1, 4), rounds=st.integers(1, 12),
+           legacy=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fold_is_one_round_at_a_time(self, seed, rows, d, rounds,
+                                         legacy, data):
+        # the fold of a stack is bitwise the fold of its two parts, one
+        # after the other, at any split, and __call__ round by round; one
+        # node (which numpy would sum pairwise) and the legacy w_q path too
+        accumulate, gn, ys = self._fold_case(
+            numkit.make_rng(seed), rows, d, rounds, legacy)
+        whole = accumulate.fold(gn, ys)
+        stepped = gn
+        for y in ys:
+            stepped = accumulate(stepped, y)
+        got = [stepped]
+        if rounds > 1:
+            split = data.draw(st.integers(1, rounds - 1), label="split")
+            got.append(accumulate.fold(accumulate.fold(gn, ys[:split]),
+                                       ys[split:]))
+        for state in got:
+            assert state.keys() == gn.keys()
+            for name, block in state.items():
+                assert np.array_equal(block, whole[name]), name
+                assert block.flags.c_contiguous and block.dtype == np.float64
+        assert whole["acc"].shape == (rows, d)
+        assert whole["mass"].shape == (rows, 1)
 
 
 # ---------------------------------------------------------------------------

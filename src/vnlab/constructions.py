@@ -553,8 +553,8 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     selection; layer n+2 divides, returning x = acc / mass and zero blocks.
     The normalized output is block x, as in every program.  The selection
     modes differ only in the one pool all rounds share, which reads row
-    k - 1 at layer k: an ``OracleSelectPool`` without an index selects it,
-    a ``SoftmaxSelectPool`` (bilinear for softmax, l1 for gatv2) scores
+    k - 1 at layer k: an ``OracleSelectPool`` selects it, a
+    ``SoftmaxSelectPool`` (bilinear for softmax, l1 for gatv2) scores
     against it in its table of the certificate's directions.  So one
     ``SelectorAdvance`` stages zeros, ``vn_init`` is zero and rounds 2..n
     are one ``MpnnVnLayer`` object (one saved run).
@@ -566,9 +566,9 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
             f"square weights; got qk_dim={w.qk_dim}, out_dim={w.out_dim}"
         )
     stage = StageQuery(w.w_q, width=d)
-    accumulate = ScoreAccumulate(None, w.w_k, w.w_v, width=d)
+    accumulate = ScoreAccumulate(w.w_k, w.w_v, width=d)
     if cfg.selection == "oracle":
-        scale, pool = None, OracleSelectPool(index=None)
+        scale, pool = None, OracleSelectPool()
     else:
         cert = cfg.certificate
         if cert is None:
@@ -590,8 +590,7 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
                 f"unreliable band (<= {MARGIN_BAND:.3g}); selection would be "
                 "meaningless"
             )
-    # the pool reads no staged selector: one step staging zeros serves all
-    advance = SelectorAdvance(width=d, next_selector=None)
+    advance = SelectorAdvance(width=d)
     layers = [MpnnVnLayer(pool, advance, stage)] \
         + [MpnnVnLayer(pool, advance, accumulate)] * (n - 1)
     ones = ConstVn(np.ones(2 * d + 1))

@@ -19,11 +19,11 @@ intermediate results (selection weights, a state at some time) pass an
 trace; it is called once per step, a step being one layer or one chunk of
 selection rounds.  The loop walks the program's runs, stretches of layers
 that hold the same three slot objects (``LayerProgram.runs``).  A run of
-selection rounds (rounds 2..n of a compiled deep program: a round-indexed
-selection pool, a ``SelectorAdvance`` staging zeros and a
-``ScoreAccumulate``) never writes block ``x``, so it is computed a chunk of
-rounds at a time, observed or not, by three stacked calls: the pool's
-``select``, ``SelectorAdvance.stage`` and ``ScoreAccumulate.fold``, which
+selection rounds (rounds 2..n of a compiled deep program: a selection pool,
+a ``SelectorAdvance`` and a ``ScoreAccumulate``) never writes block ``x``,
+so it is computed a chunk of rounds at a time, observed or not, by three
+stacked calls: the pool's ``select``, ``SelectorAdvance.stage`` and
+``ScoreAccumulate.fold``, which
 folds the chunk's score terms into ``acc`` and ``mass`` by one reduce each,
 in round order.  Every state, virtual-node row, selection weight and output
 is bitwise what ``run_layer``, applied to one layer after another, gives:
@@ -42,16 +42,20 @@ Programs (ordered layer lists plus the virtual node's initial state) persist
 as ``layer-program/v3`` documents: a ``descriptors`` table holds each
 distinct slot descriptor once, and ``layers`` is a list of runs, each naming
 its three slots by index into the table plus a ``repeat`` count of the
-consecutive layers that use them.  A compiled deep program selects through
-one round-indexed pool (oracle, or softmax with an n x d ``selectors``
-table), so its rounds 2..n are one run: 7 entries in 4 runs for any n.
-``save_program`` writes a document on one line, with sorted keys and no
-spaces; ``load_program`` reads it and also documents written indented.
-``layer-program/v2`` documents (one entry per layer, no ``repeat``) and
-``layer-program/v1`` documents (whose layers hold their descriptors inline)
-still load and run as before.  Both record the state layout as
+consecutive layers that use them.  Layer k of a compiled deep program
+selects row k - 1 through one pool (oracle, or softmax with an n x d
+``selectors`` table), so its rounds 2..n are one run: 7 entries in 4 runs
+for any n.  ``save_program`` writes a document on one line, with sorted
+keys and no spaces; ``load_program`` reads it and also documents written
+indented.  ``layer-program/v2`` documents (one entry per layer, no
+``repeat``) and ``layer-program/v1`` documents (whose layers hold their
+descriptors inline) still load.  Both record the state layout as
 ``gn_init``/``gn_out``, and one whose keys disagree with its layers is
-refused; v3 does not record them, since the layers imply both.
+refused; v3 does not record them, since the layers imply both.  Older
+documents' forms (a fixed oracle row per layer, selectors staged in the
+virtual node round by round, accumulations that recompute the query) load
+into the compiled form (``_compiled_form``), so old and new documents run
+the same way.
 
 Determinism note: pooled reductions always run in ascending node-index order
 (numpy axis reductions over row-major arrays), so reruns are bit-identical.
@@ -67,8 +71,8 @@ whole new block mapping, sharing every block it leaves alone:
 
 * every pool reads ``x`` only (a selection pool returns ``x`` rows);
 * ``StageQuery`` reads ``x`` and returns a new ``q``, sharing the rest;
-* ``ScoreAccumulate`` reads ``q`` (or ``x``, given ``w_q``), ``acc`` and
-  ``mass``, and returns new ``acc`` and ``mass``, sharing ``x`` and ``q``;
+* ``ScoreAccumulate`` reads ``q``, ``acc`` and ``mass``, and returns new
+  ``acc`` and ``mass``, sharing ``x`` and ``q``;
 * ``RatioUpdate`` reads ``acc`` and ``mass`` and returns a new ``x`` and
   new zero blocks, sharing nothing.
 
@@ -166,10 +170,6 @@ def descriptor_from_json(blob: dict) -> "Descriptor":
     kind = blob.get("kind")
     if not isinstance(kind, str):
         raise ValueError(f"field 'kind' must be a string, got {kind!r}")
-    if kind == "gatv2_select_pool":  # older documents' additive pool
-        if blob.get("score") is None:
-            raise ValueError(f"{kind}: missing value for field 'score'")
-        return from_json(SoftmaxSelectPool, blob, kind)
     try:
         sub = Descriptor._registry[kind]
     except KeyError:
@@ -198,12 +198,11 @@ def _same(value):
     return value
 
 
-def _decode_int(value, least: int = 1) -> int:
-    """A JSON integer >= ``least``.  Descriptor ints are widths and sizes,
-    so at least 1, unless a field's codec says otherwise (an index)."""
+def _decode_int(value) -> int:
+    """A JSON integer >= 1: descriptor ints are widths and sizes."""
     got = numkit.scalar_from_json(value, int)
-    if got < least:
-        raise ValueError(f"value must be at least {least}, got {got}")
+    if got < 1:
+        raise ValueError(f"value must be at least 1, got {got}")
     return got
 
 
@@ -252,13 +251,12 @@ def to_json(obj) -> dict:
     return blob
 
 
-def from_json(cls, blob: dict, label: str | None = None):
+def from_json(cls, blob: dict):
     """Rebuild a ``cls`` written by :func:`to_json`, decoding by field type.
     A key that is no field (nor ``kind``) is refused, so a misspelt optional
-    field is not read as missing; errors name ``label`` or the kind."""
+    field is not read as missing; errors name the kind or the class."""
     kwargs = {}
-    if label is None:
-        label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
+    label = cls.kind if issubclass(cls, Descriptor) else cls.__name__
     numkit.require_object(blob, label)
     fields = _codec_fields(cls)
     unknown = sorted(blob.keys() - {"kind", *(f.name for f in fields)})
@@ -319,18 +317,20 @@ class SoftmaxSelectPool(Descriptor):
     Each row's first ``width`` channels are scored against a selector, times
     ``scale`` (the amplification, finite and positive): x . selector with
     ``score`` None, else the additive ``score`` (the deep compiler builds
-    ``attention.l1_score``, -|x - selector|_1).  Layer k reads row k - 1 of
-    the ``selectors`` table; without one (older documents, hand-built
-    programs) the selector staged in the virtual node's [width, 2*width).
+    ``attention.l1_score``, -|x - selector|_1).  Layer k scores against row
+    k - 1 of the ``selectors`` table, so one pool serves every round.
     """
 
     kind: ClassVar[str] = "softmax_select_pool"
     width: int = 0
     scale: float = 1.0
     score: attention.Gatv2Score | None = None
-    selectors: np.ndarray | None = matrix()
+    selectors: np.ndarray = matrix()
 
     def __post_init__(self):
+        if self.selectors is None:
+            raise ValueError(f"{self.kind}: missing value for field "
+                             "'selectors'")
         super().__post_init__()
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"{self.kind}: field 'scale' must be finite "
@@ -339,14 +339,13 @@ class SoftmaxSelectPool(Descriptor):
     def select(self, vn, gn, ks: range, weigh: bool = True):
         """The pooled rows of layers ``ks`` and their selection weights, one
         row per layer: ((rounds, x width), (rounds, rows)).  Every pooled
-        row reads only ``x``, and a staged selector (no table) serves one
-        layer.  Each round's scores, softmax and weighted sum are stacked
-        1-D products and a row-wise softmax, so row j is bitwise what layer
-        ``ks[j]`` alone gets; the weights are built whatever ``weigh``."""
+        row reads only ``x``.  Each round's scores, softmax and weighted sum
+        are stacked 1-D products and a row-wise softmax, so row j is bitwise
+        what layer ``ks[j]`` alone gets; the weights are built whatever
+        ``weigh``."""
         d = self.width
         x = gn["x"]
-        selectors = vn[None, d : 2 * d] if self.selectors is None \
-            else self.selectors[ks.start - 1 : ks.stop - 1]
+        selectors = self.selectors[ks.start - 1 : ks.stop - 1]
         scores = np.matmul(x[None, :, :d], selectors[:, :, None])[:, :, 0] \
             if self.score is None \
             else attention.gatv2_scores_against(selectors, x[:, :d],
@@ -361,24 +360,17 @@ class SoftmaxSelectPool(Descriptor):
 
 @dataclass(frozen=True)
 class OracleSelectPool(Descriptor):
-    """Ideal selection: returns the ``x`` row of one graph node.
-
-    With ``index`` None (the deep compiler's one shared pool) layer k
-    selects row k - 1; with an int (documents saved before selection was
-    round-indexed) every layer selects that fixed row.
-    """
+    """Ideal selection: layer k returns the ``x`` row of graph node k - 1,
+    so one pool serves every round."""
 
     kind: ClassVar[str] = "oracle_select_pool"
-    index: int | None = field(default=None, metadata={"codec": (
-        None, _same, functools.partial(_decode_int, least=0))})
 
     def select(self, vn, gn, ks: range, weigh: bool = True):
         """The ``x`` rows layers ``ks`` select, one row per layer, and, with
         ``weigh``, their one-hot selection weights as the rows of one
         (rounds, rows) array (else None: nothing builds them)."""
         x = gn["x"]
-        rows = np.arange(ks.start - 1, ks.stop - 1) if self.index is None \
-            else np.full(len(ks), self.index)
+        rows = np.arange(ks.start - 1, ks.stop - 1)
         outside = rows[(rows < 0) | (rows >= x.shape[0])]
         if outside.size:
             raise ValueError(f"selection index {outside[0]} out of range")
@@ -425,26 +417,12 @@ class ConstVn(Descriptor):
 
 @dataclass(frozen=True, eq=False)
 class SelectorAdvance(Descriptor):
-    """Store the selected feature and stage the next selector.
-
-    new vn = [pooled[:width], next_selector or zeros, 0] in block layout
-    [feature | selector | placeholder]; a ``next_selector`` has ``width``
-    values.  Compiled programs stage zeros; only documents saved before the
-    ``selectors`` table carry a ``next_selector``, one per round.
-    """
+    """Store the selected feature: new vn = [pooled[:width], zeros, 0] in
+    block layout [feature | selector | placeholder].  The pools read their
+    selectors from tables, so the selector block stays zero."""
 
     kind: ClassVar[str] = "selector_advance"
     width: int = 0
-    next_selector: np.ndarray | None = vector()
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.next_selector is not None \
-                and self.next_selector.shape != (self.width,):
-            raise ValueError(
-                f"{self.kind}: field 'next_selector' has "
-                f"{self.next_selector.size} values, but field 'width' is "
-                f"{self.width}")
 
     def stage(self, pooled):
         """The new virtual-node states for a stack of pooled rows, one row
@@ -452,8 +430,6 @@ class SelectorAdvance(Descriptor):
         d = self.width
         new = np.zeros((len(pooled), 2 * d + 1))
         new[:, :d] = pooled[:, :d]
-        if self.next_selector is not None:
-            new[:, d : 2 * d] = self.next_selector
         return new
 
     def __call__(self, vn, pooled):
@@ -558,21 +534,14 @@ class ScoreAccumulate(Descriptor):
 
     in new ``acc`` and ``mass`` blocks; every other block (x and q) is
     shared with the input state.  q_i is read from block q, where
-    ``StageQuery`` put it; with ``w_q`` given (documents saved before the
-    query was staged, whose states have no q block) it is recomputed as
-    x_i @ w_q instead, in the same float operations.
+    ``StageQuery`` put it.
     """
 
     kind: ClassVar[str] = "score_accumulate"
-    w_q: np.ndarray | None = matrix()
+    blocks: ClassVar[tuple[str, ...]] = ("acc", "mass", "q")
     w_k: np.ndarray = matrix()
     w_v: np.ndarray = matrix()
     width: int = 0
-
-    @property
-    def blocks(self) -> tuple[str, ...]:
-        return ("acc", "mass", "q") if self.w_q is None \
-            else ("x", "acc", "mass")
 
     def fold(self, gn, ys):
         """State ``gn`` after the rounds that read the features ``ys`` (one
@@ -588,10 +557,7 @@ class ScoreAccumulate(Descriptor):
         # same order whatever the batch, so every row here is bitwise the
         # per-row einsum the reference trace computes; the stacked 1 x width
         # products y @ w are each the one a lone y gets
-        if self.w_q is None:
-            q = gn["q"]
-        else:
-            q = np.einsum("ia,ac->ic", gn["x"], self.w_q)
+        q = gn["q"]
         # numpy sums a lone contiguous axis pairwise, so a one-node state
         # gets a copy of its node as a second row, dropped from the sums:
         # with two nodes each reduce adds row by row
@@ -650,16 +616,14 @@ def run_layer(s: NodeState, layer: MpnnVnLayer,
     """Apply ``layer`` as the program's layer ``k`` (1-based) with a
     synchronous barrier.
 
-    The pool is called as ``pool(vn, gn, k)``: a round-indexed pool (an
-    ``OracleSelectPool`` without ``index``, or a ``SoftmaxSelectPool`` with
-    a ``selectors`` table) reads its row from ``k``, so one layer object can
-    serve every round.  The pool and every graph-node update read the
-    pre-layer state ``s``: each graph node sees the pre-layer virtual-node
-    vector ``s.vn``, so nothing observes a mid-layer update.  Returns the
-    post-layer state and the pool's selection weights, one per row (None
-    for a pool that is not a selection pool).  The state's rows are the
-    node set; checking them against a host graph is
-    ``LayerProgram.execute``'s job.  The new state shares every block the
+    The pool is called as ``pool(vn, gn, k)``: a selection pool reads its
+    row from ``k``, so one layer object can serve every round.  The pool
+    and every graph-node update read the pre-layer state ``s``: each graph
+    node sees the pre-layer virtual-node vector ``s.vn``, so nothing
+    observes a mid-layer update.  Returns the post-layer state and the
+    pool's selection weights, one per row (None for a pool that is not a
+    selection pool).  The state's rows are the node set; checking them
+    against a host graph is ``LayerProgram.execute``'s job.  The new state shares every block the
     graph-node update returned unchanged (all of them for ``IdentityGn``; x
     and q for ``ScoreAccumulate``): no descriptor writes into ``s``.
     """
@@ -676,12 +640,6 @@ def _is_int(value) -> bool:
 # the pools that select one input row each: a deep program has one
 # selection layer per row
 _SELECTION_POOLS = (OracleSelectPool, SoftmaxSelectPool)
-
-
-def _round_indexed(pool: Descriptor) -> bool:
-    """Whether ``pool`` reads its row from the layer number (``run_layer``)."""
-    return getattr(pool, "selectors", None) is not None \
-        or getattr(pool, "index", 0) is None
 
 
 class Run(NamedTuple):
@@ -727,11 +685,11 @@ class LayerProgram:
       with a layout and no selection layer is refused, naming ``layers``.
       Else None.
 
-    A round-indexed pool (see ``run_layer``) past layer n is refused, as is
-    a ``selectors`` table that is not a finite (n, width) matrix (without a
-    layout, any row count), each naming its ``layers[i].vn_pool``.  The
-    output is always block ``x``.  A run checks only its input
-    (``initial_state``).
+    A selection pool past layer n (without a layout, a table pool past its
+    table's last row) is refused, as is a ``selectors`` table that is not a
+    finite (n, width) matrix (without a layout, any row count), each naming
+    its ``layers[i].vn_pool``.  The output is always block ``x``.  A run
+    checks only its input (``initial_state``).
     """
 
     layers: list[MpnnVnLayer]
@@ -773,11 +731,13 @@ class LayerProgram:
                     f"row, and its {len(self.layers)} layers hold none")
         for run in runs:
             pool, where = run.layer.vn_pool, f"layers[{run.start}].vn_pool"
-            if not _round_indexed(pool):
+            if not isinstance(pool, _SELECTION_POOLS):
                 continue
+            # the rows layers 1..rows may select: n, or without a layout a
+            # table's row count (an oracle pool's rows are the input's)
             table = getattr(pool, "selectors", None)
-            if table is not None and (n is None or run.start < n):
-                rows = table.shape[0] if n is None else n
+            rows = len(table) if n is None and table is not None else n
+            if table is not None and run.start < rows:
                 if table.shape != (rows, pool.width):
                     raise ValueError(
                         f"{where}: {pool.kind} field 'selectors' is "
@@ -785,11 +745,12 @@ class LayerProgram:
                         f"{(rows, pool.width)}")
                 numkit.check_finite(table, f"{where}: {pool.kind} field "
                                            "'selectors'")
-            if n is not None and run.start + run.repeat > n:
-                i = max(run.start, n)  # the run's first layer past n
+            if rows is not None and run.start + run.repeat > rows:
+                i = max(run.start, rows)  # the run's first layer past rows
+                past = f"n={n}" if n is not None else \
+                    f"the {rows} rows of its 'selectors' table"
                 raise ValueError(f"layers[{i}].vn_pool: round-indexed "
-                                 f"{pool.kind} at layer {i + 1}, past "
-                                 f"n={n}")
+                                 f"{pool.kind} at layer {i + 1}, past {past}")
         for name, value in (("vn_init", numkit.as_vector(self.vn_init)),
                             ("runs", runs), ("layout", layout), ("n", n)):
             object.__setattr__(self, name, value)
@@ -846,9 +807,8 @@ def _selection_run(run: Run) -> bool:
     Such a run never writes block ``x``."""
     pool, advance, accumulate = (run.layer.vn_pool, run.layer.vn_update,
                                  run.layer.gn_update)
-    return (run.repeat > 1 and _round_indexed(pool)
+    return (run.repeat > 1 and isinstance(pool, _SELECTION_POOLS)
             and isinstance(advance, SelectorAdvance)
-            and advance.next_selector is None
             and isinstance(accumulate, ScoreAccumulate)
             and accumulate.width == advance.width)
 
@@ -889,12 +849,11 @@ def run_program(s0: NodeState, prog: LayerProgram,
     checked once per program, by ``LayerProgram.execute``.
 
     The program runs by its ``runs``.  A run of r > 1 selection rounds (a
-    round-indexed selection pool, a ``SelectorAdvance`` staging zeros and
-    a ``ScoreAccumulate`` of its width) goes a chunk of rounds at a time,
-    each chunk holding about ``_CHUNK_FLOATS`` score-term floats, so its
-    memory does not grow with n, and each chunk's score terms are folded
-    into ``acc`` and ``mass`` by one ``ScoreAccumulate.fold``
-    (``_folded_rounds``).
+    selection pool, a ``SelectorAdvance`` and a ``ScoreAccumulate`` of its
+    width) goes a chunk of rounds at a time, each chunk holding about
+    ``_CHUNK_FLOATS`` score-term floats, so its memory does not grow with
+    n, and each chunk's score terms are folded into ``acc`` and ``mass`` by
+    one ``ScoreAccumulate.fold`` (``_folded_rounds``).
     Every other run goes layer by layer through ``run_layer``.
 
     ``observe(ks, state, vn_rows, weights)``, when given, is called once
@@ -938,14 +897,14 @@ _descriptor_key = json.JSONEncoder(sort_keys=True).encode
 MAX_LAYERS = 1_000_000
 
 
-def _recorded_layout(prog: LayerProgram) -> dict:
-    """``gn_init`` and ``gn_out`` as a v1 or v2 document records the
-    layout: "identity" and null for one block ``x``, else the blocks' total
-    width as a pad and the columns of ``x``."""
-    if prog.layout is None:
+def _recorded_layout(layout: dict | None) -> dict:
+    """``gn_init`` and ``gn_out`` as a v1 or v2 document records a program's
+    ``layout``: "identity" and null for one block ``x``, else the blocks'
+    total width as a pad and the columns of ``x``."""
+    if layout is None:
         return {"gn_init": "identity", "gn_out": None}
-    return {"gn_init": ["pad", sum(prog.layout.values())],
-            "gn_out": [0, prog.layout["x"]]}
+    return {"gn_init": ["pad", sum(layout.values())],
+            "gn_out": [0, layout["x"]]}
 
 
 def program_to_json(prog: LayerProgram) -> dict:
@@ -1009,29 +968,189 @@ def _check_layer_entry(i: int, layer) -> None:
         raise ValueError(f"layers[{i}] must be an object, got {layer!r}")
 
 
-def _decode_layer(i: int, layer, table: list) -> MpnnVnLayer:
-    """Layer entry ``i``: each slot is an index into ``table`` (v2, v3) or
-    an inline descriptor object (v1)."""
+def _layer_refs(i: int, layer, size: int, table: list, places: list):
+    """Layer entry ``i``'s slots as indexes into ``table``, whose first
+    ``size`` entries are the document's; an inline descriptor (v1) joins
+    ``table``, named in ``places`` by its slot."""
     _check_layer_entry(i, layer)
     # a graph-to-graph channel is never dropped silently
     if layer.get("gn_gn_msg") is not None:
         raise ValueError(f"layers[{i}]: graph-to-graph messages "
                          "('gn_gn_msg') are not supported")
-    slots = {}
+    refs = []
     for name in _SLOTS:
         where, value = f"layers[{i}].{name}", layer.get(name)
         if value is None:
             raise ValueError(f"{where}: missing value for MpnnVnLayer "
                              f"field {name!r}")
         if isinstance(value, dict):
-            slots[name] = _decode_descriptor(where, value)
-        elif _is_int(value) and 0 <= value < len(table):
-            slots[name] = table[value]
-        else:
+            table.append(value)
+            places.append(where)
+            value = len(table) - 1
+        elif not (_is_int(value) and 0 <= value < size):
             raise ValueError(
-                f"{where} must be an index into the {len(table)}-entry "
+                f"{where} must be an index into the {size}-entry "
                 f"descriptor table or a descriptor object, got {value!r}")
-    return MpnnVnLayer(**slots)
+        refs.append(value)
+    return tuple(refs)
+
+
+# the field each kind held only in older documents (null, it is dropped)
+_LEGACY_FIELDS = {"oracle_select_pool": "index",
+                  "selector_advance": "next_selector",
+                  "score_accumulate": "w_q"}
+
+
+def _kind(entry) -> str | None:
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    return kind if isinstance(kind, str) else None
+
+
+def _without_legacy(entry):
+    name = _LEGACY_FIELDS.get(_kind(entry))
+    if name is None or name not in entry:
+        return entry
+    return {key: value for key, value in entry.items() if key != name}
+
+
+def _compiled_form(table: list, places: list, refs: list, repeats: list,
+                   vn_init):
+    """Rewrite older documents' descriptor blobs (``table``, named by
+    ``places``; ``refs`` holds each layer entry's indexes) into the compiled
+    form before any is decoded: (table, places, refs, vn_init, whether a
+    query stage was added).  A ``gatv2_select_pool`` is a softmax pool.  A
+    fixed oracle ``index`` must be k - 1 at layer k.  A softmax pool without
+    ``selectors`` read vn[width : 2 * width], which ``vn_init`` (then zeroed)
+    or the layer before's ``selector_advance`` (its ``next_selector``) set:
+    these become one table's rows.  Accumulations that recompute the query
+    from one ``w_q`` read it from a ``stage_query`` in place of layer 1's
+    ``identity_gn``.  Equal entries become one, so rounds 2..n share one
+    pool, advance and accumulation.  What cannot be rewritten exactly is
+    refused, naming ``layers[i].slot`` (and its table entry).  A compiled
+    document costs one pass over its table."""
+    def legacy(e):
+        kind = _kind(e)
+        return kind == "gatv2_select_pool" or kind in _LEGACY_FIELDS \
+            and e.get(_LEGACY_FIELDS[kind]) is not None \
+            or kind == "softmax_select_pool" and e.get("selectors") is None
+
+    if not any(map(legacy, table)):
+        return list(map(_without_legacy, table)), places, refs, vn_init, False
+
+    @functools.cache
+    def value(j, name, decode=_decode_int):
+        try:
+            if table[j].get(name) is None:
+                raise ValueError("missing value")
+            return decode(table[j][name])
+        except ValueError as e:
+            raise ValueError(f"{places[j]}: {table[j]['kind']}: field "
+                             f"{name!r}: {e}") from None
+
+    def refuse(i, slot, why):
+        own, place = f"layers[{i}].{_SLOTS[slot]}", places[layers[i][slot]]
+        own += "" if place == own else f" ({place})"
+        raise ValueError(f"{own}: {kinds[i][slot]} {why}")
+
+    for j, e in enumerate(table):
+        if _kind(e) is None:  # refused as the decoder refuses it
+            _decode_descriptor(places[j], e)
+        if _kind(e) == "gatv2_select_pool":
+            value(j, "score", _same)
+            table[j] = e | {"kind": "softmax_select_pool"}
+    layers = [ref for ref, repeat in zip(refs, repeats) for _ in range(repeat)]
+    kinds = [[_kind(table[j]) for j in ref] for ref in layers]
+    found = {}  # layer -> the selector staged in the state it reads
+    for i, (pool, advance, _) in enumerate(layers):
+        if table[pool].get("index") is not None \
+                and kinds[i][0] == "oracle_select_pool":
+            index = value(pool, "index",
+                          functools.partial(numkit.scalar_from_json, tp=int))
+            if index != i:
+                refuse(i, 0, f"selects the fixed row {index} at layer "
+                             f"{i + 1}, not row {i}")
+        if table[advance].get("next_selector") is not None \
+                and kinds[i][1] == "selector_advance":
+            found[i + 1] = value(advance, "next_selector",
+                                 numkit.vector_from_json)
+    staged = [i for i, ref in enumerate(layers) if kinds[i][0]
+              == "softmax_select_pool" and table[ref[0]].get("selectors")
+              is None]
+    if staged:
+        d = value(layers[staged[0]][0], "width")
+        rows = sum(k[0] in ("oracle_select_pool", "softmax_select_pool")
+                   for k in kinds)
+        selectors = np.zeros((max(rows, staged[-1] + 1), d))
+        if staged[0] == 0:
+            try:
+                vn = numkit.vector_from_json(vn_init)
+            except ValueError as e:
+                raise ValueError(f"vn_init: {e}") from None
+            found[0], vn[d : 2 * d] = vn[d : 2 * d].copy(), 0.0
+            vn_init = numkit.vector_to_json(vn)
+        for i in staged:
+            if i and kinds[i - 1][1] != "selector_advance":
+                refuse(i - 1, 1, f"carries the selector that layer {i + 1}'s "
+                                 "pool reads from data, where only one a "
+                                 "selector_advance stages loads")
+            w = value(layers[i - 1][1], "width") if i else d
+            chosen = found.get(i, np.zeros(w))
+            if chosen.shape != (d,) or w != d:
+                refuse(i, 0, f"of width {d} reads {chosen.size} values from "
+                             + (f"layers[{i - 1}].vn_update, of width {w}"
+                                if i else "vn_init"))
+            selectors[i] = chosen
+        for j in {layers[i][0] for i in staged}:
+            table[j] = table[j] | {
+                "selectors": numkit.matrix_to_json(selectors)}
+    # a moved (or dropped) selector must be read by no other slot
+    blind = ("selector_advance", "const_vn", "copy_pooled"), (
+        "identity_gn", "stage_query", "score_accumulate", "ratio_update")
+    for i, chosen in found.items():
+        for slot in (1, 2):
+            if i < len(layers) and chosen.any() \
+                    and kinds[i][slot] not in blind[slot - 1]:
+                refuse(i, slot, "may read the selector staged before it, "
+                                "which loads only as a pool's table row")
+    accumulations = {}  # score_accumulate entry -> the first layer using it
+    for i, ref in enumerate(layers):
+        if kinds[i][2] == "score_accumulate":
+            accumulations.setdefault(ref[2], i)
+    first = next((j for j in accumulations
+                  if table[j].get("w_q") is not None), None)
+    if first is not None:
+        w_q = functools.partial(value, name="w_q",
+                                decode=numkit.matrix_from_json)
+        for j, i in accumulations.items():
+            if table[j].get("w_q") is None \
+                    or not np.array_equal(w_q(j), w_q(first)):
+                refuse(i, 2, "does not recompute the query from the w_q of "
+                             f"layers[{accumulations[first]}].gn_update: only "
+                             "accumulations that share one w_q load")
+        # the query is staged at layer 1, and x must stay until the last
+        # accumulation reads it
+        last = max(i for i, k in enumerate(kinds)
+                   if k[2] == "score_accumulate")
+        for i in range(max(last, 1)):
+            if kinds[i][2] != ("score_accumulate" if i else "identity_gn"):
+                refuse(i, 2, f"stands at layer {i + 1} of a document whose "
+                             "accumulations recompute the query")
+        table.append({"kind": "stage_query", "w_q": table[first]["w_q"],
+                      "width": table[first].get("width")})
+        places.append(places[layers[0][2]])
+        refs[0] = refs[0][:2] + (len(table) - 1,)
+    # equal entries become one, and entries no layer names are dropped
+    keys, kept, index = {}, [], {}
+    for j in sorted({j for ref in refs for j in ref}):
+        key = _descriptor_key(_without_legacy(table[j]))
+        if key not in keys:
+            keys[key] = len(kept)
+            kept.append(j)
+        index[j] = keys[key]
+    return ([_without_legacy(table[j]) for j in kept],
+            [places[j] for j in kept],
+            [tuple(index[j] for j in ref) for ref in refs], vn_init,
+            first is not None)
 
 
 def _run_lengths(runs: list) -> list[int]:
@@ -1055,23 +1174,28 @@ def _run_lengths(runs: list) -> list[int]:
     return lengths
 
 
-def _check_recorded_layout(blob: dict, prog: LayerProgram) -> None:
+def _check_recorded_layout(blob: dict, prog: LayerProgram,
+                           staged_q: bool) -> None:
     """Refuse a v1 or v2 document whose ``gn_init`` or ``gn_out`` is not
-    what its layers imply.  A pad too narrow for a block that a layer needs
-    names the first such ``layers[i].slot``; any other disagreement names
-    its key.  Values are compared by ``repr``, so that 7.0, true or a tuple
-    is not taken for 7, 1 or a list."""
-    for key, implied in _recorded_layout(prog).items():
+    what its layers imply; with ``staged_q`` (its accumulations recomputed
+    the query) it recorded no q block.  A pad too narrow for a block that a
+    layer needs names the first such ``layers[i].slot``; any other
+    disagreement names its key.  Values are compared by ``repr``, so that
+    7.0, true or a tuple is not taken for 7, 1 or a list."""
+    layout = prog.layout
+    if staged_q:
+        layout = {name: w for name, w in layout.items() if name != "q"}
+    for key, implied in _recorded_layout(layout).items():
         declared = blob.get(key)
         if repr(declared) == repr(implied):
             continue
-        if key == "gn_init" and prog.layout is not None \
+        if key == "gn_init" and layout is not None \
                 and isinstance(declared, list) and len(declared) == 2 \
                 and declared[0] == "pad" and _is_int(declared[1]):
-            d = prog.layout["x"]
+            d = layout["x"]
             ends = itertools.accumulate((d, d, 1, d))
             held = {name for name, end in zip(("x", "acc", "mass", "q"), ends)
-                    if end <= declared[1]}
+                    if end <= declared[1] or name == "q" and staged_q}
             for i, layer in enumerate(prog.layers):
                 for slot in ("vn_pool", "gn_update"):
                     desc = getattr(layer, slot)
@@ -1089,13 +1213,13 @@ def _check_recorded_layout(blob: dict, prog: LayerProgram) -> None:
 def program_from_json(blob: dict) -> LayerProgram:
     """Read a ``layer-program/v3``, ``v2`` or ``v1`` document.
 
-    Each table entry is decoded once, and every layer that refers to it gets
-    the same descriptor object.  A v3 run is decoded once and expanded into
-    ``repeat`` references to one layer object; its ``repeat`` counts are
-    checked first (see ``_run_lengths``).  A v2 layer entry is one layer,
-    and a v1 document is read by the same path with an empty table: its
-    slots hold descriptors inline.  The program gets a copy of the
-    document's ``metadata``.  A v1 or v2 document's ``gn_init`` and
+    A v3 run's ``repeat`` counts are checked first (see ``_run_lengths``).
+    Each layer entry's slots are read as indexes into the table, and a v1
+    layer's inline descriptors join it; ``_compiled_form`` then rewrites
+    older documents' forms.  Each table entry is decoded once, and every
+    layer that refers to it gets the same descriptor object; a v3 run is
+    ``repeat`` references to one layer object.  The program gets a copy of
+    the document's ``metadata``.  A v1 or v2 document's ``gn_init`` and
     ``gn_out`` must be the ones its layers imply; v3 does not record them.
     """
     numkit.require_object(blob, "program document")
@@ -1115,12 +1239,18 @@ def program_from_json(blob: dict) -> LayerProgram:
     if not isinstance(blob["layers"], list):
         raise ValueError(f"layers must be a list, got {blob['layers']!r}")
     repeats = _run_lengths(blob["layers"]) if fmt == _V3 \
-        else itertools.repeat(1)
-    table = [_decode_descriptor(f"descriptors[{j}]", entry)
-             for j, entry in enumerate(entries)]
+        else [1] * len(blob["layers"])
+    table, places = list(entries), [f"descriptors[{j}]"
+                                    for j in range(len(entries))]
+    refs = [_layer_refs(i, layer, len(entries), table, places)
+            for i, layer in enumerate(blob["layers"])]
+    table, places, refs, vn_init, staged_q = _compiled_form(
+        table, places, refs, repeats, blob["vn_init"])
+    table = [_decode_descriptor(place, entry)
+             for place, entry in zip(places, table)]
     layers = []
-    for i, (layer, repeat) in enumerate(zip(blob["layers"], repeats)):
-        layers += [_decode_layer(i, layer, table)] * repeat
+    for ref, repeat in zip(refs, repeats):
+        layers += [MpnnVnLayer(*(table[j] for j in ref))] * repeat
     provenance = blob.get("provenance", "unknown")
     if not isinstance(provenance, str):
         raise ValueError(f"provenance must be a string, got {provenance!r}")
@@ -1128,7 +1258,7 @@ def program_from_json(blob: dict) -> LayerProgram:
     if not isinstance(metadata, dict):
         raise ValueError(f"metadata must be an object, got {metadata!r}")
     try:
-        vn_init = numkit.vector_from_json(blob["vn_init"])
+        vn_init = numkit.vector_from_json(vn_init)
     except ValueError as e:
         raise ValueError(f"vn_init: {e}") from None
     prog = LayerProgram(
@@ -1138,7 +1268,7 @@ def program_from_json(blob: dict) -> LayerProgram:
         metadata=copy.deepcopy(metadata),
     )
     if fmt != _V3:
-        _check_recorded_layout(blob, prog)
+        _check_recorded_layout(blob, prog, staged_q)
     return prog
 
 

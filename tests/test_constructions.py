@@ -700,16 +700,15 @@ class TestDeepOracle:
         w = attention.random_weights(3, numkit.make_rng(0))
         prog = compile_deep_vn(w, DeepSimConfig(n=n, selection="oracle"))
         # every round stages zeros through one step and selects through one
-        # round-indexed pool, and rounds 2..n are one layer object; a
-        # reloaded program shares them as well
+        # pool, and rounds 2..n are one layer object; a reloaded program
+        # shares them as well
         for p in (prog, program_from_json(program_to_json(prog))):
             rounds = p.layers[:n]
             step, pool = rounds[0].vn_update, rounds[0].vn_pool
             assert all(l.vn_update is step and l.vn_pool is pool
                        for l in rounds)
             assert isinstance(step, SelectorAdvance)
-            assert step.next_selector is None
-            assert isinstance(pool, OracleSelectPool) and pool.index is None
+            assert isinstance(pool, OracleSelectPool)
             assert all(l is rounds[-1] for l in rounds[1:])
 
     def test_trace_matches_reference_exactly(self):
@@ -949,6 +948,13 @@ class TestDeepOracle:
     def test_time2_check_reads_the_staged_query(self):
         # accumulations that recompute q from x keep every acc and mass
         # bitwise, so only the query check sees that layer 1 staged zeros
+        class Recompute(ScoreAccumulate):
+            kind = ""  # not registered
+
+            def fold(self, gn, ys):
+                q = np.einsum("ia,ac->ic", gn["x"], w.w_q)
+                return super().fold({**gn, "q": q}, ys) | {"q": gn["q"]}
+
         rng = numkit.make_rng(17)
         n, d = 5, 3
         w = attention.random_weights(d, rng)
@@ -958,7 +964,7 @@ class TestDeepOracle:
         assert exact
         before = prog.execute(attention_host_graph(n), X)
         assert np.array_equal(got, before)
-        recompute = ScoreAccumulate(w.w_q, w.w_k, w.w_v, width=d)
+        recompute = Recompute(w.w_k, w.w_v, width=d)
         first = prog.layers[0]
         prog = replace(prog, layers=[
             MpnnVnLayer(first.vn_pool, first.vn_update,
@@ -1119,11 +1125,9 @@ class TestOneShapeForEverySelection:
                        for l in rounds)
             assert all(l is rounds[-1] for l in rounds[1:])
             assert isinstance(step, SelectorAdvance)
-            assert step.next_selector is None
             assert not p.vn_init.any()
             if selection == "oracle":
                 assert isinstance(pool, OracleSelectPool)
-                assert pool.index is None
             else:
                 assert isinstance(pool, SoftmaxSelectPool)
                 assert (pool.score is None) == (selection == "softmax")

@@ -34,8 +34,8 @@ def runnable_formats(paths) -> set[str]:
 
 
 def test_detects_a_fixture_that_does_not_run():
-    # the rich fixture holds one of each descriptor kind, not a program
-    # whose widths chain
+    # the rich fixture, a codec sample and no compiled program, is refused
+    # at load
     assert runnable_formats([FIXTURES / "deep_oracle.v1.json",
                              FIXTURES / "rich.v2.json"]) == {"layer-program/v1"}
 

@@ -111,23 +111,32 @@ def as_blocks(gn, d):
 
 
 def v2_document(prog):
-    """``prog`` as the ``layer-program/v2`` writer laid it out: one entry per
-    layer, without ``repeat``, and the layout recorded as ``gn_init`` and
-    ``gn_out`` (``TestPersistence`` checks this against the v2 fixtures).
-    That writer had no ``selectors`` table, and wrote a softmax pool with an
-    additive ``score`` as the kind ``gatv2_select_pool``."""
+    """``prog`` (with no ``selectors`` table) as the ``layer-program/v2``
+    writer laid it out: one entry per layer, without ``repeat``, and the layout
+    recorded as ``gn_init`` and ``gn_out`` (``TestPersistence`` checks this
+    against the v2 fixture of a kernel program)."""
     blob = program_to_json(prog)
-    for entry in blob["descriptors"]:
-        if entry["kind"] == "softmax_select_pool":
-            assert entry.pop("selectors") is None
-            score = entry.pop("score")
-            if score is not None:
-                entry.update(kind="gatv2_select_pool", score=score)
     layers = [{slot: run[slot] for slot in ("vn_pool", "vn_update",
                                             "gn_update")}
               for run in blob["layers"] for _ in range(run["repeat"])]
     return blob | {"format": "layer-program/v2", "layers": layers} \
-        | mpnnvn._recorded_layout(prog)
+        | mpnnvn._recorded_layout(prog.layout)
+
+
+def recomputing_document(prog):
+    """The compiled oracle deep program ``prog`` as a v2 document written
+    before the query was staged: layer 1 holds an ``identity_gn``, every
+    accumulation recomputes the query from its own ``w_q``, and the state,
+    with no q block, is [x | acc | mass]."""
+    blob = v2_document(prog)
+    (stage,) = (e for e in blob["descriptors"] if e["kind"] == "stage_query")
+    for entry in blob["descriptors"]:
+        if entry["kind"] == "score_accumulate":
+            entry["w_q"] = copy.deepcopy(stage["w_q"])
+    stage.clear()
+    stage["kind"] = "identity_gn"
+    blob["gn_init"][1] -= prog.layout["q"]
+    return blob
 
 
 def certified_program(selection, X, w, amplification=30.0):
@@ -209,8 +218,8 @@ class TestPoolsAndUpdates:
         X = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
         out, weights = run_layer(
             NodeState({"x": X}, np.zeros(2)),
-            plain_layer(vn_pool=OracleSelectPool(index=1)),
-            1,
+            plain_layer(vn_pool=OracleSelectPool()),
+            2,
         )
         assert np.array_equal(out.vn, X[1])
         assert np.array_equal(weights, [0.0, 1.0, 0.0])
@@ -218,14 +227,12 @@ class TestPoolsAndUpdates:
     def test_oracle_select_pool_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             run_layer(NodeState({"x": np.ones((2, 1))}, np.zeros(1)),
-                      plain_layer(vn_pool=OracleSelectPool(index=5)), 1)
+                      plain_layer(vn_pool=OracleSelectPool()), 6)
 
     def test_round_indexed_oracle_pool_selects_row_k_minus_1(self):
-        # without an index, layer k selects row k - 1, so one pool serves
-        # every round; a fixed index ignores the layer number
+        # layer k selects row k - 1, so one pool serves every round
         X = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
         pool = OracleSelectPool()
-        assert pool.index is None
         for k in (1, 2, 3):
             row, weights = pool(np.zeros(2), {"x": X}, k)
             assert np.array_equal(row, X[k - 1])
@@ -234,8 +241,6 @@ class TestPoolsAndUpdates:
             with pytest.raises(ValueError, match=(
                     rf"^selection index {k - 1} out of range$")):
                 pool(np.zeros(2), {"x": X}, k)
-        row, _ = OracleSelectPool(index=1)(np.zeros(2), {"x": X}, 3)
-        assert np.array_equal(row, X[1])
 
     def test_softmax_select_vanishing_scale_is_mean(self):
         # a zero scale is refused; at 1e-300 every score rounds to the same
@@ -244,13 +249,10 @@ class TestPoolsAndUpdates:
         gn = np.array([[1.0, 0.0, 9.0, 9.0, 0.0],
                        [0.0, 1.0, 8.0, 8.0, 0.0],
                        [1.0, 1.0, 7.0, 7.0, 0.0]])
-        vn = np.zeros(5)
-        vn[d:2 * d] = [1.0, 0.0]
-        out, weights = run_layer(
-            NodeState({"x": gn}, vn),
-            plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=1e-300)),
-            1,
-        )
+        pool = SoftmaxSelectPool(width=d, scale=1e-300,
+                                 selectors=np.array([[1.0, 0.0]]))
+        out, weights = run_layer(NodeState({"x": gn}, np.zeros(5)),
+                                 plain_layer(vn_pool=pool), 1)
         assert np.allclose(weights, np.full(3, 1 / 3), atol=1e-15)
         assert np.allclose(out.vn, gn.mean(axis=0), atol=1e-15)
 
@@ -258,14 +260,16 @@ class TestPoolsAndUpdates:
     def test_selection_pool_scale_must_be_finite_and_positive(self, scale):
         # a -1e6 scale once loaded and ran, selecting the lowest-scoring
         # row, and its weight bound would overflow math.exp
+        one_row = np.ones((1, 2))
         for pool in (SoftmaxSelectPool, functools.partial(
                 SoftmaxSelectPool, score=attention.l1_score(2))):
             with pytest.raises(ValueError, match=(
                     r"select_pool: field 'scale' must be finite and "
                     rf"positive, got {scale}")):
-                pool(width=2, scale=scale)
+                pool(width=2, scale=scale, selectors=one_row)
         blob = program_to_json(LayerProgram(
-            layers=[plain_layer(vn_pool=SoftmaxSelectPool(width=2, scale=3.0))],
+            layers=[plain_layer(vn_pool=SoftmaxSelectPool(
+                width=2, scale=3.0, selectors=one_row))],
             vn_init=np.zeros(5)))
         blob["descriptors"][0]["scale"] = scale
         with pytest.raises(ValueError, match=(
@@ -277,59 +281,56 @@ class TestPoolsAndUpdates:
         gn = np.array([[1.0, 0.0, 0.5, 0.5, 0.0],
                        [0.0, 1.0, 0.4, 0.4, 0.0],
                        [0.3, 0.3, 0.3, 0.3, 0.0]])
-        vn = np.zeros(5)
-        vn[d:2 * d] = [1.0, 0.0]  # selector aligned with row 0
-        _, w = run_layer(
-            NodeState({"x": gn}, vn),
-            plain_layer(vn_pool=SoftmaxSelectPool(width=d, scale=200.0)),
-            1,
-        )
+        # the selector is aligned with row 0
+        pool = SoftmaxSelectPool(width=d, scale=200.0,
+                                 selectors=np.array([[1.0, 0.0]]))
+        _, w = run_layer(NodeState({"x": gn}, np.zeros(5)),
+                         plain_layer(vn_pool=pool), 1)
         assert w[0] > 1.0 - 1e-12
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("score", [None, attention.l1_score(2)],
                              ids=["bilinear", "l1"])
     def test_table_pool_reads_row_k_minus_1(self, score):
-        # layer k scores against row k - 1 of the table, bitwise as against
-        # that row staged in the virtual node; the staged slot is not read
+        # layer k scores against row k - 1 of the table, bitwise as a pool
+        # whose one-row table holds that row does at layer 1; the virtual
+        # node is not read
         gn = {"x": numkit.make_rng(2).normal(size=(4, 2))}
         table = numkit.make_rng(3).normal(size=(4, 2))
         pool = SoftmaxSelectPool(width=2, scale=3.0, score=score,
                                  selectors=table)
-        staged = SoftmaxSelectPool(width=2, scale=3.0, score=score)
         for k in (1, 2, 3, 4):
-            vn = np.concatenate([[9.0, 9.0], table[k - 1], [0.0]])
+            alone = dataclasses.replace(pool, selectors=table[k - 1 : k])
             got, weights = pool(np.full(5, np.nan), gn, k)
-            want, want_weights = staged(vn, gn, k)
+            want, want_weights = alone(np.full(5, np.nan), gn, 1)
             assert np.array_equal(got, want)
             assert np.array_equal(weights, want_weights)
 
     def test_selector_advance_layout(self):
-        adv = SelectorAdvance(width=2, next_selector=np.array([3.0, 4.0]))
-        newvn = adv(np.zeros(5), np.array([10.0, 20.0, 99.0, 99.0, 99.0]))
-        assert np.array_equal(newvn, [10.0, 20.0, 3.0, 4.0, 0.0])
+        # a stack of pooled rows, one new virtual-node state each
+        adv = SelectorAdvance(width=2)
+        pooled = np.array([[10.0, 20.0, 99.0, 99.0, 99.0],
+                           [1.0, 2.0, 3.0, 4.0, 5.0]])
+        assert np.array_equal(adv.stage(pooled), [[10.0, 20.0, 0.0, 0.0, 0.0],
+                                                  [1.0, 2.0, 0.0, 0.0, 0.0]])
 
     def test_selector_advance_without_next_zeroes_slot(self):
-        adv = SelectorAdvance(width=2, next_selector=None)
+        adv = SelectorAdvance(width=2)
         newvn = adv(np.zeros(5), np.array([10.0, 20.0, 99.0, 99.0, 99.0]))
         assert np.array_equal(newvn, [10.0, 20.0, 0.0, 0.0, 0.0])
 
     def test_next_selector_must_have_width_values(self):
         # a 4-value selector in a width-3 gatv2 document once loaded and ran
-        # on a virtual-node state shifted by one channel
+        # on a virtual-node state shifted by one channel; now it would be a
+        # row of the pool's table
+        blob = numkit.load_json(FIXTURES / "deep_gatv2.v2.json")
+        assert blob["descriptors"][3]["kind"] == "selector_advance"
+        blob["descriptors"][3]["next_selector"] = \
+            numkit.vector_to_json(np.ones(4))
         with pytest.raises(ValueError, match=(
-                r"^selector_advance: field 'next_selector' has 4 values, but "
-                r"field 'width' is 3$")):
-            SelectorAdvance(width=3, next_selector=np.ones(4))
-        blob = program_to_json(LayerProgram(
-            layers=[plain_layer(vn_update=SelectorAdvance(
-                width=2, next_selector=np.ones(2)))],
-            vn_init=np.zeros(5)))
-        blob["descriptors"][1]["next_selector"] = \
-            numkit.vector_to_json(np.ones(3))
-        with pytest.raises(ValueError, match=(
-                r"^descriptors\[1\]: selector_advance: field 'next_selector' "
-                r"has 3 values")):
+                r"^layers\[2\]\.vn_pool \(descriptors\[0\]\): "
+                r"softmax_select_pool of width 3 reads 4 values from "
+                r"layers\[1\]\.vn_update, of width 3$")):
             program_from_json(blob)
 
     def test_linear_gn(self):
@@ -488,7 +489,7 @@ class TestPrograms:
     def test_round_indexed_pool_past_n_is_refused(self):
         # an oracle program with a plain layer put before its rounds once
         # built, ran its 5 rounds and stopped on "selection index 5 out of
-        # range", naming no layer; a fixed-index pool may stand anywhere
+        # range", naming no layer
         w = attention.random_weights(3, numkit.make_rng(0))
         X = numkit.make_rng(1).normal(size=(5, 3))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -499,10 +500,18 @@ class TestPrograms:
                     rf"^layers\[5\]\.vn_pool: round-indexed {kind} at "
                     r"layer 6, past n=5$")):
                 dataclasses.replace(prog, layers=[plain_layer()] + prog.layers)
-        fixed = [plain_layer()] + [
-            MpnnVnLayer(OracleSelectPool(index=k), l.vn_update, l.gn_update)
-            for k, l in enumerate(prog.layers[:5])] + prog.layers[5:]
-        assert dataclasses.replace(prog, layers=fixed).n == 5
+
+    def test_table_pool_past_its_last_row_is_refused(self):
+        # without a layout the table's rows bound the layers; a third layer
+        # once ran on four rows and stopped on numpy's bare "index 0 is out
+        # of bounds"
+        pool = SoftmaxSelectPool(width=2, scale=1.0, selectors=np.eye(2))
+        layers = [plain_layer(vn_pool=pool, vn_update=KeepVn())] * 3
+        assert LayerProgram(layers=layers[:2], vn_init=np.zeros(5)).n is None
+        with pytest.raises(ValueError, match=(
+                r"^layers\[2\]\.vn_pool: round-indexed softmax_select_pool "
+                r"at layer 3, past the 2 rows of its 'selectors' table$")):
+            LayerProgram(layers=layers, vn_init=np.zeros(5))
 
     def test_selector_table_must_be_a_finite_n_by_width_matrix(self):
         w = attention.random_weights(3, numkit.make_rng(0))
@@ -623,12 +632,14 @@ class TestPrograms:
         gn = np.zeros((3, 5))
         gn[:, 0] = [1.0, 2.0, 3.0]
         vn = np.zeros(5)
-        vn[2] = 1.0  # selector slot for width=2
+        # layer 2 reads row 1 of the table, and layer 3 selects row 2
         prog = LayerProgram(layers=[
             plain_layer(vn_update=KeepVn()),
-            plain_layer(vn_pool=SoftmaxSelectPool(width=2, scale=1.0),
+            plain_layer(vn_pool=SoftmaxSelectPool(
+                width=2, scale=1.0, selectors=np.array([[0.0, 0.0],
+                                                        [1.0, 0.0]])),
                         vn_update=KeepVn()),
-            plain_layer(vn_pool=OracleSelectPool(index=2)),
+            plain_layer(vn_pool=OracleSelectPool()),
         ], vn_init=vn)
         s0 = NodeState({"x": gn}, vn)
         seen = []
@@ -817,30 +828,31 @@ class TestKernelLayers:
 class TestScoreAccumulate:
     def test_one_accumulation_step_by_hand(self):
         d = 1
-        w_q = np.array([[2.0]])
         w_k = np.array([[1.0]])
         w_v = np.array([[3.0]])
-        upd = ScoreAccumulate(w_q, w_k, w_v, width=d)
-        gn = as_blocks(np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 1.0]]), d)
+        upd = ScoreAccumulate(w_k, w_v, width=d)
+        # [x | acc | mass | q], the query staged as x @ [[2.0]]
+        gn = as_blocks(np.array([[1.0, 0.0, 0.0, 2.0],
+                                 [2.0, 1.0, 1.0, 4.0]]), d)
         vn = np.array([0.5, 9.0, 9.0])  # only the first block is read
         out = gn_matrix(upd(gn, vn))
         e0 = np.exp(1.0 * 2.0 * 0.5 * 1.0)
         e1 = np.exp(2.0 * 2.0 * 0.5 * 1.0)
         assert np.allclose(out[:, 0], [1.0, 2.0], atol=0)
-        assert np.allclose(out[0], [1.0, e0 * 1.5, e0], atol=1e-12)
-        assert np.allclose(out[1], [2.0, 1.0 + e1 * 1.5, 1.0 + e1], atol=1e-12)
+        assert np.allclose(out[0], [1.0, e0 * 1.5, e0, 2.0], atol=1e-12)
+        assert np.allclose(out[1], [2.0, 1.0 + e1 * 1.5, 1.0 + e1, 4.0],
+                           atol=1e-12)
 
     @staticmethod
     def _per_row(upd, blocks, vn):
-        # one row at a time with einsum, the reference trace's rounding; q is
-        # recomputed from x, so a staged q must equal it bitwise
+        # one row at a time with einsum, the reference trace's rounding
         gn = gn_matrix(blocks)
         d = upd.width
         yk = vn[:d] @ upd.w_k
         yv = vn[:d] @ upd.w_v
         out = gn.copy()
         for i in range(gn.shape[0]):
-            q = np.einsum("a,ac->c", gn[i, :d], upd.w_q)
+            q = gn[i, 2 * d + 1 : 3 * d + 1]
             e = np.exp(np.einsum("c,c->", q, yk))
             out[i, d : 2 * d] = gn[i, d : 2 * d] + e * yv
             out[i, 2 * d] = gn[i, 2 * d] + e
@@ -851,34 +863,27 @@ class TestScoreAccumulate:
     ])
     def test_batched_equals_per_row_bitwise(self, n, d, pad):
         # pad == 0: contiguous blocks, as the VM hands them on; pad > 0: the
-        # blocks are strided views into one wider matrix
+        # blocks are strided views into one wider matrix.  StageQuery writes
+        # q once, bitwise each row's einsum, and the accumulation reads it
         rng = numkit.make_rng(1000 * n + 10 * d + pad)
+        w_q = rng.normal(size=(d, d))
         upd = ScoreAccumulate(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
-                              rng.normal(size=(d, d)), width=d)
-
-        def blocks(width):
-            gn = rng.normal(size=(n, width + pad)) * 0.6
-            gn[:, 2 * d] = np.abs(gn[:, 2 * d])
-            views = as_blocks(gn, d)
-            return views if pad else {k: v.copy() for k, v in views.items()}
-
-        gn = blocks(2 * d + 1)
-        before = {k: v.copy() for k, v in gn.items()}
+                              width=d)
+        gn = rng.normal(size=(n, 3 * d + 1 + pad)) * 0.6
+        gn[:, 2 * d] = np.abs(gn[:, 2 * d])
+        gn = as_blocks(gn, d)
+        if not pad:
+            gn = {k: v.copy() for k, v in gn.items()}
         vn = rng.normal(size=2 * d + 1) * 0.6
-        out = upd(gn, vn)
-        assert np.array_equal(gn_matrix(out), self._per_row(upd, gn, vn))
-        assert out["x"] is gn["x"]  # shared, not copied
-        assert all(np.array_equal(gn[k], before[k]) for k in gn)  # unwritten
-        # staged path: StageQuery writes q once, the accumulation reads it
-        staged = blocks(3 * d + 1)
-        staged = StageQuery(upd.w_q, width=d)(staged, vn)
-        q_rows = [np.einsum("a,ac->c", staged["x"][i], upd.w_q)
-                  for i in range(n)]
+        staged = StageQuery(w_q, width=d)(gn, vn)
+        q_rows = [np.einsum("a,ac->c", staged["x"][i], w_q) for i in range(n)]
         assert np.array_equal(staged["q"], q_rows)
-        hoisted = ScoreAccumulate(None, upd.w_k, upd.w_v, width=d)
-        out = hoisted(staged, vn)
+        before = {k: v.copy() for k, v in staged.items()}
+        out = upd(staged, vn)
         assert np.array_equal(gn_matrix(out), self._per_row(upd, staged, vn))
+        # shared, not copied, and unwritten
         assert out["x"] is staged["x"] and out["q"] is staged["q"]
+        assert all(np.array_equal(staged[k], before[k]) for k in staged)
 
     def test_ratio_update(self):
         upd = RatioUpdate(width=2)
@@ -1000,17 +1005,18 @@ class TestSelectionRounds:
         self._check_against_stepwise(prog, X)
 
     def test_accumulation_that_recomputes_its_query(self, monkeypatch):
-        # a ScoreAccumulate with w_q reads x, not a staged q, in every round
+        # a document whose accumulations recompute the query from w_q, one
+        # entry per layer, loads as the compiled program: a query staged at
+        # layer 1 and one run of rounds 2..11
         prog, X = deep_case("oracle", 11, seed=2)
-        w_q = prog.layers[0].gn_update.w_q
-        old = prog.layers[1].gn_update
-        recompute = ScoreAccumulate(w_q, old.w_k, old.w_v, width=old.width)
-        prog = dataclasses.replace(prog, layers=[
-            MpnnVnLayer(l.vn_pool, l.vn_update, recompute)
-            if l.gn_update is old else l for l in prog.layers])
-        assert [run.repeat for run in prog.runs] == [1, 10, 1, 1]
+        blob = recomputing_document(prog)
+        assert [e["kind"] for e in blob["descriptors"]].count(
+            "stage_query") == 0
+        old = program_from_json(blob)
+        assert [run.repeat for run in old.runs] == [1, 10, 1, 1]
+        assert program_to_json(old) == program_to_json(prog)
         monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * X.size)
-        self._check_against_stepwise(prog, X)
+        self._check_against_stepwise(old, X)
 
     # the fixtures that run, with their input width; "rich" holds every
     # descriptor kind but no runnable program
@@ -1024,8 +1030,8 @@ class TestSelectionRounds:
     @pytest.mark.parametrize("name", sorted(FIXTURE_WIDTHS))
     @pytest.mark.parametrize("scale", [1.0, 30.0])
     def test_fixture_runs_as_stepwise(self, name, scale, monkeypatch):
-        # v1 and v2 deep fixtures accumulate with w_q; only deep_oracle.v3
-        # has a run of rounds (four), here in chunks of 3 and 1
+        # every deep fixture loads into the compiled form, whose run of
+        # rounds (four) goes here in chunks of 3 and 1
         prog = load_program(FIXTURES / f"{name}.json")
         X = scale * numkit.make_rng(4).uniform(
             -0.5, 0.5, size=(5, self.FIXTURE_WIDTHS[name]))
@@ -1151,25 +1157,20 @@ class TestSelectionRounds:
                                                      range(n + 2, n + 3)]
 
     @staticmethod
-    def _fold_case(rng, rows, d, rounds, legacy=False):
-        """(accumulate, state, ys): a ``ScoreAccumulate`` reading block q
-        (or, ``legacy``, recomputing it from x with ``w_q``), a state with
-        random old sums, and ``rounds`` features whose scores q . (y @ w_k)
-        reach +-8 decades, so the terms span up to 16 decades."""
+    def _fold_case(rng, rows, d, rounds):
+        """(accumulate, state, ys): a ``ScoreAccumulate`` reading block q, a
+        state with random old sums, and ``rounds`` features whose scores
+        q . (y @ w_k) reach +-8 decades, so the terms span up to 16
+        decades."""
         q = rng.normal(size=(rows, d))
-        w_q = None
         gn = {"x": rng.normal(size=(rows, d)),
               "acc": rng.normal(size=(rows, d)),
               "mass": rng.uniform(size=(rows, 1)), "q": q}
-        if legacy:
-            w_q = rng.normal(size=(d, d))
-            del gn["q"]
-            q = np.einsum("ia,ac->ic", gn["x"], w_q)
         w_k, w_v = rng.normal(size=(d, d)), rng.normal(size=(d, d))
         ys = rng.normal(size=(rounds, 2 * d + 1))
         scores = np.abs(q @ (ys[:, :d] @ w_k).T).max()
         ys *= 8.0 * math.log(10.0) / max(scores, 1e-300)
-        return ScoreAccumulate(w_q, w_k, w_v, width=d), gn, ys
+        return ScoreAccumulate(w_k, w_v, width=d), gn, ys
 
     def test_fold_adds_in_round_order(self):
         # 32 rounds on 5 nodes whose terms span 16 decades: summed pairwise
@@ -1202,16 +1203,14 @@ class TestSelectionRounds:
         assert final["x"] is gn["x"] and final["q"] is gn["q"]
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
-           d=st.integers(1, 4), rounds=st.integers(1, 12),
-           legacy=st.booleans(), data=st.data())
+           d=st.integers(1, 4), rounds=st.integers(1, 12), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_fold_is_one_round_at_a_time(self, seed, rows, d, rounds,
-                                         legacy, data):
+    def test_fold_is_one_round_at_a_time(self, seed, rows, d, rounds, data):
         # the fold of a stack is bitwise the fold of its two parts, one
         # after the other, at any split, and __call__ round by round; one
-        # node (which numpy would sum pairwise) and the legacy w_q path too
+        # node (which numpy would sum pairwise) too
         accumulate, gn, ys = self._fold_case(
-            numkit.make_rng(seed), rows, d, rounds, legacy)
+            numkit.make_rng(seed), rows, d, rounds)
         whole = accumulate.fold(gn, ys)
         stepped = gn
         for y in ys:
@@ -1244,26 +1243,22 @@ class TestPersistence:
             b=rng.normal(size=3),
         )
         pieces = unfitted_pieces()
-        # the five selection layers come first, so n = 5: the two table
-        # pools read rows of a (5, 2) table, and the oracle pool could lose
-        # its index and still select inside the rows
+        # the five selection layers come first, so n = 5 and the softmax
+        # pools read rows of a (5, 2) table
         table = np.arange(10.0).reshape(5, 2) / 8.0
         layers = [
-            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=3.5),
-                        SelectorAdvance(width=2,
-                                        next_selector=np.array([1.0, -1.0])),
-                        ScoreAccumulate(np.eye(2), np.eye(2),
-                                        rng.normal(size=(2, 2)), width=2)),
-            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=2.0, score=g2),
-                        ConstVn(np.ones(5)), IdentityGn()),
-            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=1.5,
+            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=3.5,
                                           selectors=table),
-                        KeepVn(), IdentityGn()),
-            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=2.5, score=g2,
+                        SelectorAdvance(width=2),
+                        StageQuery(rng.normal(size=(2, 2)), width=2)),
+            MpnnVnLayer(SoftmaxSelectPool(width=2, scale=2.0, score=g2,
                                           selectors=-table),
-                        CopyPooled(), IdentityGn()),
-            MpnnVnLayer(OracleSelectPool(index=1), KeepVn(),
-                        RatioUpdate(width=2)),
+                        ConstVn(np.ones(5)),
+                        ScoreAccumulate(rng.normal(size=(2, 2)),
+                                        rng.normal(size=(2, 2)), width=2)),
+            MpnnVnLayer(OracleSelectPool(), KeepVn(), IdentityGn()),
+            MpnnVnLayer(OracleSelectPool(), CopyPooled(), IdentityGn()),
+            MpnnVnLayer(OracleSelectPool(), KeepVn(), RatioUpdate(width=2)),
             MpnnVnLayer(FeatureStatsPool(rng.normal(size=(2, 2)),
                                          rng.normal(size=(2, 2)), fm),
                         CopyPooled(), IdentityGn()),
@@ -1285,11 +1280,6 @@ class TestPersistence:
             MpnnVnLayer(MeanPool(), CopyPooled(),
                         AffineFromVn(rng.normal(size=(5, 5)),
                                      rng.normal(size=5))),
-            MpnnVnLayer(MeanPool(), KeepVn(),
-                        StageQuery(rng.normal(size=(2, 2)), width=2)),
-            MpnnVnLayer(MeanPool(), KeepVn(),
-                        ScoreAccumulate(None, rng.normal(size=(2, 2)),
-                                        rng.normal(size=(2, 2)), width=2)),
         ]
         return LayerProgram(
             layers=layers, vn_init=np.ones(5), provenance="round-trip-test",
@@ -1301,21 +1291,12 @@ class TestPersistence:
         covered = {slot.kind for layer in prog.layers
                    for slot in (layer.vn_pool, layer.vn_update, layer.gn_update)}
         assert covered == set(Descriptor._registry)
-        gn_updates = [layer.gn_update for layer in prog.layers]
-        vn_updates = [layer.vn_update for layer in prog.layers]
-        assert any(isinstance(u, AffineFromVn) and u.activation is None
-                   for u in gn_updates)
-        assert any(isinstance(u, SelectorAdvance) and u.next_selector is None
-                   for u in vn_updates)
-        # the staged accumulation, and the one that recomputes the query
-        assert {u.w_q is None for u in gn_updates
-                if isinstance(u, ScoreAccumulate)} == {True, False}
-        # the softmax pool with and without an additive score, each with and
-        # without a selector table
-        assert {(p.score is None, p.selectors is None)
-                for p in (layer.vn_pool for layer in prog.layers)
-                if isinstance(p, SoftmaxSelectPool)} == \
-            {(True, True), (True, False), (False, True), (False, False)}
+        # each optional field both None and set
+        assert {u.activation is None
+                for u in (l.gn_update for l in prog.layers)
+                if isinstance(u, AffineFromVn)} == {True, False}
+        assert {p.score is None for p in (l.vn_pool for l in prog.layers)
+                if isinstance(p, SoftmaxSelectPool)} == {True, False}
 
     @staticmethod
     def _pinned_weights(rng, d):
@@ -1354,14 +1335,18 @@ class TestPersistence:
     # round-indexed pool); the v2 pins live on as V2_FIXTURE_SHA256.  "rich"
     # and "deep_gatv2" re-recorded again when the softmax and additive pools
     # became one kind with a round-indexed selector table (the per-round
-    # deep_gatv2 document lives on as V3_PER_ROUND_FIXTURE_SHA256).
+    # deep_gatv2 document lives on as V3_PER_ROUND_FIXTURE_SHA256).  All
+    # three re-recorded when the older forms left the descriptors: the deep
+    # documents differ only in lacking the null index, next_selector and
+    # w_q keys (deep_oracle.v3.json holds the earlier bytes), and "rich" is
+    # built from compiled forms only.
     PINNED_SHA256 = {
         "rich":
-            "a5d5d46f97bce42ca8ae57790ce77e0ca4f3109b5fa46f5187617e57511df277",
+            "505b84ad7f05074d911851dc73f94a3c60d1de8119f86daf024a8d86eef3bc62",
         "deep_oracle":
-            "d25b1a2328c05214af341d50dc7eff7e3747075440119edd68e98cd425a2f75c",
+            "d4f246eea52adb8a985845db8a3e4f42e3647adb2b514846a066d1bd83fb537b",
         "deep_gatv2":
-            "11048d3d7655658c7551023b4836f78a95ec920129dc811e2ed082a9bd0016f7",
+            "04740bc59ac87b71e2ae0833b7275c662c0115bc1a64e0bfbb2fbca4609667f9",
         "kernel_exact":
             "9213c81b2a449c53975732172ca3641013a41537664429d4057d9beb3d8e3719",
     }
@@ -1370,11 +1355,11 @@ class TestPersistence:
     # with PINNED_SHA256 unchanged is a change of layout only
     COMPACT_SHA256 = {
         "rich":
-            "649bccc6ed336c06f44bf5bfc3eb5d65d243ce6ae7a2c2140d195eb1f039ddf4",
+            "08251509ac31718e304a20fa23f380e78fc60b3415aeb337eda0bf79185df7a4",
         "deep_oracle":
-            "fc0f7dc053de4519fd82848e0460ae853e8a74e7c13fcce1f9579b9c74d48174",
+            "6d62865084bc3d674fb5d9c8eaa64d0310be8283ee248cb89a065f781a53982f",
         "deep_gatv2":
-            "0b72756367e17ea9a8d7524164d99413accdc022ef26956eff0fa6d616bcb212",
+            "9aea73d4a2cc20d0fcaf138088da84f289a648486b221da74beaaf9900bf9a20",
         "kernel_exact":
             "0a03b360f06da4bd397a70469e8e9464b226e3755a34c048f64d718082fb2d7f",
     }
@@ -1419,39 +1404,19 @@ class TestPersistence:
         assert numkit.load_json(self._v1_fixture(name))["format"] == \
             "layer-program/v1"
 
-    # sha256 of the layer-program/v3 documents the v1 fixtures re-save to,
-    # as content (re-indented, like PINNED_SHA256) and as written.
-    # The rich and deep fixtures were written before StageQuery: their
-    # ScoreAccumulates carry w_q and recompute the query from x, and their
-    # deep states are [x | acc | mass], so they keep that old layout.  "rich"
-    # and "deep_gatv2" re-recorded when their pools re-saved as the one
-    # softmax_select_pool kind, with null score or selectors keys.
-    V1_RESAVED_SHA256 = {
-        "rich":
-            "ae92dc2ee1d91f2c5a7af3ed23e12aca4a59286dca1371ac1b110132fff72641",
-        "deep_oracle":
-            "ade3e4c922518dff6d0b37e6525c05a3164847d302724b1e2bb0d36f8ded94ae",
-        "deep_gatv2":
-            "e651352e75a8b3601568a239f80da8126a85a74d24ecbaacbb49d467dd1d924d",
-        "kernel_exact": PINNED_SHA256["kernel_exact"],
-    }
-    V1_RESAVED_COMPACT_SHA256 = {
-        "rich":
-            "be535fb475f75c8d898bcd11d313780854eecc4584ae5f87b56608eb2da8513c",
-        "deep_oracle":
-            "f9051e1aa7b4860e2d4904276814fa6a6ff4341e053d91c6ba6ff3a20ad8c1b5",
-        "deep_gatv2":
-            "b7e72b5b54c3c164d732c8efc4990faf9d9dbbdf066c7cf895112ef20b52aa0f",
-        "kernel_exact": COMPACT_SHA256["kernel_exact"],
-    }
-
-    @pytest.mark.parametrize("name", sorted(V1_FIXTURE_SHA256))
+    # the v1 fixtures re-save to the pinned documents of their programs: the
+    # deep ones, written before StageQuery (accumulations with w_q) and the
+    # selector table (selectors staged round by round), load into the
+    # compiled form.  "rich" holds those forms in layers that are no
+    # compiled round, and is refused (test_uncompilable_document_is_refused)
+    @pytest.mark.parametrize("name", [
+        name for name in sorted(V1_FIXTURE_SHA256) if name != "rich"])
     def test_v1_fixture_resaves_to_the_v2_pin(self, name, tmp_path):
         path = tmp_path / "program.json"
         save_program(load_program(self._v1_fixture(name)), path)
         saved, pin = path.read_bytes(), name.removesuffix("_gn_msg")
-        assert sha256(saved) == self.V1_RESAVED_COMPACT_SHA256[pin]
-        assert sha256(reindented(saved)) == self.V1_RESAVED_SHA256[pin]
+        assert sha256(saved) == self.COMPACT_SHA256[pin]
+        assert sha256(reindented(saved)) == self.PINNED_SHA256[pin]
 
     # the rich program covers the codec, not a runnable width chain, so its
     # fixture is checked by the re-saved bytes above
@@ -1501,22 +1466,6 @@ class TestPersistence:
             "21e7c1021cbccd981c18897ccf843e2fd76fa3793f3fe0fca12e1dbd31dec336",
     }
 
-    # sha256 of the layer-program/v3 documents the v2 fixtures re-save to,
-    # as written.  The v2 deep oracle selects through one fixed-index pool
-    # per round, which it keeps, so it does not fold into one round; the v2
-    # deep gatv2 likewise keeps its staged selector per round.  "rich" and
-    # "deep_gatv2" were the COMPACT_SHA256 pins until their pools re-saved
-    # as the one softmax_select_pool kind.
-    V2_RESAVED_COMPACT_SHA256 = {
-        "rich":
-            "6f04e6431430e69e4d1509f33816c535ee777d903c1de887617a07282cbb426e",
-        "deep_oracle":
-            "3b922e2fb6c4ffc274916a46b0f0e8a2c53705b47d4e6a6e4f17475470375ff4",
-        "deep_gatv2":
-            "3cd5d41de7c54ec86d2ea64af45c54bb366d0947428e3f406588dbee2461d045",
-        "kernel_exact": COMPACT_SHA256["kernel_exact"],
-    }
-
     @staticmethod
     def _v2_fixture_document(name):
         return numkit.load_json(FIXTURES / f"{name}.v2.json")
@@ -1526,15 +1475,19 @@ class TestPersistence:
         path = FIXTURES / f"{name}.v2.json"
         raw = path.read_bytes()
         assert sha256(raw) == self.V2_FIXTURE_SHA256[name]
-        # v2_document lays a program out as the v2 writer did
-        assert json.loads(raw) == v2_document(load_program(path))
+        # v2_document lays a program out as the v2 writer did; the other v2
+        # fixtures hold older forms, which load into the compiled form
+        if name == "kernel_exact":
+            assert json.loads(raw) == v2_document(load_program(path))
 
-    @pytest.mark.parametrize("name", sorted(V2_FIXTURE_SHA256))
+    # the v2 fixtures re-save to the pinned documents of their programs;
+    # "rich" is refused (test_uncompilable_document_is_refused)
+    @pytest.mark.parametrize("name", [
+        name for name in sorted(V2_FIXTURE_SHA256) if name != "rich"])
     def test_v2_fixture_resaves_to_the_v3_pin(self, name, tmp_path):
         path = tmp_path / "program.json"
         save_program(load_program(FIXTURES / f"{name}.v2.json"), path)
-        assert sha256(path.read_bytes()) == \
-            self.V2_RESAVED_COMPACT_SHA256[name]
+        assert sha256(path.read_bytes()) == self.COMPACT_SHA256[name]
         assert numkit.load_json(path)["format"] == "layer-program/v3"
 
     @pytest.mark.parametrize("name", ["deep_oracle", "deep_gatv2",
@@ -1545,11 +1498,16 @@ class TestPersistence:
         assert np.array_equal(old.execute(star(5), self.FUZZ_X),
                               prog.execute(star(5), self.FUZZ_X))
 
+    # tests/fixtures/deep_oracle.v3.json: the pinned deep oracle program as
+    # save_program wrote it while its pool, advance and accumulation still
+    # saved null index, next_selector and w_q keys (that time's
+    # COMPACT_SHA256 pin)
+    V3_FIXTURE_SHA256 = \
+        "fc0f7dc053de4519fd82848e0460ae853e8a74e7c13fcce1f9579b9c74d48174"
+
     def test_v3_fixture_holds_the_pinned_bytes(self):
-        # tests/fixtures/deep_oracle.v3.json is the pinned deep oracle
-        # program as save_program writes it
         raw = (FIXTURES / "deep_oracle.v3.json").read_bytes()
-        assert sha256(raw) == self.COMPACT_SHA256["deep_oracle"]
+        assert sha256(raw) == self.V3_FIXTURE_SHA256
         prog = load_program(FIXTURES / "deep_oracle.v3.json")
         assert np.array_equal(
             prog.execute(star(5), self.FUZZ_X),
@@ -1576,10 +1534,9 @@ class TestPersistence:
         assert [run["repeat"] for run in blob["layers"]] == [1] * 7
         old = load_program(path)
         assert old.n == 5
-        assert all(isinstance(l.vn_pool, SoftmaxSelectPool)
-                   and l.vn_pool.selectors is None for l in old.layers[:5])
         fresh = self._pinned_program(name)
-        assert fresh.layers[0].vn_pool.selectors.shape == (5, 3)
+        assert np.array_equal(old.layers[0].vn_pool.selectors,
+                              fresh.layers[0].vn_pool.selectors)
         got, got_weights = selection_run(old, self.FUZZ_X)
         want, want_weights = selection_run(fresh, self.FUZZ_X)
         assert np.array_equal(got, want)
@@ -1668,7 +1625,7 @@ class TestPersistence:
         assert len(shapes) == 1
 
     # a small pool of layers, two of them equal in value but separate
-    # objects, and two oracle pools that differ only in a null index
+    # objects, and a selection layer
     RUN_POOL = [
         plain_layer(),
         plain_layer(vn_update=KeepVn()),
@@ -1676,7 +1633,6 @@ class TestPersistence:
         plain_layer(gn_update=LinearGn(np.eye(2))),
         plain_layer(gn_update=LinearGn(2.0 * np.eye(2))),
         plain_layer(vn_pool=OracleSelectPool()),
-        plain_layer(vn_pool=OracleSelectPool(index=0)),
     ]
 
     @given(st.lists(st.tuples(st.integers(0, len(RUN_POOL) - 1),
@@ -1842,7 +1798,7 @@ class TestPersistence:
         assert again.provenance == "round-trip-test"
         assert again.layout == prog.layout == {"x": 2, "acc": 2, "mass": 1,
                                                "q": 2}
-        # four softmax pools (two with a table) and a fixed oracle pool
+        # two softmax pools and an oracle pool in the first five layers
         assert again.n == prog.n == 5
         assert len(again.layers) == len(prog.layers)
 
@@ -1997,10 +1953,12 @@ class TestPersistence:
         assert self._load_with_token(blob, path, "424242.5").n == 5
 
     def test_every_fixture_loads(self):
+        # but the two codec samples (test_uncompilable_document_is_refused)
         paths = sorted(FIXTURES.glob("*.json"))
         assert len(paths) == 14
         for path in paths:
-            assert load_program(path).layers
+            if not path.name.startswith("rich."):
+                assert load_program(path).layers
 
     @pytest.mark.parametrize("blob", [[], "feature_map", 3, None])
     def test_every_leaf_codec_refuses_a_non_object(self, blob):
@@ -2123,6 +2081,11 @@ class TestPersistence:
         with pytest.raises(ValueError,
                            match="softmax_select_pool.*'width'"):
             descriptor_from_json({"kind": "softmax_select_pool"})
+        # every selection pool reads its selectors from a table
+        with pytest.raises(ValueError, match=(
+                r"^softmax_select_pool: missing value for field "
+                r"'selectors'$")):
+            SoftmaxSelectPool(width=2, scale=1.0)
         with pytest.raises(ValueError, match="linear_gn.*'matrix'"):
             descriptor_from_json({"kind": "linear_gn", "matrix": None})
         blob = program_to_json(self._rich_program())
@@ -2156,32 +2119,34 @@ class TestPersistence:
             program_from_json(blob)
 
     def test_old_additive_pool_kind_decodes_into_the_softmax_pool(self):
-        # the v1/v2 gatv2 fixtures and older rich ones name it
-        # gatv2_select_pool; its score stays required
-        blob = program_to_json(self._rich_program())
-        entry = next(e for e in blob["descriptors"]
-                     if e["kind"] == "softmax_select_pool"
-                     and e["score"] is not None and e["selectors"] is None)
-        old = {k: v for k, v in entry.items() if k != "selectors"} \
-            | {"kind": "gatv2_select_pool"}
-        pool = descriptor_from_json(old)
-        assert isinstance(pool, SoftmaxSelectPool)
-        assert pool.to_json() == entry
+        # the v1/v2 gatv2 fixtures name it gatv2_select_pool: a document
+        # loads it as the softmax pool, whose score stays required; alone,
+        # it is no descriptor kind
+        blob = program_to_json(self._pinned_program("deep_gatv2"))
+        entry = blob["descriptors"][0]
+        assert entry["kind"] == "softmax_select_pool"
+        entry["kind"] = "gatv2_select_pool"
+        assert program_to_json(program_from_json(blob)) == \
+            program_to_json(self._pinned_program("deep_gatv2"))
         assert "gatv2_select_pool" not in Descriptor._registry
-        for broken, match in ((old | {"score": None}, "missing value for "
-                               "field 'score'"),
-                              (old | {"slope": 0.2}, "unknown field 'slope'")):
+        with pytest.raises(ValueError, match="unknown descriptor kind"):
+            descriptor_from_json(entry)
+        for key, value, match in (
+                ("score", None, r"gatv2_select_pool: field 'score': missing "
+                                r"value"),
+                ("slope", 0.2, r"softmax_select_pool: unknown field 'slope'"),
+                ("scale", -1.0, r"softmax_select_pool: field 'scale' must be "
+                                r"finite")):
             with pytest.raises(ValueError,
-                               match=rf"^gatv2_select_pool: {match}$"):
-                descriptor_from_json(broken)
-        # the pool's own check names the kind it decoded into
-        with pytest.raises(ValueError, match=(
-                r"^softmax_select_pool: field 'scale' must be finite")):
-            descriptor_from_json(old | {"scale": -1.0})
+                               match=rf"^descriptors\[0\]: {match}"):
+                program_from_json(blob | {"descriptors": [
+                    entry | {key: value}, *blob["descriptors"][1:]]})
 
     def test_missing_optional_fields_decode_to_none(self):
-        adv = descriptor_from_json({"kind": "selector_advance", "width": 2})
-        assert adv.width == 2 and adv.next_selector is None
+        pool = descriptor_from_json({
+            "kind": "softmax_select_pool", "width": 2, "scale": 1.0,
+            "selectors": numkit.matrix_to_json(np.eye(2))})
+        assert pool.width == 2 and pool.score is None
         affine = descriptor_from_json({
             "kind": "affine_from_vn",
             "matrix": numkit.matrix_to_json(np.eye(2)),
@@ -2209,15 +2174,18 @@ class TestPersistence:
 
     @pytest.mark.parametrize("value", [[1.0], -1, 0, 2.0, False])
     def test_bad_width_in_a_document_names_entry_and_field(self, value):
-        blob = numkit.load_json(self._v1_fixture("rich"))
-        pool = blob["layers"][1]["vn_pool"]
-        assert pool["kind"] == "softmax_select_pool"
-        pool["width"] = value
-        with pytest.raises(ValueError, match=(
-                r"layers\[1\]\.vn_pool: softmax_select_pool: "
-                r"field 'width': value must be")):
-            program_from_json(blob)
-        resaved = program_to_json(load_program(self._v1_fixture("rich")))
+        # the v1 additive pools load as softmax pools, whose width the
+        # rewrite reads at layer 1 and the decoder at the other layers
+        for i in (0, 1):
+            blob = numkit.load_json(self._v1_fixture("deep_gatv2"))
+            pool = blob["layers"][i]["vn_pool"]
+            assert pool["kind"] == "gatv2_select_pool"
+            pool["width"] = value
+            with pytest.raises(ValueError, match=(
+                    rf"layers\[{i}\]\.vn_pool: softmax_select_pool: "
+                    r"field 'width': value must be")):
+                program_from_json(blob)
+        resaved = program_to_json(load_program(self._v1_fixture("deep_gatv2")))
         entry = next(j for j, e in enumerate(resaved["descriptors"])
                      if e["kind"] == "softmax_select_pool")
         resaved["descriptors"][entry]["width"] = value
@@ -2227,11 +2195,23 @@ class TestPersistence:
             program_from_json(resaved)
 
     def test_an_index_may_be_zero_but_not_negative(self):
-        pool = descriptor_from_json({"kind": "oracle_select_pool", "index": 0})
-        assert pool.index == 0
-        with pytest.raises(ValueError, match="'index': value must be at "
-                                             "least 0, got -1"):
-            descriptor_from_json({"kind": "oracle_select_pool", "index": -1})
+        # an older document's fixed index is the row its layer selects
+        blob = self._v2_fixture_document("deep_oracle")
+        assert blob["descriptors"][0] == {"index": 0,
+                                          "kind": "oracle_select_pool"}
+        assert program_from_json(blob).n == 5
+        for index, match in (
+                (-1, r"oracle_select_pool selects the fixed row -1 at layer "
+                     r"1, not row 0$"),
+                ("0", r"oracle_select_pool: field 'index': value must be an "
+                      r"integer, got '0'$")):
+            blob["descriptors"][0]["index"] = index
+            with pytest.raises(ValueError, match=(
+                    r"^(layers\[0\]\.vn_pool \()?descriptors\[0\]\)?: "
+                    + match)):
+                program_from_json(blob)
+        with pytest.raises(ValueError, match="unknown field 'index'"):
+            descriptor_from_json({"kind": "oracle_select_pool", "index": 0})
 
     # every pinned document as v2; all but "rich" (one of each descriptor
     # kind, not a program meant to run) run on the rows below
@@ -2278,16 +2258,15 @@ class TestPersistence:
 
     # the broken-document sweep: each case deletes one object key, or
     # replaces one object or list with one of BREAKERS; the width is the
-    # one each fixture's rows have ("rich" is not a program meant to run)
+    # one each fixture's rows have
     BREAKERS = [5, "x", [], {}]
     SWEEP_WIDTHS = {"kernel_mlp_trained.v2": 2, "kernel_exact.v1": 3,
-                    "deep_gatv2.v1": 3, "deep_oracle.v1": 3, "rich.v1": None,
+                    "deep_gatv2.v1": 3, "deep_oracle.v1": 3,
                     "deep_oracle.v2": 3, "deep_oracle.v3": 3,
                     "deep_softmax.v3": 3, "deep_gatv2.v3": 3}
-    # the layers whose accumulation, once it loses w_q, reads a q block
-    # that the fixture's 2d+1-wide state does not hold: refused at load
-    LOST_W_Q = {"deep_gatv2.v1": range(1, 6), "deep_oracle.v1": range(1, 6),
-                "rich.v1": [1]}
+    # the layers whose accumulation, once it loses w_q, no longer shares
+    # the one w_q the others recompute the query from: refused at load
+    LOST_W_Q = {"deep_gatv2.v1": range(1, 6), "deep_oracle.v1": range(1, 6)}
 
     @classmethod
     def _breakages(cls, node, path=()):
@@ -2327,7 +2306,7 @@ class TestPersistence:
                 if not (place in str(exc) or path == ("descriptors",)
                         and "descriptor table" in str(exc)):
                     wrong.append((path, value, str(exc)))
-                if "needs graph-node block" in str(exc):
+                if "does not recompute the query" in str(exc):
                     blocked.append(path)
                 continue
             except Exception as exc:
@@ -2354,9 +2333,82 @@ class TestPersistence:
         blob = numkit.load_json(self._v1_fixture(name))
         del blob["layers"][2]["gn_update"]["w_q"]
         with pytest.raises(ValueError, match=(
-                r"^layers\[2\]\.gn_update: score_accumulate needs graph-node "
-                r"block 'q', which a state initialized by \('pad', 7\) does "
-                r"not hold for width 3$")):
+                r"^layers\[2\]\.gn_update: score_accumulate does not "
+                r"recompute the query from the w_q of layers\[1\]\.gn_update: "
+                r"only accumulations that share one w_q load$")):
+            program_from_json(blob)
+
+    # every fixture of a deep program written before its current form: a
+    # fixed oracle row per layer (v1, v2), accumulations that recompute the
+    # query (v1), selectors staged round by round (gatv2, softmax), or null
+    # keys of those fields (deep_oracle.v3)
+    LEGACY_DEEP_FIXTURES = [
+        "deep_oracle.v1", "deep_oracle.v2", "deep_oracle.v3",
+        "deep_oracle_gn_msg.v1", "deep_gatv2.v1", "deep_gatv2.v2",
+        "deep_gatv2.v3", "deep_softmax.v3"]
+
+    @pytest.mark.parametrize("name", LEGACY_DEEP_FIXTURES)
+    def test_legacy_deep_fixture_loads_as_the_fresh_compile(
+            self, name, tmp_path, monkeypatch):
+        # the document, its saved bytes and its run are the compiled
+        # program's, and rounds 2..n fold: only layers 1, n + 1 and n + 2
+        # go through run_layer
+        pinned = name.split(".")[0].removesuffix("_gn_msg")
+        old = load_program(FIXTURES / f"{name}.json")
+        fresh = self._pinned_program(pinned)
+        assert program_to_json(old) == program_to_json(fresh)
+        save_program(old, tmp_path / "program.json")
+        if pinned in self.COMPACT_SHA256:
+            assert sha256((tmp_path / "program.json").read_bytes()) == \
+                self.COMPACT_SHA256[pinned]
+        want, calls = fresh.execute(star(5), self.FUZZ_X), []
+
+        def counting(s, layer, k):
+            calls.append(k)
+            return run_layer(s, layer, k)
+
+        monkeypatch.setattr(mpnnvn, "run_layer", counting)
+        assert np.array_equal(old.execute(star(5), self.FUZZ_X), want)
+        assert calls == [1, 6, 7]
+
+    @staticmethod
+    def _uncompilable(case):
+        """(document, refusal): an older document that the loader cannot
+        rewrite into the compiled form exactly."""
+        if case.startswith("rich"):  # codec samples, not compiled programs
+            return numkit.load_json(FIXTURES / f"{case}.json"), (
+                r"^layers\[3\]\.vn_pool( \(descriptors\[8\]\))?: "
+                r"oracle_select_pool selects the fixed row 1 at layer 4, not "
+                r"row 3$")
+        if case == "other_w_q":
+            blob = numkit.load_json(FIXTURES / "deep_oracle.v1.json")
+            blob["layers"][3]["gn_update"]["w_q"]["values"][0] += 1.0
+            return blob, (r"^layers\[3\]\.gn_update: score_accumulate does "
+                          r"not recompute the query from the w_q of "
+                          r"layers\[1\]\.gn_update: only accumulations that "
+                          r"share one w_q load$")
+        if case == "other_index":
+            blob = numkit.load_json(FIXTURES / "deep_oracle.v2.json")
+            blob["descriptors"][5]["index"] = 3
+            return blob, (r"^layers\[2\]\.vn_pool \(descriptors\[5\]\): "
+                          r"oracle_select_pool selects the fixed row 3 at "
+                          r"layer 3, not row 2$")
+        # the selector layer 3 reads is set by layer 2 from its pooled row
+        # (copy_pooled), or kept from the state before it (keep_vn)
+        blob = numkit.load_json(FIXTURES / "deep_softmax.v3.json")
+        assert blob["layers"][1]["vn_update"] == 3
+        blob["descriptors"][3] = {"kind": case}
+        return blob, (r"^layers\[1\]\.vn_update \(descriptors\[3\]\): "
+                      rf"{case} carries the selector that layer 3's pool "
+                      r"reads from data, where only one a selector_advance "
+                      r"stages loads$")
+
+    @pytest.mark.parametrize("case", [
+        "rich.v1", "rich.v2", "other_w_q", "other_index", "copy_pooled",
+        "keep_vn"])
+    def test_uncompilable_document_is_refused(self, case):
+        blob, refusal = self._uncompilable(case)
+        with pytest.raises(ValueError, match=refusal):
             program_from_json(blob)
 
     def test_duplicate_kind_registration_rejected(self):

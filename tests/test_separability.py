@@ -824,24 +824,25 @@ class TestAmplification:
             amplification_for(delta, 0.1, 4)
 
 
-def pool_weights(pool, X, selector):
-    """Selection weights of a deep program's pool, ``selector`` staged.
+def pool_weights(X, selector, **fields):
+    """Selection weights of a deep program's softmax pool with ``fields``,
+    scoring against ``selector``: the pool's one-row table, read at layer 1.
 
     The virtual node holds [feature | selector | placeholder] as it does in
-    a compiled deep program; the graph nodes' x blocks hold the points.
-    The pool reads the staged selector, not the layer number it is given.
+    a compiled deep program (the pool does not read it); the graph nodes' x
+    blocks hold the points.
     """
     X = numkit.as_matrix(X)
     d = X.shape[1]
-    vn = np.concatenate([np.zeros(d), selector, [0.0]])
-    _, weights = pool(vn, {"x": X}, 1)
+    pool = SoftmaxSelectPool(width=d, selectors=np.reshape(selector, (1, d)),
+                             **fields)
+    _, weights = pool(np.zeros(2 * d + 1), {"x": X}, 1)
     return weights
 
 
 def softmax_weights(X, cert, target):
-    pool = SoftmaxSelectPool(width=cert.directions.shape[1],
-                             scale=cert.amplification)
-    return pool_weights(pool, X, cert.directions[target])
+    return pool_weights(X, cert.directions[target],
+                        scale=cert.amplification)
 
 
 class TestSelectionWeights:
@@ -994,10 +995,8 @@ class TestL1Certificate:
         cert = l1_certificate(X, eps=1e-3)
         score = l1_score(3)
         for i in range(10):
-            w = pool_weights(SoftmaxSelectPool(width=3,
-                                               scale=cert.amplification,
-                                               score=score),
-                             X, cert.directions[i])
+            w = pool_weights(X, cert.directions[i],
+                             scale=cert.amplification, score=score)
             bound = selection_weight_bound(cert.amplification,
                                            float(cert.margins[i]), 10)
             assert w[i] >= bound - 1e-12

@@ -59,6 +59,7 @@ from .mpnnvn import (
 from .separability import (
     MARGIN_BAND,
     SeparabilityCertificate,
+    l1_certificate,
     selection_weight_bound,
     vdelta_certificate,
 )
@@ -259,12 +260,13 @@ class MlpStatsPool(Descriptor):
     """Feature-statistics pool with every nonlinearity a scalar piece."""
 
     kind: ClassVar[str] = "mlp_stats_pool"
+    slot: ClassVar[str] = "vn_pool"
     w_k: np.ndarray = matrix()
     w_v: np.ndarray = matrix()
     feature_map: FeatureMap = field(default=None)
     pieces: KernelPieces = field(default=None)
 
-    def __call__(self, vn, gn, k):
+    def __call__(self, gn, k):
         x = gn["x"]
         P = _phi_via_pieces(x @ self.w_k, self.feature_map, self.pieces,
                             "k_abs")
@@ -281,6 +283,7 @@ class MlpResolveUpdate(Descriptor):
     """Query resolution (dot products and division) via scalar pieces."""
 
     kind: ClassVar[str] = "mlp_resolve_update"
+    slot: ClassVar[str] = "gn_update"
     w_q: np.ndarray = matrix()
     feature_map: FeatureMap = field(default=None)
     pieces: KernelPieces = field(default=None)
@@ -620,6 +623,9 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
 
 # how many point sets make_certified_instance draws before giving up
 _INSTANCE_DRAWS = 200
+# relative roundoff slack of the closest-pair bound: a draw is rejected
+# before its LPs only when its bound is below min_delta by more than this
+_PAIR_BOUND_SLACK = 1e-9
 
 
 class NoCertifiedInstance(RuntimeError):
@@ -633,19 +639,34 @@ def make_certified_instance(n: int, d: int, rng: np.random.Generator,
     Points are sampled on the unit sphere (sphere points are extreme points
     of their hull, so certification usually succeeds) and redrawn until the
     ``vdelta_certificate`` margin reaches ``min_delta``; the certificate's
-    amplification is the one for a selection weight of 1 - 1e-4.  Returns
-    (X, certificate); raises ``NoCertifiedInstance`` when none of
-    ``_INSTANCE_DRAWS`` draws qualifies.
+    amplification is the one for a selection weight of 1 - 1e-4.  A point's
+    margin is at most its L1 distance to any other point (which lies in the
+    others' hull, and |w|_inf <= 1), that is its ``l1_certificate`` margin,
+    so a draw whose closest pair is nearer than ``min_delta`` in L1 is
+    redrawn before any LP runs.  Returns (X, certificate); raises
+    ``NoCertifiedInstance``, naming the largest delta a draw reached, when
+    none of ``_INSTANCE_DRAWS`` draws qualifies.
     """
+    best, unsolved = None, 0  # largest delta reached; draws with no LP run
     for _ in range(_INSTANCE_DRAWS):
         X = rng.normal(size=(n, d))
         X = X / np.linalg.norm(X, axis=1, keepdims=True)
+        bound = l1_certificate(X)
+        if not isinstance(bound, SeparabilityCertificate) \
+                or bound.delta * (1.0 + _PAIR_BOUND_SLACK) < min_delta:
+            unsolved += 1
+            continue
         cert = vdelta_certificate(X)
-        if isinstance(cert, SeparabilityCertificate) and cert.delta >= min_delta:
-            return X, cert
+        if isinstance(cert, SeparabilityCertificate):
+            if cert.delta >= min_delta:
+                return X, cert
+            best = cert.delta if best is None else max(best, cert.delta)
+    reached = ("no draw certified every point" if best is None
+               else f"the largest delta reached was {best:.6g}")
     raise NoCertifiedInstance(
         f"no (V, delta >= {min_delta}) instance found in {_INSTANCE_DRAWS} "
-        "draws"
+        f"draws: {reached}; {unsolved} draws had a closest pair nearer than "
+        f"{min_delta} in L1 and ran no LP"
     )
 
 

@@ -32,11 +32,13 @@ the one-layer ``__call__`` of each pool, of ``SelectorAdvance`` and of
 Every other run goes layer by layer through ``run_layer``.
 
 Every function slot is filled by a *descriptor*: a frozen dataclass with a
-registered ``kind`` and a ``__call__``, either closed-form or backed by
-built MLP weights.  Descriptors need no codec of their own: ``to_json`` and
-``from_json`` derive the JSON layout from the dataclass fields (one key per
-field, decoded by the field's type).  Array fields are declared with
-``matrix()`` or ``vector()``.
+registered ``kind``, the ``slot`` it fills and a ``__call__`` (``pool(gn,
+k)``, ``vn_update(vn, pooled)`` or ``gn_update(gn, vn)``), either
+closed-form or backed by built MLP weights; a program refuses a descriptor
+in another slot's place.  Descriptors need no codec of their own:
+``to_json`` and ``from_json`` derive the JSON layout from the dataclass
+fields (one key per field, decoded by the field's type).  Array fields are
+declared with ``matrix()`` or ``vector()``.
 
 Programs (ordered layer lists plus the virtual node's initial state) persist
 as ``layer-program/v3`` documents: a ``descriptors`` table holds each
@@ -134,10 +136,13 @@ def vector():
 class Descriptor:
     """A layer-slot evaluator; subclasses register themselves by ``kind``.
 
-    A new descriptor is a frozen dataclass that sets ``kind`` and defines
-    ``__call__``; its JSON form is derived from its fields, so it needs no
-    codec.  Array fields declared with ``matrix()``/``vector()`` are coerced
-    to float64 on construction.
+    A new descriptor is a frozen dataclass that sets ``kind`` and ``slot``
+    and defines ``__call__``; its JSON form is derived from its fields, so
+    it needs no codec.  ``slot`` names the one ``MpnnVnLayer`` slot it
+    fills, which fixes its call: ``pool(gn, k)`` in ``vn_pool``,
+    ``update(vn, pooled)`` in ``vn_update``, ``update(gn, vn)`` in
+    ``gn_update``.  Array fields declared with ``matrix()``/``vector()``
+    are coerced to float64 on construction.
 
     ``blocks`` names the graph-node blocks a pool or graph-node update reads
     or returns.  A descriptor that names a block other than ``x`` is a deep
@@ -146,6 +151,7 @@ class Descriptor:
     """
 
     kind: ClassVar[str] = ""
+    slot: ClassVar[str] = ""
     blocks: ClassVar[tuple[str, ...]] = ("x",)
     _registry: ClassVar[dict[str, type]] = {}
 
@@ -154,6 +160,9 @@ class Descriptor:
         if cls.kind:
             if cls.kind in Descriptor._registry:
                 raise TypeError(f"duplicate descriptor kind {cls.kind!r}")
+            if cls.slot not in ("vn_pool", "vn_update", "gn_update"):
+                raise TypeError(f"descriptor kind {cls.kind!r} names no "
+                                f"layer slot, got {cls.slot!r}")
             Descriptor._registry[cls.kind] = cls
 
     def __post_init__(self):
@@ -274,7 +283,7 @@ def from_json(cls, blob: dict):
 
 
 # ---------------------------------------------------------------------------
-# virtual-node pools: (vn, gn blocks, layer number) -> (pooled vector,
+# virtual-node pools: (gn blocks, layer number) -> (pooled vector,
 # selection weights or None)
 # ---------------------------------------------------------------------------
 
@@ -282,8 +291,9 @@ def from_json(cls, blob: dict):
 @dataclass(frozen=True)
 class MeanPool(Descriptor):
     kind: ClassVar[str] = "mean_pool"
+    slot: ClassVar[str] = "vn_pool"
 
-    def __call__(self, vn, gn, k):
+    def __call__(self, gn, k):
         x = gn["x"]
         return x.sum(axis=0) / x.shape[0], None
 
@@ -299,11 +309,12 @@ class FeatureStatsPool(Descriptor):
     """
 
     kind: ClassVar[str] = "feature_stats_pool"
+    slot: ClassVar[str] = "vn_pool"
     w_k: np.ndarray = matrix()
     w_v: np.ndarray = matrix()
     feature_map: attention.FeatureMap = field(default=None)
 
-    def __call__(self, vn, gn, k):
+    def __call__(self, gn, k):
         x = gn["x"]
         P = attention.phi_matrix(x @ self.w_k, self.feature_map)
         V = x @ self.w_v
@@ -322,6 +333,7 @@ class SoftmaxSelectPool(Descriptor):
     """
 
     kind: ClassVar[str] = "softmax_select_pool"
+    slot: ClassVar[str] = "vn_pool"
     width: int = 0
     scale: float = 1.0
     score: attention.Gatv2Score | None = None
@@ -336,7 +348,7 @@ class SoftmaxSelectPool(Descriptor):
             raise ValueError(f"{self.kind}: field 'scale' must be finite "
                              f"and positive, got {self.scale!r}")
 
-    def select(self, vn, gn, ks: range, weigh: bool = True):
+    def select(self, gn, ks: range, weigh: bool = True):
         """The pooled rows of layers ``ks`` and their selection weights, one
         row per layer: ((rounds, x width), (rounds, rows)).  Every pooled
         row reads only ``x``.  Each round's scores, softmax and weighted sum
@@ -353,8 +365,8 @@ class SoftmaxSelectPool(Descriptor):
         weights = numkit.softmax(self.scale * scores)
         return np.matmul(weights[:, None], x)[:, 0], weights
 
-    def __call__(self, vn, gn, k):
-        pooled, weights = self.select(vn, gn, range(k, k + 1))
+    def __call__(self, gn, k):
+        pooled, weights = self.select(gn, range(k, k + 1))
         return pooled[0], weights[0]
 
 
@@ -364,8 +376,9 @@ class OracleSelectPool(Descriptor):
     so one pool serves every round."""
 
     kind: ClassVar[str] = "oracle_select_pool"
+    slot: ClassVar[str] = "vn_pool"
 
-    def select(self, vn, gn, ks: range, weigh: bool = True):
+    def select(self, gn, ks: range, weigh: bool = True):
         """The ``x`` rows layers ``ks`` select, one row per layer, and, with
         ``weigh``, their one-hot selection weights as the rows of one
         (rounds, rows) array (else None: nothing builds them)."""
@@ -380,8 +393,8 @@ class OracleSelectPool(Descriptor):
             weights[np.arange(rows.size), rows] = 1.0
         return x[rows], weights
 
-    def __call__(self, vn, gn, k):
-        pooled, weights = self.select(vn, gn, range(k, k + 1))
+    def __call__(self, gn, k):
+        pooled, weights = self.select(gn, range(k, k + 1))
         return pooled[0], weights[0]
 
 
@@ -393,6 +406,7 @@ class OracleSelectPool(Descriptor):
 @dataclass(frozen=True)
 class CopyPooled(Descriptor):
     kind: ClassVar[str] = "copy_pooled"
+    slot: ClassVar[str] = "vn_update"
 
     def __call__(self, vn, pooled):
         return pooled
@@ -401,6 +415,7 @@ class CopyPooled(Descriptor):
 @dataclass(frozen=True)
 class KeepVn(Descriptor):
     kind: ClassVar[str] = "keep_vn"
+    slot: ClassVar[str] = "vn_update"
 
     def __call__(self, vn, pooled):
         return vn
@@ -409,6 +424,7 @@ class KeepVn(Descriptor):
 @dataclass(frozen=True, eq=False)
 class ConstVn(Descriptor):
     kind: ClassVar[str] = "const_vn"
+    slot: ClassVar[str] = "vn_update"
     values: np.ndarray = vector()
 
     def __call__(self, vn, pooled):
@@ -422,6 +438,7 @@ class SelectorAdvance(Descriptor):
     selectors from tables, so the selector block stays zero."""
 
     kind: ClassVar[str] = "selector_advance"
+    slot: ClassVar[str] = "vn_update"
     width: int = 0
 
     def stage(self, pooled):
@@ -444,6 +461,7 @@ class SelectorAdvance(Descriptor):
 @dataclass(frozen=True)
 class IdentityGn(Descriptor):
     kind: ClassVar[str] = "identity_gn"
+    slot: ClassVar[str] = "gn_update"
 
     def __call__(self, gn, vn):
         return gn
@@ -452,6 +470,7 @@ class IdentityGn(Descriptor):
 @dataclass(frozen=True, eq=False)
 class LinearGn(Descriptor):
     kind: ClassVar[str] = "linear_gn"
+    slot: ClassVar[str] = "gn_update"
     matrix: np.ndarray = matrix()
 
     def __call__(self, gn, vn):
@@ -467,6 +486,7 @@ class AffineFromVn(Descriptor):
     """
 
     kind: ClassVar[str] = "affine_from_vn"
+    slot: ClassVar[str] = "gn_update"
     matrix: np.ndarray = matrix()
     bias: np.ndarray = vector()
     activation: str | None = None
@@ -488,6 +508,7 @@ class ResolveQueryUpdate(Descriptor):
     """
 
     kind: ClassVar[str] = "resolve_query_update"
+    slot: ClassVar[str] = "gn_update"
     w_q: np.ndarray = matrix()
     feature_map: attention.FeatureMap = field(default=None)
     value_dim: int = 0
@@ -513,6 +534,7 @@ class StageQuery(Descriptor):
     """
 
     kind: ClassVar[str] = "stage_query"
+    slot: ClassVar[str] = "gn_update"
     blocks: ClassVar[tuple[str, ...]] = ("x", "q")
     w_q: np.ndarray = matrix()
     width: int = 0
@@ -538,6 +560,7 @@ class ScoreAccumulate(Descriptor):
     """
 
     kind: ClassVar[str] = "score_accumulate"
+    slot: ClassVar[str] = "gn_update"
     blocks: ClassVar[tuple[str, ...]] = ("acc", "mass", "q")
     w_k: np.ndarray = matrix()
     w_v: np.ndarray = matrix()
@@ -586,6 +609,7 @@ class RatioUpdate(Descriptor):
     """
 
     kind: ClassVar[str] = "ratio_update"
+    slot: ClassVar[str] = "gn_update"
     blocks: ClassVar[tuple[str, ...]] = ("acc", "mass")
     width: int = 0
 
@@ -611,23 +635,27 @@ class MpnnVnLayer:
     gn_update: Descriptor
 
 
+_SLOTS = tuple(f.name for f in dataclasses.fields(MpnnVnLayer))
+
+
 def run_layer(s: NodeState, layer: MpnnVnLayer,
               k: int) -> tuple[NodeState, np.ndarray | None]:
     """Apply ``layer`` as the program's layer ``k`` (1-based) with a
     synchronous barrier.
 
-    The pool is called as ``pool(vn, gn, k)``: a selection pool reads its
-    row from ``k``, so one layer object can serve every round.  The pool
-    and every graph-node update read the pre-layer state ``s``: each graph
-    node sees the pre-layer virtual-node vector ``s.vn``, so nothing
-    observes a mid-layer update.  Returns the post-layer state and the
-    pool's selection weights, one per row (None for a pool that is not a
-    selection pool).  The state's rows are the node set; checking them
-    against a host graph is ``LayerProgram.execute``'s job.  The new state shares every block the
+    The pool is called as ``pool(gn, k)``: no pool reads the virtual node,
+    and a selection pool reads its row from ``k``, so one layer object can
+    serve every round.  The pool and every graph-node update read the
+    pre-layer state ``s``: each graph node sees the pre-layer virtual-node
+    vector ``s.vn``, so nothing observes a mid-layer update.  Returns the
+    post-layer state and the pool's selection weights, one per row (None
+    for a pool that is not a selection pool).  The state's rows are the
+    node set; checking them against a host graph is
+    ``LayerProgram.execute``'s job.  The new state shares every block the
     graph-node update returned unchanged (all of them for ``IdentityGn``; x
     and q for ``ScoreAccumulate``): no descriptor writes into ``s``.
     """
-    pooled, weights = layer.vn_pool(s.vn, s.gn, k)
+    pooled, weights = layer.vn_pool(s.gn, k)
     new_vn = layer.vn_update(s.vn, pooled)
     new_gn = layer.gn_update(s.gn, s.vn)
     return NodeState(new_gn, new_vn), weights
@@ -673,7 +701,11 @@ class LayerProgram:
       slot objects (``Run``), in order.  A compiled deep program's rounds
       2..n are one run, and so are the layers of a loaded document that
       name the same descriptors.  Every check below, ``run_program`` and
-      ``program_to_json`` walk these.
+      ``program_to_json`` walk these.  Each run's descriptors are checked
+      once against their slots (``Descriptor.slot``): a pool as
+      ``vn_update``, say, is refused, naming its ``layers[i].slot`` and
+      its kind.  (A hand-built layer may hold any callable of the slot's
+      signature; only descriptors declare a slot.)
     * ``layout``: None (one block ``x``, the input rows) when no descriptor
       names a block other than ``x``.  Otherwise the widths of the blocks
       ``x``, ``acc`` and ``mass`` (d, d, 1), plus ``q`` (d) when a
@@ -702,6 +734,12 @@ class LayerProgram:
         for _, same in itertools.groupby(self.layers, key=_slot_ids):
             same = list(same)
             runs.append(Run(start, same[0], len(same)))
+            for slot in _SLOTS:
+                desc = getattr(same[0], slot)
+                if isinstance(desc, Descriptor) and desc.slot != slot:
+                    raise ValueError(
+                        f"layers[{start}].{slot}: {desc.kind} is a "
+                        f"{desc.slot} descriptor, not a {slot} one")
             start += len(same)
         layout = n = None
         width, named = None, set()
@@ -833,7 +871,7 @@ def _folded_rounds(s: NodeState, run: Run, weigh: bool):
     chunk = max(1, _CHUNK_FLOATS // max(1, gn["x"].size))
     for first in range(run.start + 1, stop, chunk):
         ks = range(first, min(first + chunk, stop))
-        pooled, weights = pool.select(vn, gn, ks, weigh)
+        pooled, weights = pool.select(gn, ks, weigh)
         vn_rows = advance.stage(pooled)
         gn = accumulate.fold(
             gn, np.concatenate([vn[None, :d], vn_rows[:-1, :d]]))
@@ -887,7 +925,6 @@ def run_program(s0: NodeState, prog: LayerProgram,
 # writes the last
 FORMATS = ("layer-program/v1", "layer-program/v2", "layer-program/v3")
 _V1, _V2, _V3 = FORMATS
-_SLOTS = tuple(f.name for f in dataclasses.fields(MpnnVnLayer))
 # a descriptor's dedupe key: its blob encoded with sorted keys (built once,
 # as ``json.dumps`` would build it again on every call)
 _descriptor_key = json.JSONEncoder(sort_keys=True).encode

@@ -20,9 +20,12 @@ min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
 
 The LP solver, ``solve_lp``, is a dense primal simplex with Bland's
 anti-cycling pivot rule, run once from a feasible basis the caller supplies:
-the hull-distance LP always has one (the first point with weight 1, the
-slacks absorbing the rest).  Deterministic, dependency-free, adequate for
-the small instances certified here (d+1 rows, a few dozen columns).
+the hull-distance LP always has one (its first point column with weight 1,
+the slacks absorbing the rest).  A point's LP has the other points as its
+columns ordered by L1 distance to it, nearest first, so it starts at its
+L1-nearest point and Bland's rule tries near points, the likely active
+ones, before far ones.  Deterministic, dependency-free, adequate for the
+small instances certified here (d+1 rows, a few dozen columns).
 
 It solves only stacks of LPs and returns arrays.  Certifying n points
 stacks their n LPs into one (n, d+2, n+2d) tableau that pivots in lockstep:
@@ -296,19 +299,25 @@ def _separations(X: np.ndarray, targets: np.ndarray):
     """Max-margin directions (k, d) and margins (k,) of the target points
     of the checked matrix X, as ``strict_separation`` reads them.
 
-    The targets' LPs are solved in lockstep, in chunks whose tableaux fit
-    in ``LP_BATCH_BYTES``.
+    Each target's LP has the other points as its columns, ordered by L1
+    distance to the target, nearest first (a stable sort: ties keep the
+    input order).  So each LP starts at the target's L1-nearest point, and
+    Bland's rule tries near points, the likely active ones, first.  The
+    targets' LPs are solved in lockstep, in chunks whose tableaux fit in
+    ``LP_BATCH_BYTES``.
     """
     n, d = X.shape
     tableau_bytes = 8 * (d + 2) * (n + 2 * d)  # k + 2d + 1 columns, k = n - 1
     step = max(1, LP_BATCH_BYTES // tableau_bytes)
-    rest = np.arange(n - 1)
     directions, margins = [], []
     for lo in range(0, len(targets), step):
         chunk = targets[lo:lo + step]
         points = X[chunk]
-        # X without each target's own row
-        others = X.take(rest + (rest >= chunk[:, None]), axis=0)
+        # X without each target's own row, nearest first: the target's -1
+        # sorts before every distance and is dropped
+        distances = np.abs(points[:, None, :] - X).sum(axis=2)
+        distances[np.arange(len(chunk)), chunk] = -1.0
+        others = X[np.argsort(distances, axis=1, kind="stable")[:, 1:]]
         _, _, W = _hull_distances(points, others)
         directions.append(W)
         margins.append(np.matmul(points[:, None, :] - others,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import (deep_trace_oracle, probe_bounds_oracle, random_network,
                      self_attention_oracle, time2_rows_oracle)
 from traces import gn_matrix, run_stepwise
-from vnlab import attention, constructions, deepsets, mlp, numkit
+from vnlab import attention, constructions, deepsets, mlp, numkit, separability
 from vnlab.constructions import (
     DeepSimConfig,
     ErrorReport,
@@ -1198,6 +1198,67 @@ class TestDeepSoftmax:
         assert cert.delta >= 0.1
         assert cert.n == 6
         np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0)
+
+    @staticmethod
+    def _draws(n, d, rng):
+        """The unit-sphere point sets ``make_certified_instance`` draws."""
+        for _ in range(constructions._INSTANCE_DRAWS):
+            X = rng.normal(size=(n, d))
+            yield X / np.linalg.norm(X, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("n, d, min_delta", [
+        (5, 3, 0.1), (6, 3, 0.1), (8, 2, 0.05), (12, 4, 0.1), (16, 3, 0.05)])
+    def test_closest_pair_rejection_keeps_the_accepted_draw(
+            self, n, d, min_delta):
+        # rejecting draws by their closest pair before any LP accepts the
+        # draw that certifying every draw accepts, and leaves the stream
+        # where it would be
+        for seed in range(8):
+            got_rng, want_rng = numkit.make_rng(seed), numkit.make_rng(seed)
+            want = next((X, cert) for X in self._draws(n, d, want_rng)
+                        for cert in [vdelta_certificate(X)]
+                        if isinstance(cert, SeparabilityCertificate)
+                        and cert.delta >= min_delta)
+            X, cert = make_certified_instance(n, d, got_rng, min_delta)
+            assert X.tobytes() == want[0].tobytes()
+            assert cert.directions.tobytes() == want[1].directions.tobytes()
+            assert cert.margins.tobytes() == want[1].margins.tobytes()
+            assert cert.amplification == want[1].amplification
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_close_pairs_run_no_lp(self, monkeypatch):
+        # at n = 64 in 3-D most draws hold a pair nearer than 0.1 in L1,
+        # which bounds every margin; only the others reach the LPs
+        solved = []
+        separations = separability._separations
+
+        def counting(X, targets):
+            solved.append(X.copy())
+            return separations(X, targets)
+
+        monkeypatch.setattr(separability, "_separations", counting)
+        with pytest.raises(constructions.NoCertifiedInstance):
+            make_certified_instance(64, 3, numkit.make_rng(0))
+        draws = list(self._draws(64, 3, numkit.make_rng(0)))
+        slack = constructions._PAIR_BOUND_SLACK
+        far = [X for X in draws
+               if l1_certificate(X).delta * (1.0 + slack) >= 0.1]
+        assert 0 < len(solved) == len(far) < len(draws) // 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(solved, far))
+
+    def test_no_instance_names_the_largest_delta_reached(self):
+        n, d, min_delta = 8, 3, 0.9
+        slack = constructions._PAIR_BOUND_SLACK
+        best = max(cert.delta for X in self._draws(n, d, numkit.make_rng(2))
+                   if l1_certificate(X).delta * (1.0 + slack) >= min_delta
+                   for cert in [vdelta_certificate(X)]
+                   if isinstance(cert, SeparabilityCertificate))
+        assert best < min_delta
+        with pytest.raises(constructions.NoCertifiedInstance, match=(
+                rf"^no \(V, delta >= 0\.9\) instance found in 200 draws: "
+                rf"the largest delta reached was {best:.6g}; \d+ draws had a "
+                rf"closest pair nearer than 0\.9 in L1 and ran no LP$")):
+            make_certified_instance(n, d, numkit.make_rng(2), min_delta)
 
     def test_selection_bounds_hold_per_layer(self):
         rng = numkit.make_rng(6)

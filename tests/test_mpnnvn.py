@@ -234,13 +234,13 @@ class TestPoolsAndUpdates:
         X = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
         pool = OracleSelectPool()
         for k in (1, 2, 3):
-            row, weights = pool(np.zeros(2), {"x": X}, k)
+            row, weights = pool({"x": X}, k)
             assert np.array_equal(row, X[k - 1])
             assert np.array_equal(weights, np.eye(3)[k - 1])
         for k in (0, 4):
             with pytest.raises(ValueError, match=(
                     rf"^selection index {k - 1} out of range$")):
-                pool(np.zeros(2), {"x": X}, k)
+                pool({"x": X}, k)
 
     def test_softmax_select_vanishing_scale_is_mean(self):
         # a zero scale is refused; at 1e-300 every score rounds to the same
@@ -293,16 +293,15 @@ class TestPoolsAndUpdates:
                              ids=["bilinear", "l1"])
     def test_table_pool_reads_row_k_minus_1(self, score):
         # layer k scores against row k - 1 of the table, bitwise as a pool
-        # whose one-row table holds that row does at layer 1; the virtual
-        # node is not read
+        # whose one-row table holds that row does at layer 1
         gn = {"x": numkit.make_rng(2).normal(size=(4, 2))}
         table = numkit.make_rng(3).normal(size=(4, 2))
         pool = SoftmaxSelectPool(width=2, scale=3.0, score=score,
                                  selectors=table)
         for k in (1, 2, 3, 4):
             alone = dataclasses.replace(pool, selectors=table[k - 1 : k])
-            got, weights = pool(np.full(5, np.nan), gn, k)
-            want, want_weights = alone(np.full(5, np.nan), gn, 1)
+            got, weights = pool(gn, k)
+            want, want_weights = alone(gn, 1)
             assert np.array_equal(got, want)
             assert np.array_equal(weights, want_weights)
 
@@ -1099,8 +1098,8 @@ class TestSelectionRounds:
         built = []
         select = OracleSelectPool.select
 
-        def spy(self, vn, gn, ks, weigh=True):
-            pooled, weights = select(self, vn, gn, ks, weigh)
+        def spy(self, gn, ks, weigh=True):
+            pooled, weights = select(self, gn, ks, weigh)
             built.append((ks, weights))
             return pooled, weights
 
@@ -2411,7 +2410,44 @@ class TestPersistence:
         with pytest.raises(ValueError, match=refusal):
             program_from_json(blob)
 
+    @pytest.mark.parametrize("layer, slot, entry, refusal", [
+        (1, "vn_update", 0, r"layers\[1\]\.vn_update: oracle_select_pool is "
+                            r"a vn_pool descriptor, not a vn_update one"),
+        (0, "gn_update", 1, r"layers\[0\]\.gn_update: selector_advance is a "
+                            r"vn_update descriptor, not a gn_update one"),
+        (3, "vn_pool", 6, r"layers\[6\]\.vn_pool: ratio_update is a "
+                          r"gn_update descriptor, not a vn_pool one"),
+        (2, "vn_pool", {"kind": "keep_vn"},
+         r"layers\[5\]\.vn_pool: keep_vn is a vn_update descriptor, not a "
+         r"vn_pool one"),
+    ])
+    def test_descriptor_in_another_slot_is_refused_at_load(
+            self, layer, slot, entry, refusal):
+        # these loaded and then failed at run time with a bare TypeError or
+        # IndexError; the refusal names the run's first layer
+        blob = numkit.load_json(FIXTURES / "deep_oracle.v3.json")
+        if isinstance(entry, dict):  # by kind string, in the table
+            blob["descriptors"][blob["layers"][layer][slot]] = entry
+        else:  # by table index
+            blob["layers"][layer][slot] = entry
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            program_from_json(blob)
+
+    def test_descriptor_in_another_slot_is_refused_when_built(self):
+        with pytest.raises(ValueError, match=(
+                r"^layers\[0\]\.gn_update: mean_pool is a vn_pool descriptor, "
+                r"not a gn_update one$")):
+            LayerProgram(layers=[MpnnVnLayer(MeanPool(), KeepVn(),
+                                             MeanPool())],
+                         vn_init=np.zeros(1))
+
     def test_duplicate_kind_registration_rejected(self):
         with pytest.raises(TypeError, match="duplicate"):
             class Clash(Descriptor):
                 kind = "mean_pool"
+
+    def test_kind_without_a_slot_is_not_registered(self):
+        with pytest.raises(TypeError, match="names no layer slot"):
+            class Slotless(Descriptor):
+                kind = "slotless"
+        assert "slotless" not in Descriptor._registry

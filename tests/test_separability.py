@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -452,6 +452,76 @@ def test_certify_shape_certificates_are_pinned(seed):
     assert digest == CERTIFY_SHAPE_SHA256[seed]
 
 
+def _ties_free(X) -> bool:
+    """Whether each point's L1 distances to the other points are distinct,
+    so that no LP's column order depends on the input order."""
+    dist = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2)
+    return all(np.unique(np.delete(row, i)).size == row.size - 1
+               for i, row in enumerate(dist))
+
+
+class TestColumnOrder:
+    """Each point's LP has the other points as columns, nearest first."""
+
+    def test_columns_go_nearest_first_and_ties_keep_input_order(
+            self, monkeypatch):
+        X = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                      [1.0, 1.0]])
+        seen = []
+        hull_distances = separability._hull_distances
+
+        def spy(P, points):
+            seen.append(points.copy())
+            return hull_distances(P, points)
+
+        monkeypatch.setattr(separability, "_hull_distances", spy)
+        point_separations(X)
+        (others,) = seen
+        # point 0: distances 3, 1, 1, 2 to points 1..4; the tie at 1 goes
+        # to the lower index
+        assert _same_bits(others[0], X[[2, 3, 4, 1]])
+        for i, rows in enumerate(others):
+            dist = np.abs(rows - X[i]).sum(axis=1)
+            assert np.all(np.diff(dist) >= 0.0)
+
+    @given(certifier_point_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_rows_permutes_the_certificate(self, X, data):
+        # each LP sees the same columns in the same order wherever its
+        # point and the others stand, so the bits move with the rows
+        assume(_ties_free(X))
+        perm = np.array(data.draw(st.permutations(range(X.shape[0]))))
+        cert, moved = vdelta_certificate(X), vdelta_certificate(X[perm])
+        if isinstance(cert, CertificateFailure):
+            assert isinstance(moved, CertificateFailure)
+            assert moved.inseparable == tuple(
+                np.flatnonzero(np.isin(perm, cert.inseparable)).tolist())
+        else:
+            assert isinstance(moved, SeparabilityCertificate)
+            assert _same_bits(moved.directions, cert.directions[perm])
+            assert _same_bits(moved.margins, cert.margins[perm])
+            assert moved.amplification == cert.amplification
+
+    def test_lockstep_iterations_per_certificate(self, monkeypatch):
+        # Bland's rule from each LP's nearest point: about 7 lockstep
+        # iterations per certify-shape certificate, where input order
+        # took about 17
+        calls = []
+        leaving_rows = separability._leaving_rows
+
+        def counting(*args):
+            calls.append(None)
+            return leaving_rows(*args)
+
+        monkeypatch.setattr(separability, "_leaving_rows", counting)
+        seeds = range(20)
+        for seed in seeds:
+            X = numkit.make_rng(seed).normal(size=(32, 3))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            assert isinstance(vdelta_certificate(X), SeparabilityCertificate)
+        assert len(calls) / len(seeds) <= 9.0
+
+
 # ---------------------------------------------------------------------------
 # separation and hull membership
 # ---------------------------------------------------------------------------
@@ -728,6 +798,28 @@ def test_hull_distance_matches_highs(kind):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("kind", ["sphere", "normal"])
+def test_margins_in_8d_match_highs(kind, n):
+    """Larger LPs than the sampled sets: 8-D, 31 and 63 columns of points."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    X = np.random.default_rng([5, n, 8, 0]).normal(size=(n, 8))
+    if kind == "sphere":
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+    for i, (w, margin) in enumerate(point_separations(X, band=-np.inf)):
+        others = np.delete(X, i, axis=0)
+        res = linprog(-np.eye(9)[-1],
+                      A_ub=np.hstack([others - X[i], np.ones((n - 1, 1))]),
+                      b_ub=np.zeros(n - 1),
+                      bounds=[(-1.0, 1.0)] * 8 + [(None, None)],
+                      method="highs")
+        assert res.status == 0
+        assert abs(margin + res.fun) <= 1e-7
+        assert np.max(np.abs(w)) <= 1.0
+        # a 2-D product sums in another order than the certifier's stack
+        assert np.min((X[i] - others) @ w) >= margin - 1e-12
+
+
 class TestCertificates:
     def test_simplex_vertices_certified(self):
         X = np.eye(3)
@@ -826,17 +918,14 @@ class TestAmplification:
 
 def pool_weights(X, selector, **fields):
     """Selection weights of a deep program's softmax pool with ``fields``,
-    scoring against ``selector``: the pool's one-row table, read at layer 1.
-
-    The virtual node holds [feature | selector | placeholder] as it does in
-    a compiled deep program (the pool does not read it); the graph nodes' x
-    blocks hold the points.
+    scoring against ``selector``: the pool's one-row table, read at layer 1,
+    with the points as the graph nodes' x block.
     """
     X = numkit.as_matrix(X)
     d = X.shape[1]
     pool = SoftmaxSelectPool(width=d, selectors=np.reshape(selector, (1, d)),
                              **fields)
-    _, weights = pool(np.zeros(2 * d + 1), {"x": X}, 1)
+    _, weights = pool({"x": X}, 1)
     return weights
 
 

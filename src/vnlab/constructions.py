@@ -21,14 +21,17 @@ Two constructions are implemented, each returning a runnable, serializable
 ``run_and_report`` executes a compiled program next to its reference
 attention layer and produces an :class:`ErrorReport` with per-node errors
 and, for deep programs, per-layer selection-quality measurements against the
-guaranteed bounds.
+guaranteed bounds.  It measures them as arrays, and the report's tables
+(:class:`ReportRows`) build a row's dict only when it is read.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -596,10 +599,10 @@ def compile_deep_vn(w: AttnWeights, cfg: DeepSimConfig) -> LayerProgram:
     advance = SelectorAdvance(width=d)
     layers = [MpnnVnLayer(pool, advance, stage)] \
         + [MpnnVnLayer(pool, advance, accumulate)] * (n - 1)
-    ones = ConstVn(np.ones(2 * d + 1))
-    layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
+    mean, ones = MeanPool(), ConstVn(np.ones(2 * d + 1))
+    layers.append(MpnnVnLayer(vn_pool=mean, vn_update=ones,
                               gn_update=accumulate))
-    layers.append(MpnnVnLayer(vn_pool=MeanPool(), vn_update=ones,
+    layers.append(MpnnVnLayer(vn_pool=mean, vn_update=ones,
                               gn_update=RatioUpdate(width=d)))
 
     return LayerProgram(
@@ -675,16 +678,88 @@ def make_certified_instance(n: int, d: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
+class ReportRows(Sequence):
+    """A report table: its rows read as dicts, each built when it is read.
+
+    ``columns`` maps each key, in row key order, to a 1-D array with one
+    entry per row.  ``held`` maps a key to a bool array of the rows that
+    hold it; any other key is in every row.  Reading a row builds a new
+    dict of Python scalars, so changing it changes nothing else.  ``len``
+    and ``all_true`` read the arrays only, and a table equals a list of
+    the dicts it reads as.
+    """
+
+    def __init__(self, columns: dict, held: dict | None = None):
+        held = held or {}
+        self._columns = {key: column for key, column in columns.items()
+                         if key not in held or held[key].any()}
+        self._held = {key: rows for key, rows in held.items()
+                      if key in self._columns and not rows.all()}
+        self._len = len(next(iter(columns.values()), ()))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self._len)[i]]
+        i = range(self._len)[i]
+        return {key: column[i].item() for key, column in self._columns.items()
+                if key not in self._held or self._held[key][i]}
+
+    def __iter__(self):
+        keys = tuple(self._columns)
+        values = [column.tolist() for column in self._columns.values()]
+        if not self._held:
+            return (dict(zip(keys, row)) for row in zip(*values))
+        absent = object()
+        for j, key in enumerate(keys):
+            if key in self._held:
+                values[j] = [v if h else absent for v, h
+                             in zip(values[j], self._held[key].tolist())]
+        return ({k: v for k, v in zip(keys, row) if v is not absent}
+                for row in zip(*values))
+
+    def __eq__(self, other):
+        if isinstance(other, ReportRows):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) \
+            else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def all_true(self, *keys: str) -> bool:
+        """Whether every row holding each of ``keys`` has a true value
+        there: ``all(row.get(key, True) ...)`` over the rows, read off the
+        arrays."""
+        for key in keys:
+            column = self._columns.get(key)
+            if column is not None and not np.all(
+                    column[self._held[key]] if key in self._held else column):
+                return False
+        return True
+
+
 @dataclass
 class ErrorReport:
-    """Measured deviation of a compiled program from its reference layer."""
+    """Measured deviation of a compiled program from its reference layer.
+
+    ``per_node`` reads as one ``{"node", "abs", "rel"}`` dict per output
+    row, and ``selection`` as one dict per selection layer (see
+    ``run_and_report``).  ``run_and_report`` fills both with
+    ``ReportRows``, which keep the values as arrays and build each dict
+    when it is read; a hand-built report may hold plain lists of dicts.
+    """
 
     reference: str
     max_abs: float
     mean_abs: float
     max_rel: float
-    per_node: list
-    selection: list
+    per_node: Sequence
+    selection: Sequence
     config: dict
     seed: int | None
     rng_algorithm: ClassVar[str] = numkit.RNG_ALGORITHM
@@ -693,16 +768,26 @@ class ErrorReport:
     def bounds_ok(self) -> bool:
         """The output is finite, and every selected feature and selection
         weight is within its bound."""
-        return math.isfinite(self.max_abs) and all(
-            entry.get("feature_error_ok", True)
-            and entry.get("weight_ok", True)
-            for entry in self.selection)
+        keys = ("feature_error_ok", "weight_ok")
+        rows = self.selection
+        return math.isfinite(self.max_abs) and (
+            rows.all_true(*keys) if isinstance(rows, ReportRows)
+            else all(entry.get(key, True) for entry in rows for key in keys))
 
 
 def report_to_json(report: ErrorReport) -> dict:
-    """The format tag, one key per ``ErrorReport`` field, the rng algorithm."""
-    return {"format": "error-report/v1", **asdict(report),
-            "rng_algorithm": report.rng_algorithm}
+    """The format tag, one key per ``ErrorReport`` field, the rng algorithm.
+
+    Built field by field: every row is a new dict and ``config`` a deep
+    copy, so changing the document changes nothing in ``report``.
+    """
+    blob = {"format": "error-report/v1"}
+    for f in fields(ErrorReport):
+        value = getattr(report, f.name)
+        blob[f.name] = [dict(row) for row in value] \
+            if f.name in ("per_node", "selection") else copy.deepcopy(value)
+    blob["rng_algorithm"] = report.rng_algorithm
+    return blob
 
 
 def report_csv_row(report: ErrorReport) -> tuple:
@@ -737,12 +822,18 @@ def run_and_report(
     first on ties), the realized weight of that row, the selected feature's
     error against it, and the guaranteed bound n * C1 * (1 - weight) that
     error must respect (C1 = ``feature_bound`` or the largest input row
-    norm).  A ``cert`` must be for the program's selection pools
-    ("bilinear" for softmax, "l1" for gatv2), as ``compile_deep_vn``
-    requires, and cover the program's n points; each weight bound is for
-    its pool's ``scale`` and the margin of round k's selector,
-    ``cert.margins[k - 1]``, whichever row now holds its point.  A
-    ``feature_bound`` must be finite and positive.
+    norm).  An oracle round's weights are one-hot on row k - 1, so its
+    target is row k - 1 and its weight 1.0, read off no weight row.  A
+    ``cert`` must be for the program's selection pools ("bilinear" for
+    softmax, "l1" for gatv2), as ``compile_deep_vn`` requires, and cover
+    the program's n points; each weight bound is for its pool's ``scale``
+    and the margin of round k's selector, ``cert.margins[k - 1]``,
+    whichever row now holds its point.  A ``feature_bound`` must be finite
+    and positive.
+
+    Every measurement is an array over rows or rounds: the report's
+    ``per_node`` and ``selection`` are ``ReportRows`` over them, and
+    ``max_abs`` and ``max_rel`` are NaN when any row's error is.
     """
     if feature_bound is not None and not (
             math.isfinite(feature_bound) and feature_bound > 0.0):
@@ -760,30 +851,38 @@ def run_and_report(
         raise ValueError(f"unknown reference {reference!r}")
 
     deep = prog.n is not None
+    d = prog.layout["x"] if deep else 0
     # a deep program's selection layers come first, one per row; each pool
     # says which certificate it reads and, as ``scale``, the amplification
-    # its weight bound is for (the oracle pool reads neither)
-    pools = [layer.vn_pool for layer in prog.layers[:prog.n]] if deep else []
-    if cert is not None:
-        if deep and cert.n != prog.n:
-            raise ValueError(f"certificate covers {cert.n} points, program "
-                             f"needs {prog.n}")
-        for pool in pools:
-            if isinstance(pool, SoftmaxSelectPool):
-                _check_cert_score(pool, cert)
-    d = prog.layout["x"] if deep else 0
+    # its weight bound is for (NaN: the oracle pool reads neither)
+    if cert is not None and deep and cert.n != prog.n:
+        raise ValueError(f"certificate covers {cert.n} points, program "
+                         f"needs {prog.n}")
+    oracle, scales = np.zeros(n, dtype=bool), np.full(n, np.nan)
+    for run in prog.runs if deep else ():
+        if run.start >= n:
+            break
+        pool = run.layer.vn_pool
+        rows = slice(run.start, run.start + run.repeat)
+        if cert is not None and isinstance(pool, SoftmaxSelectPool):
+            _check_cert_score(pool, cert)
+        oracle[rows] = isinstance(pool, OracleSelectPool)
+        scale = getattr(pool, "scale", None)
+        scales[rows] = np.nan if scale is None else scale
     # after layer k <= n: the feature stored and, where the pool gives
     # selection weights, the row it weighs most (its target, the first on
-    # ties) and that row's weight; without weights the target is row k - 1
+    # ties) and that row's weight.  An oracle pool's weights are one-hot
+    # on row k - 1, so its target is row k - 1 and its weight 1.0, read off
+    # no weight row; without weights the target is row k - 1 too
     features, targets = np.zeros((n, d)), np.arange(n)
-    w_target, weighed = np.zeros(n), np.zeros(n, dtype=bool)
+    w_target, weighed = np.where(oracle, 1.0, 0.0), oracle.copy()
 
     def measure_selection(ks, state, vn_rows, weights):
         if ks.start > n:
             return
-        rows = np.arange(ks.start - 1, ks.stop - 1)
+        rows = slice(ks.start - 1, ks.stop - 1)  # one step, one pool
         features[rows] = vn_rows[:, :d]
-        if weights is not None:
+        if weights is not None and not oracle[rows.start]:
             targets[rows] = weights.argmax(axis=1)
             w_target[rows] = weights.max(axis=1)
             weighed[rows] = True
@@ -799,34 +898,30 @@ def run_and_report(
     diff = np.abs(got - want)
     abs_node = diff.max(axis=1)
     rel_node = abs_node / np.maximum(np.abs(want).max(axis=1), 1e-12)
-    per_node = [{"node": i, "abs": a, "rel": r} for i, (a, r)
-                in enumerate(zip(abs_node.tolist(), rel_node.tolist()))]
+    per_node = ReportRows({"node": np.arange(n), "abs": abs_node,
+                           "rel": rel_node})
 
-    selection = []
+    selection = ReportRows({})
     if deep:
         c1 = feature_bound if feature_bound is not None \
             else float(np.linalg.norm(X, axis=1).max())
         offset = features - X[targets]
         feat_errs = np.sqrt(np.vecdot(offset, offset))
         bounds = n * c1 * (1.0 - w_target)
-        columns = zip(targets.tolist(), weighed.tolist(), w_target.tolist(),
-                      feat_errs.tolist(), bounds.tolist(),
-                      (feat_errs <= bounds + 1e-12).tolist())
-        for k, (target, has_weight, weight, feat_err, bound, ok) in enumerate(
-                columns, start=1):
-            c = getattr(pools[k - 1], "scale", None)
-            entry = {"layer": k, "target": target}
-            if has_weight:
-                entry["weight"] = weight
-                entry["feature_error"] = feat_err
-                entry["feature_error_bound"] = bound
-                entry["feature_error_ok"] = ok
-                if cert is not None and c is not None:
-                    entry["weight_bound"] = selection_weight_bound(
-                        c, float(cert.margins[k - 1]), n
-                    )
-                    entry["weight_ok"] = weight >= entry["weight_bound"] - 1e-12
-            selection.append(entry)
+        columns = {"layer": np.arange(1, n + 1), "target": targets,
+                   "weight": w_target, "feature_error": feat_errs,
+                   "feature_error_bound": bounds,
+                   "feature_error_ok": feat_errs <= bounds + 1e-12}
+        held = dict.fromkeys(columns.keys() - {"layer", "target"}, weighed)
+        if cert is not None:
+            checked = weighed & ~np.isnan(scales)
+            columns["weight_bound"] = np.array([
+                selection_weight_bound(c, m, n) if ok else np.nan
+                for c, m, ok in zip(scales.tolist(), cert.margins.tolist(),
+                                    checked.tolist())])
+            columns["weight_ok"] = w_target >= columns["weight_bound"] - 1e-12
+            held["weight_bound"] = held["weight_ok"] = checked
+        selection = ReportRows(columns, held)
 
     config = dict(prog.metadata)
     config.setdefault("n", n)
@@ -834,7 +929,7 @@ def run_and_report(
         reference=reference,
         max_abs=float(diff.max()),
         mean_abs=float(diff.mean()),
-        max_rel=float(max(e["rel"] for e in per_node)),
+        max_rel=float(rel_node.max()),
         per_node=per_node,
         selection=selection,
         config=config,

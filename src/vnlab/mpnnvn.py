@@ -85,6 +85,7 @@ their arguments, so consecutive states may share blocks.
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import functools
@@ -588,14 +589,17 @@ class ScoreAccumulate(Descriptor):
         if rows == 1:
             q = np.concatenate([q, q])
         ys = ys[:, None, : self.width]
-        e = np.exp(np.einsum("ic,kc->ki", q, (ys @ self.w_k)[:, 0]))
+        e = np.einsum("ic,kc->ki", q, (ys @ self.w_k)[:, 0])
+        np.exp(e, out=e)
         # the term e_i * yv_c is one product per entry, as with a
         # broadcast *, but einsum needs no scratch buffer for it
         terms = np.einsum("ki,kc->kic", e, (ys @ self.w_v)[:, 0])
-        terms[0] += gn["acc"]
         e[0] += gn["mass"][:, 0]
+        mass = np.add.reduce(e, axis=0)[:rows, None]
+        del e  # freed first: summing the terms adds only their sum
+        terms[0] += gn["acc"]
         return {**gn, "acc": np.add.reduce(terms, axis=0)[:rows],
-                "mass": np.add.reduce(e, axis=0)[:rows, None]}
+                "mass": mass}
 
     def __call__(self, gn, vn):
         return self.fold(gn, vn[None])
@@ -700,12 +704,15 @@ class LayerProgram:
     * ``runs``: the layers as maximal stretches that hold the same three
       slot objects (``Run``), in order.  A compiled deep program's rounds
       2..n are one run, and so are the layers of a loaded document that
-      name the same descriptors.  Every check below, ``run_program`` and
-      ``program_to_json`` walk these.  Each run's descriptors are checked
-      once against their slots (``Descriptor.slot``): a pool as
-      ``vn_update``, say, is refused, naming its ``layers[i].slot`` and
-      its kind.  (A hand-built layer may hold any callable of the slot's
-      signature; only descriptors declare a slot.)
+      name the same descriptors.  Consecutive repeats of one layer object
+      are grouped first, so the slot objects are compared once per such
+      group: a 258-layer deep program reads them 4 times.  Every check
+      below, ``run_program`` and ``program_to_json`` walk these.  Each
+      run's descriptors are checked once against their slots
+      (``Descriptor.slot``): a pool as ``vn_update``, say, is refused,
+      naming its ``layers[i].slot`` and its kind.  (A hand-built layer
+      may hold any callable of the slot's signature; only descriptors
+      declare a slot.)
     * ``layout``: None (one block ``x``, the input rows) when no descriptor
       names a block other than ``x``.  Otherwise the widths of the blocks
       ``x``, ``acc`` and ``mass`` (d, d, 1), plus ``q`` (d) when a
@@ -730,17 +737,25 @@ class LayerProgram:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        runs, start = [], 0
-        for _, same in itertools.groupby(self.layers, key=_slot_ids):
+        # consecutive repeats of one layer object first (compiles and loads
+        # repeat one object per run), then neighbouring groups that hold the
+        # same three slot objects: the slot ids are read once per group
+        runs, start, ids = [], 0, None
+        for _, same in itertools.groupby(self.layers, key=id):
             same = list(same)
-            runs.append(Run(start, same[0], len(same)))
-            for slot in _SLOTS:
-                desc = getattr(same[0], slot)
-                if isinstance(desc, Descriptor) and desc.slot != slot:
-                    raise ValueError(
-                        f"layers[{start}].{slot}: {desc.kind} is a "
-                        f"{desc.slot} descriptor, not a {slot} one")
-            start += len(same)
+            layer, repeat = same[0], len(same)
+            key = _slot_ids(layer)
+            if key == ids:
+                runs[-1] = runs[-1]._replace(repeat=runs[-1].repeat + repeat)
+            else:
+                runs.append(Run(start, layer, repeat))
+                for slot in _SLOTS:
+                    desc = getattr(layer, slot)
+                    if isinstance(desc, Descriptor) and desc.slot != slot:
+                        raise ValueError(
+                            f"layers[{start}].{slot}: {desc.kind} is a "
+                            f"{desc.slot} descriptor, not a {slot} one")
+            start, ids = start + repeat, key
         layout = n = None
         width, named = None, set()
         for run in runs:
@@ -795,7 +810,8 @@ class LayerProgram:
 
     def initial_state(self, X) -> NodeState:
         """The state before layer 1 for the rows of ``X``: block ``x`` is a
-        copy of ``X`` and every other block of the layout is zero.  Only
+        copy of ``X`` and every other block of the layout is zero, blocks
+        of one width sharing one zero array (nothing writes a block).  Only
         ``X`` is checked here: a non-finite entry is refused, naming the
         first one by (row, column), and, with a layout, so is an X of
         another row count than ``n`` or another column count than the width
@@ -809,7 +825,9 @@ class LayerProgram:
         if cols != layout["x"]:
             raise ValueError(f"input X has {cols} columns, but the "
                              f"program's x block is {layout['x']} wide")
-        gn = {name: X.copy() if name == "x" else np.zeros((rows, w))
+        zeros = {w: np.zeros((rows, w)) for name, w in layout.items()
+                 if name != "x"}
+        gn = {name: X.copy() if name == "x" else zeros[w]
               for name, w in layout.items()}
         return NodeState(gn, self.vn_init.copy())
 
@@ -835,9 +853,9 @@ class LayerProgram:
 
 # the most score-term floats a chunk of selection rounds holds at once: a
 # chunk on (rows, width) ``x`` blocks is this many // (rows * width) rounds,
-# at least one, so its (rounds, rows, width) terms stay within 256 KiB
-# whatever n (16 rounds at n = 256, d = 8; 4 at n = 1024)
-_CHUNK_FLOATS = 1 << 15
+# at least one, so its (rounds, rows, width) terms stay within 512 KiB
+# whatever n (32 rounds at n = 256, d = 8; 8 at n = 1024)
+_CHUNK_FLOATS = 1 << 16
 
 
 def _selection_run(run: Run) -> bool:
@@ -904,7 +922,9 @@ def run_program(s0: NodeState, prog: LayerProgram,
     None when the step's pool is not a selection pool.  Each is bitwise
     what ``run_layer`` gives at those layers, and no array handed out is
     written afterwards.  Only an observer makes the folded rounds of an
-    oracle pool build their one-hot weights.
+    oracle pool build their one-hot weights; an observer that knows the
+    pool can take round k's target and weight as row k - 1 and 1.0
+    without reading them, as ``constructions.run_and_report`` does.
     """
     s = s0
     for run in prog.runs:
@@ -955,27 +975,39 @@ def program_to_json(prog: LayerProgram) -> dict:
     entry.  Descriptors are told apart by their encoded value, and layers by
     their three indexes, so equal descriptors share one entry whether or
     not they are one object, and a program re-saves to the same bytes after
-    a reload.  The document holds a copy of the program's ``metadata``.
+    a reload.  Each distinct object is encoded once; only a kind that two
+    or more objects hold has its blobs JSON-encoded (with sorted keys) to
+    compare them, so entries stay apart exactly where that JSON differs.
+    A compiled program holds one object per kind and encodes no such key.
+    The document holds a copy of the program's ``metadata``.
     """
-    descriptors, index_of_value, index_of_obj = [], {}, {}
+    # every distinct slot object in order of first use, encoded once; a
+    # shared object is one entry (``prog`` keeps every slot alive, so no id
+    # is reused meanwhile)
+    blobs = {}
+    for run in prog.runs:
+        for name in _SLOTS:
+            slot = getattr(run.layer, name)
+            if id(slot) not in blobs:
+                blobs[id(slot)] = slot.to_json()
+    # equal blobs have one kind, so only a kind held by two or more objects
+    # needs the sorted JSON encoding of its blobs as their dedupe key; any
+    # other object is keyed by its id (an int never equals an encoding)
+    shared = {kind for kind, count in collections.Counter(
+        blob["kind"] for blob in blobs.values()).items() if count > 1}
+    descriptors, index_of_obj, index_of_value = [], {}, {}
+    for obj, blob in blobs.items():
+        key = _descriptor_key(blob) if blob["kind"] in shared else obj
+        if key not in index_of_value:
+            index_of_value[key] = len(descriptors)
+            descriptors.append(blob)
+        index_of_obj[obj] = index_of_value[key]
 
-    def ref(slot: Descriptor) -> int:
-        # keyed by id() too, so a shared object is encoded once; ``prog``
-        # keeps every slot alive, so no id is reused meanwhile
-        if id(slot) not in index_of_obj:
-            blob = slot.to_json()
-            key = _descriptor_key(blob)
-            if key not in index_of_value:
-                index_of_value[key] = len(descriptors)
-                descriptors.append(blob)
-            index_of_obj[id(slot)] = index_of_value[key]
-        return index_of_obj[id(slot)]
-
-    # each of the program's runs is encoded once; then neighbouring runs
-    # with the same three indexes merge
+    # neighbouring runs with the same three indexes merge
     runs = []  # [slot indexes, repeat]
     for run in prog.runs:
-        key = tuple(ref(getattr(run.layer, name)) for name in _SLOTS)
+        key = tuple(index_of_obj[id(getattr(run.layer, name))]
+                    for name in _SLOTS)
         if runs and runs[-1][0] == key:
             runs[-1][1] += run.repeat
         else:

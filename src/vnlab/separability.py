@@ -21,10 +21,13 @@ min_j (x_i - x_j).w over |w|_inf <= 1, and its optimal duals are that w
 The LP solver, ``solve_lp``, is a dense primal simplex with Bland's
 anti-cycling pivot rule, run once from a feasible basis the caller supplies:
 the hull-distance LP always has one (its first point column with weight 1,
-the slacks absorbing the rest).  A point's LP has the other points as its
-columns ordered by L1 distance to it, nearest first, so it starts at its
-L1-nearest point and Bland's rule tries near points, the likely active
-ones, before far ones.  Deterministic, dependency-free, adequate for the
+the slacks absorbing the rest).  Start columns that are signed unit columns
+of cost 1, as those slacks are, enter the tableau in closed form with the
+bits of their pivots (``_unit_start``), so only the point column pivots on
+the whole stack.  A point's LP has the other points as its columns ordered
+by L1 distance to it, nearest first, so it starts at its L1-nearest point
+and Bland's rule tries near points, the likely active ones, before far
+ones.  Deterministic, dependency-free, adequate for the
 small instances certified here (d+1 rows, a few dozen columns).
 
 It solves only stacks of LPs and returns arrays.  Certifying n points
@@ -203,17 +206,50 @@ def _bland_lockstep(T: np.ndarray, basis: np.ndarray) -> np.ndarray:
         work_basis[lp, leave] = enter
 
 
+def _unit_start(T: np.ndarray, basis: np.ndarray,
+                no_such_column: np.ndarray) -> int:
+    """Pivot the leading start columns that are unit-cost signed unit
+    columns into the fresh tableau stack ``T``, in closed form; returns how
+    many.
+
+    Row i's start column counts when, in every LP, it is +-1 in row i, 0 in
+    every other constraint row and 1 in the cost row (the hull-distance
+    LP's slacks).  Its pivot divides row i by that sign, leaves the other
+    constraint rows as they are (their factor is 0), subtracts 1.0 times
+    row i from the cost row, and changes no other such column.  So these
+    rows are divided in one step and then subtracted from the cost row one
+    by one, in row order: the float operations of ``_pivot``, and its bits.
+    """
+    n_lp, m = basis.shape
+    if no_such_column.any():
+        return 0
+    # columns[b, i, r]: row r of LP b's start column for row i, cost last
+    columns = T[np.arange(n_lp)[:, None], :, basis]
+    template = np.eye(m, m + 1)
+    template[:, m] = 1.0
+    unit = (np.abs(columns) == template).all(axis=(0, 2)) \
+        & (columns[:, :, m] > 0.0).all(axis=0)
+    u = m if unit.all() else int(unit.argmin())
+    if u:
+        T[:, :u] /= np.diagonal(columns, axis1=1, axis2=2)[:, :u, None]
+        for i in range(u):
+            T[:, -1] -= T[:, i]
+    return u
+
+
 def solve_lp(c, A, b, basis):
     """Minimize c[k].x subject to A[k] x = b[k], x >= 0, for each LP k.
 
     A stack of k LPs: A (k, m, n), c (k, n), b (k, m) and ``basis`` (k, m),
     where ``basis[k, i]`` is the column made basic in row i of LP k; the
     caller guarantees that these columns form a feasible basis.  Pivoting
-    them into the tableau [A | b] under the cost row [c | 0] turns that row
-    into reduced costs, and one run of Bland's rule from there ends optimal
-    or unbounded, so termination is guaranteed and identical inputs take
-    identical pivots.  The LPs pivot in lockstep; each takes exactly the
-    pivots, and gets exactly the bits, it would take solved alone.
+    them into the tableau [A | b] under the cost row [c | 0] (the leading
+    ones that are unit-cost signed unit columns in closed form, see
+    ``_unit_start``) turns that row into reduced costs, and one run of
+    Bland's rule from there ends optimal or unbounded, so termination is
+    guaranteed and identical inputs take identical pivots.  The LPs pivot
+    in lockstep; each takes exactly the pivots, and gets exactly the bits,
+    it would take solved alone.
 
     Returns (x, basis, unbounded): the final basic solutions (k, n), NaN
     for an unbounded LP; the final bases (k, m); and the unbounded flags
@@ -237,7 +273,7 @@ def solve_lp(c, A, b, basis):
     T[:, -1, :n] = c
     lp = np.arange(n_lp)
     no_such_column = (basis < 0) | (basis >= n)
-    for i in range(m):
+    for i in range(_unit_start(T, basis, no_such_column), m):
         j = basis[:, i]
         bad = no_such_column[:, i]
         if not np.count_nonzero(bad):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from oracles import (deep_trace_oracle, probe_bounds_oracle, random_network,
                      self_attention_oracle, time2_rows_oracle)
 from traces import gn_matrix, run_stepwise
-from vnlab import attention, constructions, deepsets, mlp, numkit, separability
+from vnlab import (attention, constructions, deepsets, mlp, mpnnvn, numkit,
+                   separability)
 from vnlab.constructions import (
     DeepSimConfig,
     ErrorReport,
@@ -1682,6 +1683,185 @@ class TestReports:
         assert not rep.bounds_ok
         entry["weight_ok"] = True
         assert rep.bounds_ok
+
+    def _eager_rows(self, X, prog, want, cert=None):
+        """(per_node, selection) built one dict per row, each selection
+        round's target and weight the argmax and max of its weight row,
+        as reports were built before their tables were columnar."""
+        n = X.shape[0]
+        steps = {}
+
+        def observe(ks, state, vn_rows, weights):
+            for j, k in enumerate(ks):
+                steps[k] = vn_rows[j], None if weights is None else weights[j]
+
+        got = prog.extract(run_program(prog.initial_state(X), prog,
+                                       observe=observe))
+        per_node, selection = self._per_node_by_rows(got, want), []
+        if prog.n is None:
+            return per_node, selection
+        d = prog.layout["x"]
+        c1 = float(np.linalg.norm(X, axis=1).max())
+        for k in range(1, n + 1):
+            vn, weights = steps[k]
+            entry = {"layer": k, "target": k - 1 if weights is None
+                     else int(weights.argmax())}
+            if weights is not None:
+                weight = float(weights.max())
+                error = float(np.linalg.norm(vn[:d] - X[entry["target"]]))
+                bound = n * c1 * (1.0 - weight)
+                entry.update(weight=weight, feature_error=error,
+                             feature_error_bound=bound,
+                             feature_error_ok=error <= bound + 1e-12)
+                c = getattr(prog.layers[k - 1].vn_pool, "scale", None)
+                if cert is not None and c is not None:
+                    entry["weight_bound"] = selection_weight_bound(
+                        c, float(cert.margins[k - 1]), n)
+                    entry["weight_ok"] = weight >= entry["weight_bound"] \
+                        - 1e-12
+            selection.append(entry)
+        return per_node, selection
+
+    @pytest.mark.parametrize("kind", ["deep_oracle", "deep_softmax",
+                                      "deep_gatv2", "kernel_exact", "mixed"])
+    def test_columnar_rows_read_as_the_eager_rows(self, kind, monkeypatch):
+        # rounds 2..n fold in chunks of 3 rounds
+        monkeypatch.setattr(mpnnvn, "_CHUNK_FLOATS", 3 * 5 * 3)
+        prog, X, w, cert = _compiled_case(
+            "deep_softmax" if kind == "mixed" else kind, 4)
+        if kind == "mixed":
+            # an oracle first round among softmax rounds: its row has a
+            # weight but no weight bound
+            layers = list(prog.layers)
+            layers[0] = MpnnVnLayer(OracleSelectPool(), layers[0].vn_update,
+                                    layers[0].gn_update)
+            prog = replace(prog, layers=layers)
+        fm = None
+        if kind == "kernel_exact":
+            fm = prog.layers[0].vn_pool.feature_map
+            want = attention.approx_attention(X, w, fm)
+        else:
+            want = attention.self_attention(X, w)
+        rep = run_and_report(X, prog, w, fm=fm, cert=cert,
+                             reference="kernel" if fm else "full")
+        per_node, selection = self._eager_rows(X, prog, want, cert)
+        for rows, eager in ((rep.per_node, per_node),
+                            (rep.selection, selection)):
+            assert isinstance(rows, constructions.ReportRows)
+            assert len(rows) == len(eager)
+            assert rows == eager and eager == rows
+            assert json.dumps(list(rows)) == json.dumps(eager)
+            every = range(-len(rows), len(rows))
+            assert json.dumps([rows[i] for i in every]) \
+                == json.dumps(eager + eager)
+            assert rows[1:4] == eager[1:4] and rows[::-2] == eager[::-2]
+            with pytest.raises(IndexError):
+                rows[len(rows)]
+        if kind == "mixed":
+            assert "weight_bound" not in rep.selection[0]
+            assert all("weight_ok" in e for e in rep.selection[1:])
+        assert (rep.selection == []) is (kind == "kernel_exact")
+        blob = report_to_json(rep)
+        assert blob["per_node"] == per_node and blob["selection"] == selection
+
+    def test_rows_are_new_dicts_and_len_builds_none(self, monkeypatch):
+        prog, X, w, _ = _compiled_case("deep_oracle", 2)
+        rep = run_and_report(X, prog, w)
+        blob = json.dumps(report_to_json(rep))
+        rep.per_node[0]["abs"] = -1.0
+        next(iter(rep.selection))["target"] = 99
+        report_to_json(rep)["selection"][0]["layer"] = 7
+        assert json.dumps(report_to_json(rep)) == blob
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        for name in ("__iter__", "__getitem__"):
+            monkeypatch.setattr(constructions.ReportRows, name, no_rows)
+        assert len(rep.per_node) == len(rep.selection) == 5
+        assert rep.bounds_ok
+
+    def test_bounds_ok_from_arrays_is_the_row_predicate(self):
+        # a weight_ok of False fails the report only in a row that holds it
+        held = np.array([True, False, True])
+        ok = np.array([True, True, True])
+        for weight_ok, max_abs in (([True, False, True], 0.0),
+                                   ([True, True, False], 0.0),
+                                   ([True, True, True], 0.0),
+                                   ([True, False, True], math.nan)):
+            rows = constructions.ReportRows(
+                {"layer": np.arange(1, 4), "target": np.arange(3),
+                 "feature_error_ok": ok, "weight_ok": np.array(weight_ok)},
+                {"weight_ok": held})
+            as_dicts = list(rows)
+            assert ["weight_ok" in e for e in as_dicts] == held.tolist()
+            columnar, plain = (ErrorReport(
+                reference="full", max_abs=max_abs, mean_abs=0.0,
+                max_rel=0.0, per_node=[], selection=table, config={},
+                seed=None) for table in (rows, as_dicts))
+            assert columnar.bounds_ok is plain.bounds_ok
+            assert plain.bounds_ok is (weight_ok != [True, True, False]
+                                       and not math.isnan(max_abs))
+
+    def test_bounds_ok_of_a_failed_weight_bound(self):
+        # the certificate's margins are for X; on X shrunk fivefold the
+        # same amplification leaves every weight below its bound
+        rng = numkit.make_rng(3)
+        X, cert = make_certified_instance(6, 3, rng)
+        w = attention.random_weights(3, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(n=6, selection="softmax",
+                                                certificate=cert))
+        rep = run_and_report(X / 5.0, prog, w, cert=cert)
+        assert not any(e["weight_ok"] for e in rep.selection)
+        assert rep.bounds_ok is False
+        assert replace(rep, selection=list(rep.selection)).bounds_ok is False
+        assert run_and_report(X, prog, w, cert=cert).bounds_ok is True
+
+    def test_oracle_rounds_are_measured_without_their_weights(
+            self, monkeypatch):
+        # an oracle round's target and weight are row k - 1 and 1.0, what
+        # argmax and max of its one-hot weights give, so run_and_report
+        # reads no (rounds, n) weight array, while an observer still gets
+        # the weights
+        class Unread(np.ndarray):
+            def argmax(self, *args, **kwargs):
+                raise AssertionError("argmax over oracle weights")
+
+            max = argmax
+
+        select = OracleSelectPool.select
+
+        def spy(self, gn, ks, weigh=True):
+            pooled, weights = select(self, gn, ks, weigh)
+            handed.append(weights is not None)
+            return pooled, None if weights is None else weights.view(Unread)
+
+        rng = np.random.default_rng([77, 0, 0])
+        X = rng.normal(size=(256, 8)) * 0.3
+        w = attention.random_weights(8, rng)
+        prog = compile_deep_vn(w, DeepSimConfig(n=256))
+        before = json.dumps(report_to_json(run_and_report(X, prog, w)))
+        handed = []
+        monkeypatch.setattr(OracleSelectPool, "select", spy)
+        rep = run_and_report(X, prog, w)
+        assert handed and all(handed)
+        assert json.dumps(report_to_json(rep)) == before
+        assert [(e["target"], e["weight"]) for e in rep.selection] == \
+            [(k, 1.0) for k in range(256)]
+
+    def test_max_rel_is_nan_when_any_row_is(self):
+        # ROADMAP item 2's case: the unshifted accumulation overflows in
+        # three rows, none of them node 0; max_rel once skipped them
+        w = attention.random_weights(4, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=16, selection="oracle"))
+        X = numkit.make_rng(1).normal(size=(16, 4)) * 30
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run_and_report(X, prog, w)
+        nan_rows = [e["node"] for e in rep.per_node if math.isnan(e["rel"])]
+        assert len(nan_rows) == 3 and 0 not in nan_rows
+        assert math.isnan(rep.max_abs) and math.isnan(rep.max_rel)
+        finite = run_and_report(X / 30, prog, w)
+        assert finite.max_rel == max(e["rel"] for e in finite.per_node)
 
     def test_non_finite_output_fails_bounds_ok(self):
         # exp(q.k) overflows in the accumulation at this scale, while the

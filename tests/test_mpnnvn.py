@@ -412,6 +412,35 @@ class TestPrograms:
         assert [run.repeat for run in longer.runs] == [1, 4, 1, 1, 1]
         assert longer.n == prog.n == 5
 
+    def test_distinct_layers_with_the_same_slots_form_one_run(self):
+        pool, update, gn = MeanPool(), CopyPooled(), IdentityGn()
+        same = [MpnnVnLayer(pool, update, gn) for _ in range(3)]
+        other = MpnnVnLayer(pool, update, IdentityGn())  # another slot object
+        prog = LayerProgram(layers=[same[0], same[0], *same[1:], other,
+                                    other], vn_init=np.zeros(2))
+        assert [(run.start, run.layer, run.repeat) for run in prog.runs] \
+            == [(0, same[0], 4), (4, other, 2)]
+
+    def test_slot_ids_are_read_once_per_layer_object_run(self, monkeypatch):
+        # a compiled or loaded deep program repeats one layer object per
+        # run, so building one reads its slot ids once per run, not once
+        # per layer
+        read = []
+
+        def counting(layer):
+            read.append(layer)
+            return slot_ids(layer)
+
+        slot_ids = mpnnvn._slot_ids
+        monkeypatch.setattr(mpnnvn, "_slot_ids", counting)
+        w = attention.random_weights(8, numkit.make_rng(0))
+        prog = compile_deep_vn(w, DeepSimConfig(n=256))
+        assert len(prog.layers) == 258 and len(prog.runs) == 4
+        assert len(read) == 4
+        read.clear()
+        loaded = program_from_json(program_to_json(prog))
+        assert len(read) == 4 and len(loaded.runs) == 4
+
     def test_permutation_equivariance(self):
         g = star(6)
         rng = numkit.make_rng(1)
@@ -1713,6 +1742,55 @@ class TestPersistence:
             ["mean_pool", "copy_pooled", "linear_gn"]
         assert blob["layers"] == [
             {"vn_pool": 0, "vn_update": 1, "gn_update": 2, "repeat": 3}]
+
+    def test_equal_values_merge_and_differing_json_stays_apart(self):
+        # entries merge exactly where their JSON is equal: -0.0 and 0.0, or
+        # an int 1 and a float 1.0, encode apart; np.float64(0.5) encodes
+        # as 0.5
+        def pool(scale):
+            return SoftmaxSelectPool(width=2, scale=scale,
+                                     selectors=np.eye(2))
+
+        def const(values):
+            return ConstVn(np.array(values))
+
+        def table(*pairs):
+            layers = [MpnnVnLayer(p, v, IdentityGn()) for p, v in pairs]
+            blob = program_to_json(LayerProgram(layers=layers[:2],
+                                                vn_init=np.zeros(2)))
+            return [e["kind"] for e in blob["descriptors"]], blob["layers"]
+
+        kinds, layers = table((pool(0.5), const([0.0, 1.0])),
+                              (pool(np.float64(0.5)), const([0.0, 1.0])))
+        assert kinds == ["softmax_select_pool", "const_vn", "identity_gn"]
+        assert layers == [{"vn_pool": 0, "vn_update": 1, "gn_update": 2,
+                           "repeat": 2}]
+        for first, second in (((pool(1), const([0.0, 1.0])),
+                               (pool(1.0), const([0.0, 1.0]))),
+                              ((pool(1.0), const([-0.0, 1.0])),
+                               (pool(1.0), const([0.0, 1.0])))):
+            kinds, layers = table(first, second)
+            assert len(kinds) == 4 and len(layers) == 2
+
+    def test_program_to_json_encodes_no_key_for_a_deep_program(
+            self, monkeypatch):
+        # every kind of a compiled deep program is one object, so no
+        # descriptor is JSON-encoded only to be told apart from another
+        keys = []
+        key = mpnnvn._descriptor_key
+        monkeypatch.setattr(mpnnvn, "_descriptor_key",
+                            lambda blob: keys.append(blob) or key(blob))
+        w = attention.random_weights(8, numkit.make_rng(0))
+        for selection in ("oracle", "softmax"):
+            cert = None if selection == "oracle" else SeparabilityCertificate(
+                directions=np.eye(8)[np.arange(64) % 8] * (
+                    1.0 + np.arange(64) // 8)[:, None],
+                margins=np.ones(64), amplification=3.0)
+            prog = compile_deep_vn(w, DeepSimConfig(
+                n=64, selection=selection, certificate=cert))
+            blob = program_to_json(prog)
+            assert len(blob["descriptors"]) == 7 and len(blob["layers"]) == 4
+        assert keys == []
 
     def test_graph_to_graph_channel_is_refused(self):
         blob = program_to_json(mean_subtract_program(2))

@@ -320,6 +320,82 @@ class TestLockstepStack:
         vdelta_certificate(_unit_sphere_points(3))
         assert sizes and all(seen == pivoted for seen, pivoted in sizes)
 
+    @staticmethod
+    def _start_tableaux(monkeypatch, lps, closed_form):
+        """The tableaux ``solve_lp`` hands Bland's rule for the stacked
+        ``lps``, and its result, with or without the closed-form start."""
+        seen = []
+        lockstep = separability._bland_lockstep
+
+        def capture(T, basis):
+            seen.append(T.copy())
+            return lockstep(T, basis)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(separability, "_bland_lockstep", capture)
+            if not closed_form:
+                patch.setattr(separability, "_unit_start", lambda *a: 0)
+            result = _solve_stack(lps)
+        return seen[0], result
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_start_columns_get_the_pivot_bits(self, seed, monkeypatch):
+        # unit-cost slacks of either sign, with -0.0 and 0.0 entries, then
+        # a dense start row; a slack that costs -1 or 2, or has a second
+        # nonzero entry, ends the closed-form rows, and later rows pivot as
+        # before
+        rng = numkit.make_rng(seed)
+        m, k = 4, 5
+        lps = []
+        for variant in range(4):
+            sign = np.where(rng.uniform(size=m - 1) < 0.5, -1.0, 1.0)
+            A = np.round(rng.normal(size=(m, k + m - 1)), 1)
+            A[rng.uniform(size=A.shape) < 0.2] = -0.0
+            A[:m - 1, k:] = np.diag(sign)
+            A[m - 1, k:] = -0.0
+            A[:, 0] = np.abs(A[:, 0]) + 1.0  # the dense start column
+            c = np.round(rng.normal(size=k + m - 1), 1)
+            c[k:] = 1.0
+            if variant == 1:
+                c[k + 1] = -1.0 if seed % 2 else 2.0
+            if variant == 2:
+                A[m - 1, k + 2] = 0.5
+            x0 = np.zeros(k + m - 1)
+            x0[0] = 1.0
+            x0[k:] = rng.uniform(0.0, 1.0, m - 1)
+            start = [k + i for i in range(m - 1)] + [0]
+            lps.append((c, A, A @ x0, start))
+        for stack in (lps[:1], lps[1:2], lps[2:3], lps):
+            closed = self._start_tableaux(monkeypatch, stack, True)
+            pivoted = self._start_tableaux(monkeypatch, stack, False)
+            assert _same_bits(closed[0], pivoted[0])
+            for got, want in zip(closed[1], pivoted[1]):
+                assert _same_bits(got, want)
+
+    def test_hull_lp_start_is_one_pivot(self, monkeypatch):
+        # the hull-distance LP's d slack start columns are unit columns
+        # that cost 1, so only its lambda_0 start column pivots on the stack
+        counts = []
+        pivot, lockstep = separability._pivot, separability._bland_lockstep
+        in_lockstep = []
+
+        def lockstep_spy(T, basis):
+            in_lockstep.append(True)
+            try:
+                return lockstep(T, basis)
+            finally:
+                in_lockstep.clear()
+
+        def pivot_spy(T, rows, cols):
+            if not in_lockstep:
+                counts.append(int(rows[0]))
+            pivot(T, rows, cols)
+
+        monkeypatch.setattr(separability, "_bland_lockstep", lockstep_spy)
+        monkeypatch.setattr(separability, "_pivot", pivot_spy)
+        vdelta_certificate(_unit_sphere_points(3))
+        assert counts == [3]  # row d of one 32-LP stack, d = 3
+
     def test_stacked_dimensions_must_agree(self):
         c, A, b, start = _staircase_lp(2)
         with pytest.raises(ValueError, match="dimensions"):
